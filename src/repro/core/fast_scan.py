@@ -21,14 +21,16 @@ Query pipeline implemented by :class:`PQFastScanner`:
   scanned with plain PQ Scan; the resulting temporary topk-th distance
   becomes the quantization bound ``qmax`` (Section 4.4).
 * **small-table build** — quantized minimum tables for the non-grouped
-  components, quantized portions per group for the grouped ones.
-* **grouped scan** — per group: lower bounds for all members, pruning
-  against the current threshold, exact ADC for survivors, threshold
-  update.
+  components, quantized full tables (all 16 portions) for the grouped.
+* **lower bounds** — the whole partition in one ``take`` per
+  sub-quantizer over the lookup rows the grouped layout prepared
+  (:meth:`SmallTables.partition_lower_bounds`).
+* **pruned scan** — rows in fixed strides of 1024: pruning against the
+  current threshold, exact ADC for survivors, threshold update.
 
-This implementation processes each group as a vectorized batch and
-refreshes the pruning threshold between groups, which is the batching a
-SIMD implementation performs between register reloads.
+The stride is the batching a SIMD implementation performs between
+threshold reloads, stretched to what one numpy call amortises; groups
+shape the prepared layout and never appear in the query path.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dtypes import BoolArray
 from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
 from ..obs import get_observability
 from ..pq.adc import adc_distances
 from ..pq.product_quantizer import ProductQuantizer
 from ..scan.base import InstructionProfile, PartitionScanner, ScanResult
-from ..scan.topk import TopKAccumulator
+from ..scan.topk import select_topk
 from .grouping import GroupedPartition, suggested_components
 from .minimum_tables import CentroidAssignment, optimized_assignment
 from .quantization import DistanceQuantizer
@@ -199,8 +202,8 @@ class PQFastScanner(PartitionScanner):
     def prepare(self, partition: Partition, c: int | None = None) -> GroupedPartition:
         """Remap codes to the optimized assignment and group the partition.
 
-        This is the build-time step of PQ Fast Scan; its output can be
-        cached and reused for every query against the partition.
+        This is the build-time step of PQ Fast Scan; its output (compact
+        layout, lookup rows, id order) serves every query of the partition.
         """
         c = self._components_for(len(partition)) if c is None else c
         remapped = Partition(
@@ -312,6 +315,19 @@ class PQFastScanner(PartitionScanner):
         """Full PQ Fast Scan of ``partition`` for one query."""
         return self.scan_grouped(tables, self.prepared(partition), topk)
 
+    def scan_batch(
+        self, tables: np.ndarray, partition: Partition, topk: int = 1
+    ) -> list[FastScanResult]:
+        """Scan one partition for a whole ``(b, m, 256)`` table stack.
+
+        The prepared layout is fetched once and the stack remapped in
+        one :meth:`CentroidAssignment.remap_tables` call; result ``i``
+        is byte-identical to ``scan(tables[i], ...)``.
+        """
+        grouped = self.prepared(partition)
+        tables_r = self.assignment.remap_tables(tables)
+        return [self.scan_prepared(row, grouped, topk) for row in tables_r]
+
     def scan_grouped(
         self, tables: np.ndarray, grouped: GroupedPartition, topk: int = 1
     ) -> FastScanResult:
@@ -322,21 +338,10 @@ class PQFastScanner(PartitionScanner):
     def scan_prepared(
         self, tables_r: np.ndarray, grouped: GroupedPartition, topk: int = 1
     ) -> FastScanResult:
-        """Scan with *already remapped* tables (batch-friendly entry).
-
-        The batch executor remaps the whole ``(b, m, k*)`` table stack of
-        a partition in one :meth:`CentroidAssignment.remap_tables` call
-        and then feeds each row here, skipping the per-query remap that
-        :meth:`scan_grouped` performs.
-        """
+        """Scan with *already remapped* tables: the one query path, which
+        :meth:`scan`, :meth:`scan_batch` and :meth:`scan_grouped` end in."""
         n = len(grouped)
-        if n == 0:
-            return FastScanResult(
-                ids=np.empty(0, dtype=np.int64),
-                distances=np.empty(0, dtype=np.float64),
-                n_scanned=0,
-            )
-        acc = TopKAccumulator(topk)
+        obs = get_observability()
 
         # Keep phase (Section 4.4): plain PQ Scan over the first keep%
         # of the *database* (smallest ids), needs at least topk vectors
@@ -345,67 +350,71 @@ class PQFastScanner(PartitionScanner):
         # sample — a grouped-order prefix would be a single coherent
         # cluster and can yield an arbitrarily loose qmax.
         n_keep = min(n, max(int(np.ceil(self.keep * n)), topk))
-        keep_rows = np.sort(np.argsort(grouped.ids, kind="stable")[:n_keep])
-        keep_mask = np.zeros(n, dtype=bool)
-        keep_mask[keep_rows] = True
-        keep_codes = self._reconstruct_sorted_rows(grouped, keep_rows)
-        keep_dists = adc_distances(tables_r, keep_codes)
-        acc.offer_many(keep_dists, grouped.ids[keep_rows])
-        qmax = acc.threshold
+        keep_rows = grouped.id_order[:n_keep]
+        top_ids, top_dists = select_topk(
+            adc_distances(tables_r, grouped.codes[keep_rows]),
+            grouped.ids[keep_rows],
+            topk,
+        )
+        if n_keep == n:
+            # The keep phase was the whole partition (always so below
+            # topk rows, where no finite qmax exists): already exact.
+            if obs.enabled:
+                obs.record_scan(self.name, n_scanned=n, n_pruned=0)
+            return FastScanResult(
+                ids=top_ids, distances=top_dists, n_scanned=n, n_keep=n
+            )
+
+        m = grouped.m
+        qmax = float(top_dists[-1])
         if self.qmax_bound == "naive":
             qmax = float(tables_r.max(axis=1).sum())
-
         quantizer = DistanceQuantizer.from_tables(tables_r, qmax)
         small = SmallTables(tables_r, grouped.c, quantizer)
-        threshold_q = quantizer.quantize_threshold(acc.threshold, components=grouped.m)
+        bounds = small.partition_lower_bounds(grouped)
+        if sanitizer_enabled():
+            check_lower_bound_invariant(
+                bounds,
+                adc_distances(tables_r, grouped.codes),
+                quantizer,
+                m,
+                context=f"fastpq partition {grouped.partition_id}",
+            )
+        fresh: BoolArray = np.ones(n, dtype=np.bool_)
+        fresh[keep_rows] = False
 
         # Threshold freshness: the SIMD kernel compares against the
-        # current topk-th distance every 16 vectors; batching a whole
-        # group against one stale threshold under-prunes badly when
-        # groups are large. Refresh at least every _CHUNK rows.
-        n_pruned = 0
+        # current topk-th distance every 16 vectors; one stale threshold
+        # for the whole partition under-prunes badly. Refresh it every
+        # _CHUNK rows — the only Python-level loop of a query.
         n_exact = 0
-        sanitize = sanitizer_enabled()
-        for group in grouped.groups:
-            codes = None
-            for start in range(group.start, group.stop, self._CHUNK):
-                stop = min(start + self._CHUNK, group.stop)
-                fresh = ~keep_mask[start:stop]
-                if not fresh.any():
-                    continue
-                bounds = small.lower_bounds(grouped, group, start=start, stop=stop)
-                if sanitize:
-                    if codes is None:
-                        codes = grouped.reconstruct_codes(group)
-                    chunk_rows = np.arange(start - group.start, stop - group.start)
-                    check_lower_bound_invariant(
-                        bounds,
-                        adc_distances(tables_r, codes[chunk_rows]),
-                        quantizer,
-                        grouped.m,
-                        context=f"fastpq group {group.key} rows {start}:{stop}",
-                    )
-                survivors = np.flatnonzero((bounds <= threshold_q) & fresh)
-                n_pruned += int(fresh.sum()) - len(survivors)
-                if len(survivors) == 0:
-                    continue
-                n_exact += len(survivors)
-                if codes is None:
-                    codes = grouped.reconstruct_codes(group)
-                rows = (start - group.start) + survivors
-                dists = adc_distances(tables_r, codes[rows])
-                acc.offer_many(dists, grouped.ids[start + survivors])
+        threshold_q = quantizer.quantize_threshold(top_dists[-1], components=m)
+        for start in range(0, n, self._CHUNK):
+            stop = start + self._CHUNK
+            rows = start + np.flatnonzero(
+                (bounds[start:stop] <= threshold_q) & fresh[start:stop]
+            )
+            if len(rows) == 0:
+                continue
+            n_exact += len(rows)
+            dists = adc_distances(tables_r, grouped.codes[rows])
+            close = dists <= top_dists[-1]
+            if close.any():
+                top_ids, top_dists = select_topk(
+                    np.concatenate((top_dists, dists[close])),
+                    np.concatenate((top_ids, grouped.ids[rows[close]])),
+                    topk,
+                )
                 threshold_q = quantizer.quantize_threshold(
-                    acc.threshold, components=grouped.m
+                    top_dists[-1], components=m
                 )
 
-        ids, dists = acc.result()
-        obs = get_observability()
+        n_pruned = n - n_keep - n_exact
         if obs.enabled:
             obs.record_scan(self.name, n_scanned=n, n_pruned=n_pruned)
         return FastScanResult(
-            ids=ids,
-            distances=dists,
+            ids=top_ids,
+            distances=top_dists,
             n_scanned=n,
             n_pruned=n_pruned,
             n_keep=n_keep,
@@ -413,26 +422,6 @@ class PQFastScanner(PartitionScanner):
             qmin=quantizer.qmin,
             qmax=quantizer.qmax,
         )
-
-    def _reconstruct_sorted_rows(
-        self, grouped: GroupedPartition, rows: np.ndarray
-    ) -> np.ndarray:
-        """Full codes of the given (sorted) storage rows, across groups."""
-        out = np.empty((len(rows), grouped.m), dtype=np.uint8)
-        cursor = 0
-        for group in grouped.groups:
-            if cursor >= len(rows):
-                break
-            stop_idx = cursor
-            while stop_idx < len(rows) and rows[stop_idx] < group.stop:
-                stop_idx += 1
-            if stop_idx == cursor:
-                continue
-            codes = grouped.reconstruct_codes(group)
-            local = rows[cursor:stop_idx] - group.start
-            out[cursor:stop_idx] = codes[local]
-            cursor = stop_idx
-        return out
 
     def profile(self) -> InstructionProfile:
         # Per vector: ~1.3 L1 loads (compact 6-byte code loads amortized

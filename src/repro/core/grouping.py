@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dtypes import Int64Array, UInt8Array
 from ..exceptions import ConfigurationError
 from ..ivf.partition import Partition
 
@@ -84,6 +85,13 @@ class GroupedPartition:
         packed_low: ``(n, ceil(c/2))`` packed low nibbles of the grouped
             components (two nibbles per byte, even component in bits 0-3).
         tail: ``(n, m-c)`` full bytes of the non-grouped components.
+        codes: ``(n, m)`` full codes in grouped order (the exact path).
+        lookup: ``(m, n)`` lower-bound lookup indexes, one contiguous row
+            per sub-quantizer: the whole code byte of a grouped
+            component (``portion(key)[low] == table[key << 4 | low]``),
+            the high nibble — the minimum-table index — of the others.
+        id_order: ``(n,)`` storage rows by ascending database id; its
+            prefix is the keep-phase sample.
     """
 
     def __init__(self, partition: Partition, c: int = 4) -> None:
@@ -111,7 +119,11 @@ class GroupedPartition:
         codes = codes[order]
         digits = digits[order]
         sort_key = sort_key[order]
-        self.ids = np.asarray(partition.ids, dtype=np.int64)[order]
+        self.ids: Int64Array = np.asarray(partition.ids, dtype=np.int64)[order]
+        self.id_order: Int64Array = np.argsort(self.ids, kind="stable")
+        self.codes: UInt8Array = codes
+        self.lookup: UInt8Array = codes.T.copy()
+        self.lookup[c:] >>= 4
 
         # Group boundaries.
         self.groups: list[Group] = []
@@ -175,22 +187,14 @@ class GroupedPartition:
         """High nibbles of non-grouped components (index S_c..S_{m-1})."""
         return (self.tail[start:stop] >> 4).astype(np.uint8)
 
-    def reconstruct_codes(self, group: Group) -> np.ndarray:
-        """Full ``(len(group), m)`` codes of a group, from compact storage."""
-        low = self.low_nibbles(group.start, group.stop)
-        out = np.empty((len(group), self.m), dtype=np.uint8)
-        for j in range(self.c):
-            out[:, j] = (group.key[j] << 4) | low[:, j]
-        out[:, self.c :] = self.tail[group.start : group.stop]
-        return out
-
     def reconstruct_all(self) -> np.ndarray:
-        """Full codes of the whole partition in grouped order."""
+        """Full codes in grouped order, rebuilt from the compact storage."""
         out = np.empty((len(self), self.m), dtype=np.uint8)
+        out[:, : self.c] = self.low_nibbles(0, len(self))
+        out[:, self.c :] = self.tail
         for group in self.groups:
-            out[group.start : group.stop] = self.reconstruct_codes(group)
-        if not self.groups:
-            out = out[:0]
+            for j, digit in enumerate(group.key):
+                out[group.start : group.stop, j] |= digit << 4
         return out
 
     def group_stats(self) -> dict[str, float]:

@@ -26,6 +26,7 @@ entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,10 @@ class DistanceQuantizer:
         step = self.bin_size
         if step == 0.0:
             return 0 if value < self.qmax else SATURATION
-        code = int(np.ceil((value - components * self.qmin) / step))
-        return int(np.clip(code, 0, SATURATION))
+        # Python-float arithmetic: numpy's scalar ceil/clip would dominate
+        # the scan loops' per-refresh call.
+        code = math.ceil((float(value) - components * self.qmin) / step)
+        return min(max(code, 0), SATURATION)
 
     def decode(self, codes: npt.ArrayLike) -> Float64Array:
         """Representative float of each code (bin lower edge)."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
+from ..dtypes import Int8Array
 from ..exceptions import ConfigurationError
 from .grouping import Group, GroupedPartition
 from .minimum_tables import PORTION_SIZE, minimum_tables
@@ -98,6 +99,23 @@ class SmallTables:
             high = grouped.tail_high_nibbles(start, stop)
             for j in range(self.m - self.c):
                 acc += self.min_tables_q[j][high[:, j]].astype(np.int16)
+        np.minimum(acc, SATURATION, out=acc)
+        # Clamped to <= 127 on the line above; entries are non-negative.
+        return acc.astype(np.int8)  # reprolint: narrowing=exact
+
+    def partition_lower_bounds(self, grouped: GroupedPartition) -> Int8Array:
+        """Saturated int8 lower bounds of every row, in grouped order.
+
+        Equal to concatenating :meth:`lower_bounds` over the groups, but
+        one ``take`` per sub-quantizer over the prepared
+        :attr:`GroupedPartition.lookup` rows: a group's portion is a
+        slice of the whole quantized table, so indexing that table with
+        the full code byte reads the same entry without knowing the key.
+        """
+        grouped_q = self.quantizer.quantize_table(self.tables[: self.c])
+        acc = np.zeros(len(grouped), dtype=np.int16)
+        for table_q, index in zip((*grouped_q, *self.min_tables_q), grouped.lookup):
+            acc += table_q.take(index)
         np.minimum(acc, SATURATION, out=acc)
         # Clamped to <= 127 on the line above; entries are non-negative.
         return acc.astype(np.int8)  # reprolint: narrowing=exact

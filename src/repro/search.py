@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .core.fast_scan import PQFastScanner
 from .exceptions import ConfigurationError, SimulationError
 from .ivf.inverted_index import IVFADCIndex
 from .obs import Observability, get_observability
@@ -209,15 +208,12 @@ def scan_partition_batch(
 
     The shared partition-scan kernel of every executor (thread-backed
     :class:`BatchExecutor`, the process workers of :mod:`repro.parallel`,
-    the sharded scatter-gather path). Dispatch, most specific first:
+    the sharded scatter-gather path). Dispatch:
 
-    * :class:`~repro.core.PQFastScanner` — the grouped layout comes from
-      the (pre-warmed) :meth:`~repro.core.PQFastScanner.prepared` cache
-      and the whole ``(b, m, k*)`` table stack is remapped in one call;
-      each query then scans via
-      :meth:`~repro.core.PQFastScanner.scan_prepared`.
-    * scanners exposing ``scan_batch`` (plain PQ Scan) — one batched ADC
-      accumulation over the partition for all queries.
+    * scanners exposing ``scan_batch`` — whatever the scanner shares
+      across the batch (plain PQ Scan: one batched ADC accumulation;
+      :class:`~repro.core.PQFastScanner` / Quick ADC: one prepared-layout
+      fetch, PQ Fast Scan also one table-stack remap).
     * any other :class:`PartitionScanner` — per-query ``scan`` calls.
 
     ``tables`` is the ``(b, m, k*)`` stack for the batch's queries
@@ -225,13 +221,6 @@ def scan_partition_batch(
     :class:`~repro.scan.ScanResult` per table row, byte-identical to the
     per-query sequential loop.
     """
-    if isinstance(scanner, PQFastScanner):
-        grouped = scanner.prepared(partition)
-        tables_r = scanner.assignment.remap_tables(tables)
-        return [
-            scanner.scan_prepared(tables_r[i], grouped, topk)
-            for i in range(len(tables))
-        ]
     scan_batch = getattr(scanner, "scan_batch", None)
     if callable(scan_batch):
         return list(scan_batch(tables, partition, topk))
@@ -555,16 +544,10 @@ class BatchExecutor:
     results are byte-identical to the sequential loop regardless of
     ``n_workers`` or job completion order.
 
-    Scanner dispatch, most specific first:
-
-    * :class:`~repro.core.PQFastScanner` — the grouped layout comes from
-      the (pre-warmed) :meth:`~repro.core.PQFastScanner.prepared` cache
-      and the whole table stack is remapped in one call; each query then
-      scans via :meth:`~repro.core.PQFastScanner.scan_prepared`.
-    * scanners exposing ``scan_batch`` (plain PQ Scan) — one batched
-      ADC accumulation over the partition for all queries.
-    * any other :class:`PartitionScanner` — per-query ``scan`` calls,
-      still benefiting from batched routing and tables.
+    Scanner dispatch is :func:`scan_partition_batch`: ``scan_batch``
+    where the scanner has one (the pre-warmed prepared layout and the
+    table-stack remap are then shared by the batch), else per-query
+    ``scan`` calls, still benefiting from batched routing and tables.
 
     Workers are threads: the heavy lifting (gathers, einsum table
     builds, argpartition) happens inside NumPy, which releases the GIL

@@ -2,9 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import PQFastScanner, ProductQuantizer, QuantizationOnlyScanner
+from repro import (
+    Engine,
+    EngineConfig,
+    Partition,
+    PQFastScanner,
+    ProductQuantizer,
+    QuantizationOnlyScanner,
+)
+from repro.core.quantization import DistanceQuantizer
+from repro.core.small_tables import SmallTables
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.pq.adc import adc_distances
 from repro.scan import LibpqScanner, NaiveScanner
 
 
@@ -55,6 +67,94 @@ class TestExactness:
         part = index.partitions[pid]
         ref = NaiveScanner().scan(tables, part, topk=10)
         assert scanner.scan(tables, part, topk=10).same_neighbors(ref)
+
+
+GROUP_COMPONENTS = (0, 1, 2, 3, 4, None)
+
+
+@pytest.fixture(scope="module")
+def scanners_by_c(pq):
+    return {
+        c: PQFastScanner(pq, keep=0.01, group_components=c, seed=0)
+        for c in GROUP_COMPONENTS
+    }
+
+
+def tied_partition(rng, n):
+    """``n`` rows drawn from 4 or ``n // 3 + 1`` distinct codes, ids
+    shuffled: distance ties are the rule (with 4 codes the topk-th
+    distance is shared by rows of every stride and group), and id order
+    is not storage order."""
+    pool = rng.integers(0, 256, size=(rng.choice((4, n // 3 + 1)), 8), dtype=np.uint8)
+    return Partition(pool[rng.integers(0, len(pool), size=n)], rng.permutation(n))
+
+
+def assert_same_bytes(got, ref):
+    assert got.ids.tobytes() == ref.ids.tobytes()
+    assert got.distances.tobytes() == ref.distances.tobytes()
+
+
+class TestEqualsNaiveScan:
+    """The whole-partition query path against plain PQ Scan, byte for byte."""
+
+    @given(
+        c=st.sampled_from(GROUP_COMPONENTS),
+        topk=st.sampled_from((1, 10, 100)),
+        size=st.sampled_from(("1", "k-1", "k", "k+1", "1023", "1024", "1025", "5000")),
+        sanitize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    def test_ids_and_distance_bytes(
+        self, scanners_by_c, monkeypatch, c, topk, size, sanitize, seed
+    ):
+        rng = np.random.default_rng(seed)
+        around_k = {"k-1": topk - 1, "k": topk, "k+1": topk + 1}
+        n = around_k[size] if size in around_k else int(size)
+        part = tied_partition(rng, n)
+        tables = rng.random((8, 256)) * rng.choice([1e-3, 1.0, 1e4])
+        monkeypatch.setenv("REPRO_SANITIZE", "1" if sanitize else "0")
+        got = scanners_by_c[c].scan(tables, part, topk=topk)
+        ref = NaiveScanner().scan(tables, part, topk=topk)
+        assert_same_bytes(got, ref)
+        assert got.n_keep + got.n_exact + got.n_pruned == got.n_scanned == n
+
+    @pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
+    def test_partition_bounds_are_the_per_group_bounds(self, scanners_by_c, routed, c):
+        """One ``take`` per sub-quantizer over the lookup rows reads the
+        entries Figure 13's per-group portions hold."""
+        partition, tables = routed
+        scanner = scanners_by_c[c]
+        grouped = scanner.prepare(partition)
+        tables_r = scanner.assignment.remap_tables(tables)
+        exact = adc_distances(tables_r, grouped.codes)
+        quantizer = DistanceQuantizer.from_tables(tables_r, float(exact.min()))
+        small = SmallTables(tables_r, c, quantizer)
+        per_group = np.concatenate(
+            [small.lower_bounds(grouped, group) for group in grouped.groups]
+        )
+        whole = small.partition_lower_bounds(grouped)
+        assert whole.dtype == per_group.dtype == np.int8
+        np.testing.assert_array_equal(whole, per_group)
+        assert whole.min() < whole.max() == 127  # saturation is exercised
+
+    def test_partition_smaller_than_k(self, dataset):
+        """Regression: ``qmax=inf`` when a probed partition held < k rows."""
+        answers = {}
+        for scanner in ("fastpq", "naive"):
+            config = EngineConfig(
+                m=8, bits=8, n_partitions=64, scanner=scanner,
+                max_iter=2, coarse_max_iter=2, seed=0,
+            )
+            with Engine.build(dataset.base[:400], config) as engine:
+                assert min(len(p) for p in engine.index.partitions) < 10
+                answers[scanner] = engine.search(dataset.queries, k=10, nprobe=4)
+        for got, ref in zip(answers["fastpq"], answers["naive"]):
+            assert_same_bytes(got, ref)
 
 
 class TestPruning:

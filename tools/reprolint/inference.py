@@ -82,10 +82,10 @@ KNOWN_RETURNS = {
     "quantize_table": "int8",
     "portion_tables": "int8",
     "lower_bounds": "int8",
+    "partition_lower_bounds": "int8",
     "group_key_digits": "uint8",
     "low_nibbles": "uint8",
     "tail_high_nibbles": "uint8",
-    "reconstruct_codes": "uint8",
     "reconstruct_all": "uint8",
     "pack_codes_words": "uint64",
     "extract_component": "uint8",
