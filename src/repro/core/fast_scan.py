@@ -35,9 +35,6 @@ shape the prepared layout and never appear in the query path.
 
 from __future__ import annotations
 
-import threading
-import weakref
-from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -50,6 +47,7 @@ from ..obs import get_observability
 from ..pq.adc import adc_distances
 from ..pq.product_quantizer import ProductQuantizer
 from ..scan.base import InstructionProfile, PartitionScanner, ScanResult
+from ..scan.prepared import PreparedCache
 from ..scan.topk import select_topk
 from .grouping import GroupedPartition, suggested_components
 from .minimum_tables import CentroidAssignment, optimized_assignment
@@ -78,7 +76,7 @@ class FastScanResult(ScanResult):
     qmax: float = 0.0
 
 
-class PQFastScanner(PartitionScanner):
+class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
     """Scanner implementing PQ Fast Scan over PQ 8×8 codes.
 
     Args:
@@ -101,9 +99,7 @@ class PQFastScanner(PartitionScanner):
         seed: RNG seed of the assignment clustering.
         prepared_cache_size: maximum grouped layouts held by the
             :meth:`prepared` cache (LRU eviction beyond that;
-            ``None`` = unbounded). Long-running servers revisit many
-            partitions; without a cap the cache grows with every
-            distinct partition ever scanned.
+            ``None`` = unbounded).
     """
 
     name = "fastpq"
@@ -135,37 +131,15 @@ class PQFastScanner(PartitionScanner):
             raise ConfigurationError(f"unknown assignment mode {assignment!r}")
         if qmax_bound not in ("keep", "naive"):
             raise ConfigurationError(f"unknown qmax bound {qmax_bound!r}")
-        if prepared_cache_size is not None and prepared_cache_size < 1:
-            raise ConfigurationError(
-                "prepared_cache_size must be >= 1 (or None for unbounded), "
-                f"got {prepared_cache_size}"
-            )
+        PreparedCache.__init__(self, prepared_cache_size)
         self.pq = pq
         self.keep = keep
         self.group_components = group_components
         self.assignment_mode = assignment
         self.qmax_bound = qmax_bound
         self.seed = seed
-        self.prepared_cache_size = prepared_cache_size
+        # Learned lazily, first writer wins under ``_cache_lock``.
         self._assignment: CentroidAssignment | None = None
-        self._prepared: weakref.WeakKeyDictionary[Partition, GroupedPartition] = (
-            weakref.WeakKeyDictionary()
-        )
-        # LRU bookkeeping: recency-ordered weak references, keyed by the
-        # partition's object id. Weak on purpose — the cache must keep
-        # releasing layouts together with their partitions (GC), and an
-        # entry whose partition died is pruned silently, not "evicted".
-        self._lru: OrderedDict[int, weakref.ref[Partition]] = OrderedDict()
-        # One lock guards the lazy assignment, the prepared cache and
-        # its LRU/counters: scanners are shared across batch-executor
-        # worker threads, so every cache mutation happens under it.
-        self._cache_lock = threading.Lock()
-        #: Times :meth:`prepared` served a cached grouped layout.
-        self.prepared_hits: int = 0
-        #: Times :meth:`prepared` had to build a grouped layout.
-        self.prepared_misses: int = 0
-        #: Live layouts evicted because the cache exceeded its cap.
-        self.prepared_evictions: int = 0
 
     # -- database-side preparation ---------------------------------------------
 
@@ -213,79 +187,6 @@ class PQFastScanner(PartitionScanner):
         )
         return GroupedPartition(remapped, c=c)
 
-    def prepared(self, partition: Partition) -> GroupedPartition:
-        """Cached :meth:`prepare`, keyed by partition object identity.
-
-        The cache holds weak references, so grouped copies are released
-        together with the partitions they mirror, and is bounded by
-        ``prepared_cache_size``: beyond the cap the least recently used
-        layout is evicted (:attr:`prepared_evictions`, also exported via
-        :meth:`repro.obs.Observability.record_cache_eviction`).
-        :attr:`prepared_hits` / :attr:`prepared_misses` count cache
-        reuse across queries (a batch over ``q`` queries probing one
-        partition should cost one miss and ``q - 1`` hits at most).
-        """
-        with self._cache_lock:
-            cached = self._prepared.get(partition)
-            if cached is not None:
-                self.prepared_hits += 1
-                self._touch(partition)
-        if cached is not None:
-            get_observability().record_cache_access(True)
-            return cached
-        # Build outside the lock: prepare() is pure given the (already
-        # learned or lock-protected) assignment, and grouping a large
-        # partition is exactly the work concurrent callers should not
-        # serialize on.
-        built = self.prepare(partition)
-        with self._cache_lock:
-            cached = self._prepared.get(partition)
-            if cached is None:
-                self.prepared_misses += 1
-                cached = built
-                self._prepared[partition] = cached
-                self._touch(partition)
-                self._evict_over_cap()
-                hit = False
-            else:
-                # A concurrent caller inserted first; adopt its layout.
-                self.prepared_hits += 1
-                self._touch(partition)
-                hit = True
-        get_observability().record_cache_access(hit)
-        return cached
-
-    def _touch(self, partition: Partition) -> None:
-        """Mark ``partition`` most recently used (insert or refresh).
-
-        Caller must hold ``_cache_lock``.
-        """
-        key = id(partition)
-        self._lru.pop(key, None)  # reprolint: disable=R6 (caller holds _cache_lock)
-        self._lru[key] = weakref.ref(partition)  # reprolint: disable=R6 (caller holds _cache_lock)
-
-    def _evict_over_cap(self) -> None:
-        """Drop least-recently-used layouts until the cache fits its cap.
-
-        Entries whose partition was garbage-collected are pruned without
-        counting as evictions (the WeakKeyDictionary already released
-        their layouts); only a *live* layout removed to make room
-        increments :attr:`prepared_evictions`.
-
-        Caller must hold ``_cache_lock``.
-        """
-        cap = self.prepared_cache_size
-        if cap is None:
-            return
-        while len(self._prepared) > cap and self._lru:
-            _, ref = self._lru.popitem(last=False)  # reprolint: disable=R6 (caller holds _cache_lock)
-            partition = ref()
-            if partition is None:
-                continue
-            if self._prepared.pop(partition, None) is not None:  # reprolint: disable=R6 (caller holds _cache_lock)
-                self.prepared_evictions += 1  # reprolint: disable=R6 (caller holds _cache_lock)
-                get_observability().record_cache_eviction()
-
     def warm(self, partitions: Iterable[Partition]) -> int:
         """Pre-build the grouped layouts (and the lazy assignment).
 
@@ -295,10 +196,7 @@ class PQFastScanner(PartitionScanner):
         concurrently. Returns the number of layouts newly built.
         """
         _ = self.assignment
-        before = self.prepared_misses
-        for partition in partitions:
-            self.prepared(partition)
-        return self.prepared_misses - before
+        return super().warm(partitions)
 
     def _components_for(self, partition_size: int | None) -> int:
         if self.group_components is not None:

@@ -41,6 +41,7 @@ __all__ = [
     "sanitizer_enabled",
     "check_lower_bound_invariant",
     "check_nibble_invariant",
+    "check_saturation_invariant",
 ]
 
 #: Environment variable that enables the sanitizer.
@@ -108,52 +109,49 @@ def check_lower_bound_invariant(
         )
 
 
-def check_nibble_invariant(
-    codes: npt.ArrayLike,
-    q_tables: npt.ArrayLike | None = None,
-    *,
-    context: str = "",
-) -> None:
-    """Verify the 4-bit path invariants: nibble range and saturation.
+def check_nibble_invariant(codes: npt.ArrayLike, *, context: str = "") -> None:
+    """Verify every unpacked ``(n, m)`` sub-index is a genuine nibble.
 
-    The Quick ADC path is only meaningful if (a) every unpacked
-    sub-index is a genuine nibble — a value >= 16 would read past its
-    16-entry register table — and (b) every quantized table entry is
-    non-negative, i.e. the floor quantizer *saturated* at
-    ``SATURATION`` rather than wrapping into int8 negatives (a wrapped
-    entry would make ``paddsb`` saturate *downward* and turn the lower
-    bound into garbage).
-
-    Args:
-        codes: unpacked ``(n, m)`` 4-bit sub-indexes.
-        q_tables: ``(m, 16)`` int8 quantized distance tables, or None to
-            check only the codes (the scanner validates codes *before*
-            its exact sample phase indexes any float table with them;
-            the quantized tables do not exist yet at that point).
-        context: optional scan-location string for the error message.
+    A value >= 16 would read past its 16-entry register table. The
+    Quick ADC scanner runs this once per batch, *before* its exact
+    sample phase indexes any float table with the codes: the prepared
+    layout validated them when it was built, but may predate in-place
+    corruption of the code array.
 
     Raises:
-        InvariantViolation: if any sub-index is outside ``[0, 16)`` or
-            any quantized table entry is outside ``[0, SATURATION]``.
+        InvariantViolation: if any sub-index is outside ``[0, 16)``.
     """
-    where = f" at {context}" if context else ""
     code_arr = np.asarray(codes, dtype=np.int64)
     bad = np.flatnonzero((code_arr < 0) | (code_arr > 0x0F))
     if len(bad):
         flat = code_arr.reshape(-1)
         i = int(bad[0])
+        where = f" at {context}" if context else ""
         raise InvariantViolation(
             f"4-bit sub-index out of nibble range{where}: {len(bad)} of "
             f"{flat.size} indexes outside [0, 16); first offender flat "
             f"index {i}: {int(flat[i])}"
         )
-    if q_tables is None:
-        return
+
+
+def check_saturation_invariant(q_tables: npt.ArrayLike, *, context: str = "") -> None:
+    """Verify every ``(m, 16)`` int8 quantized table entry is 0..127.
+
+    The floor quantizer must *saturate* at ``SATURATION`` rather than
+    wrap into int8 negatives: a wrapped entry would make ``paddsb``
+    saturate *downward* and turn the lower bound into garbage (and push
+    a pair-table sum outside the range its clamp assumes). Checked per
+    query, the tables being the query's.
+
+    Raises:
+        InvariantViolation: if any entry is outside ``[0, SATURATION]``.
+    """
     table_arr = np.asarray(q_tables, dtype=np.int64)
     bad = np.flatnonzero((table_arr < 0) | (table_arr > SATURATION))
     if len(bad):
         flat = table_arr.reshape(-1)
         i = int(bad[0])
+        where = f" at {context}" if context else ""
         raise InvariantViolation(
             f"quantized 4-bit table entry wrapped instead of saturating"
             f"{where}: {len(bad)} of {flat.size} entries outside "

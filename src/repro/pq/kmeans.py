@@ -177,9 +177,21 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     """k-means++ seeding: D^2-weighted sampling of initial centroids."""
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+    # squared_distances(points, one centroid) with its two point-only
+    # terms computed once instead of per centroid; every product and sum
+    # has the same operands, so the seeds are bit-identical to calling it.
+    p_sq = np.einsum("ij,ij->i", points, points)[:, None]
+    doubled = 2.0 * points
+
+    def distances_to(i: int) -> np.ndarray:
+        c = centroids[i : i + 1]
+        d = p_sq + np.einsum("ij,ij->i", c, c)[None, :] - doubled @ c.T
+        np.maximum(d, 0.0, out=d)
+        return d[:, 0]
+
     first = rng.integers(n)
     centroids[0] = points[first]
-    closest = squared_distances(points, centroids[0:1])[:, 0]
+    closest = distances_to(0)
     for i in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -189,8 +201,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = rng.choice(n, p=closest / total)
         centroids[i] = points[idx]
-        d_new = squared_distances(points, centroids[i : i + 1])[:, 0]
-        np.minimum(closest, d_new, out=closest)
+        np.minimum(closest, distances_to(i), out=closest)
     return centroids
 
 

@@ -58,6 +58,9 @@ class ProductQuantizer:
         self.code_dtype = code_dtype_for_bits(bits)
         self._subquantizers: list[VectorQuantizer] | None = None
         self._d: int | None = None
+        # (m, k*, d*) codebooks and their (m, k*) squared norms, stacked
+        # whenever the sub-quantizers change (see _restack).
+        self._stacked: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -85,6 +88,7 @@ class ProductQuantizer:
             subs.append(sub)
         self._subquantizers = subs
         self._d = d
+        self._restack()
         return self
 
     @classmethod
@@ -102,7 +106,13 @@ class ProductQuantizer:
             VectorQuantizer.from_codebook(codebooks[j]) for j in range(m)
         ]
         pq._d = m * dsub
+        pq._restack()
         return pq
+
+    def _restack(self) -> None:
+        """Stack what every distance-table computation reads."""
+        codebooks = self.codebooks
+        self._stacked = codebooks, np.einsum("jid,jid->ji", codebooks, codebooks)
 
     # -- accessors -----------------------------------------------------------
 
@@ -204,16 +214,16 @@ class ProductQuantizer:
             raise DimensionMismatchError(
                 self.d, queries.shape[-1] if queries.ndim else 0, what="query"
             )
-        tables = np.empty((len(queries), self.m, self.ksub), dtype=np.float64)
-        for j, sq in enumerate(self.subquantizers):
-            sub = queries[:, j * self.dsub : (j + 1) * self.dsub]
-            codebook = sq.codebook
-            x_sq = np.einsum("qd,qd->q", sub, sub)
-            c_sq = np.einsum("id,id->i", codebook, codebook)
-            cross = np.einsum("qd,id->qi", sub, codebook)
-            block = x_sq[:, None] + c_sq[None, :] - 2.0 * cross
-            np.maximum(block, 0.0, out=block)
-            tables[:, j, :] = block
+        if self._stacked is None:
+            raise NotFittedError("ProductQuantizer.fit has not been called")
+        codebooks, c_sq = self._stacked
+        subs = queries.reshape(len(queries), self.m, self.dsub)
+        x_sq = np.einsum("qjd,qjd->qj", subs, subs)
+        # |x|^2 + |c|^2 - 2<x, c>, finished in the cross-term's buffer.
+        tables = np.einsum("qjd,jid->qji", subs, codebooks)
+        tables *= 2.0
+        np.subtract(x_sq[:, :, None] + c_sq[None, :, :], tables, out=tables)
+        np.maximum(tables, 0.0, out=tables)
         return tables
 
     def quantization_error(self, vectors: np.ndarray) -> float:
@@ -232,6 +242,7 @@ class ProductQuantizer:
         of Section 4.3.
         """
         self.subquantizers[j] = self.subquantizers[j].permute(order)
+        self._restack()
 
     def _check(self, vectors: np.ndarray) -> np.ndarray:
         vectors = np.asarray(vectors, dtype=np.float64)

@@ -4,6 +4,7 @@ from .avx import AVXScanner
 from .base import InstructionProfile, PartitionScanner, ScanResult
 from .gather import GatherScanner
 from .layout import (
+    NibblePartition,
     extract_component,
     nibble_block_layout,
     nibble_lower_bounds,
@@ -34,6 +35,7 @@ __all__ = [
     "InstructionProfile",
     "LibpqScanner",
     "NaiveScanner",
+    "NibblePartition",
     "PartitionScanner",
     "QuickADCResult",
     "QuickADCScanner",

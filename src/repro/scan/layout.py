@@ -16,6 +16,8 @@ mainly in how pqcodes are laid out and loaded:
   indexes share one byte, and the j-th nibbles of 16 consecutive vectors
   form one 128-bit block, so a single SIMD load feeds an in-register
   ``pshufb`` lookup with no grouping or minimum tables.
+  :class:`NibblePartition` is that layout at numpy's register width:
+  one contiguous row of packed bytes per nibble pair, consumed whole.
 
 These layouts are implemented for real here — packing, shifting and
 transposition are performed with genuine integer manipulation so tests
@@ -38,6 +40,7 @@ __all__ = [
     "unpack_nibbles",
     "nibble_block_layout",
     "nibble_lower_bounds",
+    "NibblePartition",
 ]
 
 
@@ -218,3 +221,54 @@ def nibble_lower_bounds(packed: np.ndarray, q_tables: np.ndarray) -> np.ndarray:
         idx = (column & 0x0F) if half == 0 else (column >> 4)
         total += q_tables[j].astype(np.int16)[idx]
     return np.minimum(total, 127)
+
+
+class NibblePartition:
+    """A partition prepared for Quick ADC: the transposed nibble layout.
+
+    Built once per partition (the query-independent half of the scan)
+    and reused by every query, as
+    :class:`~repro.core.grouping.GroupedPartition` is for PQ Fast Scan.
+
+    Attributes:
+        m: components per code.
+        packed: ``(ceil(m/2), n)`` C-contiguous bytes, the transpose of
+            :func:`pack_nibbles`: row ``s`` holds components ``2s`` (low
+            nibble) and ``2s+1`` (high nibble) of every vector, so a
+            lookup reads one packed column as it lies in memory.
+        id_order: ``(n,)`` storage rows by ascending database id
+            (stable); its prefix is the sample phase.
+    """
+
+    def __init__(self, codes: np.ndarray, ids: np.ndarray) -> None:
+        codes = np.asarray(codes)
+        self.packed = np.ascontiguousarray(pack_nibbles(codes).T)
+        self.m = int(codes.shape[1])
+        self.id_order = np.argsort(np.asarray(ids), kind="stable")
+
+    def __len__(self) -> int:
+        return self.packed.shape[1]
+
+    def lower_bounds(self, q_tables: np.ndarray) -> np.ndarray:
+        """Saturating lower bounds of every row, one lookup per byte.
+
+        The same integers as :func:`nibble_lower_bounds` (and as the
+        kernel's ``pshufb``/``paddsb`` fold), from one 256-entry *pair
+        table* per packed byte,
+        ``pair[s][hi << 4 | lo] = q_tables[2s][lo] + q_tables[2s+1][hi]``:
+        the packed byte is the index, so no nibble is extracted per
+        query. Entries are 0..127, so a pair is at most 254 and the
+        int16 sum of ``ceil(m/2)`` pairs cannot wrap before the clamp.
+        """
+        q_tables = np.asarray(q_tables)
+        if q_tables.shape != (self.m, 16):
+            raise ConfigurationError(
+                f"expected ({self.m}, 16) quantized tables, got {q_tables.shape}"
+            )
+        padded = np.zeros((2 * len(self.packed), 16), dtype=np.int16)
+        padded[: self.m] = q_tables  # odd m: the padding nibble reads zeros
+        pair = (padded[0::2, None, :] + padded[1::2, :, None]).reshape(-1, 256)
+        total = pair[0].take(self.packed[0])
+        for table, column in zip(pair[1:], self.packed[1:]):
+            total += table.take(column)
+        return np.minimum(total, 127, out=total)

@@ -24,13 +24,14 @@ instruction-for-instruction by
 2. **quantized pass** — the float tables floor-quantize to ``(m, 16)``
    int8 (:class:`~repro.core.quantization.DistanceQuantizer`); every
    vector's lower bound is the saturating ``paddsb`` fold of its ``m``
-   in-register lookups.
+   in-register lookups. Here that is one pair-table lookup per packed
+   byte of the prepared :class:`~repro.scan.layout.NibblePartition`
+   (the split into nibbles happened once, at build time).
 3. **candidate selection** — rows whose bound does not exceed the
    *smaller* of the ceil-quantized sample threshold and the topk-th
    smallest bound are kept as candidates.
 4. **exact rerank** — candidates (and only candidates) get exact float
-   ADC distances; the topk accumulator merges them with the sample
-   phase.
+   ADC distances and are merged with the sample phase's topk.
 
 Unlike PQ Fast Scan, Quick ADC is **approximate at the margin**: two
 vectors whose true distances straddle the final topk boundary can fall
@@ -44,10 +45,6 @@ results to this scanner's own sequential scan.
 
 from __future__ import annotations
 
-import threading
-import weakref
-from collections import OrderedDict
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +53,7 @@ from ..core.quantization import SATURATION, DistanceQuantizer
 from ..core.sanitize import (
     check_lower_bound_invariant,
     check_nibble_invariant,
+    check_saturation_invariant,
     sanitizer_enabled,
 )
 from ..exceptions import ConfigurationError, DimensionMismatchError, NotFittedError
@@ -64,8 +62,9 @@ from ..obs import get_observability
 from ..pq.adc import adc_distances
 from ..pq.product_quantizer import ProductQuantizer
 from .base import InstructionProfile, PartitionScanner, ScanResult
-from .layout import nibble_lower_bounds, pack_nibbles
-from .topk import TopKAccumulator
+from .layout import NibblePartition
+from .prepared import PreparedCache
+from .topk import select_topk
 
 __all__ = ["QuickADCScanner", "QuickADCResult"]
 
@@ -91,7 +90,7 @@ class QuickADCResult(ScanResult):
     qmax: float = 0.0
 
 
-class QuickADCScanner(PartitionScanner):
+class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
     """Scanner implementing Quick ADC over PQ m×4 nibble codes.
 
     Args:
@@ -100,7 +99,7 @@ class QuickADCScanner(PartitionScanner):
         keep: fraction of the partition scanned with exact ADC to bound
             ``qmax`` (same role and same row-selection rule as PQ Fast
             Scan's keep phase, default 0.5%).
-        prepared_cache_size: maximum nibble-packed layouts held by the
+        prepared_cache_size: maximum nibble layouts held by the
             :meth:`prepared` cache (LRU eviction beyond that;
             ``None`` = unbounded).
     """
@@ -124,116 +123,17 @@ class QuickADCScanner(PartitionScanner):
             )
         if not 0.0 <= keep <= 1.0:
             raise ConfigurationError(f"keep must be in [0, 1], got {keep}")
-        if prepared_cache_size is not None and prepared_cache_size < 1:
-            raise ConfigurationError(
-                "prepared_cache_size must be >= 1 (or None for unbounded), "
-                f"got {prepared_cache_size}"
-            )
+        PreparedCache.__init__(self, prepared_cache_size)
         self.pq = pq
         self.keep = keep
-        self.prepared_cache_size = prepared_cache_size
-        self._prepared: weakref.WeakKeyDictionary[Partition, np.ndarray] = (
-            weakref.WeakKeyDictionary()
-        )
-        # LRU bookkeeping mirrors PQFastScanner: recency-ordered weak
-        # references keyed by the partition's object id, all mutations
-        # under one lock because scanners are shared across batch
-        # executor worker threads.
-        self._lru: OrderedDict[int, weakref.ref[Partition]] = OrderedDict()
-        self._cache_lock = threading.Lock()
-        #: Times :meth:`prepared` served a cached packed layout.
-        self.prepared_hits: int = 0
-        #: Times :meth:`prepared` had to pack a layout.
-        self.prepared_misses: int = 0
-        #: Live layouts evicted because the cache exceeded its cap.
-        self.prepared_evictions: int = 0
 
-    # -- database-side preparation ---------------------------------------------
+    def prepare(self, partition: Partition) -> NibblePartition:
+        """Transpose the partition's codes into the nibble layout.
 
-    def prepare(self, partition: Partition) -> np.ndarray:
-        """Nibble-pack the partition's codes: ``(n, ceil(m/2))`` bytes.
-
-        This is the build-time step of Quick ADC; the packed array is
+        This is the build-time step of Quick ADC; the layout is
         query-independent and reused for every scan of the partition.
         """
-        codes = np.ascontiguousarray(partition.codes, dtype=np.uint8)
-        return pack_nibbles(codes)
-
-    def prepared(self, partition: Partition) -> np.ndarray:
-        """Cached :meth:`prepare`, keyed by partition object identity.
-
-        Weak references release packed layouts together with their
-        partitions; beyond ``prepared_cache_size`` the least recently
-        used layout is evicted (:attr:`prepared_evictions`, also
-        exported via
-        :meth:`repro.obs.Observability.record_cache_eviction`).
-        """
-        with self._cache_lock:
-            cached = self._prepared.get(partition)
-            if cached is not None:
-                self.prepared_hits += 1
-                self._touch(partition)
-        if cached is not None:
-            get_observability().record_cache_access(True)
-            return cached
-        # Build outside the lock: packing is pure, and packing a large
-        # partition is exactly the work concurrent callers should not
-        # serialize on.
-        built = self.prepare(partition)
-        with self._cache_lock:
-            cached = self._prepared.get(partition)
-            if cached is None:
-                self.prepared_misses += 1
-                cached = built
-                self._prepared[partition] = cached
-                self._touch(partition)
-                self._evict_over_cap()
-                hit = False
-            else:
-                # A concurrent caller inserted first; adopt its layout.
-                self.prepared_hits += 1
-                self._touch(partition)
-                hit = True
-        get_observability().record_cache_access(hit)
-        return cached
-
-    def _touch(self, partition: Partition) -> None:
-        """Mark ``partition`` most recently used (insert or refresh).
-
-        Caller must hold ``_cache_lock``.
-        """
-        key = id(partition)
-        self._lru.pop(key, None)  # reprolint: disable=R6 (caller holds _cache_lock)
-        self._lru[key] = weakref.ref(partition)  # reprolint: disable=R6 (caller holds _cache_lock)
-
-    def _evict_over_cap(self) -> None:
-        """Drop least-recently-used layouts until the cache fits its cap.
-
-        Caller must hold ``_cache_lock``.
-        """
-        cap = self.prepared_cache_size
-        if cap is None:
-            return
-        while len(self._prepared) > cap and self._lru:
-            _, ref = self._lru.popitem(last=False)  # reprolint: disable=R6 (caller holds _cache_lock)
-            partition = ref()
-            if partition is None:
-                continue
-            if self._prepared.pop(partition, None) is not None:  # reprolint: disable=R6 (caller holds _cache_lock)
-                self.prepared_evictions += 1  # reprolint: disable=R6 (caller holds _cache_lock)
-                get_observability().record_cache_eviction()
-
-    def warm(self, partitions: Iterable[Partition]) -> int:
-        """Pre-pack the nibble layouts from the coordinating thread.
-
-        Called by the batch executor before fanning partition jobs
-        across workers, so the :meth:`prepared` cache is only *read*
-        concurrently. Returns the number of layouts newly built.
-        """
-        before = self.prepared_misses
-        for partition in partitions:
-            self.prepared(partition)
-        return self.prepared_misses - before
+        return NibblePartition(partition.codes, partition.ids)
 
     # -- scanning ---------------------------------------------------------------
 
@@ -242,133 +142,127 @@ class QuickADCScanner(PartitionScanner):
     ) -> QuickADCResult:
         """Full Quick ADC scan of ``partition`` for one query."""
         tables = np.asarray(tables, dtype=np.float64)
-        self._check_tables(tables)
-        return self._scan_packed(tables, partition, self.prepared(partition), topk)
+        if tables.ndim != 2:
+            raise DimensionMismatchError(2, tables.ndim, what="array rank")
+        return self.scan_batch(tables[None], partition, topk)[0]
 
     def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
     ) -> list[QuickADCResult]:
-        """Scan one partition for a whole query batch at once.
+        """Scan one partition for a whole ``(b, m, 16)`` table stack.
 
-        ``tables`` is the ``(b, m, 16)`` stack of per-query distance
-        tables. The nibble-packed layout is prepared once for the whole
-        batch; each query then runs the identical per-query pipeline,
-        so result ``i`` is bit-identical to ``scan(tables[i], ...)``.
+        What does not depend on the query (table shape check, layout
+        fetch, the sample rows, the sanitizer's code-range check) is
+        done once for the batch; result ``i`` is byte-identical to
+        ``scan(tables[i], ...)``.
         """
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 3:
             raise DimensionMismatchError(3, tables.ndim, what="array rank")
-        packed = self.prepared(partition)
-        results = []
-        for row in tables:
-            self._check_tables(row)
-            results.append(self._scan_packed(row, partition, packed, topk))
-        return results
-
-    def _check_tables(self, tables: np.ndarray) -> None:
-        if tables.ndim != 2 or tables.shape != (self.pq.m, self.pq.ksub):
+        m = self.pq.m
+        if tables.shape[1:] != (m, self.pq.ksub):
             raise DimensionMismatchError(
-                self.pq.m * self.pq.ksub, int(np.asarray(tables).size), what="table"
+                m * self.pq.ksub, tables.shape[1] * tables.shape[2], what="table"
             )
-
-    def _scan_packed(
-        self,
-        tables: np.ndarray,
-        partition: Partition,
-        packed: np.ndarray,
-        topk: int,
-    ) -> QuickADCResult:
+        layout = self.prepared(partition)
         n = len(partition)
         if n == 0:
-            return QuickADCResult(
-                ids=np.empty(0, dtype=np.int64),
-                distances=np.empty(0, dtype=np.float64),
-                n_scanned=0,
-            )
+            return [
+                QuickADCResult(
+                    ids=np.empty(0, dtype=np.int64),
+                    distances=np.empty(0, dtype=np.float64),
+                    n_scanned=0,
+                )
+                for _ in tables
+            ]
         ids = partition.ids
         codes = partition.codes
-        m = self.pq.m
-        acc = TopKAccumulator(topk)
         sanitize = sanitizer_enabled()
         context = f"quickadc partition {partition.partition_id}"
         if sanitize:
             # Validate the nibble range before the exact sample phase
-            # indexes any table with these codes: the cached packed
-            # layout may predate in-place corruption of the code array.
+            # indexes any table with these codes: the cached layout may
+            # predate in-place corruption of the code array.
             check_nibble_invariant(codes, context=context)
 
-        # Sample phase: exact ADC over the first keep% of the *database*
-        # (smallest ids) — the same representative-sample rule as the
-        # fast-scan keep phase; needs at least topk rows to bound qmax.
+        # Sample rows: the first keep% of the *database* (smallest ids)
+        # — the same representative-sample rule as the fast-scan keep
+        # phase; needs at least topk rows to bound qmax.
         n_sample = min(n, max(int(np.ceil(self.keep * n)), topk))
-        sample_rows = np.sort(np.argsort(ids, kind="stable")[:n_sample])
-        sample_dists = adc_distances(tables, codes[sample_rows])
-        acc.offer_many(sample_dists, ids[sample_rows])
-        if n_sample >= n:
-            # The sample was the whole partition: the scan is already
-            # exact and complete, no quantized pass needed.
-            top_ids, top_dists = acc.result()
-            obs = get_observability()
-            if obs.enabled:
-                obs.record_scan(self.name, n_scanned=n, n_pruned=0)
-            return QuickADCResult(
+        sample_rows = layout.id_order[:n_sample]
+        sample_codes = codes[sample_rows]
+        sample_ids = ids[sample_rows]
+        fresh = np.ones(n, dtype=np.bool_)
+        fresh[sample_rows] = False
+
+        results = []
+        for row in tables:
+            # Sample phase: exact ADC seeds the topk.
+            top_ids, top_dists = select_topk(
+                adc_distances(row, sample_codes), sample_ids, topk
+            )
+            if n_sample == n:
+                # The sample was the whole partition (always so below
+                # topk rows, where no finite qmax exists): the scan is
+                # already exact and complete, no quantized pass needed.
+                results.append(QuickADCResult(
+                    ids=top_ids, distances=top_dists, n_scanned=n, n_sample=n
+                ))
+                continue
+
+            # Quantized pass: the temporary-NN topk-th distance bounds
+            # the quantization; every vector's lower bound comes from
+            # one pair-table lookup per packed byte.
+            threshold = float(top_dists[-1])
+            quantizer = DistanceQuantizer.from_tables(row, threshold)
+            q_tables = quantizer.quantize_table(row)
+            bounds = layout.lower_bounds(q_tables)
+            if sanitize:
+                check_saturation_invariant(q_tables, context=context)
+                check_lower_bound_invariant(
+                    bounds, adc_distances(row, codes), quantizer, m, context=context
+                )
+
+            # Candidate selection: the sample threshold prunes rows
+            # provably worse than the temporary NN set; the topk-th
+            # smallest bound additionally caps the rerank at the rows
+            # that could still matter. This second cut is where Quick
+            # ADC is approximate: ties in quantized space are resolved
+            # by the bound, not the exact distance.
+            sample_cut = quantizer.quantize_threshold(threshold, components=m)
+            kth_bound = int(np.partition(bounds, topk - 1)[topk - 1])
+            candidates = np.flatnonzero(
+                (bounds <= min(sample_cut, kth_bound)) & fresh
+            )
+
+            # Exact rerank of candidates only (the sample is already in).
+            if len(candidates):
+                top_ids, top_dists = select_topk(
+                    np.concatenate(
+                        (top_dists, adc_distances(row, codes[candidates]))
+                    ),
+                    np.concatenate((top_ids, ids[candidates])),
+                    topk,
+                )
+            results.append(QuickADCResult(
                 ids=top_ids,
                 distances=top_dists,
                 n_scanned=n,
+                n_pruned=n - n_sample - len(candidates),
                 n_sample=n_sample,
-            )
-
-        # n_sample >= topk and n_sample < n here, so the accumulator is
-        # full and its threshold (temporary-NN topk-th distance) finite.
-        quantizer = DistanceQuantizer.from_tables(tables, acc.threshold)
-        q_tables = quantizer.quantize_table(tables)
-        if sanitize:
-            check_nibble_invariant(codes, q_tables, context=context)
-
-        # Quantized pass: every vector's lower bound from in-register
-        # lookups. nibble_lower_bounds is the vectorized equivalent of
-        # the kernel's pshufb/paddsb fold (all entries non-negative, so
-        # the saturating fold equals min(sum, 127)).
-        bounds = nibble_lower_bounds(packed, q_tables)
-        if sanitize:
-            check_lower_bound_invariant(
-                bounds, adc_distances(tables, codes), quantizer, m, context=context
-            )
-
-        # Candidate selection: the sample threshold prunes rows provably
-        # worse than the temporary NN set; the topk-th smallest bound
-        # additionally caps the rerank at the rows that could still
-        # matter. This second cut is where Quick ADC is approximate:
-        # ties in quantized space are resolved by the bound, not the
-        # exact distance.
-        sample_cut = quantizer.quantize_threshold(acc.threshold, components=m)
-        kth_bound = int(np.partition(bounds, topk - 1)[topk - 1])
-        cutoff = min(sample_cut, kth_bound)
-        sample_mask = np.zeros(n, dtype=bool)
-        sample_mask[sample_rows] = True
-        candidates = np.flatnonzero((bounds <= cutoff) & ~sample_mask)
-
-        # Exact rerank of candidates only (sample rows already offered).
-        if len(candidates):
-            dists = adc_distances(tables, codes[candidates])
-            acc.offer_many(dists, ids[candidates])
-
-        top_ids, top_dists = acc.result()
-        n_pruned = n - n_sample - len(candidates)
+                n_candidates=len(candidates),
+                n_saturated=int(np.count_nonzero(bounds >= SATURATION)),
+                qmin=quantizer.qmin,
+                qmax=quantizer.qmax,
+            ))
         obs = get_observability()
         if obs.enabled:
-            obs.record_scan(self.name, n_scanned=n, n_pruned=n_pruned)
-        return QuickADCResult(
-            ids=top_ids,
-            distances=top_dists,
-            n_scanned=n,
-            n_pruned=n_pruned,
-            n_sample=n_sample,
-            n_candidates=len(candidates),
-            n_saturated=int(np.count_nonzero(bounds >= SATURATION)),
-            qmin=quantizer.qmin,
-            qmax=quantizer.qmax,
-        )
+            obs.record_scan(
+                self.name,
+                n_scanned=n * len(results),
+                n_pruned=sum(result.n_pruned for result in results),
+            )
+        return results
 
     def profile(self) -> InstructionProfile:
         # Per vector at m=16: 8 vloads per 16-vector block (0.5), 16

@@ -135,8 +135,6 @@ def select_topk(
         part = np.argpartition(distances, k - 1)[:k]
         kth = distances[part].max()
         candidates = np.flatnonzero(distances <= kth)
-    else:
-        candidates = np.arange(n)
-    order = np.lexsort((identifiers[candidates], distances[candidates]))[:k]
-    chosen = candidates[order]
-    return identifiers[chosen], distances[chosen]
+        distances, identifiers = distances[candidates], identifiers[candidates]
+    order = np.lexsort((identifiers, distances))[:k]
+    return identifiers[order], distances[order]

@@ -252,28 +252,24 @@ def merge_partials(
     """
     out = []
     for row in range(plan.n_queries):
-        scans = partials[row]
-        if require_complete and any(scan is None for scan in scans):
+        scans = [scan for scan in partials[row] if scan is not None]
+        if require_complete and len(scans) < len(partials[row]):
             raise SimulationError(
                 f"batch plan left query {row} with unscanned probes"
             )
-        all_ids = [scan.ids for scan in scans if scan is not None]
-        all_dists = [scan.distances for scan in scans if scan is not None]
-        ids = (
-            np.concatenate(all_ids) if all_ids else np.empty(0, dtype=np.int64)
-        )
-        dists = (
-            np.concatenate(all_dists)
-            if all_dists
-            else np.empty(0, dtype=np.float64)
-        )
+        if scans:
+            ids = np.concatenate([scan.ids for scan in scans])
+            dists = np.concatenate([scan.distances for scan in scans])
+        else:
+            ids = np.empty(0, dtype=np.int64)
+            dists = np.empty(0, dtype=np.float64)
         merged_ids, merged_dists = select_topk(dists, ids, plan.topk)
         out.append(
             SearchResult(
                 ids=merged_ids,
                 distances=merged_dists,
-                n_scanned=sum(s.n_scanned for s in scans if s is not None),
-                n_pruned=sum(s.n_pruned for s in scans if s is not None),
+                n_scanned=sum(scan.n_scanned for scan in scans),
+                n_pruned=sum(scan.n_pruned for scan in scans),
                 probed=tuple(int(p) for p in plan.probed[row]),
             )
         )

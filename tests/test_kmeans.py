@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.pq import kmeans
 from repro.pq.kmeans import (
     KMeans,
+    _kmeanspp_init,
     assign_to_centroids,
     squared_distances,
 )
@@ -118,3 +120,46 @@ class TestKMeans:
     def test_centroids_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             _ = KMeans(k=2).centroids
+
+
+class TestKMeansPlusPlusSeeding:
+    @staticmethod
+    def unhoisted(points, k, rng):
+        """The seeding as one ``squared_distances`` call per centroid."""
+        n = points.shape[0]
+        centroids = np.empty((k, points.shape[1]), dtype=np.float64)
+        centroids[0] = points[rng.integers(n)]
+        closest = squared_distances(points, centroids[0:1])[:, 0]
+        for i in range(1, k):
+            total = closest.sum()
+            if total <= 0.0:
+                idx = rng.integers(n)
+            else:
+                idx = rng.choice(n, p=closest / total)
+            centroids[i] = points[idx]
+            d_new = squared_distances(points, centroids[i : i + 1])[:, 0]
+            np.minimum(closest, d_new, out=closest)
+        return centroids
+
+    @pytest.mark.parametrize(
+        "n, d, k", [(4000, 16, 256), (4000, 8, 16), (300, 3, 256), (1000, 1, 7)]
+    )
+    def test_seed_bytes_match_per_centroid_formula(self, rng, n, d, k):
+        """Taking |x|^2 and 2x out of the loop changes no operand."""
+        points = rng.normal(size=(n, 2 * d))[:, d:] * 30  # a strided view, as fit passes
+        expected = self.unhoisted(points, k, np.random.default_rng(9))
+        seeded = _kmeanspp_init(points, k, np.random.default_rng(9))
+        assert seeded.tobytes() == expected.tobytes()
+
+    def test_coincident_points_fall_back_to_uniform(self):
+        points = np.ones((40, 5))
+        expected = self.unhoisted(points, 40, np.random.default_rng(9))
+        seeded = _kmeanspp_init(points, 40, np.random.default_rng(9))
+        assert seeded.tobytes() == expected.tobytes()
+
+    def test_fitted_codebook_bytes_unchanged(self, rng, monkeypatch):
+        points = rng.normal(size=(600, 4))
+        fitted = KMeans(k=16, max_iter=3, seed=5).fit(points).centroids
+        monkeypatch.setattr(kmeans, "_kmeanspp_init", self.unhoisted)
+        reference = KMeans(k=16, max_iter=3, seed=5).fit(points).centroids
+        assert fitted.tobytes() == reference.tobytes()

@@ -97,6 +97,43 @@ class TestProductQuantizer:
         expected = np.sum((pq.subquantizers[j].codebook - sub) ** 2, axis=1)
         np.testing.assert_allclose(tables[j], expected, rtol=1e-9)
 
+    @staticmethod
+    def tables_per_subquantizer(pq, queries):
+        """Distance tables one sub-quantizer at a time: the reference
+        the stacked computation must reproduce bit for bit."""
+        tables = np.empty((len(queries), pq.m, pq.ksub))
+        for j, sq in enumerate(pq.subquantizers):
+            sub = queries[:, j * pq.dsub : (j + 1) * pq.dsub]
+            x_sq = np.einsum("qd,qd->q", sub, sub)
+            c_sq = np.einsum("id,id->i", sq.codebook, sq.codebook)
+            cross = np.einsum("qd,id->qi", sub, sq.codebook)
+            block = x_sq[:, None] + c_sq[None, :] - 2.0 * cross
+            np.maximum(block, 0.0, out=block)
+            tables[:, j, :] = block
+        return tables
+
+    @pytest.mark.parametrize("m, bits, dsub", [(16, 4, 8), (8, 8, 16), (5, 4, 7), (3, 8, 1)])
+    @pytest.mark.parametrize("b", [1, 3, 16, 128])
+    def test_batch_tables_bit_identical_to_per_subquantizer_loop(
+        self, rng, m, bits, dsub, b
+    ):
+        pq = ProductQuantizer.from_codebooks(rng.normal(size=(m, 1 << bits, dsub)) * 40)
+        queries = rng.normal(size=(b, m * dsub)) * 40
+        expected = self.tables_per_subquantizer(pq, queries)
+        assert pq.distance_tables_batch(queries).tobytes() == expected.tobytes()
+        for i in (0, b - 1):
+            assert pq.distance_tables(queries[i]).tobytes() == expected[i].tobytes()
+
+    def test_tables_follow_a_permuted_subquantizer(self, rng):
+        pq = ProductQuantizer.from_codebooks(rng.normal(size=(4, 16, 2)))
+        queries = rng.normal(size=(3, 8))
+        before = pq.distance_tables_batch(queries)
+        order = rng.permutation(16)
+        pq.permute_subquantizer(2, order)
+        after = pq.distance_tables_batch(queries)
+        assert after[:, 2].tobytes() == before[:, 2][:, order].tobytes()
+        assert after.tobytes() == self.tables_per_subquantizer(pq, queries).tobytes()
+
     def test_quantization_error_positive_and_reasonable(self, pq, dataset):
         err = pq.quantization_error(dataset.base[:200])
         norms = np.mean(np.sum(dataset.base[:200] ** 2, axis=1))

@@ -9,8 +9,12 @@ other scanners are held to, against quickadc's own sequential baseline.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import ANNSearcher, IVFADCIndex, NaiveScanner, ProductQuantizer
 from repro.core.quantization import DistanceQuantizer
@@ -24,12 +28,15 @@ from repro.exceptions import (
 from repro.ivf.partition import Partition
 from repro.parallel import ScannerSpec
 from repro.pq.adc import adc_distances
+from repro.core.sanitize import check_saturation_invariant
 from repro.scan import (
+    NibblePartition,
     QuickADCResult,
     QuickADCScanner,
     nibble_block_layout,
     nibble_lower_bounds,
     pack_nibbles,
+    select_topk,
     unpack_nibbles,
 )
 from repro.shard import ScatterGatherExecutor, ShardedIndex
@@ -239,10 +246,150 @@ class TestQuickADCScanner:
 
     def test_prepare_packs_nibbles(self, scanner4, routed4):
         partition, _ = routed4
-        packed = scanner4.prepare(partition)
+        layout = scanner4.prepare(partition)
+        assert layout.packed.shape == (8, len(partition))
+        assert layout.packed.flags.c_contiguous
         np.testing.assert_array_equal(
-            unpack_nibbles(packed, 16), partition.codes
+            unpack_nibbles(layout.packed.T, 16), partition.codes
         )
+        np.testing.assert_array_equal(
+            layout.id_order, np.argsort(partition.ids, kind="stable")
+        )
+
+
+def fingerprint(result):
+    """Everything a QuickADCResult carries, arrays as bytes."""
+    return (
+        result.ids.tobytes(), result.distances.tobytes(), result.n_scanned,
+        result.n_pruned, result.n_sample, result.n_candidates,
+        result.n_saturated, result.qmin, result.qmax,
+    )
+
+
+def reference_scan(tables, part, topk, keep):
+    """The Quick ADC pipeline spelled out from the reference pieces:
+    ``nibble_lower_bounds`` over the row-major packed codes,
+    ``adc_distances`` and ``select_topk``."""
+    n, m = part.codes.shape
+    n_sample = min(n, max(int(np.ceil(keep * n)), topk))
+    sample = np.argsort(part.ids, kind="stable")[:n_sample]
+    ids, dists = select_topk(
+        adc_distances(tables, part.codes[sample]), part.ids[sample], topk
+    )
+    if n_sample == n:
+        return QuickADCResult(ids=ids, distances=dists, n_scanned=n, n_sample=n)
+    quantizer = DistanceQuantizer.from_tables(tables, dists[-1])
+    bounds = nibble_lower_bounds(
+        pack_nibbles(part.codes), quantizer.quantize_table(tables)
+    )
+    cutoff = min(
+        quantizer.quantize_threshold(dists[-1], components=m),
+        int(np.sort(bounds)[topk - 1]),
+    )
+    rest = np.setdiff1d(np.flatnonzero(bounds <= cutoff), sample)
+    ids, dists = select_topk(
+        np.concatenate((dists, adc_distances(tables, part.codes[rest]))),
+        np.concatenate((ids, part.ids[rest])),
+        topk,
+    )
+    return QuickADCResult(
+        ids=ids, distances=dists, n_scanned=n,
+        n_pruned=n - n_sample - len(rest), n_sample=n_sample,
+        n_candidates=len(rest), n_saturated=int((bounds >= 127).sum()),
+        qmin=quantizer.qmin, qmax=quantizer.qmax,
+    )
+
+
+@pytest.fixture(scope="module")
+def pq4_by_m():
+    """Sub-quantizer counts incl. an odd one; the scanner reads only
+    the quantizer's shape, the tables come from the test."""
+    rng = np.random.default_rng(7)
+    return {
+        m: ProductQuantizer.from_codebooks(rng.normal(size=(m, 16, 2)))
+        for m in (5, 8, 16)
+    }
+
+
+class TestEqualsReferencePipeline:
+    """The prepared-layout scan against the reference pieces, byte for byte."""
+
+    @given(
+        m=st.sampled_from((5, 8, 16)),
+        topk=st.sampled_from((1, 10, 100)),
+        keep=st.sampled_from((0.0, 0.005, 1.0)),
+        size=st.sampled_from(("1", "k-1", "k", "k+1", "2k", "s-1", "s+1", "5000")),
+        sanitize=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    def test_result_bytes_and_counters(
+        self, pq4_by_m, monkeypatch, m, topk, keep, size, sanitize, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # "s" is where ceil(keep * n) overtakes topk as the sample size.
+        s = int(topk / keep) if 0.0 < keep < 1.0 else 3 * topk
+        sizes = {"k-1": topk - 1, "k": topk, "k+1": topk + 1, "2k": 2 * topk,
+                 "s-1": s - 1, "s+1": s + 1}
+        n = sizes[size] if size in sizes else int(size)
+        # Few distinct codes: distance and bound ties are the rule; ids
+        # shuffled and sparse: id order is not storage order.
+        pool = rng.integers(0, 16, size=(rng.choice((4, n // 3 + 1)), m), dtype=np.uint8)
+        part = Partition(pool[rng.integers(0, len(pool), size=n)], rng.permutation(n) * 3)
+        tables = rng.random((3, m, 16)) * rng.choice([1e-3, 1.0, 1e4])
+        monkeypatch.setenv("REPRO_SANITIZE", "1" if sanitize else "0")
+        scanner = QuickADCScanner(pq4_by_m[m], keep=keep)
+        batch = scanner.scan_batch(tables, part, topk)
+        for row, got in zip(tables, batch):
+            assert fingerprint(got) == fingerprint(reference_scan(row, part, topk, keep))
+            assert fingerprint(got) == fingerprint(scanner.scan(row, part, topk))
+            assert got.n_sample + got.n_candidates + got.n_pruned == got.n_scanned == n
+
+    @given(
+        m=st.sampled_from((1, 5, 8, 16)),
+        n=st.sampled_from((0, 1, 15, 16, 17, 1000)),
+        ceiling=st.sampled_from((1, 9, 40, 128)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pair_table_bounds_are_the_nibble_bounds(self, m, n, ceiling, seed):
+        """One lookup per packed byte reads what two nibble lookups sum
+        to, from no saturation (ceiling 1) to nearly all rows at 127."""
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 16, size=(n, m), dtype=np.uint8)
+        q_tables = rng.integers(0, ceiling, size=(m, 16)).astype(np.int8)
+        bounds = NibblePartition(codes, np.arange(n)).lower_bounds(q_tables)
+        reference = nibble_lower_bounds(pack_nibbles(codes), q_tables)
+        assert bounds.dtype == reference.dtype
+        np.testing.assert_array_equal(bounds, reference)
+
+    def test_lower_bounds_rejects_mismatched_tables(self, rng):
+        layout = NibblePartition(
+            rng.integers(0, 16, size=(8, 16), dtype=np.uint8), np.arange(8)
+        )
+        with pytest.raises(ConfigurationError):
+            layout.lower_bounds(np.zeros((6, 16), dtype=np.int8))
+
+    def test_layout_is_rebuilt_per_worker_not_shipped(self, pq4, routed4):
+        """What crosses to a worker process is the ScannerSpec: it holds
+        no layout, and the scanner built from it prepares its own."""
+        partition, tables = routed4
+        scanner = QuickADCScanner(pq4, keep=0.01)
+        scanner.warm([partition])
+        shipped = pickle.dumps(ScannerSpec.for_scanner(scanner))
+        assert len(shipped) < partition.codes.nbytes // 100
+        rebuilt = pickle.loads(shipped).build(pq4)
+        assert len(rebuilt._prepared) == 0
+        result = rebuilt.scan(tables, partition, topk=10)
+        assert rebuilt.prepared_misses == 1
+        assert fingerprint(result) == fingerprint(scanner.scan(tables, partition, topk=10))
+        # The layout itself is plain arrays and would survive the trip.
+        layout = pickle.loads(pickle.dumps(scanner.prepared(partition)))
+        np.testing.assert_array_equal(layout.packed, scanner.prepared(partition).packed)
 
 
 class TestKernelScannerIdentity:
@@ -429,6 +576,13 @@ class TestSanitizer:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         with pytest.raises(InvariantViolation, match="nibble range"):
             scanner.scan(tables, mutable, topk=5)
+
+    def test_wrapped_table_entry_is_caught(self):
+        check_saturation_invariant(np.array([[0, 127]], dtype=np.int8))
+        with pytest.raises(InvariantViolation, match="wrapped"):
+            check_saturation_invariant(
+                np.array([[5, -128]], dtype=np.int8), context="quickadc partition 0"
+            )
 
     def test_clean_scan_passes_under_sanitizer(
         self, pq4, routed4, monkeypatch
