@@ -43,14 +43,13 @@ import threading
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, cast
 
 import numpy as np
 
 if TYPE_CHECKING:
     from .delta.store import DeltaView
 
-from .core import PQFastScanner, QuantizationOnlyScanner
 from .delta import (
     CompactionReport,
     DeltaSnapshot,
@@ -61,6 +60,7 @@ from .delta import (
 from .exceptions import ConfigurationError, SimulationError
 from .ivf.inverted_index import IVFADCIndex
 from .obs import Observability, get_observability
+from .parallel.spec import ScannerSpec
 from .persistence import (
     load_index,
     load_sharded_index,
@@ -68,7 +68,7 @@ from .persistence import (
     save_sharded_index,
 )
 from .pq.product_quantizer import ProductQuantizer
-from .scan import SCANNERS, PartitionScanner, QuickADCScanner
+from .scan import PartitionScanner
 from .search import GATHER_TIMEOUT_S, ANNSearcher, SearchResult
 from .shard import ScatterGatherExecutor, ShardedIndex, ShardedResponse
 
@@ -236,14 +236,8 @@ class EngineConfig:
         per-instance and not locked for cross-thread writes, so each
         shard needs its own scanner.
         """
-        if self.scanner == "fastpq":
-            return lambda: PQFastScanner(pq, keep=self.keep)
-        if self.scanner == "qonly":
-            return lambda: QuantizationOnlyScanner(pq, keep=self.keep)
-        if self.scanner == "quickadc":
-            return lambda: QuickADCScanner(pq, keep=self.keep)
-        cls = SCANNERS[self.scanner]
-        return lambda: cls()
+        spec = ScannerSpec(self.scanner, keep=self.keep)
+        return lambda: spec.build(pq)
 
 
 def _merge_config(
@@ -438,40 +432,39 @@ class Engine:
         remembers ``path``, so ``executor="process"`` workers attach to
         this artifact directly instead of saving a temporary copy.
         """
-        config = _merge_config(config, config_overrides)
         path = Path(path)
+        sharded: ShardedIndex | None = None
         if path.is_dir():
             sharded = load_sharded_index(path, mmap=mmap)
             index = _global_view(sharded)
-            config = replace(
-                config,
-                m=index.pq.m,
-                bits=index.pq.bits,
-                n_partitions=sharded.n_partitions,
-                n_shards=sharded.n_shards,
-                encode_residuals=sharded.encode_residuals,
-                nprobe=min(config.nprobe, sharded.n_partitions),
-            )
-            return cls(
-                index,
-                config,
-                sharded=sharded,
-                index_path=path,
-                observability=observability,
-                mmap=mmap,
-            )
-        index = load_index(path, mmap=mmap)
-        config = replace(
-            config,
-            m=index.pq.m,
-            bits=index.pq.bits,
-            n_partitions=index.n_partitions,
-            n_shards=min(config.n_shards, index.n_partitions),
-            encode_residuals=index.encode_residuals,
-            nprobe=min(config.nprobe, index.n_partitions),
+        else:
+            index = load_index(path, mmap=mmap)
+        base = config if config is not None else EngineConfig()
+
+        def requested(name: str) -> int:
+            return cast(int, config_overrides.get(name, getattr(base, name)))
+
+        # The artifact's fields go into the same replace as the caller's
+        # overrides, so scanner="quickadc" is validated against the
+        # artifact's bits and nprobe against its n_partitions, not
+        # against the defaults those fields held a moment earlier.
+        config = _merge_config(
+            base,
+            {
+                **config_overrides,
+                "m": index.pq.m,
+                "bits": index.pq.bits,
+                "n_partitions": index.n_partitions,
+                "n_shards": (
+                    sharded.n_shards
+                    if sharded is not None
+                    else min(requested("n_shards"), index.n_partitions)
+                ),
+                "encode_residuals": index.encode_residuals,
+                "nprobe": min(requested("nprobe"), index.n_partitions),
+            },
         )
-        sharded = None
-        if config.n_shards > 1:
+        if sharded is None and config.n_shards > 1:
             sharded = ShardedIndex.from_index(
                 index, n_shards=config.n_shards, layout=config.shard_layout
             )

@@ -15,8 +15,6 @@ This module implements Steps 1-2 and partition management; scanners in
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..exceptions import ConfigurationError, NotFittedError
@@ -33,9 +31,7 @@ class IVFADCIndex:
     Args:
         pq: a *fitted* :class:`ProductQuantizer` used to encode vectors
             (positional-only).
-        n_partitions: number of coarse Voronoi cells (keyword-only; one
-            legacy positional int is still accepted with a
-            ``DeprecationWarning``).
+        n_partitions: number of coarse Voronoi cells (keyword-only).
         encode_residuals: if True (the original IVFADC), vectors are
             encoded as ``x - coarse_centroid(x)`` and queries are likewise
             shifted per cell; if False, raw vectors are encoded and all
@@ -48,29 +44,12 @@ class IVFADCIndex:
         self,
         pq: ProductQuantizer,
         /,
-        *legacy_args: int,
+        *,
         n_partitions: int = 8,
         encode_residuals: bool = True,
         coarse_max_iter: int = 20,
         seed: int = 0,
     ):
-        if legacy_args:
-            # Shim for the pre-1.1 call shape IVFADCIndex(pq, 8): integer
-            # config arguments passed positionally invite transposition
-            # bugs, so they are keyword-only now.
-            if len(legacy_args) > 1:
-                raise ConfigurationError(
-                    "IVFADCIndex takes at most one positional argument "
-                    "besides pq (the deprecated n_partitions); pass "
-                    "configuration as keywords"
-                )
-            warnings.warn(
-                "passing n_partitions positionally is deprecated; use "
-                "IVFADCIndex(pq, n_partitions=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            n_partitions = int(legacy_args[0])
         if not pq.is_fitted:
             raise NotFittedError("IVFADCIndex requires a fitted ProductQuantizer")
         if n_partitions < 1:

@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from ..exceptions import ConfigurationError, DatasetError
+from ..exceptions import DatasetError
 from . import Observability, observability_session, parse_prometheus, write_snapshots
 
 __all__ = ["main", "run_snapshot", "check_snapshot"]
@@ -51,25 +51,14 @@ def run_snapshot(
 ) -> tuple[Observability, dict[str, object]]:
     """Run one instrumented batch; returns (observability, summary)."""
     # Imported here so `check` stays dependency-light and fast.
-    from ..core.fast_scan import PQFastScanner
-    from ..core.quantization_only import QuantizationOnlyScanner
-    from ..scan.base import PartitionScanner
-    from ..scan.naive import NaiveScanner
-    from ..search import ANNSearcher
     from ..bench.workloads import build_workload
+    from ..parallel.spec import ScannerSpec
+    from ..search import ANNSearcher
 
     workload = build_workload(
         "sift100m", scale=scale, n_queries=max(n_queries, 32), seed=seed
     )
-    scanner: PartitionScanner
-    if scanner_name == "naive":
-        scanner = NaiveScanner()
-    elif scanner_name == "fastpq":
-        scanner = PQFastScanner(workload.pq, keep=0.005, seed=0)
-    elif scanner_name == "qonly":
-        scanner = QuantizationOnlyScanner(workload.pq, keep=0.005)
-    else:
-        raise ConfigurationError(f"unknown scanner {scanner_name!r}")
+    scanner = ScannerSpec(scanner_name, keep=0.005).build(workload.pq)
 
     queries = workload.queries[:n_queries]
     with observability_session() as obs:

@@ -3,8 +3,8 @@
 Why processes: the thread-backed executor is GIL-bound — the committed
 ``BENCH_throughput.json`` of PR 4 measured 1283 qps at one thread
 *degrading* to 1023 qps at four. :class:`ProcessBatchExecutor` keeps the
-exact same partition-major plan and deterministic merge but fans the
-partition jobs across a persistent ``ProcessPoolExecutor``:
+exact same plan-to-results pipeline (:class:`~repro.search.PlanExecutor`)
+but fans the partition jobs across a persistent ``ProcessPoolExecutor``:
 
 * **Zero-copy attach** — workers never receive index data. Each worker
   process opens the saved artifact itself with
@@ -19,10 +19,10 @@ partition jobs across a persistent ``ProcessPoolExecutor``:
   a result only flattened topk arrays plus counters; parent↔worker
   bytes are independent of partition sizes.
 * **Byte-identical results** — workers run the same
-  :func:`~repro.search.scan_partition_batch` kernel and the parent runs
-  the same :func:`~repro.search.merge_partials` merge, so output is
-  byte-for-byte equal to the sequential loop and the thread executor,
-  for every worker count and completion order.
+  :func:`~repro.search.scan_partition_batch` kernel and the parent folds
+  their partials through the same :class:`~repro.search.StreamingMerger`,
+  so output is byte-for-byte equal to the sequential loop and the thread
+  executor, for every worker count and completion order.
 
 Observability: the parent records the route/scan/merge spans and the
 batch/worker metrics (per-process work is accounted through the
@@ -38,25 +38,21 @@ import multiprocessing
 import os
 import tempfile
 import threading
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing.context import BaseContext
 from pathlib import Path
 
-import numpy as np
-
 from ..core.sanitize import sanitizer_enabled
 from ..exceptions import ConfigurationError
 from ..ivf.inverted_index import IVFADCIndex
-from ..obs import Observability, get_observability
+from ..obs import Observability
 from ..scan.base import PartitionScanner, ScanResult
 from ..search import (
     GATHER_TIMEOUT_S,
     BatchPlan,
     BatchPlanner,
-    BatchReport,
-    SearchResult,
-    merge_partials,
+    PlanExecutor,
+    _empty_grid,
 )
 from ..simd.counters import WorkerStats
 from .worker import (
@@ -86,13 +82,14 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class ProcessBatchExecutor:
+class ProcessBatchExecutor(PlanExecutor):
     """Partition-major batch executor backed by worker *processes*.
 
     A drop-in for :class:`~repro.search.BatchExecutor`: same ``run`` /
-    ``run_with_report`` / ``scan_plan`` surface, same deterministic
-    results. Construct it from a saved index artifact (workers attach by
-    path) or via :meth:`from_index` when only an in-memory index exists.
+    ``run_with_report`` / ``scan_plan`` surface (inherited from
+    :class:`~repro.search.PlanExecutor`), same deterministic results.
+    Construct it from a saved index artifact (workers attach by path) or
+    via :meth:`from_index` when only an in-memory index exists.
 
     The pool is created eagerly — all workers are spawned and
     initialized (index mmapped, scanner built and warmed) in the
@@ -171,10 +168,7 @@ class ProcessBatchExecutor:
         probes = [self._pool.submit(_probe_worker) for _ in range(self.pool_size)]
         for probe in probes:
             probe.result(timeout=GATHER_TIMEOUT_S)
-        obs = (
-            observability if observability is not None else get_observability()
-        )
-        obs.record_pool_spinup("process")
+        self._obs().record_pool_spinup("process")
 
     @classmethod
     def from_index(
@@ -205,66 +199,18 @@ class ProcessBatchExecutor:
         executor._tempdir = tempdir
         return executor
 
-    # -- the BatchExecutor surface ------------------------------------------
-
-    def run(
-        self, queries: np.ndarray, topk: int = 10, nprobe: int = 1
-    ) -> list[SearchResult]:
-        """Plan and execute a batch; one :class:`SearchResult` per query."""
-        results, _ = self.run_with_report(queries, topk=topk, nprobe=nprobe)
-        return results
-
-    def run_with_report(
-        self, queries: np.ndarray, topk: int = 10, nprobe: int = 1
-    ) -> tuple[list[SearchResult], BatchReport]:
-        """Like :meth:`run`, also returning execution statistics."""
-        obs = (
-            self.observability
-            if self.observability is not None
-            else get_observability()
-        )
-        start = time.perf_counter()
-        with obs.span("route"):
-            plan = self.planner.plan(queries, topk=topk, nprobe=nprobe)
-        partials, worker_stats = self.scan_plan(plan, obs=obs)
-        with obs.span("merge"):
-            results = merge_partials(plan, partials)
-        report = BatchReport(
-            n_queries=plan.n_queries,
-            nprobe=plan.nprobe,
-            topk=plan.topk,
-            n_workers=self.n_workers,
-            n_jobs=len(plan.jobs),
-            wall_time_s=time.perf_counter() - start,
-            worker_stats=worker_stats,
-        )
-        obs.record_batch(report.n_queries, report.wall_time_s, report.worker_stats)
-        return results, report
-
     def scan_plan(
         self, plan: BatchPlan, *, obs: Observability | None = None
     ) -> tuple[list[list[ScanResult | None]], list[WorkerStats]]:
-        """Execute ``plan.jobs`` on the worker pool; raw per-probe partials.
-
-        Same contract as :meth:`BatchExecutor.scan_plan`: the returned
-        grid is ``(n_queries, nprobe)`` with ``None`` at probe positions
-        no job of this plan covered, ready for
-        :func:`~repro.search.merge_partials`.
-        """
+        """Execute ``plan.jobs`` on the worker pool; raw per-probe partials."""
         if obs is None:
-            obs = (
-                self.observability
-                if self.observability is not None
-                else get_observability()
-            )
+            obs = self._obs()
         pool = self._require_pool()
         # The pool was spawned (and its workers attached/warmed) at
         # construction; every batch after that runs on the warm pool.
         obs.record_pool_reuse("process")
         worker_stats = [WorkerStats(worker_id=i) for i in range(self.pool_size)]
-        partials: list[list[ScanResult | None]] = [
-            [None] * plan.nprobe for _ in range(plan.n_queries)
-        ]
+        partials = _empty_grid(plan)
         bundles = self._bundle_jobs(plan)
         # Forward the parent's sanitizer gate with the batch: workers
         # re-apply it before scanning, so REPRO_SANITIZE set after the
@@ -349,12 +295,6 @@ class ProcessBatchExecutor:
             pool.shutdown(wait=True)
         if tempdir is not None:
             tempdir.cleanup()
-
-    def __enter__(self) -> "ProcessBatchExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- introspection -------------------------------------------------------
 

@@ -32,15 +32,16 @@ class ScannerSpec:
     """Plain-data description of a scanner, picklable across processes.
 
     Attributes:
-        kind: scanner name — a :data:`~repro.scan.SCANNERS` key,
-            ``"fastpq"``, ``"quickadc"`` or ``"quantization-only"``.
-        keep: keep/sample fraction (fastpq / quickadc /
-            quantization-only).
+        kind: scanner kind, spelled as in
+            :data:`~repro.engine.SCANNER_KINDS` — a
+            :data:`~repro.scan.SCANNERS` key, ``"fastpq"``,
+            ``"quickadc"`` or ``"qonly"``.
+        keep: keep/sample fraction (fastpq / quickadc / qonly).
         group_components: explicit grouping components (fastpq).
         assignment: assignment mode (fastpq).
         qmax_bound: qmax bound mode (fastpq).
         seed: assignment clustering seed (fastpq).
-        chunk: scan chunk size (quantization-only).
+        chunk: scan chunk size (qonly).
         prepared_cache_size: prepared-layout LRU cap (fastpq / quickadc).
     """
 
@@ -73,7 +74,7 @@ class ScannerSpec:
             )
         if isinstance(scanner, QuantizationOnlyScanner):
             return cls(
-                kind="quantization-only",
+                kind="qonly",
                 keep=scanner.keep,
                 chunk=scanner.chunk,
             )
@@ -89,7 +90,7 @@ class ScannerSpec:
             f"scanner {type(scanner).__name__!r} cannot be reconstructed in "
             "worker processes; the process backend supports the built-in "
             f"scanners ({', '.join(sorted(SCANNERS))}, fastpq, quickadc, "
-            "quantization-only)"
+            "qonly)"
         )
 
     def build(self, pq: ProductQuantizer) -> PartitionScanner:
@@ -104,7 +105,7 @@ class ScannerSpec:
                 seed=self.seed,
                 prepared_cache_size=self.prepared_cache_size,
             )
-        if self.kind == "quantization-only":
+        if self.kind == "qonly":
             return QuantizationOnlyScanner(pq, keep=self.keep, chunk=self.chunk)
         if self.kind == "quickadc":
             return QuickADCScanner(

@@ -21,10 +21,18 @@ layouts, remapped tables, gathered codes — is touched once per batch
 instead of once per query), and partition-scan jobs fan out across a
 thread pool. Section 5.8 of the paper shows concurrent PQ Fast Scan
 queries become memory-bandwidth-bound around 8 cores; this engine is
-the layer that actually produces that concurrent-query traffic. The
-merge is deterministic, so batched results are byte-identical to the
-sequential per-query loop (kept as ``executor="sequential"`` on
-:meth:`ANNSearcher.search` for baselines and tests).
+the layer that actually produces that concurrent-query traffic.
+
+How a plan becomes results is written once, in
+:meth:`PlanExecutor.run_with_report`: route, strip the tombstone-masked
+jobs, ``scan_plan`` (the only step an executor defines), fold the
+partial grids into a :class:`StreamingMerger`, fold the delta overlay,
+``results()``. The merger's (distance, id) order is total, so batched
+results are byte-identical to the sequential per-query loop (kept as
+``executor="sequential"`` on :meth:`ANNSearcher.search` for baselines
+and tests) whatever the executor, worker count or fold order.
+:func:`merge_partials` is the barrier form of the same merge, kept as
+the reference the merger is tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, TypeVar
 
 import numpy as np
 
@@ -45,12 +53,11 @@ from .ivf.inverted_index import IVFADCIndex
 from .obs import Observability, get_observability
 from .scan.base import PartitionScanner, ScanResult
 from .scan.naive import NaiveScanner
-from .scan.topk import TopKAccumulator, select_topk
+from .scan.topk import select_topk
 from .simd.counters import WorkerStats, aggregate_worker_stats
 
-if TYPE_CHECKING:  # import cycles: repro.parallel/repro.delta import repro.search
+if TYPE_CHECKING:  # import cycle: repro.delta imports repro.search
     from .delta.store import DeltaView
-    from .parallel import ProcessBatchExecutor
 
 __all__ = [
     "ANNSearcher",
@@ -280,18 +287,18 @@ class StreamingMerger:
     """Incremental counterpart of :func:`merge_partials`.
 
     The barrier merge needs every partial grid before it can start; the
-    sharded gatherer instead folds each shard's grid into this merger
-    *as it lands* (:meth:`fold`), overlapping merge work with the shards
-    that are still scanning. Per query the merger keeps a
-    :class:`~repro.scan.TopKAccumulator` whose (distance, id) ordering
-    is exactly the one :func:`~repro.scan.select_topk` applies to the
-    full concatenation — database ids are unique across partitions, so
-    that order is total and the ``topk`` smallest candidates are the
-    same set whatever the fold order. :meth:`results` is therefore
-    byte-identical to ``merge_partials`` over the same scans, including
-    the dtypes of empty results and the error raised on incomplete
-    coverage; distances pass through unrecomputed (the accumulator's
-    double float64 negation is bitwise exact).
+    executors instead fold each grid into this merger *as it lands*
+    (:meth:`fold`) — the one grid of a thread or process batch, the
+    overlay grids of a mutable engine, each shard's grid while the other
+    shards are still scanning. Per query the merger keeps the running
+    ``(ids, distances)`` top-k and folds new cells into it with
+    :func:`~repro.scan.select_topk`, the selection the barrier merge
+    applies to the full concatenation. Its (distance, id) order is
+    total — database ids are unique across partitions — so the ``topk``
+    smallest candidates are the same set whatever the fold order, and
+    :meth:`results` is byte-identical to ``merge_partials`` over the
+    same scans, including the dtypes of empty results and the error
+    raised on incomplete coverage; distances pass through unrecomputed.
 
     The merger also accounts its own work: :attr:`merge_time_s` is the
     total time spent folding and finalizing, which the gatherer compares
@@ -300,12 +307,14 @@ class StreamingMerger:
 
     def __init__(self, plan: BatchPlan) -> None:
         self.plan = plan
-        self._accumulators = [
-            TopKAccumulator(plan.topk) for _ in range(plan.n_queries)
-        ]
+        # Running (ids, distances) top-k per query; None until a scan of
+        # that query is folded.
+        self._held: list[tuple[np.ndarray, np.ndarray] | None] = (
+            [None] * plan.n_queries
+        )
         # (n_queries, nprobe) probe positions folded so far; disjoint
         # shard grids each cover their own cells exactly once.
-        self._covered = np.zeros((plan.n_queries, plan.nprobe), dtype=bool)
+        self._covered = [[False] * plan.nprobe for _ in range(plan.n_queries)]
         self._n_scanned = [0] * plan.n_queries
         self._n_pruned = [0] * plan.n_queries
         self.n_folds = 0
@@ -314,50 +323,52 @@ class StreamingMerger:
     @property
     def complete(self) -> bool:
         """True once every (query, probe) cell of the plan was folded."""
-        return bool(self._covered.all())
+        return all(all(row) for row in self._covered)
 
-    def fold(self, partials: list[list[ScanResult | None]]) -> None:
+    def fold(
+        self, partials: list[list[ScanResult | None]], *, covers: bool = True
+    ) -> None:
         """Fold one ``(n_queries, nprobe)`` partial grid into the merge.
 
         ``None`` cells (scans the grid does not cover) and cells already
         folded by an earlier grid are skipped, so folding the disjoint
         per-shard grids of one batch — in any completion order — is
         equivalent to the single barrier merge over their union.
+
+        ``covers=False`` folds *extra* candidates without claiming plan
+        coverage. The delta-overlay path scans a partition's delta
+        segment in addition to its base: the base scan owns the (query,
+        probe) cell of the plan, while the segment's candidates merely
+        join the same top-k. Every non-``None`` scan is folded (and its
+        scanned/pruned counters accounted) but :attr:`complete` is left
+        untouched, so coverage still reflects the base plan alone.
         """
         t0 = time.perf_counter()
+        topk = self.plan.topk
         for row, scans in enumerate(partials):
-            accumulator = self._accumulators[row]
             covered_row = self._covered[row]
+            taken = []
             for position, scan in enumerate(scans):
-                if scan is None or covered_row[position]:
-                    continue
-                covered_row[position] = True
-                accumulator.offer_many(scan.distances, scan.ids)
-                self._n_scanned[row] += scan.n_scanned
-                self._n_pruned[row] += scan.n_pruned
-        self.n_folds += 1
-        self.merge_time_s += time.perf_counter() - t0
-
-    def fold_extra(self, partials: list[list[ScanResult | None]]) -> None:
-        """Fold *extra* candidates without claiming plan coverage.
-
-        The delta-overlay path scans a partition's delta segment in
-        addition to its base: the base scan owns the (query, probe) cell
-        of the plan, while the segment's candidates merely join the same
-        accumulation. ``fold_extra`` offers every non-``None`` scan to
-        the accumulators (and accounts its scanned/pruned counters) but
-        leaves :attr:`complete` untouched, so coverage still reflects
-        the base plan alone.
-        """
-        t0 = time.perf_counter()
-        for row, scans in enumerate(partials):
-            accumulator = self._accumulators[row]
-            for scan in scans:
                 if scan is None:
                     continue
-                accumulator.offer_many(scan.distances, scan.ids)
-                self._n_scanned[row] += scan.n_scanned
-                self._n_pruned[row] += scan.n_pruned
+                if covers:
+                    if covered_row[position]:
+                        continue
+                    covered_row[position] = True
+                taken.append(scan)
+            if not taken:
+                continue
+            ids = [scan.ids for scan in taken]
+            dists = [scan.distances for scan in taken]
+            held = self._held[row]
+            if held is not None:
+                ids.append(held[0])
+                dists.append(held[1])
+            self._held[row] = select_topk(
+                np.concatenate(dists), np.concatenate(ids), topk
+            )
+            self._n_scanned[row] += sum(scan.n_scanned for scan in taken)
+            self._n_pruned[row] += sum(scan.n_pruned for scan in taken)
         self.n_folds += 1
         self.merge_time_s += time.perf_counter() - t0
 
@@ -370,20 +381,22 @@ class StreamingMerger:
         gaps, and the results cover every scan that did arrive.
         """
         t0 = time.perf_counter()
+        probed = self.plan.probed.tolist()
         out = []
-        for row in range(self.plan.n_queries):
-            if require_complete and not bool(self._covered[row].all()):
+        for row, held in enumerate(self._held):
+            if require_complete and not all(self._covered[row]):
                 raise SimulationError(
                     f"batch plan left query {row} with unscanned probes"
                 )
-            ids, dists = self._accumulators[row].result()
+            if held is None:
+                held = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
             out.append(
                 SearchResult(
-                    ids=ids,
-                    distances=dists,
+                    ids=held[0],
+                    distances=held[1],
                     n_scanned=self._n_scanned[row],
                     n_pruned=self._n_pruned[row],
-                    probed=tuple(int(p) for p in self.plan.probed[row]),
+                    probed=tuple(probed[row]),
                 )
             )
         self.merge_time_s += time.perf_counter() - t0
@@ -414,32 +427,30 @@ def _strip_masked_jobs(plan: BatchPlan, masked: "Mapping[int, object]") -> Batch
     )
 
 
-def _overlay_scan_grids(
-    index,
-    plan: BatchPlan,
-    view: "DeltaView",
-    scanner: PartitionScanner,
-    obs: Observability,
-) -> tuple[
-    list[list[ScanResult | None]] | None,
-    list[list[ScanResult | None]] | None,
-]:
-    """Parent-side scans of the dirty partitions of one batch plan.
+#: Delta segments and masked replacements are small, so every path scans
+#: them with the exact (naive) scanner regardless of the configured base
+#: scanner — grouped layouts and min-tables would be rebuilt on every
+#: mutation for no gain. Stateless, so one instance serves all callers.
+_OVERLAY_SCANNER = NaiveScanner()
 
-    Returns ``(masked_grid, extra_grid)``, each a ``(n_queries, nprobe)``
-    partial grid or ``None`` when the plan touches no such partition:
 
-    * ``masked_grid`` — scans of the tombstone-filtered *replacement*
-      partitions; folded with :meth:`StreamingMerger.fold`, they cover
-      the plan cells their stripped executor jobs left open.
-    * ``extra_grid`` — scans of the delta *segments*; folded with
-      :meth:`StreamingMerger.fold_extra`, they add candidates without
-      claiming coverage (the base cell is owned elsewhere).
+def _fold_overlay(
+    merger: StreamingMerger, index, view: "DeltaView", obs: Observability
+) -> None:
+    """Scan the dirty partitions of ``merger.plan`` and fold them in.
 
-    Deltas are small, so both use the exact (naive) scanner regardless
-    of the configured base scanner — grouped layouts and min-tables
-    would be rebuilt on every mutation for no gain.
+    The overlay half of the plan-to-results pipeline, run in the calling
+    process by every executor (workers only ever see the immutable base
+    artifact). Two ``(n_queries, nprobe)`` grids are built and folded,
+    each only when the plan touches such a partition:
+
+    * scans of the tombstone-filtered *replacement* partitions cover the
+      plan cells their stripped executor jobs left open;
+    * scans of the delta *segments* fold with ``covers=False``: they add
+      candidates without claiming coverage (the base cell is owned
+      elsewhere).
     """
+    plan = merger.plan
     masked_grid: list[list[ScanResult | None]] | None = None
     extra_grid: list[list[ScanResult | None]] | None = None
     for job in plan.jobs:
@@ -455,15 +466,24 @@ def _overlay_scan_grids(
             if masked_grid is None:
                 masked_grid = _empty_grid(plan)
             with obs.span("scan"):
-                results = scan_partition_batch(scanner, tables, masked, plan.topk)
+                results = scan_partition_batch(
+                    _OVERLAY_SCANNER, tables, masked, plan.topk
+                )
             _place_results(masked_grid, job, results)
         if segment is not None:
             if extra_grid is None:
                 extra_grid = _empty_grid(plan)
             with obs.span("scan"):
-                results = scan_partition_batch(scanner, tables, segment, plan.topk)
+                results = scan_partition_batch(
+                    _OVERLAY_SCANNER, tables, segment, plan.topk
+                )
             _place_results(extra_grid, job, results)
-    return masked_grid, extra_grid
+    if masked_grid is not None:
+        with obs.span("merge"):
+            merger.fold(masked_grid)
+    if extra_grid is not None:
+        with obs.span("merge"):
+            merger.fold(extra_grid, covers=False)
 
 
 def _empty_grid(plan: BatchPlan) -> list[list[ScanResult | None]]:
@@ -529,16 +549,133 @@ class BatchReport:
         }
 
 
-class BatchExecutor:
+_ExecutorT = TypeVar("_ExecutorT", bound="PlanExecutor")
+
+
+class PlanExecutor:
+    """The one pipeline from a query batch to its :class:`SearchResult`s.
+
+    Route and plan, lift out the jobs of tombstone-masked partitions,
+    :meth:`scan_plan`, fold the partial grid into a
+    :class:`StreamingMerger`, fold the delta overlay, ``results()``,
+    report. Subclasses supply the scan half only — how ``plan.jobs``
+    become an ``(n_queries, nprobe)`` grid of partials — plus
+    :meth:`close`; they set ``index``, ``planner``, ``n_workers`` and
+    ``observability`` in their constructor.
+
+    Every run is traced through :mod:`repro.obs`: the route, warm,
+    per-job table-build and scan, and merge stages each produce a span
+    (and a ``repro_stage_latency_seconds`` observation), and the
+    finished :class:`BatchReport` feeds the batch/worker metrics. With
+    the default (disabled) observability instance all of this reduces
+    to an attribute check per stage.
+    """
+
+    index: IVFADCIndex
+    planner: BatchPlanner
+    n_workers: int
+    observability: Observability | None
+
+    def _obs(self) -> Observability:
+        """The explicit handle, else the process-wide instance as of now."""
+        if self.observability is not None:
+            return self.observability
+        return get_observability()
+
+    def run(
+        self,
+        queries: np.ndarray,
+        topk: int = 10,
+        nprobe: int = 1,
+        *,
+        delta_view: "DeltaView | None" = None,
+    ) -> list[SearchResult]:
+        """Plan and execute a batch; one :class:`SearchResult` per query."""
+        results, _ = self.run_with_report(
+            queries, topk=topk, nprobe=nprobe, delta_view=delta_view
+        )
+        return results
+
+    def run_with_report(
+        self,
+        queries: np.ndarray,
+        topk: int = 10,
+        nprobe: int = 1,
+        *,
+        delta_view: "DeltaView | None" = None,
+    ) -> tuple[list[SearchResult], BatchReport]:
+        """Like :meth:`run`, also returning execution statistics.
+
+        With ``delta_view`` (a mutable engine's uncompacted overlay) the
+        executor scans the plan minus any tombstone-masked partitions
+        (their jobs would read the un-filtered base) and the parent
+        scans the filtered replacements and the delta segments. The
+        merger's total (distance, id) order makes the result independent
+        of fold order — and byte-identical to the delta-free path for
+        queries whose probes miss every mutated partition.
+        """
+        obs = self._obs()
+        start = time.perf_counter()
+        with obs.span("route"):
+            plan = self.planner.plan(queries, topk=topk, nprobe=nprobe)
+        if delta_view is not None and delta_view.clean:
+            delta_view = None
+        to_scan = plan
+        if delta_view is not None:
+            to_scan = _strip_masked_jobs(plan, delta_view.masked)
+        partials, worker_stats = self.scan_plan(to_scan, obs=obs)
+        merger = StreamingMerger(plan)
+        if delta_view is not None:
+            _fold_overlay(merger, self.index, delta_view, obs)
+        with obs.span("merge"):
+            merger.fold(partials)
+            results = merger.results()
+        report = BatchReport(
+            n_queries=plan.n_queries,
+            nprobe=plan.nprobe,
+            topk=plan.topk,
+            n_workers=self.n_workers,
+            n_jobs=len(plan.jobs),
+            wall_time_s=time.perf_counter() - start,
+            worker_stats=worker_stats,
+        )
+        obs.record_batch(report.n_queries, report.wall_time_s, report.worker_stats)
+        return results, report
+
+    def scan_plan(
+        self, plan: BatchPlan, *, obs: Observability | None = None
+    ) -> tuple[list[list[ScanResult | None]], list[WorkerStats]]:
+        """Execute ``plan.jobs`` and return the raw per-probe partials.
+
+        The scan half of :meth:`run_with_report`, exposed so the sharded
+        scatter-gather layer can execute a shard-local job subset
+        against a *global* plan: the returned grid is always
+        ``(n_queries, nprobe)`` with ``None`` at probe positions no job
+        of this plan covered, ready for :meth:`StreamingMerger.fold`.
+        """
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release the executor's worker pool (idempotent)."""
+        raise NotImplementedError
+
+    def __enter__(self: _ExecutorT) -> _ExecutorT:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class BatchExecutor(PlanExecutor):
     """Partition-major batch executor with worker-pool parallelism.
 
     Executes a :class:`BatchPlan`: each :class:`PartitionJob` computes
     the distance tables for *all* of its queries in one vectorized call
     (:meth:`IVFADCIndex.distance_tables_for_batch`), scans the partition
     with the scanner's most batch-friendly entry point, and the
-    per-query partials are merged deterministically afterwards — so
-    results are byte-identical to the sequential loop regardless of
-    ``n_workers`` or job completion order.
+    per-query partials are merged deterministically afterwards
+    (:class:`PlanExecutor`) — so results are byte-identical to the
+    sequential loop regardless of ``n_workers`` or job completion order.
 
     Scanner dispatch is :func:`scan_partition_batch`: ``scan_batch``
     where the scanner has one (the pre-warmed prepared layout and the
@@ -548,13 +685,6 @@ class BatchExecutor:
     Workers are threads: the heavy lifting (gathers, einsum table
     builds, argpartition) happens inside NumPy, which releases the GIL
     on large operations, so partition jobs overlap on multicore hosts.
-
-    Every run is traced through :mod:`repro.obs`: the route, warm,
-    per-job table-build and scan, and merge stages each produce a span
-    (and a ``repro_stage_latency_seconds`` observation), and the
-    finished :class:`BatchReport` feeds the batch/worker metrics. With
-    the default (disabled) observability instance all of this reduces
-    to an attribute check per stage.
 
     The worker pool is **persistent**: it is spun up lazily on the first
     pooled batch and reused by every later one (the pinned-pool contract
@@ -585,28 +715,11 @@ class BatchExecutor:
         index: IVFADCIndex,
         scanner: PartitionScanner,
         /,
-        *legacy_args: int,
+        *,
         n_workers: int = 1,
         observability: Observability | None = None,
         gil_warning: bool = True,
     ):
-        if legacy_args:
-            # Shim for the pre-1.1 call shape BatchExecutor(index,
-            # scanner, 4): worker counts passed positionally are easy to
-            # confuse with other integers, so they are keyword-only now.
-            if len(legacy_args) > 1:
-                raise ConfigurationError(
-                    "BatchExecutor takes at most one positional argument "
-                    "besides index and scanner (the deprecated n_workers); "
-                    "pass configuration as keywords"
-                )
-            warnings.warn(
-                "passing n_workers positionally is deprecated; use "
-                "BatchExecutor(index, scanner, n_workers=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            n_workers = int(legacy_args[0])
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
         if n_workers > 1 and gil_warning:
@@ -632,58 +745,12 @@ class BatchExecutor:
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
 
-    def run(
-        self, queries: np.ndarray, topk: int = 10, nprobe: int = 1
-    ) -> list[SearchResult]:
-        """Plan and execute a batch; one :class:`SearchResult` per query."""
-        results, _ = self.run_with_report(queries, topk=topk, nprobe=nprobe)
-        return results
-
-    def run_with_report(
-        self, queries: np.ndarray, topk: int = 10, nprobe: int = 1
-    ) -> tuple[list[SearchResult], BatchReport]:
-        """Like :meth:`run`, also returning execution statistics."""
-        obs = (
-            self.observability
-            if self.observability is not None
-            else get_observability()
-        )
-        start = time.perf_counter()
-        with obs.span("route"):
-            plan = self.planner.plan(queries, topk=topk, nprobe=nprobe)
-        partials, worker_stats = self.scan_plan(plan, obs=obs)
-        with obs.span("merge"):
-            results = merge_partials(plan, partials)
-        report = BatchReport(
-            n_queries=plan.n_queries,
-            nprobe=plan.nprobe,
-            topk=plan.topk,
-            n_workers=self.n_workers,
-            n_jobs=len(plan.jobs),
-            wall_time_s=time.perf_counter() - start,
-            worker_stats=worker_stats,
-        )
-        obs.record_batch(report.n_queries, report.wall_time_s, report.worker_stats)
-        return results, report
-
     def scan_plan(
         self, plan: BatchPlan, *, obs: Observability | None = None
     ) -> tuple[list[list[ScanResult | None]], list[WorkerStats]]:
-        """Execute ``plan.jobs`` and return the raw per-probe partials.
-
-        This is the scan half of :meth:`run_with_report`, exposed so the
-        sharded scatter-gather layer can execute a shard-local job
-        subset against a *global* plan: the returned grid is always
-        ``(n_queries, nprobe)`` with ``None`` at probe positions no job
-        of this plan covered. Callers merge grids (or a single complete
-        grid) with :func:`merge_partials`.
-        """
+        """Execute ``plan.jobs`` inline or on the thread pool."""
         if obs is None:
-            obs = (
-                self.observability
-                if self.observability is not None
-                else get_observability()
-            )
+            obs = self._obs()
         # Warm shared scanner state from the coordinating thread so
         # workers start from a populated cache (PQFastScanner guards
         # its prepared cache and lazy assignment with _cache_lock, but
@@ -695,9 +762,7 @@ class BatchExecutor:
 
         n_slots = max(self.n_workers, 1)
         worker_stats = [WorkerStats(worker_id=i) for i in range(n_slots)]
-        partials: list[list[ScanResult | None]] = [
-            [None] * plan.nprobe for _ in range(plan.n_queries)
-        ]
+        partials = _empty_grid(plan)
 
         def run_job(job: PartitionJob, worker_id: int) -> None:
             t0 = time.perf_counter()
@@ -707,11 +772,10 @@ class BatchExecutor:
                     plan.queries[job.query_rows], job.partition_id
                 )
             with obs.span("scan"):
-                results = self._scan_partition(tables, partition, plan.topk)
-            for row, position, result in zip(
-                job.query_rows, job.probe_positions, results
-            ):
-                partials[int(row)][int(position)] = result
+                results = scan_partition_batch(
+                    self.scanner, tables, partition, plan.topk
+                )
+            _place_results(partials, job, results)
             worker_stats[worker_id].record_job(
                 n_scans=len(results),
                 n_vectors_scanned=sum(r.n_scanned for r in results),
@@ -732,8 +796,6 @@ class BatchExecutor:
 
         return partials, worker_stats
 
-    # -- lifecycle ----------------------------------------------------------
-
     def close(self) -> None:
         """Shut the persistent worker pool down (idempotent).
 
@@ -744,14 +806,6 @@ class BatchExecutor:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-    def __enter__(self) -> "BatchExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- internals ----------------------------------------------------------
 
     def _ensure_pool(self, obs: Observability) -> ThreadPoolExecutor:
         """The pinned worker pool, spun up on the first pooled batch.
@@ -781,11 +835,6 @@ class BatchExecutor:
             fresh.shutdown(wait=False)
             obs.record_pool_reuse("thread")
         return current
-
-    def _scan_partition(
-        self, tables: np.ndarray, partition, topk: int
-    ) -> list[ScanResult]:
-        return scan_partition_batch(self.scanner, tables, partition, topk)
 
 
 # -- the one-call search API ---------------------------------------------------
@@ -829,21 +878,18 @@ class ANNSearcher:
         self.scanner = scanner if scanner is not None else NaiveScanner()
         self.vectors = None if vectors is None else np.asarray(vectors, float)
         self.index_path = None if index_path is None else Path(index_path)
-        # Delta segments and masked partitions are always scanned with
-        # the exact naive scanner (see _overlay_scan_grids); stateless,
-        # so one shared instance serves every executor path.
-        self._overlay_scanner = NaiveScanner()
         self._closed = False
         self._tempdir: tempfile.TemporaryDirectory | None = None
-        self._process_executors: dict[int, "ProcessBatchExecutor"] = {}
-        self._batch_executors: dict[int, BatchExecutor] = {}
-        # Guards the executor caches and the temp-artifact state
+        # Pinned executors keyed (kind, n_workers), kind "batch" or
+        # "process"; see _executor_for.
+        self._executors: dict[tuple[str, int], PlanExecutor] = {}
+        # Guards the executor cache and the temp-artifact state
         # (_tempdir / tempdir-backed index_path) against the concurrent
         # search()/close() callers a serving layer creates. Pools are
         # never spun up while it is held (lint rule R7): executors are
         # constructed outside the lock and published under it.
         self._lock = threading.Lock()
-        # Serializes *process*-pool construction only. Forking a pool is
+        # Serializes executor construction. Forking a process pool is
         # expensive, so racing first-searches must not each build one;
         # cached-hit searches and close() never touch this lock, so the
         # cache lock stays spin-up-free. Acquisition order is always
@@ -922,13 +968,21 @@ class ANNSearcher:
                 self._search_one(q, topk, nprobe, rerank, delta=delta)
                 for q in queries
             ]
-        if executor == "process":
-            return self._search_many_process(
-                queries, topk, nprobe, rerank, n_workers=n_workers, delta=delta
-            )
-        return self._search_many(
-            queries, topk, nprobe, rerank, n_workers=n_workers, delta=delta
+        if len(queries) == 0:
+            return []
+        if topk < 1:
+            raise ConfigurationError("topk must be >= 1")
+        if rerank:
+            self._check_rerank(topk, rerank)
+        results = self._executor_for(executor, n_workers).run(
+            queries, topk=rerank or topk, nprobe=nprobe, delta_view=delta
         )
+        if not rerank:
+            return results
+        return [
+            self._rerank_one(query, shortlist, topk)
+            for query, shortlist in zip(queries, results)
+        ]
 
     def _search_one(
         self,
@@ -958,10 +1012,10 @@ class ANNSearcher:
             masked = delta.masked.get(pid) if delta is not None else None
             segment = delta.segments.get(pid) if delta is not None else None
             # A tombstone-masked partition is scanned via its filtered
-            # replacement (exact scanner — see _overlay_scan_grids);
+            # replacement (exact scanner — see _OVERLAY_SCANNER);
             # untouched partitions take the configured scanner unchanged.
             partition = self.index.partitions[pid] if masked is None else masked
-            scanner = self.scanner if masked is None else self._overlay_scanner
+            scanner = self.scanner if masked is None else _OVERLAY_SCANNER
             with obs.span("scan"):
                 result: ScanResult = scanner.scan(tables, partition, topk=topk)
             all_ids.append(result.ids)
@@ -970,9 +1024,7 @@ class ANNSearcher:
             n_pruned += result.n_pruned
             if segment is not None:
                 with obs.span("scan"):
-                    extra = self._overlay_scanner.scan(
-                        tables, segment, topk=topk
-                    )
+                    extra = _OVERLAY_SCANNER.scan(tables, segment, topk=topk)
                 all_ids.append(extra.ids)
                 all_dists.append(extra.distances)
                 n_scanned += extra.n_scanned
@@ -991,105 +1043,6 @@ class ANNSearcher:
             probed=tuple(int(p) for p in probed),
         )
 
-    def _search_many(
-        self,
-        queries: np.ndarray,
-        topk: int,
-        nprobe: int,
-        rerank: int,
-        *,
-        n_workers: int = 1,
-        delta: "DeltaView | None" = None,
-    ) -> list[SearchResult]:
-        """Batch path: the partition-major engine, one result per query."""
-        if len(queries) == 0:
-            return []
-        if topk < 1:
-            raise ConfigurationError("topk must be >= 1")
-        executor = self._batch_executor(n_workers)
-        if delta is not None:
-            return self._search_many_dirty(
-                executor, queries, topk, nprobe, delta
-            )
-        if rerank:
-            self._check_rerank(topk, rerank)
-            shortlists = executor.run(queries, topk=rerank, nprobe=nprobe)
-            return [
-                self._rerank_one(query, shortlist, topk)
-                for query, shortlist in zip(queries, shortlists)
-            ]
-        return executor.run(queries, topk=topk, nprobe=nprobe)
-
-    def _search_many_process(
-        self,
-        queries: np.ndarray,
-        topk: int,
-        nprobe: int,
-        rerank: int,
-        *,
-        n_workers: int = 1,
-        delta: "DeltaView | None" = None,
-    ) -> list[SearchResult]:
-        """Process-pool batch path; byte-identical to the other executors."""
-        if len(queries) == 0:
-            return []
-        if topk < 1:
-            raise ConfigurationError("topk must be >= 1")
-        executor = self._process_executor(n_workers)
-        if delta is not None:
-            return self._search_many_dirty(
-                executor, queries, topk, nprobe, delta
-            )
-        if rerank:
-            self._check_rerank(topk, rerank)
-            shortlists = executor.run(queries, topk=rerank, nprobe=nprobe)
-            return [
-                self._rerank_one(query, shortlist, topk)
-                for query, shortlist in zip(queries, shortlists)
-            ]
-        return executor.run(queries, topk=topk, nprobe=nprobe)
-
-    def _search_many_dirty(
-        self,
-        executor: "BatchExecutor | ProcessBatchExecutor",
-        queries: np.ndarray,
-        topk: int,
-        nprobe: int,
-        delta: "DeltaView",
-    ) -> list[SearchResult]:
-        """Batch path with a delta overlay, for either executor kind.
-
-        The executor scans the plan minus any tombstone-masked
-        partitions (their jobs would read the un-filtered base); the
-        parent scans the filtered replacements and the delta segments
-        and folds everything through one :class:`StreamingMerger`, whose
-        total (distance, id) order makes the result independent of fold
-        order — and byte-identical to the delta-free path for queries
-        whose probes miss every mutated partition.
-        """
-        obs = get_observability()
-        start = time.perf_counter()
-        with obs.span("route"):
-            plan = executor.planner.plan(queries, topk=topk, nprobe=nprobe)
-        partials, worker_stats = executor.scan_plan(
-            _strip_masked_jobs(plan, delta.masked), obs=obs
-        )
-        merger = StreamingMerger(plan)
-        merger.fold(partials)
-        masked_grid, extra_grid = _overlay_scan_grids(
-            self.index, plan, delta, self._overlay_scanner, obs
-        )
-        if masked_grid is not None:
-            merger.fold(masked_grid)
-        if extra_grid is not None:
-            merger.fold_extra(extra_grid)
-        with obs.span("merge"):
-            results = merger.results()
-        obs.record_batch(
-            plan.n_queries, time.perf_counter() - start, worker_stats
-        )
-        return results
-
     def _require_open(self) -> None:
         """Raise when the searcher was closed (the lifecycle contract)."""
         with self._lock:
@@ -1104,42 +1057,67 @@ class ANNSearcher:
         with self._lock:
             return self._closed
 
-    def _batch_executor(self, n_workers: int) -> BatchExecutor:
-        """A cached thread :class:`BatchExecutor` per worker count.
+    def _executor_for(self, kind: str, n_workers: int) -> PlanExecutor:
+        """The cached executor of one ``(kind, n_workers)``.
 
-        Caching pins the executor's worker pool across searches (no
-        per-batch spin-up); the GIL :class:`RuntimeWarning` for
-        ``n_workers>1`` consequently fires once per searcher and worker
+        Caching pins the executor's worker pool across searches: no
+        per-batch spin-up, warm worker processes (their per-process
+        scanner caches included), and the GIL :class:`RuntimeWarning`
+        for thread ``n_workers>1`` fires once per searcher and worker
         count, on first use, not per batch.
 
-        Safe for concurrent callers: the cache is read and published
-        under ``self._lock``, while executor construction stays outside
-        it (R7). A :class:`BatchExecutor` spawns its worker pool lazily
-        on first run, so the loser of a creation race discards a cheap
-        shell whose pool never existed — exactly one pool per worker
-        count ever spins up. A close() racing the publish wins: the
-        fresh executor is discarded and the search raises.
+        Safe for concurrent callers: cache reads/publishes happen under
+        ``self._lock``; construction runs under ``self._create_lock``
+        only, so the cache lock is never held across a pool spin-up (R7)
+        and racing first-searches build exactly one executor per key
+        instead of discarding expensive spares. A close() racing the
+        publish wins: the fresh executor is discarded and the search
+        raises.
         """
+        key = (kind, n_workers)
         with self._lock:
-            cached = self._batch_executors.get(n_workers)
+            cached = self._executors.get(key)
         if cached is not None:
             return cached
-        fresh = BatchExecutor(self.index, self.scanner, n_workers=n_workers)
-        rejected = False
-        with self._lock:
-            if self._closed:
-                rejected = True
-            else:
-                current = self._batch_executors.get(n_workers)
-                if current is None:
-                    self._batch_executors[n_workers] = fresh
-                    return fresh
-        fresh.close()
-        if rejected:
-            raise ConfigurationError(
-                "ANNSearcher is closed; create a new searcher"
-            )
-        return current
+        with self._create_lock:
+            with self._lock:
+                cached = self._executors.get(key)
+            if cached is not None:
+                return cached
+            fresh = self._build_executor(kind, n_workers)
+            with self._lock:
+                rejected = self._closed
+                if not rejected:
+                    self._executors[key] = fresh
+            if rejected:
+                fresh.close()
+                raise ConfigurationError(
+                    "ANNSearcher is closed; create a new searcher"
+                )
+            return fresh
+
+    def _build_executor(self, kind: str, n_workers: int) -> PlanExecutor:
+        """A fresh thread or process executor over this searcher's index.
+
+        If a concurrent :meth:`close` deletes the temp artifact while a
+        process pool is attaching, construction is retried against a
+        fresh artifact.
+        """
+        if kind == "batch":
+            return BatchExecutor(self.index, self.scanner, n_workers=n_workers)
+        from .parallel import ProcessBatchExecutor
+
+        while True:
+            path = self._ensure_index_path()
+            try:
+                return ProcessBatchExecutor(
+                    path, self.scanner, n_workers=n_workers, index=self.index
+                )
+            except Exception:
+                with self._lock:
+                    artifact_gone = self.index_path != path
+                if not artifact_gone:
+                    raise
 
     def _ensure_index_path(self) -> Path:
         """The artifact path process workers attach to, created on demand.
@@ -1166,60 +1144,6 @@ class ANNSearcher:
             self.index_path = path
             return path
 
-    def _process_executor(self, n_workers: int) -> "ProcessBatchExecutor":
-        """A cached :class:`~repro.parallel.ProcessBatchExecutor`.
-
-        Pools are keyed by worker count and kept for the searcher's
-        lifetime, so repeated batches reuse warm worker processes (their
-        per-process scanner caches included).
-
-        Safe for concurrent callers: cache reads/publishes happen under
-        ``self._lock``; the fork itself runs under ``self._create_lock``
-        only, so the cache lock is never held across a pool spin-up (R7)
-        and racing first-searches build exactly one pool per worker
-        count instead of discarding expensive spares. If a concurrent
-        :meth:`close` deletes the temp artifact while the pool is
-        attaching, construction is retried against a fresh artifact.
-        """
-        from .parallel import ProcessBatchExecutor
-
-        with self._lock:
-            cached = self._process_executors.get(n_workers)
-        if cached is not None:
-            return cached
-        with self._create_lock:
-            with self._lock:
-                cached = self._process_executors.get(n_workers)
-            if cached is not None:
-                return cached
-            while True:
-                path = self._ensure_index_path()
-                try:
-                    fresh = ProcessBatchExecutor(
-                        path,
-                        self.scanner,
-                        n_workers=n_workers,
-                        index=self.index,
-                    )
-                except Exception:
-                    with self._lock:
-                        artifact_gone = self.index_path != path
-                    if artifact_gone:
-                        continue
-                    raise
-                rejected = False
-                with self._lock:
-                    if self._closed:
-                        rejected = True
-                    else:
-                        self._process_executors[n_workers] = fresh
-                if rejected:
-                    fresh.close()
-                    raise ConfigurationError(
-                        "ANNSearcher is closed; create a new searcher"
-                    )
-                return fresh
-
     def close(self) -> None:
         """Shut the searcher down for good (the lifecycle contract).
 
@@ -1233,17 +1157,13 @@ class ANNSearcher:
         """
         with self._lock:
             self._closed = True
-            process_executors = dict(self._process_executors)
-            self._process_executors.clear()
-            batch_executors = dict(self._batch_executors)
-            self._batch_executors.clear()
+            executors = list(self._executors.values())
+            self._executors.clear()
             tempdir, self._tempdir = self._tempdir, None
             if tempdir is not None:
                 self.index_path = None
-        for executor in process_executors.values():
+        for executor in executors:
             executor.close()
-        for batch_executor in batch_executors.values():
-            batch_executor.close()
         if tempdir is not None:
             tempdir.cleanup()
 
@@ -1252,35 +1172,6 @@ class ANNSearcher:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # -- deprecated entry points (PR 4 API collapse) ------------------------
-
-    def search_batch(self, *args: object, **kwargs: object) -> None:
-        """Removed alias of :meth:`search` with a 2-D batch.
-
-        .. deprecated:: 1.1
-            Deprecated in 1.1, removed in 1.5 (end of the PR-4
-            deprecation cycle); calling it now raises.
-        """
-        raise ConfigurationError(
-            "ANNSearcher.search_batch was removed in 1.5 (deprecated "
-            "since 1.1); call search(queries, ...) — it accepts 2-D "
-            "batches directly and returns byte-identical results"
-        )
-
-    def search_batch_sequential(self, *args: object, **kwargs: object) -> None:
-        """Removed alias of ``search(..., executor="sequential")``.
-
-        .. deprecated:: 1.1
-            Deprecated in 1.1, removed in 1.5 (end of the PR-4
-            deprecation cycle); calling it now raises.
-        """
-        raise ConfigurationError(
-            "ANNSearcher.search_batch_sequential was removed in 1.5 "
-            "(deprecated since 1.1); call "
-            'search(queries, ..., executor="sequential") for the '
-            "byte-identical per-query reference loop"
-        )
 
     # -- re-ranking ---------------------------------------------------------
 

@@ -54,21 +54,20 @@ import numpy as np
 
 if TYPE_CHECKING:
     from ..delta.store import DeltaView
-    from ..parallel import ProcessBatchExecutor
 
 from ..exceptions import ConfigurationError
 from ..ivf.inverted_index import IVFADCIndex
 from ..obs import Observability, get_observability
 from ..scan.base import PartitionScanner, ScanResult
-from ..scan.naive import NaiveScanner
 from ..search import (
     GATHER_TIMEOUT_S,
     BatchExecutor,
     BatchPlan,
     BatchPlanner,
+    PlanExecutor,
     SearchResult,
     StreamingMerger,
-    _overlay_scan_grids,
+    _fold_overlay,
     _strip_masked_jobs,
 )
 from ..simd.counters import WorkerStats, combine_worker_stats
@@ -345,14 +344,11 @@ class ScatterGatherExecutor:
         self.backoff_s = backoff_s
         self.observability = observability
         self.router = ShardRouter(sharded)
-        # Delta segments and tombstone-masked replacements are scanned
-        # parent-side with the exact scanner (see _overlay_scan_grids).
-        self._delta_scanner = NaiveScanner()
         # Guards the temporary-artifact handle against concurrent
         # close() calls.
         self._lock = threading.Lock()
         self._tempdir: tempfile.TemporaryDirectory | None = None
-        self._executors: tuple[BatchExecutor | ProcessBatchExecutor, ...]
+        self._executors: tuple[PlanExecutor, ...]
         if backend == "process":
             from ..parallel import ProcessBatchExecutor
             from ..persistence import _shard_filename, save_sharded_index
@@ -506,15 +502,7 @@ class ScatterGatherExecutor:
             # Parent-side overlay scans run while the shards are still
             # scanning: filtered replacements cover the cells their
             # stripped jobs left open, segments add extra candidates.
-            masked_grid, extra_grid = _overlay_scan_grids(
-                self.sharded, plan, delta_view, self._delta_scanner, obs
-            )
-            if masked_grid is not None:
-                with obs.span("merge"):
-                    merger.fold(masked_grid)
-            if extra_grid is not None:
-                with obs.span("merge"):
-                    merger.fold_extra(extra_grid)
+            _fold_overlay(merger, self.sharded, delta_view, obs)
 
         # Gather in completion order. A task still pending when the
         # deadline strikes is abandoned, NOT joined: it keeps running on
@@ -600,9 +588,7 @@ class ScatterGatherExecutor:
         :meth:`run` calls.
         """
         for executor in self._executors:
-            close = getattr(executor, "close", None)
-            if callable(close):
-                close()
+            executor.close()
         with self._lock:
             gather_pool, self._gather_pool = self._gather_pool, None
             tempdir, self._tempdir = self._tempdir, None

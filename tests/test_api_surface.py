@@ -1,14 +1,12 @@
-"""Public-API surface: snapshot stability and deprecation shims.
+"""Public-API surface: snapshot stability and the retired shims.
 
 Two contracts live here:
 
 * the exported surface (every ``__all__`` symbol plus top-level
   signatures) matches the committed ``tools/public_api.json`` snapshot,
   so API changes are explicit diffs, and removals cannot ship silently;
-* the pre-1.1 call shapes either still work with a
-  ``DeprecationWarning`` (positional-config constructors) or — for the
-  ``search_batch`` family removed in 1.5 — raise a
-  :class:`ConfigurationError` naming the replacement.
+* the pre-1.1 call shapes are gone: positional configuration is a
+  ``TypeError`` and the ``search_batch`` family no longer exists.
 """
 
 from __future__ import annotations
@@ -16,10 +14,8 @@ from __future__ import annotations
 import inspect
 import json
 import sys
-import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -140,48 +136,10 @@ def queries_2d(dataset):
 
 
 class TestDeprecationShims:
-    def test_search_batch_raises_with_pointer(self, searcher, queries_2d):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(
-            ConfigurationError, match=r"call search\(queries"
-        ):
-            searcher.search_batch(queries_2d, topk=10, nprobe=2)
-
-    def test_search_batch_sequential_raises_with_pointer(
-        self, searcher, queries_2d
-    ):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(
-            ConfigurationError, match=r'executor="sequential"'
-        ):
-            searcher.search_batch_sequential(queries_2d, topk=10, nprobe=2)
-
-    def test_ivfadc_positional_n_partitions_warns_and_matches(self, dataset, pq):
-        with pytest.warns(DeprecationWarning, match="n_partitions positionally"):
-            legacy = IVFADCIndex(pq, 4, seed=2).add(dataset.base)
-        fresh = IVFADCIndex(pq, n_partitions=4, seed=2).add(dataset.base)
-        assert legacy.n_partitions == fresh.n_partitions == 4
-        np.testing.assert_array_equal(
-            legacy.coarse.codebook, fresh.coarse.codebook
-        )
-
     def test_ivfadc_too_many_positionals_raise(self, pq):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            IVFADCIndex(pq, 4, 20)
-
-    def test_batch_executor_positional_workers_warns(self, index):
-        from repro.exceptions import ConfigurationError
-
-        scanner = NaiveScanner()
-        with pytest.warns(DeprecationWarning, match="n_workers positionally"):
-            legacy = BatchExecutor(index, scanner, 2)
-        assert legacy.n_workers == 2
-        with pytest.raises(ConfigurationError):
-            BatchExecutor(index, scanner, 2, 3)
+        for positionals in ((4,), (4, 20)):
+            with pytest.raises(TypeError):
+                IVFADCIndex(pq, *positionals)
 
     def test_sequential_executor_kind_validated(self, searcher, queries_2d):
         from repro.exceptions import ConfigurationError

@@ -103,8 +103,7 @@ class TestTerminalClose:
             )
             assert _results_equal(baseline, got), executor
         searcher.close()
-        assert searcher._batch_executors == {}
-        assert searcher._process_executors == {}
+        assert searcher._executors == {}
         for executor in ANNSearcher.EXECUTORS:
             with pytest.raises(ConfigurationError, match="closed"):
                 searcher.search(
@@ -156,7 +155,7 @@ class TestExecutorCacheRaces:
             assert all(outcomes) and len(outcomes) == n_threads
             # Exactly one cached executor and one pool spin-up: the
             # unlocked seed version could publish duplicates.
-            assert set(searcher._batch_executors) == {2}
+            assert set(searcher._executors) == {("batch", 2)}
             spinups = obs.metrics.get("repro_pool_spinups_total")
             assert spinups.value(backend="thread") == 1.0
         searcher.close()
@@ -191,12 +190,12 @@ class TestExecutorCacheRaces:
                 t.join()
             assert not errors
             assert all(outcomes) and len(outcomes) == n_threads
-            assert set(searcher._process_executors) == {1}
+            assert set(searcher._executors) == {("process", 1)}
             # Process pools fork eagerly, so the creation lock must keep
             # racing first-searches down to ONE spawned pool.
             spinups = obs.metrics.get("repro_pool_spinups_total")
             assert spinups.value(backend="process") == 1.0
-            (executor,) = searcher._process_executors.values()
+            (executor,) = searcher._executors.values()
             pids = executor.worker_pids
             assert len(pids) == executor.pool_size
         searcher.close()
@@ -232,11 +231,10 @@ class TestExecutorCacheRaces:
         assert not errors
         assert all(outcomes) and len(outcomes) == 3 * len(kinds)
         # One pinned executor per (kind, worker-count), despite the race.
-        assert set(searcher._batch_executors) == {1}
-        assert set(searcher._process_executors) == {1}
-        pids_before = searcher._process_executors[1].worker_pids
+        assert set(searcher._executors) == {("batch", 1), ("process", 1)}
+        pids_before = searcher._executors["process", 1].worker_pids
         searcher.search(queries, topk=5, nprobe=2, executor="process")
-        assert searcher._process_executors[1].worker_pids == pids_before
+        assert searcher._executors["process", 1].worker_pids == pids_before
         searcher.close()
 
     def test_close_under_load_is_clean(self, index, queries):
@@ -276,8 +274,7 @@ class TestExecutorCacheRaces:
             t.join()
         assert not errors
         assert all(outcomes)
-        assert searcher._batch_executors == {}
-        assert searcher._process_executors == {}
+        assert searcher._executors == {}
 
 
 class TestEngineConcurrency:

@@ -210,3 +210,25 @@ class TestEnginePersistence:
         loaded = Engine.load(path, EngineConfig(m=4, n_partitions=2))
         assert loaded.config.m == 8
         assert loaded.config.n_partitions == 8
+
+    def test_load_validates_overrides_against_the_artifact(
+        self, small_data, queries, tmp_path
+    ):
+        # Regression: the overrides used to be validated against the
+        # default bits=8 / n_partitions=8 before the artifact's own
+        # fields replaced them, so both loads below raised.
+        path = tmp_path / "fourbit.npz"
+        with Engine.build(
+            small_data, m=16, bits=4, n_partitions=16, scanner="naive",
+            max_iter=2, coarse_max_iter=2,
+        ) as built:
+            built.save(path)
+        with Engine.load(path, scanner="quickadc") as loaded:
+            assert (loaded.config.scanner, loaded.config.bits) == ("quickadc", 4)
+            assert len(loaded.search(queries, k=5)) == len(queries)
+        with Engine.load(path, scanner="naive", nprobe=12) as loaded:
+            assert (loaded.config.nprobe, loaded.config.n_partitions) == (12, 16)
+        # A request beyond the artifact's partitions is still clamped.
+        config = EngineConfig(scanner="naive", n_partitions=64, nprobe=32)
+        with Engine.load(path, config) as loaded:
+            assert loaded.config.nprobe == 16

@@ -37,6 +37,13 @@ def batch_queries(dataset, rng):
     return np.vstack([dataset.queries, base + jitter])
 
 
+#: Tier-1 turns the GIL advisory into an error; the tests below ask for
+#: thread ``n_workers>1`` on purpose.
+gil_bound_on_purpose = pytest.mark.filterwarnings(
+    "ignore:BatchExecutor with n_workers:RuntimeWarning"
+)
+
+
 def _scanners(pq):
     return {
         "naive": NaiveScanner(),
@@ -56,6 +63,7 @@ def _assert_identical(a, b):
 
 
 class TestBatchEquivalence:
+    @gil_bound_on_purpose
     @pytest.mark.parametrize("scanner_name", ["naive", "libpq", "fastpq"])
     @pytest.mark.parametrize("nprobe", [1, 2])
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
@@ -72,6 +80,7 @@ class TestBatchEquivalence:
         )
         _assert_identical(seq, bat)
 
+    @gil_bound_on_purpose
     def test_rerank_equivalence(self, index4, pq, dataset, batch_queries):
         searcher = ANNSearcher(
             index4, scanner=NaiveScanner(), vectors=dataset.base
@@ -140,7 +149,8 @@ class TestBatchPlanner:
 
 class TestBatchExecutor:
     def test_report_accounts_all_scans(self, index4, batch_queries):
-        executor = BatchExecutor(index4, NaiveScanner(), n_workers=2)
+        with pytest.warns(RuntimeWarning, match="GIL-bound"):
+            executor = BatchExecutor(index4, NaiveScanner(), n_workers=2)
         results, report = executor.run_with_report(
             batch_queries, topk=10, nprobe=2
         )
@@ -156,7 +166,8 @@ class TestBatchExecutor:
         assert report.queries_per_second > 0
 
     def test_worker_stats_cover_all_workers(self, index4, batch_queries):
-        executor = BatchExecutor(index4, NaiveScanner(), n_workers=2)
+        with pytest.warns(RuntimeWarning, match="GIL-bound"):
+            executor = BatchExecutor(index4, NaiveScanner(), n_workers=2)
         _, report = executor.run_with_report(batch_queries, topk=5, nprobe=2)
         assert [s.worker_id for s in report.worker_stats] == [0, 1]
         assert sum(s.n_jobs for s in report.worker_stats) == report.n_jobs

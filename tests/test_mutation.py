@@ -24,11 +24,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro import Engine, EngineConfig
+from repro import ANNSearcher, BatchExecutor, Engine, EngineConfig, PQFastScanner
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.parallel import ProcessBatchExecutor
 from repro.persistence import load_index
 from repro.serve import MicroBatchServer
-from repro.delta import DeltaStore, fold_index
+from repro.delta import DeltaStore, encode_vectors, fold_index
 
 
 def _same_answers(a, b) -> bool:
@@ -359,6 +360,79 @@ class TestDeltaPrimitives:
         view = store.view(index)
         assert int(part.ids[1]) in view.tombstone_ids
         assert int(part.ids[0]) not in view.tombstone_ids
+
+
+class TestExecutorOverlay:
+    """``PlanExecutor.run(delta_view=...)`` against the reference loop.
+
+    The overlay is part of the executors' own pipeline, so a bare
+    executor handed a dirty view must answer exactly like the sequential
+    per-query loop: same ids, distances, counters and probe lists.
+    """
+
+    @pytest.fixture(scope="class")
+    def views(self, index, dataset):
+        """Overlays on partition 0: tombstones only, adds only, both."""
+        # Mutate what the queries actually see: their nearest base rows
+        # in partition 0 are deleted, jittered copies of them are added.
+        with ANNSearcher(index) as searcher:
+            hits = searcher.search(dataset.queries, topk=4, nprobe=2)
+        near = np.unique(np.concatenate([hit.ids for hit in hits]))
+        near = near[np.isin(near, index.partitions[0].ids)]
+        jitter = np.random.default_rng(3).normal(
+            scale=0.25, size=(len(near), dataset.base.shape[1])
+        )
+        pool = np.abs(dataset.base[near] + jitter)
+        labels, codes = encode_vectors(index, pool)
+        landed = labels == 0
+        assert landed.sum() >= 4, "fixture needs adds landing in partition 0"
+        new_ids = np.arange(10**6, 10**6 + int(landed.sum()), dtype=np.int64)
+        views = {}
+        for shape in ("masked", "segment", "both"):
+            store = DeltaStore()
+            if shape != "segment":
+                store.apply_delete(near)
+            if shape != "masked":
+                store.apply_add(
+                    labels[landed], codes[landed], new_ids, pool[landed]
+                )
+            view = store.view(index)
+            assert set(view.masked) == ({0} if shape != "segment" else set())
+            assert set(view.segments) == ({0} if shape != "masked" else set())
+            views[shape] = view
+        return views
+
+    @pytest.fixture(scope="class", params=["thread", "process"])
+    def executor(self, request, index, pq):
+        scanner = PQFastScanner(pq, keep=0.01)
+        built = (
+            BatchExecutor(index, scanner)
+            if request.param == "thread"
+            else ProcessBatchExecutor.from_index(index, scanner)
+        )
+        with built:
+            yield built
+
+    @pytest.mark.parametrize("shape", ["masked", "segment", "both"])
+    def test_run_with_dirty_view_equals_sequential(
+        self, index, pq, dataset, views, executor, shape
+    ):
+        view = views[shape]
+        with ANNSearcher(index, PQFastScanner(pq, keep=0.01)) as searcher:
+            expected = searcher.search(
+                dataset.queries, topk=10, nprobe=2,
+                executor="sequential", delta=view,
+            )
+            clean = searcher.search(
+                dataset.queries, topk=10, nprobe=2, executor="sequential"
+            )
+        assert not _same_answers(expected, clean)  # the overlay matters here
+        got, report = executor.run_with_report(
+            dataset.queries, topk=10, nprobe=2, delta_view=view
+        )
+        assert _fully_identical(expected, got)
+        assert report.n_queries == len(dataset.queries)
+        assert report.n_jobs == 2  # the stripped job still counts as planned
 
 
 class TestServingDuringCompaction:

@@ -258,6 +258,13 @@ class TestExporters:
         assert missing == ["repro_nonexistent_metric"]
 
 
+#: Tier-1 turns the GIL advisory into an error; the tests below ask for
+#: thread ``n_workers>1`` on purpose.
+gil_bound_on_purpose = pytest.mark.filterwarnings(
+    "ignore:BatchExecutor with n_workers:RuntimeWarning"
+)
+
+
 class TestPipelineIntegration:
     """Observability threaded through the real batch engine."""
 
@@ -268,6 +275,7 @@ class TestPipelineIntegration:
             return ANNSearcher(index, PQFastScanner(pq, keep=0.01, seed=0))
         return ANNSearcher(index, QuantizationOnlyScanner(pq, keep=0.01))
 
+    @gil_bound_on_purpose
     def test_batch_stages_all_traced(self, index, pq, dataset):
         searcher = self._searcher(index, pq, PQFastScanner)
         with observability_session() as obs:
@@ -317,6 +325,7 @@ class TestPipelineIntegration:
         ratio = obs.metrics.get("repro_prepared_cache_hit_ratio").value()
         assert ratio == pytest.approx(hits / (hits + misses))
 
+    @gil_bound_on_purpose
     def test_results_identical_with_and_without_observability(
         self, index, pq, dataset
     ):
@@ -333,6 +342,7 @@ class TestPipelineIntegration:
             assert a.distances.tobytes() == b.distances.tobytes()
             assert a.probed == b.probed
 
+    @gil_bound_on_purpose
     def test_worker_metrics_from_batch_report(self, index, pq, dataset):
         searcher = self._searcher(index, pq, NaiveScanner)
         with observability_session() as obs:

@@ -218,9 +218,9 @@ class TestSearcherProcessExecutor:
     def test_executor_pool_reused_across_searches(self, index, dataset):
         with ANNSearcher(index, NaiveScanner()) as searcher:
             searcher.search(dataset.queries, topk=5, nprobe=1, executor="process")
-            executor = searcher._process_executors[1]
+            executor = searcher._executors["process", 1]
             searcher.search(dataset.queries, topk=5, nprobe=1, executor="process")
-            assert searcher._process_executors[1] is executor
+            assert searcher._executors["process", 1] is executor
 
     def test_unknown_executor_rejected(self, index, dataset):
         with pytest.raises(ConfigurationError, match="unknown executor"):

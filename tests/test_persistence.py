@@ -261,6 +261,13 @@ class TestPartitionValidation:
             load_index(saved)
 
 
+#: Tier-1 turns the GIL advisory into an error; the tests below ask for
+#: thread ``n_workers>1`` on purpose.
+gil_bound_on_purpose = pytest.mark.filterwarnings(
+    "ignore:BatchExecutor with n_workers:RuntimeWarning"
+)
+
+
 class TestRoundTripSearchParity:
     """Reloaded index + each scanner answers byte-identically."""
 
@@ -272,6 +279,7 @@ class TestRoundTripSearchParity:
             return PQFastScanner(idx.pq, keep=0.01, seed=0)
         return QuantizationOnlyScanner(idx.pq, keep=0.01)
 
+    @gil_bound_on_purpose
     @pytest.mark.parametrize("scanner_name", ["naive", "fastpq", "qonly"])
     def test_search_batch_byte_identical_after_reload(
         self, index, dataset, tmp_path, scanner_name

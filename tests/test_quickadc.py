@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import ANNSearcher, IVFADCIndex, NaiveScanner, ProductQuantizer
 from repro.core.quantization import DistanceQuantizer
-from repro.engine import Engine, EngineConfig
+from repro.engine import SCANNER_KINDS, Engine, EngineConfig
 from repro.exceptions import (
     ConfigurationError,
     DimensionMismatchError,
@@ -488,6 +488,38 @@ class TestEngineAndSpecWiring:
         assert rebuilt.keep == 0.02
         assert rebuilt.prepared_cache_size == 7
 
+    @pytest.mark.parametrize("kind", SCANNER_KINDS)
+    def test_every_engine_kind_round_trips_through_spec(
+        self, kind, pq, routed, pq4, routed4
+    ):
+        """One vocabulary, one ladder: the scanner ``EngineConfig`` builds
+        reduces to a spec of the same kind, and the scanner rebuilt from
+        that spec answers a partition byte-identically."""
+        fourbit = kind == "quickadc"
+        quantizer = pq4 if fourbit else pq
+        partition, tables = routed4 if fourbit else routed
+        config = EngineConfig(
+            scanner=kind, keep=0.02, bits=quantizer.bits, m=quantizer.m
+        )
+        built = config.scanner_factory(quantizer)()
+        spec = ScannerSpec.for_scanner(built)
+        assert spec.kind == kind
+        assert ScannerSpec.for_scanner(spec.build(quantizer)) == spec
+        ours = built.scan(tables, partition, topk=10)
+        theirs = spec.build(quantizer).scan(tables, partition, topk=10)
+        assert ours.ids.tobytes() == theirs.ids.tobytes()
+        assert ours.distances.tobytes() == theirs.distances.tobytes()
+        assert (ours.n_scanned, ours.n_pruned) == (
+            theirs.n_scanned, theirs.n_pruned
+        )
+
+
+#: Tier-1 turns the GIL advisory into an error; the tests below ask for
+#: thread ``n_workers>1`` on purpose.
+gil_bound_on_purpose = pytest.mark.filterwarnings(
+    "ignore:BatchExecutor with n_workers:RuntimeWarning"
+)
+
 
 class TestExecutorEquivalence:
     """quickadc through every execution layer, byte-identical to its
@@ -502,6 +534,7 @@ class TestExecutorEquivalence:
             assert ra.n_pruned == rb.n_pruned
             assert ra.probed == rb.probed
 
+    @gil_bound_on_purpose
     @pytest.mark.parametrize("nprobe", [1, 2])
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_batch_identical_to_sequential(

@@ -500,7 +500,36 @@ class TestShardedPersistence:
 class TestStreamingMerger:
     """The incremental merge must be byte-identical to the barrier merge."""
 
-    @pytest.mark.parametrize("kind", ["naive", "libpq", "fastpq"])
+    @staticmethod
+    def _tied_grids(plan, subplans, rng):
+        """Synthetic per-shard grids plus one ``covers=False`` grid:
+        distances drawn from three values, cells of 0..topk-1 rows."""
+
+        def cell(first_id):
+            n = int(rng.integers(0, plan.topk))
+            return ScanResult(
+                ids=np.arange(first_id, first_id + n, dtype=np.int64),
+                distances=np.sort(rng.integers(0, 3, n).astype(np.float64)),
+                n_scanned=n + int(rng.integers(0, 5)),
+                n_pruned=int(rng.integers(0, 5)),
+            )
+
+        grids = []
+        extra = [[None] * plan.nprobe for _ in range(plan.n_queries)]
+        next_id = 0
+        for subplan in subplans.values():
+            grid = [[None] * plan.nprobe for _ in range(plan.n_queries)]
+            for job in subplan.jobs:
+                for row, pos in zip(job.query_rows, job.probe_positions):
+                    grid[row][pos] = cell(next_id)
+                    next_id += plan.topk
+                    if rng.random() < 0.5:
+                        extra[row][pos] = cell(next_id)
+                        next_id += plan.topk
+            grids.append(grid)
+        return grids, extra
+
+    @pytest.mark.parametrize("kind", ["naive", "libpq", "fastpq", "tied"])
     @pytest.mark.parametrize("nprobe", [1, 3, 8])
     def test_fold_order_cannot_change_results(
         self, index8, pq, batch_queries, kind, nprobe
@@ -511,19 +540,25 @@ class TestStreamingMerger:
             merge_partials,
         )
 
-        factory = _scanner_factories(pq)[kind]
+        rng = np.random.default_rng(nprobe)
         for n_shards in (1, 3, 8):
             sharded = ShardedIndex.from_index(index8, n_shards=n_shards)
             plan, subplans = ShardRouter(sharded).plan(
                 batch_queries, topk=10, nprobe=nprobe
             )
-            grids = []
-            for shard_id, subplan in subplans.items():
-                executor = BatchExecutor(
-                    sharded.shards[shard_id].index, factory()
-                )
-                grids.append(executor.scan_plan(subplan)[0])
-            # Barrier merge over the union grid = the reference answer.
+            extra = None
+            if kind == "tied":
+                grids, extra = self._tied_grids(plan, subplans, rng)
+            else:
+                factory = _scanner_factories(pq)[kind]
+                grids = [
+                    BatchExecutor(
+                        sharded.shards[shard_id].index, factory()
+                    ).scan_plan(subplan)[0]
+                    for shard_id, subplan in subplans.items()
+                ]
+            # Barrier merge over the union grid = the reference answer;
+            # an extra cell joins the base cell it rides on.
             union = [
                 [None] * plan.nprobe for _ in range(plan.n_queries)
             ]
@@ -532,12 +567,28 @@ class TestStreamingMerger:
                     for pos in range(plan.nprobe):
                         if grid[row][pos] is not None:
                             union[row][pos] = grid[row][pos]
+            if extra is not None:
+                for row in range(plan.n_queries):
+                    for pos in range(plan.nprobe):
+                        more, base = extra[row][pos], union[row][pos]
+                        if more is not None:
+                            union[row][pos] = ScanResult(
+                                ids=np.concatenate([base.ids, more.ids]),
+                                distances=np.concatenate(
+                                    [base.distances, more.distances]
+                                ),
+                                n_scanned=base.n_scanned + more.n_scanned,
+                                n_pruned=base.n_pruned + more.n_pruned,
+                            )
             reference = merge_partials(plan, union)
             # Any fold order must produce the same bytes.
-            for order in (grids, list(reversed(grids)), grids[::2] + grids[1::2]):
+            folds = [(grid, True) for grid in grids]
+            if extra is not None:
+                folds.append((extra, False))
+            for order in (folds, folds[::-1], folds[::2] + folds[1::2]):
                 merger = StreamingMerger(plan)
-                for grid in order:
-                    merger.fold(grid)
+                for grid, covers in order:
+                    merger.fold(grid, covers=covers)
                 assert merger.complete
                 _assert_identical(reference, merger.results())
 
