@@ -92,7 +92,8 @@ def main() -> None:
     print("of database vectors. The quickadc pass answered the same")
     print("queries from 4-bit codes with direct in-register lookups —")
     print("fewer simulated cycles per code at a small recall cost")
-    print("(python -m repro.bench.quickadc quantifies the trade).")
+    print("(the scan-quickadc and scan-fastpq rows of perfbench/baseline.json")
+    print("quantify the trade: sim_cycles_per_code, recall_at_100).")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,6 @@ from .bandwidth import BandwidthAnalysis, analyze_concurrency
 from .cost_model import ScanCostModel, calibrate
 from .harness import HarnessContext, QueryStats, run_queries, summarize
 from .reporting import format_table, results_dir, save_report
-from .serving import ServingRun
-from .throughput import ThroughputRun, measure_throughput, run_benchmark
 from .workloads import (
     PAPER_PARTITION_SIZES,
     Workload,
@@ -19,17 +17,13 @@ __all__ = [
     "PAPER_PARTITION_SIZES",
     "QueryStats",
     "ScanCostModel",
-    "ServingRun",
-    "ThroughputRun",
     "Workload",
     "analyze_concurrency",
     "build_workload",
     "calibrate",
     "default_cache_dir",
     "format_table",
-    "measure_throughput",
     "results_dir",
-    "run_benchmark",
     "run_queries",
     "save_report",
     "summarize",

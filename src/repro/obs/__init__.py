@@ -11,8 +11,8 @@ This package makes that telemetry first-class:
   pruning rates, prepared-cache hit ratios, per-worker scan speed and
   per-stage latency;
 * :mod:`repro.obs.export` — JSON and Prometheus text snapshots;
-* :mod:`repro.obs.snapshot` — a ``repro.bench``-style CLI producing a
-  snapshot from a synthetic workload, plus the CI check mode.
+* :mod:`repro.obs.snapshot` — a CLI producing a snapshot from one
+  instrumented batch on a synthetic workload, plus the CI check mode.
 
 The :class:`Observability` facade bundles a tracer and a registry and
 is what the engine and the scanners talk to. A process-wide default

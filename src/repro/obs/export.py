@@ -4,8 +4,8 @@ Two stable wire formats for the metrics collected by
 :mod:`repro.obs.metrics`:
 
 * :func:`to_json` — the registry's nested snapshot dict, serialized;
-  convenient for embedding in benchmark reports
-  (``BENCH_throughput.json`` carries one) and for tests.
+  convenient for embedding in reports (``python -m repro.obs.snapshot
+  run`` writes one) and for tests.
 * :func:`to_prometheus` — the Prometheus text exposition format
   (version 0.0.4): ``# HELP``/``# TYPE`` headers, one sample per line,
   histograms expanded into cumulative ``_bucket``/``_sum``/``_count``

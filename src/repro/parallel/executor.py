@@ -1,8 +1,9 @@
 """Process-pool drop-in for :class:`~repro.search.BatchExecutor`.
 
-Why processes: the thread-backed executor is GIL-bound — the committed
-``BENCH_throughput.json`` of PR 4 measured 1283 qps at one thread
-*degrading* to 1023 qps at four. :class:`ProcessBatchExecutor` keeps the
+Why processes: the thread-backed executor is GIL-bound — thread workers
+beyond one contend on the interpreter lock between NumPy kernels, so
+adding them does not add throughput (``docs/execution.md``, "Which
+executor when"). :class:`ProcessBatchExecutor` keeps the
 exact same plan-to-results pipeline (:class:`~repro.search.PlanExecutor`)
 but fans the partition jobs across a persistent ``ProcessPoolExecutor``:
 

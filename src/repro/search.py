@@ -723,9 +723,9 @@ class BatchExecutor(PlanExecutor):
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
         if n_workers > 1 and gil_warning:
-            # BENCH_throughput.json documents the regression this warns
-            # about: thread workers contend on the GIL between NumPy
-            # kernels, so w=2/4 measured *slower* than w=1.
+            # Thread workers contend on the GIL between NumPy kernels,
+            # so more than one is typically slower than one
+            # (docs/execution.md, "Which executor when").
             warnings.warn(
                 f"BatchExecutor with n_workers={n_workers} uses GIL-bound "
                 "threads and is typically slower than n_workers=1; for "

@@ -186,7 +186,8 @@ def _skylake_avx512() -> CPUModel:
     512-bit ``vpshufb`` looks up four 128-bit blocks per instruction, so
     the byte-SIMD overrides amortize each op's throughput across four
     blocks. This is the platform the Quick ADC vs Fast Scan cycle
-    comparison (``repro.bench.quickadc``) is gated on."""
+    comparison (``tests/test_quickadc.py::TestCycleGateAtEqualBudget``,
+    perfbench's ``simd.avx512_cycles_per_code``) is gated on."""
     return CPUModel(
         name="skylake-avx512",
         description="extension — Xeon Skylake-SP, AVX-512BW, 2017",

@@ -23,7 +23,7 @@ from repro.obs import (
     to_prometheus,
     write_snapshots,
 )
-from repro.obs.snapshot import check_snapshot
+from repro.obs.snapshot import check_snapshot, run_snapshot
 from repro.simd.counters import WorkerStats
 
 
@@ -386,19 +386,14 @@ class TestPipelineIntegration:
 
 
 class TestBenchEmission:
-    def test_throughput_payload_contains_observability(self):
-        from repro.bench.throughput import run_benchmark
-
-        data = run_benchmark(
-            scale=20000, n_queries=8, topk=10, nprobe=2,
-            worker_counts=(1,), repeats=1,
+    def test_snapshot_run_contains_observability(self):
+        obs, summary = run_snapshot(
+            scale=20000, n_queries=8, topk=10, nprobe=2, scanner_name="naive"
         )
-        obs = data["observability"]
-        assert "metrics" in obs and "prometheus" in obs
-        assert "stage_latency" in obs and "report" in obs
-        samples = parse_prometheus(obs["prometheus"])
+        samples = parse_prometheus(obs.export_prometheus())
         assert any(k.startswith("repro_pruning_rate") for k in samples)
-        assert "repro_queries_total" in samples
-        counters = obs["metrics"]["counters"]
+        assert samples["repro_queries_total"] == 8
+        counters = obs.metrics.snapshot()["counters"]
         assert counters["repro_vectors_scanned_total"]
-        assert obs["report"]["n_queries"] == 8
+        assert summary["n_queries"] == 8
+        assert summary["stage_latency"]["scan"]["count"] > 0
