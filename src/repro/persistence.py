@@ -21,16 +21,20 @@ Crash-safety contract:
   fields, wrong dtypes or shapes) instead of leaking ``zipfile`` or
   ``KeyError`` internals, and validates partition payloads eagerly so a
   hand-edited archive fails at load time, not deep inside a scan kernel.
-* **No leaked handles** — the ``np.load`` archive is closed before
-  ``load_*`` returns; every returned array is materialized.
+* **No leaked handles** — ``load_*`` opens the file itself and closes
+  it, and the ``np.load`` archive over it, before it returns or raises;
+  every array returned by an eager load is materialized.
 
 Zero-copy loading:
 
 * ``save_index`` writes the per-partition ``codes``/``ids`` payloads
   *stored* (uncompressed) inside the archive, so
   ``load_index(path, mmap=True)`` can map them straight out of the file
-  with :func:`numpy.memmap` — read-only, page-cache-backed arrays with
-  the ``writeable`` flag off. Every process that maps the same artifact
+  — read-only, page-cache-backed arrays with the ``writeable`` flag
+  off. The archive's central directory is parsed once and the file is
+  mapped once (:class:`numpy.memmap`); every partition array is a view
+  into that one mapping, so a load costs O(members) and holds one
+  descriptor per archive. Every process that maps the same artifact
   shares one physical copy of the codes, which is what lets the
   process-pool executor (:mod:`repro.parallel`) attach workers to an
   index without pickling a single code byte.
@@ -51,7 +55,7 @@ import tempfile
 import zipfile
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 
@@ -142,9 +146,10 @@ def load_index(path: str | Path, *, mmap: bool = False) -> IVFADCIndex:
     """
     path = Path(path)
     # When mmapping, the partition payloads are never decompressed into
-    # memory — _load_checked only materializes the small metadata fields.
-    skip = _PARTITION_PREFIXES if mmap else ()
-    data = _load_checked(path, expected_kind="index", skip_prefixes=skip)
+    # memory: _load_checked materializes the small metadata fields and
+    # hands the payloads back as views of one mapping of the file.
+    mapped = _PARTITION_PREFIXES if mmap else ()
+    data = _load_checked(path, expected_kind="index", mmap_prefixes=mapped)
     codebooks = _require(data, "codebooks", path)
     pq = ProductQuantizer.from_codebooks(codebooks)
     index = IVFADCIndex(
@@ -159,12 +164,8 @@ def load_index(path: str | Path, *, mmap: bool = False) -> IVFADCIndex:
     partitions = []
     total = 0
     for pid in range(index.n_partitions):
-        if mmap:
-            codes = _mmap_member(path, f"codes_{pid}.npy")
-            ids = _mmap_member(path, f"ids_{pid}.npy")
-        else:
-            codes = _require(data, f"codes_{pid}", path)
-            ids = _require(data, f"ids_{pid}", path)
+        codes = _require(data, f"codes_{pid}", path)
+        ids = _require(data, f"ids_{pid}", path)
         _validate_partition(path, pid, codes, ids, pq)
         partitions.append(Partition(codes, ids, partition_id=pid))
         total += len(ids)
@@ -305,7 +306,7 @@ def _atomic_savez(
 
     With ``compress=False`` the members are stored (``ZIP_STORED``), so
     each array's raw bytes sit contiguously in the file and can later be
-    memory-mapped by :func:`_mmap_member`.
+    memory-mapped by :func:`_mmap_members`.
     """
     directory = path.parent if str(path.parent) else Path(".")
     fd, tmp_name = tempfile.mkstemp(
@@ -330,33 +331,46 @@ def _load_checked(
     path: str | Path,
     expected_kind: str,
     *,
-    skip_prefixes: tuple[str, ...] = (),
+    mmap_prefixes: tuple[str, ...] = (),
 ) -> dict[str, np.ndarray]:
-    """Open, validate and fully materialize a repro ``.npz`` artifact.
+    """Open, validate and load a repro ``.npz`` artifact in one pass.
 
-    The ``NpzFile`` is used as a context manager and every member array
-    is decompressed before it closes, so no file handle outlives this
-    call (``np.load`` keeps the archive open for lazy member access
-    otherwise — a leak per load, and an open-file lock on Windows).
+    The file is opened once, here, and the ``NpzFile`` over it is used
+    as a context manager, so neither handle outlives this call on any
+    path: ``np.load`` keeps the archive open for lazy member access
+    otherwise, and drops the handle it opened itself unclosed when the
+    archive turns out to be corrupt.
 
-    Members whose names start with one of ``skip_prefixes`` are left out
-    of the returned dict (used by the mmap path, which maps those
-    members directly instead of materializing them).
+    Every member is decompressed into memory, except those whose names
+    start with one of ``mmap_prefixes``: these come back as read-only
+    views of one mapping of the file (:func:`_mmap_members`), resolved
+    from the central directory this call has already parsed.
     """
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"{path}: no such file")
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with open(path, "rb") as handle, np.load(
+            handle, allow_pickle=False
+        ) as archive:
+            mapped = [n for n in archive.files if n.startswith(mmap_prefixes)]
             data = {
                 name: archive[name]
                 for name in archive.files
-                if not name.startswith(skip_prefixes)
+                if not name.startswith(mmap_prefixes)
             }
+            _check_envelope(data, path, expected_kind)
+            data.update(_mmap_members(path, handle, archive.zip, mapped))
     except (zipfile.BadZipFile, zipfile.LargeZipFile, zlib.error, EOFError) as exc:
         raise DatasetError(f"{path}: corrupt or truncated archive ({exc})") from exc
     except (OSError, ValueError) as exc:
         raise DatasetError(f"{path}: unreadable archive ({exc})") from exc
+    return data
+
+
+def _check_envelope(
+    data: dict[str, np.ndarray], path: Path, expected_kind: str
+) -> None:
     if "magic" not in data or str(data["magic"][0]) != _MAGIC:
         raise DatasetError(f"{path}: not a repro artifact")
     version = int(_require(data, "version", path)[0])
@@ -369,7 +383,6 @@ def _load_checked(
         raise DatasetError(
             f"{path}: contains a {kind!r}, expected {expected_kind!r}"
         )
-    return data
 
 
 def _require(
@@ -381,86 +394,84 @@ def _require(
         raise DatasetError(f"{path}: missing field {name!r}") from None
 
 
-def _mmap_member(path: Path, member: str) -> np.ndarray:
-    """Memory-map one ``.npy`` member of an ``.npz`` archive, read-only.
+def _mmap_members(
+    path: Path, handle: BinaryIO, archive: zipfile.ZipFile, names: list[str]
+) -> dict[str, np.ndarray]:
+    """Map the ``.npy`` members ``names`` of an open ``.npz``, read-only.
 
     ``np.load(..., mmap_mode=...)`` refuses to map inside zip archives,
-    so this resolves the member's byte offset by hand: the zip central
-    directory gives the local-header offset, the local header (30 fixed
-    bytes + variable name/extra) gives the start of the member bytes,
-    and the ``.npy`` header parsed from there gives dtype/shape/order
-    and the start of the flat array data — which :class:`numpy.memmap`
-    can then map directly. Only ``ZIP_STORED`` members have flat bytes
-    in the file; a deflated member is a format error for this path.
+    so each member's bytes are located by hand (:func:`_member_span`)
+    and sliced out of one :class:`numpy.memmap` over the whole file: one
+    mapping and one descriptor per archive however many members it has.
+    The mapping duplicates the descriptor, so the views outlive
+    ``handle``, and it pins the inode, so they outlive an
+    ``os.replace`` of ``path`` too.
 
-    Every failure mode (missing member, compressed member, truncated or
-    corrupt headers, pickled/object arrays) raises
-    :class:`~repro.exceptions.DatasetError`.
+    Every span is resolved before anything is mapped: a bad member
+    raises :class:`~repro.exceptions.DatasetError` with nothing to
+    release but the caller's handles.
     """
-    try:
-        with zipfile.ZipFile(path) as archive:
-            try:
-                info = archive.getinfo(member)
-            except KeyError:
-                raise DatasetError(f"{path}: missing field {member!r}") from None
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise DatasetError(
-                    f"{path}: member {member!r} is compressed and cannot be "
-                    "memory-mapped; re-save the index with compress=False"
-                )
-            with open(path, "rb") as handle:
-                handle.seek(info.header_offset)
-                local_header = handle.read(30)
-                if (
-                    len(local_header) != 30
-                    or local_header[:4] != b"PK\x03\x04"
-                ):
-                    raise DatasetError(
-                        f"{path}: corrupt local header for member {member!r}"
-                    )
-                name_len = int.from_bytes(local_header[26:28], "little")
-                extra_len = int.from_bytes(local_header[28:30], "little")
-                handle.seek(info.header_offset + 30 + name_len + extra_len)
-                data_start = handle.tell()
-                version = np.lib.format.read_magic(handle)
-                if version == (1, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(
-                        handle
-                    )
-                elif version == (2, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(
-                        handle
-                    )
-                else:
-                    raise DatasetError(
-                        f"{path}: member {member!r} uses unsupported .npy "
-                        f"format version {version}"
-                    )
-                if dtype.hasobject:
-                    raise DatasetError(
-                        f"{path}: member {member!r} contains objects and "
-                        "cannot be memory-mapped"
-                    )
-                array_offset = handle.tell()
-                n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-                if data_start + info.file_size < array_offset + n_bytes:
-                    raise DatasetError(
-                        f"{path}: member {member!r} is truncated"
-                    )
-            return np.memmap(
-                path,
-                dtype=dtype,
-                mode="r",
-                offset=array_offset,
-                shape=shape,
-                order="F" if fortran else "C",
-            )
-    except DatasetError:
-        raise
-    except (zipfile.BadZipFile, zipfile.LargeZipFile, EOFError) as exc:
-        raise DatasetError(f"{path}: corrupt or truncated archive ({exc})") from exc
-    except (OSError, ValueError) as exc:
-        raise DatasetError(f"{path}: unreadable archive ({exc})") from exc
+    if not names:
+        return {}
+    spans = {
+        name: _member_span(path, handle, archive.getinfo(name + ".npy"))
+        for name in names
+    }
+    whole = np.memmap(handle, dtype=np.uint8, mode="r")
+    return {
+        name: whole[start:stop].view(dtype).reshape(shape, order=order)
+        for name, (start, stop, dtype, shape, order) in spans.items()
+    }
+
+
+def _member_span(
+    path: Path, handle: BinaryIO, info: zipfile.ZipInfo
+) -> tuple[int, int, np.dtype, tuple[int, ...], str]:
+    """``(start, stop, dtype, shape, order)`` of one member's array bytes.
+
+    The central directory (``info``) gives the local-header offset, the
+    local header (30 fixed bytes + variable name/extra) gives the start
+    of the member bytes, and the ``.npy`` header parsed from there gives
+    dtype/shape/order and the start of the flat array data. Only
+    ``ZIP_STORED`` members have flat bytes in the file; a deflated
+    member is a format error for this path, as are a corrupt local
+    header, an unknown ``.npy`` version, pickled/object arrays and a
+    member shorter than its header says.
+    """
+    member = info.filename
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise DatasetError(
+            f"{path}: member {member!r} is compressed and cannot be "
+            "memory-mapped; re-save the index with compress=False"
+        )
+    handle.seek(info.header_offset)
+    local_header = handle.read(30)
+    if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
+        raise DatasetError(f"{path}: corrupt local header for member {member!r}")
+    name_len = int.from_bytes(local_header[26:28], "little")
+    extra_len = int.from_bytes(local_header[28:30], "little")
+    data_start = info.header_offset + 30 + name_len + extra_len
+    handle.seek(data_start)
+    version = np.lib.format.read_magic(handle)
+    if version == (1, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
+    elif version == (2, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
+    else:
+        raise DatasetError(
+            f"{path}: member {member!r} uses unsupported .npy "
+            f"format version {version}"
+        )
+    if dtype.hasobject:
+        raise DatasetError(
+            f"{path}: member {member!r} contains objects and "
+            "cannot be memory-mapped"
+        )
+    start = handle.tell()
+    stop = start + dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+    if data_start + info.file_size < stop:
+        raise DatasetError(f"{path}: member {member!r} is truncated")
+    return start, stop, dtype, shape, "F" if fortran else "C"
 
 
 def _validate_partition(

@@ -10,7 +10,8 @@ The implementation favours predictable behaviour over raw speed:
 * k-means++ seeding (deterministic given a seed),
 * empty clusters are re-seeded from the points farthest from their
   centroid, so the codebook always has exactly ``k`` distinct entries,
-* squared-L2 distances computed blockwise to bound peak memory.
+* squared-L2 distances computed in L2-sized blocks, which bounds peak
+  memory and keeps each block's passes out of main memory.
 """
 
 from __future__ import annotations
@@ -23,8 +24,13 @@ from ..exceptions import ConfigurationError
 
 __all__ = ["KMeans", "KMeansResult", "squared_distances", "assign_to_centroids"]
 
-#: Number of points per block when computing full distance matrices.
-_BLOCK = 16384
+#: Rows per block of :func:`assign_to_centroids`. A 1 024 x 256 float64
+#: distance block is 2 MiB: it and the ``|x|^2 + |c|^2`` term it is
+#: subtracted from stay in L2 while the product, the subtract, the clamp
+#: and the argmin pass over them. Measured on 16 384 x 16 against 256
+#: centroids: 512 to 2 048 rows read the same, 4 096 is 15 % slower and
+#: one 16 384-row block 70 % slower.
+_BLOCK = 1024
 
 
 def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -38,7 +44,17 @@ def squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     centroids = np.asarray(centroids, dtype=np.float64)
     p_sq = np.einsum("ij,ij->i", points, points)[:, None]
     c_sq = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    d = p_sq + c_sq - 2.0 * points @ centroids.T
+    return _expand(2.0 * points, p_sq, centroids.T, c_sq)
+
+
+def _expand(
+    doubled: np.ndarray, p_sq: np.ndarray, centroids_t: np.ndarray, c_sq: np.ndarray
+) -> np.ndarray:
+    """``(|x|^2 + |c|^2) - 2x.c`` clamped at zero, finished in the
+    product's own buffer. The one place the expansion is written: every
+    caller hands it the same operands, so hoisting them changes no bit."""
+    d = doubled @ centroids_t
+    np.subtract(p_sq + c_sq, d, out=d)
     np.maximum(d, 0.0, out=d)
     return d
 
@@ -50,18 +66,33 @@ def assign_to_centroids(
 
     Returns ``(labels, distances)`` where ``labels[i]`` is the index of the
     centroid nearest to ``points[i]`` and ``distances[i]`` the squared L2
-    distance to it. Processes points in blocks of ``block`` rows so the
-    ``(n, k)`` distance matrix never fully materializes.
+    distance to it. The arithmetic is :func:`squared_distances`' (same
+    operands in the same order, so the same bits), fused with the argmin:
+    ``|x|^2``, ``|c|^2`` and ``c.T`` are taken once, and each block of
+    ``block`` rows is finished in place and read (argmin, picked
+    distance) before the next one is computed, so the ``(n, k)`` distance
+    matrix never exists.
     """
     points = np.asarray(points, dtype=np.float64)
+    centroids = np.asarray(centroids, dtype=np.float64)
     n = points.shape[0]
+    p_sq = np.einsum("ij,ij->i", points, points)[:, None]
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    centroids_t = centroids.T
     labels = np.empty(n, dtype=np.int64)
     dists = np.empty(n, dtype=np.float64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d = squared_distances(points[start:stop], centroids)
-        labels[start:stop] = np.argmin(d, axis=1)
-        dists[start:stop] = d[np.arange(stop - start), labels[start:stop]]
+    # The last block takes the remainder, so no product is shorter than
+    # ``block`` rows unless the input is: BLAS picks other kernels (and
+    # other roundings) for a handful of rows than for the same rows
+    # inside a tall matrix, and a short tail would change their bits.
+    n_blocks = max(1, n // block)
+    for i in range(n_blocks):
+        start = i * block
+        stop = n if i == n_blocks - 1 else start + block
+        d = _expand(2.0 * points[start:stop], p_sq[start:stop], centroids_t, c_sq)
+        nearest = np.argmin(d, axis=1)
+        labels[start:stop] = nearest
+        dists[start:stop] = d[np.arange(stop - start), nearest]
     return labels, dists
 
 
@@ -149,13 +180,15 @@ class KMeans:
         labels = np.full(points.shape[0], -1, dtype=np.int64)
         prev_inertia = np.inf
         converged = False
+        centroids_moved = True
         n_iter = 0
         for n_iter in range(1, self.max_iter + 1):
             new_labels, dists = assign_to_centroids(points, centroids)
             inertia = float(dists.sum())
             if np.array_equal(new_labels, labels):
+                # Fixed point: ``dists`` already belongs to these centroids.
                 converged = True
-                labels = new_labels
+                centroids_moved = False
                 break
             labels = new_labels
             centroids = _update_centroids(points, labels, self.k, dists, rng)
@@ -163,7 +196,8 @@ class KMeans:
                 converged = True
                 break
             prev_inertia = inertia
-        _, dists = assign_to_centroids(points, centroids)
+        if centroids_moved:
+            _, dists = assign_to_centroids(points, centroids)
         return KMeansResult(
             centroids=centroids,
             labels=labels,
@@ -185,9 +219,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
     def distances_to(i: int) -> np.ndarray:
         c = centroids[i : i + 1]
-        d = p_sq + np.einsum("ij,ij->i", c, c)[None, :] - doubled @ c.T
-        np.maximum(d, 0.0, out=d)
-        return d[:, 0]
+        c_sq = np.einsum("ij,ij->i", c, c)[None, :]
+        return _expand(doubled, p_sq, c.T, c_sq)[:, 0]
 
     first = rng.integers(n)
     centroids[0] = points[first]
@@ -198,8 +231,17 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             # All remaining points coincide with chosen centroids; fall
             # back to uniform sampling to keep the codebook full.
             idx = rng.integers(n)
+        elif not np.isfinite(total):
+            raise ConfigurationError(
+                "k-means++ seeding needs finite points (NaN or inf in the input)"
+            )
         else:
-            idx = rng.choice(n, p=closest / total)
+            # ``rng.choice(n, p=closest / total)`` without its per-call
+            # validation of p: the same cumsum, renormalisation, uniform
+            # draw and right-sided search, so the same index.
+            cdf = np.cumsum(closest / total)
+            cdf /= cdf[-1]
+            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
         centroids[i] = points[idx]
         np.minimum(closest, distances_to(i), out=closest)
     return centroids

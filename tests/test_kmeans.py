@@ -53,6 +53,71 @@ class TestAssignToCentroids:
         np.testing.assert_allclose(d1, d2)
 
 
+def reference_distances(points, centroids):
+    """The expansion as one expression over the whole input: what
+    ``squared_distances`` computed before it finished in place."""
+    p_sq = np.einsum("ij,ij->i", points, points)[:, None]
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    d = p_sq + c_sq - 2.0 * points @ centroids.T
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+class TestBlockedAssign:
+    """The fused, blocked kernel changes no bit of the unblocked result."""
+
+    BLOCK = kmeans._BLOCK
+    DSUB = 16  # one sub-vector of a 128-d vector under m=8
+
+    @pytest.mark.parametrize("layout", ["contiguous", "column-sliced"])
+    @pytest.mark.parametrize("k", [1, 16, 256])
+    @pytest.mark.parametrize(
+        "n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+    )
+    def test_bytes_match_unblocked_reference(self, n, k, layout):
+        rng = np.random.default_rng(n * 1000 + k)
+        wide = rng.normal(size=(n, 2 * self.DSUB)) * 30
+        points = wide[:, self.DSUB :]  # how ProductQuantizer.fit slices
+        if layout == "contiguous":
+            points = np.ascontiguousarray(points)
+        centroids = rng.normal(size=(k, self.DSUB)) * 30
+        full = reference_distances(points, centroids)
+        expected_labels = np.argmin(full, axis=1)
+        expected_dists = full[np.arange(n), expected_labels]
+        labels, dists = assign_to_centroids(points, centroids)
+        assert labels.dtype == expected_labels.dtype
+        assert labels.tobytes() == expected_labels.tobytes()
+        assert dists.tobytes() == expected_dists.tobytes()
+        assert squared_distances(points, centroids).tobytes() == full.tobytes()
+
+    def test_no_rows(self):
+        labels, dists = assign_to_centroids(np.empty((0, 4)), np.ones((3, 4)))
+        assert labels.shape == dists.shape == (0,)
+
+    def test_callers_of_squared_distances_keep_their_bytes(
+        self, rng, monkeypatch
+    ):
+        """``exact_neighbors`` (the recall oracle) and same-size k-means
+        index the matrix ``squared_distances`` returns; its in-place
+        finish must hand them the same one."""
+        from repro.data import ground_truth
+        from repro.pq import same_size_kmeans
+
+        base = rng.normal(size=(700, 12)) * 30
+        queries = rng.normal(size=(33, 12)) * 30
+        points = rng.normal(size=(64, 6)) * 30
+
+        def outputs():
+            idx, dist = ground_truth.exact_neighbors(base, queries, 10, block=8)
+            balanced = same_size_kmeans.SameSizeKMeans(k=8, seed=2).fit_predict(points)
+            return idx.tobytes(), dist.tobytes(), balanced.tobytes()
+
+        fitted = outputs()
+        monkeypatch.setattr(ground_truth, "squared_distances", reference_distances)
+        monkeypatch.setattr(same_size_kmeans, "squared_distances", reference_distances)
+        assert outputs() == fitted
+
+
 class TestKMeans:
     def test_recovers_separated_clusters(self, rng):
         centers = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0]])
@@ -104,6 +169,40 @@ class TestKMeans:
         d_assigned = np.linalg.norm(
             points - km.centroids[labels], axis=1) ** 2
         np.testing.assert_allclose(d_assigned, dists, rtol=1e-9)
+
+    def test_fixed_point_exit_reuses_its_distances(self, rng, monkeypatch):
+        """On the labels-unchanged exit the centroids have not moved since
+        the last assign, so its distances are the inertia: no extra
+        assign, same bits. The other exits still re-assign."""
+        points = rng.normal(size=(300, 4))
+        calls = []
+        real = kmeans.assign_to_centroids
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kmeans, "assign_to_centroids", counting)
+        result = KMeans(k=4, seed=3, max_iter=100, tol=0.0).fit(points).result_
+        assert result.converged and result.n_iter < 100
+        assert len(calls) == result.n_iter
+        _, dists = real(points, result.centroids)
+        assert result.inertia == float(dists.sum())
+        labels, _ = real(points, result.centroids)
+        assert labels.tobytes() == result.labels.tobytes()
+
+        calls.clear()
+        capped = KMeans(k=4, seed=3, max_iter=2, tol=0.0).fit(points).result_
+        assert not capped.converged
+        assert len(calls) == capped.n_iter + 1
+        _, dists = real(points, capped.centroids)
+        assert capped.inertia == float(dists.sum())
+
+    def test_non_finite_points_fail_loudly(self):
+        points = np.ones((20, 3))
+        points[4, 1] = np.nan
+        with pytest.raises(ConfigurationError, match="finite"):
+            KMeans(k=3, seed=0).fit(points)
 
     def test_rejects_k_above_n(self):
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,11 @@
 """Tests for model/index persistence."""
 
+import hashlib
+import mmap
+import os
 import zipfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,6 +426,178 @@ class TestMmapLoading:
         for ra, rb in zip(a, response.results):
             assert ra.ids.tobytes() == rb.ids.tobytes()
             assert ra.distances.tobytes() == rb.distances.tobytes()
+
+
+def _open_fds():
+    """Descriptors this process holds (Linux); None where /proc is absent."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except OSError:
+        return None
+
+
+def _mapping_under(array):
+    """The ``mmap.mmap`` at the root of a mapped array's ``base`` chain."""
+    while not isinstance(array, mmap.mmap):
+        array = array.base
+    return array
+
+
+def _member_data_start(path, member):
+    """Offset of ``member``'s ``.npy`` bytes inside the archive."""
+    with zipfile.ZipFile(path) as archive:
+        header = archive.getinfo(member).header_offset
+    blob = path.read_bytes()
+    name_len = int.from_bytes(blob[header + 26 : header + 28], "little")
+    extra_len = int.from_bytes(blob[header + 28 : header + 30], "little")
+    return header, header + 30 + name_len + extra_len
+
+
+def _patch(path, offset, replacement):
+    blob = bytearray(path.read_bytes())
+    blob[offset : offset + len(replacement)] = replacement
+    path.write_bytes(bytes(blob))
+
+
+class TestOnePassMmapLoad:
+    """``load_index(mmap=True)`` parses each archive once and maps it once."""
+
+    @pytest.fixture()
+    def saved(self, index, tmp_path):
+        path = tmp_path / "index.npz"
+        save_index(index, path)
+        return path
+
+    def test_one_zipfile_and_one_mapping_per_archive(
+        self, pq, dataset, tmp_path, monkeypatch
+    ):
+        # A count, not a timing: the per-member loader re-read the whole
+        # central directory once per member (2 * 64 + 1 times per shard).
+        from repro import IVFADCIndex, ShardedIndex
+        from repro import load_sharded_index, save_sharded_index
+
+        wide = IVFADCIndex(pq, n_partitions=64, coarse_max_iter=2, seed=2).add(
+            dataset.base[:4000]
+        )
+        directory = tmp_path / "shards.d"
+        save_sharded_index(ShardedIndex.from_index(wide, n_shards=2), directory)
+        opened = Counter()
+
+        class CountingZipFile(zipfile.ZipFile):
+            def __init__(self, file, *args, **kwargs):
+                opened[Path(getattr(file, "name", file)).name] += 1
+                super().__init__(file, *args, **kwargs)
+
+        monkeypatch.setattr(zipfile, "ZipFile", CountingZipFile)
+        fds_before = _open_fds()
+        loaded = load_sharded_index(directory, mmap=True)
+        assert opened == {
+            "manifest.npz": 1, "shard_0000.npz": 1, "shard_0001.npz": 1
+        }
+        mappings = []
+        for shard in loaded.shards:
+            arrays = [
+                array
+                for part in shard.index.partitions
+                for array in (part.codes, part.ids)
+            ]
+            assert len(arrays) == 128
+            assert not any(array.flags.writeable for array in arrays)
+            assert len({id(_mapping_under(array)) for array in arrays}) == 1
+            mappings.append(_mapping_under(arrays[0]))
+        assert mappings[0] is not mappings[1]
+        if fds_before is not None:
+            # The mapping keeps its own duplicate of the descriptor: one
+            # per shard archive, not one per partition array.
+            assert _open_fds() - fds_before == 2
+        for shard in loaded.shards:
+            for pid in shard.partition_ids:
+                part = shard.index.partitions[pid]
+                assert part.codes.tobytes() == wide.partitions[pid].codes.tobytes()
+                assert part.ids.tobytes() == wide.partitions[pid].ids.tobytes()
+
+    def test_views_survive_replace_of_the_artifact(self, index, saved):
+        # A compaction re-saves the artifact (os.replace) while an older
+        # epoch still serves from its mapped views.
+        from repro import IVFADCIndex
+
+        mapped = load_index(saved, mmap=True)
+        before = [(p.codes.tobytes(), p.ids.tobytes()) for p in mapped.partitions]
+        other = IVFADCIndex(index.pq, n_partitions=2, seed=9).add(
+            np.asarray(index.pq.decode(index.partitions[0].codes[:500]))
+        )
+        save_index(other, saved)
+        after = [(p.codes.tobytes(), p.ids.tobytes()) for p in mapped.partitions]
+        assert after == before
+        assert len(load_index(saved, mmap=True)) == len(other) != len(index)
+
+    # -- every way a member can be unmappable, through the one pass -------------
+
+    def _assert_rejected(self, path, match):
+        fds_before = _open_fds()
+        with pytest.raises(DatasetError, match=match):
+            load_index(path, mmap=True)
+        # Nothing was mapped and both handles are closed already, with
+        # the exception (and its traceback) still alive.
+        assert _open_fds() == fds_before
+
+    def test_missing_member(self, saved):
+        with np.load(saved) as archive:
+            payload = {n: archive[n] for n in archive.files if n != "ids_1"}
+        with open(saved, "wb") as handle:
+            np.savez(handle, **payload)
+        self._assert_rejected(saved, "missing field 'ids_1'")
+
+    def test_deflated_member(self, index, tmp_path):
+        path = tmp_path / "compressed.npz"
+        save_index(index, path, compress=True)
+        self._assert_rejected(path, "compressed and cannot be memory-mapped")
+
+    def test_corrupt_local_header(self, saved):
+        header, _ = _member_data_start(saved, "codes_1.npy")
+        _patch(saved, header, b"XX")
+        self._assert_rejected(saved, "corrupt local header for member 'codes_1.npy'")
+
+    def test_unsupported_npy_version(self, saved):
+        _, start = _member_data_start(saved, "codes_0.npy")
+        _patch(saved, start + 6, bytes([3, 0]))
+        self._assert_rejected(saved, "unsupported .npy format version")
+
+    def test_object_dtype_member(self, saved):
+        _, start = _member_data_start(saved, "ids_0.npy")
+        blob = saved.read_bytes()
+        at = blob.index(b"'<i8'", start)
+        _patch(saved, at, b"'|O' ")
+        self._assert_rejected(saved, "contains objects")
+
+    def test_member_shorter_than_its_header_says(self, saved):
+        _, start = _member_data_start(saved, "ids_0.npy")
+        blob = saved.read_bytes()
+        at = blob.index(b",), } ", start)
+        _patch(saved, at, b"0,), }")  # ten times the rows, one pad space less
+        self._assert_rejected(saved, "member 'ids_0.npy' is truncated")
+
+    # -- compatibility ----------------------------------------------------------
+
+    def test_artifact_saved_by_the_parent_commit(self, tmp_path):
+        """``tests/data/index_saved_by_pr15.npz`` was written by
+        ``save_index`` at PR 15 (4x4 quantizer, 3 partitions, 120 rows,
+        generation 7): it loads, both ways, to the same arrays, and
+        saving it again reproduces the file byte for byte."""
+        golden = Path(__file__).parent / "data" / "index_saved_by_pr15.npz"
+        eager = load_index(golden)
+        mapped = load_index(golden, mmap=True)
+        assert eager.generation == mapped.generation == 7
+        assert len(eager) == len(mapped) == 120
+        digest = hashlib.sha256()
+        for a, b in zip(eager.partitions, mapped.partitions):
+            assert a.codes.tobytes() == b.codes.tobytes()
+            assert a.ids.tobytes() == b.ids.tobytes()
+            digest.update(a.codes.tobytes() + a.ids.tobytes())
+        assert digest.hexdigest()[:16] == "44fbdf2544529825"
+        again = tmp_path / "again.npz"
+        save_index(mapped, again)
+        assert again.read_bytes() == golden.read_bytes()
 
 
 class Test4BitSubIndexValidation:

@@ -160,6 +160,27 @@ class TestProductQuantizer:
         after = pq2.quantization_error(dataset.base[:100])
         assert after == pytest.approx(before, rel=1e-12)
 
+    def test_fit_and_encode_bytes_pinned(self):
+        """The build path's output for one seed, as digests: a change to
+        k-means, seeding or encode that moves a bit has to say so here.
+        Integer-valued vectors (SIFT is) keep every product of the
+        seeding and of the first assign exact, so the digests do not
+        depend on the BLAS build; the row count is not a multiple of the
+        assign block."""
+        import hashlib
+
+        rng = np.random.default_rng(2015)
+        vectors = rng.integers(0, 256, size=(3 * 1024 + 7, 128)).astype(np.float64)
+        pq = ProductQuantizer(m=8, bits=8, max_iter=5, seed=3).fit(vectors)
+        codes = pq.encode(vectors)
+        assert codes.dtype == np.uint8 and codes.shape == (3079, 8)
+        assert hashlib.sha256(pq.codebooks.tobytes()).hexdigest() == (
+            "eae710808be4aa5d141809021898a2d15cb2cda2e8dd2922087d7bc55d12be83"
+        )
+        assert hashlib.sha256(codes.tobytes()).hexdigest() == (
+            "744809d43553246a0a94f031538b33d923512082334ed53c694c96aaa0a58ba0"
+        )
+
     def test_rejects_indivisible_dimension(self, rng):
         pq2 = ProductQuantizer(m=3, bits=2)
         with pytest.raises(ConfigurationError):
