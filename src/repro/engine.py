@@ -25,16 +25,17 @@ read path: :meth:`Engine.add` and :meth:`Engine.delete` accumulate in an
 in-memory delta overlay (:mod:`repro.delta`) while the base artifact
 stays immutable, and :meth:`Engine.compact` folds the drained overlay
 into a new base *generation* — re-encoding through the process pool,
-atomically re-saving the artifact, and swapping searcher and executors
-under an epoch scheme that lets in-flight readers finish on the old
-base untouched.  Queries that probe no mutated partition stay
+atomically re-saving the artifact, and swapping the executor under an
+epoch scheme that lets in-flight readers finish on the old base
+untouched.  Queries that probe no mutated partition stay
 byte-identical to the read-only engine throughout.
 
-The facade adds no new algorithmic behavior: it wires the existing
-:class:`~repro.search.ANNSearcher` (unsharded) and
-:class:`~repro.shard.ScatterGatherExecutor` (sharded) together, and the
-byte-identity contract of those layers carries through — the same
-config answers identically whether ``n_shards`` is 1 or 8.
+The facade adds no new algorithmic behavior: every query of an epoch
+goes through that epoch's one :class:`~repro.shard.ScatterGatherExecutor`
+(an unsharded index is the one-shard split, scanned on the caller's
+thread), and the byte-identity contract of that layer carries through —
+the same config answers identically, and ``deadline_s`` / ``max_retries``
+mean the same, whether ``n_shards`` is 1 or 8.
 """
 
 from __future__ import annotations
@@ -69,7 +70,13 @@ from .persistence import (
 )
 from .pq.product_quantizer import ProductQuantizer
 from .scan import PartitionScanner
-from .search import GATHER_TIMEOUT_S, ANNSearcher, SearchResult
+from .search import (
+    GATHER_TIMEOUT_S,
+    SearchResult,
+    _check_rerank,
+    _rerank_exact,
+    _warn_gil_bound,
+)
 from .shard import ScatterGatherExecutor, ShardedIndex, ShardedResponse
 
 __all__ = ["Engine", "EngineConfig", "SCANNER_KINDS"]
@@ -270,14 +277,12 @@ class _PinnedEpoch:
 
     Compaction publishes a new base by swapping every field below under
     the engine lock and bumping the epoch; a reader that pinned the old
-    epoch keeps scanning the old searcher/executor until it unpins, at
-    which point the drained epoch's resources are released.
+    epoch keeps scanning the old executor until it unpins, at which
+    point the drained epoch's resources are released.
     """
 
     epoch: int
-    index: IVFADCIndex
-    searcher: ANNSearcher
-    scatter: ScatterGatherExecutor | None
+    executor: ScatterGatherExecutor
     view: "DeltaView | None"
 
 
@@ -295,8 +300,8 @@ class Engine:
         index_path: the saved artifact this engine was loaded from
             (:meth:`load` fills it in). With ``executor="process"`` the
             worker processes mmap this artifact directly; without it the
-            process backend saves a temporary copy on first use. Mutable
-            engines also re-save this artifact on every :meth:`compact`.
+            executor saves one temporary copy it owns. Mutable engines
+            also re-save this artifact on every :meth:`compact`.
         mmap: whether the artifact was memory-mapped at load time;
             :meth:`compact` reloads the re-saved artifact the same way.
     """
@@ -324,23 +329,12 @@ class Engine:
         self.index_path = None if index_path is None else Path(index_path)
         self.observability = observability
         self._mmap = bool(mmap)
-        factory = config.scanner_factory(index.pq)
-        unsharded_path = (
-            self.index_path
-            if self.index_path is not None and self.index_path.is_file()
-            else None
-        )
-        self._searcher = ANNSearcher(
-            index, factory(), vectors=self.vectors, index_path=unsharded_path
-        )
-        # Guards the swap-able state (index/searcher/scatter, epoch and
-        # reader counts) against concurrent search/compact/close. The
-        # scatter-gather executor is built outside this lock (its
-        # constructor spins pools up — lint rule R7), under the creation
-        # lock below, and published under this one. Order is always
-        # _compact_lock -> _create_lock -> _lock -> DeltaStore._lock.
+        # Guards the swap-able state (index/sharded/executor, epoch and
+        # reader counts) against concurrent search/compact/close. An
+        # executor is built outside this lock (its constructor spins
+        # pools up — lint rule R7) and published under it. Order is
+        # always _compact_lock -> _lock -> DeltaStore._lock.
         self._lock = threading.Lock()
-        self._create_lock = threading.Lock()
         self._compact_lock = threading.Lock()
         self._delta = DeltaStore(generation=index.generation) if config.mutable else None
         self._closed = False
@@ -350,12 +344,11 @@ class Engine:
         self._epoch = 0
         self._reader_counts: dict[int, int] = {0: 0}
         self._retired: dict[int, threading.Event] = {}
-        self._scatter: ScatterGatherExecutor | None = None
-        if sharded is not None or config.mutable:
-            # Mutable engines build the scatter wrapper eagerly so a
-            # pinned epoch always carries a consistent executor (the
-            # lazy build could otherwise race a compaction swap).
-            self._scatter = self._build_scatter(index, sharded)
+        if sharded is None and config.resolved_executor == "thread":
+            _warn_gil_bound(config.n_workers)
+        # One executor per epoch, built eagerly here and in compact(),
+        # so a pinned epoch always carries the executor of its base.
+        self._executor = self._build_executor(index, sharded)
 
     # -- construction -------------------------------------------------------
 
@@ -436,7 +429,7 @@ class Engine:
         sharded: ShardedIndex | None = None
         if path.is_dir():
             sharded = load_sharded_index(path, mmap=mmap)
-            index = _global_view(sharded)
+            index = sharded.global_view
         else:
             index = load_index(path, mmap=mmap)
         base = config if config is not None else EngineConfig()
@@ -516,58 +509,40 @@ class Engine:
     ) -> SearchResult | list[SearchResult]:
         """Top-``k`` nearest neighbors for one query (1-D) or a batch (2-D).
 
-        Sharded engines scatter the batch and raise if any shard
-        degraded — use :meth:`search_detailed` when partial results are
-        acceptable. ``rerank`` (exact re-ranking of an ADC short-list)
-        requires ``keep_vectors=True`` at build time and an unsharded,
-        read-only engine.
+        :meth:`search_detailed`, raising if any shard degraded (call
+        that when partial results are acceptable); a 1-D query is the
+        batch of one, unwrapped. ``rerank`` (exact re-ranking of an ADC
+        short-list of that many candidates) requires
+        ``keep_vectors=True`` at build time, hence a read-only engine.
 
         On a mutable engine the query merges the uncompacted delta
         overlay: tombstoned rows never surface, added rows compete in
         the same top-k accumulation, and queries probing only unmutated
         partitions return byte-identical results to a read-only engine.
         """
-        nprobe = nprobe if nprobe is not None else self.config.nprobe
         queries = np.asarray(queries, dtype=np.float64)
-        if rerank and self.config.mutable:
-            raise ConfigurationError(
-                "rerank is not supported on mutable engines (the kept "
-                "vector array cannot track streaming writes); compact and "
-                "reload read-only to re-rank"
-            )
-        pin = self._pin()
-        try:
-            if pin.scatter is None or self.config.n_shards == 1 or queries.ndim == 1:
-                return pin.searcher.search(
-                    queries,
-                    topk=k,
-                    nprobe=nprobe,
-                    rerank=rerank,
-                    n_workers=self.config.n_workers,
-                    executor=(
-                        "process"
-                        if self.config.resolved_executor == "process"
-                        else "batch"
-                    ),
-                    delta=pin.view,
-                )
-            if rerank:
+        if rerank:
+            if self.config.mutable:
                 raise ConfigurationError(
-                    "rerank is not supported on the sharded batch path; "
-                    "use an unsharded engine (n_shards=1) for re-ranking"
+                    "rerank is not supported on mutable engines (the kept "
+                    "vector array cannot track streaming writes); compact "
+                    "and reload read-only to re-rank"
                 )
-            response = pin.scatter.run(
-                queries, topk=k, nprobe=nprobe, delta_view=pin.view
-            )
-        finally:
-            self._unpin(pin.epoch)
+            _check_rerank(self.vectors, k, rerank)
+        response = self.search_detailed(queries, rerank or k, nprobe=nprobe)
         if response.partial:
             degraded = [s.as_dict() for s in response.shard_statuses if not s.ok]
             raise ConfigurationError(
                 f"sharded search degraded: {degraded}; call "
                 "search_detailed() to accept partial results"
             )
-        return response.results
+        results = response.results
+        if rerank:
+            results = [
+                _rerank_exact(self.vectors, query, shortlist, k)
+                for query, shortlist in zip(np.atleast_2d(queries), results)
+            ]
+        return results[0] if queries.ndim == 1 else results
 
     def search_detailed(
         self,
@@ -580,26 +555,14 @@ class Engine:
 
         This is the graceful-degradation entry point: shard timeouts and
         failures yield ``partial=True`` plus per-shard statuses instead
-        of an exception. Unsharded engines answer through an implicit
-        single-shard layout (still byte-identical); mutable engines
-        merge the delta overlay exactly like :meth:`search`.
+        of an exception. Unsharded engines answer through the one-shard
+        split of their index (one status, still byte-identical); mutable
+        engines merge the delta overlay.
         """
         nprobe = nprobe if nprobe is not None else self.config.nprobe
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim == 1:
-            queries = queries[None, :]
-        # Publish the lazy single-shard wrapper *before* pinning: the pin
-        # then captures a scatter consistent with its epoch even if a
-        # compaction swap lands in between (compaction rebuilds any
-        # published scatter).
-        self._ensure_scatter()
         pin = self._pin()
         try:
-            if pin.scatter is None:
-                raise ConfigurationError(
-                    "Engine is closed; create a new engine"
-                )
-            return pin.scatter.run(
+            return pin.executor.run(
                 queries, topk=k, nprobe=nprobe, delta_view=pin.view
             )
         finally:
@@ -658,12 +621,12 @@ class Engine:
         When the engine has an artifact it is re-saved atomically
         (:mod:`repro.persistence`) and reloaded with the same ``mmap``
         mode. The swap then publishes the new base under the engine
-        lock: a fresh searcher (and scatter-gather executor), a bumped
-        epoch, and :meth:`~repro.delta.DeltaStore.commit` dropping
-        exactly the drained state — writes that raced the re-encode
-        survive in the overlay and stay correct. In-flight readers
-        pinned to the old epoch finish on the old base untouched;
-        their resources are released once the last one unpins.
+        lock: a fresh executor, a bumped epoch, and
+        :meth:`~repro.delta.DeltaStore.commit` dropping exactly the
+        drained state — writes that raced the re-encode survive in the
+        overlay and stay correct. In-flight readers pinned to the old
+        epoch finish on the old base untouched; their resources are
+        released once the last one unpins.
 
         Concurrent ``compact()`` calls serialize. Returns a
         :class:`~repro.delta.CompactionReport` (a no-op report when the
@@ -672,10 +635,6 @@ class Engine:
         delta = self._require_mutable("compact")
         t0 = time.perf_counter()
         drain_event: threading.Event | None = None
-        old_searcher: ANNSearcher | None = None
-        old_scatter: ScatterGatherExecutor | None = None
-        new_scatter: ScatterGatherExecutor | None = None
-        aborted = False
         with self._compact_lock:
             with self._lock:
                 if self._closed:
@@ -702,11 +661,10 @@ class Engine:
             # is re-saved as a file even when the engine re-sharded it in
             # memory; a sharded directory is re-saved shard by shard.
             new_sharded: ShardedIndex | None = None
-            unsharded_path: Path | None = None
-            if self.index_path is not None and self.index_path.is_file():
-                save_index(folded, self.index_path)
-                folded = load_index(self.index_path, mmap=self._mmap)
-                unsharded_path = self.index_path
+            index_file = self._index_file
+            if index_file is not None:
+                save_index(folded, index_file)
+                folded = load_index(index_file, mmap=self._mmap)
             if self.sharded is not None:
                 new_sharded = ShardedIndex.from_index(
                     folded,
@@ -719,51 +677,32 @@ class Engine:
                         new_sharded = load_sharded_index(
                             self.index_path, mmap=True
                         )
-                        folded = _global_view(new_sharded)
-            factory = self.config.scanner_factory(folded.pq)
-            new_searcher = ANNSearcher(
-                folded, factory(), index_path=unsharded_path
-            )
-            with self._create_lock:
-                with self._lock:
-                    need_scatter = self._scatter is not None
-                if need_scatter:
-                    new_scatter = self._build_scatter(folded, new_sharded)
-                with self._lock:
-                    if self._closed:
-                        aborted = True
+                        folded = new_sharded.global_view
+            new_executor = self._build_executor(folded, new_sharded)
+            with self._lock:
+                aborted = self._closed
+                if not aborted:
+                    retired, self._executor = self._executor, new_executor
+                    self.index = folded
+                    self.sharded = new_sharded
+                    retiring = self._epoch
+                    self._epoch = retiring + 1
+                    self._reader_counts[self._epoch] = 0
+                    if self._reader_counts.get(retiring, 0) > 0:
+                        drain_event = threading.Event()
+                        self._retired[retiring] = drain_event
                     else:
-                        old_searcher = self._searcher
-                        old_scatter = self._scatter
-                        self.index = folded
-                        self.sharded = new_sharded
-                        self._searcher = new_searcher
-                        self._scatter = new_scatter
-                        retiring = self._epoch
-                        self._epoch = retiring + 1
-                        self._reader_counts[self._epoch] = 0
-                        if self._reader_counts.get(retiring, 0) > 0:
-                            drain_event = threading.Event()
-                            self._retired[retiring] = drain_event
-                        else:
-                            self._reader_counts.pop(retiring, None)
-                        delta.commit(
-                            snapshot.seq, generation=folded.generation
-                        )
+                        self._reader_counts.pop(retiring, None)
+                    delta.commit(snapshot.seq, generation=folded.generation)
         if aborted:
-            new_searcher.close()
-            if new_scatter is not None:
-                new_scatter.close()
+            new_executor.close()
             raise ConfigurationError(
                 "Engine was closed during compact(); the overlay was not "
                 "committed"
             )
         if drain_event is not None:
             drain_event.wait(timeout=GATHER_TIMEOUT_S)
-        if old_scatter is not None:
-            old_scatter.close()
-        if old_searcher is not None:
-            old_searcher.close()
+        retired.close()
         wall_time_s = time.perf_counter() - t0
         self._obs().record_compaction(
             wall_time_s,
@@ -803,16 +742,11 @@ class Engine:
         all_vectors = np.concatenate(vec_parts)
         all_ids = np.concatenate(id_parts)
         expected = np.concatenate(pid_parts)
-        artifact = (
-            self.index_path
-            if self.index_path is not None and self.index_path.is_file()
-            else None
-        )
         t0 = time.perf_counter()
         labels, codes = encode_vectors(
             index,
             all_vectors,
-            index_path=artifact,
+            index_path=self._index_file,
             n_workers=self.config.n_workers,
         )
         encode_time_s = time.perf_counter() - t0
@@ -843,11 +777,7 @@ class Engine:
                 None if self._delta is None else self._delta.view(self.index)
             )
             return _PinnedEpoch(
-                epoch=epoch,
-                index=self.index,
-                searcher=self._searcher,
-                scatter=self._scatter,
-                view=view,
+                epoch=epoch, executor=self._executor, view=view
             )
 
     def _unpin(self, epoch: int) -> None:
@@ -880,77 +810,45 @@ class Engine:
             else get_observability()
         )
 
-    def _build_scatter(
+    @property
+    def _index_file(self) -> Path | None:
+        """The engine's artifact, when it is an unsharded single file."""
+        path = self.index_path
+        return path if path is not None and path.is_file() else None
+
+    def _build_executor(
         self, index: IVFADCIndex, sharded: ShardedIndex | None
     ) -> ScatterGatherExecutor:
-        """A fresh scatter-gather executor over the given layout.
+        """A fresh executor over the given base (spins its pools up).
 
-        Unsharded engines wrap their index as one healthy shard so
-        :meth:`search_detailed` callers get a uniform response type.
+        An unsharded index is the degenerate split, one shard owning
+        every partition, whose process workers attach to the engine's
+        artifact file when there is one; any other layout knows its
+        saved directory or gets one temporary copy the executor owns.
         """
-        layout = (
-            sharded
-            if sharded is not None
-            else ShardedIndex.from_index(index, n_shards=1)
-        )
+        artifact: Path | None = None
+        if sharded is None:
+            sharded = ShardedIndex.from_index(index, n_shards=1)
+            artifact = self._index_file
         return ScatterGatherExecutor(
-            layout,
+            sharded,
             self.config.scanner_factory(index.pq),
             n_workers=self.config.n_workers,
             backend=self.config.resolved_executor,
+            artifact_dir=artifact,
             deadline_s=self.config.deadline_s,
             max_retries=self.config.max_retries,
             backoff_s=self.config.backoff_s,
             observability=self.observability,
         )
 
-    def _ensure_scatter(self) -> ScatterGatherExecutor:
-        """The engine's scatter-gather executor, built on demand.
-
-        Safe for concurrent callers: reads/publishes happen under
-        ``self._lock`` while construction — which saves shard artifacts
-        and spins pools up (R7) — is serialized by ``self._create_lock``
-        so racing callers build exactly one executor. Compaction holds
-        the same creation lock across its rebuild-and-swap, so a lazy
-        build can never publish an executor over a retired base.
-        """
-        with self._lock:
-            if self._closed:
-                raise ConfigurationError(
-                    "Engine is closed; create a new engine"
-                )
-            scatter = self._scatter
-        if scatter is not None:
-            return scatter
-        with self._create_lock:
-            with self._lock:
-                scatter = self._scatter
-                current_index = self.index
-                current_sharded = self.sharded
-            if scatter is not None:
-                return scatter
-            built = self._build_scatter(current_index, current_sharded)
-            with self._lock:
-                if self._closed:
-                    rejected = True
-                else:
-                    rejected = False
-                    self._scatter = built
-            if rejected:
-                built.close()
-                raise ConfigurationError(
-                    "Engine is closed; create a new engine"
-                )
-            return built
-
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
         """Shut the engine down (terminal, idempotent, concurrency-safe).
 
-        Releases every pinned pool the engine spun up — the searcher's
-        cached thread/process executors and the scatter-gather
-        executor's per-shard pools, gather pool and temporary artifacts.
+        Releases every pinned pool the engine spun up — the executor's
+        per-shard pools, gather pool and temporary artifacts.
         A closed engine rejects every further operation with
         :class:`~repro.exceptions.ConfigurationError`; in-flight
         searches are not drained and may error. Uncompacted writes are
@@ -958,11 +856,8 @@ class Engine:
         """
         with self._lock:
             self._closed = True
-            scatter, self._scatter = self._scatter, None
-            searcher = self._searcher
-        if scatter is not None:
-            scatter.close()
-        searcher.close()
+            executor = self._executor
+        executor.close()
 
     @property
     def closed(self) -> bool:
@@ -1007,25 +902,3 @@ class Engine:
             f"scanner={self.config.scanner!r}, "
             f"mutable={self.config.mutable})"
         )
-
-
-def _global_view(sharded: ShardedIndex) -> IVFADCIndex:
-    """A single :class:`IVFADCIndex` over a sharded layout's partitions.
-
-    Shares the quantizer, coarse codebook and partition objects — no
-    copies — so unsharded (single-query, rerank) code paths work on
-    engines loaded from sharded artifacts.
-    """
-    reference = sharded.shards[0].index
-    index = IVFADCIndex(
-        reference.pq,
-        n_partitions=sharded.n_partitions,
-        encode_residuals=sharded.encode_residuals,
-        coarse_max_iter=reference.coarse_max_iter,
-        seed=reference.seed,
-    )
-    index._coarse = reference.coarse
-    index._partitions = sharded.partitions
-    index._n_total = len(sharded)
-    index.generation = sharded.generation
-    return index

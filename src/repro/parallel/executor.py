@@ -4,7 +4,7 @@ Why processes: the thread-backed executor is GIL-bound — thread workers
 beyond one contend on the interpreter lock between NumPy kernels, so
 adding them does not add throughput (``docs/execution.md``, "Which
 executor when"). :class:`ProcessBatchExecutor` keeps the
-exact same plan-to-results pipeline (:class:`~repro.search.PlanExecutor`)
+exact same plan-to-results pipeline (:class:`~repro.search.PlanPipeline`)
 but fans the partition jobs across a persistent ``ProcessPoolExecutor``:
 
 * **Zero-copy attach** — workers never receive index data. Each worker

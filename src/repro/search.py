@@ -23,11 +23,14 @@ thread pool. Section 5.8 of the paper shows concurrent PQ Fast Scan
 queries become memory-bandwidth-bound around 8 cores; this engine is
 the layer that actually produces that concurrent-query traffic.
 
-How a plan becomes results is written once, in
-:meth:`PlanExecutor.run_with_report`: route, strip the tombstone-masked
-jobs, ``scan_plan`` (the only step an executor defines), fold the
-partial grids into a :class:`StreamingMerger`, fold the delta overlay,
-``results()``. The merger's (distance, id) order is total, so batched
+How a plan becomes results is written once, in :class:`PlanPipeline`
+(route, strip the tombstone-masked jobs, scan, fold the delta overlay
+and each landed :class:`ScanPart` into a :class:`StreamingMerger`,
+``results()``); an executor defines only how a plan's scan lands in
+parts. The thread and process executors (:class:`PlanExecutor`) land
+one, their ``scan_plan``; :class:`~repro.shard.ScatterGatherExecutor`
+lands one per shard, in completion order, under its deadline / retry /
+partial policy. The merger's (distance, id) order is total, so batched
 results are byte-identical to the sequential per-query loop (kept as
 ``executor="sequential"`` on :meth:`ANNSearcher.search` for baselines
 and tests) whatever the executor, worker count or fold order.
@@ -42,9 +45,9 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, TypeVar
+from typing import TYPE_CHECKING, Iterable, Mapping, TypeVar
 
 import numpy as np
 
@@ -54,7 +57,11 @@ from .obs import Observability, get_observability
 from .scan.base import PartitionScanner, ScanResult
 from .scan.naive import NaiveScanner
 from .scan.topk import select_topk
-from .simd.counters import WorkerStats, aggregate_worker_stats
+from .simd.counters import (
+    WorkerStats,
+    aggregate_worker_stats,
+    combine_worker_stats,
+)
 
 if TYPE_CHECKING:  # import cycle: repro.delta imports repro.search
     from .delta.store import DeltaView
@@ -173,6 +180,10 @@ class BatchPlanner:
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim == 1:
             queries = queries[None, :]
+        if queries.ndim != 2:
+            raise ConfigurationError(
+                f"queries must be 1-D or 2-D, got shape {queries.shape}"
+            )
         if topk < 1:
             raise ConfigurationError("topk must be >= 1")
         probed = self.index.route_batch(queries, nprobe=nprobe)
@@ -417,13 +428,9 @@ def _strip_masked_jobs(plan: BatchPlan, masked: "Mapping[int, object]") -> Batch
     """
     if not masked:
         return plan
-    jobs = tuple(job for job in plan.jobs if job.partition_id not in masked)
-    return BatchPlan(
-        queries=plan.queries,
-        topk=plan.topk,
-        nprobe=plan.nprobe,
-        probed=plan.probed,
-        jobs=jobs,
+    return replace(
+        plan,
+        jobs=tuple(job for job in plan.jobs if job.partition_id not in masked),
     )
 
 
@@ -549,31 +556,139 @@ class BatchReport:
         }
 
 
-_ExecutorT = TypeVar("_ExecutorT", bound="PlanExecutor")
+#: Shard completed all its jobs (also used for shards with no jobs).
+STATE_OK = "ok"
+#: Shard exceeded the gather deadline and was abandoned.
+STATE_TIMEOUT = "timeout"
+#: Shard kept raising after exhausting its retry budget.
+STATE_FAILED = "failed"
 
 
-class PlanExecutor:
-    """The one pipeline from a query batch to its :class:`SearchResult`s.
+@dataclass(frozen=True)
+class ShardStatus:
+    """Outcome of one shard's participation in one scatter-gather run.
+
+    Attributes:
+        shard_id: the shard this status describes.
+        state: :data:`STATE_OK`, :data:`STATE_TIMEOUT` or
+            :data:`STATE_FAILED`.
+        attempts: scan attempts made (0 when the shard had no jobs;
+            > 1 means transient failures were retried).
+        latency_s: wall time from scatter start until the shard finished
+            or was given up on.
+        n_jobs: partition jobs assigned to the shard for this batch.
+        error: message of the last exception for failed shards.
+    """
+
+    shard_id: int
+    state: str
+    attempts: int
+    latency_s: float
+    n_jobs: int = 0
+    error: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.state == STATE_OK
+
+    def as_dict(self) -> dict[str, object]:
+        """JSON-safe dump (benchmark reports, observability exports)."""
+        return asdict(self)
+
+
+@dataclass
+class ShardedResponse:
+    """Gathered outcome of one query batch, what the pipeline returns.
+
+    Attributes:
+        results: one merged :class:`SearchResult` per query. With
+            ``partial=True`` the results only cover scans from healthy
+            shards (the ``probed`` tuple still lists every *intended*
+            partition).
+        partial: True when at least one shard timed out or failed.
+        shard_statuses: per-shard outcome, indexed by shard id.
+        wall_time_s: end-to-end time (plan to merge).
+        worker_stats: per-worker-slot totals combined across shards.
+        gather_overlap_s: merge time the streaming gather hid behind
+            shards that were still in flight (work the barrier merge
+            would have serialized after the slowest shard).
+    """
+
+    results: list[SearchResult]
+    partial: bool
+    shard_statuses: tuple[ShardStatus, ...]
+    wall_time_s: float
+    worker_stats: list[WorkerStats] = field(default_factory=list)
+    gather_overlap_s: float = 0.0
+
+    def status_for(self, shard_id: int) -> ShardStatus:
+        """The :class:`ShardStatus` of ``shard_id``."""
+        return self.shard_statuses[shard_id]
+
+    @property
+    def n_queries(self) -> int:
+        return len(self.results)
+
+    @property
+    def queries_per_second(self) -> float:
+        if self.wall_time_s <= 0:
+            return 0.0
+        return self.n_queries / self.wall_time_s
+
+    def as_dict(self) -> dict[str, object]:
+        """JSON-safe summary (without the per-query result arrays)."""
+        return {
+            "n_queries": self.n_queries,
+            "partial": self.partial,
+            "wall_time_s": self.wall_time_s,
+            "queries_per_second": self.queries_per_second,
+            "gather_overlap_s": self.gather_overlap_s,
+            "shards": [status.as_dict() for status in self.shard_statuses],
+            "worker_stats": [stats.as_dict() for stats in self.worker_stats],
+        }
+
+
+@dataclass(frozen=True)
+class ScanPart:
+    """One landed part of a plan's scan, as an executor hands it over.
+
+    Attributes:
+        status: which shard scanned the part and how that went.
+        partials: the part's ``(n_queries, nprobe)`` grid, ``None`` at
+            probe positions no job of the part covered; no grid at all
+            when the part had no jobs, failed or timed out.
+        worker_stats: per-worker work accounting of the part.
+    """
+
+    status: ShardStatus
+    partials: list[list[ScanResult | None]] | None = None
+    worker_stats: list[WorkerStats] = field(default_factory=list)
+
+
+_PipelineT = TypeVar("_PipelineT", bound="PlanPipeline")
+
+
+class PlanPipeline:
+    """The one pipeline from a query batch to its merged results.
 
     Route and plan, lift out the jobs of tombstone-masked partitions,
-    :meth:`scan_plan`, fold the partial grid into a
-    :class:`StreamingMerger`, fold the delta overlay, ``results()``,
-    report. Subclasses supply the scan half only — how ``plan.jobs``
-    become an ``(n_queries, nprobe)`` grid of partials — plus
-    :meth:`close`; they set ``index``, ``planner``, ``n_workers`` and
-    ``observability`` in their constructor.
+    start the scan (:meth:`_scan_parts`), fold the delta overlay, fold
+    each :class:`ScanPart` into a :class:`StreamingMerger` as it lands,
+    ``results()``, report. Subclasses supply :meth:`_scan_parts` and
+    :meth:`close`; they set ``index`` (the one real :class:`IVFADCIndex`
+    the batch is planned and the overlay's tables are built against),
+    ``planner`` and ``observability`` in their constructor.
 
     Every run is traced through :mod:`repro.obs`: the route, warm,
     per-job table-build and scan, and merge stages each produce a span
     (and a ``repro_stage_latency_seconds`` observation), and the
-    finished :class:`BatchReport` feeds the batch/worker metrics. With
-    the default (disabled) observability instance all of this reduces
-    to an attribute check per stage.
+    finished batch feeds the batch/worker metrics. With the default
+    (disabled) observability instance all of this reduces to an
+    attribute check per stage.
     """
 
     index: IVFADCIndex
     planner: BatchPlanner
-    n_workers: int
     observability: Observability | None
 
     def _obs(self) -> Observability:
@@ -582,29 +697,14 @@ class PlanExecutor:
             return self.observability
         return get_observability()
 
-    def run(
+    def _execute(
         self,
         queries: np.ndarray,
-        topk: int = 10,
-        nprobe: int = 1,
-        *,
-        delta_view: "DeltaView | None" = None,
-    ) -> list[SearchResult]:
-        """Plan and execute a batch; one :class:`SearchResult` per query."""
-        results, _ = self.run_with_report(
-            queries, topk=topk, nprobe=nprobe, delta_view=delta_view
-        )
-        return results
-
-    def run_with_report(
-        self,
-        queries: np.ndarray,
-        topk: int = 10,
-        nprobe: int = 1,
-        *,
-        delta_view: "DeltaView | None" = None,
-    ) -> tuple[list[SearchResult], BatchReport]:
-        """Like :meth:`run`, also returning execution statistics.
+        topk: int,
+        nprobe: int,
+        delta_view: "DeltaView | None",
+    ) -> tuple[BatchPlan, ShardedResponse]:
+        """Plan ``queries``, scan the plan in parts, merge as they land.
 
         With ``delta_view`` (a mutable engine's uncompacted overlay) the
         executor scans the plan minus any tombstone-masked partitions
@@ -612,7 +712,9 @@ class PlanExecutor:
         scans the filtered replacements and the delta segments. The
         merger's total (distance, id) order makes the result independent
         of fold order — and byte-identical to the delta-free path for
-        queries whose probes miss every mutated partition.
+        queries whose probes miss every mutated partition. A part that
+        failed or timed out lands without a grid: the response is
+        flagged partial and covers every scan that did arrive.
         """
         obs = self._obs()
         start = time.perf_counter()
@@ -623,31 +725,125 @@ class PlanExecutor:
         to_scan = plan
         if delta_view is not None:
             to_scan = _strip_masked_jobs(plan, delta_view.masked)
-        partials, worker_stats = self.scan_plan(to_scan, obs=obs)
+        landing = self._scan_parts(to_scan, obs, start)
         merger = StreamingMerger(plan)
         if delta_view is not None:
+            # Parent-side overlay scans run while the parts are still
+            # scanning: filtered replacements cover the cells their
+            # stripped jobs left open, segments add extra candidates.
             _fold_overlay(merger, self.index, delta_view, obs)
+        statuses: list[ShardStatus] = []
+        stats_per_part: list[list[WorkerStats]] = []
+        overlap_s = 0.0
+        for part, others_in_flight in landing:
+            statuses.append(part.status)
+            if part.partials is None:
+                continue
+            folded_before = merger.merge_time_s
+            with obs.span("merge"):
+                merger.fold(part.partials)
+            if others_in_flight:
+                overlap_s += merger.merge_time_s - folded_before
+            stats_per_part.append(part.worker_stats)
+        partial = any(not status.ok for status in statuses)
         with obs.span("merge"):
-            merger.fold(partials)
-            results = merger.results()
+            results = merger.results(require_complete=not partial)
+        wall_time_s = time.perf_counter() - start
+        worker_stats = combine_worker_stats(stats_per_part)
+        obs.record_batch(plan.n_queries, wall_time_s, worker_stats)
+        statuses.sort(key=lambda status: status.shard_id)
+        return plan, ShardedResponse(
+            results=results,
+            partial=partial,
+            shard_statuses=tuple(statuses),
+            wall_time_s=wall_time_s,
+            worker_stats=worker_stats,
+            gather_overlap_s=overlap_s,
+        )
+
+    def _scan_parts(
+        self, plan: BatchPlan, obs: Observability, start: float
+    ) -> Iterable[tuple[ScanPart, bool]]:
+        """Start scanning ``plan.jobs``; yield each part as it lands.
+
+        The one step an executor defines. Each item pairs a
+        :class:`ScanPart` with whether other parts were still in flight
+        when it landed (its fold is then overlap, not wall time);
+        ``start`` is the pipeline's clock, what a deadline runs from.
+        Submitting happens in the call, landing in the iteration, so
+        the overlay fold in between overlaps the scan.
+        """
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release the executor's worker pools (idempotent)."""
+        raise NotImplementedError
+
+    def __enter__(self: _PipelineT) -> _PipelineT:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class PlanExecutor(PlanPipeline):
+    """A pipeline whose scan lands in one part: :meth:`scan_plan`.
+
+    The base of the thread and process executors, which supply the scan
+    half only — how ``plan.jobs`` become an ``(n_queries, nprobe)`` grid
+    of partials — plus :meth:`close`, and set ``n_workers`` as well.
+    """
+
+    n_workers: int
+
+    def run(
+        self,
+        queries: np.ndarray,
+        topk: int = 10,
+        nprobe: int = 1,
+        *,
+        delta_view: "DeltaView | None" = None,
+    ) -> list[SearchResult]:
+        """Plan and execute a batch; one :class:`SearchResult` per query."""
+        return self._execute(queries, topk, nprobe, delta_view)[1].results
+
+    def run_with_report(
+        self,
+        queries: np.ndarray,
+        topk: int = 10,
+        nprobe: int = 1,
+        *,
+        delta_view: "DeltaView | None" = None,
+    ) -> tuple[list[SearchResult], BatchReport]:
+        """Like :meth:`run`, also returning execution statistics."""
+        plan, response = self._execute(queries, topk, nprobe, delta_view)
         report = BatchReport(
             n_queries=plan.n_queries,
             nprobe=plan.nprobe,
             topk=plan.topk,
             n_workers=self.n_workers,
             n_jobs=len(plan.jobs),
-            wall_time_s=time.perf_counter() - start,
-            worker_stats=worker_stats,
+            wall_time_s=response.wall_time_s,
+            worker_stats=response.worker_stats,
         )
-        obs.record_batch(report.n_queries, report.wall_time_s, report.worker_stats)
-        return results, report
+        return response.results, report
+
+    def _scan_parts(
+        self, plan: BatchPlan, obs: Observability, start: float
+    ) -> Iterable[tuple[ScanPart, bool]]:
+        t0 = time.perf_counter()
+        partials, worker_stats = self.scan_plan(plan, obs=obs)
+        status = ShardStatus(
+            0, STATE_OK, 1, time.perf_counter() - t0, n_jobs=len(plan.jobs)
+        )
+        return [(ScanPart(status, partials, worker_stats), False)]
 
     def scan_plan(
         self, plan: BatchPlan, *, obs: Observability | None = None
     ) -> tuple[list[list[ScanResult | None]], list[WorkerStats]]:
         """Execute ``plan.jobs`` and return the raw per-probe partials.
 
-        The scan half of :meth:`run_with_report`, exposed so the sharded
+        The scan half of the pipeline, exposed so the sharded
         scatter-gather layer can execute a shard-local job subset
         against a *global* plan: the returned grid is always
         ``(n_queries, nprobe)`` with ``None`` at probe positions no job
@@ -655,15 +851,24 @@ class PlanExecutor:
         """
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release the executor's worker pool (idempotent)."""
-        raise NotImplementedError
 
-    def __enter__(self: _ExecutorT) -> _ExecutorT:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+def _warn_gil_bound(n_workers: int) -> None:
+    """The advisory for thread ``n_workers > 1``, attributed to whoever
+    called the constructor that asked (a one-shard thread
+    :class:`~repro.Engine` asks on behalf of its executor)."""
+    if n_workers > 1:
+        # Thread workers contend on the GIL between NumPy kernels,
+        # so more than one is typically slower than one
+        # (docs/execution.md, "Which executor when").
+        warnings.warn(
+            f"BatchExecutor with n_workers={n_workers} uses GIL-bound "
+            "threads and is typically slower than n_workers=1; for "
+            "parallel speedup use the process backend "
+            "(repro.parallel.ProcessBatchExecutor, or "
+            'ANNSearcher.search(..., executor="process"))',
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 class BatchExecutor(PlanExecutor):
@@ -674,7 +879,7 @@ class BatchExecutor(PlanExecutor):
     (:meth:`IVFADCIndex.distance_tables_for_batch`), scans the partition
     with the scanner's most batch-friendly entry point, and the
     per-query partials are merged deterministically afterwards
-    (:class:`PlanExecutor`) — so results are byte-identical to the
+    (:class:`PlanPipeline`) — so results are byte-identical to the
     sequential loop regardless of ``n_workers`` or job completion order.
 
     Scanner dispatch is :func:`scan_partition_batch`: ``scan_batch``
@@ -722,19 +927,8 @@ class BatchExecutor(PlanExecutor):
     ):
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        if n_workers > 1 and gil_warning:
-            # Thread workers contend on the GIL between NumPy kernels,
-            # so more than one is typically slower than one
-            # (docs/execution.md, "Which executor when").
-            warnings.warn(
-                f"BatchExecutor with n_workers={n_workers} uses GIL-bound "
-                "threads and is typically slower than n_workers=1; for "
-                "parallel speedup use the process backend "
-                "(repro.parallel.ProcessBatchExecutor, or "
-                'ANNSearcher.search(..., executor="process"))',
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if gil_warning:
+            _warn_gil_bound(n_workers)
         self.index = index
         self.scanner = scanner
         self.n_workers = n_workers
@@ -973,14 +1167,14 @@ class ANNSearcher:
         if topk < 1:
             raise ConfigurationError("topk must be >= 1")
         if rerank:
-            self._check_rerank(topk, rerank)
+            _check_rerank(self.vectors, topk, rerank)
         results = self._executor_for(executor, n_workers).run(
             queries, topk=rerank or topk, nprobe=nprobe, delta_view=delta
         )
         if not rerank:
             return results
         return [
-            self._rerank_one(query, shortlist, topk)
+            _rerank_exact(self.vectors, query, shortlist, topk)
             for query, shortlist in zip(queries, results)
         ]
 
@@ -996,9 +1190,9 @@ class ANNSearcher:
         if topk < 1:
             raise ConfigurationError("topk must be >= 1")
         if rerank:
-            self._check_rerank(topk, rerank)
+            _check_rerank(self.vectors, topk, rerank)
             shortlist = self._search_one(query, topk=rerank, nprobe=nprobe)
-            return self._rerank_one(query, shortlist, topk)
+            return _rerank_exact(self.vectors, query, shortlist, topk)
         obs = get_observability()
         with obs.span("route"):
             probed = self.index.route(query, nprobe=nprobe)
@@ -1173,32 +1367,43 @@ class ANNSearcher:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- re-ranking ---------------------------------------------------------
 
-    def _check_rerank(self, topk: int, rerank: int) -> None:
-        if self.vectors is None:
-            raise ConfigurationError(
-                "re-ranking requires ANNSearcher(..., vectors=...)"
-            )
-        if rerank < topk:
-            raise ConfigurationError("rerank shortlist must be >= topk")
+# -- re-ranking ----------------------------------------------------------------
 
-    def _rerank_one(
-        self, query: np.ndarray, shortlist: SearchResult, topk: int
-    ) -> SearchResult:
-        if self.vectors is None:  # pragma: no cover - _check_rerank ran first
-            raise ConfigurationError(
-                "re-ranking requires ANNSearcher(..., vectors=...)"
-            )
-        exact = np.sum(
-            (self.vectors[shortlist.ids] - np.asarray(query, float)) ** 2,
-            axis=1,
+
+def _check_rerank(vectors: np.ndarray | None, topk: int, rerank: int) -> None:
+    """Refuse a re-rank request that cannot be answered, before any scan."""
+    if vectors is None:
+        raise ConfigurationError(
+            "rerank requires the original vectors: ANNSearcher(..., "
+            "vectors=...) or EngineConfig(keep_vectors=True)"
         )
-        ids, dists = select_topk(exact, shortlist.ids, topk)
-        return SearchResult(
-            ids=ids,
-            distances=dists,
-            n_scanned=shortlist.n_scanned,
-            n_pruned=shortlist.n_pruned,
-            probed=shortlist.probed,
-        )
+    if rerank < topk:
+        raise ConfigurationError("rerank shortlist must be >= topk")
+
+
+def _rerank_exact(
+    vectors: np.ndarray | None,
+    query: np.ndarray,
+    shortlist: SearchResult,
+    topk: int,
+) -> SearchResult:
+    """The best ``topk`` of an ADC ``shortlist`` by exact distance.
+
+    The one re-ranking step :class:`ANNSearcher` and
+    :class:`~repro.Engine` share: ``vectors`` is indexed by database id.
+    """
+    if vectors is None:  # pragma: no cover - _check_rerank ran first
+        raise ConfigurationError("rerank requires the original vectors")
+    exact = np.sum(
+        (vectors[shortlist.ids] - np.asarray(query, float)) ** 2,
+        axis=1,
+    )
+    ids, dists = select_topk(exact, shortlist.ids, topk)
+    return SearchResult(
+        ids=ids,
+        distances=dists,
+        n_scanned=shortlist.n_scanned,
+        n_pruned=shortlist.n_pruned,
+        probed=shortlist.probed,
+    )

@@ -1,10 +1,13 @@
 """Scatter-gather execution across the shards of a :class:`ShardedIndex`.
 
-The query path of a sharded deployment:
+The query path of a sharded deployment is the one
+:class:`~repro.search.PlanPipeline` every executor shares; this module
+defines only how a plan's scan lands in parts, one per shard:
 
-1. **Route** the whole batch once on the shared coarse codebook and
-   build the global partition-major plan (the same
-   :class:`~repro.search.BatchPlanner` the single-index engine uses).
+1. **Route** (the pipeline): the whole batch once on the shared coarse
+   codebook, into the global partition-major plan (the same
+   :class:`~repro.search.BatchPlanner` over the layout's
+   :attr:`~repro.shard.ShardedIndex.global_view`).
 2. **Scatter**: split the plan's partition jobs by owning shard —
    heaviest shard first, so the longest sub-plan starts earliest — and
    run each shard's job subset on that shard's own executor — a
@@ -17,15 +20,19 @@ The query path of a sharded deployment:
    pools spawn once in the constructor (process workers attach by mmap
    path exactly once) and the gather pool below is likewise built once
    — steady-state batches pay zero spin-up.
-3. **Gather and merge, streamed**: shard partials are consumed in
-   completion order and each is folded into a running per-query
+3. **Gather, streamed**: shard partials are handed to the pipeline in
+   completion order and each is folded into its running per-query
    :class:`~repro.search.StreamingMerger` the moment it lands, so merge
    work overlaps the shards still scanning instead of serializing after
    a barrier. The fold order cannot change the answer — the merger
    applies the same total (distance, id) order as the barrier merge —
    and the deadline/retry policy is unchanged: a shard that raises is
    retried with exponential backoff, a shard still running at
-   ``deadline_s`` from scatter start is abandoned.
+   ``deadline_s`` from scatter start is abandoned. A plan whose split
+   has a single non-empty part and no deadline runs that part on the
+   caller's thread: there is nothing to overlap and nothing to abandon,
+   and the hop to the gather pool measured 0.78x ``qps`` on perfbench's
+   ``serve-mixed`` (docs/execution.md, "Which executor when").
 
 Graceful degradation is the contract: shard timeouts and exhausted
 retries do **not** raise. The response carries ``partial=True`` plus a
@@ -45,10 +52,10 @@ import tempfile
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import replace
 from multiprocessing.context import BaseContext
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence, cast
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,21 +63,23 @@ if TYPE_CHECKING:
     from ..delta.store import DeltaView
 
 from ..exceptions import ConfigurationError
-from ..ivf.inverted_index import IVFADCIndex
-from ..obs import Observability, get_observability
-from ..scan.base import PartitionScanner, ScanResult
+from ..obs import Observability
+from ..scan.base import PartitionScanner
 from ..search import (
     GATHER_TIMEOUT_S,
+    STATE_FAILED,
+    STATE_OK,
+    STATE_TIMEOUT,
     BatchExecutor,
     BatchPlan,
     BatchPlanner,
+    PartitionJob,
     PlanExecutor,
-    SearchResult,
-    StreamingMerger,
-    _fold_overlay,
-    _strip_masked_jobs,
+    PlanPipeline,
+    ScanPart,
+    ShardedResponse,
+    ShardStatus,
 )
-from ..simd.counters import WorkerStats, combine_worker_stats
 from .sharded_index import ShardedIndex
 
 __all__ = [
@@ -83,164 +92,48 @@ __all__ = [
     "ShardedResponse",
 ]
 
-#: Shard completed all its jobs (also used for shards with no jobs).
-STATE_OK = "ok"
-#: Shard exceeded the gather deadline and was abandoned.
-STATE_TIMEOUT = "timeout"
-#: Shard kept raising after exhausting its retry budget.
-STATE_FAILED = "failed"
-
-
-@dataclass(frozen=True)
-class ShardStatus:
-    """Outcome of one shard's participation in one scatter-gather run.
-
-    Attributes:
-        shard_id: the shard this status describes.
-        state: :data:`STATE_OK`, :data:`STATE_TIMEOUT` or
-            :data:`STATE_FAILED`.
-        attempts: scan attempts made (0 when the shard had no jobs;
-            > 1 means transient failures were retried).
-        latency_s: wall time from scatter start until the shard finished
-            or was given up on.
-        n_jobs: partition jobs assigned to the shard for this batch.
-        error: message of the last exception for failed shards.
-    """
-
-    shard_id: int
-    state: str
-    attempts: int
-    latency_s: float
-    n_jobs: int = 0
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.state == STATE_OK
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-safe dump (benchmark reports, observability exports)."""
-        return {
-            "shard_id": self.shard_id,
-            "state": self.state,
-            "attempts": self.attempts,
-            "latency_s": self.latency_s,
-            "n_jobs": self.n_jobs,
-            "error": self.error,
-        }
-
-
-@dataclass
-class ShardedResponse:
-    """Gathered outcome of one sharded query batch.
-
-    Attributes:
-        results: one merged :class:`SearchResult` per query. With
-            ``partial=True`` the results only cover scans from healthy
-            shards (the ``probed`` tuple still lists every *intended*
-            partition).
-        partial: True when at least one shard timed out or failed.
-        shard_statuses: per-shard outcome, indexed by shard id.
-        wall_time_s: end-to-end scatter-gather time (plan to merge).
-        worker_stats: per-worker-slot totals combined across shards.
-        gather_overlap_s: merge time the streaming gather hid behind
-            shards that were still in flight (work the barrier merge
-            would have serialized after the slowest shard).
-    """
-
-    results: list[SearchResult]
-    partial: bool
-    shard_statuses: tuple[ShardStatus, ...]
-    wall_time_s: float
-    worker_stats: list[WorkerStats] = field(default_factory=list)
-    gather_overlap_s: float = 0.0
-
-    def status_for(self, shard_id: int) -> ShardStatus:
-        """The :class:`ShardStatus` of ``shard_id``."""
-        return self.shard_statuses[shard_id]
-
-    @property
-    def n_queries(self) -> int:
-        return len(self.results)
-
-    @property
-    def queries_per_second(self) -> float:
-        if self.wall_time_s <= 0:
-            return 0.0
-        return self.n_queries / self.wall_time_s
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-safe summary (without the per-query result arrays)."""
-        return {
-            "n_queries": self.n_queries,
-            "partial": self.partial,
-            "wall_time_s": self.wall_time_s,
-            "queries_per_second": self.queries_per_second,
-            "gather_overlap_s": self.gather_overlap_s,
-            "shards": [status.as_dict() for status in self.shard_statuses],
-            "worker_stats": [stats.as_dict() for stats in self.worker_stats],
-        }
-
 
 class ShardRouter:
     """Builds the global plan and its per-shard sub-plans.
 
     The global plan is produced by the standard
-    :class:`~repro.search.BatchPlanner` over the sharded index's routing
-    view, so probe lists (and therefore results) are bit-identical to
-    the unsharded engine. Each sub-plan shares the global ``queries`` /
-    ``probed`` arrays and keeps only the jobs whose partition the shard
-    owns — query rows and probe positions stay in global coordinates,
-    which is what lets the gathered partials drop straight into the
-    global merge grid.
+    :class:`~repro.search.BatchPlanner` over the sharded index's
+    :attr:`~repro.shard.ShardedIndex.global_view`, so probe lists (and
+    therefore results) are bit-identical to the unsharded engine. Each
+    sub-plan shares the global ``queries`` / ``probed`` arrays and keeps
+    only the jobs whose partition the shard owns — query rows and probe
+    positions stay in global coordinates, which is what lets the
+    gathered partials drop straight into the global merge grid.
     """
 
     def __init__(self, sharded: ShardedIndex, /):
         self.sharded = sharded
-        # The planner only touches route_batch and partition sizes, both
-        # of which ShardedIndex serves with global semantics.
-        self._planner = BatchPlanner(cast(IVFADCIndex, sharded))
+        self.planner = BatchPlanner(sharded.global_view)
+        self._owners: list[int] = sharded.owners.tolist()
 
     def plan(
         self, queries: np.ndarray, topk: int = 10, nprobe: int = 1
     ) -> tuple[BatchPlan, dict[int, BatchPlan]]:
-        """Return ``(global_plan, {shard_id: sub_plan})``.
+        """Return ``(global_plan, {shard_id: sub_plan})``."""
+        plan = self.planner.plan(queries, topk=topk, nprobe=nprobe)
+        return plan, self.split(plan)
+
+    def split(self, plan: BatchPlan) -> dict[int, BatchPlan]:
+        """``{shard_id: sub_plan}``, one pass over ``plan.jobs``.
 
         Shards whose partitions are not probed by any query of the batch
         get no sub-plan (and no scatter task).
         """
-        plan = self._planner.plan(queries, topk=topk, nprobe=nprobe)
-        subplans: dict[int, BatchPlan] = {}
-        for shard in self.sharded.shards:
-            jobs = tuple(
-                job
-                for job in plan.jobs
-                if self.sharded.owner_of(job.partition_id) == shard.shard_id
-            )
-            if jobs:
-                subplans[shard.shard_id] = BatchPlan(
-                    queries=plan.queries,
-                    topk=plan.topk,
-                    nprobe=plan.nprobe,
-                    probed=plan.probed,
-                    jobs=jobs,
-                )
-        return plan, subplans
+        jobs_of: dict[int, list[PartitionJob]] = {}
+        for job in plan.jobs:
+            jobs_of.setdefault(self._owners[job.partition_id], []).append(job)
+        return {
+            shard_id: replace(plan, jobs=tuple(jobs_of[shard_id]))
+            for shard_id in sorted(jobs_of)
+        }
 
 
-@dataclass(frozen=True)
-class _ShardOutcome:
-    """What one scatter task reports back to the gatherer."""
-
-    state: str
-    partials: list[list[ScanResult | None]] | None
-    worker_stats: list[WorkerStats]
-    attempts: int
-    latency_s: float
-    error: str | None = None
-
-
-class ScatterGatherExecutor:
+class ScatterGatherExecutor(PlanPipeline):
     """Fans query batches across shards; gathers with graceful degradation.
 
     Every pool this executor touches is **pinned**: the per-shard
@@ -272,7 +165,10 @@ class ScatterGatherExecutor:
         artifact_dir: for ``backend="process"``, the directory holding a
             :func:`~repro.persistence.save_sharded_index` layout for
             *this* sharded index (workers attach to its per-shard
-            files). Default: the layout's own
+            files) or, for a one-shard layout, the
+            :func:`~repro.persistence.save_index` file of the index
+            itself (its only shard owns every partition, so the two
+            formats coincide). Default: the layout's own
             :attr:`~repro.shard.ShardedIndex.artifact_dir` when it was
             saved or loaded before; otherwise the layout is saved to a
             temporary directory owned by the executor (freed by
@@ -344,6 +240,8 @@ class ScatterGatherExecutor:
         self.backoff_s = backoff_s
         self.observability = observability
         self.router = ShardRouter(sharded)
+        self.planner = self.router.planner
+        self.index = sharded.global_view
         # Guards the temporary-artifact handle against concurrent
         # close() calls.
         self._lock = threading.Lock()
@@ -368,10 +266,15 @@ class ScatterGatherExecutor:
                 # executor; the shared index must not advertise it to
                 # executors created later.
                 sharded.artifact_dir = remembered
-            directory = Path(artifact_dir)
+            root = Path(artifact_dir)
+            if root.is_file() and sharded.n_shards > 1:
+                raise ConfigurationError(
+                    f"artifact_dir {root} is a single index file; a layout "
+                    f"of {sharded.n_shards} shards needs a directory"
+                )
             self._executors = tuple(
                 ProcessBatchExecutor(
-                    directory / _shard_filename(shard.shard_id),
+                    root if root.is_file() else root / _shard_filename(shard.shard_id),
                     scanner,
                     n_workers=n_workers,
                     mmap=mmap,
@@ -401,10 +304,7 @@ class ScatterGatherExecutor:
             max_workers=max(sharded.n_shards, 1),
             thread_name_prefix="repro-shard",
         )
-        init_obs = (
-            observability if observability is not None else get_observability()
-        )
-        init_obs.record_pool_spinup("gather")
+        self._obs().record_pool_spinup("gather")
 
     def run(
         self,
@@ -416,94 +316,77 @@ class ScatterGatherExecutor:
     ) -> ShardedResponse:
         """Scatter ``queries`` across shards; gather and merge, streamed.
 
-        Shard sub-plans are submitted heaviest-first to the pinned
-        scatter pool, partials are consumed in completion order, and
-        each is folded into the running :class:`StreamingMerger` while
-        the remaining shards are still scanning — the response's
-        ``gather_overlap_s`` reports how much merge time that hid. The
-        deadline, retry and partial-result semantics are identical to
-        the barrier gather this replaces.
+        The :class:`~repro.search.PlanPipeline` with this executor's
+        scan: shard sub-plans are submitted heaviest-first to the pinned
+        scatter pool, partials land in completion order, and each is
+        folded into the running merge while the remaining shards are
+        still scanning — the response's ``gather_overlap_s`` reports how
+        much merge time that hid.
 
         With ``delta_view`` (a mutable engine's uncompacted overlay),
-        jobs for tombstone-masked partitions are lifted out of the shard
-        sub-plans and scanned parent-side against the view's filtered
-        replacements, and delta segments are scanned parent-side as
-        extra candidates — while the shards still scan every untouched
-        partition through the unchanged (byte-identical) path.
+        jobs for tombstone-masked partitions leave the plan before it is
+        split (workers see the un-filtered base artifact) and the parent
+        scans the overlay, while the shards still scan every untouched
+        partition through the unchanged (byte-identical) path. A
+        sub-plan emptied by the strip loses its scatter task and its
+        shard reports the ordinary no-jobs OK status.
         """
-        obs = (
-            self.observability
-            if self.observability is not None
-            else get_observability()
-        )
-        pool = self._require_gather_pool()
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim == 1:
-            queries = queries[None, :]
-        start = time.perf_counter()
+        self._require_gather_pool()
+        obs = self._obs()
+        # One reuse, gather and overlap observation per served batch,
+        # an empty one included, so obs totals keep matching run counts.
         obs.record_pool_reuse("gather")
-        if len(queries) == 0:
-            # An empty batch is still a served batch: record the same
-            # metric families as the non-empty path (reuse above, batch,
-            # gather, overlap) so obs totals keep matching run counts.
-            wall_time_s = time.perf_counter() - start
-            obs.record_batch(0, wall_time_s, [])
-            obs.record_gather(False)
-            obs.record_gather_overlap(0.0)
-            return ShardedResponse(
-                results=[],
-                partial=False,
-                shard_statuses=tuple(
-                    ShardStatus(s.shard_id, STATE_OK, 0, 0.0)
-                    for s in self.sharded.shards
+        response = self._execute(queries, topk, nprobe, delta_view)[1]
+        for status in response.shard_statuses:
+            if status.attempts:  # 0: the shard had no jobs in this batch
+                obs.record_shard(
+                    str(status.shard_id), status.latency_s, status.state
+                )
+        obs.record_gather(response.partial)
+        obs.record_gather_overlap(response.gather_overlap_s)
+        return response
+
+    def _scan_parts(
+        self, plan: BatchPlan, obs: Observability, start: float
+    ) -> Iterator[tuple[ScanPart, bool]]:
+        """Split ``plan`` by owning shard and start every sub-plan."""
+        subplans = self.router.split(plan)
+        futures: dict[Future[ScanPart], int] = {}
+        if len(subplans) > 1 or self.deadline_s is not None:
+            pool = self._require_gather_pool()
+            # Scatter heaviest shard first: with the sub-plans sorted by
+            # total job cost the slowest shard starts earliest, and every
+            # lighter shard's merge folds while it is still scanning.
+            order = sorted(
+                subplans,
+                key=lambda sid: (
+                    -sum(job.cost for job in subplans[sid].jobs),
+                    sid,
                 ),
-                wall_time_s=wall_time_s,
             )
-        with obs.span("route"):
-            plan, subplans = self.router.plan(queries, topk=topk, nprobe=nprobe)
-        if delta_view is not None and delta_view.clean:
-            delta_view = None
-        if delta_view is not None and delta_view.masked:
-            # Masked partitions cannot be scanned shard-side (workers see
-            # the un-filtered base artifact); lift their jobs out. A
-            # sub-plan emptied by the strip loses its scatter task and
-            # its shard reports the ordinary no-jobs OK status.
-            subplans = {
-                shard_id: stripped
-                for shard_id, subplan in subplans.items()
-                if (stripped := _strip_masked_jobs(subplan, delta_view.masked)).jobs
+            futures = {
+                pool.submit(self._run_shard, sid, subplans[sid], obs): sid
+                for sid in order
             }
+        return self._land(subplans, futures, obs, start)
 
-        merger = StreamingMerger(plan)
-        overlap_s = 0.0
-        statuses: dict[int, ShardStatus] = {
-            shard.shard_id: ShardStatus(shard.shard_id, STATE_OK, 0, 0.0)
-            for shard in self.sharded.shards
-            if shard.shard_id not in subplans
-        }
-        stats_per_shard: list[list[WorkerStats]] = []
-
-        # Scatter heaviest shard first: with the sub-plans sorted by
-        # total job cost the slowest shard starts earliest, and every
-        # lighter shard's merge folds while it is still scanning.
-        order = sorted(
-            subplans,
-            key=lambda sid: (
-                -sum(job.cost for job in subplans[sid].jobs),
-                sid,
-            ),
-        )
-        futures: dict[Future[_ShardOutcome], int] = {
-            pool.submit(self._run_shard, sid, subplans[sid], obs): sid
-            for sid in order
-        }
-
-        if delta_view is not None:
-            # Parent-side overlay scans run while the shards are still
-            # scanning: filtered replacements cover the cells their
-            # stripped jobs left open, segments add extra candidates.
-            _fold_overlay(merger, self.sharded, delta_view, obs)
-
+    def _land(
+        self,
+        subplans: dict[int, BatchPlan],
+        futures: dict[Future[ScanPart], int],
+        obs: Observability,
+        start: float,
+    ) -> Iterator[tuple[ScanPart, bool]]:
+        """One part per shard: idle shards, then scans as they complete."""
+        for shard in self.sharded.shards:
+            if shard.shard_id not in subplans:
+                yield ScanPart(ShardStatus(shard.shard_id, STATE_OK, 0, 0.0)), False
+        if not futures:
+            # A single part and no deadline: nothing to overlap, nothing
+            # to abandon, so it runs here, on the caller's thread.
+            for shard_id, subplan in subplans.items():
+                yield self._run_shard(shard_id, subplan, obs), False
+            return
         # Gather in completion order. A task still pending when the
         # deadline strikes is abandoned, NOT joined: it keeps running on
         # its pinned pool slot in the background (or dies with its
@@ -521,60 +404,20 @@ class ScatterGatherExecutor:
             if not done:
                 break  # deadline expired with shards still in flight
             for future in done:
-                shard_id = futures[future]
-                n_jobs = len(subplans[shard_id].jobs)
-                outcome = future.result(timeout=GATHER_TIMEOUT_S)
-                statuses[shard_id] = ShardStatus(
-                    shard_id,
-                    outcome.state,
-                    attempts=outcome.attempts,
-                    latency_s=outcome.latency_s,
-                    n_jobs=n_jobs,
-                    error=outcome.error,
-                )
-                obs.record_shard(
-                    str(shard_id), outcome.latency_s, outcome.state
-                )
-                if outcome.state == STATE_OK and outcome.partials is not None:
-                    in_flight = bool(pending)
-                    folded_before = merger.merge_time_s
-                    with obs.span("merge"):
-                        merger.fold(outcome.partials)
-                    if in_flight:
-                        overlap_s += merger.merge_time_s - folded_before
-                    stats_per_shard.append(outcome.worker_stats)
+                yield future.result(timeout=GATHER_TIMEOUT_S), bool(pending)
         for future in pending:
             future.cancel()
             shard_id = futures[future]
-            latency = time.perf_counter() - start
-            statuses[shard_id] = ShardStatus(
-                shard_id,
-                STATE_TIMEOUT,
-                attempts=1,
-                latency_s=latency,
-                n_jobs=len(subplans[shard_id].jobs),
-                error=f"deadline of {self.deadline_s}s exceeded",
-            )
-            obs.record_shard(str(shard_id), latency, STATE_TIMEOUT)
-
-        partial = any(not status.ok for status in statuses.values())
-        with obs.span("merge"):
-            results = merger.results(require_complete=not partial)
-        wall_time_s = time.perf_counter() - start
-        worker_stats = combine_worker_stats(stats_per_shard)
-        obs.record_batch(plan.n_queries, wall_time_s, worker_stats)
-        obs.record_gather(partial)
-        obs.record_gather_overlap(overlap_s)
-        return ShardedResponse(
-            results=results,
-            partial=partial,
-            shard_statuses=tuple(
-                statuses[shard_id] for shard_id in sorted(statuses)
-            ),
-            wall_time_s=wall_time_s,
-            worker_stats=worker_stats,
-            gather_overlap_s=overlap_s,
-        )
+            yield ScanPart(
+                ShardStatus(
+                    shard_id,
+                    STATE_TIMEOUT,
+                    attempts=1,
+                    latency_s=time.perf_counter() - start,
+                    n_jobs=len(subplans[shard_id].jobs),
+                    error=f"deadline of {self.deadline_s}s exceeded",
+                )
+            ), False
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -597,12 +440,6 @@ class ScatterGatherExecutor:
         if tempdir is not None:
             tempdir.cleanup()
 
-    def __enter__(self) -> "ScatterGatherExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     @property
     def closed(self) -> bool:
         """True once :meth:`close` ran; a closed executor rejects runs."""
@@ -622,7 +459,7 @@ class ScatterGatherExecutor:
 
     def _run_shard(
         self, shard_id: int, subplan: BatchPlan, obs: Observability
-    ) -> _ShardOutcome:
+    ) -> ScanPart:
         """One scatter task: scan the shard's jobs, retrying transients.
 
         :class:`~repro.exceptions.ConfigurationError` propagates (caller
@@ -632,30 +469,25 @@ class ScatterGatherExecutor:
         """
         t0 = time.perf_counter()
         attempts = 0
+
+        def status(state: str, error: str | None = None) -> ShardStatus:
+            latency_s = time.perf_counter() - t0
+            return ShardStatus(
+                shard_id, state, attempts, latency_s, len(subplan.jobs), error
+            )
+
         while True:
             attempts += 1
             try:
-                shard_partials, worker_stats = self._executors[
-                    shard_id
-                ].scan_plan(subplan, obs=obs)
-                return _ShardOutcome(
-                    state=STATE_OK,
-                    partials=shard_partials,
-                    worker_stats=worker_stats,
-                    attempts=attempts,
-                    latency_s=time.perf_counter() - t0,
+                partials, worker_stats = self._executors[shard_id].scan_plan(
+                    subplan, obs=obs
                 )
+                return ScanPart(status(STATE_OK), partials, worker_stats)
             except ConfigurationError:
                 raise
             except Exception as exc:  # noqa: BLE001 - fault boundary
                 if attempts > self.max_retries:
-                    return _ShardOutcome(
-                        state=STATE_FAILED,
-                        partials=None,
-                        worker_stats=[],
-                        attempts=attempts,
-                        latency_s=time.perf_counter() - t0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                    error = f"{type(exc).__name__}: {exc}"
+                    return ScanPart(status(STATE_FAILED, error))
                 obs.record_shard_retry(str(shard_id))
                 time.sleep(self.backoff_s * (2 ** (attempts - 1)))

@@ -69,11 +69,12 @@ class IndexShard:
 class ShardedIndex:
     """An IVFADC build split across shards, with a global routing view.
 
-    The class quacks like :class:`IVFADCIndex` for the query-time needs
-    of the batch planner — ``route_batch`` / ``route``, ``partitions``
-    and ``n_partitions`` — so a global partition-major plan can be built
-    once and scattered; per-shard scans then run against the shards' own
-    indexes.
+    :attr:`global_view` is the layout as one real :class:`IVFADCIndex`
+    (shared quantizers and partition objects, no copies), built once
+    here: what a global partition-major plan is routed and sized
+    against before it is scattered, and what unsharded code paths use
+    on engines loaded from sharded artifacts. Per-shard scans then run
+    against the shards' own indexes.
 
     Args:
         shards: the shard list (positional-only); shard ids must be
@@ -138,6 +139,7 @@ class ShardedIndex:
             )
         self.shards = shards
         self._owners = owners
+        self.global_view = _global_view(shards, owners)
         #: Directory holding a :func:`~repro.persistence.save_sharded_index`
         #: layout for this exact sharded index, when one is known —
         #: :func:`~repro.persistence.load_sharded_index` records where it
@@ -218,10 +220,7 @@ class ShardedIndex:
     @property
     def partitions(self) -> list[Partition]:
         """Global partition list, each slot served by its owning shard."""
-        return [
-            self.shards[self._owners[pid]].index.partitions[pid]
-            for pid in range(self.n_partitions)
-        ]
+        return self.global_view.partitions
 
     def shard_artifact_path(self, shard_id: int) -> Path | None:
         """Saved artifact of shard ``shard_id``, when the layout has one.
@@ -279,6 +278,28 @@ class ShardedIndex:
         return self.shards[owner].index.distance_tables_for_batch(
             queries, partition_id
         )
+
+
+def _global_view(
+    shards: tuple[IndexShard, ...], owners: np.ndarray
+) -> IVFADCIndex:
+    """A single :class:`IVFADCIndex` over the shards' owned partitions."""
+    reference = shards[0].index
+    index = IVFADCIndex(
+        reference.pq,
+        n_partitions=reference.n_partitions,
+        encode_residuals=reference.encode_residuals,
+        coarse_max_iter=reference.coarse_max_iter,
+        seed=reference.seed,
+    )
+    index._coarse = reference.coarse
+    index._partitions = [
+        shards[owner].index.partitions[pid]
+        for pid, owner in enumerate(owners.tolist())
+    ]
+    index._n_total = sum(len(shard) for shard in shards)
+    index.generation = reference.generation
+    return index
 
 
 def _build_shard(

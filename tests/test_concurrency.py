@@ -289,12 +289,12 @@ class TestEngineConcurrency:
         yield eng
         eng.close()
 
-    def test_concurrent_search_detailed_single_scatter(
-        self, engine, queries
-    ):
-        n_threads = 6
+    def test_concurrent_search_detailed_one_executor(self, engine, queries):
+        n_threads = 8
         barrier = threading.Barrier(n_threads)
-        scatters: list[object] = []
+        built = engine._executor
+        baseline = engine.search(queries, k=5, nprobe=2)
+        outcomes: list[bool] = []
         errors: list[BaseException] = []
 
         def work() -> None:
@@ -302,7 +302,8 @@ class TestEngineConcurrency:
                 barrier.wait()
                 response = engine.search_detailed(queries, k=5, nprobe=2)
                 assert not response.partial
-                scatters.append(engine._scatter)
+                assert len(response.shard_statuses) == 1
+                outcomes.append(_results_equal(baseline, response.results))
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -312,9 +313,10 @@ class TestEngineConcurrency:
         for t in threads:
             t.join()
         assert not errors
-        # The unlocked seed version could build one executor per racing
-        # thread and leak every loser's pinned pools.
-        assert len({id(s) for s in scatters}) == 1
+        assert all(outcomes) and len(outcomes) == n_threads
+        # Every call was served by the executor the constructor built:
+        # nothing is built (or can be raced for) at query time.
+        assert engine._executor is built and not built.closed
 
     def test_engine_close_is_terminal(self, engine, queries):
         baseline = engine.search(queries, k=5, nprobe=2)
@@ -322,9 +324,11 @@ class TestEngineConcurrency:
         assert not detailed.partial
         assert _results_equal(baseline, detailed.results)
         engine.close()
-        assert engine._scatter is None
+        assert engine._executor.closed
         with pytest.raises(ConfigurationError, match="closed"):
             engine.search(queries, k=5, nprobe=2)
+        with pytest.raises(ConfigurationError, match="closed"):
+            engine.search(queries[0], k=5, nprobe=2)
         with pytest.raises(ConfigurationError, match="closed"):
             engine.search_detailed(queries, k=5, nprobe=2)
         engine.close()  # idempotent

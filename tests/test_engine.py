@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig
 from repro.exceptions import ConfigurationError
+from repro.obs import Observability, observability_session
 from repro.shard import ShardedResponse
 
 
@@ -24,20 +28,32 @@ def queries(dataset):
 
 @pytest.fixture(scope="module")
 def flat_engine(small_data):
-    return Engine.build(
+    with Engine.build(
         small_data, EngineConfig(m=8, bits=8, n_partitions=8, nprobe=3, max_iter=4)
-    )
+    ) as engine:
+        yield engine
 
 
 @pytest.fixture(scope="module")
 def sharded_engine(small_data):
-    return Engine.build(
+    with Engine.build(
         small_data,
         EngineConfig(
             m=8, bits=8, n_partitions=8, n_shards=4, nprobe=3, max_iter=4,
             n_workers=2,
         ),
-    )
+    ) as engine:
+        yield engine
+
+
+def _assert_identical(a, b):
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert ra.ids.tobytes() == rb.ids.tobytes()
+        assert ra.distances.tobytes() == rb.distances.tobytes()
+        assert (ra.n_scanned, ra.n_pruned, ra.probed) == (
+            rb.n_scanned, rb.n_pruned, rb.probed
+        )
 
 
 class TestEngineConfig:
@@ -125,11 +141,11 @@ class TestEngineBuildAndSearch:
 
     @pytest.mark.parametrize("kind", ["naive", "libpq", "fastpq", "qonly"])
     def test_every_scanner_kind_builds_and_searches(self, small_data, queries, kind):
-        engine = Engine.build(
+        with Engine.build(
             small_data,
             EngineConfig(n_partitions=4, nprobe=2, scanner=kind, max_iter=2),
-        )
-        results = engine.search(queries[:4], k=5)
+        ) as engine:
+            results = engine.search(queries[:4], k=5)
         assert len(results) == 4
 
     def test_search_detailed_uniform_response(
@@ -141,26 +157,38 @@ class TestEngineBuildAndSearch:
             assert not response.partial
             assert len(response.results) == len(queries)
 
-    def test_rerank_requires_kept_vectors_and_unsharded(
-        self, small_data, queries, sharded_engine
+    def test_rerank_requires_kept_vectors(
+        self, small_data, queries, flat_engine, sharded_engine
     ):
-        engine = Engine.build(
-            small_data,
-            EngineConfig(n_partitions=8, nprobe=3, keep_vectors=True, max_iter=4),
+        for engine in (flat_engine, sharded_engine):
+            with pytest.raises(ConfigurationError, match="keep_vectors"):
+                engine.search(queries, k=5, rerank=50)
+        config = EngineConfig(
+            n_partitions=8, nprobe=3, keep_vectors=True, max_iter=4,
+            executor="thread",
         )
-        reranked = engine.search(queries, k=5, rerank=50)
-        assert len(reranked) == len(queries)
-        with pytest.raises(ConfigurationError, match="rerank"):
-            sharded_engine.search(queries, k=5, rerank=50)
+        with Engine.build(small_data, config) as flat, Engine.build(
+            small_data, config, n_shards=2
+        ) as sharded:
+            reranked = flat.search(queries, k=5, rerank=50)
+            assert len(reranked) == len(queries)
+            with pytest.raises(ConfigurationError, match="shortlist"):
+                flat.search(queries, k=5, rerank=4)
+            # Sharding is a plan transform: the shortlist, hence the
+            # exact re-ranking of it, is the unsharded one byte for byte.
+            _assert_identical(reranked, sharded.search(queries, k=5, rerank=50))
+            _assert_identical(
+                reranked[:1], [sharded.search(queries[0], k=5, rerank=50)]
+            )
 
     def test_custom_ids_surface_in_results(self, small_data, queries):
         ids = np.arange(len(small_data), dtype=np.int64) + 1_000_000
-        engine = Engine.build(
+        with Engine.build(
             small_data,
             EngineConfig(n_partitions=4, nprobe=2, max_iter=2),
             ids=ids,
-        )
-        result = engine.search(queries[0], k=5)
+        ) as engine:
+            result = engine.search(queries[0], k=5)
         assert (result.ids >= 1_000_000).all()
 
     def test_constructor_shard_config_mismatch_rejected(self, flat_engine):
@@ -172,20 +200,20 @@ class TestEnginePersistence:
     def test_flat_round_trip(self, flat_engine, queries, tmp_path):
         path = tmp_path / "flat.npz"
         flat_engine.save(path)
-        loaded = Engine.load(path, EngineConfig(nprobe=3))
-        assert loaded.n_shards == 1
         before = flat_engine.search(queries, k=10)
-        after = loaded.search(queries, k=10)
+        with Engine.load(path, EngineConfig(nprobe=3)) as loaded:
+            assert loaded.n_shards == 1
+            after = loaded.search(queries, k=10)
         for a, b in zip(before, after):
             assert np.array_equal(a.ids, b.ids)
 
     def test_sharded_round_trip(self, sharded_engine, queries, tmp_path):
         path = tmp_path / "sharded.d"
         sharded_engine.save(path)
-        loaded = Engine.load(path, EngineConfig(nprobe=3, n_workers=2))
-        assert loaded.n_shards == 4
         before = sharded_engine.search(queries, k=10)
-        after = loaded.search(queries, k=10)
+        with Engine.load(path, EngineConfig(nprobe=3, n_workers=2)) as loaded:
+            assert loaded.n_shards == 4
+            after = loaded.search(queries, k=10)
         for a, b in zip(before, after):
             assert np.array_equal(a.ids, b.ids)
             assert np.array_equal(a.distances, b.distances)
@@ -193,10 +221,10 @@ class TestEnginePersistence:
     def test_load_reshards_flat_artifact(self, flat_engine, queries, tmp_path):
         path = tmp_path / "flat.npz"
         flat_engine.save(path)
-        loaded = Engine.load(path, EngineConfig(nprobe=3, n_shards=2))
-        assert loaded.n_shards == 2
         before = flat_engine.search(queries, k=10)
-        after = loaded.search(queries, k=10)
+        with Engine.load(path, EngineConfig(nprobe=3, n_shards=2)) as loaded:
+            assert loaded.n_shards == 2
+            after = loaded.search(queries, k=10)
         for a, b in zip(before, after):
             assert np.array_equal(a.ids, b.ids)
 
@@ -207,9 +235,9 @@ class TestEnginePersistence:
         flat_engine.save(path)
         # Conflicting build-time fields in the load config are overridden
         # by what the artifact actually contains.
-        loaded = Engine.load(path, EngineConfig(m=4, n_partitions=2))
-        assert loaded.config.m == 8
-        assert loaded.config.n_partitions == 8
+        with Engine.load(path, EngineConfig(m=4, n_partitions=2)) as loaded:
+            assert loaded.config.m == 8
+            assert loaded.config.n_partitions == 8
 
     def test_load_validates_overrides_against_the_artifact(
         self, small_data, queries, tmp_path
@@ -232,3 +260,136 @@ class TestEnginePersistence:
         config = EngineConfig(scanner="naive", n_partitions=64, nprobe=32)
         with Engine.load(path, config) as loaded:
             assert loaded.config.nprobe == 16
+
+
+# -- one executor per epoch -------------------------------------------------------
+
+
+_SMALL = dict(
+    n_partitions=4, nprobe=2, max_iter=2, coarse_max_iter=2, scanner="naive"
+)
+
+
+class TestOneExecutorPerEpoch:
+    """Every entry point of an engine is served by its one executor."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_explicit_observability_handle_sees_every_entry_point(
+        self, small_data, queries, n_shards
+    ):
+        # Regression: with n_shards=1, search() went through a searcher
+        # that never received the handle and recorded into the default.
+        handle = Observability(enabled=True)
+        with observability_session() as default, Engine.build(
+            small_data, observability=handle, executor="thread",
+            n_shards=n_shards, **_SMALL,
+        ) as engine:
+            for call in (
+                lambda: engine.search(queries, k=5),
+                lambda: engine.search(queries[0], k=5),
+                lambda: engine.search_detailed(queries, k=5),
+            ):
+                handle.tracer.clear()
+                call()
+                assert {"route", "tables", "scan", "merge"} <= set(
+                    handle.tracer.stage_summary()
+                )
+        assert default.tracer.stage_summary() == {}
+        assert default.snapshot()["counters"]["repro_batches_total"] == []
+
+    @pytest.mark.parametrize("mutable", [False, True])
+    def test_process_engine_holds_one_pool_and_one_temp_copy(
+        self, small_data, queries, tmp_path, mutable
+    ):
+        def temp_dirs() -> set[Path]:
+            return set(Path(tempfile.gettempdir()).glob("repro-*"))
+
+        # Relative to what the session already holds (the module-scoped
+        # sharded engine above keeps its pools until module teardown).
+        dirs_before = temp_dirs()
+        pids_before = {p.pid for p in multiprocessing.active_children()}
+
+        def n_workers_alive() -> int:
+            return sum(
+                p.pid not in pids_before
+                for p in multiprocessing.active_children()
+            )
+
+        def churn_and_compact(engine: Engine) -> None:
+            engine.add(small_data[:3] + 0.5, np.arange(3) + 10**6)
+            engine.delete(np.arange(3))
+            assert engine.compact().generation == 1
+
+        engine = Engine.build(
+            small_data, executor="process", n_workers=1, n_shards=1,
+            mutable=mutable, **_SMALL,
+        )
+        try:
+            steps = [
+                lambda: None,
+                lambda: engine.search(queries, k=5),
+                lambda: engine.search(queries[0], k=5),
+                lambda: engine.search_detailed(queries, k=5),
+            ]
+            if mutable:
+                steps.append(lambda: churn_and_compact(engine))
+            for step in steps:
+                step()
+                assert n_workers_alive() == 1
+                assert len(temp_dirs() - dirs_before) == 1
+            engine.save(tmp_path / "flat.npz")
+        finally:
+            engine.close()
+        assert n_workers_alive() == 0
+        assert temp_dirs() == dirs_before
+        # Workers of an engine loaded from a file attach to that file.
+        with Engine.load(
+            tmp_path / "flat.npz", executor="process", nprobe=2, scanner="naive"
+        ) as loaded:
+            loaded.search(queries, k=5)
+            loaded.search_detailed(queries, k=5)
+            assert n_workers_alive() == 1
+            assert temp_dirs() == dirs_before
+        assert n_workers_alive() == 0
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_one_query_is_the_batch_of_one(
+        self, small_data, queries, executor, n_shards
+    ):
+        with Engine.build(
+            small_data, executor=executor, n_shards=n_shards, mutable=True,
+            **_SMALL,
+        ) as engine:
+            clean = engine.search(queries, k=5)
+            # Dirty both halves of the overlay where the queries look:
+            # tombstone each query's best hit, add a row next to it.
+            engine.delete(np.array([r.ids[0] for r in clean]))
+            engine.add(queries + 0.25, np.arange(len(queries)) + 10**6)
+            dirty = engine.search(queries, k=5)
+            assert any(
+                a.ids.tobytes() != b.ids.tobytes() for a, b in zip(clean, dirty)
+            )
+            singles = [engine.search(query, k=5) for query in queries]
+            _assert_identical(dirty, singles)
+            assert engine.compact().n_folded == len(queries)
+            _assert_identical(
+                engine.search(queries, k=5),
+                [engine.search(query, k=5) for query in queries],
+            )
+
+    def test_one_shard_thread_engine_still_warns_about_gil_once(
+        self, small_data, queries
+    ):
+        with pytest.warns(RuntimeWarning, match="GIL-bound") as caught:
+            with Engine.build(
+                small_data, executor="thread", n_workers=2, n_shards=1,
+                mutable=True, **_SMALL,
+            ) as engine:
+                engine.search(queries, k=5)
+                engine.search(queries[0], k=5)
+                engine.search_detailed(queries, k=5)
+                engine.add(queries[:1], np.array([10**6]))
+                engine.compact()
+                engine.search(queries, k=5)
+        assert sum("GIL-bound" in str(w.message) for w in caught) == 1

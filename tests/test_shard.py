@@ -151,6 +151,28 @@ class TestShardRouter:
             for job in sub.jobs:
                 assert sharded.owner_of(job.partition_id) == shard_id
 
+    def test_planning_never_rebuilds_the_partition_list(
+        self, index8, batch_queries, monkeypatch
+    ):
+        # The plan is sized against the layout's one global view; the
+        # `partitions` property used to rebuild its list once per job.
+        sharded = ShardedIndex.from_index(index8, n_shards=2)
+        executor = ScatterGatherExecutor(
+            sharded, lambda: NaiveScanner(), backend="thread"
+        )
+        reads = []
+        monkeypatch.setattr(
+            ShardedIndex,
+            "partitions",
+            property(lambda self: reads.append(1) or self.global_view.partitions),
+        )
+        with executor:
+            plan, subplans = executor.router.plan(batch_queries, nprobe=4)
+            assert len(plan.jobs) > 1 and len(subplans) == 2
+            response = executor.run(batch_queries, topk=10, nprobe=4)
+        assert not response.partial
+        assert reads == []
+
 
 # -- healthy-path byte-identity -------------------------------------------------
 
@@ -286,6 +308,38 @@ class TestGracefulDegradation:
         for result in response.results:
             assert len(result.ids) > 0
 
+    def test_stalled_single_shard_is_abandoned_through_the_pool(
+        self, index8, batch_queries
+    ):
+        # One shard and a deadline: the only part still goes to the
+        # gather pool, because the caller's thread could not abandon it.
+        sharded = ShardedIndex.from_index(index8, n_shards=1)
+        release = threading.Event()
+        with ScatterGatherExecutor(
+            sharded, [_StallingScanner(release)], deadline_s=0.3,
+            backend="thread",
+        ) as executor:
+            try:
+                start = time.perf_counter()
+                response = executor.run(batch_queries, topk=10, nprobe=8)
+                elapsed = time.perf_counter() - start
+            finally:
+                release.set()
+            assert elapsed < 5.0
+            assert response.partial
+            assert [s.state for s in response.shard_statuses] == [STATE_TIMEOUT]
+            assert all(len(r.ids) == 0 for r in response.results)
+            assert all(len(r.probed) == 8 for r in response.results)
+            time.sleep(0.05)  # let the straggler drain
+            healthy = executor.run(batch_queries, topk=10, nprobe=8)
+        assert not healthy.partial
+        _assert_identical(
+            ANNSearcher(index8, NaiveScanner()).search(
+                batch_queries, topk=10, nprobe=8
+            ),
+            healthy.results,
+        )
+
     def test_partial_results_match_healthy_subset(self, index8, pq, batch_queries):
         # The partial answer must equal a merge over only the healthy
         # shard's partitions — degraded, but deterministic.
@@ -333,23 +387,35 @@ class TestGracefulDegradation:
         assert "transient shard fault" in status.error
 
     def test_transient_failure_recovers_via_retry(self, index8, pq, batch_queries):
-        sharded = ShardedIndex.from_index(index8, n_shards=2)
-        flaky = _FlakyScanner(fail_times=1)
-        executor = ScatterGatherExecutor(
-            sharded,
-            [NaiveScanner(), flaky],
-            max_retries=2,
-            backoff_s=0.0,
-            backend="thread",
-        )
         baseline = ANNSearcher(index8, NaiveScanner()).search(
             batch_queries, topk=10, nprobe=8
         )
-        response = executor.run(batch_queries, topk=10, nprobe=8)
-        assert not response.partial
-        assert response.status_for(1).state == STATE_OK
-        assert response.status_for(1).attempts == 2
-        _assert_identical(baseline, response.results)
+        # n_shards=1: the single part (no deadline) is scanned, and
+        # retried, on the caller's thread.
+        for n_shards in (2, 1):
+            sharded = ShardedIndex.from_index(index8, n_shards=n_shards)
+            scan_threads: set[str] = set()
+
+            class Flaky(_FlakyScanner):
+                def scan(self, tables, partition, topk=1):
+                    scan_threads.add(threading.current_thread().name)
+                    return super().scan(tables, partition, topk=topk)
+
+            executor = ScatterGatherExecutor(
+                sharded,
+                [NaiveScanner()] * (n_shards - 1) + [Flaky(fail_times=1)],
+                max_retries=2,
+                backoff_s=0.0,
+                backend="thread",
+            )
+            with executor:
+                response = executor.run(batch_queries, topk=10, nprobe=8)
+            assert not response.partial
+            assert response.status_for(n_shards - 1).state == STATE_OK
+            assert response.status_for(n_shards - 1).attempts == 2
+            _assert_identical(baseline, response.results)
+            on_caller = scan_threads == {threading.current_thread().name}
+            assert on_caller == (n_shards == 1)
 
     def test_configuration_error_is_not_swallowed(self, index8, pq, batch_queries):
         sharded = ShardedIndex.from_index(index8, n_shards=2)
