@@ -16,9 +16,12 @@ but fans the partition jobs across a persistent ``ProcessPoolExecutor``:
   serves many batches) and each worker warms its scanner on
   initialization (grouped layouts, centroid assignment), so steady-state
   batches pay no per-batch setup.
-* **Compact traffic** — a task ships only the probing queries' rows and
-  a result only flattened topk arrays plus counters; parent↔worker
-  bytes are independent of partition sizes.
+* **Compact traffic** — a worker receives one bundle per batch (the
+  query block once, plus a partition id and the probing rows per job)
+  and returns one packed :class:`~repro.scan.ScanBlock` for all of its
+  jobs, which the parent hands to the merger as it is; nothing is
+  pickled, unpickled or rebuilt per (query, partition) cell and
+  parent↔worker bytes are independent of partition sizes.
 * **Byte-identical results** — workers run the same
   :func:`~repro.search.scan_partition_batch` kernel and the parent folds
   their partials through the same :class:`~repro.search.StreamingMerger`,
@@ -39,30 +42,28 @@ import multiprocessing
 import os
 import tempfile
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from multiprocessing.context import BaseContext
 from pathlib import Path
+
+import numpy as np
 
 from ..core.sanitize import sanitizer_enabled
 from ..exceptions import ConfigurationError
 from ..ivf.inverted_index import IVFADCIndex
 from ..obs import Observability
-from ..scan.base import PartitionScanner, ScanResult
+from ..scan.base import PartitionScanner
 from ..search import (
     GATHER_TIMEOUT_S,
     BatchPlan,
     BatchPlanner,
+    PackedPartials,
+    PartitionJob,
     PlanExecutor,
-    _empty_grid,
+    _record_scans,
 )
 from ..simd.counters import WorkerStats
-from .worker import (
-    WorkerResult,
-    WorkerTask,
-    _init_worker,
-    _probe_worker,
-    _run_bundle,
-)
+from .worker import WorkerBundle, _init_worker, _probe_worker, _run_bundle
 
 __all__ = ["ProcessBatchExecutor"]
 
@@ -202,7 +203,7 @@ class ProcessBatchExecutor(PlanExecutor):
 
     def scan_plan(
         self, plan: BatchPlan, *, obs: Observability | None = None
-    ) -> tuple[list[list[ScanResult | None]], list[WorkerStats]]:
+    ) -> tuple[PackedPartials, list[WorkerStats]]:
         """Execute ``plan.jobs`` on the worker pool; raw per-probe partials."""
         if obs is None:
             obs = self._obs()
@@ -211,58 +212,39 @@ class ProcessBatchExecutor(PlanExecutor):
         # construction; every batch after that runs on the warm pool.
         obs.record_pool_reuse("process")
         worker_stats = [WorkerStats(worker_id=i) for i in range(self.pool_size)]
-        partials = _empty_grid(plan)
         bundles = self._bundle_jobs(plan)
         # Forward the parent's sanitizer gate with the batch: workers
         # re-apply it before scanning, so REPRO_SANITIZE set after the
         # pool spawned still reaches every worker process.
         sanitize = sanitizer_enabled()
         with obs.span("scan"):
-            futures: list[tuple[Future[tuple[WorkerResult, ...]], tuple[int, ...]]] = [
-                (
-                    pool.submit(
-                        _run_bundle,
-                        tuple(
-                            WorkerTask(
-                                task_id=task_id,
-                                partition_id=plan.jobs[task_id].partition_id,
-                                queries=plan.queries[plan.jobs[task_id].query_rows],
-                                topk=plan.topk,
-                            )
-                            for task_id in bundle
+            futures = [
+                pool.submit(
+                    _run_bundle,
+                    WorkerBundle(
+                        queries=plan.queries,
+                        partition_ids=tuple(job.partition_id for job in jobs),
+                        query_rows=np.concatenate(
+                            [job.query_rows for job in jobs]
                         ),
-                        sanitize,
+                        job_sizes=tuple(len(job.query_rows) for job in jobs),
+                        topk=plan.topk,
                     ),
-                    bundle,
+                    sanitize,
                 )
-                for bundle in bundles
+                for jobs in bundles
             ]
-            for future, bundle in futures:
-                for out, task_id in zip(
-                    future.result(timeout=GATHER_TIMEOUT_S), bundle
-                ):
-                    job = plan.jobs[task_id]
-                    offset = 0
-                    for i, (row, position) in enumerate(
-                        zip(job.query_rows, job.probe_positions)
-                    ):
-                        length = int(out.lengths[i])
-                        partials[int(row)][int(position)] = ScanResult(
-                            ids=out.ids[offset : offset + length],
-                            distances=out.distances[offset : offset + length],
-                            n_scanned=int(out.n_scanned[i]),
-                            n_pruned=int(out.n_pruned[i]),
-                        )
-                        offset += length
-                    worker_stats[self._slot_for(out.pid)].record_job(
-                        n_scans=len(out.lengths),
-                        n_vectors_scanned=int(out.n_scanned.sum()),
-                        n_vectors_pruned=int(out.n_pruned.sum()),
-                        busy_time_s=out.busy_time_s,
-                    )
-        return partials, worker_stats
+            blocks = []
+            for future, jobs in zip(futures, bundles):
+                pid, cells, busy_s = future.result(timeout=GATHER_TIMEOUT_S)
+                blocks.append(cells)
+                _record_scans(
+                    worker_stats[self._slot_for(pid)], cells, sum(busy_s), len(jobs)
+                )
+        in_order = [job for jobs in bundles for job in jobs]
+        return PackedPartials.of_jobs(plan, in_order, blocks), worker_stats
 
-    def _bundle_jobs(self, plan: BatchPlan) -> list[tuple[int, ...]]:
+    def _bundle_jobs(self, plan: BatchPlan) -> list[list[PartitionJob]]:
         """Pack the plan's jobs into at most :attr:`pool_size`
         cost-balanced bundles (one IPC round trip each).
 
@@ -272,15 +254,13 @@ class ProcessBatchExecutor(PlanExecutor):
         worker count instead of the partition count.
         """
         n_bundles = min(self.pool_size, len(plan.jobs))
-        if n_bundles <= 1:
-            return [tuple(range(len(plan.jobs)))] if plan.jobs else []
         loads = [0] * n_bundles
-        members: list[list[int]] = [[] for _ in range(n_bundles)]
-        for task_id, job in enumerate(plan.jobs):
+        members: list[list[PartitionJob]] = [[] for _ in range(n_bundles)]
+        for job in plan.jobs:
             lightest = min(range(n_bundles), key=loads.__getitem__)
-            members[lightest].append(task_id)
+            members[lightest].append(job)
             loads[lightest] += job.cost
-        return [tuple(bundle) for bundle in members if bundle]
+        return members
 
     # -- lifecycle ----------------------------------------------------------
 

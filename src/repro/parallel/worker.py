@@ -10,10 +10,12 @@ immediately (grouped layouts built, assignment learned), so the
 per-process caches are hot before the first task arrives and stay warm
 for the lifetime of the pool.
 
-Tasks and results are deliberately compact: a task carries only the
-partition id plus the probing queries' rows (a few kilobytes), a result
-only the flattened topk ids/distances and per-query counters. Parent ↔
-worker traffic is therefore independent of partition sizes.
+Traffic is deliberately compact and per bundle, not per cell: a
+:class:`WorkerBundle` carries the batch's query block once plus, per
+job, a partition id and the rows that probe it; what comes back is one
+:class:`~repro.scan.ScanBlock` for the whole bundle (three arrays), the
+worker's pid and each job's busy time. Parent ↔ worker traffic is
+therefore independent of partition sizes.
 """
 
 from __future__ import annotations
@@ -28,58 +30,32 @@ from ..core.sanitize import ENV_VAR as _SANITIZE_ENV_VAR
 from ..exceptions import ConfigurationError
 from ..ivf.inverted_index import IVFADCIndex
 from ..persistence import load_index
-from ..scan.base import PartitionScanner
-from ..search import scan_partition_batch
+from ..scan.base import PartitionScanner, ScanBlock
+from ..search import _scan_block
 from .spec import ScannerSpec
 
-__all__ = ["WorkerTask", "WorkerResult"]
+__all__ = ["WorkerBundle"]
 
 
 @dataclass(frozen=True)
-class WorkerTask:
-    """One partition-scan job shipped to a worker process.
+class WorkerBundle:
+    """The partition-scan jobs one worker runs for one batch.
 
     Attributes:
-        task_id: position of the job in the plan (for bookkeeping).
-        partition_id: partition to scan (resolved against the worker's
-            own mmapped index).
-        queries: ``(b, d)`` rows of the batch that probe the partition.
+        queries: the batch's whole ``(n_queries, d)`` block, shipped once
+            however many of the bundle's jobs a query takes part in.
+        partition_ids: partition of each job (resolved against the
+            worker's own mmapped index).
+        query_rows: rows of ``queries`` probing each job's partition,
+            the jobs' runs end to end; ``job_sizes`` are their lengths.
         topk: neighbors requested per query.
     """
 
-    task_id: int
-    partition_id: int
     queries: np.ndarray
+    partition_ids: tuple[int, ...]
+    query_rows: np.ndarray
+    job_sizes: tuple[int, ...]
     topk: int
-
-
-@dataclass(frozen=True)
-class WorkerResult:
-    """Compact outcome of one :class:`WorkerTask`.
-
-    The per-query :class:`~repro.scan.ScanResult` lists are flattened
-    into contiguous arrays for cheap pickling; the parent re-slices them
-    using ``lengths``.
-
-    Attributes:
-        task_id: echo of the task's id.
-        pid: worker process id (parent maps pids to worker-stat slots).
-        lengths: per-query candidate counts, ``len == len(queries)``.
-        ids: all candidate ids, concatenated in query order.
-        distances: matching ADC distances.
-        n_scanned: per-query vectors considered.
-        n_pruned: per-query vectors pruned by lower bounds.
-        busy_time_s: wall time the worker spent on this task.
-    """
-
-    task_id: int
-    pid: int
-    lengths: np.ndarray
-    ids: np.ndarray
-    distances: np.ndarray
-    n_scanned: np.ndarray
-    n_pruned: np.ndarray
-    busy_time_s: float
 
 
 # Per-process state, populated by _init_worker. A plain module dict:
@@ -105,14 +81,17 @@ def _probe_worker() -> int:
 
 
 def _run_bundle(
-    tasks: tuple[WorkerTask, ...], sanitize: bool = False
-) -> tuple[WorkerResult, ...]:
+    bundle: WorkerBundle, sanitize: bool = False
+) -> tuple[int, ScanBlock, list[float]]:
     """Run a bundle of partition jobs in one round trip.
 
     The parent packs a whole batch's jobs into at most ``n_workers``
     bundles (balanced by job cost), so queue traffic — task pickles,
     semaphore wakeups across idle workers, result pipe writes — is a
     per-batch constant instead of scaling with the partition count.
+    Returns ``(pid, cells, busy_s)``: the worker's process id (the parent
+    maps pids to worker-stat slots), the jobs' scans end to end in one
+    block, and the wall time spent on each job.
 
     ``sanitize`` mirrors the parent's ``REPRO_SANITIZE`` gate at call
     time: worker processes may have been spawned before the gate was
@@ -125,12 +104,6 @@ def _run_bundle(
         os.environ[_SANITIZE_ENV_VAR] = "1"
     else:
         os.environ.pop(_SANITIZE_ENV_VAR, None)
-    return tuple(_run_task(task) for task in tasks)
-
-
-def _run_task(task: WorkerTask) -> WorkerResult:
-    """Scan one partition for the task's queries; return packed results."""
-    t0 = time.perf_counter()
     index = _STATE["index"]
     scanner = _STATE["scanner"]
     if not isinstance(index, IVFADCIndex) or not isinstance(
@@ -139,24 +112,16 @@ def _run_task(task: WorkerTask) -> WorkerResult:
         raise ConfigurationError(
             "worker process used before _init_worker attached its state"
         )
-    partition = index.partitions[task.partition_id]
-    tables = index.distance_tables_for_batch(task.queries, task.partition_id)
-    results = scan_partition_batch(scanner, tables, partition, task.topk)
-    return WorkerResult(
-        task_id=task.task_id,
-        pid=os.getpid(),
-        lengths=np.array([len(r.ids) for r in results], dtype=np.int64),
-        ids=(
-            np.concatenate([r.ids for r in results])
-            if results
-            else np.empty(0, dtype=np.int64)
-        ),
-        distances=(
-            np.concatenate([r.distances for r in results])
-            if results
-            else np.empty(0, dtype=np.float64)
-        ),
-        n_scanned=np.array([r.n_scanned for r in results], dtype=np.int64),
-        n_pruned=np.array([r.n_pruned for r in results], dtype=np.int64),
-        busy_time_s=time.perf_counter() - t0,
-    )
+    blocks, busy_s = [], []
+    stop = 0
+    for partition_id, size in zip(bundle.partition_ids, bundle.job_sizes):
+        t0 = time.perf_counter()
+        start, stop = stop, stop + size
+        tables = index.distance_tables_for_batch(
+            bundle.queries[bundle.query_rows[start:stop]], partition_id
+        )
+        blocks.append(
+            _scan_block(scanner, tables, index.partitions[partition_id], bundle.topk)
+        )
+        busy_s.append(time.perf_counter() - t0)
+    return os.getpid(), ScanBlock.concatenate(blocks), busy_s

@@ -1,7 +1,7 @@
 """PQ Scan baseline implementations (Section 3 of the paper)."""
 
 from .avx import AVXScanner
-from .base import InstructionProfile, PartitionScanner, ScanResult
+from .base import InstructionProfile, PartitionScanner, ScanBlock, ScanResult
 from .gather import GatherScanner
 from .layout import (
     NibblePartition,
@@ -18,7 +18,7 @@ from .layout import (
 from .libpq import LibpqScanner
 from .naive import NaiveScanner
 from .quickadc import QuickADCResult, QuickADCScanner
-from .topk import TopKAccumulator, select_topk
+from .topk import TopKAccumulator, select_topk, select_topk_rows
 
 #: All baseline scanner classes keyed by their paper name.
 #: (QuickADCScanner, like PQFastScanner, is constructor-parameterized on
@@ -40,6 +40,7 @@ __all__ = [
     "QuickADCResult",
     "QuickADCScanner",
     "SCANNERS",
+    "ScanBlock",
     "ScanResult",
     "TopKAccumulator",
     "extract_component",
@@ -48,6 +49,7 @@ __all__ = [
     "pack_codes_words",
     "pack_nibbles",
     "select_topk",
+    "select_topk_rows",
     "transpose_codes",
     "unpack_codes_words",
     "unpack_nibbles",

@@ -22,8 +22,8 @@ from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
 from ..obs import get_observability
 from ..pq.adc import adc_distance_single, adc_distances
-from .base import InstructionProfile, PartitionScanner, ScanResult
-from .topk import TopKAccumulator, select_topk
+from .base import InstructionProfile, PartitionScanner, ScanBlock, ScanResult
+from .topk import TopKAccumulator, select_topk, select_topk_rows
 
 __all__ = ["NaiveScanner"]
 
@@ -45,13 +45,14 @@ class NaiveScanner(PartitionScanner):
 
     def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
-    ) -> list[ScanResult]:
+    ) -> ScanBlock:
         """Scan one partition for a whole query batch at once.
 
         ``tables`` is the ``(b, m, k*)`` stack of per-query distance
         tables. The codes are gathered once per component for the whole
-        batch, and the per-component contributions accumulate in the
-        same left-to-right order as :func:`~repro.pq.adc.adc_distances`,
+        batch, the per-component contributions accumulate in the same
+        left-to-right order as :func:`~repro.pq.adc.adc_distances`, and
+        one :func:`~repro.scan.select_topk_rows` selects for every query,
         so result ``i`` is bit-identical to ``scan(tables[i], ...)``.
         """
         tables = np.asarray(tables, dtype=np.float64)
@@ -60,18 +61,16 @@ class NaiveScanner(PartitionScanner):
         codes = partition.codes
         if codes.shape[1] != tables.shape[1]:
             raise DimensionMismatchError(tables.shape[1], codes.shape[1], what="code")
-        distances = np.take(tables[:, 0, :], codes[:, 0], axis=1)
+        distances = tables[:, 0, :].take(codes[:, 0], axis=1)
         for j in range(1, tables.shape[1]):
-            distances += np.take(tables[:, j, :], codes[:, j], axis=1)
-        n = len(partition)
-        results = []
-        for row in distances:
-            ids, dists = select_topk(row, partition.ids, topk)
-            results.append(ScanResult(ids=ids, distances=dists, n_scanned=n))
+            distances += tables[:, j, :].take(codes[:, j], axis=1)
+        n, b = len(partition), len(distances)
+        ids, dists = select_topk_rows(distances, partition.ids, topk)
         obs = get_observability()
         if obs.enabled:
-            obs.record_scan(self.name, n_scanned=n * len(results), n_pruned=0)
-        return results
+            obs.record_scan(self.name, n_scanned=n * b, n_pruned=0)
+        counts = np.array([[ids.shape[1]], [n], [0]], dtype=np.int64)
+        return ScanBlock(ids, dists, np.repeat(counts, b, axis=1))
 
     def scan_scalar(
         self, tables: np.ndarray, partition: Partition, topk: int = 1

@@ -47,16 +47,16 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .exceptions import ConfigurationError, SimulationError
 from .ivf.inverted_index import IVFADCIndex
 from .obs import Observability, get_observability
-from .scan.base import PartitionScanner, ScanResult
+from .scan.base import PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock, ScanResult
 from .scan.naive import NaiveScanner
-from .scan.topk import select_topk
+from .scan.topk import select_topk, select_topk_rows
 from .simd.counters import (
     WorkerStats,
     aggregate_worker_stats,
@@ -73,6 +73,7 @@ __all__ = [
     "BatchPlanner",
     "BatchReport",
     "GATHER_TIMEOUT_S",
+    "PackedPartials",
     "PartitionJob",
     "SearchResult",
     "StreamingMerger",
@@ -187,18 +188,25 @@ class BatchPlanner:
         if topk < 1:
             raise ConfigurationError("topk must be >= 1")
         probed = self.index.route_batch(queries, nprobe=nprobe)
+        # One stable argsort inverts the plan: a partition's probes stay
+        # in row-major order, so each job lists its queries ascending.
+        flat = probed.ravel()
+        order = np.argsort(flat, kind="stable")
+        rows, positions = np.divmod(order, probed.shape[1])
+        pids = flat[order]
+        cuts = (np.flatnonzero(pids[1:] != pids[:-1]) + 1).tolist()
         jobs = []
-        for pid in np.unique(probed):
-            hit = probed == pid
-            rows = np.flatnonzero(hit.any(axis=1))
-            positions = hit[rows].argmax(axis=1)
-            size = len(self.index.partitions[int(pid)])
+        for start, stop in zip([0, *cuts], [*cuts, len(pids)]):
+            if start == stop:  # an empty batch has no run at all
+                break
+            pid = int(pids[start])
+            size = len(self.index.partitions[pid])
             jobs.append(
                 PartitionJob(
-                    partition_id=int(pid),
-                    query_rows=rows,
-                    probe_positions=positions,
-                    cost=len(rows) * max(size, 1),
+                    partition_id=pid,
+                    query_rows=rows[start:stop],
+                    probe_positions=positions[start:stop],
+                    cost=(stop - start) * max(size, 1),
                 )
             )
         # Largest jobs first: with fewer jobs than workers towards the
@@ -216,12 +224,9 @@ class BatchPlanner:
 # -- batch execution -----------------------------------------------------------
 
 
-def scan_partition_batch(
-    scanner: PartitionScanner,
-    tables: np.ndarray,
-    partition,
-    topk: int,
-) -> list[ScanResult]:
+def _scan_block(
+    scanner: PartitionScanner, tables: np.ndarray, partition, topk: int
+) -> ScanBlock:
     """Scan one partition for a whole query batch, most batch-friendly first.
 
     The shared partition-scan kernel of every executor (thread-backed
@@ -229,20 +234,44 @@ def scan_partition_batch(
     the sharded scatter-gather path). Dispatch:
 
     * scanners exposing ``scan_batch`` — whatever the scanner shares
-      across the batch (plain PQ Scan: one batched ADC accumulation;
-      :class:`~repro.core.PQFastScanner` / Quick ADC: one prepared-layout
-      fetch, PQ Fast Scan also one table-stack remap).
+      across the batch (plain PQ Scan: one batched ADC accumulation and
+      one row-wise selection; :class:`~repro.core.PQFastScanner` / Quick
+      ADC: one prepared-layout fetch, PQ Fast Scan also one table-stack
+      remap).
     * any other :class:`PartitionScanner` — per-query ``scan`` calls.
 
     ``tables`` is the ``(b, m, k*)`` stack for the batch's queries
-    against this partition; the return value has one
-    :class:`~repro.scan.ScanResult` per table row, byte-identical to the
-    per-query sequential loop.
+    against this partition; the block has one cell per table row,
+    byte-identical to the per-query sequential loop.
     """
     scan_batch = getattr(scanner, "scan_batch", None)
     if callable(scan_batch):
-        return list(scan_batch(tables, partition, topk))
-    return [scanner.scan(tables[i], partition, topk=topk) for i in range(len(tables))]
+        return ScanBlock.pack(scan_batch(tables, partition, topk))
+    return ScanBlock.pack(
+        [scanner.scan(tables[i], partition, topk=topk) for i in range(len(tables))]
+    )
+
+
+def _record_scans(
+    stats: WorkerStats, cells: ScanBlock, busy_time_s: float, n_jobs: int = 1
+) -> None:
+    """Account the scans of one job (or of a worker's ``n_jobs``) to ``stats``."""
+    _, n_scanned, n_pruned = cells.counts.sum(axis=1).tolist()
+    stats.record_job(
+        n_jobs=n_jobs,
+        n_scans=len(cells),
+        n_vectors_scanned=n_scanned,
+        n_vectors_pruned=n_pruned,
+        busy_time_s=busy_time_s,
+    )
+
+
+def scan_partition_batch(
+    scanner: PartitionScanner, tables: np.ndarray, partition, topk: int
+) -> list[ScanResult]:
+    """The executors' partition scan as one :class:`~repro.scan.ScanResult`
+    per table row (the executors themselves keep it packed)."""
+    return list(_scan_block(scanner, tables, partition, topk))
 
 
 def merge_partials(
@@ -294,22 +323,90 @@ def merge_partials(
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class PackedPartials:
+    """Scanned cells of a plan's ``(n_queries, nprobe)`` grid, packed.
+
+    The one partial type: what every ``scan_plan`` and the overlay fold
+    hand to :class:`StreamingMerger`, and what crosses the process
+    boundary. Cell ``i`` of ``cells`` (a :class:`~repro.scan.ScanBlock`)
+    is the scan of query ``rows[i]`` against its ``positions[i]``-th
+    probed partition. Indexed like the list grid it replaces:
+    ``partials[row][position]`` is that cell's
+    :class:`~repro.scan.ScanResult`, ``None`` where nothing was scanned.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    positions: np.ndarray
+    cells: ScanBlock
+
+    @classmethod
+    def of_jobs(
+        cls, plan: BatchPlan, jobs: Sequence[PartitionJob], blocks: Sequence[ScanBlock]
+    ) -> "PackedPartials":
+        """``blocks`` hold the scans of ``jobs`` end to end, in job order
+        (one block per job, or fewer, longer ones)."""
+        none = [np.empty(0, dtype=np.intp)]
+        return cls(
+            (plan.n_queries, plan.nprobe),
+            np.concatenate([job.query_rows for job in jobs] or none),
+            np.concatenate([job.probe_positions for job in jobs] or none),
+            ScanBlock.concatenate(blocks),
+        )
+
+    @classmethod
+    def of_grid(
+        cls, grid: "PackedPartials | Sequence[Sequence[ScanResult | None]]"
+    ) -> "PackedPartials":
+        """The one conversion from a list grid (packed ones pass through)."""
+        if isinstance(grid, cls):
+            return grid
+        at = [
+            (row, position)
+            for row, scans in enumerate(grid)
+            for position, scan in enumerate(scans)
+            if scan is not None
+        ]
+        rows, positions = np.array(at, dtype=np.intp).reshape(len(at), 2).T
+        return cls(
+            (len(grid), len(grid[0]) if len(grid) else 0),
+            rows,
+            positions,
+            ScanBlock.pack([grid[row][position] for row, position in at]),
+        )
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, row: int) -> "list[ScanResult | None]":
+        if not 0 <= row < len(self):
+            raise IndexError(row)
+        out: list[ScanResult | None] = [None] * self.shape[1]
+        for cell in np.flatnonzero(self.rows == row).tolist():
+            out[self.positions[cell]] = self.cells[cell]
+        return out
+
+
 class StreamingMerger:
-    """Incremental counterpart of :func:`merge_partials`.
+    """Incremental counterpart of :func:`merge_partials`, on arrays.
 
     The barrier merge needs every partial grid before it can start; the
-    executors instead fold each grid into this merger *as it lands*
-    (:meth:`fold`) — the one grid of a thread or process batch, the
-    overlay grids of a mutable engine, each shard's grid while the other
-    shards are still scanning. Per query the merger keeps the running
-    ``(ids, distances)`` top-k and folds new cells into it with
-    :func:`~repro.scan.select_topk`, the selection the barrier merge
-    applies to the full concatenation. Its (distance, id) order is
-    total — database ids are unique across partitions — so the ``topk``
-    smallest candidates are the same set whatever the fold order, and
-    :meth:`results` is byte-identical to ``merge_partials`` over the
-    same scans, including the dtypes of empty results and the error
-    raised on incomplete coverage; distances pass through unrecomputed.
+    executors instead fold each :class:`PackedPartials` into this merger
+    *as it lands* (:meth:`fold`) — the one part of a thread or process
+    batch, the overlay parts of a mutable engine, each shard's part
+    while the other shards are still scanning. A fold is a scatter of
+    the part's cells to their ``(row, position)`` place in
+    ``(n_queries, nprobe, k)`` arrays, and :meth:`results` selects every
+    query's top-k at once (:func:`~repro.scan.select_topk_rows`) from
+    its row of them. The (distance, id) order is total — database ids
+    are unique across partitions — so the ``topk`` smallest candidates
+    are the same set whatever the fold order, and :meth:`results` is
+    byte-identical to ``merge_partials`` over the same scans, including
+    the dtypes of empty results and the error raised on incomplete
+    coverage; distances pass through unrecomputed. How many candidates
+    a query has comes from the cells' ``lengths``; the padding past
+    them, like a position no cell landed on, only has to sort last.
 
     The merger also accounts its own work: :attr:`merge_time_s` is the
     total time spent folding and finalizing, which the gatherer compares
@@ -318,70 +415,80 @@ class StreamingMerger:
 
     def __init__(self, plan: BatchPlan) -> None:
         self.plan = plan
-        # Running (ids, distances) top-k per query; None until a scan of
-        # that query is folded.
-        self._held: list[tuple[np.ndarray, np.ndarray] | None] = (
-            [None] * plan.n_queries
-        )
-        # (n_queries, nprobe) probe positions folded so far; disjoint
-        # shard grids each cover their own cells exactly once.
-        self._covered = [[False] * plan.nprobe for _ in range(plan.n_queries)]
-        self._n_scanned = [0] * plan.n_queries
-        self._n_pruned = [0] * plan.n_queries
+        shape = (plan.n_queries, plan.nprobe)
+        # Probe positions folded so far; disjoint shard parts each cover
+        # their own cells exactly once.
+        self._covered = np.zeros(shape, dtype=bool)
+        # The scattered cells, laid out like a ScanBlock per query:
+        # (n_queries, positions, width) candidates, as wide as the widest
+        # cell so far, and (3, n_queries, positions) counts. The first
+        # nprobe positions are the plan's, every covers=False fold
+        # appends nprobe more.
+        self._ids = np.empty((*shape, 0), dtype=np.int64)
+        self._distances = np.empty((*shape, 0), dtype=np.float64)
+        self._counts = np.zeros((3, *shape), dtype=np.int64)
         self.n_folds = 0
         self.merge_time_s = 0.0
 
     @property
     def complete(self) -> bool:
         """True once every (query, probe) cell of the plan was folded."""
-        return all(all(row) for row in self._covered)
+        return bool(self._covered.all())
 
     def fold(
-        self, partials: list[list[ScanResult | None]], *, covers: bool = True
+        self,
+        partials: "PackedPartials | Sequence[Sequence[ScanResult | None]]",
+        *,
+        covers: bool = True,
     ) -> None:
-        """Fold one ``(n_queries, nprobe)`` partial grid into the merge.
+        """Fold one part of the ``(n_queries, nprobe)`` grid into the merge.
 
-        ``None`` cells (scans the grid does not cover) and cells already
-        folded by an earlier grid are skipped, so folding the disjoint
-        per-shard grids of one batch — in any completion order — is
-        equivalent to the single barrier merge over their union.
+        A hand-built list grid is packed first. Positions the part does
+        not name and cells already folded by an earlier part are
+        skipped, so folding the disjoint per-shard parts of one batch —
+        in any completion order, some delivered twice — is equivalent
+        to the single barrier merge over their union.
 
         ``covers=False`` folds *extra* candidates without claiming plan
-        coverage. The delta-overlay path scans a partition's delta
-        segment in addition to its base: the base scan owns the (query,
-        probe) cell of the plan, while the segment's candidates merely
-        join the same top-k. Every non-``None`` scan is folded (and its
-        scanned/pruned counters accounted) but :attr:`complete` is left
-        untouched, so coverage still reflects the base plan alone.
+        coverage: the delta-overlay path scans a partition's delta
+        segment in addition to its base, whose scan owns the plan's
+        (query, probe) cell. Every cell is folded, as further columns of
+        its query's row, and its scanned/pruned counters accounted, but
+        :attr:`complete` still reflects the base plan alone.
         """
         t0 = time.perf_counter()
-        topk = self.plan.topk
-        for row, scans in enumerate(partials):
-            covered_row = self._covered[row]
-            taken = []
-            for position, scan in enumerate(scans):
-                if scan is None:
-                    continue
-                if covers:
-                    if covered_row[position]:
-                        continue
-                    covered_row[position] = True
-                taken.append(scan)
-            if not taken:
-                continue
-            ids = [scan.ids for scan in taken]
-            dists = [scan.distances for scan in taken]
-            held = self._held[row]
-            if held is not None:
-                ids.append(held[0])
-                dists.append(held[1])
-            self._held[row] = select_topk(
-                np.concatenate(dists), np.concatenate(ids), topk
-            )
-            self._n_scanned[row] += sum(scan.n_scanned for scan in taken)
-            self._n_pruned[row] += sum(scan.n_pruned for scan in taken)
+        part = PackedPartials.of_grid(partials)
+        rows, positions, cells = part.rows, part.positions, part.cells
+        n_positions = self._ids.shape[1]
+        if covers:
+            fresh = ~self._covered[rows, positions]
+            if not fresh.all():
+                rows, positions, cells = rows[fresh], positions[fresh], cells.select(fresh)
+            self._covered[rows, positions] = True
+        else:
+            positions = positions + n_positions
+            n_positions += self.plan.nprobe
+        width = cells.ids.shape[1]
+        self._reserve(n_positions, max(width, self._ids.shape[2]))
+        # The scatter: one fancy-index assignment per array.
+        self._ids[rows, positions, :width] = cells.ids
+        self._distances[rows, positions, :width] = cells.distances
+        self._counts[:, rows, positions] = cells.counts
         self.n_folds += 1
         self.merge_time_s += time.perf_counter() - t0
+
+    def _reserve(self, n_positions: int, width: int) -> None:
+        """Room for ``n_positions`` cells of ``width`` per query."""
+        n_queries, held_positions, held_width = self._ids.shape
+        if (n_positions, width) == (held_positions, held_width):
+            return
+        ids = np.full((n_queries, n_positions, width), PAD_ID, dtype=np.int64)
+        distances = np.full(ids.shape, PAD_DISTANCE, dtype=np.float64)
+        counts = np.zeros((3, n_queries, n_positions), dtype=np.int64)
+        ids[:, :held_positions, :held_width] = self._ids
+        distances[:, :held_positions, :held_width] = self._distances
+        counts[:, :, :held_positions] = self._counts
+        self._ids, self._distances, self._counts = ids, distances, counts
 
     def results(self, *, require_complete: bool = True) -> list[SearchResult]:
         """Finalize the merge; same contract as :func:`merge_partials`.
@@ -392,24 +499,30 @@ class StreamingMerger:
         gaps, and the results cover every scan that did arrive.
         """
         t0 = time.perf_counter()
-        probed = self.plan.probed.tolist()
-        out = []
-        for row, held in enumerate(self._held):
-            if require_complete and not all(self._covered[row]):
-                raise SimulationError(
-                    f"batch plan left query {row} with unscanned probes"
-                )
-            if held is None:
-                held = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-            out.append(
-                SearchResult(
-                    ids=held[0],
-                    distances=held[1],
-                    n_scanned=self._n_scanned[row],
-                    n_pruned=self._n_pruned[row],
-                    probed=tuple(probed[row]),
-                )
+        if require_complete and not self.complete:
+            row = int(np.flatnonzero(~self._covered.all(axis=1))[0])
+            raise SimulationError(
+                f"batch plan left query {row} with unscanned probes"
             )
+        n_queries, n_positions, width = self._ids.shape
+        flat = (n_queries, n_positions * width)
+        ids, distances = select_topk_rows(
+            self._distances.reshape(flat), self._ids.reshape(flat), self.plan.topk
+        )
+        totals = self._counts.sum(axis=2)
+        np.minimum(totals[0], self.plan.topk, out=totals[0])
+        out = [
+            SearchResult(
+                ids=ids[row, :kept],
+                distances=distances[row, :kept],
+                n_scanned=n_scanned,
+                n_pruned=n_pruned,
+                probed=tuple(probed),
+            )
+            for row, ((kept, n_scanned, n_pruned), probed) in enumerate(
+                zip(totals.T.tolist(), self.plan.probed.tolist())
+            )
+        ]
         self.merge_time_s += time.perf_counter() - t0
         return out
 
@@ -448,8 +561,8 @@ def _fold_overlay(
 
     The overlay half of the plan-to-results pipeline, run in the calling
     process by every executor (workers only ever see the immutable base
-    artifact). Two ``(n_queries, nprobe)`` grids are built and folded,
-    each only when the plan touches such a partition:
+    artifact). Two parts are packed and folded, each only when the plan
+    touches such a partition:
 
     * scans of the tombstone-filtered *replacement* partitions cover the
       plan cells their stripped executor jobs left open;
@@ -458,8 +571,11 @@ def _fold_overlay(
       elsewhere).
     """
     plan = merger.plan
-    masked_grid: list[list[ScanResult | None]] | None = None
-    extra_grid: list[list[ScanResult | None]] | None = None
+    # covers -> the jobs that touch such a partition, and their scans
+    parts: dict[bool, tuple[list[PartitionJob], list[ScanBlock]]] = {
+        True: ([], []),
+        False: ([], []),
+    }
     for job in plan.jobs:
         masked = view.masked.get(job.partition_id)
         segment = view.segments.get(job.partition_id)
@@ -469,43 +585,19 @@ def _fold_overlay(
             tables = index.distance_tables_for_batch(
                 plan.queries[job.query_rows], job.partition_id
             )
-        if masked is not None:
-            if masked_grid is None:
-                masked_grid = _empty_grid(plan)
+        for partition, covers in ((masked, True), (segment, False)):
+            if partition is None:
+                continue
             with obs.span("scan"):
-                results = scan_partition_batch(
-                    _OVERLAY_SCANNER, tables, masked, plan.topk
+                block = _OVERLAY_SCANNER.scan_batch(tables, partition, plan.topk)
+            parts[covers][0].append(job)
+            parts[covers][1].append(block)
+    for covers, (jobs, blocks) in parts.items():
+        if jobs:
+            with obs.span("merge"):
+                merger.fold(
+                    PackedPartials.of_jobs(plan, jobs, blocks), covers=covers
                 )
-            _place_results(masked_grid, job, results)
-        if segment is not None:
-            if extra_grid is None:
-                extra_grid = _empty_grid(plan)
-            with obs.span("scan"):
-                results = scan_partition_batch(
-                    _OVERLAY_SCANNER, tables, segment, plan.topk
-                )
-            _place_results(extra_grid, job, results)
-    if masked_grid is not None:
-        with obs.span("merge"):
-            merger.fold(masked_grid)
-    if extra_grid is not None:
-        with obs.span("merge"):
-            merger.fold(extra_grid, covers=False)
-
-
-def _empty_grid(plan: BatchPlan) -> list[list[ScanResult | None]]:
-    return [[None] * plan.nprobe for _ in range(plan.n_queries)]
-
-
-def _place_results(
-    grid: list[list[ScanResult | None]],
-    job: PartitionJob,
-    results: list[ScanResult],
-) -> None:
-    for row, position, result in zip(
-        job.query_rows, job.probe_positions, results
-    ):
-        grid[int(row)][int(position)] = result
 
 
 @dataclass
@@ -654,14 +746,14 @@ class ScanPart:
 
     Attributes:
         status: which shard scanned the part and how that went.
-        partials: the part's ``(n_queries, nprobe)`` grid, ``None`` at
-            probe positions no job of the part covered; no grid at all
-            when the part had no jobs, failed or timed out.
+        partials: the part's scanned cells of the ``(n_queries, nprobe)``
+            grid; none at all when the part had no jobs, failed or
+            timed out.
         worker_stats: per-worker work accounting of the part.
     """
 
     status: ShardStatus
-    partials: list[list[ScanResult | None]] | None = None
+    partials: PackedPartials | None = None
     worker_stats: list[WorkerStats] = field(default_factory=list)
 
 
@@ -790,8 +882,9 @@ class PlanExecutor(PlanPipeline):
     """A pipeline whose scan lands in one part: :meth:`scan_plan`.
 
     The base of the thread and process executors, which supply the scan
-    half only — how ``plan.jobs`` become an ``(n_queries, nprobe)`` grid
-    of partials — plus :meth:`close`, and set ``n_workers`` as well.
+    half only — how ``plan.jobs`` become the packed cells of the
+    ``(n_queries, nprobe)`` grid — plus :meth:`close`, and set
+    ``n_workers`` as well.
     """
 
     n_workers: int
@@ -840,14 +933,15 @@ class PlanExecutor(PlanPipeline):
 
     def scan_plan(
         self, plan: BatchPlan, *, obs: Observability | None = None
-    ) -> tuple[list[list[ScanResult | None]], list[WorkerStats]]:
+    ) -> tuple[PackedPartials, list[WorkerStats]]:
         """Execute ``plan.jobs`` and return the raw per-probe partials.
 
         The scan half of the pipeline, exposed so the sharded
         scatter-gather layer can execute a shard-local job subset
-        against a *global* plan: the returned grid is always
-        ``(n_queries, nprobe)`` with ``None`` at probe positions no job
-        of this plan covered, ready for :meth:`StreamingMerger.fold`.
+        against a *global* plan: the returned :class:`PackedPartials`
+        always addresses the global ``(n_queries, nprobe)`` grid and
+        holds a cell for every probe position a job of this plan
+        covered, ready for :meth:`StreamingMerger.fold`.
         """
         raise NotImplementedError
 
@@ -941,7 +1035,7 @@ class BatchExecutor(PlanExecutor):
 
     def scan_plan(
         self, plan: BatchPlan, *, obs: Observability | None = None
-    ) -> tuple[list[list[ScanResult | None]], list[WorkerStats]]:
+    ) -> tuple[PackedPartials, list[WorkerStats]]:
         """Execute ``plan.jobs`` inline or on the thread pool."""
         if obs is None:
             obs = self._obs()
@@ -956,9 +1050,8 @@ class BatchExecutor(PlanExecutor):
 
         n_slots = max(self.n_workers, 1)
         worker_stats = [WorkerStats(worker_id=i) for i in range(n_slots)]
-        partials = _empty_grid(plan)
 
-        def run_job(job: PartitionJob, worker_id: int) -> None:
+        def run_job(job: PartitionJob, worker_id: int) -> ScanBlock:
             t0 = time.perf_counter()
             partition = self.index.partitions[job.partition_id]
             with obs.span("tables"):
@@ -966,29 +1059,21 @@ class BatchExecutor(PlanExecutor):
                     plan.queries[job.query_rows], job.partition_id
                 )
             with obs.span("scan"):
-                results = scan_partition_batch(
-                    self.scanner, tables, partition, plan.topk
-                )
-            _place_results(partials, job, results)
-            worker_stats[worker_id].record_job(
-                n_scans=len(results),
-                n_vectors_scanned=sum(r.n_scanned for r in results),
-                n_vectors_pruned=sum(r.n_pruned for r in results),
-                busy_time_s=time.perf_counter() - t0,
-            )
+                block = _scan_block(self.scanner, tables, partition, plan.topk)
+            _record_scans(worker_stats[worker_id], block, time.perf_counter() - t0)
+            return block
 
         if self.n_workers == 1 or len(plan.jobs) <= 1:
-            for job in plan.jobs:
-                run_job(job, 0)
+            blocks = [run_job(job, 0) for job in plan.jobs]
         else:
             pool = self._ensure_pool(obs)
-            slots = {}
-            for i, job in enumerate(plan.jobs):
-                slots[pool.submit(run_job, job, i % n_slots)] = job
-            for future in slots:
-                future.result(timeout=GATHER_TIMEOUT_S)
+            futures = [
+                pool.submit(run_job, job, i % n_slots)
+                for i, job in enumerate(plan.jobs)
+            ]
+            blocks = [future.result(timeout=GATHER_TIMEOUT_S) for future in futures]
 
-        return partials, worker_stats
+        return PackedPartials.of_jobs(plan, plan.jobs, blocks), worker_stats
 
     def close(self) -> None:
         """Shut the persistent worker pool down (idempotent).

@@ -135,9 +135,11 @@ class WorkerStats:
         n_vectors_scanned: int,
         n_vectors_pruned: int,
         busy_time_s: float,
+        n_jobs: int = 1,
     ) -> None:
-        """Account one finished partition-scan job."""
-        self.n_jobs += 1
+        """Account one finished partition-scan job (or the totals of
+        ``n_jobs`` of them, as a process worker reports a bundle)."""
+        self.n_jobs += n_jobs
         self.n_scans += n_scans
         self.n_vectors_scanned += n_vectors_scanned
         self.n_vectors_pruned += n_vectors_pruned

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ANNSearcher,
@@ -384,3 +386,90 @@ class TestEngineProcessExecutor:
             a = thread_engine.search(dataset.queries, k=10)
             b = process_engine.search(dataset.queries, k=10)
         _assert_results_equal(a, b)
+
+
+class TestScanPlanCellForCell:
+    """The process executor's packed partials are the thread executor's,
+    cell for cell, for every scanner family (hypothesis over the batch,
+    ``topk`` and ``nprobe``; one pool per scanner for the whole class)."""
+
+    KINDS = ("naive", "fastpq", "quickadc")
+
+    @pytest.fixture(scope="class")
+    def executors(self, dataset, pq, tmp_path_factory):
+        from repro import IVFADCIndex, ProductQuantizer, QuickADCScanner
+
+        pq4 = ProductQuantizer(m=16, bits=4, max_iter=3, seed=4).fit(dataset.learn)
+        built = {}
+        for kind in self.KINDS:
+            quantizer = pq4 if kind == "quickadc" else pq
+            # 12 cells over 1500 rows: some partitions are shorter than
+            # the largest topk drawn below, so block widths differ.
+            index = IVFADCIndex(quantizer, n_partitions=12, seed=5).add(
+                dataset.base[:1500]
+            )
+            path = tmp_path_factory.mktemp(f"cells-{kind}") / "index.npz"
+            save_index(index, path)
+            make = {
+                "naive": NaiveScanner,
+                "fastpq": lambda: PQFastScanner(quantizer, keep=0.02, seed=0),
+                "quickadc": lambda: QuickADCScanner(quantizer, keep=0.02),
+            }[kind]
+            built[kind] = (
+                BatchExecutor(index, make()),
+                ProcessBatchExecutor(path, make(), n_workers=2, index=index),
+            )
+        yield built
+        for thread, process in built.values():
+            thread.close()
+            process.close()
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        rows=st.lists(st.integers(0, 7), min_size=1, max_size=12),
+        topk=st.sampled_from([1, 5, 40, 200]),
+        nprobe=st.integers(1, 5),
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    def test_process_cells_equal_thread_cells(
+        self, executors, dataset, kind, rows, topk, nprobe
+    ):
+        thread, process = executors[kind]
+        plan = thread.planner.plan(dataset.queries[rows], topk=topk, nprobe=nprobe)
+        near, near_stats = thread.scan_plan(plan)
+        far, far_stats = process.scan_plan(plan)
+        assert near.shape == far.shape == (len(rows), nprobe)
+        cells = {}
+        for name, part in (("near", near), ("far", far)):
+            assert len(part.cells) == len(rows) * nprobe
+            assert (part.cells.lengths <= topk).all()
+            for i, (row, position) in enumerate(
+                zip(part.rows.tolist(), part.positions.tolist())
+            ):
+                length = part.cells.lengths[i]
+                cells[name, row, position] = (
+                    part.cells.ids[i, :length].tobytes(),
+                    part.cells.distances[i, :length].tobytes(),
+                    int(length),
+                    int(part.cells.n_scanned[i]),
+                    int(part.cells.n_pruned[i]),
+                )
+        for row in range(len(rows)):
+            for position in range(nprobe):
+                assert cells["near", row, position] == cells["far", row, position]
+                as_result = far[row][position]
+                assert as_result.ids.tobytes() == cells["far", row, position][0]
+        for stats in (near_stats, far_stats):
+            assert sum(s.n_jobs for s in stats) == len(plan.jobs)
+            assert sum(s.n_scans for s in stats) == len(rows) * nprobe
+            assert sum(s.n_vectors_scanned for s in stats) == int(
+                near.cells.n_scanned.sum()
+            )
+            assert sum(s.n_vectors_pruned for s in stats) == int(
+                near.cells.n_pruned.sum()
+            )
+            assert all(s.busy_time_s >= 0 for s in stats)

@@ -100,20 +100,26 @@ class TestProductQuantizer:
     @staticmethod
     def tables_per_subquantizer(pq, queries):
         """Distance tables one sub-quantizer at a time: the reference
-        the stacked computation must reproduce bit for bit."""
+        the stacked computation must reproduce bit for bit. The cross
+        term sums over d* with the centroids innermost, the order of
+        the stacked ``einsum("qjd,jdi->qji")``."""
         tables = np.empty((len(queries), pq.m, pq.ksub))
         for j, sq in enumerate(pq.subquantizers):
-            sub = queries[:, j * pq.dsub : (j + 1) * pq.dsub]
+            sub = np.ascontiguousarray(queries[:, j * pq.dsub : (j + 1) * pq.dsub])
             x_sq = np.einsum("qd,qd->q", sub, sub)
             c_sq = np.einsum("id,id->i", sq.codebook, sq.codebook)
-            cross = np.einsum("qd,id->qi", sub, sq.codebook)
+            cross = np.einsum("qd,di->qi", sub, np.ascontiguousarray(sq.codebook.T))
             block = x_sq[:, None] + c_sq[None, :] - 2.0 * cross
             np.maximum(block, 0.0, out=block)
             tables[:, j, :] = block
         return tables
 
-    @pytest.mark.parametrize("m, bits, dsub", [(16, 4, 8), (8, 8, 16), (5, 4, 7), (3, 8, 1)])
-    @pytest.mark.parametrize("b", [1, 3, 16, 128])
+    @pytest.mark.parametrize(
+        "m, bits, dsub",
+        [(16, 4, 8), (8, 8, 16), (5, 4, 7), (3, 8, 1),
+         (8, 8, 4), (4, 8, 32), (16, 4, 2), (2, 8, 64)],
+    )
+    @pytest.mark.parametrize("b", [1, 2, 3, 5, 16, 33, 128])
     def test_batch_tables_bit_identical_to_per_subquantizer_loop(
         self, rng, m, bits, dsub, b
     ):
@@ -123,6 +129,33 @@ class TestProductQuantizer:
         assert pq.distance_tables_batch(queries).tobytes() == expected.tobytes()
         for i in (0, b - 1):
             assert pq.distance_tables(queries[i]).tobytes() == expected[i].tobytes()
+        # A row's bits do not depend on which block it is computed in:
+        # a sliced block and a gathered one (what a partition job is).
+        sliced = slice(b // 3, b // 3 + max(b // 2, 1))
+        gathered = rng.permutation(b)[: max(b // 2, 1)]
+        for rows in (sliced, gathered):
+            assert (
+                pq.distance_tables_batch(queries[rows]).tobytes()
+                == expected[rows].tobytes()
+            )
+
+    @pytest.mark.parametrize("m, bits, dsub", [(8, 8, 16), (16, 4, 8), (5, 4, 7)])
+    def test_tables_do_not_depend_on_the_callers_memory_layout(
+        self, rng, m, bits, dsub
+    ):
+        """einsum picks its reduction kernel from the strides it is
+        given; the block is made C-contiguous at the entry, so C-ordered,
+        Fortran-ordered and column-strided queries give the same bytes."""
+        pq = ProductQuantizer.from_codebooks(rng.normal(size=(m, 1 << bits, dsub)) * 40)
+        wide = rng.normal(size=(9, 2 * m * dsub)) * 40
+        queries = np.ascontiguousarray(wide[:, ::2])
+        expected = pq.distance_tables_batch(queries).tobytes()
+        assert pq.distance_tables_batch(np.asfortranarray(queries)).tobytes() == expected
+        assert pq.distance_tables_batch(wide[:, ::2]).tobytes() == expected
+        for i, row in enumerate(np.asfortranarray(queries)):
+            assert pq.distance_tables(row).tobytes() == (
+                pq.distance_tables(queries[i]).tobytes()
+            )
 
     def test_tables_follow_a_permuted_subquantizer(self, rng):
         pq = ProductQuantizer.from_codebooks(rng.normal(size=(4, 16, 2)))

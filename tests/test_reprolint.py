@@ -79,6 +79,17 @@ class TestShippedTree:
             "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
         ]
 
+    def test_r8_names_the_payload_the_workers_take(self):
+        """The sanctioned set and the advice R8 prints follow
+        ``repro.parallel.worker``: one ``WorkerBundle`` per submit."""
+        from repro.parallel import worker
+        from tools.reprolint.concurrency import SANCTIONED_PICKLABLE
+
+        assert worker.__all__ == ["WorkerBundle"]
+        assert set(worker.__all__) <= SANCTIONED_PICKLABLE
+        (violation,) = lint_fixture("r8_bad_unpicklable_submit.py")
+        assert "WorkerBundle" in violation.message
+
 
 class TestCLI:
     def run_cli(self, *args: str) -> subprocess.CompletedProcess:

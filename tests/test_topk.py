@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.scan.topk import TopKAccumulator, select_topk
+from repro.scan import topk as topk_module
+from repro.scan.topk import TopKAccumulator, select_topk, select_topk_rows
 
 
 class TestTopKAccumulator:
@@ -127,3 +130,66 @@ class TestSelectTopK:
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             select_topk(np.zeros(3), np.zeros(4, dtype=np.int64), 2)
+
+
+class TestSelectTopKRows:
+    """The row-wise kernel is the per-row call, byte for byte."""
+
+    @staticmethod
+    def assert_rows_equal(distances, ids, k):
+        got_ids, got_dists = select_topk_rows(distances, ids, k)
+        width = min(k, distances.shape[1])
+        assert got_ids.shape == got_dists.shape == (len(distances), width)
+        assert got_ids.dtype == np.int64 and got_dists.dtype == np.float64
+        for i, row in enumerate(distances):
+            want_ids, want_dists = select_topk(row, ids if ids.ndim == 1 else ids[i], k)
+            assert got_ids[i].tobytes() == want_ids.tobytes()
+            assert got_dists[i].tobytes() == want_dists.tobytes()
+
+    @given(
+        b=st.integers(1, 12),
+        n=st.one_of(
+            st.integers(0, 600),
+            # both sides of the whole-row / per-row crossover
+            st.integers(
+                topk_module._WHOLE_ROW_SORT_MAX - 2, topk_module._WHOLE_ROW_SORT_MAX + 2
+            ),
+        ),
+        k_kind=st.sampled_from(["below", "at", "above"]),
+        n_values=st.integers(1, 8),
+        own_ids=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_row_call(self, b, n, k_kind, n_values, own_ids, seed):
+        """Integer-valued distances (ties at the k-th distance are the
+        rule), unsorted ids with duplicates, k below, at and above n."""
+        rng = np.random.default_rng(seed)
+        distances = rng.integers(0, n_values, size=(b, n)).astype(np.float64)
+        ids = rng.integers(0, max(n // 2, 1), size=(b, n) if own_ids else n)
+        k = {
+            "below": int(rng.integers(1, max(n, 2))),
+            "at": max(n, 1),
+            "above": n + int(rng.integers(1, 5)),
+        }[k_kind]
+        self.assert_rows_equal(distances, ids, k)
+
+    def test_boundary_ties_resolved_by_id_in_every_row(self):
+        distances = np.array([[1.0, 2.0, 2.0, 2.0, 2.0, 3.0], [2.0, 2.0, 0.0, 2.0, 9.0, 2.0]])
+        ids = np.array([50, 40, 30, 20, 10, 0])
+        chosen, _ = select_topk_rows(distances, ids, 3)
+        np.testing.assert_array_equal(chosen, [[50, 10, 20], [30, 0, 20]])
+
+    def test_empty_rows_and_blocks(self):
+        for shape in ((0, 5), (3, 0), (1, 0)):
+            ids, dists = select_topk_rows(np.empty(shape), np.empty(shape[1], np.int64), 4)
+            assert ids.shape == dists.shape == (shape[0], min(4, shape[1]))
+
+    def test_rejects_bad_arguments(self):
+        block = np.zeros((2, 3))
+        with pytest.raises(ConfigurationError):
+            select_topk_rows(block, np.arange(3), 0)
+        with pytest.raises(ConfigurationError):
+            select_topk_rows(block, np.arange(4), 1)
+        with pytest.raises(ConfigurationError):
+            select_topk_rows(block[0], np.arange(3), 1)

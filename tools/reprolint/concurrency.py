@@ -81,11 +81,11 @@ _MUTATOR_METHODS = frozenset(
 )
 
 #: Callables whose results are sanctioned for crossing a process-pool
-#: boundary: the frozen task/spec dataclasses, paths, scalars and the
+#: boundary: the frozen bundle/spec dataclasses, paths, scalars and the
 #: builtin containers of those.
 SANCTIONED_PICKLABLE = frozenset(
     {
-        "WorkerTask",
+        "WorkerBundle",
         "ScannerSpec",
         "EncodeTask",
         "for_scanner",
@@ -112,7 +112,7 @@ SANCTIONED_PICKLABLE = frozenset(
 #: Parameter/attribute annotations sanctioned as picklable payloads.
 _SANCTIONED_ANNOTATIONS = frozenset(
     {
-        "WorkerTask",
+        "WorkerBundle",
         "ScannerSpec",
         "EncodeTask",
         "Path",
@@ -476,7 +476,7 @@ class ProcessPoolPickleRule(Rule):
 
     Everything submitted to a ``ProcessPoolExecutor`` is pickled into
     the worker. The sanctioned payloads are the frozen ``ScannerSpec``
-    / ``WorkerTask`` dataclasses, paths, scalars and containers of
+    / ``WorkerBundle`` dataclasses, paths, scalars and containers of
     those; memmaps, open indexes and scanners must travel by path and
     be re-opened worker-side (the attach-by-path design). The rule
     tracks which names hold process pools (constructor assignments,
@@ -611,7 +611,7 @@ class ProcessPoolPickleRule(Rule):
                     target,
                     f"process-pool submit target is {problem}; submit a "
                     "module-level function taking sanctioned picklable "
-                    "arguments (ScannerSpec, WorkerTask, paths, scalars)",
+                    "arguments (ScannerSpec, WorkerBundle, paths, scalars)",
                 )
                 if violation:
                     violations.append(violation)
@@ -644,7 +644,7 @@ class ProcessPoolPickleRule(Rule):
                 ctx,
                 expr,
                 f"process-pool payload {reason}; pass sanctioned "
-                "picklables only (ScannerSpec, WorkerTask, paths, "
+                "picklables only (ScannerSpec, WorkerBundle, paths, "
                 "scalars) and re-open heavyweight state worker-side "
                 "by path",
             )
