@@ -46,7 +46,7 @@ from .exceptions import (
     ReproError,
     SimulationError,
 )
-from .ivf import IVFADCIndex, MultiIndex, Partition
+from .ivf import IVFADCIndex, Partition
 from .obs import (
     Observability,
     get_observability,
@@ -55,17 +55,12 @@ from .obs import (
 )
 from .pq import (
     KMeans,
-    OptimizedProductQuantizer,
     ProductQuantizer,
     SameSizeKMeans,
-    SymmetricDistance,
     VectorQuantizer,
     adc_distances,
 )
 from .scan import (
-    SCANNERS,
-    AVXScanner,
-    GatherScanner,
     LibpqScanner,
     NaiveScanner,
     QuickADCResult,
@@ -114,7 +109,6 @@ __version__ = "1.6.0"
 
 __all__ = [
     "ANNSearcher",
-    "AVXScanner",
     "BatchExecutor",
     "BatchPlan",
     "BatchPlanner",
@@ -131,17 +125,14 @@ __all__ = [
     "Engine",
     "EngineConfig",
     "FastScanResult",
-    "GatherScanner",
     "GroupedPartition",
     "IVFADCIndex",
     "IndexShard",
     "KMeans",
     "LibpqScanner",
-    "MultiIndex",
     "NaiveScanner",
     "NotFittedError",
     "Observability",
-    "OptimizedProductQuantizer",
     "PQFastScanner",
     "Partition",
     "PartitionJob",
@@ -151,7 +142,6 @@ __all__ = [
     "QuickADCResult",
     "QuickADCScanner",
     "ReproError",
-    "SCANNERS",
     "SCANNER_KINDS",
     "SameSizeKMeans",
     "ScanResult",
@@ -164,7 +154,6 @@ __all__ = [
     "ShardedResponse",
     "SimulationError",
     "SmallTables",
-    "SymmetricDistance",
     "SyntheticSIFT",
     "VectorDataset",
     "VectorQuantizer",

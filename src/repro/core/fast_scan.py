@@ -43,10 +43,9 @@ import numpy as np
 from ..dtypes import BoolArray
 from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
-from ..obs import get_observability
 from ..pq.adc import adc_distances
 from ..pq.product_quantizer import ProductQuantizer
-from ..scan.base import InstructionProfile, PartitionScanner, ScanResult
+from ..scan.base import PartitionScanner, ScanResult
 from ..scan.prepared import PreparedCache
 from ..scan.topk import select_topk
 from .grouping import GroupedPartition, suggested_components
@@ -239,7 +238,6 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
         """Scan with *already remapped* tables: the one query path, which
         :meth:`scan`, :meth:`scan_batch` and :meth:`scan_grouped` end in."""
         n = len(grouped)
-        obs = get_observability()
 
         # Keep phase (Section 4.4): plain PQ Scan over the first keep%
         # of the *database* (smallest ids), needs at least topk vectors
@@ -257,8 +255,6 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
         if n_keep == n:
             # The keep phase was the whole partition (always so below
             # topk rows, where no finite qmax exists): already exact.
-            if obs.enabled:
-                obs.record_scan(self.name, n_scanned=n, n_pruned=0)
             return FastScanResult(
                 ids=top_ids, distances=top_dists, n_scanned=n, n_keep=n
             )
@@ -308,8 +304,6 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
                 )
 
         n_pruned = n - n_keep - n_exact
-        if obs.enabled:
-            obs.record_scan(self.name, n_scanned=n, n_pruned=n_pruned)
         return FastScanResult(
             ids=top_ids,
             distances=top_dists,
@@ -319,17 +313,4 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
             n_exact=n_exact,
             qmin=quantizer.qmin,
             qmax=quantizer.qmax,
-        )
-
-    def profile(self) -> InstructionProfile:
-        # Per vector: ~1.3 L1 loads (compact 6-byte code loads amortized
-        # over 16-vector blocks plus occasional exact-path table loads),
-        # SIMD lookups+adds at 1/16 instruction per vector per table.
-        return InstructionProfile(
-            name=self.name,
-            mem1_loads=0.4,
-            mem2_loads=0.9,
-            scalar_adds=0.4,
-            simd_adds=0.5,
-            overhead_instructions=1.5,
         )

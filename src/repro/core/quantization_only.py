@@ -16,10 +16,9 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
-from ..obs import get_observability
 from ..pq.adc import adc_distances
 from ..pq.product_quantizer import ProductQuantizer
-from ..scan.base import InstructionProfile, PartitionScanner
+from ..scan.base import PartitionScanner
 from ..scan.topk import TopKAccumulator
 from .fast_scan import FastScanResult
 from .quantization import SATURATION, DistanceQuantizer
@@ -31,7 +30,7 @@ __all__ = ["QuantizationOnlyScanner"]
 class QuantizationOnlyScanner(PartitionScanner):
     """Lower bounds from quantized full tables; measures pruning power."""
 
-    name = "quantization-only"
+    name = "qonly"
 
     #: ``chunk`` trades pruning power for batching: the threshold only
     #: tightens between chunks, so very large chunks scan with a stale
@@ -56,16 +55,17 @@ class QuantizationOnlyScanner(PartitionScanner):
         codes = partition.codes
         ids = partition.ids
         n = len(partition)
-        if n == 0:
-            return FastScanResult(
-                ids=np.empty(0, dtype=np.int64),
-                distances=np.empty(0, dtype=np.float64),
-                n_scanned=0,
-            )
         acc = TopKAccumulator(topk)
         n_keep = min(n, max(int(np.ceil(self.keep * n)), topk))
         keep_dists = adc_distances(tables, codes[:n_keep])
         acc.offer_many(keep_dists, ids[:n_keep])
+        if n_keep == n:
+            # The keep phase was the whole partition (always so below
+            # topk rows, where no finite qmax exists): already exact.
+            result_ids, result_dists = acc.result()
+            return FastScanResult(
+                ids=result_ids, distances=result_dists, n_scanned=n, n_keep=n
+            )
 
         quantizer = DistanceQuantizer.from_tables(tables, acc.threshold)
         tables_q = quantizer.quantize_table(tables)  # (m, 256) int8
@@ -99,9 +99,6 @@ class QuantizationOnlyScanner(PartitionScanner):
             threshold_q = quantizer.quantize_threshold(acc.threshold, components=self.pq.m)
 
         result_ids, result_dists = acc.result()
-        obs = get_observability()
-        if obs.enabled:
-            obs.record_scan(self.name, n_scanned=n, n_pruned=n_pruned)
         return FastScanResult(
             ids=result_ids,
             distances=result_dists,
@@ -111,15 +108,4 @@ class QuantizationOnlyScanner(PartitionScanner):
             n_exact=n_exact,
             qmin=quantizer.qmin,
             qmax=quantizer.qmax,
-        )
-
-    def profile(self) -> InstructionProfile:
-        # Same memory behaviour as libpq for the lower-bound pass (the
-        # 256-entry tables stay cache-resident), hence no speedup.
-        return InstructionProfile(
-            name=self.name,
-            mem1_loads=1,
-            mem2_loads=8,
-            scalar_adds=8,
-            overhead_instructions=24,
         )

@@ -61,7 +61,7 @@ from .delta import (
 from .exceptions import ConfigurationError, SimulationError
 from .ivf.inverted_index import IVFADCIndex
 from .obs import Observability, get_observability
-from .parallel.spec import ScannerSpec
+from .parallel.spec import SCANNER_KINDS, ScannerSpec, check_code_shape
 from .persistence import (
     load_index,
     load_sharded_index,
@@ -80,9 +80,6 @@ from .search import (
 from .shard import ScatterGatherExecutor, ShardedIndex, ShardedResponse
 
 __all__ = ["Engine", "EngineConfig", "SCANNER_KINDS"]
-
-#: Scanner kinds accepted by :attr:`EngineConfig.scanner`.
-SCANNER_KINDS = ("naive", "libpq", "avx", "gather", "fastpq", "qonly", "quickadc")
 
 
 @dataclass(frozen=True)
@@ -115,9 +112,11 @@ class EngineConfig:
             mutable engine merge the uncompacted delta overlay; queries
             probing only unmutated partitions stay byte-identical to a
             read-only engine on the same data.
-        scanner: Step-3 scanner kind, one of :data:`SCANNER_KINDS`.
-            ``"quickadc"`` (4-bit in-register lookups) requires
-            ``bits=4``.
+        scanner: Step-3 scanner kind, one of :data:`SCANNER_KINDS`
+            (stated, with the ``m`` x ``bits`` code shape each can
+            scan, in :mod:`repro.parallel.spec`): ``"quickadc"`` needs
+            ``bits=4``, ``"fastpq"`` and ``"qonly"`` ``bits=8``,
+            ``"libpq"`` ``m=8`` byte codes.
         keep: keep/sample fraction of PQ Fast Scan and Quick ADC
             (ignored by baselines).
         nprobe: default partitions probed per query.
@@ -181,15 +180,7 @@ class EngineConfig:
                 "mutable=True: the kept vector array cannot track streaming "
                 "writes — compact into a read-only engine to re-rank"
             )
-        if self.scanner not in SCANNER_KINDS:
-            raise ConfigurationError(
-                f"unknown scanner {self.scanner!r}; choose from {SCANNER_KINDS}"
-            )
-        if self.scanner == "quickadc" and self.bits != 4:
-            raise ConfigurationError(
-                "scanner='quickadc' requires bits=4 (nibble codes whose "
-                f"16-entry tables fit one SIMD register), got bits={self.bits}"
-            )
+        check_code_shape(self.scanner, self.m, self.bits)
         if not 0.0 <= self.keep <= 1.0:
             raise ConfigurationError(f"keep must be in [0, 1], got {self.keep}")
         if not 1 <= self.nprobe <= self.n_partitions:

@@ -1,12 +1,7 @@
-"""Inverted-file index substrate (Section 2.2 of the paper).
-
-Two coarse-indexing schemes: the flat IVFADC of [14] (the paper's
-experimental setup) and the inverted multi-index of [4] (related work,
-usable "in conjunction with product quantization").
-"""
+"""Inverted-file index substrate (Section 2.2 of the paper): the flat
+IVFADC of [14], the paper's experimental setup."""
 
 from .inverted_index import IVFADCIndex
-from .multi_index import MultiIndex, multi_sequence
 from .partition import Partition
 
-__all__ = ["IVFADCIndex", "MultiIndex", "Partition", "multi_sequence"]
+__all__ = ["IVFADCIndex", "Partition"]

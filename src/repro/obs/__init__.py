@@ -22,7 +22,7 @@ one attribute check when off::
     from repro.obs import observability_session
 
     with observability_session() as obs:          # enabled, fresh registry
-        searcher.search(queries, topk=100, nprobe=4, n_workers=4)
+        searcher.search(queries, topk=100, nprobe=4)
         print(obs.export_prometheus())
 
 Key exported series (all prefixed ``repro_``):
@@ -318,7 +318,8 @@ class Observability:
         return self.tracer.span(stage)
 
     def record_scan(self, scanner: str, n_scanned: int, n_pruned: int) -> None:
-        """Account one partition scan and refresh the pruning-rate gauge."""
+        """Account the scans of one job (or one per-query scan) under the
+        scanner's kind and refresh the pruning-rate gauge."""
         if not self.enabled:
             return
         with self._derived_lock:

@@ -32,13 +32,13 @@ from . import Observability, observability_session, parse_prometheus, write_snap
 __all__ = ["main", "run_snapshot", "check_snapshot"]
 
 #: Families the ``run`` subcommand always verifies in its own output:
-#: the executor-level ones every scanner kind yields. The scanner-level
-#: ``repro_pruning_rate`` / ``repro_prepared_cache_hit_ratio`` depend on
-#: the kind (libpq, avx and gather do not count their scans) and are
-#: asked for with ``check --require``.
+#: what every scanner kind yields on every executor. The prepared-cache
+#: families depend on the kind (only fastpq and quickadc prepare a
+#: layout) and are asked for with ``check --require``.
 CORE_FAMILIES = (
     "repro_stage_latency_seconds",
     "repro_worker_scan_speed_vps",
+    "repro_pruning_rate",
 )
 
 

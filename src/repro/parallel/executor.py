@@ -239,7 +239,12 @@ class ProcessBatchExecutor(PlanExecutor):
                 pid, cells, busy_s = future.result(timeout=GATHER_TIMEOUT_S)
                 blocks.append(cells)
                 _record_scans(
-                    worker_stats[self._slot_for(pid)], cells, sum(busy_s), len(jobs)
+                    obs,
+                    self.scanner.name,
+                    worker_stats[self._slot_for(pid)],
+                    cells,
+                    sum(busy_s),
+                    len(jobs),
                 )
         in_order = [job for jobs in bundles for job in jobs]
         return PackedPartials.of_jobs(plan, in_order, blocks), worker_stats

@@ -11,20 +11,111 @@ loaded out of the mmapped index artifact.
 Equivalence is exact: every scanner in this library is deterministic
 given its configuration (assignment clustering is seeded), so a rebuilt
 scanner returns byte-identical results to the parent's instance.
+
+This module is also the one statement of the scanner kinds
+(:data:`SCANNER_KINDS`): which class a kind names, which spec fields its
+constructor takes and which code shape it can scan. ``EngineConfig``
+validates against it and :class:`ScannerSpec` builds from it, so a new
+kind is an edit to its class and to the table below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..core import PQFastScanner, QuantizationOnlyScanner
 from ..exceptions import ConfigurationError
 from ..pq.product_quantizer import ProductQuantizer
-from ..scan import SCANNERS
 from ..scan.base import PartitionScanner
+from ..scan.libpq import LibpqScanner
+from ..scan.naive import NaiveScanner
 from ..scan.quickadc import QuickADCScanner
 
-__all__ = ["ScannerSpec"]
+__all__ = ["SCANNER_KINDS", "ScannerSpec", "check_code_shape"]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one scanner kind is; ``cls.name`` is how the kind is spelled.
+
+    Attributes:
+        cls: the scanner class.
+        params: the :class:`ScannerSpec` fields its constructor takes,
+            by keyword, after the quantizer. Empty for the stateless
+            baselines, whose constructor takes nothing at all.
+        fits: whether the kind can scan PQ ``m`` x ``bits`` codes.
+        needs: that code shape in words, for the refusal.
+    """
+
+    cls: type[PartitionScanner]
+    params: tuple[str, ...] = ()
+    fits: Callable[[int, int], bool] = lambda m, bits: True
+    needs: str = ""
+
+
+_KINDS: dict[str, _Kind] = {
+    kind.cls.name: kind
+    for kind in (
+        _Kind(NaiveScanner),
+        _Kind(
+            LibpqScanner,
+            fits=lambda m, bits: m == 8 and bits <= 8,
+            needs="m=8 and bits<=8 ((n, 8) byte codes, one 64-bit word each)",
+        ),
+        _Kind(
+            PQFastScanner,
+            (
+                "keep",
+                "group_components",
+                "assignment",
+                "qmax_bound",
+                "seed",
+                "prepared_cache_size",
+            ),
+            fits=lambda m, bits: bits == 8,
+            needs="bits=8 (byte codes, 256-entry tables cut into 16 portions)",
+        ),
+        _Kind(
+            QuantizationOnlyScanner,
+            ("keep", "chunk"),
+            fits=lambda m, bits: bits == 8,
+            needs="bits=8 (byte codes, 256-entry int8 tables)",
+        ),
+        _Kind(
+            QuickADCScanner,
+            ("keep", "prepared_cache_size"),
+            fits=lambda m, bits: bits == 4,
+            needs="bits=4 (nibble codes whose 16-entry tables fit one SIMD "
+            "register)",
+        ),
+    )
+}
+
+#: The one spec field a live scanner keeps under another attribute name
+#: (``PQFastScanner.assignment`` is the learned assignment itself).
+_KEPT_AS = {"assignment": "assignment_mode"}
+
+#: The scanner kinds, as :attr:`EngineConfig.scanner
+#: <repro.engine.EngineConfig>` and :attr:`ScannerSpec.kind` spell them.
+SCANNER_KINDS: tuple[str, ...] = tuple(_KINDS)
+
+
+def _kind(kind: str) -> _Kind:
+    if kind not in _KINDS:
+        raise ConfigurationError(
+            f"unknown scanner kind {kind!r}; choose from {SCANNER_KINDS}"
+        )
+    return _KINDS[kind]
+
+
+def check_code_shape(kind: str, m: int, bits: int) -> None:
+    """Refuse a scanner ``kind`` that cannot scan PQ ``m`` x ``bits`` codes."""
+    entry = _kind(kind)
+    if not entry.fits(m, bits):
+        raise ConfigurationError(
+            f"scanner={kind!r} requires {entry.needs}, got m={m}, bits={bits}"
+        )
 
 
 @dataclass(frozen=True)
@@ -32,10 +123,7 @@ class ScannerSpec:
     """Plain-data description of a scanner, picklable across processes.
 
     Attributes:
-        kind: scanner kind, spelled as in
-            :data:`~repro.engine.SCANNER_KINDS` — a
-            :data:`~repro.scan.SCANNERS` key, ``"fastpq"``,
-            ``"quickadc"`` or ``"qonly"``.
+        kind: scanner kind, one of :data:`SCANNER_KINDS`.
         keep: keep/sample fraction (fastpq / quickadc / qonly).
         group_components: explicit grouping components (fastpq).
         assignment: assignment mode (fastpq).
@@ -62,58 +150,25 @@ class ScannerSpec:
         types the worker processes cannot reconstruct (e.g. user-defined
         subclasses carrying state beyond these fields).
         """
-        if isinstance(scanner, PQFastScanner):
-            return cls(
-                kind="fastpq",
-                keep=scanner.keep,
-                group_components=scanner.group_components,
-                assignment=scanner.assignment_mode,
-                qmax_bound=scanner.qmax_bound,
-                seed=scanner.seed,
-                prepared_cache_size=scanner.prepared_cache_size,
+        entry = _KINDS.get(scanner.name)
+        if entry is None or type(scanner) is not entry.cls:
+            raise ConfigurationError(
+                f"scanner {type(scanner).__name__!r} cannot be reconstructed in "
+                "worker processes; the process backend supports the built-in "
+                f"scanners ({', '.join(SCANNER_KINDS)})"
             )
-        if isinstance(scanner, QuantizationOnlyScanner):
-            return cls(
-                kind="qonly",
-                keep=scanner.keep,
-                chunk=scanner.chunk,
-            )
-        if isinstance(scanner, QuickADCScanner):
-            return cls(
-                kind="quickadc",
-                keep=scanner.keep,
-                prepared_cache_size=scanner.prepared_cache_size,
-            )
-        if type(scanner) is SCANNERS.get(scanner.name):
-            return cls(kind=scanner.name)
-        raise ConfigurationError(
-            f"scanner {type(scanner).__name__!r} cannot be reconstructed in "
-            "worker processes; the process backend supports the built-in "
-            f"scanners ({', '.join(sorted(SCANNERS))}, fastpq, quickadc, "
-            "qonly)"
+        return cls(
+            kind=scanner.name,
+            **{
+                name: getattr(scanner, _KEPT_AS.get(name, name))
+                for name in entry.params
+            },
         )
 
     def build(self, pq: ProductQuantizer) -> PartitionScanner:
         """Instantiate the described scanner against ``pq``."""
-        if self.kind == "fastpq":
-            return PQFastScanner(
-                pq,
-                keep=self.keep,
-                group_components=self.group_components,
-                assignment=self.assignment,
-                qmax_bound=self.qmax_bound,
-                seed=self.seed,
-                prepared_cache_size=self.prepared_cache_size,
-            )
-        if self.kind == "qonly":
-            return QuantizationOnlyScanner(pq, keep=self.keep, chunk=self.chunk)
-        if self.kind == "quickadc":
-            return QuickADCScanner(
-                pq,
-                keep=self.keep,
-                prepared_cache_size=self.prepared_cache_size,
-            )
-        scanner_cls = SCANNERS.get(self.kind)
-        if scanner_cls is None:
-            raise ConfigurationError(f"unknown scanner kind {self.kind!r}")
-        return scanner_cls()
+        entry = _kind(self.kind)
+        factory: Callable[..., PartitionScanner] = entry.cls
+        if not entry.params:
+            return factory()
+        return factory(pq, **{name: getattr(self, name) for name in entry.params})

@@ -68,9 +68,7 @@ def _init_worker(index_path: str, spec: ScannerSpec, mmap: bool) -> None:
     """Attach this process to the index artifact and build its scanner."""
     index = load_index(index_path, mmap=mmap)
     scanner = spec.build(index.pq)
-    warm = getattr(scanner, "warm", None)
-    if callable(warm):
-        warm(index.partitions)
+    scanner.warm(index.partitions)
     _STATE["index"] = index
     _STATE["scanner"] = scanner
 

@@ -2,7 +2,7 @@
 
 Exports the quantizer-learning stack: Lloyd k-means, the same-size
 k-means variant used by the optimized centroid assignment, plain and
-product vector quantizers, ADC, and the OPQ extension.
+product vector quantizers, and ADC.
 """
 
 from .adc import adc_distance_single, adc_distances
@@ -13,20 +13,16 @@ from .distance_tables import (
     table_stats,
 )
 from .kmeans import KMeans, KMeansResult, assign_to_centroids, squared_distances
-from .opq import OptimizedProductQuantizer
 from .product_quantizer import ProductQuantizer, code_dtype_for_bits
 from .quantizer import VectorQuantizer
-from .sdc import SymmetricDistance
 from .same_size_kmeans import SameSizeKMeans, balanced_labels_to_order
 
 __all__ = [
     "KMeans",
     "KMeansResult",
     "SameSizeKMeans",
-    "SymmetricDistance",
     "VectorQuantizer",
     "ProductQuantizer",
-    "OptimizedProductQuantizer",
     "DistanceTableStats",
     "adc_distances",
     "adc_distance_single",

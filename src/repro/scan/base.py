@@ -1,27 +1,32 @@
-"""Scanner interface shared by PQ Scan baselines and PQ Fast Scan.
+"""The scanner contract shared by the PQ Scan baselines and the fast scanners.
 
 A *scanner* implements Step 3 of Algorithm 1: given the per-query distance
 tables and a partition of pqcodes, return the topk nearest candidates.
-Every implementation must return identical results (the paper's exactness
-property); they differ in data movement and, on real hardware, in speed.
+Every exact implementation returns identical results (the paper's
+exactness property); they differ in data movement and, on real hardware,
+in speed.
 
-Each scanner also exposes an :class:`InstructionProfile` describing its
-per-vector instruction-level behaviour, which feeds the analytic model
-and is cross-validated against the cycle-level simulator kernels.
+:class:`PartitionScanner` declares what the executors call, and nothing
+else: ``scan`` (one query; the one method a scanner must define),
+``scan_batch`` (a whole table stack against one partition; by default the
+per-row ``scan`` loop, overridden by the scanners that share work across
+the batch) and ``warm`` (build whatever is query-independent, ahead of
+the scans; by default nothing). The instruction-level behaviour of the
+paper's implementations is not declared here: it is measured from the
+executed instruction streams of :mod:`repro.simd`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..ivf.partition import Partition
 
 __all__ = [
-    "InstructionProfile",
     "PAD_DISTANCE",
     "PAD_ID",
     "PartitionScanner",
@@ -161,49 +166,11 @@ class ScanBlock:
             yield ScanResult(ids[:length], distances[:length], n_scanned, n_pruned)
 
 
-@dataclass(frozen=True)
-class InstructionProfile:
-    """Per-scanned-vector instruction-level cost declaration (Section 3.1).
-
-    Attributes:
-        name: implementation name as used in the paper's figures.
-        mem1_loads: loads of centroid indexes per vector.
-        mem2_loads: loads from cache-resident distance tables per vector.
-        scalar_adds: scalar float additions per vector.
-        simd_adds: SIMD addition instructions per vector (fractional when
-            one instruction covers several vectors).
-        overhead_instructions: other instructions (shifts, inserts,
-            bookkeeping) per vector.
-    """
-
-    name: str
-    mem1_loads: float
-    mem2_loads: float
-    scalar_adds: float
-    simd_adds: float = 0.0
-    overhead_instructions: float = 0.0
-
-    @property
-    def l1_loads(self) -> float:
-        """Total L1 cache loads per vector (mem1 + mem2)."""
-        return self.mem1_loads + self.mem2_loads
-
-    @property
-    def instructions(self) -> float:
-        """Approximate instructions per vector."""
-        return (
-            self.mem1_loads
-            + self.mem2_loads
-            + self.scalar_adds
-            + self.simd_adds
-            + self.overhead_instructions
-        )
-
-
 class PartitionScanner(abc.ABC):
     """Abstract Step-3 scanner."""
 
-    #: Implementation name used in reports ("naive", "libpq", ...).
+    #: The scanner's kind: how ``EngineConfig.scanner`` and
+    #: ``ScannerSpec.kind`` spell it, and its ``scanner=`` metric label.
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -212,6 +179,19 @@ class PartitionScanner(abc.ABC):
     ) -> ScanResult:
         """Scan ``partition`` with per-query ``tables``; return topk."""
 
-    @abc.abstractmethod
-    def profile(self) -> InstructionProfile:
-        """Declared per-vector instruction behaviour for the cost model."""
+    def scan_batch(
+        self, tables: np.ndarray, partition: Partition, topk: int = 1
+    ) -> Sequence[ScanResult] | ScanBlock:
+        """Scan ``partition`` for a whole ``(b, m, k*)`` table stack.
+
+        Result ``i`` is byte-identical to ``scan(tables[i], ...)``, which
+        is what this default runs; a scanner overrides it to share
+        query-independent work across the batch.
+        """
+        return [self.scan(row, partition, topk=topk) for row in tables]
+
+    def warm(self, partitions: Iterable[Partition]) -> int:
+        """Build the scanner's query-independent state for ``partitions``
+        ahead of their scans; returns how many layouts were newly built
+        (this default builds none)."""
+        return 0

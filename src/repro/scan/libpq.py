@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ivf.partition import Partition
-from .base import InstructionProfile, PartitionScanner, ScanResult
+from .base import PartitionScanner, ScanResult
 from .layout import extract_component, pack_codes_words
 from .topk import TopKAccumulator, select_topk
 
@@ -56,15 +56,3 @@ class LibpqScanner(PartitionScanner):
             acc.offer(d, int(partition.ids[i]))
         ids, dists = acc.result()
         return ScanResult(ids=ids, distances=dists, n_scanned=len(partition))
-
-    def profile(self) -> InstructionProfile:
-        # 1 mem1 + 8 mem2 loads ("9 L1 loads per scanned vector"); the
-        # shift+mask extraction adds ~2 instructions per component, which
-        # is why libpq ends up slightly slower than naive on Haswell.
-        return InstructionProfile(
-            name=self.name,
-            mem1_loads=1,
-            mem2_loads=8,
-            scalar_adds=8,
-            overhead_instructions=24,
-        )

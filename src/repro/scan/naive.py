@@ -20,9 +20,8 @@ import numpy as np
 
 from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
-from ..obs import get_observability
 from ..pq.adc import adc_distance_single, adc_distances
-from .base import InstructionProfile, PartitionScanner, ScanBlock, ScanResult
+from .base import PartitionScanner, ScanBlock, ScanResult
 from .topk import TopKAccumulator, select_topk, select_topk_rows
 
 __all__ = ["NaiveScanner"]
@@ -38,9 +37,6 @@ class NaiveScanner(PartitionScanner):
     ) -> ScanResult:
         distances = adc_distances(tables, partition.codes)
         ids, dists = select_topk(distances, partition.ids, topk)
-        obs = get_observability()
-        if obs.enabled:
-            obs.record_scan(self.name, n_scanned=len(partition), n_pruned=0)
         return ScanResult(ids=ids, distances=dists, n_scanned=len(partition))
 
     def scan_batch(
@@ -66,9 +62,6 @@ class NaiveScanner(PartitionScanner):
             distances += tables[:, j, :].take(codes[:, j], axis=1)
         n, b = len(partition), len(distances)
         ids, dists = select_topk_rows(distances, partition.ids, topk)
-        obs = get_observability()
-        if obs.enabled:
-            obs.record_scan(self.name, n_scanned=n * b, n_pruned=0)
         counts = np.array([[ids.shape[1]], [n], [0]], dtype=np.int64)
         return ScanBlock(ids, dists, np.repeat(counts, b, axis=1))
 
@@ -83,14 +76,3 @@ class NaiveScanner(PartitionScanner):
             acc.offer(d, int(partition.ids[i]))
         ids, dists = acc.result()
         return ScanResult(ids=ids, distances=dists, n_scanned=len(partition))
-
-    def profile(self) -> InstructionProfile:
-        # 8 mem1 + 8 mem2 loads, 8 scalar adds (Section 3.1: "16 L1 loads
-        # per scanned vector"), plus loop/compare bookkeeping.
-        return InstructionProfile(
-            name=self.name,
-            mem1_loads=8,
-            mem2_loads=8,
-            scalar_adds=8,
-            overhead_instructions=10,
-        )

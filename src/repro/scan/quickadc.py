@@ -58,10 +58,9 @@ from ..core.sanitize import (
 )
 from ..exceptions import ConfigurationError, DimensionMismatchError, NotFittedError
 from ..ivf.partition import Partition
-from ..obs import get_observability
 from ..pq.adc import adc_distances
 from ..pq.product_quantizer import ProductQuantizer
-from .base import InstructionProfile, PartitionScanner, ScanResult
+from .base import PartitionScanner, ScanResult
 from .layout import NibblePartition
 from .prepared import PreparedCache
 from .topk import select_topk
@@ -255,24 +254,4 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
                 qmin=quantizer.qmin,
                 qmax=quantizer.qmax,
             ))
-        obs = get_observability()
-        if obs.enabled:
-            obs.record_scan(
-                self.name,
-                n_scanned=n * len(results),
-                n_pruned=sum(result.n_pruned for result in results),
-            )
         return results
-
-    def profile(self) -> InstructionProfile:
-        # Per vector at m=16: 8 vloads per 16-vector block (0.5), 16
-        # pshufb + 15 paddsb + extraction/compare ops at ~3.5/vector;
-        # exact-path table loads only for the ~topk candidates.
-        return InstructionProfile(
-            name=self.name,
-            mem1_loads=0.5,
-            mem2_loads=0.2,
-            scalar_adds=0.2,
-            simd_adds=1.0,
-            overhead_instructions=2.5,
-        )

@@ -53,6 +53,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, SimulationError
 from .ivf.inverted_index import IVFADCIndex
+from .ivf.partition import Partition
 from .obs import Observability, get_observability
 from .scan.base import PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock, ScanResult
 from .scan.naive import NaiveScanner
@@ -227,36 +228,41 @@ class BatchPlanner:
 def _scan_block(
     scanner: PartitionScanner, tables: np.ndarray, partition, topk: int
 ) -> ScanBlock:
-    """Scan one partition for a whole query batch, most batch-friendly first.
+    """Scan one partition for a whole query batch, packed.
 
     The shared partition-scan kernel of every executor (thread-backed
     :class:`BatchExecutor`, the process workers of :mod:`repro.parallel`,
-    the sharded scatter-gather path). Dispatch:
-
-    * scanners exposing ``scan_batch`` — whatever the scanner shares
-      across the batch (plain PQ Scan: one batched ADC accumulation and
-      one row-wise selection; :class:`~repro.core.PQFastScanner` / Quick
-      ADC: one prepared-layout fetch, PQ Fast Scan also one table-stack
-      remap).
-    * any other :class:`PartitionScanner` — per-query ``scan`` calls.
+    the sharded scatter-gather path): the scanner's ``scan_batch``,
+    which shares across the batch whatever the scanner can (plain PQ
+    Scan: one batched ADC accumulation and one row-wise selection;
+    :class:`~repro.core.PQFastScanner` / Quick ADC: one prepared-layout
+    fetch, PQ Fast Scan also one table-stack remap) and is the per-query
+    ``scan`` loop for a scanner that defines nothing else.
 
     ``tables`` is the ``(b, m, k*)`` stack for the batch's queries
     against this partition; the block has one cell per table row,
     byte-identical to the per-query sequential loop.
     """
-    scan_batch = getattr(scanner, "scan_batch", None)
-    if callable(scan_batch):
-        return ScanBlock.pack(scan_batch(tables, partition, topk))
-    return ScanBlock.pack(
-        [scanner.scan(tables[i], partition, topk=topk) for i in range(len(tables))]
-    )
+    return ScanBlock.pack(scanner.scan_batch(tables, partition, topk))
 
 
 def _record_scans(
-    stats: WorkerStats, cells: ScanBlock, busy_time_s: float, n_jobs: int = 1
+    obs: Observability,
+    scanner_name: str,
+    stats: WorkerStats,
+    cells: ScanBlock,
+    busy_time_s: float,
+    n_jobs: int = 1,
 ) -> None:
-    """Account the scans of one job (or of a worker's ``n_jobs``) to ``stats``."""
+    """Account the scans of one job (or of a worker's ``n_jobs``).
+
+    The one place scans are counted, in the process that owns ``obs``:
+    every executor's :class:`ScanBlock` lands here, so the scan counters
+    and the pruning-rate gauge do not depend on which process scanned
+    or on which handle a scanner could see.
+    """
     _, n_scanned, n_pruned = cells.counts.sum(axis=1).tolist()
+    obs.record_scan(scanner_name, n_scanned=n_scanned, n_pruned=n_pruned)
     stats.record_job(
         n_jobs=n_jobs,
         n_scans=len(cells),
@@ -590,6 +596,12 @@ def _fold_overlay(
                 continue
             with obs.span("scan"):
                 block = _OVERLAY_SCANNER.scan_batch(tables, partition, plan.topk)
+            if obs.enabled:
+                obs.record_scan(
+                    _OVERLAY_SCANNER.name,
+                    n_scanned=int(block.n_scanned.sum()),
+                    n_pruned=int(block.n_pruned.sum()),
+                )
             parts[covers][0].append(job)
             parts[covers][1].append(block)
     for covers, (jobs, blocks) in parts.items():
@@ -976,14 +988,16 @@ class BatchExecutor(PlanExecutor):
     (:class:`PlanPipeline`) — so results are byte-identical to the
     sequential loop regardless of ``n_workers`` or job completion order.
 
-    Scanner dispatch is :func:`scan_partition_batch`: ``scan_batch``
-    where the scanner has one (the pre-warmed prepared layout and the
-    table-stack remap are then shared by the batch), else per-query
-    ``scan`` calls, still benefiting from batched routing and tables.
+    A job scans through the scanner's ``scan_batch`` (the pre-warmed
+    prepared layout and the table-stack remap are then shared by the
+    batch; a scanner that defines only ``scan`` inherits the per-query
+    loop and still benefits from batched routing and tables).
 
-    Workers are threads: the heavy lifting (gathers, einsum table
-    builds, argpartition) happens inside NumPy, which releases the GIL
-    on large operations, so partition jobs overlap on multicore hosts.
+    Workers are threads, and ``n_workers=1`` (inline, the default) is
+    the measured choice: a job's NumPy calls are short and the Python
+    between them holds the GIL, so a second thread read x0.3-0.45 on
+    the fast scanners and unresolved on naive (``docs/execution.md``,
+    "Which executor when"); ``n_workers > 1`` warns.
 
     The worker pool is **persistent**: it is spun up lazily on the first
     pooled batch and reused by every later one (the pinned-pool contract
@@ -1043,10 +1057,10 @@ class BatchExecutor(PlanExecutor):
         # workers start from a populated cache (PQFastScanner guards
         # its prepared cache and lazy assignment with _cache_lock, but
         # warming avoids building the same layout in parallel).
-        warm = getattr(self.scanner, "warm", None)
-        if callable(warm):
-            with obs.span("warm"):
-                warm(self.index.partitions[job.partition_id] for job in plan.jobs)
+        with obs.span("warm"):
+            self.scanner.warm(
+                self.index.partitions[job.partition_id] for job in plan.jobs
+            )
 
         n_slots = max(self.n_workers, 1)
         worker_stats = [WorkerStats(worker_id=i) for i in range(n_slots)]
@@ -1060,7 +1074,13 @@ class BatchExecutor(PlanExecutor):
                 )
             with obs.span("scan"):
                 block = _scan_block(self.scanner, tables, partition, plan.topk)
-            _record_scans(worker_stats[worker_id], block, time.perf_counter() - t0)
+            _record_scans(
+                obs,
+                self.scanner.name,
+                worker_stats[worker_id],
+                block,
+                time.perf_counter() - t0,
+            )
             return block
 
         if self.n_workers == 1 or len(plan.jobs) <= 1:
@@ -1292,22 +1312,23 @@ class ANNSearcher:
             segment = delta.segments.get(pid) if delta is not None else None
             # A tombstone-masked partition is scanned via its filtered
             # replacement (exact scanner — see _OVERLAY_SCANNER);
-            # untouched partitions take the configured scanner unchanged.
-            partition = self.index.partitions[pid] if masked is None else masked
-            scanner = self.scanner if masked is None else _OVERLAY_SCANNER
-            with obs.span("scan"):
-                result: ScanResult = scanner.scan(tables, partition, topk=topk)
-            all_ids.append(result.ids)
-            all_dists.append(result.distances)
-            n_scanned += result.n_scanned
-            n_pruned += result.n_pruned
+            # untouched partitions take the configured scanner unchanged;
+            # a delta segment is one more exact scan over the same tables.
+            scans: list[tuple[PartitionScanner, Partition]] = [
+                (self.scanner, self.index.partitions[pid])
+                if masked is None
+                else (_OVERLAY_SCANNER, masked)
+            ]
             if segment is not None:
+                scans.append((_OVERLAY_SCANNER, segment))
+            for scanner, partition in scans:
                 with obs.span("scan"):
-                    extra = _OVERLAY_SCANNER.scan(tables, segment, topk=topk)
-                all_ids.append(extra.ids)
-                all_dists.append(extra.distances)
-                n_scanned += extra.n_scanned
-                n_pruned += extra.n_pruned
+                    result: ScanResult = scanner.scan(tables, partition, topk=topk)
+                obs.record_scan(scanner.name, result.n_scanned, result.n_pruned)
+                all_ids.append(result.ids)
+                all_dists.append(result.distances)
+                n_scanned += result.n_scanned
+                n_pruned += result.n_pruned
         ids = np.concatenate(all_ids) if all_ids else np.empty(0, dtype=np.int64)
         dists = (
             np.concatenate(all_dists) if all_dists else np.empty(0, dtype=np.float64)

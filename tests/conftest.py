@@ -32,6 +32,17 @@ def index(dataset, pq) -> IVFADCIndex:
 
 
 @pytest.fixture(scope="session")
+def pq4(dataset) -> ProductQuantizer:
+    """A fitted PQ 16x4 quantizer — the 64-bit nibble-code budget."""
+    return ProductQuantizer(m=16, bits=4, max_iter=4, seed=5).fit(dataset.learn)
+
+
+@pytest.fixture(scope="session")
+def index4bit(dataset, pq4) -> IVFADCIndex:
+    return IVFADCIndex(pq4, n_partitions=4, seed=3).add(dataset.base)
+
+
+@pytest.fixture(scope="session")
 def query(dataset) -> np.ndarray:
     return dataset.queries[0]
 

@@ -89,6 +89,25 @@ class TestEngineConfig:
         with pytest.raises(ConfigurationError):
             EngineConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kind, m, bits, fits",
+        [
+            ("libpq", 8, 4, True),
+            ("libpq", 16, 8, False),
+            ("libpq", 8, 9, False),
+            ("fastpq", 16, 4, False),
+            ("qonly", 8, 4, False),
+            ("quickadc", 16, 8, False),
+        ],
+    )
+    def test_code_shape_checked_where_the_config_is_made(self, kind, m, bits, fits):
+        """Not after ``Engine.build`` trained the index, nor on the first search."""
+        if fits:
+            assert EngineConfig(scanner=kind, m=m, bits=bits).scanner == kind
+            return
+        with pytest.raises(ConfigurationError, match=f"scanner='{kind}' requires"):
+            EngineConfig(scanner=kind, m=m, bits=bits)
+
     def test_hashable_and_comparable(self):
         assert EngineConfig() == EngineConfig()
         assert hash(EngineConfig(nprobe=2)) == hash(EngineConfig(nprobe=2))

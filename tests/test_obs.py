@@ -7,7 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro import ANNSearcher, NaiveScanner, PQFastScanner, QuantizationOnlyScanner
+from repro import ANNSearcher, Engine, NaiveScanner, PQFastScanner
+from repro.engine import SCANNER_KINDS
 from repro.exceptions import ConfigurationError, DatasetError
 from repro.obs import (
     Observability,
@@ -24,6 +25,7 @@ from repro.obs import (
     write_snapshots,
 )
 from repro.obs.snapshot import check_snapshot, run_snapshot
+from repro.parallel import ScannerSpec
 from repro.simd.counters import WorkerStats
 
 
@@ -271,9 +273,7 @@ class TestPipelineIntegration:
     def _searcher(self, index, pq, scanner_cls):
         if scanner_cls is NaiveScanner:
             return ANNSearcher(index, NaiveScanner())
-        if scanner_cls is PQFastScanner:
-            return ANNSearcher(index, PQFastScanner(pq, keep=0.01, seed=0))
-        return ANNSearcher(index, QuantizationOnlyScanner(pq, keep=0.01))
+        return ANNSearcher(index, PQFastScanner(pq, keep=0.01, seed=0))
 
     @gil_bound_on_purpose
     def test_batch_stages_all_traced(self, index, pq, dataset):
@@ -292,26 +292,45 @@ class TestPipelineIntegration:
         stages = set(obs.tracer.stage_summary())
         assert {"route", "tables", "scan", "merge"} <= stages
 
-    @pytest.mark.parametrize(
-        "scanner_cls", [NaiveScanner, PQFastScanner, QuantizationOnlyScanner]
-    )
-    def test_scan_counters_recorded_per_scanner(
-        self, index, pq, dataset, scanner_cls
-    ):
-        searcher = self._searcher(index, pq, scanner_cls)
-        with observability_session() as obs:
-            results = searcher.search(
-                dataset.queries, topk=10, nprobe=2, n_workers=1
-            )
-        name = searcher.scanner.name
+    def _assert_scan_counters(self, obs, name, results):
+        n_scanned = sum(r.n_scanned for r in results)
+        n_pruned = sum(r.n_pruned for r in results)
+        assert n_scanned > 0
         scanned = obs.metrics.get("repro_vectors_scanned_total")
         pruned = obs.metrics.get("repro_vectors_pruned_total")
-        assert scanned.value(scanner=name) == sum(r.n_scanned for r in results)
-        assert pruned.value(scanner=name) == sum(r.n_pruned for r in results)
+        assert scanned.value(scanner=name) == n_scanned
+        assert pruned.value(scanner=name) == n_pruned
         gauge = obs.metrics.get("repro_pruning_rate").value(scanner=name)
-        total_scanned = sum(r.n_scanned for r in results)
-        expected = sum(r.n_pruned for r in results) / total_scanned
-        assert gauge == pytest.approx(expected)
+        assert gauge == pytest.approx(n_pruned / n_scanned)
+
+    @pytest.mark.parametrize("executor", ["sequential", "batch", "process"])
+    @pytest.mark.parametrize("kind", SCANNER_KINDS)
+    def test_scan_counters_recorded_per_scanner(
+        self, index, index4bit, dataset, kind, executor
+    ):
+        """Counted where every executor's block lands in the parent, so
+        the counters equal the results whoever scanned."""
+        if kind == "quickadc":
+            index = index4bit
+        scanner = ScannerSpec(kind, keep=0.01).build(index.pq)
+        with ANNSearcher(index, scanner) as searcher, observability_session() as obs:
+            results = searcher.search(
+                dataset.queries, topk=10, nprobe=2, executor=executor
+            )
+        self._assert_scan_counters(obs, kind, results)
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_scan_counters_reach_an_explicit_handle(self, dataset, executor):
+        """A handle that is not the process default gets the scans too."""
+        handle = Observability(enabled=True)
+        with Engine.build(
+            dataset.base[:4000], n_partitions=4, nprobe=2, max_iter=2,
+            coarse_max_iter=2, scanner="fastpq", executor=executor,
+            observability=handle,
+        ) as engine:
+            results = engine.search(dataset.queries, k=10)
+        assert not get_observability().enabled
+        self._assert_scan_counters(handle, "fastpq", results)
 
     def test_prepared_cache_metrics(self, index, pq, dataset):
         scanner = PQFastScanner(pq, keep=0.01, seed=0)

@@ -79,9 +79,6 @@ class TestScannerSpec:
             def scan(self, tables, partition, topk):  # pragma: no cover
                 raise NotImplementedError
 
-            def profile(self):  # pragma: no cover
-                raise NotImplementedError
-
         with pytest.raises(ConfigurationError, match="reconstructed"):
             ScannerSpec.for_scanner(Custom())
 

@@ -16,13 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    ANNSearcher,
-    IVFADCIndex,
-    NaiveScanner,
-    PQFastScanner,
-    ProductQuantizer,
-)
+from repro import ANNSearcher, NaiveScanner, PQFastScanner, ProductQuantizer
 from repro.core.quantization import DistanceQuantizer
 from repro.engine import SCANNER_KINDS, Engine, EngineConfig
 from repro.exceptions import (
@@ -47,17 +41,6 @@ from repro.scan import (
 )
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 from repro.simd import fastscan_kernel, quickadc_kernel
-
-
-@pytest.fixture(scope="module")
-def pq4(dataset):
-    """A fitted PQ 16x4 quantizer — the 64-bit nibble-code budget."""
-    return ProductQuantizer(m=16, bits=4, max_iter=4, seed=5).fit(dataset.learn)
-
-
-@pytest.fixture(scope="module")
-def index4bit(dataset, pq4):
-    return IVFADCIndex(pq4, n_partitions=4, seed=3).add(dataset.base)
 
 
 @pytest.fixture(scope="module")

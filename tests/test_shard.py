@@ -14,7 +14,7 @@ from repro.ivf import IVFADCIndex
 from repro.obs import observability_session
 from repro.persistence import load_sharded_index, save_sharded_index
 from repro.scan import LibpqScanner, NaiveScanner
-from repro.scan.base import InstructionProfile, ScanResult
+from repro.scan.base import ScanResult
 from repro.search import ANNSearcher, PartitionScanner
 from repro.shard import (
     STATE_FAILED,
@@ -258,9 +258,6 @@ class _StallingScanner(PartitionScanner):
         self.release.wait()
         return NaiveScanner().scan(tables, partition, topk=topk)
 
-    def profile(self) -> InstructionProfile:
-        return NaiveScanner().profile()
-
 
 class _FlakyScanner(PartitionScanner):
     """Raises on the first ``fail_times`` scans, then recovers."""
@@ -277,9 +274,6 @@ class _FlakyScanner(PartitionScanner):
         if self.calls <= self.fail_times:
             raise RuntimeError("transient shard fault")
         return self._inner.scan(tables, partition, topk=topk)
-
-    def profile(self) -> InstructionProfile:
-        return self._inner.profile()
 
 
 class TestGracefulDegradation:
