@@ -100,7 +100,6 @@ from .delta import (
     DeltaSnapshot,
     DeltaStore,
     DeltaView,
-    encode_vectors,
     fold_index,
 )
 from .simd import WorkerStats, aggregate_worker_stats, combine_worker_stats
@@ -161,7 +160,6 @@ __all__ = [
     "adc_distances",
     "aggregate_worker_stats",
     "combine_worker_stats",
-    "encode_vectors",
     "exact_neighbors",
     "fold_index",
     "get_observability",

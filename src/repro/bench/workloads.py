@@ -28,7 +28,9 @@ import numpy as np
 from ..data.dataset import VectorDataset
 from ..exceptions import ConfigurationError
 from ..ivf.inverted_index import IVFADCIndex
+from ..ivf.partition import Partition
 from ..pq.product_quantizer import ProductQuantizer
+from ..pq.quantizer import VectorQuantizer
 
 __all__ = ["Workload", "build_workload", "default_cache_dir", "PAPER_PARTITION_SIZES"]
 
@@ -129,9 +131,17 @@ def build_workload(
     if cache.exists():
         data = np.load(cache, allow_pickle=False)
         pq_restored = ProductQuantizer.from_codebooks(data["codebooks"])
-        index = IVFADCIndex(pq_restored, n_partitions=n_partitions, seed=seed)
-        index._coarse = _coarse_from(data["coarse"])
-        _restore_partitions(index, data)
+        index = IVFADCIndex.from_parts(
+            pq_restored,
+            VectorQuantizer.from_codebook(data["coarse"]),
+            [
+                Partition(
+                    data[f"codes_{pid}"], data[f"ids_{pid}"], partition_id=pid
+                )
+                for pid in range(n_partitions)
+            ],
+            seed=seed,
+        )
         return Workload(
             name=name,
             scale=scale,
@@ -173,23 +183,3 @@ def build_workload(
         queries=dataset.queries,
         query_partitions=query_partitions,
     )
-
-
-def _coarse_from(codebook: np.ndarray):
-    from ..pq.quantizer import VectorQuantizer
-
-    return VectorQuantizer.from_codebook(codebook)
-
-
-def _restore_partitions(index: IVFADCIndex, data) -> None:
-    from ..ivf.partition import Partition
-
-    partitions = []
-    total = 0
-    for pid in range(index.n_partitions):
-        codes = data[f"codes_{pid}"]
-        ids = data[f"ids_{pid}"]
-        partitions.append(Partition(codes, ids, partition_id=pid))
-        total += len(ids)
-    index._partitions = partitions
-    index._n_total = total

@@ -10,7 +10,6 @@ generation.  See :mod:`repro.engine` for the write API
 """
 
 from .compaction import CompactionReport, fold_index
-from .encoder import EncodeTask, encode_vectors
 from .store import DeltaSnapshot, DeltaStore, DeltaView
 
 __all__ = [
@@ -18,7 +17,5 @@ __all__ = [
     "DeltaSnapshot",
     "DeltaStore",
     "DeltaView",
-    "EncodeTask",
-    "encode_vectors",
     "fold_index",
 ]

@@ -1,12 +1,12 @@
 """Folding a drained delta snapshot into a new base index generation.
 
 Compaction is a pure function over immutable inputs: given the current
-base index, the snapshot's tombstoned ids and the freshly re-encoded
-delta rows, :func:`fold_index` builds a *new* :class:`IVFADCIndex` that
+base index, the snapshot's tombstoned ids and the delta rows as ``add``
+encoded them, :func:`fold_index` builds a *new* :class:`IVFADCIndex` that
 
 * shares the (never-changing) product and coarse quantizers with the old
-  base — encodings are generation-independent, so adds may race with
-  compaction safely;
+  base — a row's code is the same in every generation, so the fold
+  computes no distance and adds may race with compaction safely;
 * drops every base row whose id is tombstoned in the snapshot;
 * appends the delta rows to their partitions, base order first then
   insertion order, so the fold is deterministic;
@@ -39,11 +39,14 @@ class CompactionReport:
     Attributes:
         generation: generation of the published base (unchanged when the
             delta was empty and compaction was a no-op).
-        n_folded: delta rows re-encoded and folded into the base.
+        n_folded: delta rows folded into the base.
         n_dropped: base rows removed by tombstones.
         n_total: vectors in the published base.
         wall_time_s: end-to-end compaction time.
-        encode_time_s: time spent re-encoding the drained delta.
+        encode_time_s: always 0.0. Compaction folds the codes ``add``
+            made and encodes nothing; the field stays because perfbench
+            reads it (``delta.compact_encode_s``) and goes when
+            ``perfbench/`` is next opened.
     """
 
     generation: int
@@ -71,17 +74,8 @@ def fold_index(
         additions: partition id -> (codes, ids) to append, already
             encoded against ``index``'s quantizers.
     """
-    folded = IVFADCIndex(
-        index.pq,
-        n_partitions=index.n_partitions,
-        encode_residuals=index.encode_residuals,
-        coarse_max_iter=index.coarse_max_iter,
-        seed=index.seed,
-    )
-    folded._coarse = index.coarse
     tombstone_ids = np.asarray(tombstone_ids, dtype=np.int64)
     partitions: list[Partition] = []
-    n_total = 0
     for pid, part in enumerate(index.partitions):
         codes = np.asarray(part.codes)
         ids = part.ids
@@ -104,8 +98,4 @@ def fold_index(
             )
             ids = np.concatenate([ids, np.asarray(extra_ids, dtype=np.int64)])
         partitions.append(Partition(codes, ids, partition_id=pid))
-        n_total += len(ids)
-    folded._partitions = partitions
-    folded._n_total = n_total
-    folded.generation = index.generation + 1
-    return folded
+    return index.with_partitions(partitions, generation=index.generation + 1)

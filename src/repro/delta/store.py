@@ -1,7 +1,9 @@
 """Delta segments and tombstones: the mutable overlay over a read-only base.
 
 The base IVFADC artifact stays immutable (and mmap-able) exactly as the
-read-only engine left it.  Mutations accumulate in a :class:`DeltaStore`:
+read-only engine left it.  Mutations accumulate in a :class:`DeltaStore`,
+which holds what the index holds, codes: a pending row costs its ``m``
+code bytes plus 16 (id and sequence number), never its raw vector.
 
 * **delta segments** — per-partition arrays of plain PQ codes for rows
   added since the last compaction.  Deltas are small, so they are scanned
@@ -18,20 +20,19 @@ tombstone map remembers the sequence of the mutation that created it.
 Compaction drains a :meth:`DeltaStore.snapshot` at sequence ``S`` and
 later commits it with :meth:`DeltaStore.commit`, which drops exactly the
 state with sequence ``<= S`` — mutations that raced with the (lock-free)
-re-encode phase survive in the delta and stay correct: a post-snapshot
-tombstone masks any copy of its id that compaction folded into the new
-base.
+fold survive in the delta and stay correct: a post-snapshot tombstone
+masks any copy of its id that compaction folded into the new base.
 
 All arrays are copy-on-write (rebuilt, never mutated in place), so a
-:class:`DeltaView` handed to a reader is a stable snapshot even while
-writers keep mutating the store.
+:class:`DeltaView` handed to a reader, and a :class:`DeltaSnapshot`
+handed to compaction, stay stable while writers keep mutating the store.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Callable, Mapping, Protocol
 
 import numpy as np
 
@@ -51,9 +52,6 @@ class DeltaView:
     """Immutable snapshot of the mutable overlay, pinned by one query.
 
     Attributes:
-        generation: base generation this view overlays.
-        version: store version the view was cut at (one per mutation).
-        seq: sequence number of the newest mutation included.
         segments: partition id -> delta segment (plain PQ codes + ids).
         masked: partition id -> tombstone-filtered replacement for the
             *base* partition.  Only partitions where a tombstone actually
@@ -62,9 +60,6 @@ class DeltaView:
         tombstone_ids: sorted array of all tombstoned ids.
     """
 
-    generation: int
-    version: int
-    seq: int
     segments: Mapping[int, Partition]
     masked: Mapping[int, Partition]
     tombstone_ids: np.ndarray
@@ -74,15 +69,6 @@ class DeltaView:
         """True when the view changes nothing (no segments, no masking)."""
         return not self.segments and not self.masked
 
-    @property
-    def dirty_partitions(self) -> frozenset[int]:
-        """Partitions whose query results differ from the read-only base."""
-        return frozenset(self.segments) | frozenset(self.masked)
-
-    @property
-    def n_rows(self) -> int:
-        return sum(len(part.ids) for part in self.segments.values())
-
 
 @dataclass(frozen=True)
 class DeltaSnapshot:
@@ -91,7 +77,8 @@ class DeltaSnapshot:
     Attributes:
         seq: sequence number the snapshot was cut at.
         tombstone_ids: sorted ids tombstoned at or before ``seq``.
-        additions: partition id -> (raw vectors, ids) in insertion order.
+        additions: partition id -> (codes, ids) in insertion order, the
+            shape :func:`~repro.delta.fold_index` takes.
         n_rows: total rows across ``additions``.
     """
 
@@ -111,27 +98,31 @@ class _PartitionDelta:
 
     codes: np.ndarray
     ids: np.ndarray
-    vectors: np.ndarray
     seqs: np.ndarray
+
+
+def _filtered(
+    segments: dict[int, _PartitionDelta],
+    keep_rows: Callable[[_PartitionDelta], np.ndarray],
+) -> dict[int, _PartitionDelta]:
+    """Segments with only the rows ``keep_rows`` marks, emptied ones gone."""
+    out: dict[int, _PartitionDelta] = {}
+    for pid, delta in segments.items():
+        keep = keep_rows(delta)
+        if keep.all():
+            out[pid] = delta
+        elif keep.any():
+            out[pid] = _PartitionDelta(
+                delta.codes[keep], delta.ids[keep], delta.seqs[keep]
+            )
+    return out
 
 
 def _without_ids(
     segments: dict[int, _PartitionDelta], ids: np.ndarray
 ) -> dict[int, _PartitionDelta]:
     """Segments with every row whose id is in ``ids`` physically dropped."""
-    out: dict[int, _PartitionDelta] = {}
-    for pid, delta in segments.items():
-        keep = ~np.isin(delta.ids, ids)
-        if keep.all():
-            out[pid] = delta
-        elif keep.any():
-            out[pid] = _PartitionDelta(
-                codes=delta.codes[keep],
-                ids=delta.ids[keep],
-                vectors=delta.vectors[keep],
-                seqs=delta.seqs[keep],
-            )
-    return out
+    return _filtered(segments, lambda delta: ~np.isin(delta.ids, ids))
 
 
 def _with_rows(
@@ -139,48 +130,23 @@ def _with_rows(
     labels: np.ndarray,
     codes: np.ndarray,
     ids: np.ndarray,
-    vectors: np.ndarray,
     seq: int,
 ) -> dict[int, _PartitionDelta]:
     """Segments with the given rows appended to their partitions."""
     out = dict(segments)
     for pid in np.unique(labels).tolist():
         mask = labels == pid
-        seqs = np.full(int(mask.sum()), seq, dtype=np.int64)
-        existing = out.get(int(pid))
-        if existing is None:
-            out[int(pid)] = _PartitionDelta(
-                codes=codes[mask],
-                ids=ids[mask],
-                vectors=vectors[mask],
-                seqs=seqs,
+        added = _PartitionDelta(
+            codes[mask], ids[mask], np.full(int(mask.sum()), seq, np.int64)
+        )
+        existing = out.get(pid)
+        if existing is not None:
+            added = _PartitionDelta(
+                np.concatenate([existing.codes, added.codes]),
+                np.concatenate([existing.ids, added.ids]),
+                np.concatenate([existing.seqs, added.seqs]),
             )
-        else:
-            out[int(pid)] = _PartitionDelta(
-                codes=np.concatenate([existing.codes, codes[mask]]),
-                ids=np.concatenate([existing.ids, ids[mask]]),
-                vectors=np.concatenate([existing.vectors, vectors[mask]]),
-                seqs=np.concatenate([existing.seqs, seqs]),
-            )
-    return out
-
-
-def _rows_after(
-    segments: dict[int, _PartitionDelta], upto_seq: int
-) -> dict[int, _PartitionDelta]:
-    """Segments keeping only rows appended after ``upto_seq``."""
-    out: dict[int, _PartitionDelta] = {}
-    for pid, delta in segments.items():
-        keep = delta.seqs > upto_seq
-        if keep.all():
-            out[pid] = delta
-        elif keep.any():
-            out[pid] = _PartitionDelta(
-                codes=delta.codes[keep],
-                ids=delta.ids[keep],
-                vectors=delta.vectors[keep],
-                seqs=delta.seqs[keep],
-            )
+        out[pid] = added
     return out
 
 
@@ -188,9 +154,6 @@ def _build_view(
     segments: dict[int, _PartitionDelta],
     tombstones: dict[int, int],
     index: _HasPartitions,
-    generation: int,
-    version: int,
-    seq: int,
 ) -> DeltaView:
     """Materialize the overlay: segment partitions + masked base copies."""
     segment_parts = {
@@ -212,12 +175,7 @@ def _build_view(
                     partition_id=pid,
                 )
     return DeltaView(
-        generation=generation,
-        version=version,
-        seq=seq,
-        segments=segment_parts,
-        masked=masked,
-        tombstone_ids=tombstone_ids,
+        segments=segment_parts, masked=masked, tombstone_ids=tombstone_ids
     )
 
 
@@ -225,10 +183,11 @@ class DeltaStore:
     """Thread-safe accumulation of adds/deletes over a read-only base.
 
     The store is deliberately index-agnostic: callers hand it already
-    routed and encoded rows (``apply_add``) and it only needs the base
-    index again to cut a :class:`DeltaView` (for the per-partition
-    tombstone masking).  Coarse and product quantizers never change
-    across compactions, so encodings are generation-independent.
+    routed and encoded rows (``apply_add``; the raw vectors never get
+    here) and it only needs the base index again to cut a
+    :class:`DeltaView` (for the per-partition tombstone masking).
+    Coarse and product quantizers never change across compactions, so
+    the codes ``add`` made are the codes compaction folds.
     """
 
     def __init__(self, *, generation: int = 0) -> None:
@@ -236,7 +195,6 @@ class DeltaStore:
         self._segments: dict[int, _PartitionDelta] = {}
         self._tombstones: dict[int, int] = {}
         self._seq = 0
-        self._version = 0
         self._generation = int(generation)
         self._view_cache: DeltaView | None = None
 
@@ -247,11 +205,6 @@ class DeltaStore:
     def generation(self) -> int:
         with self._lock:
             return self._generation
-
-    @property
-    def version(self) -> int:
-        with self._lock:
-            return self._version
 
     @property
     def n_rows(self) -> int:
@@ -268,11 +221,7 @@ class DeltaStore:
     # mutation
     # ------------------------------------------------------------------
     def apply_add(
-        self,
-        labels: np.ndarray,
-        codes: np.ndarray,
-        ids: np.ndarray,
-        vectors: np.ndarray,
+        self, labels: np.ndarray, codes: np.ndarray, ids: np.ndarray
     ) -> int:
         """Record already-encoded rows; returns the mutation's sequence.
 
@@ -283,16 +232,15 @@ class DeltaStore:
         labels = np.asarray(labels)
         codes = np.asarray(codes)
         ids = np.asarray(ids, dtype=np.int64)
-        vectors = np.asarray(vectors)
         if ids.ndim != 1:
             raise ConfigurationError("ids must be a 1-D integer array")
-        if vectors.ndim != 2 or codes.ndim != 2 or labels.ndim != 1:
+        if codes.ndim != 2 or labels.ndim != 1:
             raise ConfigurationError(
-                "apply_add expects 2-D vectors/codes and 1-D labels"
+                "apply_add expects 2-D codes and 1-D labels"
             )
-        if not (len(labels) == len(codes) == len(ids) == len(vectors)):
+        if not (len(labels) == len(codes) == len(ids)):
             raise ConfigurationError(
-                "labels, codes, ids and vectors must have matching lengths"
+                "labels, codes and ids must have matching lengths"
             )
         if len(np.unique(ids)) != len(ids):
             raise ConfigurationError("ids within one add() call must be unique")
@@ -302,10 +250,8 @@ class DeltaStore:
             for identifier in ids.tolist():
                 self._tombstones[identifier] = seq
             self._segments = _with_rows(
-                _without_ids(self._segments, ids), labels, codes, ids,
-                vectors, seq,
+                _without_ids(self._segments, ids), labels, codes, ids, seq
             )
-            self._version += 1
             self._view_cache = None
             return seq
 
@@ -324,7 +270,6 @@ class DeltaStore:
             for identifier in ids.tolist():
                 self._tombstones[identifier] = seq
             self._segments = _without_ids(self._segments, ids)
-            self._version += 1
             self._view_cache = None
             return seq
 
@@ -335,9 +280,9 @@ class DeltaStore:
         """Cut an immutable overlay view against ``index``'s partitions.
 
         Returns None when the store is empty — callers then take the
-        unmodified (byte-identical) read-only code path.  Views are
-        cached per store version, so steady-state reads pay a dict
-        lookup, not a rebuild.
+        unmodified (byte-identical) read-only code path.  The view is
+        cached until the next mutation, so steady-state reads pay an
+        attribute read, not a rebuild.
         """
         with self._lock:
             if not self._segments and not self._tombstones:
@@ -345,10 +290,7 @@ class DeltaStore:
             cached = self._view_cache
             if cached is not None:
                 return cached
-            view = _build_view(
-                self._segments, self._tombstones, index,
-                self._generation, self._version, self._seq,
-            )
+            view = _build_view(self._segments, self._tombstones, index)
             self._view_cache = view
             return view
 
@@ -359,7 +301,7 @@ class DeltaStore:
         """Cut the drain snapshot compaction will fold into a new base."""
         with self._lock:
             additions = {
-                pid: (delta.vectors, delta.ids)
+                pid: (delta.codes, delta.ids)
                 for pid, delta in sorted(self._segments.items())
             }
             n_rows = sum(len(ids) for _, ids in additions.values())
@@ -380,12 +322,13 @@ class DeltaStore:
         concurrent compaction).
         """
         with self._lock:
-            self._segments = _rows_after(self._segments, upto_seq)
+            self._segments = _filtered(
+                self._segments, lambda delta: delta.seqs > upto_seq
+            )
             self._tombstones = {
                 identifier: seq
                 for identifier, seq in self._tombstones.items()
                 if seq > upto_seq
             }
             self._generation = int(generation)
-            self._version += 1
             self._view_cache = None

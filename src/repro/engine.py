@@ -24,7 +24,7 @@ Mutable engines (``mutable=True``) add a write API on top of the same
 read path: :meth:`Engine.add` and :meth:`Engine.delete` accumulate in an
 in-memory delta overlay (:mod:`repro.delta`) while the base artifact
 stays immutable, and :meth:`Engine.compact` folds the drained overlay
-into a new base *generation* — re-encoding through the process pool,
+(the codes ``add`` made, as they are) into a new base *generation* —
 atomically re-saving the artifact, and swapping the executor under an
 epoch scheme that lets in-flight readers finish on the old base
 untouched.  Queries that probe no mutated partition stay
@@ -51,15 +51,9 @@ import numpy as np
 if TYPE_CHECKING:
     from .delta.store import DeltaView
 
-from .delta import (
-    CompactionReport,
-    DeltaSnapshot,
-    DeltaStore,
-    encode_vectors,
-    fold_index,
-)
-from .exceptions import ConfigurationError, SimulationError
-from .ivf.inverted_index import IVFADCIndex
+from .delta import CompactionReport, DeltaStore, fold_index
+from .exceptions import ConfigurationError
+from .ivf.inverted_index import IVFADCIndex, as_database_ids
 from .obs import Observability, get_observability
 from .parallel.spec import SCANNER_KINDS, ScannerSpec, check_code_shape
 from .persistence import (
@@ -121,9 +115,7 @@ class EngineConfig:
             (ignored by baselines).
         nprobe: default partitions probed per query.
         n_workers: workers (per shard, when sharded) — threads for
-            ``executor="thread"``, processes for ``executor="process"``;
-            also the encoder pool size :meth:`Engine.compact` re-encodes
-            the drained delta with.
+            ``executor="thread"``, processes for ``executor="process"``.
         executor: ``"auto"`` (default) resolves to ``"process"`` for
             sharded engines (``n_shards > 1`` — pinned per-shard process
             pools whose workers mmap the saved shard artifacts) and
@@ -564,23 +556,26 @@ class Engine:
     def add(self, vectors: np.ndarray, ids: np.ndarray) -> int:
         """Insert (or upsert) vectors; returns the write's sequence number.
 
-        Rows are routed and PQ-encoded immediately — against quantizers
-        that never change across compactions, so an ``add`` may safely
-        race a background :meth:`compact` — and appended to the
-        in-memory delta overlay. Re-adding an existing id replaces it
-        everywhere (the stale base copy is tombstoned, any stale delta
-        copy physically removed). Call :meth:`compact` to fold
-        accumulated writes into the base artifact.
+        Rows are routed and PQ-encoded here, once
+        (:meth:`IVFADCIndex.encode <repro.ivf.IVFADCIndex.encode>`, the
+        build's own step) — against quantizers that never change across
+        compactions, so an ``add`` may safely race a background
+        :meth:`compact` — and their codes appended to the in-memory
+        delta overlay; the vectors are not kept. Re-adding an existing
+        id replaces it everywhere (the stale base copy is tombstoned,
+        any stale delta copy physically removed). Call :meth:`compact`
+        to fold accumulated writes into the base artifact. Ids that are
+        not integers and vectors that are not finite are refused.
         """
         delta = self._require_mutable("add")
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim == 1:
             vectors = vectors[None, :]
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        ids = as_database_ids(ids)
         with self._lock:
             index = self.index
-        labels, codes = encode_vectors(index, vectors)
-        seq = delta.apply_add(labels, codes, ids, vectors)
+        labels, codes = index.encode(vectors)
+        seq = delta.apply_add(labels, codes, ids)
         self._obs().record_mutation(
             "add", len(ids), delta.n_rows, delta.n_tombstones
         )
@@ -595,7 +590,7 @@ class Engine:
         no-op mask.
         """
         delta = self._require_mutable("delete")
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        ids = as_database_ids(ids)
         seq = delta.apply_delete(ids)
         self._obs().record_mutation(
             "delete", len(ids), delta.n_rows, delta.n_tombstones
@@ -606,15 +601,15 @@ class Engine:
         """Fold the delta overlay into a new base generation.
 
         The heavy phase is lock-free for writers: a snapshot of the
-        overlay is cut at sequence ``S``, its rows are re-encoded
-        through the encoder process pool (``n_workers``), and
-        :func:`~repro.delta.fold_index` builds the next-generation base.
+        overlay is cut at sequence ``S`` and
+        :func:`~repro.delta.fold_index` builds the next-generation base
+        from the codes :meth:`add` made (nothing is encoded again).
         When the engine has an artifact it is re-saved atomically
         (:mod:`repro.persistence`) and reloaded with the same ``mmap``
         mode. The swap then publishes the new base under the engine
         lock: a fresh executor, a bumped epoch, and
         :meth:`~repro.delta.DeltaStore.commit` dropping exactly the
-        drained state — writes that raced the re-encode survive in the
+        drained state — writes that raced the fold survive in the
         overlay and stay correct. In-flight readers pinned to the old
         epoch finish on the old base untouched; their resources are
         released once the last one unpins.
@@ -643,11 +638,11 @@ class Engine:
                     wall_time_s=time.perf_counter() - t0,
                     encode_time_s=0.0,
                 )
-            additions, encode_time_s = self._encode_snapshot(index, snapshot)
-            n_before = len(index)
-            folded = fold_index(index, snapshot.tombstone_ids, additions)
+            folded = fold_index(
+                index, snapshot.tombstone_ids, snapshot.additions
+            )
             n_folded = snapshot.n_rows
-            n_dropped = n_before + n_folded - len(folded)
+            n_dropped = len(index) + n_folded - len(folded)
             # Persist in the artifact's own format: a single-file index
             # is re-saved as a file even when the engine re-sharded it in
             # memory; a sharded directory is re-saved shard by shard.
@@ -707,51 +702,8 @@ class Engine:
             n_dropped=n_dropped,
             n_total=len(folded),
             wall_time_s=wall_time_s,
-            encode_time_s=encode_time_s,
+            encode_time_s=0.0,
         )
-
-    def _encode_snapshot(
-        self, index: IVFADCIndex, snapshot: DeltaSnapshot
-    ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], float]:
-        """Re-encode a drain snapshot's rows; returns (additions, time).
-
-        The pool workers attach to the saved artifact when the engine
-        has an unsharded one (its quantizers are generation-independent,
-        so an older generation on disk encodes identically); otherwise
-        :func:`~repro.delta.encode_vectors` temp-saves the index itself.
-        """
-        additions_in = snapshot.additions
-        if not additions_in:
-            return {}, 0.0
-        vec_parts: list[np.ndarray] = []
-        id_parts: list[np.ndarray] = []
-        pid_parts: list[np.ndarray] = []
-        for pid, (vectors, row_ids) in additions_in.items():
-            vec_parts.append(vectors)
-            id_parts.append(row_ids)
-            pid_parts.append(np.full(len(row_ids), pid, dtype=np.int64))
-        all_vectors = np.concatenate(vec_parts)
-        all_ids = np.concatenate(id_parts)
-        expected = np.concatenate(pid_parts)
-        t0 = time.perf_counter()
-        labels, codes = encode_vectors(
-            index,
-            all_vectors,
-            index_path=self._index_file,
-            n_workers=self.config.n_workers,
-        )
-        encode_time_s = time.perf_counter() - t0
-        if not np.array_equal(labels, expected):
-            raise SimulationError(
-                "compaction re-encode routed rows to different partitions "
-                "than their add-time encoding — the coarse codebooks "
-                "diverged, which the overlay design forbids"
-            )
-        additions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for pid in additions_in:
-            selected = expected == pid
-            additions[pid] = (codes[selected], all_ids[selected])
-        return additions, encode_time_s
 
     # -- epoch pinning ------------------------------------------------------
 

@@ -22,7 +22,30 @@ from ..pq.product_quantizer import ProductQuantizer
 from ..pq.quantizer import VectorQuantizer
 from .partition import Partition
 
-__all__ = ["IVFADCIndex"]
+__all__ = ["IVFADCIndex", "as_database_ids"]
+
+
+def as_database_ids(ids: np.ndarray) -> np.ndarray:
+    """``ids`` as a flat int64 array, refusing anything not an integer.
+
+    Ids come from outside the library; a cast would turn ``1.5`` into
+    id 1, ``"7"`` into 7 and ``True`` into 1, so a write meant for one
+    row would silently land on another. An empty array of any dtype is
+    the empty id list.
+    """
+    ids = np.asarray(ids).reshape(-1)
+    if len(ids) and not np.issubdtype(ids.dtype, np.integer):
+        raise ConfigurationError(
+            f"database ids must be integers, got dtype {ids.dtype}"
+        )
+    return ids.astype(np.int64, copy=False)
+
+
+def _require_finite(vectors: np.ndarray, what: str) -> None:
+    if not np.isfinite(vectors).all():
+        raise ConfigurationError(
+            f"{what} must be finite (NaN or inf in the input)"
+        )
 
 
 class IVFADCIndex:
@@ -69,6 +92,50 @@ class IVFADCIndex:
 
     # -- construction ---------------------------------------------------------
 
+    @classmethod
+    def from_parts(
+        cls,
+        pq: ProductQuantizer,
+        coarse: VectorQuantizer,
+        partitions: list[Partition],
+        *,
+        encode_residuals: bool = True,
+        coarse_max_iter: int = 20,
+        seed: int = 0,
+        generation: int = 0,
+    ) -> "IVFADCIndex":
+        """An index around quantizers and partitions that already exist.
+
+        What loading, sharding and compaction do: nothing is trained or
+        encoded, ``partitions[p]`` becomes cell ``p`` as is (no copy).
+        """
+        index = cls(
+            pq,
+            n_partitions=len(partitions),
+            encode_residuals=encode_residuals,
+            coarse_max_iter=coarse_max_iter,
+            seed=seed,
+        )
+        index._coarse = coarse
+        index._partitions = list(partitions)
+        index._n_total = sum(len(part) for part in partitions)
+        index.generation = generation
+        return index
+
+    def with_partitions(
+        self, partitions: list[Partition], *, generation: int | None = None
+    ) -> "IVFADCIndex":
+        """This index's quantizers and settings over other partitions."""
+        return IVFADCIndex.from_parts(
+            self.pq,
+            self.coarse,
+            partitions,
+            encode_residuals=self.encode_residuals,
+            coarse_max_iter=self.coarse_max_iter,
+            seed=self.seed,
+            generation=self.generation if generation is None else generation,
+        )
+
     def train_coarse(self, vectors: np.ndarray) -> "IVFADCIndex":
         """Learn the coarse quantizer from training vectors."""
         vq = VectorQuantizer(
@@ -86,19 +153,15 @@ class IVFADCIndex:
         (the index is built once, as in the paper's experiments).
         """
         vectors = np.asarray(vectors, dtype=np.float64)
-        if self._coarse is None:
-            self.train_coarse(vectors)
         if ids is None:
             ids = np.arange(len(vectors), dtype=np.int64)
         else:
-            ids = np.asarray(ids, dtype=np.int64)
+            ids = as_database_ids(ids)
             if len(ids) != len(vectors):
                 raise ConfigurationError("ids and vectors length mismatch")
-        labels = self.coarse.encode(vectors)
-        to_encode = vectors
-        if self.encode_residuals:
-            to_encode = vectors - self.coarse.decode(labels)
-        codes = self.pq.encode(to_encode)
+        if self._coarse is None:
+            self.train_coarse(vectors)
+        labels, codes = self.encode(vectors)
         partitions = []
         for cell in range(self.n_partitions):
             mask = labels == cell
@@ -106,6 +169,23 @@ class IVFADCIndex:
         self._partitions = partitions
         self._n_total = len(vectors)
         return self
+
+    def encode(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Route and PQ-encode ``(n, d)`` vectors: ``(labels, codes)``.
+
+        The one place a database row becomes a code (coarse assign,
+        residual shift, ``pq.encode``): the build and the write path
+        (:meth:`repro.engine.Engine.add`) both end here, so the overlay
+        and the base hold the same codes for the same row.
+        """
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2:
+            raise ConfigurationError("encode expects a 2-D vector batch")
+        _require_finite(vectors, "database vectors")
+        labels = self.coarse.encode(vectors)
+        if self.encode_residuals:
+            vectors = vectors - self.coarse.decode(labels)
+        return labels, self.pq.encode(vectors)
 
     # -- accessors -------------------------------------------------------------
 
@@ -154,6 +234,9 @@ class IVFADCIndex:
             raise ConfigurationError(
                 f"nprobe must be in [1, {self.n_partitions}], got {nprobe}"
             )
+        # Every query path routes through here, before anything is
+        # scattered: a NaN query has no nearest cell and no top-k.
+        _require_finite(queries, "queries")
         codebook = self.coarse.codebook
         x_sq = np.einsum("qd,qd->q", queries, queries)
         c_sq = np.einsum("id,id->i", codebook, codebook)

@@ -188,16 +188,22 @@ class ProcessBatchExecutor(PlanExecutor):
         from ..persistence import save_index
 
         tempdir = tempfile.TemporaryDirectory(prefix="repro-index-")
-        path = Path(tempdir.name) / "index.npz"
-        save_index(index, path)
-        executor = cls(
-            path,
-            scanner,
-            n_workers=n_workers,
-            index=index,
-            mp_context=mp_context,
-            observability=observability,
-        )
+        try:
+            path = Path(tempdir.name) / "index.npz"
+            save_index(index, path)
+            executor = cls(
+                path,
+                scanner,
+                n_workers=n_workers,
+                index=index,
+                mp_context=mp_context,
+                observability=observability,
+            )
+        except BaseException:
+            # Nobody else holds the directory yet (an unsupported scanner
+            # or a failed spin-up must not leave it behind).
+            tempdir.cleanup()
+            raise
         executor._tempdir = tempdir
         return executor
 

@@ -152,26 +152,20 @@ def load_index(path: str | Path, *, mmap: bool = False) -> IVFADCIndex:
     data = _load_checked(path, expected_kind="index", mmap_prefixes=mapped)
     codebooks = _require(data, "codebooks", path)
     pq = ProductQuantizer.from_codebooks(codebooks)
-    index = IVFADCIndex(
-        pq,
-        n_partitions=int(_require(data, "n_partitions", path)[0]),
-        encode_residuals=bool(_require(data, "encode_residuals", path)[0]),
-    )
-    index._coarse = VectorQuantizer.from_codebook(_require(data, "coarse", path))
-    # Pre-1.5 artifacts have no generation stamp; they are generation 0.
-    if "generation" in data:
-        index.generation = int(data["generation"][0])
     partitions = []
-    total = 0
-    for pid in range(index.n_partitions):
+    for pid in range(int(_require(data, "n_partitions", path)[0])):
         codes = _require(data, f"codes_{pid}", path)
         ids = _require(data, f"ids_{pid}", path)
         _validate_partition(path, pid, codes, ids, pq)
         partitions.append(Partition(codes, ids, partition_id=pid))
-        total += len(ids)
-    index._partitions = partitions
-    index._n_total = total
-    return index
+    return IVFADCIndex.from_parts(
+        pq,
+        VectorQuantizer.from_codebook(_require(data, "coarse", path)),
+        partitions,
+        encode_residuals=bool(_require(data, "encode_residuals", path)[0]),
+        # Pre-1.5 artifacts have no generation stamp; they are generation 0.
+        generation=int(data["generation"][0]) if "generation" in data else 0,
+    )
 
 
 def save_sharded_index(

@@ -40,7 +40,6 @@ the reference the merger is tested against.
 
 from __future__ import annotations
 
-import tempfile
 import threading
 import time
 import warnings
@@ -1157,8 +1156,9 @@ class ANNSearcher:
             searcher was loaded from. Only used by
             ``executor="process"``: worker processes attach to the
             artifact by path (mmap) instead of receiving pickled codes.
-            Without it, the first process-executor search saves the
-            index to a temporary file once.
+            Without it, each process executor saves, owns and deletes a
+            temporary artifact of its own
+            (:meth:`~repro.parallel.ProcessBatchExecutor.from_index`).
 
     Searchers using ``executor="process"`` hold worker pools; call
     :meth:`close` (or use the searcher as a context manager) to shut
@@ -1178,12 +1178,10 @@ class ANNSearcher:
         self.vectors = None if vectors is None else np.asarray(vectors, float)
         self.index_path = None if index_path is None else Path(index_path)
         self._closed = False
-        self._tempdir: tempfile.TemporaryDirectory | None = None
         # Pinned executors keyed (kind, n_workers), kind "batch" or
         # "process"; see _executor_for.
         self._executors: dict[tuple[str, int], PlanExecutor] = {}
-        # Guards the executor cache and the temp-artifact state
-        # (_tempdir / tempdir-backed index_path) against the concurrent
+        # Guards the executor cache against the concurrent
         # search()/close() callers a serving layer creates. Pools are
         # never spun up while it is held (lint rule R7): executors are
         # constructed outside the lock and published under it.
@@ -1397,59 +1395,26 @@ class ANNSearcher:
             return fresh
 
     def _build_executor(self, kind: str, n_workers: int) -> PlanExecutor:
-        """A fresh thread or process executor over this searcher's index.
-
-        If a concurrent :meth:`close` deletes the temp artifact while a
-        process pool is attaching, construction is retried against a
-        fresh artifact.
-        """
+        """A fresh thread or process executor over this searcher's index."""
         if kind == "batch":
             return BatchExecutor(self.index, self.scanner, n_workers=n_workers)
         from .parallel import ProcessBatchExecutor
 
-        while True:
-            path = self._ensure_index_path()
-            try:
-                return ProcessBatchExecutor(
-                    path, self.scanner, n_workers=n_workers, index=self.index
-                )
-            except Exception:
-                with self._lock:
-                    artifact_gone = self.index_path != path
-                if not artifact_gone:
-                    raise
-
-    def _ensure_index_path(self) -> Path:
-        """The artifact path process workers attach to, created on demand.
-
-        If the searcher was not given an ``index_path``, the index is
-        saved once to a temporary uncompressed artifact for the workers
-        to mmap. Holding ``self._lock`` across the save makes concurrent
-        first-process-searches agree on a single artifact (saving is a
-        plain file write, not a pool spin-up, so R7 is honored).
-        """
-        from .persistence import save_index
-
-        with self._lock:
-            if self._closed:
-                raise ConfigurationError(
-                    "ANNSearcher is closed; create a new searcher"
-                )
-            if self.index_path is not None:
-                return self.index_path
-            tempdir = tempfile.TemporaryDirectory(prefix="repro-index-")
-            path = Path(tempdir.name) / "index.npz"
-            save_index(self.index, path)
-            self._tempdir = tempdir
-            self.index_path = path
-            return path
+        if self.index_path is None:
+            return ProcessBatchExecutor.from_index(
+                self.index, self.scanner, n_workers=n_workers
+            )
+        return ProcessBatchExecutor(
+            self.index_path, self.scanner, n_workers=n_workers, index=self.index
+        )
 
     def close(self) -> None:
         """Shut the searcher down for good (the lifecycle contract).
 
-        Releases the process pools of ``executor="process"`` searches,
-        the persistent thread pools of multi-worker ``executor="batch"``
-        searches and any temporary artifact. Terminal: every later
+        Closes every executor: the process pools of
+        ``executor="process"`` searches (each with the temporary
+        artifact it saved, if any) and the persistent thread pools of
+        multi-worker ``executor="batch"`` searches. Terminal: every later
         :meth:`search` raises :class:`ConfigurationError`. Idempotent
         and safe against concurrent close()/search() callers — a search
         racing the close either completes or raises, it never resurrects
@@ -1459,13 +1424,8 @@ class ANNSearcher:
             self._closed = True
             executors = list(self._executors.values())
             self._executors.clear()
-            tempdir, self._tempdir = self._tempdir, None
-            if tempdir is not None:
-                self.index_path = None
         for executor in executors:
             executor.close()
-        if tempdir is not None:
-            tempdir.cleanup()
 
     def __enter__(self) -> "ANNSearcher":
         return self

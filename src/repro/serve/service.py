@@ -63,6 +63,7 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -194,6 +195,30 @@ class _PendingRequest:
     enqueued_at: float
     future: "asyncio.Future[ServedResult]"
     write_id: int | None = None
+
+
+def _admitted_row(row: np.ndarray, expected: str) -> np.ndarray:
+    """One client's 1-D finite row, or that client's error.
+
+    Checked at admission: past it the row shares a micro-batch, and a
+    NaN there fails every request of the batch, not just its sender's.
+    """
+    row = np.asarray(row, dtype=np.float64)
+    if row.ndim != 1:
+        raise ConfigurationError(f"serve {expected}, got shape {row.shape}")
+    if not np.isfinite(row).all():
+        raise ConfigurationError(f"serve {expected} of finite values")
+    return row
+
+
+def _admitted_id(write_id: int) -> int:
+    """A write's database id; ``1.5`` is refused, not truncated to 1."""
+    try:
+        return operator.index(write_id)
+    except TypeError:
+        raise ConfigurationError(
+            f"database ids must be integers, got {write_id!r}"
+        ) from None
 
 
 class MicroBatchServer:
@@ -443,13 +468,10 @@ class MicroBatchServer:
         Returns a :data:`STATUS_OK` result, or sheds immediately with
         :data:`STATUS_OVERLOAD` when the admission queue is full. If the
         batch itself raises, the exception propagates to every awaiting
-        client of that batch.
+        client of that batch, which is why a query that is not 1-D or
+        not finite is refused here, before it joins one.
         """
-        q = np.asarray(query, dtype=np.float64)
-        if q.ndim != 1:
-            raise ConfigurationError(
-                f"serve requests are single 1-D queries, got shape {q.shape}"
-            )
+        q = _admitted_row(query, "requests are single 1-D queries")
         return await self._enqueue(_KIND_SEARCH, q, None)
 
     async def add(self, vector: np.ndarray, id: int) -> ServedResult:
@@ -462,17 +484,13 @@ class MicroBatchServer:
         ``write_fn`` (:meth:`for_engine` over a mutable engine).
         """
         self._require_writable("add")
-        v = np.asarray(vector, dtype=np.float64)
-        if v.ndim != 1:
-            raise ConfigurationError(
-                f"serve writes are single 1-D rows, got shape {v.shape}"
-            )
-        return await self._enqueue(_KIND_ADD, v, int(id))
+        v = _admitted_row(vector, "writes are single 1-D rows")
+        return await self._enqueue(_KIND_ADD, v, _admitted_id(id))
 
     async def delete(self, id: int) -> ServedResult:
         """Delete one id through the admission queue (see :meth:`add`)."""
         self._require_writable("delete")
-        return await self._enqueue(_KIND_DELETE, None, int(id))
+        return await self._enqueue(_KIND_DELETE, None, _admitted_id(id))
 
     async def _enqueue(
         self, kind: str, query: np.ndarray | None, write_id: int | None

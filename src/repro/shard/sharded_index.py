@@ -284,50 +284,26 @@ def _global_view(
     shards: tuple[IndexShard, ...], owners: np.ndarray
 ) -> IVFADCIndex:
     """A single :class:`IVFADCIndex` over the shards' owned partitions."""
-    reference = shards[0].index
-    index = IVFADCIndex(
-        reference.pq,
-        n_partitions=reference.n_partitions,
-        encode_residuals=reference.encode_residuals,
-        coarse_max_iter=reference.coarse_max_iter,
-        seed=reference.seed,
+    return shards[0].index.with_partitions(
+        [
+            shards[owner].index.partitions[pid]
+            for pid, owner in enumerate(owners.tolist())
+        ]
     )
-    index._coarse = reference.coarse
-    index._partitions = [
-        shards[owner].index.partitions[pid]
-        for pid, owner in enumerate(owners.tolist())
-    ]
-    index._n_total = sum(len(shard) for shard in shards)
-    index.generation = reference.generation
-    return index
 
 
 def _build_shard(
     index: IVFADCIndex, shard_id: int, owned: tuple[int, ...]
 ) -> IndexShard:
     """One shard of ``index``: owned partitions shared, the rest empty."""
-    pq = index.pq
-    shard_index = IVFADCIndex(
-        pq,
-        n_partitions=index.n_partitions,
-        encode_residuals=index.encode_residuals,
-        coarse_max_iter=index.coarse_max_iter,
-        seed=index.seed,
-    )
-    shard_index._coarse = index.coarse
-    shard_index.generation = index.generation
     owned_set = set(owned)
-    partitions = []
-    total = 0
-    for pid in range(index.n_partitions):
-        if pid in owned_set:
-            partition = index.partitions[pid]
-            total += len(partition)
-        else:
-            partition = empty_partition(
-                pq.m, np.dtype(pq.code_dtype), pid
-            )
-        partitions.append(partition)
-    shard_index._partitions = partitions
-    shard_index._n_total = total
+    code_dtype = np.dtype(index.pq.code_dtype)
+    shard_index = index.with_partitions(
+        [
+            index.partitions[pid]
+            if pid in owned_set
+            else empty_partition(index.pq.m, code_dtype, pid)
+            for pid in range(index.n_partitions)
+        ]
+    )
     return IndexShard(shard_id=shard_id, index=shard_index, partition_ids=owned)

@@ -61,21 +61,24 @@ def queries(dataset) -> np.ndarray:
 class TestTerminalClose:
     """close() releases everything and refuses every later search."""
 
-    def test_process_close_releases_tempdir_backed_index_path(
+    def test_process_close_releases_the_executors_artifact(
         self, index, queries
     ):
         # Regression lineage: on the seed, close() deleted the tempdir
         # but kept index_path pointing into it, handing workers a
-        # dangling artifact path. Terminal close keeps the fix — the
-        # tempdir is cleaned up exactly once — and refuses reuse.
+        # dangling artifact path. The searcher no longer manages an
+        # artifact: without an index_path the process executor saves,
+        # owns and deletes its own, and index_path stays what the
+        # caller passed.
         searcher = ANNSearcher(index)
         searcher.search(queries, topk=5, nprobe=2, executor="process")
-        assert searcher.index_path is not None
-        tempdir = searcher._tempdir
-        assert tempdir is not None
-        searcher.close()
         assert searcher.index_path is None
-        assert searcher._tempdir is None
+        (executor,) = searcher._executors.values()
+        artifact = executor.index_path
+        assert artifact.is_file()
+        searcher.close()
+        assert not artifact.parent.exists()
+        assert searcher.index_path is None
         with pytest.raises(ConfigurationError, match="closed"):
             searcher.search(queries, topk=5, nprobe=2, executor="process")
 

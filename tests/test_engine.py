@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import Engine, EngineConfig
+from repro import SCANNER_KINDS, Engine, EngineConfig
 from repro.exceptions import ConfigurationError
 from repro.obs import Observability, observability_session
 from repro.shard import ShardedResponse
@@ -412,3 +412,65 @@ class TestOneExecutorPerEpoch:
                 engine.compact()
                 engine.search(queries, k=5)
         assert sum("GIL-bound" in str(w.message) for w in caught) == 1
+
+
+class TestOutsideInputRefusedAtTheDoor:
+    """Ids, rows and queries from outside end in one typed error each,
+    not in a silently wrong row or a different failure per path."""
+
+    @pytest.fixture(scope="class")
+    def mutable(self, small_data):
+        with Engine.build(small_data, mutable=True, **_SMALL) as engine:
+            yield engine
+
+    @pytest.mark.parametrize(
+        "ids",
+        [np.array([1.5]), np.array([2.9]), np.array(["7"]), np.array([True])],
+        ids=["float", "float-again", "str", "bool"],
+    )
+    def test_write_ids_are_checked_not_cast(self, mutable, small_data, ids):
+        # Each of these was a write to some other row at the parent
+        # (1.5 upserted id 1, 2.9 deleted id 2, "7" id 7, True id 1).
+        with pytest.raises(ConfigurationError, match="integers, got dtype"):
+            mutable.add(small_data[:1], ids)
+        with pytest.raises(ConfigurationError, match="integers, got dtype"):
+            mutable.delete(ids)
+        assert mutable.n_pending_writes == 0
+
+    def test_build_ids_are_checked_not_truncated(self, small_data):
+        with pytest.raises(ConfigurationError, match="integers, got dtype"):
+            Engine.build(
+                small_data, ids=np.arange(len(small_data)) + 0.5, **_SMALL
+            )
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_row_is_not_added(self, mutable, small_data, bad):
+        row = small_data[:1].copy()
+        row[0, 3] = bad
+        with pytest.raises(ConfigurationError, match="vectors must be finite"):
+            mutable.add(row, [9009])
+        assert mutable.n_pending_writes == 0
+
+    @pytest.mark.parametrize("kind", SCANNER_KINDS)
+    def test_non_finite_query_is_one_error_on_every_path(
+        self, small_data, queries, kind
+    ):
+        # At the parent: PAD_ID as a neighbour (1-D, naive), a retried
+        # "sharded search degraded" (naive, fastpq), an empty answer
+        # (libpq), "quantization bounds must be finite" (qonly).
+        batch = queries[:4].copy()
+        batch[1, 0] = np.nan
+        shape = dict(m=16, bits=4) if kind == "quickadc" else {}
+        with Engine.build(
+            small_data, **{**_SMALL, "scanner": kind}, **shape
+        ) as engine:
+            for bad in (batch, batch[1]):
+                with pytest.raises(
+                    ConfigurationError, match="queries must be finite"
+                ):
+                    engine.search(bad, k=5)
+                with pytest.raises(
+                    ConfigurationError, match="queries must be finite"
+                ):
+                    engine.search_detailed(bad, k=5)
+            assert len(engine.search(queries[:4], k=5)) == 4

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import IVFADCIndex, ProductQuantizer
+from repro import ANNSearcher, IVFADCIndex, PQFastScanner, ProductQuantizer
 from repro.exceptions import ConfigurationError, DatasetError, NotFittedError
+from repro.ivf.inverted_index import as_database_ids
 from repro.ivf.partition import Partition
 from repro.pq.adc import adc_distances
 
@@ -124,3 +125,78 @@ class TestIVFADCIndex:
             IVFADCIndex(pq, n_partitions=2).add(
                 dataset.base[:100], np.arange(99)
             )
+
+    def test_encode_is_the_builds_own_step(self, index, dataset):
+        # add() ends in encode(): every row sits in the partition encode()
+        # routes it to and carries the code encode() gives it.
+        labels, codes = index.encode(dataset.base[:500])
+        for pid, part in enumerate(index.partitions):
+            rows = np.flatnonzero(labels == pid)
+            at = np.searchsorted(part.ids, rows)  # built with ids = arange
+            assert np.array_equal(part.ids[at], rows)
+            assert np.array_equal(np.asarray(part.codes)[at], codes[rows])
+
+    def test_from_parts_wraps_what_already_exists(self, index):
+        rebuilt = IVFADCIndex.from_parts(
+            index.pq, index.coarse, index.partitions[::-1], generation=3
+        )
+        assert rebuilt.partitions[0] is index.partitions[1]
+        assert len(rebuilt) == len(index)
+        assert (rebuilt.n_partitions, rebuilt.generation) == (2, 3)
+        half = index.with_partitions(
+            [index.partitions[0], index.partitions[1].take(0)]
+        )
+        assert len(half) == len(index.partitions[0])
+        assert half.coarse is index.coarse and half.seed == index.seed
+        assert half.generation == index.generation
+
+
+class TestOutsideInputRefusedAtTheDoor:
+    """Ids are checked, not cast; rows and queries must be finite."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [np.array([1.5]), np.array([2.0]), np.array(["7"]), np.array([True]),
+         [0.5]],
+        ids=["float", "integral-float", "str", "bool", "list-of-float"],
+    )
+    def test_ids_that_are_not_integers(self, pq, dataset, ids):
+        with pytest.raises(ConfigurationError, match="integers, got dtype"):
+            as_database_ids(ids)
+        with pytest.raises(ConfigurationError, match="integers, got dtype"):
+            IVFADCIndex(pq, n_partitions=1).add(dataset.base[:1], ids)
+
+    @pytest.mark.parametrize(
+        "ids", [[3, 1], np.array([3, 1], np.uint8), np.array([[3], [1]]), []],
+        ids=["list", "uint8", "column", "empty-float"],
+    )
+    def test_integer_ids_pass_as_flat_int64(self, ids):
+        out = as_database_ids(ids)
+        assert out.dtype == np.int64 and out.ndim == 1
+        assert out.tolist() == np.asarray(ids).reshape(-1).tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_are_not_encoded(self, index, dataset, bad):
+        rows = dataset.base[:3].copy()
+        rows[1, 5] = bad
+        with pytest.raises(ConfigurationError, match="vectors must be finite"):
+            index.encode(rows)
+        with pytest.raises(ConfigurationError, match="vectors must be finite"):
+            index.with_partitions(index.partitions).add(rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_queries_are_not_routed(self, index, pq, dataset, bad):
+        queries = dataset.queries[:3].copy()
+        queries[2, 0] = bad
+        with pytest.raises(ConfigurationError, match="queries must be finite"):
+            index.route_batch(queries, nprobe=2)
+        with pytest.raises(ConfigurationError, match="queries must be finite"):
+            index.route(queries[2])
+        # The per-query loop routes through route(): IndexError at the
+        # parent on fastpq, PAD_ID as a neighbour on naive.
+        with ANNSearcher(index, PQFastScanner(pq, keep=0.01)) as searcher:
+            for executor in ("sequential", "batch"):
+                with pytest.raises(ConfigurationError, match="must be finite"):
+                    searcher.search(queries, topk=5, executor=executor)
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                searcher.search(queries[2], topk=5)

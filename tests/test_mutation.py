@@ -14,22 +14,44 @@ The write API's contract has three load-bearing clauses:
 * **generation-swap safety** — readers (including the serving layer)
   racing a background compaction see either the old or the new base,
   never a torn mix.
+
+``TestEngineAgainstDictModel`` drives all of it with random operation
+sequences against a dict of vectors (ROADMAP item 6).
 """
 
 from __future__ import annotations
 
 import asyncio
+import shutil
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
-from repro import ANNSearcher, BatchExecutor, Engine, EngineConfig, PQFastScanner
+import repro.pq.quantizer
+from repro import (
+    ANNSearcher,
+    BatchExecutor,
+    Engine,
+    EngineConfig,
+    PQFastScanner,
+    VectorDataset,
+)
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.parallel import ProcessBatchExecutor
 from repro.persistence import load_index
 from repro.serve import MicroBatchServer
-from repro.delta import DeltaStore, encode_vectors, fold_index
+from repro.delta import DeltaStore, fold_index
 
 
 def _same_answers(a, b) -> bool:
@@ -114,10 +136,11 @@ def churn(artifact, dataset):
 
 
 def _copy_artifact(artifact, tmp_path, name="copy.idx"):
-    import shutil
-
     copy = tmp_path / name
-    shutil.copyfile(artifact, copy)
+    if artifact.is_dir():
+        shutil.copytree(artifact, copy)
+    else:
+        shutil.copyfile(artifact, copy)
     return copy
 
 
@@ -362,6 +385,200 @@ class TestDeltaPrimitives:
         assert int(part.ids[0]) not in view.tombstone_ids
 
 
+class TestOverlayIsCodes:
+    """A pending row costs what an indexed row costs, and is encoded once."""
+
+    def test_pending_rows_hold_codes_and_compact_computes_no_distance(
+        self, artifact, dataset, tmp_path, monkeypatch
+    ):
+        calls = []
+        assign = repro.pq.quantizer.assign_to_centroids
+
+        def counting(vectors, centroids):
+            calls.append(len(vectors))
+            return assign(vectors, centroids)
+
+        monkeypatch.setattr(
+            repro.pq.quantizer, "assign_to_centroids", counting
+        )
+        rows = np.abs(dataset.base[:6000] + 1.0)
+        copy = _copy_artifact(artifact, tmp_path)
+        with Engine.load(copy, mutable=True, executor="thread") as engine:
+            engine.add(rows, np.arange(10**6, 10**6 + len(rows)))
+            assert calls  # add() is where the rows are routed and encoded
+            held = sum(
+                array.nbytes
+                for delta in engine._delta._segments.values()
+                for array in (delta.codes, delta.ids, delta.seqs)
+            )
+            # m code bytes + id + sequence number a row; the raw 128-d
+            # vectors (6.1 MB here) were kept beside them at the parent.
+            assert held == len(rows) * (engine.config.m + 16) < 200_000
+            calls.clear()
+            report = engine.compact()
+            assert calls == []
+            assert (report.n_folded, report.encode_time_s) == (len(rows), 0.0)
+
+
+# -- the stateful model test (ROADMAP item 6) ---------------------------------
+
+_N_PARTITIONS = 4
+_POOL_ROWS = 64
+
+
+@pytest.fixture(scope="module")
+def model_world(tmp_path_factory):
+    """Small base artifacts (one file, one 2-shard directory) and a pool
+    of rows that writes and queries draw from."""
+    data = VectorDataset.synthetic(600, 300, _POOL_ROWS, dim=32, seed=3)
+    root = tmp_path_factory.mktemp("model")
+    shapes = {
+        "file": dict(n_shards=1, encode_residuals=True),
+        "sharded": dict(n_shards=2, encode_residuals=False),
+    }
+    for name, shape in shapes.items():
+        with Engine.build(
+            data.base, m=4, n_partitions=_N_PARTITIONS, max_iter=2,
+            coarse_max_iter=2, seed=1, executor="thread", **shape,
+        ) as built:
+            built.save(root / name)
+    pool = np.concatenate([data.queries, np.abs(data.base[:_POOL_ROWS] + 3.0)])
+    return root, data.base, pool
+
+
+_pool_row = st.integers(0, 2 * _POOL_ROWS - 1)
+_live_pick = st.integers(0, 10**6)
+
+
+class _EngineAgainstDictModel(RuleBasedStateMachine):
+    """``Engine(mutable=True)`` against ``{id: vector}``.
+
+    Every search probes every partition with ``k`` above the model's
+    size, so the returned id set must be exactly the model's live ids;
+    every compaction must leave each row in the partition, and with the
+    code, that encoding its vector afresh gives (what ``compact()``
+    checked at run time while it still re-encoded).
+    """
+
+    artifact: Path
+    overrides: dict
+    base: np.ndarray
+    pool: np.ndarray
+
+    def __init__(self):
+        super().__init__()
+        self.tmp = tempfile.TemporaryDirectory()
+        self.n_saved = 0
+        self.engine = self._load(
+            _copy_artifact(self.artifact, Path(self.tmp.name), "base")
+        )
+        self.model = dict(enumerate(self.base))
+        self.next_id = len(self.base)
+
+    def _load(self, path):
+        return Engine.load(
+            path, mutable=True, nprobe=_N_PARTITIONS, **self.overrides
+        )
+
+    def _live(self, picks):
+        live = sorted(self.model)
+        return [live[pick % len(live)] for pick in picks]
+
+    def _write(self, ids, rows):
+        self.engine.add(self.pool[rows], np.array(ids))
+        self.model.update(zip(ids, self.pool[rows]))
+
+    @rule(rows=st.lists(_pool_row, min_size=1, max_size=4))
+    def add_fresh(self, rows):
+        ids = list(range(self.next_id, self.next_id + len(rows)))
+        self.next_id += len(rows)
+        self._write(ids, rows)
+
+    @rule(picks=st.dictionaries(_live_pick, _pool_row, min_size=1, max_size=3))
+    def upsert_live(self, picks):
+        rows = dict(zip(self._live(picks), picks.values()))
+        self._write(list(rows), list(rows.values()))
+
+    @precondition(lambda self: len(self.model) > 8)
+    @rule(
+        picks=st.lists(_live_pick, max_size=3),
+        never_held=st.lists(st.integers(10**7, 10**7 + 9), max_size=2),
+    )
+    def delete(self, picks, never_held):
+        ids = self._live(picks)
+        self.engine.delete(np.array(ids + never_held, dtype=np.int64))
+        for identifier in ids:
+            self.model.pop(identifier, None)
+
+    @rule()
+    def compact(self):
+        report = self.engine.compact()
+        assert len(self.engine) == len(self.model) == report.n_total
+        assert self.engine.n_pending_writes == 0
+        index = self.engine.index
+        ids = np.array(sorted(self.model))
+        labels, codes = index.encode(np.stack([self.model[i] for i in ids]))
+        for pid, part in enumerate(index.partitions):
+            by_id = np.argsort(part.ids)
+            assert np.array_equal(part.ids[by_id], ids[labels == pid])
+            assert np.array_equal(
+                np.asarray(part.codes)[by_id], codes[labels == pid]
+            )
+
+    @rule()
+    def save_and_reload(self):
+        self.compact()
+        self.n_saved += 1
+        path = Path(self.tmp.name) / f"saved-{self.n_saved}"
+        self.engine.save(path)
+        self.engine.close()
+        self.engine = self._load(path)
+        assert len(self.engine) == len(self.model)
+
+    @rule(row=_pool_row)
+    def search(self, row):
+        found = self.engine.search(self.pool[row], k=len(self.model) + 5)
+        assert sorted(found.ids.tolist()) == sorted(self.model)
+
+    def teardown(self):
+        try:
+            self.compact()  # every sequence ends folded and checked
+        finally:
+            self.engine.close()
+            self.tmp.cleanup()
+
+
+class TestEngineAgainstDictModel:
+    # The process backends stay open under ROADMAP item 6.
+    @pytest.mark.parametrize(
+        "artifact, overrides",
+        [
+            ("file", dict(mmap=True, scanner="fastpq")),
+            ("sharded", dict(executor="thread", scanner="naive")),
+        ],
+        ids=["file-mmap-fastpq", "two-shard-thread-naive"],
+    )
+    def test_random_op_sequences(self, model_world, artifact, overrides):
+        root, base, pool = model_world
+        machine = type(
+            "Machine",
+            (_EngineAgainstDictModel,),
+            dict(
+                artifact=root / artifact, overrides=overrides, base=base,
+                pool=pool,
+            ),
+        )
+        run_state_machine_as_test(
+            machine,
+            settings=settings(
+                max_examples=15,
+                stateful_step_count=30,
+                deadline=None,
+                suppress_health_check=list(HealthCheck),
+            ),
+        )
+
+
 class TestExecutorOverlay:
     """``PlanExecutor.run(delta_view=...)`` against the reference loop.
 
@@ -383,7 +600,7 @@ class TestExecutorOverlay:
             scale=0.25, size=(len(near), dataset.base.shape[1])
         )
         pool = np.abs(dataset.base[near] + jitter)
-        labels, codes = encode_vectors(index, pool)
+        labels, codes = index.encode(pool)
         landed = labels == 0
         assert landed.sum() >= 4, "fixture needs adds landing in partition 0"
         new_ids = np.arange(10**6, 10**6 + int(landed.sum()), dtype=np.int64)
@@ -393,9 +610,7 @@ class TestExecutorOverlay:
             if shape != "segment":
                 store.apply_delete(near)
             if shape != "masked":
-                store.apply_add(
-                    labels[landed], codes[landed], new_ids, pool[landed]
-                )
+                store.apply_add(labels[landed], codes[landed], new_ids)
             view = store.view(index)
             assert set(view.masked) == ({0} if shape != "segment" else set())
             assert set(view.segments) == ({0} if shape != "masked" else set())

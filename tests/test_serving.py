@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro import Engine
 from repro.exceptions import ConfigurationError
 from repro.obs import observability_session
 from repro.search import ANNSearcher, SearchResult
@@ -210,6 +211,48 @@ class TestAdmissionControl:
                     await server.search(np.zeros((2, 2)))
 
         asyncio.run(scenario())
+
+
+def test_one_bad_request_does_not_fail_its_batch(dataset):
+    # Values are checked at admission like shape is: a NaN that reached
+    # the micro-batch failed all six awaiting clients at the parent.
+    queries = dataset.queries[:5]
+    poisoned = queries[0].copy()
+    poisoned[7] = np.nan
+    config = ServeConfig(max_batch=8, max_delay_s=0.05)
+    with Engine.build(
+        dataset.base[:2000], n_partitions=4, nprobe=2, max_iter=2,
+        coarse_max_iter=2, scanner="naive", mutable=True,
+    ) as engine:
+        expected = engine.search(queries, k=5)
+        server = MicroBatchServer.for_engine(engine, k=5, config=config)
+
+        async def scenario() -> list:
+            async with server:
+                return await asyncio.gather(
+                    *(server.search(q) for q in queries[:3]),
+                    server.search(poisoned),
+                    server.add(poisoned, 9009),
+                    server.add(queries[0], 1.5),
+                    server.delete(2.9),
+                    *(server.search(q) for q in queries[3:]),
+                    return_exceptions=True,
+                )
+
+        outcomes = asyncio.run(scenario())
+        server.close()
+        assert engine.n_pending_writes == 0
+    refused, served = outcomes[3:7], outcomes[:3] + outcomes[7:]
+    assert all(isinstance(r, ConfigurationError) for r in refused), refused
+    assert [str(r).split(",")[0] for r in refused] == [
+        "serve requests are single 1-D queries of finite values",
+        "serve writes are single 1-D rows of finite values",
+        "database ids must be integers",
+        "database ids must be integers",
+    ]
+    assert all(r.ok and r.batch_size == 5 for r in served)
+    for got, want in zip(served, expected):
+        assert _results_equal(got.result, want)
 
 
 class TestSequentialIdentity:

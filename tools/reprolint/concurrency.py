@@ -87,7 +87,6 @@ SANCTIONED_PICKLABLE = frozenset(
     {
         "WorkerBundle",
         "ScannerSpec",
-        "EncodeTask",
         "for_scanner",
         "Path",
         "PurePath",
@@ -114,7 +113,6 @@ _SANCTIONED_ANNOTATIONS = frozenset(
     {
         "WorkerBundle",
         "ScannerSpec",
-        "EncodeTask",
         "Path",
         "str",
         "bytes",
