@@ -18,8 +18,10 @@ The modeled cost of a PQ Fast Scan query over ``n`` vectors is::
 where ``lb_cpv`` is the cycles/vector of a fully-pruning fast-scan run,
 ``exact_cpv`` is the incremental cost of one exact pqdistance (derived
 from a zero-pruning run), and ``libpq_cpv`` comes from the libpq kernel.
-Headline experiments (Figures 14, 15, 20) run the real kernels instead;
-the model is cross-validated against them in the test suite.
+Figure 15 runs the real kernels instead; the model is cross-validated
+against them in the test suite. The survivor counts are the numpy
+scanner's (best-first since PR 23), so every modeled figure, 14 and 20
+included, moves when its schedule does.
 """
 
 from __future__ import annotations

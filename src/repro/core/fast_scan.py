@@ -25,22 +25,26 @@ Query pipeline implemented by :class:`PQFastScanner`:
 * **lower bounds** — the whole partition in one ``take`` per
   sub-quantizer over the lookup rows the grouped layout prepared
   (:meth:`SmallTables.partition_lower_bounds`).
-* **pruned scan** — rows in fixed strides of 1024: pruning against the
-  current threshold, exact ADC for survivors, threshold update.
+* **survivor pass** — :func:`best_first_pass`: the rows whose bound
+  passes the keep-phase threshold, visited in increasing bound order in
+  a handful of epochs; each epoch is one exact ADC, one top-k merge and
+  one cut of the remaining candidates at the tightened threshold.
 
-The stride is the batching a SIMD implementation performs between
-threshold reloads, stretched to what one numpy call amortises; groups
-shape the prepared layout and never appear in the query path.
+Every bound is in hand before any row is visited, so the visiting order
+is free, and smallest bound first is the order under which the threshold
+tightens fastest. Groups shape the prepared layout and never appear in
+the query path; the paper's streaming schedule (threshold re-read every
+16 vectors, in storage order) is :func:`repro.simd.fastscan_kernel`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..dtypes import BoolArray
+from ..dtypes import Float64Array, Int8Array, Int64Array
 from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
 from ..pq.adc import adc_distances
@@ -54,7 +58,7 @@ from .quantization import DistanceQuantizer
 from .sanitize import check_lower_bound_invariant, sanitizer_enabled
 from .small_tables import SmallTables
 
-__all__ = ["PQFastScanner", "FastScanResult"]
+__all__ = ["PQFastScanner", "FastScanResult", "best_first_pass"]
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,9 @@ class FastScanResult(ScanResult):
 
     Attributes (in addition to :class:`ScanResult`):
         n_keep: vectors scanned with plain PQ Scan in the keep phase.
-        n_exact: vectors whose exact distance was computed in the fast
-            phase (survivors of the lower-bound test).
+        n_exact: vectors whose exact distance was computed in the
+            survivor pass (:func:`best_first_pass`): rows whose bound
+            was still at or under the threshold when their epoch began.
         qmin: lower quantization bound used for this query.
         qmax: upper quantization bound (temporary-NN distance).
     """
@@ -73,6 +78,64 @@ class FastScanResult(ScanResult):
     n_exact: int = 0
     qmin: float = 0.0
     qmax: float = 0.0
+
+
+def best_first_pass(
+    bounds: Int8Array,
+    keep_rows: Int64Array,
+    quantizer: DistanceQuantizer,
+    top: tuple[Int64Array, Float64Array],
+    ids: Int64Array,
+    exact: Callable[[Int64Array], Float64Array],
+    *,
+    components: int,
+) -> tuple[Int64Array, Float64Array, int]:
+    """Score the rows the bounds cannot discard, smallest bound first.
+
+    Args:
+        bounds: saturated lower bound of every row of the partition.
+        keep_rows: rows the keep phase already scored (never revisited).
+        quantizer: the query's quantizer, which made ``bounds``.
+        top: the running ``(ids, distances)`` top-k, full (``k`` rows).
+        ids: database id of every row.
+        exact: exact ADC distances of the given rows.
+        components: entries summed into one bound (threshold offset).
+
+    Returns ``(ids, distances, n_exact)``: the final top-k and how many
+    rows ``exact`` was asked for. A row is discarded only once its bound
+    exceeds the ceil-quantized k-th distance, whatever the visiting
+    order, so the result is PQ Scan's; the order decides how soon.
+    """
+    top_ids, top_dists = top
+    k = len(top_ids)
+    threshold_q = quantizer.quantize_threshold(top_dists[-1], components=components)
+    live = bounds <= threshold_q
+    live[keep_rows] = False
+    cand = np.flatnonzero(live)
+    # int8 keys: numpy's stable sort is a radix sort.
+    cand = cand[np.argsort(bounds[cand], kind="stable")]
+    cand_bounds = bounds[cand]
+    # Epoch sizes are measured constants: docs/execution.md, "Epoch
+    # constants" (a start of k alone is slower, a larger start or x4
+    # growth prunes less).
+    done, size, end = 0, max(2 * k, 256), len(cand)
+    while done < end:
+        rows = cand[done : min(done + size, end)]
+        done += len(rows)
+        size *= 2
+        dists = exact(rows)
+        close = dists <= top_dists[-1]  # ties included: ids break them
+        if close.any():
+            top_ids, top_dists = select_topk(
+                np.concatenate((top_dists, dists[close])),
+                np.concatenate((top_ids, ids[rows[close]])),
+                k,
+            )
+            threshold_q = quantizer.quantize_threshold(
+                top_dists[-1], components=components
+            )
+            end = int(np.searchsorted(cand_bounds[:end], threshold_q, side="right"))
+    return top_ids, top_dists, done
 
 
 class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
@@ -102,9 +165,6 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
     """
 
     name = "fastpq"
-
-    #: Maximum rows scanned against one threshold value (see scan loop).
-    _CHUNK = 1024
 
     def __init__(
         self,
@@ -274,34 +334,15 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
                 m,
                 context=f"fastpq partition {grouped.partition_id}",
             )
-        fresh: BoolArray = np.ones(n, dtype=np.bool_)
-        fresh[keep_rows] = False
-
-        # Threshold freshness: the SIMD kernel compares against the
-        # current topk-th distance every 16 vectors; one stale threshold
-        # for the whole partition under-prunes badly. Refresh it every
-        # _CHUNK rows — the only Python-level loop of a query.
-        n_exact = 0
-        threshold_q = quantizer.quantize_threshold(top_dists[-1], components=m)
-        for start in range(0, n, self._CHUNK):
-            stop = start + self._CHUNK
-            rows = start + np.flatnonzero(
-                (bounds[start:stop] <= threshold_q) & fresh[start:stop]
-            )
-            if len(rows) == 0:
-                continue
-            n_exact += len(rows)
-            dists = adc_distances(tables_r, grouped.codes[rows])
-            close = dists <= top_dists[-1]
-            if close.any():
-                top_ids, top_dists = select_topk(
-                    np.concatenate((top_dists, dists[close])),
-                    np.concatenate((top_ids, grouped.ids[rows[close]])),
-                    topk,
-                )
-                threshold_q = quantizer.quantize_threshold(
-                    top_dists[-1], components=m
-                )
+        top_ids, top_dists, n_exact = best_first_pass(
+            bounds,
+            keep_rows,
+            quantizer,
+            (top_ids, top_dists),
+            grouped.ids,
+            lambda rows: adc_distances(tables_r, grouped.codes[rows]),
+            components=m,
+        )
 
         n_pruned = n - n_keep - n_exact
         return FastScanResult(

@@ -19,8 +19,8 @@ from ..ivf.partition import Partition
 from ..pq.adc import adc_distances
 from ..pq.product_quantizer import ProductQuantizer
 from ..scan.base import PartitionScanner
-from ..scan.topk import TopKAccumulator
-from .fast_scan import FastScanResult
+from ..scan.topk import select_topk
+from .fast_scan import FastScanResult, best_first_pass
 from .quantization import SATURATION, DistanceQuantizer
 from .sanitize import check_lower_bound_invariant, sanitizer_enabled
 
@@ -32,12 +32,7 @@ class QuantizationOnlyScanner(PartitionScanner):
 
     name = "qonly"
 
-    #: ``chunk`` trades pruning power for batching: the threshold only
-    #: tightens between chunks, so very large chunks scan with a stale
-    #: threshold. 512 keeps the loss negligible at benchmark scales.
-
-    def __init__(self, pq: ProductQuantizer, *, keep: float = 0.005,
-                 chunk: int = 512) -> None:
+    def __init__(self, pq: ProductQuantizer, *, keep: float = 0.005) -> None:
         if not pq.is_fitted:
             raise NotFittedError("scanner requires a fitted ProductQuantizer")
         if pq.bits != 8:
@@ -46,7 +41,6 @@ class QuantizationOnlyScanner(PartitionScanner):
             raise ConfigurationError(f"keep must be in [0, 1], got {keep}")
         self.pq = pq
         self.keep = keep
-        self.chunk = chunk
 
     def scan(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
@@ -55,55 +49,50 @@ class QuantizationOnlyScanner(PartitionScanner):
         codes = partition.codes
         ids = partition.ids
         n = len(partition)
-        acc = TopKAccumulator(topk)
         n_keep = min(n, max(int(np.ceil(self.keep * n)), topk))
-        keep_dists = adc_distances(tables, codes[:n_keep])
-        acc.offer_many(keep_dists, ids[:n_keep])
+        top_ids, top_dists = select_topk(
+            adc_distances(tables, codes[:n_keep]), ids[:n_keep], topk
+        )
         if n_keep == n:
             # The keep phase was the whole partition (always so below
             # topk rows, where no finite qmax exists): already exact.
-            result_ids, result_dists = acc.result()
             return FastScanResult(
-                ids=result_ids, distances=result_dists, n_scanned=n, n_keep=n
+                ids=top_ids, distances=top_dists, n_scanned=n, n_keep=n
             )
 
-        quantizer = DistanceQuantizer.from_tables(tables, acc.threshold)
+        m = self.pq.m
+        quantizer = DistanceQuantizer.from_tables(tables, float(top_dists[-1]))
         tables_q = quantizer.quantize_table(tables)  # (m, 256) int8
-        threshold_q = quantizer.quantize_threshold(acc.threshold, components=self.pq.m)
-
-        n_pruned = 0
-        n_exact = 0
-        sanitize = sanitizer_enabled()
-        for start in range(n_keep, n, self.chunk):
-            stop = min(start + self.chunk, n)
-            block = codes[start:stop]
-            lb = np.zeros(stop - start, dtype=np.int16)
-            for j in range(tables_q.shape[0]):
-                lb += tables_q[j, block[:, j]].astype(np.int16)
-            np.minimum(lb, SATURATION, out=lb)
-            if sanitize:
-                check_lower_bound_invariant(
-                    lb,
-                    adc_distances(tables, block),
-                    quantizer,
-                    self.pq.m,
-                    context=f"quantization-only rows {start}:{stop}",
-                )
-            survivors = np.flatnonzero(lb <= threshold_q)
-            n_pruned += (stop - start) - len(survivors)
-            if len(survivors) == 0:
-                continue
-            n_exact += len(survivors)
-            dists = adc_distances(tables, block[survivors])
-            acc.offer_many(dists, ids[start + survivors])
-            threshold_q = quantizer.quantize_threshold(acc.threshold, components=self.pq.m)
-
-        result_ids, result_dists = acc.result()
+        acc = np.zeros(n, dtype=np.int16)
+        for j in range(m):
+            acc += tables_q[j].take(codes[:, j])
+        np.minimum(acc, SATURATION, out=acc)
+        # Clamped to <= 127 on the line above; entries are non-negative.
+        bounds = acc.astype(np.int8)  # reprolint: narrowing=exact
+        if sanitizer_enabled():
+            check_lower_bound_invariant(
+                bounds,
+                adc_distances(tables, codes),
+                quantizer,
+                m,
+                context=f"qonly partition {partition.partition_id}",
+            )
+        # The survivor schedule is PQ Fast Scan's own, so Figure 17
+        # compares the two scanners' bounds and nothing else.
+        top_ids, top_dists, n_exact = best_first_pass(
+            bounds,
+            np.arange(n_keep),
+            quantizer,
+            (top_ids, top_dists),
+            ids,
+            lambda rows: adc_distances(tables, codes[rows]),
+            components=m,
+        )
         return FastScanResult(
-            ids=result_ids,
-            distances=result_dists,
+            ids=top_ids,
+            distances=top_dists,
             n_scanned=n,
-            n_pruned=n_pruned,
+            n_pruned=n - n_keep - n_exact,
             n_keep=n_keep,
             n_exact=n_exact,
             qmin=quantizer.qmin,

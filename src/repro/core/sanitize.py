@@ -8,9 +8,9 @@ mode flipped, a threshold compensated with the wrong component count, a
 saturating add replaced by a wrapping one), the scanner silently starts
 dropping true neighbors.
 
-Setting ``REPRO_SANITIZE=1`` in the environment turns on a per-chunk
-check inside the scan loops: for every candidate considered against the
-pruning threshold — pruned or not — the sanitizer recomputes the exact
+Setting ``REPRO_SANITIZE=1`` in the environment turns on a per-scan
+check between the lower-bound pass and the survivor pass: for every row
+of the partition — pruned or not — the sanitizer recomputes the exact
 float ADC distance and verifies
 
     ``bounds_q[i] <= clip(ceil((exact[i] - components*qmin)/step), 0, 127)``

@@ -78,7 +78,7 @@ _KINDS: dict[str, _Kind] = {
         ),
         _Kind(
             QuantizationOnlyScanner,
-            ("keep", "chunk"),
+            ("keep",),
             fits=lambda m, bits: bits == 8,
             needs="bits=8 (byte codes, 256-entry int8 tables)",
         ),
@@ -129,7 +129,6 @@ class ScannerSpec:
         assignment: assignment mode (fastpq).
         qmax_bound: qmax bound mode (fastpq).
         seed: assignment clustering seed (fastpq).
-        chunk: scan chunk size (qonly).
         prepared_cache_size: prepared-layout LRU cap (fastpq / quickadc).
     """
 
@@ -139,7 +138,6 @@ class ScannerSpec:
     assignment: str = "optimized"
     qmax_bound: str = "keep"
     seed: int = 0
-    chunk: int = 512
     prepared_cache_size: int | None = 256
 
     @classmethod

@@ -73,8 +73,8 @@ class TopKAccumulator:
         current heap contents through :func:`select_topk`, which applies
         the same (distance, id) ordering as per-candidate heap pushes —
         the final kept set is identical either way. Tiny survivor sets
-        (common in the PQ Fast Scan chunk loop, where >95% of vectors
-        are pruned) still use the O(s log k) heap path.
+        (a full accumulator's threshold discards most of what a later
+        block offers) still use the O(s log k) heap path.
         """
         distances = np.asarray(distances, dtype=np.float64)
         identifiers = np.asarray(identifiers, dtype=np.int64)

@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from repro import (
     Engine,
     EngineConfig,
+    IVFADCIndex,
     Partition,
     PQFastScanner,
     ProductQuantizer,
     QuantizationOnlyScanner,
+    VectorDataset,
 )
+from repro.core.fast_scan import best_first_pass
 from repro.core.quantization import DistanceQuantizer
 from repro.core.small_tables import SmallTables
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.pq.adc import adc_distances
-from repro.scan import LibpqScanner, NaiveScanner
+from repro.scan import LibpqScanner, NaiveScanner, select_topk
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +160,120 @@ class TestEqualsNaiveScan:
             assert_same_bytes(got, ref)
 
 
+@pytest.fixture(params=["0", "1"], ids=["plain", "sanitize"])
+def sanitize(request, monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", request.param)
+
+
+@pytest.fixture(scope="module")
+def exact_scanners(pq):
+    """The two scanners that end in :func:`best_first_pass`."""
+    return {
+        "fastpq": PQFastScanner(pq, keep=0.005, seed=0),
+        "qonly": QuantizationOnlyScanner(pq, keep=0.005),
+    }
+
+
+@pytest.mark.usefixtures("sanitize")
+@pytest.mark.parametrize("kind", ["fastpq", "qonly"])
+class TestBestFirstPassEqualsNaive:
+    """Byte equality where a visiting order could show: ties, bounds that
+    discard nothing, and the sizes the early return guards."""
+
+    @pytest.mark.parametrize("topk", [1, 10, 100])
+    def test_ties(self, exact_scanners, kind, topk):
+        rng = np.random.default_rng(topk)
+        pool = rng.integers(0, 256, size=(50, 8), dtype=np.uint8)
+        part = Partition(np.tile(pool, (40, 1)), rng.permutation(2000))
+        tables = rng.random((8, 256))
+        got = exact_scanners[kind].scan(tables, part, topk=topk)
+        assert_same_bytes(got, NaiveScanner().scan(tables, part, topk=topk))
+        assert got.n_keep + got.n_exact + got.n_pruned == got.n_scanned == 2000
+
+    @pytest.mark.parametrize("weak", ["naive-qmax", "flat-tables"])
+    def test_weak_bounds(self, pq, exact_scanners, kind, weak):
+        rng = np.random.default_rng(5)
+        part = Partition(
+            rng.integers(0, 256, size=(3000, 8), dtype=np.uint8), rng.permutation(3000)
+        )
+        scanner, tables = exact_scanners[kind], rng.random((8, 256))
+        if weak == "flat-tables":
+            tables = np.full((8, 256), 0.25)  # qmin == qmax: zero bin width
+        elif kind == "fastpq":
+            scanner = PQFastScanner(pq, keep=0.005, qmax_bound="naive", seed=0)
+        got = scanner.scan(tables, part, topk=10)
+        assert_same_bytes(got, NaiveScanner().scan(tables, part, topk=10))
+        assert got.n_keep + got.n_exact + got.n_pruned == got.n_scanned
+
+    @pytest.mark.parametrize("keep", [0.0, 0.005, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11])
+    def test_degenerate_sizes(self, pq, kind, keep, n):
+        rng = np.random.default_rng(n)
+        part = Partition(
+            rng.integers(0, 256, size=(n, 8), dtype=np.uint8), rng.permutation(n)
+        )
+        tables = rng.random((8, 256))
+        scanner = {"fastpq": PQFastScanner, "qonly": QuantizationOnlyScanner}[kind](
+            pq, keep=keep
+        )
+        got = scanner.scan(tables, part, topk=10)
+        assert_same_bytes(got, NaiveScanner().scan(tables, part, topk=10))
+        assert got.n_keep + got.n_exact + got.n_pruned == got.n_scanned == n
+
+
+@pytest.fixture(scope="module")
+def one_partition_16k():
+    """16 384 synthetic rows under PQ 8x8 in one partition, 16 queries."""
+    ds = VectorDataset.synthetic(3000, 16384, 16, seed=7)
+    pq = ProductQuantizer(m=8, bits=8, max_iter=4, seed=1).fit(ds.learn)
+    index = IVFADCIndex(pq, n_partitions=1, seed=2).add(ds.base)
+    return pq, index.partitions[0], index.distance_tables_for_batch(ds.queries, 0)
+
+
+@pytest.mark.usefixtures("sanitize")
+class TestBestFirstSchedule:
+    @pytest.mark.parametrize("topk,floor", [(100, 0.95), (10, 0.97)])
+    def test_pruning_floor(self, one_partition_16k, topk, floor):
+        """A schedule change that quietly un-prunes fails here (the
+        1 024-row strides this pass replaced read 0.72 at ``k=100``)."""
+        pq, part, tables = one_partition_16k
+        scanner = PQFastScanner(pq, keep=0.005, seed=0)
+        results = scanner.scan_batch(tables, part, topk=topk)
+        assert np.mean([r.pruned_fraction for r in results]) >= floor
+
+    def test_scores_each_survivor_once_and_stops_early(self):
+        """On its own inputs: bounds floor-quantized from a float that
+        under-estimates each distance, one component."""
+        rng = np.random.default_rng(3)
+        n, k = 16384, 100
+        dists = rng.random(n)
+        ids = rng.permutation(n)
+        keep_rows = np.arange(0, n, 128)  # any rows: the pass only skips them
+        top = select_topk(dists[keep_rows], ids[keep_rows], k)
+        quantizer = DistanceQuantizer(qmin=0.0, qmax=float(top[1][-1]))
+        bounds = quantizer.quantize_table(dists * rng.uniform(0.0, 1.0, size=n))
+        calls = []
+
+        def exact(rows):
+            calls.append(rows)
+            return dists[rows]
+
+        top_ids, top_dists, n_exact = best_first_pass(
+            bounds, keep_rows, quantizer, top, ids, exact, components=1
+        )
+        ref_ids, ref_dists = select_topk(dists, ids, k)
+        assert top_ids.tobytes() == ref_ids.tobytes()
+        assert top_dists.tobytes() == ref_dists.tobytes()
+        scored = np.concatenate(calls)
+        assert len(scored) == n_exact == len(np.unique(scored))
+        assert not np.isin(scored, keep_rows).any()
+        # Epochs of 256, 512, ... rows cover n rows in this many calls,
+        # and the threshold cut ends the pass well before that.
+        assert 2 < len(calls) <= int(np.ceil(np.log2(n / 256 + 1)))
+        assert [len(rows) for rows in calls[:-1]] == [256 << i for i in range(len(calls) - 1)]
+        assert n_exact < (n - len(keep_rows)) // 2
+
+
 class TestPruning:
     """Pruning-power behaviour.
 
@@ -221,7 +338,7 @@ class TestPruning:
         tighter than 16-entry minimum tables (given comparably fresh
         thresholds)."""
         scanner = PQFastScanner(pq, keep=0.01, group_components=3, seed=0)
-        qonly = QuantizationOnlyScanner(pq, keep=0.01, chunk=64)
+        qonly = QuantizationOnlyScanner(pq, keep=0.01)
         diffs = []
         for query in dataset.queries[:4]:
             pid = index.route(query)[0]

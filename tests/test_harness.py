@@ -45,6 +45,25 @@ class TestRunQueries:
         )
         assert all(s.partition_id == 0 for s in stats)
 
+    def test_scanner_is_warmed_before_the_clock_starts(self, tiny_ctx):
+        """``wall_time_s`` times a scan, not the one-off layout build."""
+        events = []
+
+        class Recording(NaiveScanner):
+            def warm(self, partitions):
+                events.append("warm")
+                return 0
+
+            def scan(self, tables, partition, topk=1):
+                events.append("scan")
+                return super().scan(tables, partition, topk)
+
+        stats = run_queries(tiny_ctx, Recording(), query_indexes=[0, 1], topk=5)
+        assert events == ["warm", "scan", "warm", "scan"]
+        assert summarize(stats)["wall_median_ms"] == pytest.approx(
+            np.median([s.wall_time_s for s in stats]) * 1e3
+        )
+
     def test_cost_model_cached_per_arch(self, tiny_ctx):
         scanner = PQFastScanner(
             tiny_ctx.workload.pq, keep=0.02, group_components=1, seed=0
@@ -70,6 +89,7 @@ class TestSummarize:
         summary = summarize([])
         assert summary["n_queries"] == 0
         assert summary["all_exact"] is True
+        assert "wall_median_ms" not in summary
 
     def test_quartiles_present_with_speeds(self):
         stats = [self._stat(0.5, speed=1e9), self._stat(0.9, speed=3e9)]

@@ -62,11 +62,10 @@ class TestScannerSpec:
         assert rebuilt.prepared_cache_size == scanner.prepared_cache_size
 
     def test_quantization_only_round_trip(self, pq):
-        scanner = QuantizationOnlyScanner(pq, keep=0.03, chunk=128)
+        scanner = QuantizationOnlyScanner(pq, keep=0.03)
         rebuilt = ScannerSpec.for_scanner(scanner).build(pq)
         assert isinstance(rebuilt, QuantizationOnlyScanner)
         assert rebuilt.keep == scanner.keep
-        assert rebuilt.chunk == scanner.chunk
 
     def test_registry_scanner_round_trip(self, pq):
         rebuilt = ScannerSpec.for_scanner(NaiveScanner()).build(pq)
