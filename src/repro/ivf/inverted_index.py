@@ -85,6 +85,8 @@ class IVFADCIndex:
         self._coarse: VectorQuantizer | None = None
         self._partitions: list[Partition] = []
         self._n_total = 0
+        # (pq norms, coarse, array): Step 2's cell half and what it was built from.
+        self._cell_half: tuple[np.ndarray, VectorQuantizer, np.ndarray] | None = None
         #: Compaction counter. 0 for a freshly built index; each
         #: compaction folds the delta into a new index at generation+1.
         #: Persisted by :func:`repro.persistence.save_index`.
@@ -125,8 +127,10 @@ class IVFADCIndex:
     def with_partitions(
         self, partitions: list[Partition], *, generation: int | None = None
     ) -> "IVFADCIndex":
-        """This index's quantizers and settings over other partitions."""
-        return IVFADCIndex.from_parts(
+        """This index's quantizers and settings over other partitions,
+        and its :attr:`cell_half` (built here at the latest): compaction
+        epochs, an index's shards and their global view hold one array."""
+        index = IVFADCIndex.from_parts(
             self.pq,
             self.coarse,
             partitions,
@@ -135,6 +139,8 @@ class IVFADCIndex:
             seed=self.seed,
             generation=self.generation if generation is None else generation,
         )
+        index._cell_half = (self.pq.centroid_sq_norms, self.coarse, self.cell_half)
+        return index
 
     def train_coarse(self, vectors: np.ndarray) -> "IVFADCIndex":
         """Learn the coarse quantizer from training vectors."""
@@ -247,11 +253,10 @@ class IVFADCIndex:
         return order.astype(np.int64, copy=False)
 
     def distance_tables_for(self, query: np.ndarray, partition_id: int) -> np.ndarray:
-        """Step 2: per-partition distance tables for ``query``.
+        """Step 2: per-partition distance tables for ``query``, ``(m, k*)``.
 
-        With residual encoding the query is shifted by the cell centroid
-        before the tables are computed; the tables then apply to every
-        code of that cell.
+        With residual encoding the tables are those of the query shifted
+        by the cell centroid; they apply to every code of that cell.
         """
         query = np.asarray(query, dtype=np.float64)
         return self.distance_tables_for_batch(query[None, :], partition_id)[0]
@@ -261,12 +266,69 @@ class IVFADCIndex:
     ) -> np.ndarray:
         """Step 2 for all queries probing one partition, ``(b, m, k*)``.
 
-        The residual shift and the table computation are shared across
-        the batch; row ``i`` is bit-identical to
-        ``distance_tables_for(queries[i], partition_id)``, which the
-        batched execution engine relies on for exactness.
+        Both halves for these rows alone; row ``i`` is bit-identical to
+        ``distance_tables_for(queries[i], partition_id)`` and to the row
+        an executor combines out of a whole batch's :meth:`query_half`.
         """
-        queries = np.asarray(queries, dtype=np.float64)
+        return self.tables_from_halves(
+            queries, self.query_half(queries), None, partition_id
+        )
+
+    def query_half(self, queries: np.ndarray) -> np.ndarray:
+        """Step 2's per-query half, ``2<x_j, C_ji>``, ``(b, m, k*)``.
+
+        Every multiplication Step 2 does, and the same for each cell a
+        query probes: an executor builds it once per batch. Row-stable
+        (:meth:`ProductQuantizer.cross_tables_batch`).
+        """
+        return self.pq.cross_tables_batch(queries)
+
+    @property
+    def cell_half(self) -> np.ndarray:
+        """Step 2's per-cell half, ``||C_ji||^2 + 2<c_pj, C_ji>``.
+
+        ``(n_partitions, m, k*)`` float64, 2 MiB for 128 cells at 8x8
+        (without residual encoding ``||C_ji||^2`` for every cell, one
+        ``(m, k*)`` array). Derived, never saved: built on first use and
+        again when the product or the coarse quantizer has changed.
+        """
+        norms, coarse = self.pq.centroid_sq_norms, self.coarse
+        cached = self._cell_half
+        if cached is None or cached[0] is not norms or cached[1] is not coarse:
+            if self.encode_residuals:
+                cells = self.pq.cross_tables_batch(coarse.codebook)
+                cells += norms
+            else:
+                cells = np.broadcast_to(norms, (self.n_partitions, *norms.shape))
+            cached = self._cell_half = (norms, coarse, cells)
+        return cached[2]
+
+    def tables_from_halves(
+        self,
+        queries: np.ndarray,
+        query_half: np.ndarray,
+        rows: np.ndarray | None,
+        partition_id: int,
+    ) -> np.ndarray:
+        """Step 2's combine, where every table the library scans is made.
+
+        ``||(x_j - c_pj) - C_ji||^2`` as ``max(||x_j - c_pj||^2 +
+        cell_half[p] - query_half, 0)`` for ``rows`` (None: all) of
+        ``queries`` and of their :meth:`query_half`: two adds per entry.
+        """
+        if not 0 <= partition_id < self.n_partitions:
+            raise ConfigurationError(
+                f"partition_id must be in [0, {self.n_partitions}), got "
+                f"{partition_id}"
+            )
+        if rows is not None:
+            queries, query_half = queries[rows], query_half[rows]
+        # C-contiguous for the reason distance_tables_batch gives.
+        shifted = np.ascontiguousarray(queries, dtype=np.float64)
         if self.encode_residuals:
-            queries = queries - self.coarse.codebook[partition_id]
-        return self.pq.distance_tables_batch(queries)
+            shifted = shifted - self.coarse.codebook[partition_id]
+        subs = shifted.reshape(len(shifted), self.pq.m, self.pq.dsub)
+        r_sq = np.einsum("qjd,qjd->qj", subs, subs)
+        tables = r_sq[:, :, None] + self.cell_half[partition_id]
+        tables -= query_half
+        return np.maximum(tables, 0.0, out=tables)

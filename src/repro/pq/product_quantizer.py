@@ -216,24 +216,44 @@ class ProductQuantizer:
         C-contiguous first.
         """
         queries = np.ascontiguousarray(queries, dtype=np.float64)
+        # |x|^2 + |c|^2 - 2<x, c>, finished in the cross-term's buffer.
+        tables = self.cross_tables_batch(queries)
+        subs = queries.reshape(len(queries), self.m, self.dsub)
+        x_sq = np.einsum("qjd,qjd->qj", subs, subs)
+        c_sq = self.centroid_sq_norms
+        np.subtract(x_sq[:, :, None] + c_sq[None, :, :], tables, out=tables)
+        return np.maximum(tables, 0.0, out=tables)
+
+    def cross_tables_batch(self, queries: np.ndarray) -> np.ndarray:
+        """The cross term ``2<x_j, C_ji>`` of every table, ``(b, m, k*)``.
+
+        All of Equation (2) that multiplies a query by the codebooks
+        (what :meth:`repro.ivf.IVFADCIndex.query_half` is), row-stable
+        like :meth:`distance_tables_batch`, which ends here. The inner
+        loop runs over the ``k*`` contiguous centroids (one multiply-add
+        per ``d*``), not over the ``d*``-long dot product of each: half
+        the time at 8x8, d* = 16.
+        """
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != self.d:
             raise DimensionMismatchError(
                 self.d, queries.shape[-1] if queries.ndim else 0, what="query"
             )
+        subs = queries.reshape(len(queries), self.m, self.dsub)
+        tables = np.einsum("qjd,jdi->qji", subs, self._require_stacked()[0])
+        tables *= 2.0
+        return tables
+
+    @property
+    def centroid_sq_norms(self) -> np.ndarray:
+        """``||C_ji||^2``, ``(m, k*)``; a new array whenever the
+        sub-quantizers change (:meth:`permute_subquantizer`)."""
+        return self._require_stacked()[1]
+
+    def _require_stacked(self) -> tuple[np.ndarray, np.ndarray]:
         if self._stacked is None:
             raise NotFittedError("ProductQuantizer.fit has not been called")
-        codebooks, c_sq = self._stacked
-        subs = queries.reshape(len(queries), self.m, self.dsub)
-        x_sq = np.einsum("qjd,qjd->qj", subs, subs)
-        # |x|^2 + |c|^2 - 2<x, c>, finished in the cross-term's buffer.
-        # The cross term's inner loop runs over the k* contiguous
-        # centroids (one multiply-add per d*), not over the d*-long dot
-        # product of each: half the time at 8x8, d* = 16.
-        tables = np.einsum("qjd,jdi->qji", subs, codebooks)
-        tables *= 2.0
-        np.subtract(x_sq[:, :, None] + c_sq[None, :, :], tables, out=tables)
-        np.maximum(tables, 0.0, out=tables)
-        return tables
+        return self._stacked
 
     def quantization_error(self, vectors: np.ndarray) -> float:
         """Mean squared reconstruction error over ``vectors``."""

@@ -139,6 +139,22 @@ class PartitionJob:
     cost: int
 
 
+class _QueryHalfOnce:
+    """A batch's query half, built by the first of the executor's scan,
+    the thread shards' scans and the overlay fold to need it; the
+    others wait for that one instead of building their own."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._tables: np.ndarray | None = None
+
+    def of(self, index: IVFADCIndex, queries: np.ndarray) -> np.ndarray:
+        with self._lock:
+            if self._tables is None:
+                self._tables = index.query_half(queries)
+            return self._tables
+
+
 @dataclass(frozen=True)
 class BatchPlan:
     """Routing decisions for one query batch, inverted partition-major.
@@ -156,10 +172,20 @@ class BatchPlan:
     nprobe: int
     probed: np.ndarray
     jobs: tuple[PartitionJob, ...]
+    # One slot, shared by every sub-plan ``replace`` derives (a shard's
+    # jobs, the plan minus its masked jobs): a batch pays Step 2's
+    # query half once in this process, whoever asks first.
+    _query_half: _QueryHalfOnce = field(
+        default_factory=_QueryHalfOnce, repr=False, compare=False
+    )
 
     @property
     def n_queries(self) -> int:
         return len(self.queries)
+
+    def query_half(self, index: IVFADCIndex) -> np.ndarray:
+        """:meth:`IVFADCIndex.query_half` of :attr:`queries`; read-only."""
+        return self._query_half.of(index, self.queries)
 
 
 class BatchPlanner:
@@ -587,8 +613,11 @@ def _fold_overlay(
         if masked is None and segment is None:
             continue
         with obs.span("tables"):
-            tables = index.distance_tables_for_batch(
-                plan.queries[job.query_rows], job.partition_id
+            tables = index.tables_from_halves(
+                plan.queries,
+                plan.query_half(index),
+                job.query_rows,
+                job.partition_id,
             )
         for partition, covers in ((masked, True), (segment, False)):
             if partition is None:
@@ -783,7 +812,8 @@ class PlanPipeline:
     ``planner`` and ``observability`` in their constructor.
 
     Every run is traced through :mod:`repro.obs`: the route, warm,
-    per-job table-build and scan, and merge stages each produce a span
+    table-build (the batch's query half, then one combine per job) and
+    per-job scan, and merge stages each produce a span
     (and a ``repro_stage_latency_seconds`` observation), and the
     finished batch feeds the batch/worker metrics. With the default
     (disabled) observability instance all of this reduces to an
@@ -979,9 +1009,10 @@ def _warn_gil_bound(n_workers: int) -> None:
 class BatchExecutor(PlanExecutor):
     """Partition-major batch executor with worker-pool parallelism.
 
-    Executes a :class:`BatchPlan`: each :class:`PartitionJob` computes
-    the distance tables for *all* of its queries in one vectorized call
-    (:meth:`IVFADCIndex.distance_tables_for_batch`), scans the partition
+    Executes a :class:`BatchPlan`: Step 2's query half is built once for
+    the batch (:meth:`BatchPlan.query_half`), each :class:`PartitionJob`
+    combines the tables of *all* of its queries out of it
+    (:meth:`IVFADCIndex.tables_from_halves`), scans the partition
     with the scanner's most batch-friendly entry point, and the
     per-query partials are merged deterministically afterwards
     (:class:`PlanPipeline`) — so results are byte-identical to the
@@ -1063,13 +1094,16 @@ class BatchExecutor(PlanExecutor):
 
         n_slots = max(self.n_workers, 1)
         worker_stats = [WorkerStats(worker_id=i) for i in range(n_slots)]
+        # Built here, on the coordinating thread; the pool only reads it.
+        with obs.span("tables"):
+            query_half = plan.query_half(self.index)
 
         def run_job(job: PartitionJob, worker_id: int) -> ScanBlock:
             t0 = time.perf_counter()
             partition = self.index.partitions[job.partition_id]
             with obs.span("tables"):
-                tables = self.index.distance_tables_for_batch(
-                    plan.queries[job.query_rows], job.partition_id
+                tables = self.index.tables_from_halves(
+                    plan.queries, query_half, job.query_rows, job.partition_id
                 )
             with obs.span("scan"):
                 block = _scan_block(self.scanner, tables, partition, plan.topk)
@@ -1303,9 +1337,14 @@ class ANNSearcher:
         all_dists: list[np.ndarray] = []
         n_scanned = 0
         n_pruned = 0
+        block = query[None, :]
+        with obs.span("tables"):
+            query_half = self.index.query_half(block)
         for pid in probed:
             with obs.span("tables"):
-                tables = self.index.distance_tables_for(query, pid)
+                tables = self.index.tables_from_halves(
+                    block, query_half, None, pid
+                )[0]
             masked = delta.masked.get(pid) if delta is not None else None
             segment = delta.segments.get(pid) if delta is not None else None
             # A tombstone-masked partition is scanned via its filtered

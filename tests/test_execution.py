@@ -198,3 +198,118 @@ class TestBatchExecutor:
     def test_rejects_bad_workers(self, index4):
         with pytest.raises(ConfigurationError):
             BatchExecutor(index4, NaiveScanner(), n_workers=0)
+
+
+class TestQueryHalfOncePerPlan:
+    """Step 2's multiplications are paid once per plan, bundle or query,
+    never once per job: counted, not timed."""
+
+    N_QUERIES, NPROBE = 128, 8
+
+    @pytest.fixture(scope="class")
+    def index16(self, pq, dataset):
+        return IVFADCIndex(pq, n_partitions=16, coarse_max_iter=3, seed=3).add(
+            dataset.base[:3000]
+        )
+
+    @pytest.fixture(scope="class")
+    def queries(self, dataset):
+        noise = np.random.default_rng(5).normal(scale=3.0, size=(self.N_QUERIES, 128))
+        return dataset.base[4000 : 4000 + self.N_QUERIES] + noise
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Rows handed to each ``IVFADCIndex.query_half`` call, any index."""
+        seen = []
+        real = IVFADCIndex.query_half
+
+        def counted(index, block):
+            seen.append(len(block))
+            return real(index, block)
+
+        monkeypatch.setattr(IVFADCIndex, "query_half", counted)
+        return seen
+
+    @gil_bound_on_purpose
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_scan_plan_builds_it_once(self, index16, queries, calls, n_workers):
+        with BatchExecutor(index16, NaiveScanner(), n_workers=n_workers) as executor:
+            plan = executor.planner.plan(queries, topk=5, nprobe=self.NPROBE)
+            assert len(plan.jobs) > self.NPROBE
+            executor.scan_plan(plan)
+            assert calls == [self.N_QUERIES]
+            executor.run(queries, topk=5, nprobe=self.NPROBE)
+            assert calls == [self.N_QUERIES] * 2
+
+    def test_a_worker_builds_it_once_per_bundle(self, index16, queries, calls, monkeypatch):
+        from repro.parallel import worker
+        from repro.search import PackedPartials, StreamingMerger
+
+        monkeypatch.setitem(worker._STATE, "index", index16)
+        monkeypatch.setitem(worker._STATE, "scanner", NaiveScanner())
+        plan = BatchPlanner(index16).plan(queries, topk=5, nprobe=self.NPROBE)
+        merger = StreamingMerger(plan)
+        expected_calls = []
+        for jobs in (plan.jobs[0::2], plan.jobs[1::2]):
+            rows = np.concatenate([job.query_rows for job in jobs])
+            # nprobe 8 over 16 cells: a query sits in several of the
+            # bundle's jobs and is still multiplied once.
+            assert len(np.unique(rows)) < len(rows)
+            expected_calls.append(len(np.unique(rows)))
+            _, cells, busy_s = worker._run_bundle(
+                worker.WorkerBundle(
+                    queries=plan.queries,
+                    partition_ids=tuple(job.partition_id for job in jobs),
+                    query_rows=rows,
+                    job_sizes=tuple(len(job.query_rows) for job in jobs),
+                    topk=plan.topk,
+                )
+            )
+            assert len(busy_s) == len(jobs)
+            merger.fold(PackedPartials.of_jobs(plan, jobs, [cells]))
+        assert calls == expected_calls
+        with BatchExecutor(index16, NaiveScanner()) as executor:
+            _assert_identical(
+                merger.results(), executor.run(queries, topk=5, nprobe=self.NPROBE)
+            )
+
+    def test_the_sequential_loop_builds_it_once_per_query(
+        self, index16, queries, calls
+    ):
+        with ANNSearcher(index16, NaiveScanner()) as searcher:
+            searcher.search(
+                queries, topk=5, nprobe=self.NPROBE, executor="sequential"
+            )
+        assert calls == [1] * self.N_QUERIES
+
+    def test_the_public_per_job_call_is_one_call_for_its_rows(
+        self, index16, queries, calls
+    ):
+        index16.distance_tables_for_batch(queries[:9], 3)
+        index16.distance_tables_for(queries[0], 3)
+        assert calls == [9, 1]
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_a_dirty_plan_builds_it_once(self, dataset, queries, calls, n_shards):
+        """Overlay fold and executor share the plan's: added rows and
+        deleted rows both sit in probed partitions."""
+        from repro import Engine
+
+        with Engine.build(
+            dataset.base[:3000], mutable=True, scanner="naive", n_partitions=16,
+            nprobe=self.NPROBE, max_iter=2, coarse_max_iter=3,
+            n_shards=n_shards, executor="thread",
+        ) as engine:
+            clean = engine.search(queries, k=5)
+            assert calls == [self.N_QUERIES]
+            new_ids = np.arange(10**6, 10**6 + 16)
+            engine.add(queries[:16], new_ids)
+            engine.delete(np.array([result.ids[0] for result in clean[16:48]]))
+            del calls[:]
+            dirty = engine.search(queries, k=5)
+            assert calls == [self.N_QUERIES]
+            # Both halves of the overlay ran: the added rows answer
+            # their own queries, the deleted ones are gone.
+            assert all(new in r.ids for new, r in zip(new_ids, dirty[:16]))
+            for before, after in zip(clean[16:48], dirty[16:48]):
+                assert before.ids[0] not in after.ids

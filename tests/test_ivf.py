@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from repro import ANNSearcher, IVFADCIndex, PQFastScanner, ProductQuantizer
-from repro.exceptions import ConfigurationError, DatasetError, NotFittedError
+from repro import (
+    ANNSearcher,
+    Engine,
+    EngineConfig,
+    IVFADCIndex,
+    PQFastScanner,
+    ProductQuantizer,
+    ShardedIndex,
+)
+from repro.exceptions import (
+    ConfigurationError,
+    DatasetError,
+    DimensionMismatchError,
+    NotFittedError,
+)
 from repro.ivf.inverted_index import as_database_ids
 from repro.ivf.partition import Partition
 from repro.pq.adc import adc_distances
@@ -200,3 +213,167 @@ class TestOutsideInputRefusedAtTheDoor:
                     searcher.search(queries, topk=5, executor=executor)
             with pytest.raises(ConfigurationError, match="must be finite"):
                 searcher.search(queries[2], topk=5)
+
+
+class TestStepTwoInTwoHalves:
+    """Step 2 is a query half (built per block), a cell half (built per
+    index) and a combine; every table the library scans comes out of
+    that one combine, whatever block the query half was built over."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(8, True), (8, False), (4, True), (4, False)],
+        ids=["8x8-residual", "8x8-raw", "16x4-residual", "16x4-raw"],
+    )
+    def built(self, request, dataset, pq, pq4):
+        bits, residuals = request.param
+        index = IVFADCIndex(
+            pq if bits == 8 else pq4,
+            n_partitions=6,
+            encode_residuals=residuals,
+            coarse_max_iter=3,
+            seed=4,
+        ).add(dataset.base[:1500])
+        rng = np.random.default_rng(7)
+        queries = dataset.base[2000:2128] + rng.normal(scale=3.0, size=(128, 128))
+        return index, queries
+
+    @staticmethod
+    def layouts(queries):
+        """The same 128 rows as blocks a caller may hand in."""
+        wide = np.repeat(queries, 2, axis=0)
+        perm = np.random.default_rng(3).permutation(len(queries))
+        return {
+            "contiguous": queries,
+            "sliced": wide[::2],
+            "gathered": queries[perm][np.argsort(perm)],
+            "fortran": np.asfortranarray(queries),
+            "columns": np.repeat(queries, 2, axis=1)[:, ::2],
+        }
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 33, 128])
+    def test_rows_of_a_larger_block_equal_the_block_of_those_rows(self, built, b):
+        index, queries = built
+        rng = np.random.default_rng(b)
+        rows = rng.permutation(len(queries))[:b]
+        for pid in (0, index.n_partitions - 1):
+            expected = index.distance_tables_for_batch(queries[rows], pid)
+            assert expected.dtype == np.float64
+            assert expected.shape == (b, index.pq.m, index.pq.ksub)
+            assert expected.flags.c_contiguous
+            single = index.distance_tables_for(queries[rows[-1]], pid)
+            assert single.tobytes() == expected[-1].tobytes()
+            for name, block in self.layouts(queries).items():
+                half = index.query_half(block)
+                got = index.tables_from_halves(block, half, rows, pid)
+                assert got.tobytes() == expected.tobytes(), name
+                assert (
+                    index.distance_tables_for_batch(block[rows], pid).tobytes()
+                    == expected.tobytes()
+                ), name
+
+    def test_float32_blocks_give_the_tables_of_their_float64_values(self, built):
+        index, queries = built
+        narrow = queries.astype(np.float32)
+        rows = np.array([5, 77, 3])
+        expected = index.distance_tables_for_batch(narrow.astype(np.float64)[rows], 2)
+        for block in (narrow, np.asfortranarray(narrow)):
+            got = index.tables_from_halves(block, index.query_half(block), rows, 2)
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+
+    def test_the_numbers_are_the_definitions(self, built):
+        """Without residuals the PQ-only tables bit for bit; with them
+        the tables of the shifted query, to the last few ulps of the
+        largest entry (the three terms are summed in another order)."""
+        index, queries = built
+        for pid in range(index.n_partitions):
+            tables = index.distance_tables_for_batch(queries, pid)
+            assert (tables >= 0).all()
+            if not index.encode_residuals:
+                raw = index.pq.distance_tables_batch(queries)
+                assert tables.tobytes() == raw.tobytes()
+                continue
+            definition = index.pq.distance_tables_batch(
+                queries - index.coarse.codebook[pid]
+            )
+            assert np.abs(tables - definition).max() <= 1e-12 * definition.max()
+
+    def test_the_cell_half_is_not_stale(self, built, dataset):
+        index, queries = built
+        pq = ProductQuantizer.from_codebooks(index.pq.codebooks)
+        mine = IVFADCIndex.from_parts(
+            pq, index.coarse, index.partitions,
+            encode_residuals=index.encode_residuals, coarse_max_iter=2,
+        )
+        before = mine.distance_tables_for_batch(queries[:4], 1)
+        cells = mine.cell_half
+        assert mine.cell_half is cells  # built once, not per call
+        order = np.random.default_rng(0).permutation(pq.ksub)
+        pq.permute_subquantizer(1, order)
+        permuted = mine.distance_tables_for_batch(queries[:4], 1)
+        assert permuted[:, 1].tobytes() == before[:, 1][:, order].tobytes()
+        assert permuted[:, 0].tobytes() == before[:, 0].tobytes()
+        mine.train_coarse(dataset.base[3000:4000])
+        fresh = IVFADCIndex.from_parts(
+            pq, mine.coarse, index.partitions,
+            encode_residuals=index.encode_residuals,
+        )
+        retrained = mine.distance_tables_for_batch(queries[:4], 1)
+        assert retrained.tobytes() == fresh.distance_tables_for_batch(
+            queries[:4], 1
+        ).tobytes()
+        assert (retrained.tobytes() != permuted.tobytes()) == index.encode_residuals
+
+    def test_one_cell_half_per_pair_of_quantizers(self, built):
+        """Derived indexes share it by identity: compaction epochs, the
+        shards of one index and their global view."""
+        index, queries = built
+        cells = index.cell_half
+        assert cells.shape == (index.n_partitions, index.pq.m, index.pq.ksub)
+        assert cells.dtype == np.float64
+        assert index.with_partitions(index.partitions[::-1]).cell_half is cells
+        sharded = ShardedIndex.from_index(index, n_shards=3)
+        assert sharded.global_view.cell_half is cells
+        assert all(shard.index.cell_half is cells for shard in sharded.shards)
+        config = EngineConfig(
+            scanner="naive", mutable=True, nprobe=2,
+            encode_residuals=index.encode_residuals,
+            m=index.pq.m, bits=index.pq.bits, n_partitions=index.n_partitions,
+        )
+        with Engine(index.with_partitions(index.partitions), config) as engine:
+            engine.add(queries[:3], np.array([10**6, 10**6 + 1, 10**6 + 2]))
+            engine.delete(np.array([0, 1]))
+            engine.compact()
+            assert engine.index.generation == index.generation + 1
+            assert engine.index.cell_half is cells
+            engine.search(queries[:4], k=3)
+
+    def test_the_door(self, built):
+        """-1 answered with the last cell's tables at the parent, the
+        cell count raised numpy's IndexError, a wrong width numpy's
+        broadcast error."""
+        index, queries = built
+        sharded = ShardedIndex.from_index(index, n_shards=2)
+        for pid in (-1, index.n_partitions, index.n_partitions + 7):
+            for tables_for in (
+                index.distance_tables_for_batch,
+                sharded.distance_tables_for_batch,
+            ):
+                with pytest.raises(
+                    ConfigurationError,
+                    match=rf"partition_id must be in \[0, {index.n_partitions}\)",
+                ):
+                    tables_for(queries[:2], pid)
+            with pytest.raises(ConfigurationError, match="partition_id must be in"):
+                index.distance_tables_for(queries[0], pid)
+        for tables_for in (
+            index.distance_tables_for_batch,
+            sharded.distance_tables_for_batch,
+        ):
+            with pytest.raises(DimensionMismatchError, match="expected 128, got 64"):
+                tables_for(queries[:2, :64], 0)
+        with pytest.raises(DimensionMismatchError, match="expected 128, got 64"):
+            index.distance_tables_for(queries[0, :64], 0)
+        with pytest.raises(DimensionMismatchError, match="expected 128, got 64"):
+            index.query_half(queries[:, :64])

@@ -434,8 +434,25 @@ class TestScanPlanCellForCell:
     def test_process_cells_equal_thread_cells(
         self, executors, dataset, kind, rows, topk, nprobe
     ):
+        self.assert_cell_for_cell(executors[kind], dataset.queries[rows], topk, nprobe)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_query_in_several_jobs_of_one_bundle(self, executors, dataset, kind):
+        """nprobe 8 over 12 cells and two workers: every bundle reads a
+        query's row of the bundle-wide query half from several jobs."""
         thread, process = executors[kind]
-        plan = thread.planner.plan(dataset.queries[rows], topk=topk, nprobe=nprobe)
+        queries = dataset.queries[[0, 3, 3, 5, 7, 1]]
+        plan = thread.planner.plan(queries, topk=5, nprobe=8)
+        for jobs in process._bundle_jobs(plan):
+            rows = np.concatenate([job.query_rows for job in jobs])
+            assert len(jobs) > 1 and len(np.unique(rows)) < len(rows)
+        self.assert_cell_for_cell(executors[kind], queries, 5, 8)
+
+    @staticmethod
+    def assert_cell_for_cell(pair, queries, topk, nprobe):
+        thread, process = pair
+        rows = range(len(queries))
+        plan = thread.planner.plan(queries, topk=topk, nprobe=nprobe)
         near, near_stats = thread.scan_plan(plan)
         far, far_stats = process.scan_plan(plan)
         assert near.shape == far.shape == (len(rows), nprobe)

@@ -167,6 +167,51 @@ class TestProductQuantizer:
         assert after[:, 2].tobytes() == before[:, 2][:, order].tobytes()
         assert after.tobytes() == self.tables_per_subquantizer(pq, queries).tobytes()
 
+    @pytest.mark.parametrize("m, bits, dsub", [(8, 8, 16), (16, 4, 8), (5, 4, 7)])
+    @pytest.mark.parametrize("b", [1, 2, 5, 33, 128])
+    def test_cross_term_rows_do_not_depend_on_block_or_layout(
+        self, rng, m, bits, dsub, b
+    ):
+        """What lets an index build ``2<x_j, C_ji>`` once for a batch and
+        gather a partition job's rows out of it."""
+        pq = ProductQuantizer.from_codebooks(rng.normal(size=(m, 1 << bits, dsub)) * 40)
+        queries = rng.normal(size=(128, m * dsub)) * 40
+        whole = pq.cross_tables_batch(queries)
+        assert whole.shape == (128, m, 1 << bits) and whole.flags.c_contiguous
+        by_hand = 2.0 * np.einsum(
+            "qjd,jid->qji", queries.reshape(128, m, dsub), pq.codebooks
+        )
+        np.testing.assert_allclose(whole, by_hand, rtol=1e-12, atol=1e-9)
+        rows = rng.permutation(128)[:b]
+        expected = whole[rows].tobytes()
+        wide = np.repeat(queries, 2, axis=1)
+        for block in (
+            queries[rows],
+            np.asfortranarray(queries)[rows],
+            wide[:, ::2][rows],
+            np.asfortranarray(queries[rows]),
+        ):
+            assert pq.cross_tables_batch(block).tobytes() == expected
+        narrow = queries.astype(np.float32)
+        assert (
+            pq.cross_tables_batch(narrow[rows]).tobytes()
+            == pq.cross_tables_batch(narrow.astype(np.float64))[rows].tobytes()
+        )
+        with pytest.raises(DimensionMismatchError, match=f"expected {m * dsub}"):
+            pq.cross_tables_batch(queries[:, 1:])
+
+    def test_centroid_norms_are_new_when_the_codebooks_are(self, rng):
+        pq = ProductQuantizer.from_codebooks(rng.normal(size=(4, 16, 2)))
+        norms = pq.centroid_sq_norms
+        assert pq.centroid_sq_norms is norms
+        np.testing.assert_allclose(norms, (pq.codebooks**2).sum(axis=2))
+        order = rng.permutation(16)
+        pq.permute_subquantizer(3, order)
+        assert pq.centroid_sq_norms is not norms
+        assert pq.centroid_sq_norms[3].tobytes() == norms[3][order].tobytes()
+        with pytest.raises(NotFittedError):
+            ProductQuantizer().centroid_sq_norms
+
     def test_quantization_error_positive_and_reasonable(self, pq, dataset):
         err = pq.quantization_error(dataset.base[:200])
         norms = np.mean(np.sum(dataset.base[:200] ** 2, axis=1))
