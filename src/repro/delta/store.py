@@ -101,28 +101,34 @@ class _PartitionDelta:
     seqs: np.ndarray
 
 
-def _filtered(
+def _without_rows(
     segments: dict[int, _PartitionDelta],
-    keep_rows: Callable[[_PartitionDelta], np.ndarray],
-) -> dict[int, _PartitionDelta]:
-    """Segments with only the rows ``keep_rows`` marks, emptied ones gone."""
-    out: dict[int, _PartitionDelta] = {}
-    for pid, delta in segments.items():
-        keep = keep_rows(delta)
-        if keep.all():
-            out[pid] = delta
-        elif keep.any():
+    column: str,
+    dropped: Callable[[np.ndarray], np.ndarray],
+) -> tuple[dict[int, _PartitionDelta], int]:
+    """Segments minus the rows ``dropped`` marks, and how many it marks.
+
+    ``dropped`` sees one column (``"ids"`` or ``"seqs"``) of every
+    pending row at once. Only a segment holding a marked row is rebuilt
+    (or gone, when emptied); every other one is carried over as is.
+    """
+    if not segments:
+        return {}, 0
+    items = list(segments.items())
+    lengths = np.array([len(delta.ids) for _, delta in items])
+    drop = dropped(np.concatenate([getattr(delta, column) for _, delta in items]))
+    starts = np.cumsum(lengths) - lengths
+    out = dict(segments)
+    for at in np.flatnonzero(np.logical_or.reduceat(drop, starts)).tolist():
+        pid, delta = items[at]
+        keep = ~drop[starts[at] : starts[at] + lengths[at]]
+        if keep.any():
             out[pid] = _PartitionDelta(
                 delta.codes[keep], delta.ids[keep], delta.seqs[keep]
             )
-    return out
-
-
-def _without_ids(
-    segments: dict[int, _PartitionDelta], ids: np.ndarray
-) -> dict[int, _PartitionDelta]:
-    """Segments with every row whose id is in ``ids`` physically dropped."""
-    return _filtered(segments, lambda delta: ~np.isin(delta.ids, ids))
+        else:
+            del out[pid]
+    return out, int(np.count_nonzero(drop))
 
 
 def _with_rows(
@@ -150,33 +156,49 @@ def _with_rows(
     return out
 
 
-def _build_view(
-    segments: dict[int, _PartitionDelta],
-    tombstones: dict[int, int],
-    index: _HasPartitions,
-) -> DeltaView:
-    """Materialize the overlay: segment partitions + masked base copies."""
-    segment_parts = {
-        pid: Partition(delta.codes, delta.ids, partition_id=pid)
-        for pid, delta in sorted(segments.items())
-    }
-    tombstone_ids = np.array(sorted(tombstones), dtype=np.int64)
-    masked: dict[int, Partition] = {}
-    if len(tombstone_ids):
-        for pid, part in enumerate(index.partitions):
-            if len(part.ids) == 0:
-                continue
-            hit = np.isin(part.ids, tombstone_ids)
-            if hit.any():
-                keep = ~hit
-                masked[pid] = Partition(
-                    np.ascontiguousarray(np.asarray(part.codes)[keep]),
-                    part.ids[keep],
-                    partition_id=pid,
-                )
-    return DeltaView(
-        segments=segment_parts, masked=masked, tombstone_ids=tombstone_ids
-    )
+@dataclass(frozen=True)
+class _BaseIds:
+    """Every id of one base index, sorted, and the row it sits at.
+
+    Built on the first cut against a base (one sort of its ids) and
+    dropped at :meth:`DeltaStore.commit`, where the base is replaced, so
+    a cut finds the rows its tombstones hit with two binary searches
+    over the base instead of one ``isin`` per partition.
+    """
+
+    index: _HasPartitions
+    sorted_ids: np.ndarray
+    rows: np.ndarray  # row in the partitions' concatenation, per sorted id
+    starts: np.ndarray  # (n_partitions + 1,) partition bounds in it
+
+    @classmethod
+    def of(cls, index: _HasPartitions) -> "_BaseIds":
+        parts = index.partitions
+        ids = np.concatenate([part.ids for part in parts])
+        rows = np.argsort(ids)
+        starts = np.cumsum([0] + [len(part.ids) for part in parts])
+        return cls(index, ids[rows], rows, starts)
+
+    def masked(self, tombstone_ids: np.ndarray) -> dict[int, Partition]:
+        """Tombstone-filtered copies of the partitions a tombstone hits."""
+        lo = np.searchsorted(self.sorted_ids, tombstone_ids, side="left")
+        hi = np.searchsorted(self.sorted_ids, tombstone_ids, side="right")
+        # Every position in [lo, hi) of every tombstone: base ids may repeat.
+        counts = hi - lo
+        shift = np.repeat(lo + counts - np.cumsum(counts), counts)
+        hits = self.rows[np.arange(counts.sum()) + shift]
+        pids = np.searchsorted(self.starts, hits, side="right") - 1
+        masked: dict[int, Partition] = {}
+        for pid in np.unique(pids).tolist():
+            part = self.index.partitions[pid]
+            keep = np.ones(len(part.ids), dtype=bool)
+            keep[hits[pids == pid] - self.starts[pid]] = False
+            masked[pid] = Partition(
+                np.asarray(part.codes).compress(keep, axis=0),
+                part.ids.compress(keep),
+                partition_id=pid,
+            )
+        return masked
 
 
 class DeltaStore:
@@ -193,10 +215,12 @@ class DeltaStore:
     def __init__(self, *, generation: int = 0) -> None:
         self._lock = threading.Lock()
         self._segments: dict[int, _PartitionDelta] = {}
+        self._n_rows = 0  # rows across _segments
         self._tombstones: dict[int, int] = {}
         self._seq = 0
         self._generation = int(generation)
         self._view_cache: DeltaView | None = None
+        self._base_ids: _BaseIds | None = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -210,7 +234,7 @@ class DeltaStore:
     def n_rows(self) -> int:
         """Rows currently living in delta segments."""
         with self._lock:
-            return sum(len(delta.ids) for delta in self._segments.values())
+            return self._n_rows
 
     @property
     def n_tombstones(self) -> int:
@@ -249,9 +273,11 @@ class DeltaStore:
             seq = self._seq
             for identifier in ids.tolist():
                 self._tombstones[identifier] = seq
-            self._segments = _with_rows(
-                _without_ids(self._segments, ids), labels, codes, ids, seq
+            kept, n_dropped = _without_rows(
+                self._segments, "ids", lambda held: np.isin(held, ids)
             )
+            self._segments = _with_rows(kept, labels, codes, ids, seq)
+            self._n_rows += len(ids) - n_dropped
             self._view_cache = None
             return seq
 
@@ -269,7 +295,10 @@ class DeltaStore:
             seq = self._seq
             for identifier in ids.tolist():
                 self._tombstones[identifier] = seq
-            self._segments = _without_ids(self._segments, ids)
+            self._segments, n_dropped = _without_rows(
+                self._segments, "ids", lambda held: np.isin(held, ids)
+            )
+            self._n_rows -= n_dropped
             self._view_cache = None
             return seq
 
@@ -282,7 +311,8 @@ class DeltaStore:
         Returns None when the store is empty — callers then take the
         unmodified (byte-identical) read-only code path.  The view is
         cached until the next mutation, so steady-state reads pay an
-        attribute read, not a rebuild.
+        attribute read, not a rebuild; a rebuild after a write pays for
+        the partitions its tombstones hit, not for every partition.
         """
         with self._lock:
             if not self._segments and not self._tombstones:
@@ -290,8 +320,21 @@ class DeltaStore:
             cached = self._view_cache
             if cached is not None:
                 return cached
-            view = _build_view(self._segments, self._tombstones, index)
-            self._view_cache = view
+            tombstone_ids = np.array(sorted(self._tombstones), dtype=np.int64)
+            masked: dict[int, Partition] = {}
+            if len(tombstone_ids):
+                base = self._base_ids
+                if base is None or base.index is not index:
+                    base = self._base_ids = _BaseIds.of(index)
+                masked = base.masked(tombstone_ids)
+            view = self._view_cache = DeltaView(
+                segments={
+                    pid: Partition(delta.codes, delta.ids, partition_id=pid)
+                    for pid, delta in sorted(self._segments.items())
+                },
+                masked=masked,
+                tombstone_ids=tombstone_ids,
+            )
             return view
 
     # ------------------------------------------------------------------
@@ -304,12 +347,11 @@ class DeltaStore:
                 pid: (delta.codes, delta.ids)
                 for pid, delta in sorted(self._segments.items())
             }
-            n_rows = sum(len(ids) for _, ids in additions.values())
             return DeltaSnapshot(
                 seq=self._seq,
                 tombstone_ids=np.array(sorted(self._tombstones), dtype=np.int64),
                 additions=additions,
-                n_rows=n_rows,
+                n_rows=self._n_rows,
             )
 
     def commit(self, upto_seq: int, *, generation: int) -> None:
@@ -322,9 +364,10 @@ class DeltaStore:
         concurrent compaction).
         """
         with self._lock:
-            self._segments = _filtered(
-                self._segments, lambda delta: delta.seqs > upto_seq
+            self._segments, n_dropped = _without_rows(
+                self._segments, "seqs", lambda seqs: seqs <= upto_seq
             )
+            self._n_rows -= n_dropped
             self._tombstones = {
                 identifier: seq
                 for identifier, seq in self._tombstones.items()
@@ -332,3 +375,4 @@ class DeltaStore:
             }
             self._generation = int(generation)
             self._view_cache = None
+            self._base_ids = None  # the base it sorted is being replaced

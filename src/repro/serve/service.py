@@ -550,7 +550,9 @@ class MicroBatchServer:
         A flush slot is acquired *before* collecting, so when every slot
         is busy the coalescer pauses and admission pressure lands on the
         bounded queue (where it sheds) instead of on an unbounded pile
-        of in-flight batches.
+        of in-flight batches. What is already queued is taken before any
+        wait, so a backlog older than the deadline still leaves in
+        batches of up to ``max_batch``, not one request at a time.
         """
         queue, slots = self._queue, self._flush_slots
         if queue is None or slots is None:  # pragma: no cover
@@ -567,6 +569,9 @@ class MicroBatchServer:
             deadline = first.enqueued_at + self.config.max_delay_s
             try:
                 while len(batch) < self.config.max_batch:
+                    if not queue.empty():
+                        batch.append(queue.get_nowait())
+                        continue
                     remaining = deadline - loop.time()
                     if remaining <= 0:
                         break

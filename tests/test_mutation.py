@@ -26,6 +26,7 @@ import shutil
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,12 +45,14 @@ from repro import (
     BatchExecutor,
     Engine,
     EngineConfig,
+    IVFADCIndex,
     PQFastScanner,
     VectorDataset,
 )
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.ivf.partition import Partition
 from repro.parallel import ProcessBatchExecutor
-from repro.persistence import load_index
+from repro.persistence import load_index, save_index
 from repro.serve import MicroBatchServer
 from repro.delta import DeltaStore, fold_index
 
@@ -385,6 +388,285 @@ class TestDeltaPrimitives:
         assert int(part.ids[0]) not in view.tombstone_ids
 
 
+# -- the overlay against the per-partition reference --------------------------
+#
+# The reference bookkeeping, written the direct way: one ``isin`` per
+# pending segment for every delete and upsert, one ``isin`` per base
+# partition for every view cut. Segments are plain ``(codes, ids, seqs)``
+# tuples here.
+
+
+def _reference_filtered(segments, keep_rows):
+    out = {}
+    for pid, (codes, ids, seqs) in segments.items():
+        keep = keep_rows(ids, seqs)
+        if keep.all():
+            out[pid] = (codes, ids, seqs)
+        elif keep.any():
+            out[pid] = (codes[keep], ids[keep], seqs[keep])
+    return out
+
+
+def _reference_without_ids(segments, ids):
+    return _reference_filtered(
+        segments, lambda held, seqs: ~np.isin(held, ids)
+    )
+
+
+def _reference_build_view(segments, tombstones, index):
+    """``(segments, masked, tombstone_ids)``, or None for an empty overlay."""
+    if not segments and not tombstones:
+        return None
+    segment_parts = {
+        pid: Partition(codes, ids, partition_id=pid)
+        for pid, (codes, ids, _) in sorted(segments.items())
+    }
+    tombstone_ids = np.array(sorted(tombstones), dtype=np.int64)
+    masked = {}
+    if len(tombstone_ids):
+        for pid, part in enumerate(index.partitions):
+            if len(part.ids) == 0:
+                continue
+            hit = np.isin(part.ids, tombstone_ids)
+            if hit.any():
+                keep = ~hit
+                masked[pid] = Partition(
+                    np.ascontiguousarray(np.asarray(part.codes)[keep]),
+                    part.ids[keep],
+                    partition_id=pid,
+                )
+    return segment_parts, masked, tombstone_ids
+
+
+class _ReferenceStore:
+    def __init__(self):
+        self.segments = {}
+        self.tombstones = {}
+        self.seq = 0
+
+    def _tombstone(self, ids):
+        self.seq += 1
+        for identifier in ids.tolist():
+            self.tombstones[identifier] = self.seq
+
+    def add(self, labels, codes, ids):
+        self._tombstone(ids)
+        out = _reference_without_ids(self.segments, ids)
+        for pid in np.unique(labels).tolist():
+            mask = labels == pid
+            added = (
+                codes[mask], ids[mask], np.full(mask.sum(), self.seq, np.int64)
+            )
+            if pid in out:
+                added = tuple(map(np.concatenate, zip(out[pid], added)))
+            out[pid] = added
+        self.segments = out
+
+    def delete(self, ids):
+        self._tombstone(ids)
+        self.segments = _reference_without_ids(self.segments, ids)
+
+    def commit(self, upto_seq):
+        self.segments = _reference_filtered(
+            self.segments, lambda ids, seqs: seqs > upto_seq
+        )
+        self.tombstones = {
+            i: seq for i, seq in self.tombstones.items() if seq > upto_seq
+        }
+
+
+def _same_partition(got, want):
+    return (
+        got.partition_id == want.partition_id
+        and got.ids.dtype == want.ids.dtype
+        and got.ids.tobytes() == want.ids.tobytes()
+        and got.codes.dtype == want.codes.dtype
+        and got.codes.shape == want.codes.shape
+        and got.codes.flags.c_contiguous == want.codes.flags.c_contiguous
+        and got.codes.tobytes() == want.codes.tobytes()
+    )
+
+
+def _assert_view_is_reference(view, reference):
+    if reference is None:
+        assert view is None
+        return
+    segments, masked, tombstone_ids = reference
+    assert list(view.segments) == list(segments)
+    assert list(view.masked) == list(masked)
+    for got, want in ((view.segments, segments), (view.masked, masked)):
+        assert all(_same_partition(got[pid], want[pid]) for pid in want)
+    assert view.tombstone_ids.dtype == tombstone_ids.dtype
+    assert view.tombstone_ids.tobytes() == tombstone_ids.tobytes()
+
+
+def _assert_store_matches(store, reference):
+    assert list(store._segments) == list(reference.segments)
+    for pid, (codes, ids, seqs) in reference.segments.items():
+        held = store._segments[pid]
+        for got, want in ((held.codes, codes), (held.ids, ids), (held.seqs, seqs)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert store._tombstones == reference.tombstones
+    assert store.n_rows == sum(len(ids) for _, ids, _ in reference.segments.values())
+    assert store.n_tombstones == len(reference.tombstones)
+
+
+def _reference_view_of(store, index):
+    """The per-partition reference cut over the store's own state."""
+    segments = {
+        pid: (delta.codes, delta.ids, delta.seqs)
+        for pid, delta in store._segments.items()
+    }
+    return _reference_build_view(segments, store._tombstones, index)
+
+
+class TestOverlayAgainstPerPartitionReference:
+    """Random writes, snapshots, racing writes and commits, step by step
+    against the reference: every view byte for byte, every segment dict,
+    and the running counts equal to the recomputed sums."""
+
+    @pytest.fixture(scope="class", params=["eager", "mmap"])
+    def base(self, request, pq, dataset, tmp_path_factory):
+        built = IVFADCIndex(pq, n_partitions=8, seed=2).add(dataset.base[:2000])
+        parts = list(built.partitions)
+        parts[3] = Partition(parts[3].codes[:0], parts[3].ids[:0], partition_id=3)
+        index = built.with_partitions(parts)
+        if request.param == "mmap":
+            path = tmp_path_factory.mktemp("overlay") / "base.idx"
+            save_index(index, path)
+            index = load_index(path, mmap=True)
+        assert any(len(part.ids) == 0 for part in index.partitions)
+        return index, request.param
+
+    @staticmethod
+    def _ids(rng, index, reference, size):
+        """A mix of base ids, pending ids and ids nothing ever held."""
+        base_ids = np.concatenate([part.ids for part in index.partitions])
+        pending = [i for _, ids, _ in reference.segments.values() for i in ids]
+        pools = [base_ids, np.array(pending or [10**9]), 10**9 + np.arange(8)]
+        picked = {int(rng.choice(pools[rng.integers(3)])) for _ in range(size)}
+        return np.array(sorted(picked), dtype=np.int64)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_view_and_segment_dict_is_the_reference(self, base, seed):
+        index, kind = base
+        rng = np.random.default_rng([seed, int(kind == "mmap")])
+        store, reference = DeltaStore(), _ReferenceStore()
+        next_id, snap = 10**6, None
+        m, n_parts = index.pq.n_subquantizers, index.n_partitions
+        for _ in range(120):
+            op = rng.choice(["add", "upsert", "delete", "snapshot", "commit"],
+                            p=[0.3, 0.2, 0.3, 0.1, 0.1])
+            if op in ("add", "upsert"):
+                if op == "add":
+                    ids = np.arange(next_id, next_id + rng.integers(1, 5))
+                    next_id += len(ids)
+                else:
+                    ids = self._ids(rng, index, reference, 3)
+                labels = rng.integers(0, n_parts, len(ids))
+                codes = rng.integers(0, 256, (len(ids), m)).astype(np.uint8)
+                store.apply_add(labels, codes, ids)
+                reference.add(labels, codes, ids)
+            elif op == "delete":
+                ids = self._ids(rng, index, reference, 4)
+                store.apply_delete(ids)
+                reference.delete(ids)
+            elif op == "snapshot":
+                snap = store.snapshot()
+                assert snap.seq == reference.seq
+            elif op == "commit" and snap is not None:
+                # Writes that ran since the snapshot raced this compaction;
+                # the next cut is against the base it folded.
+                index = fold_index(index, snap.tombstone_ids, snap.additions)
+                store.commit(snap.seq, generation=store.generation + 1)
+                reference.commit(snap.seq)
+                snap = None
+            _assert_store_matches(store, reference)
+            _assert_view_is_reference(
+                store.view(index), _reference_view_of(store, index)
+            )
+
+    def test_a_tombstone_masks_every_base_copy_of_its_id(self):
+        codes = np.arange(16, dtype=np.uint8).reshape(8, 2)
+        ids = np.array([5, 7, 5, 9, 7, 5, 11, 13])
+        index = SimpleNamespace(partitions=[
+            Partition(codes[:3], ids[:3], partition_id=0),
+            Partition(codes[:0], ids[:0], partition_id=1),
+            Partition(codes[3:], ids[3:], partition_id=2),
+        ])
+        store = DeltaStore()
+        store.apply_delete(np.array([5, 7, 8]))
+        view = store.view(index)
+        assert view.masked[2].ids.tolist() == [9, 11, 13]
+        _assert_view_is_reference(view, _reference_view_of(store, index))
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Counts of membership calls (``np.isin``, ``np.searchsorted``)
+        and of ``Partition`` constructions from here on."""
+        calls = {"membership": 0, "partition": 0}
+
+        def counting(owner, name, kind):
+            function = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                calls[kind] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        counting(np, "isin", "membership")
+        counting(np, "searchsorted", "membership")
+        counting(Partition, "__init__", "partition")
+        return calls
+
+    def test_one_write_costs_the_next_cut_the_same_at_64_and_1024_partitions(
+        self, monkeypatch
+    ):
+        def split(n_parts):
+            ids = np.arange(8192, dtype=np.int64)
+            codes = (ids[:, None] % 251).astype(np.uint8).repeat(4, axis=1)
+            rows = np.array_split(np.arange(len(ids)), n_parts)
+            return SimpleNamespace(partitions=[
+                Partition(codes[r], ids[r], partition_id=pid)
+                for pid, r in enumerate(rows)
+            ])
+
+        counted = {}
+        for n_parts in (64, 1024):
+            index, store = split(n_parts), DeltaStore()
+            # Every deleted id sits in its own partition at either size.
+            store.apply_delete(np.arange(0, 6500, 1300))
+            store.view(index)
+            with monkeypatch.context() as patch:
+                calls = self._spy(patch)
+                store.apply_delete(np.array([7000]))
+                view = store.view(index)
+            assert len(view.masked) == 6
+            counted[n_parts] = calls
+        assert counted[64] == counted[1024]
+        assert counted[64]["partition"] == 6  # one per partition with a hit
+
+    def test_a_delete_rebuilds_only_the_segment_holding_its_id(
+        self, monkeypatch
+    ):
+        store = DeltaStore()
+        labels = np.repeat(np.arange(40), 2)
+        ids = np.arange(10**6, 10**6 + len(labels), dtype=np.int64)
+        codes = np.zeros((len(labels), 4), dtype=np.uint8)
+        store.apply_add(labels, codes, ids)
+        before = dict(store._segments)
+        calls = self._spy(monkeypatch)
+        store.apply_delete(ids[14:15])  # one of partition 7's two rows
+        assert calls["membership"] <= 1
+        assert store._segments.keys() == before.keys()
+        assert all(
+            store._segments[pid] is before[pid] for pid in before if pid != 7
+        )
+        assert store._segments[7].ids.tolist() == [ids[15]]
+        assert store.n_rows == len(ids) - 1
+
+
 class TestOverlayIsCodes:
     """A pending row costs what an indexed row costs, and is encoded once."""
 
@@ -542,6 +824,14 @@ class _EngineAgainstDictModel(RuleBasedStateMachine):
 
     def teardown(self):
         try:
+            store = self.engine._delta
+            _assert_view_is_reference(
+                store.view(self.engine.index),
+                _reference_view_of(store, self.engine.index),
+            )
+            assert store.n_rows == sum(
+                len(delta.ids) for delta in store._segments.values()
+            )
             self.compact()  # every sequence ends folded and checked
         finally:
             self.engine.close()

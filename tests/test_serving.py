@@ -122,6 +122,44 @@ class TestCoalescing:
         assert result.batch_size == 1
         assert elapsed < 5.0
 
+    def test_backlog_older_than_the_deadline_leaves_in_full_batches(self):
+        # The only flush slot is held while 40 requests queue for far
+        # longer than max_delay_s. The coalescer used to close a batch
+        # without looking at the queue once its first request was past
+        # the deadline, so the backlog left as forty batches of one.
+        release = threading.Event()
+        seen_sizes: list[int] = []
+
+        def blocking_batch(queries: np.ndarray) -> list[SearchResult]:
+            seen_sizes.append(len(queries))
+            release.wait(timeout=30)
+            return _echo_batch(queries)
+
+        config = ServeConfig(
+            max_batch=32, max_delay_s=0.001, max_concurrent_batches=1
+        )
+
+        async def scenario() -> list[ServedResult]:
+            async with MicroBatchServer(blocking_batch, config) as server:
+                first = asyncio.create_task(
+                    server.search(np.array([0.0, 0.0]))
+                )
+                await asyncio.sleep(0.05)  # its flush now holds the slot
+                backlog = [
+                    asyncio.create_task(
+                        server.search(np.array([float(i), 0.0]))
+                    )
+                    for i in range(1, 41)
+                ]
+                await asyncio.sleep(0.05)
+                assert server.depth == 40
+                release.set()
+                return await asyncio.gather(first, *backlog)
+
+        results = asyncio.run(scenario())
+        assert seen_sizes == [1, 32, 8]
+        assert [r.result.ids[0] for r in results] == list(range(41))
+
     def test_drain_on_stop_answers_admitted_requests(self):
         config = ServeConfig(max_batch=64, max_delay_s=60.0)
 
