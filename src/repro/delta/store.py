@@ -12,8 +12,9 @@ code bytes plus 16 (id and sequence number), never its raw vector.
 * **tombstones** — ids masked out of the *base* at query time.  Every
   ``add`` tombstones its ids first (upsert barrier: a stale base copy of
   a re-added id must never surface) and every ``delete`` tombstones too.
-  Segment rows are removed *physically* instead, so at any snapshot the
-  live segments never contain a deleted id.
+  A tombstone is a filter, not a copy: a base scan it hits runs that
+  many rows wider and drops its ids.  Segment rows are removed
+  *physically*, so the live segments never contain a deleted id.
 
 Every mutation carries a monotonically increasing sequence number; the
 tombstone map remembers the sequence of the mutation that created it.
@@ -53,21 +54,21 @@ class DeltaView:
 
     Attributes:
         segments: partition id -> delta segment (plain PQ codes + ids).
-        masked: partition id -> tombstone-filtered replacement for the
-            *base* partition.  Only partitions where a tombstone actually
-            hits a base id appear here; queries probing any other
-            partition take the unmodified read-only path.
+        hits: partition id -> sorted ids of its *base* rows a tombstone
+            hits, one per row, for the partitions with a hit (their scans
+            run that many rows wider and drop these ids); queries probing
+            no such partition take the read-only path.
         tombstone_ids: sorted array of all tombstoned ids.
     """
 
     segments: Mapping[int, Partition]
-    masked: Mapping[int, Partition]
+    hits: Mapping[int, np.ndarray]
     tombstone_ids: np.ndarray
 
     @property
     def clean(self) -> bool:
-        """True when the view changes nothing (no segments, no masking)."""
-        return not self.segments and not self.masked
+        """True when the view changes nothing (no segments, no hits)."""
+        return not self.segments and not self.hits
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def _with_rows(
 
 @dataclass(frozen=True)
 class _BaseIds:
-    """Every id of one base index, sorted, and the row it sits at.
+    """Every id of one base index, sorted, and the partition it sits in.
 
     Built on the first cut against a base (one sort of its ids) and
     dropped at :meth:`DeltaStore.commit`, where the base is replaced, so
@@ -168,37 +169,29 @@ class _BaseIds:
 
     index: _HasPartitions
     sorted_ids: np.ndarray
-    rows: np.ndarray  # row in the partitions' concatenation, per sorted id
-    starts: np.ndarray  # (n_partitions + 1,) partition bounds in it
+    pids: np.ndarray  # partition of each sorted id
 
     @classmethod
     def of(cls, index: _HasPartitions) -> "_BaseIds":
         parts = index.partitions
         ids = np.concatenate([part.ids for part in parts])
-        rows = np.argsort(ids)
-        starts = np.cumsum([0] + [len(part.ids) for part in parts])
-        return cls(index, ids[rows], rows, starts)
+        pids = np.repeat(np.arange(len(parts)), [len(part.ids) for part in parts])
+        order = np.argsort(ids)
+        return cls(index, ids[order], pids[order])
 
-    def masked(self, tombstone_ids: np.ndarray) -> dict[int, Partition]:
-        """Tombstone-filtered copies of the partitions a tombstone hits."""
+    def hits(self, tombstone_ids: np.ndarray) -> dict[int, np.ndarray]:
+        """Ids of the base rows the tombstones hit, per partition with a
+        hit: sorted, one per row."""
         lo = np.searchsorted(self.sorted_ids, tombstone_ids, side="left")
         hi = np.searchsorted(self.sorted_ids, tombstone_ids, side="right")
         # Every position in [lo, hi) of every tombstone: base ids may repeat.
         counts = hi - lo
         shift = np.repeat(lo + counts - np.cumsum(counts), counts)
-        hits = self.rows[np.arange(counts.sum()) + shift]
-        pids = np.searchsorted(self.starts, hits, side="right") - 1
-        masked: dict[int, Partition] = {}
-        for pid in np.unique(pids).tolist():
-            part = self.index.partitions[pid]
-            keep = np.ones(len(part.ids), dtype=bool)
-            keep[hits[pids == pid] - self.starts[pid]] = False
-            masked[pid] = Partition(
-                np.asarray(part.codes).compress(keep, axis=0),
-                part.ids.compress(keep),
-                partition_id=pid,
-            )
-        return masked
+        at = np.arange(counts.sum()) + shift
+        # A stable sort by partition keeps each partition's ids ascending.
+        at = at[np.argsort(self.pids[at], kind="stable")]
+        pids, starts = np.unique(self.pids[at], return_index=True)
+        return dict(zip(pids.tolist(), np.split(self.sorted_ids[at], starts[1:])))
 
 
 class DeltaStore:
@@ -207,7 +200,7 @@ class DeltaStore:
     The store is deliberately index-agnostic: callers hand it already
     routed and encoded rows (``apply_add``; the raw vectors never get
     here) and it only needs the base index again to cut a
-    :class:`DeltaView` (for the per-partition tombstone masking).
+    :class:`DeltaView` (to find the base rows its tombstones hit).
     Coarse and product quantizers never change across compactions, so
     the codes ``add`` made are the codes compaction folds.
     """
@@ -311,8 +304,8 @@ class DeltaStore:
         Returns None when the store is empty — callers then take the
         unmodified (byte-identical) read-only code path.  The view is
         cached until the next mutation, so steady-state reads pay an
-        attribute read, not a rebuild; a rebuild after a write pays for
-        the partitions its tombstones hit, not for every partition.
+        attribute read, not a rebuild; a rebuild after a write finds
+        the base rows its tombstones hit, per partition, and copies none.
         """
         with self._lock:
             if not self._segments and not self._tombstones:
@@ -321,18 +314,18 @@ class DeltaStore:
             if cached is not None:
                 return cached
             tombstone_ids = np.array(sorted(self._tombstones), dtype=np.int64)
-            masked: dict[int, Partition] = {}
+            hits: dict[int, np.ndarray] = {}
             if len(tombstone_ids):
                 base = self._base_ids
                 if base is None or base.index is not index:
                     base = self._base_ids = _BaseIds.of(index)
-                masked = base.masked(tombstone_ids)
+                hits = base.hits(tombstone_ids)
             view = self._view_cache = DeltaView(
                 segments={
                     pid: Partition(delta.codes, delta.ids, partition_id=pid)
                     for pid, delta in sorted(self._segments.items())
                 },
-                masked=masked,
+                hits=hits,
                 tombstone_ids=tombstone_ids,
             )
             return view

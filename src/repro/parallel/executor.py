@@ -235,6 +235,7 @@ class ProcessBatchExecutor(PlanExecutor):
                         ),
                         job_sizes=tuple(len(job.query_rows) for job in jobs),
                         topk=plan.topk,
+                        tombstones=tuple(job.tombstones for job in jobs),
                     ),
                     sanitize,
                 )

@@ -12,10 +12,11 @@ for the lifetime of the pool.
 
 Traffic is deliberately compact and per bundle, not per cell: a
 :class:`WorkerBundle` carries the batch's query block once plus, per
-job, a partition id and the rows that probe it; what comes back is one
-:class:`~repro.scan.ScanBlock` for the whole bundle (three arrays), the
-worker's pid and each job's busy time. Parent ↔ worker traffic is
-therefore independent of partition sizes.
+job, a partition id, the rows that probe it and the ids of its
+tombstoned rows; what comes back is one :class:`~repro.scan.ScanBlock`
+for the whole bundle (three arrays, ``topk`` wide), the worker's pid
+and each job's busy time. Parent ↔ worker traffic is therefore
+independent of partition sizes.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ class WorkerBundle:
         query_rows: rows of ``queries`` probing each job's partition,
             the jobs' runs end to end; ``job_sizes`` are their lengths.
         topk: neighbors requested per query.
+        tombstones: each job's :attr:`~repro.search.PartitionJob.tombstones`.
     """
 
     queries: np.ndarray
@@ -56,6 +58,7 @@ class WorkerBundle:
     query_rows: np.ndarray
     job_sizes: tuple[int, ...]
     topk: int
+    tombstones: tuple[np.ndarray, ...]
 
 
 # Per-process state, populated by _init_worker. A plain module dict:
@@ -118,13 +121,17 @@ def _run_bundle(
     queries = bundle.queries[used]
     query_half = index.query_half(queries)
     stop = 0
-    for partition_id, size in zip(bundle.partition_ids, bundle.job_sizes):
+    for partition_id, size, tombstones in zip(
+        bundle.partition_ids, bundle.job_sizes, bundle.tombstones
+    ):
         start, stop = stop, stop + size
         tables = index.tables_from_halves(
             queries, query_half, rows[start:stop], partition_id
         )
         blocks.append(
-            _scan_block(scanner, tables, index.partitions[partition_id], bundle.topk)
+            _scan_block(
+                scanner, tables, index.partitions[partition_id], bundle.topk, tombstones
+            )
         )
         busy_s.append(time.perf_counter() - t0)
         t0 = time.perf_counter()

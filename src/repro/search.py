@@ -24,13 +24,14 @@ queries become memory-bandwidth-bound around 8 cores; this engine is
 the layer that actually produces that concurrent-query traffic.
 
 How a plan becomes results is written once, in :class:`PlanPipeline`
-(route, strip the tombstone-masked jobs, scan, fold the delta overlay
-and each landed :class:`ScanPart` into a :class:`StreamingMerger`,
-``results()``); an executor defines only how a plan's scan lands in
-parts. The thread and process executors (:class:`PlanExecutor`) land
-one, their ``scan_plan``; :class:`~repro.shard.ScatterGatherExecutor`
-lands one per shard, in completion order, under its deadline / retry /
-partial policy. The merger's (distance, id) order is total, so batched
+(route, hand each job its partition's tombstones, scan, fold the delta
+segments and each landed :class:`ScanPart` into a
+:class:`StreamingMerger`, ``results()``); an executor defines only how
+a plan's scan lands in parts. The thread and process executors
+(:class:`PlanExecutor`) land one, their ``scan_plan``;
+:class:`~repro.shard.ScatterGatherExecutor` lands one per shard, in
+completion order, under its deadline / retry / partial policy. The
+merger's (distance, id) order is total, so batched
 results are byte-identical to the sequential per-query loop (kept as
 ``executor="sequential"`` on :meth:`ANNSearcher.search` for baselines
 and tests) whatever the executor, worker count or fold order.
@@ -52,7 +53,6 @@ import numpy as np
 
 from .exceptions import ConfigurationError, SimulationError
 from .ivf.inverted_index import IVFADCIndex
-from .ivf.partition import Partition
 from .obs import Observability, get_observability
 from .scan.base import PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock, ScanResult
 from .scan.naive import NaiveScanner
@@ -114,6 +114,9 @@ class SearchResult:
 
 # -- batch planning ------------------------------------------------------------
 
+#: A clean job's tombstones.
+_NO_IDS = np.empty(0, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class PartitionJob:
@@ -131,12 +134,16 @@ class PartitionJob:
             query's probe list (preserves the sequential merge order).
         cost: scan-work estimate (queries x partition size) used to
             schedule large jobs first.
+        tombstones: sorted ids of the partition's base rows a tombstone
+            hits, one per row (:attr:`~repro.delta.DeltaView.hits`): the
+            scan runs that many rows wider and drops them (:func:`_scan_block`).
     """
 
     partition_id: int
     query_rows: np.ndarray
     probe_positions: np.ndarray
     cost: int
+    tombstones: np.ndarray
 
 
 class _QueryHalfOnce:
@@ -172,9 +179,9 @@ class BatchPlan:
     nprobe: int
     probed: np.ndarray
     jobs: tuple[PartitionJob, ...]
-    # One slot, shared by every sub-plan ``replace`` derives (a shard's
-    # jobs, the plan minus its masked jobs): a batch pays Step 2's
-    # query half once in this process, whoever asks first.
+    # One slot, shared by every plan ``replace`` derives (a shard's
+    # jobs, the plan with its tombstones): a batch pays Step 2's query
+    # half once in this process, whoever asks first.
     _query_half: _QueryHalfOnce = field(
         default_factory=_QueryHalfOnce, repr=False, compare=False
     )
@@ -233,6 +240,7 @@ class BatchPlanner:
                     query_rows=rows[start:stop],
                     probe_positions=positions[start:stop],
                     cost=(stop - start) * max(size, 1),
+                    tombstones=_NO_IDS,
                 )
             )
         # Largest jobs first: with fewer jobs than workers towards the
@@ -250,8 +258,17 @@ class BatchPlanner:
 # -- batch execution -----------------------------------------------------------
 
 
+#: Candidates a widened scan holds at once: a job a tombstone hits scans
+#: its queries in runs of at most this many over their width.
+_WIDE_SCAN_CELLS = 1 << 20
+
+
 def _scan_block(
-    scanner: PartitionScanner, tables: np.ndarray, partition, topk: int
+    scanner: PartitionScanner,
+    tables: np.ndarray,
+    partition,
+    topk: int,
+    tombstones: np.ndarray = _NO_IDS,
 ) -> ScanBlock:
     """Scan one partition for a whole query batch, packed.
 
@@ -267,8 +284,39 @@ def _scan_block(
     ``tables`` is the ``(b, m, k*)`` stack for the batch's queries
     against this partition; the block has one cell per table row,
     byte-identical to the per-query sequential loop.
+
+    ``tombstones`` (:attr:`PartitionJob.tombstones`, ``t_p`` ids) are a
+    filter on that scan: it runs ``topk + t_p`` wide and every cell loses
+    its tombstoned ids and is cut back to ``topk``. (distance, id) is a
+    total order, so what is left is the top ``topk`` of the partition
+    without those rows. A cell's ``n_scanned`` counts them too.
     """
-    return ScanBlock.pack(scanner.scan_batch(tables, partition, topk))
+    if not len(tombstones):
+        return ScanBlock.pack(scanner.scan_batch(tables, partition, topk))
+    width = topk + len(tombstones)
+    run = max(1, _WIDE_SCAN_CELLS // width)
+    return ScanBlock.concatenate([
+        _without(
+            ScanBlock.pack(scanner.scan_batch(tables[i : i + run], partition, width)),
+            tombstones,
+            topk,
+        )
+        for i in range(0, len(tables), run)
+    ])
+
+
+def _without(block: ScanBlock, tombstones: np.ndarray, topk: int) -> ScanBlock:
+    """``block``'s cells minus ``tombstones``, re-selected to ``topk``:
+    a dropped candidate becomes padding, which sorts last."""
+    gone = np.isin(block.ids, tombstones)
+    gone &= np.arange(block.ids.shape[1]) < block.lengths[:, None]  # not padding
+    ids, distances = select_topk_rows(
+        np.where(gone, PAD_DISTANCE, block.distances),
+        np.where(gone, PAD_ID, block.ids),
+        topk,
+    )
+    lengths = np.minimum(block.lengths - gone.sum(axis=1), topk)
+    return ScanBlock(ids, distances, np.vstack([lengths, block.counts[1:]]))
 
 
 def _record_scans(
@@ -561,56 +609,47 @@ class StreamingMerger:
 # -- delta overlay (mutable engines) -------------------------------------------
 
 
-def _strip_masked_jobs(plan: BatchPlan, masked: "Mapping[int, object]") -> BatchPlan:
-    """The plan without jobs whose partition is tombstone-masked.
-
-    Masked partitions cannot be scanned by the (base-artifact-backed)
-    executors — a worker would see the un-filtered base — so their jobs
-    are lifted out of the executor plan and scanned parent-side against
-    the view's filtered replacement. Jobs for untouched partitions pass
-    through object-identical, keeping the executor path byte-identical.
-    """
-    if not masked:
+def _with_tombstones(plan: BatchPlan, hits: "Mapping[int, np.ndarray]") -> BatchPlan:
+    """The plan with each job of a partition in ``hits`` carrying its
+    tombstoned ids (:attr:`PartitionJob.tombstones`); other jobs pass
+    through as is."""
+    if not hits:
         return plan
     return replace(
         plan,
-        jobs=tuple(job for job in plan.jobs if job.partition_id not in masked),
+        jobs=tuple(
+            replace(job, tombstones=hits[job.partition_id])
+            if job.partition_id in hits
+            else job
+            for job in plan.jobs
+        ),
     )
 
 
-#: Delta segments and masked replacements are small, so every path scans
-#: them with the exact (naive) scanner regardless of the configured base
-#: scanner — grouped layouts and min-tables would be rebuilt on every
-#: mutation for no gain. Stateless, so one instance serves all callers.
-_OVERLAY_SCANNER = NaiveScanner()
+#: Delta segments are small (``m + 16`` bytes a row) and change on every
+#: write, so every path scans them (and never a base partition) with the
+#: exact naive scanner: grouped layouts and min-tables would be rebuilt
+#: on every mutation for no gain. Stateless, so one serves all callers.
+_SEGMENT_SCANNER = NaiveScanner()
 
 
 def _fold_overlay(
     merger: StreamingMerger, index, view: "DeltaView", obs: Observability
 ) -> None:
-    """Scan the dirty partitions of ``merger.plan`` and fold them in.
+    """Scan the delta segments ``merger.plan`` probes and fold them in.
 
     The overlay half of the plan-to-results pipeline, run in the calling
     process by every executor (workers only ever see the immutable base
-    artifact). Two parts are packed and folded, each only when the plan
-    touches such a partition:
-
-    * scans of the tombstone-filtered *replacement* partitions cover the
-      plan cells their stripped executor jobs left open;
-    * scans of the delta *segments* fold with ``covers=False``: they add
-      candidates without claiming coverage (the base cell is owned
-      elsewhere).
+    artifact). The segments' scans fold with ``covers=False``: they add
+    candidates without claiming coverage (the base scan, on whichever
+    executor, owns the plan's cell).
     """
     plan = merger.plan
-    # covers -> the jobs that touch such a partition, and their scans
-    parts: dict[bool, tuple[list[PartitionJob], list[ScanBlock]]] = {
-        True: ([], []),
-        False: ([], []),
-    }
+    jobs: list[PartitionJob] = []
+    blocks: list[ScanBlock] = []
     for job in plan.jobs:
-        masked = view.masked.get(job.partition_id)
         segment = view.segments.get(job.partition_id)
-        if masked is None and segment is None:
+        if segment is None:
             continue
         with obs.span("tables"):
             tables = index.tables_from_halves(
@@ -619,25 +658,16 @@ def _fold_overlay(
                 job.query_rows,
                 job.partition_id,
             )
-        for partition, covers in ((masked, True), (segment, False)):
-            if partition is None:
-                continue
-            with obs.span("scan"):
-                block = _OVERLAY_SCANNER.scan_batch(tables, partition, plan.topk)
-            if obs.enabled:
-                obs.record_scan(
-                    _OVERLAY_SCANNER.name,
-                    n_scanned=int(block.n_scanned.sum()),
-                    n_pruned=int(block.n_pruned.sum()),
-                )
-            parts[covers][0].append(job)
-            parts[covers][1].append(block)
-    for covers, (jobs, blocks) in parts.items():
-        if jobs:
-            with obs.span("merge"):
-                merger.fold(
-                    PackedPartials.of_jobs(plan, jobs, blocks), covers=covers
-                )
+        with obs.span("scan"):
+            block = _SEGMENT_SCANNER.scan_batch(tables, segment, plan.topk)
+        obs.record_scan(
+            _SEGMENT_SCANNER.name, int(block.n_scanned.sum()), int(block.n_pruned.sum())
+        )
+        jobs.append(job)
+        blocks.append(block)
+    if jobs:
+        with obs.span("merge"):
+            merger.fold(PackedPartials.of_jobs(plan, jobs, blocks), covers=False)
 
 
 @dataclass
@@ -803,8 +833,8 @@ _PipelineT = TypeVar("_PipelineT", bound="PlanPipeline")
 class PlanPipeline:
     """The one pipeline from a query batch to its merged results.
 
-    Route and plan, lift out the jobs of tombstone-masked partitions,
-    start the scan (:meth:`_scan_parts`), fold the delta overlay, fold
+    Route and plan, hand the jobs a tombstone hits their tombstones,
+    start the scan (:meth:`_scan_parts`), fold the delta segments, fold
     each :class:`ScanPart` into a :class:`StreamingMerger` as it lands,
     ``results()``, report. Subclasses supply :meth:`_scan_parts` and
     :meth:`close`; they set ``index`` (the one real :class:`IVFADCIndex`
@@ -839,15 +869,18 @@ class PlanPipeline:
     ) -> tuple[BatchPlan, ShardedResponse]:
         """Plan ``queries``, scan the plan in parts, merge as they land.
 
-        With ``delta_view`` (a mutable engine's uncompacted overlay) the
-        executor scans the plan minus any tombstone-masked partitions
-        (their jobs would read the un-filtered base) and the parent
-        scans the filtered replacements and the delta segments. The
-        merger's total (distance, id) order makes the result independent
-        of fold order — and byte-identical to the delta-free path for
-        queries whose probes miss every mutated partition. A part that
-        failed or timed out lands without a grid: the response is
-        flagged partial and covers every scan that did arrive.
+        With ``delta_view`` (a mutable engine's uncompacted overlay)
+        every job scans its *base* partition on the executor with the
+        configured scanner; where tombstones hit ``t_p`` of its rows the
+        scan runs ``t_p`` wider and drops them (:func:`_scan_block`; a
+        dirty cell's ``n_scanned`` counts tombstoned rows too), so every
+        cell reaching the merger is at most ``topk`` wide. The parent
+        scans the delta segments. The merger's total (distance, id)
+        order makes the result independent of fold order — and
+        byte-identical to the delta-free path for queries whose probes
+        miss every mutated partition. A part that failed or timed out
+        lands without a grid: the response is flagged partial and
+        covers every scan that did arrive.
         """
         obs = self._obs()
         start = time.perf_counter()
@@ -855,15 +888,13 @@ class PlanPipeline:
             plan = self.planner.plan(queries, topk=topk, nprobe=nprobe)
         if delta_view is not None and delta_view.clean:
             delta_view = None
-        to_scan = plan
         if delta_view is not None:
-            to_scan = _strip_masked_jobs(plan, delta_view.masked)
-        landing = self._scan_parts(to_scan, obs, start)
+            plan = _with_tombstones(plan, delta_view.hits)
+        landing = self._scan_parts(plan, obs, start)
         merger = StreamingMerger(plan)
         if delta_view is not None:
-            # Parent-side overlay scans run while the parts are still
-            # scanning: filtered replacements cover the cells their
-            # stripped jobs left open, segments add extra candidates.
+            # Parent-side segment scans run while the parts are still
+            # scanning: extra candidates, not coverage.
             _fold_overlay(merger, self.index, delta_view, obs)
         statuses: list[ShardStatus] = []
         stats_per_part: list[list[WorkerStats]] = []
@@ -1106,7 +1137,9 @@ class BatchExecutor(PlanExecutor):
                     plan.queries, query_half, job.query_rows, job.partition_id
                 )
             with obs.span("scan"):
-                block = _scan_block(self.scanner, tables, partition, plan.topk)
+                block = _scan_block(
+                    self.scanner, tables, partition, plan.topk, job.tombstones
+                )
             _record_scans(
                 obs,
                 self.scanner.name,
@@ -1264,13 +1297,14 @@ class ANNSearcher:
         searcher to have been built with ``vectors``.
 
         ``delta`` overlays a mutable engine's uncompacted writes
-        (:class:`~repro.delta.DeltaView`): tombstone-masked partitions
-        are scanned against their filtered replacements and delta
-        segments join the same top-k merge. Queries probing no mutated
-        partition take the unmodified code paths and stay byte-identical
-        to a delta-free search. Overlay scans run in the calling process
-        for every executor (workers only ever see the immutable base
-        artifact). ``rerank`` with a non-clean delta raises
+        (:class:`~repro.delta.DeltaView`): a base partition a tombstone
+        hits is scanned as a clean one is, as many rows wider as it has
+        tombstoned rows, minus them, and delta segments join the same
+        top-k merge. Queries probing no mutated partition take the
+        unmodified code paths and stay byte-identical to a delta-free
+        search. Segment scans run in the calling process for every
+        executor (workers only ever see the immutable base artifact).
+        ``rerank`` with a non-clean delta raises
         :class:`ConfigurationError` — the stored vectors go stale under
         mutation.
         """
@@ -1345,25 +1379,26 @@ class ANNSearcher:
                 tables = self.index.tables_from_halves(
                     block, query_half, None, pid
                 )[0]
-            masked = delta.masked.get(pid) if delta is not None else None
+            # The base partition as _scan_block scans it: as many rows
+            # wider as its tombstones, minus them; a segment is one more
+            # exact scan, kept whole.
+            dropped = delta.hits.get(pid, _NO_IDS) if delta is not None else _NO_IDS
             segment = delta.segments.get(pid) if delta is not None else None
-            # A tombstone-masked partition is scanned via its filtered
-            # replacement (exact scanner — see _OVERLAY_SCANNER);
-            # untouched partitions take the configured scanner unchanged;
-            # a delta segment is one more exact scan over the same tables.
-            scans: list[tuple[PartitionScanner, Partition]] = [
-                (self.scanner, self.index.partitions[pid])
-                if masked is None
-                else (_OVERLAY_SCANNER, masked)
-            ]
+            scans = [(self.scanner, self.index.partitions[pid], dropped)]
             if segment is not None:
-                scans.append((_OVERLAY_SCANNER, segment))
-            for scanner, partition in scans:
+                scans.append((_SEGMENT_SCANNER, segment, _NO_IDS))
+            for scanner, partition, tombstones in scans:
                 with obs.span("scan"):
-                    result: ScanResult = scanner.scan(tables, partition, topk=topk)
+                    result = scanner.scan(
+                        tables, partition, topk=topk + len(tombstones)
+                    )
                 obs.record_scan(scanner.name, result.n_scanned, result.n_pruned)
-                all_ids.append(result.ids)
-                all_dists.append(result.distances)
+                ids, dists = result.ids, result.distances
+                if len(tombstones):
+                    live = ~np.isin(ids, tombstones)
+                    ids, dists = ids[live], dists[live]
+                all_ids.append(ids)
+                all_dists.append(dists)
                 n_scanned += result.n_scanned
                 n_pruned += result.n_pruned
         ids = np.concatenate(all_ids) if all_ids else np.empty(0, dtype=np.int64)

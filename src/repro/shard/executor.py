@@ -324,12 +324,11 @@ class ScatterGatherExecutor(PlanPipeline):
         much merge time that hid.
 
         With ``delta_view`` (a mutable engine's uncompacted overlay),
-        jobs for tombstone-masked partitions leave the plan before it is
-        split (workers see the un-filtered base artifact) and the parent
-        scans the overlay, while the shards still scan every untouched
-        partition through the unchanged (byte-identical) path. A
-        sub-plan emptied by the strip loses its scatter task and its
-        shard reports the ordinary no-jobs OK status.
+        each shard scans every job it owns, dirty or not, over its base
+        artifact with its own scanner: a job of a partition a tombstone
+        hits only carries its tombstoned ids, which its scan drops. The
+        parent scans the delta segments alone, and every untouched
+        partition takes the unchanged (byte-identical) path.
         """
         self._require_gather_pool()
         obs = self._obs()

@@ -31,6 +31,7 @@ def fan_out_bundle(queries: object, rows: object) -> int:
                 query_rows=rows,
                 job_sizes=(1,),
                 topk=10,
+                tombstones=((),),
             ),
             False,
         )

@@ -263,6 +263,7 @@ class TestQueryHalfOncePerPlan:
                     query_rows=rows,
                     job_sizes=tuple(len(job.query_rows) for job in jobs),
                     topk=plan.topk,
+                    tombstones=tuple(job.tombstones for job in jobs),
                 )
             )
             assert len(busy_s) == len(jobs)

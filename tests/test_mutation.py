@@ -16,7 +16,9 @@ The write API's contract has three load-bearing clauses:
   never a torn mix.
 
 ``TestEngineAgainstDictModel`` drives all of it with random operation
-sequences against a dict of vectors (ROADMAP item 6).
+sequences against a dict of vectors (ROADMAP item 6), and
+``TestTombstoneFilterAgainstFilteredCopy`` holds the one scan path a
+tombstone takes to the filtered copy it replaced.
 """
 
 from __future__ import annotations
@@ -51,9 +53,13 @@ from repro import (
 )
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.ivf.partition import Partition
-from repro.parallel import ProcessBatchExecutor
+from repro.obs import Observability
+from repro.parallel import ProcessBatchExecutor, ScannerSpec
 from repro.persistence import load_index, save_index
+from repro.scan import NaiveScanner, select_topk
+from repro.search import _WIDE_SCAN_CELLS, StreamingMerger
 from repro.serve import MicroBatchServer
+from repro.shard import ScatterGatherExecutor, ShardedIndex
 from repro.delta import DeltaStore, fold_index
 
 
@@ -371,7 +377,7 @@ class TestDeltaPrimitives:
         store.apply_delete(np.array([10**9], dtype=np.int64))
         view = store.view(index)
         assert view is not None
-        assert not view.masked  # no base row carries that id
+        assert not view.hits  # no base row carries that id
         assert 10**9 in view.tombstone_ids
 
     def test_commit_drops_only_drained_state(self, index):
@@ -414,7 +420,7 @@ def _reference_without_ids(segments, ids):
 
 
 def _reference_build_view(segments, tombstones, index):
-    """``(segments, masked, tombstone_ids)``, or None for an empty overlay."""
+    """``(segments, hits, tombstone_ids)``, or None for an empty overlay."""
     if not segments and not tombstones:
         return None
     segment_parts = {
@@ -422,20 +428,15 @@ def _reference_build_view(segments, tombstones, index):
         for pid, (codes, ids, _) in sorted(segments.items())
     }
     tombstone_ids = np.array(sorted(tombstones), dtype=np.int64)
-    masked = {}
+    hits = {}
     if len(tombstone_ids):
         for pid, part in enumerate(index.partitions):
             if len(part.ids) == 0:
                 continue
             hit = np.isin(part.ids, tombstone_ids)
             if hit.any():
-                keep = ~hit
-                masked[pid] = Partition(
-                    np.ascontiguousarray(np.asarray(part.codes)[keep]),
-                    part.ids[keep],
-                    partition_id=pid,
-                )
-    return segment_parts, masked, tombstone_ids
+                hits[pid] = np.sort(part.ids[hit])
+    return segment_parts, hits, tombstone_ids
 
 
 class _ReferenceStore:
@@ -491,11 +492,11 @@ def _assert_view_is_reference(view, reference):
     if reference is None:
         assert view is None
         return
-    segments, masked, tombstone_ids = reference
+    segments, hits, tombstone_ids = reference
     assert list(view.segments) == list(segments)
-    assert list(view.masked) == list(masked)
-    for got, want in ((view.segments, segments), (view.masked, masked)):
-        assert all(_same_partition(got[pid], want[pid]) for pid in want)
+    assert all(_same_partition(view.segments[pid], segments[pid]) for pid in segments)
+    assert list(view.hits) == list(hits)
+    assert all(view.hits[pid].tobytes() == hits[pid].tobytes() for pid in hits)
     assert view.tombstone_ids.dtype == tombstone_ids.dtype
     assert view.tombstone_ids.tobytes() == tombstone_ids.tobytes()
 
@@ -597,7 +598,9 @@ class TestOverlayAgainstPerPartitionReference:
         store = DeltaStore()
         store.apply_delete(np.array([5, 7, 8]))
         view = store.view(index)
-        assert view.masked[2].ids.tolist() == [9, 11, 13]
+        assert {pid: got.tolist() for pid, got in view.hits.items()} == {
+            0: [5, 5, 7], 2: [5, 7]
+        }
         _assert_view_is_reference(view, _reference_view_of(store, index))
 
     @staticmethod
@@ -642,10 +645,10 @@ class TestOverlayAgainstPerPartitionReference:
                 calls = self._spy(patch)
                 store.apply_delete(np.array([7000]))
                 view = store.view(index)
-            assert len(view.masked) == 6
+            assert len(view.hits) == 6
             counted[n_parts] = calls
         assert counted[64] == counted[1024]
-        assert counted[64]["partition"] == 6  # one per partition with a hit
+        assert counted[64]["partition"] == 0  # a cut copies no base row
 
     def test_a_delete_rebuilds_only_the_segment_holding_its_id(
         self, monkeypatch
@@ -902,7 +905,7 @@ class TestExecutorOverlay:
             if shape != "masked":
                 store.apply_add(labels[landed], codes[landed], new_ids)
             view = store.view(index)
-            assert set(view.masked) == ({0} if shape != "segment" else set())
+            assert set(view.hits) == ({0} if shape != "segment" else set())
             assert set(view.segments) == ({0} if shape != "masked" else set())
             views[shape] = view
         return views
@@ -937,7 +940,267 @@ class TestExecutorOverlay:
         )
         assert _fully_identical(expected, got)
         assert report.n_queries == len(dataset.queries)
-        assert report.n_jobs == 2  # the stripped job still counts as planned
+        assert report.n_jobs == 2  # every planned job, dirty or clean
+
+
+# -- a tombstone is a filter: the filtered-copy oracle -------------------------
+
+
+def _filtered_copy_answers(index, queries, view, topk, nprobe):
+    """What a dirty read answered when a tombstone meant a copy: each
+    probed partition minus its tombstoned rows, and its delta segment,
+    each through ``NaiveScanner`` at ``topk``, merged by (distance, id)."""
+    answers = []
+    for query in queries:
+        ids, dists = [], []
+        for pid in index.route(query, nprobe=nprobe):
+            part = index.partitions[pid]
+            keep = ~np.isin(part.ids, view.tombstone_ids)
+            scanned = [
+                Partition(np.asarray(part.codes)[keep], part.ids[keep], partition_id=pid)
+            ]
+            if pid in view.segments:
+                scanned.append(view.segments[pid])
+            tables = index.distance_tables_for(query, pid)
+            for partition in scanned:
+                result = NaiveScanner().scan(tables, partition, topk=topk)
+                ids.append(result.ids)
+                dists.append(result.distances)
+        answers.append(select_topk(np.concatenate(dists), np.concatenate(ids), topk))
+    return answers
+
+
+def _hit_counts(view):
+    """Base rows a tombstone hits, per partition with a hit."""
+    return {pid: len(ids) for pid, ids in view.hits.items()}
+
+
+def _tombstone_world(pq, dataset, topk):
+    """A 4-partition index, its queries and one dirty view per case.
+
+    Partition 3 keeps 5 rows, and one id sits in partition 0 and twice
+    in partition 1 (on the rows nearest the first query).
+    """
+    built = IVFADCIndex(pq, n_partitions=4, seed=3).add(dataset.base[:3000])
+    queries = dataset.queries
+
+    def nearest(index, pid, query, k):
+        tables = index.distance_tables_for(query, pid)
+        return NaiveScanner().scan(tables, index.partitions[pid], topk=k).ids
+
+    parts = list(built.partitions)
+    parts[3] = Partition(parts[3].codes[:5], parts[3].ids[:5], partition_id=3)
+    repeated = int(nearest(built, 0, queries[0], 1)[0])
+    ids1 = parts[1].ids.copy()
+    ids1[np.isin(ids1, nearest(built, 1, queries[0], 2))] = repeated
+    parts[1] = Partition(parts[1].codes, ids1, partition_id=1)
+    index = built.with_partitions(parts)
+
+    first = [index.route(query, nprobe=1)[0] for query in queries]
+    on_top_k = np.unique(np.concatenate([
+        nearest(index, pid, query, topk) for pid, query in zip(first, queries)
+    ]))
+    upsert_pid = first[1]
+    upsert_id = int(nearest(index, upsert_pid, queries[1], 1)[0])
+    upsert_row = np.flatnonzero(index.partitions[upsert_pid].ids == upsert_id)
+    upsert = (
+        np.array([upsert_pid]),
+        np.asarray(index.partitions[upsert_pid].codes)[upsert_row],
+        np.array([upsert_id]),
+    )
+    deletes = {
+        "true-top-k": on_top_k,
+        "emptied": parts[2].ids,
+        "short": parts[3].ids[:2],
+        "repeated": np.array([repeated]),
+    }
+    # "all" also tombstones the id a cell's padding carries.
+    everything = [*deletes.values(), [np.iinfo(np.int64).max]]
+    views = {}
+    for name in [*deletes, "upsert", "all"]:
+        store = DeltaStore()
+        for deleted in everything if name == "all" else [deletes.get(name)]:
+            if deleted is not None:
+                store.apply_delete(np.asarray(deleted, dtype=np.int64))
+        if name in ("upsert", "all"):
+            store.apply_add(*upsert)
+        views[name] = store.view(index)
+    # Each case is the one it is named for.
+    hit = {name: _hit_counts(view) for name, view in views.items()}
+    assert max(hit["true-top-k"].values()) > topk
+    assert hit["emptied"] == {2: len(parts[2].ids)}
+    assert hit["short"] == {3: 2} and len(parts[3].ids) < topk + 2
+    assert hit["repeated"] == {0: 1, 1: 2}
+    assert hit["upsert"] == {upsert_pid: 1}
+    assert list(views["upsert"].segments) == [upsert_pid]
+    return index, queries, views
+
+
+def _answers_on(backend, index, scanner_of, queries, views, topk, nprobe):
+    """Each view's answers on one executor backend."""
+    if backend == "sequential":
+        with ANNSearcher(index, scanner_of()) as searcher:
+            return {
+                name: searcher.search(
+                    queries, topk=topk, nprobe=nprobe, executor="sequential",
+                    delta=view,
+                )
+                for name, view in views.items()
+            }
+    if backend == "sharded":
+        sharded = ShardedIndex.from_index(index, n_shards=2)
+        with ScatterGatherExecutor(sharded, scanner_of, backend="thread") as executor:
+            return {
+                name: executor.run(
+                    queries, topk=topk, nprobe=nprobe, delta_view=view
+                ).results
+                for name, view in views.items()
+            }
+    executor = (
+        BatchExecutor(index, scanner_of())
+        if backend == "thread"
+        else ProcessBatchExecutor.from_index(index, scanner_of())
+    )
+    with executor:
+        return {
+            name: executor.run(queries, topk=topk, nprobe=nprobe, delta_view=view)
+            for name, view in views.items()
+        }
+
+
+_BACKENDS = ["sequential", "thread", "process", "sharded"]
+
+
+class TestTombstoneFilterAgainstFilteredCopy:
+    """A tombstone is a filter on the one scan path: the base partition,
+    scanned by the configured scanner ``t_p`` rows wider, minus its
+    tombstoned ids, which the scan drops. The oracle is what it replaced,
+    ``NaiveScanner`` over a tombstone-filtered copy of every probed
+    partition; every exact kind, on every executor, answers like it
+    byte for byte."""
+
+    TOPK, NPROBE = 10, 4
+
+    @pytest.fixture(scope="class")
+    def world(self, pq, dataset):
+        return _tombstone_world(pq, dataset, self.TOPK)
+
+    @pytest.fixture(scope="class")
+    def world4(self, pq4, dataset):
+        return _tombstone_world(pq4, dataset, self.TOPK)
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("kind", ["naive", "libpq", "fastpq", "qonly"])
+    def test_every_exact_kind_answers_like_the_filtered_copy(
+        self, world, backend, kind
+    ):
+        index, queries, views = world
+        got = _answers_on(
+            backend, index, lambda: ScannerSpec(kind, keep=0.01).build(index.pq),
+            queries, views, self.TOPK, self.NPROBE,
+        )
+        for name, view in views.items():
+            expected = _filtered_copy_answers(
+                index, queries, view, self.TOPK, self.NPROBE
+            )
+            for result, (ids, distances) in zip(got[name], expected):
+                assert result.ids.tobytes() == ids.tobytes(), name
+                assert result.distances.tobytes() == distances.tobytes(), name
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_quickadc_surfaces_only_live_rows_at_their_adc_distance(
+        self, world4, backend
+    ):
+        index, queries, views = world4
+        got = _answers_on(
+            backend, index, lambda: ScannerSpec("quickadc", keep=0.01).build(index.pq),
+            queries, views, self.TOPK, self.NPROBE,
+        )
+        n_rows = sum(len(part.ids) for part in index.partitions) + 1
+        for name, view in views.items():
+            # Every live candidate of every query, at its naive ADC distance.
+            live = _filtered_copy_answers(index, queries, view, n_rows, self.NPROBE)
+            for result, (ids, distances) in zip(got[name], live):
+                assert len(result.ids) == self.TOPK
+                pairs = set(zip(ids.tolist(), distances.tolist()))
+                assert pairs >= set(
+                    zip(result.ids.tolist(), result.distances.tolist())
+                ), name
+
+
+class TestBulkDeleteStaysTopkWide:
+    """Deleting every row of a partition widens its scans by as many
+    rows, and nothing past them: each scan drops its tombstones and is
+    cut back to ``topk`` before it leaves the scan, so the merger's grid
+    and what a worker sends back stay ``topk`` wide at a 1 024-query
+    batch (whose widened scans run in two halves)."""
+
+    TOPK, NPROBE = 10, 4
+
+    @pytest.mark.parametrize("backend", ["thread", "process", "sharded"])
+    def test_an_emptied_partition_at_1024_queries(
+        self, pq, dataset, monkeypatch, backend
+    ):
+        index = IVFADCIndex(pq, n_partitions=4, seed=3).add(dataset.base[:8000])
+        queries = dataset.base[-1024:]
+        emptied = max(range(4), key=lambda pid: len(index.partitions[pid]))
+        store = DeltaStore()
+        store.apply_delete(index.partitions[emptied].ids)
+        view = store.view(index)
+        width = self.TOPK + len(index.partitions[emptied])
+        assert len(queries) * width > _WIDE_SCAN_CELLS  # more than one run
+        widths = []
+        results = StreamingMerger.results
+
+        def spy(merger, **kwargs):
+            widths.append(merger._ids.shape[2])
+            return results(merger, **kwargs)
+
+        monkeypatch.setattr(StreamingMerger, "results", spy)
+        got = _answers_on(
+            backend, index, lambda: ScannerSpec("fastpq", keep=0.01).build(index.pq),
+            queries, {"emptied": view}, self.TOPK, self.NPROBE,
+        )["emptied"]
+        assert widths and max(widths) <= self.TOPK
+        expected = _filtered_copy_answers(index, queries, view, self.TOPK, self.NPROBE)
+        for result, (ids, distances) in zip(got, expected):
+            assert result.ids.tobytes() == ids.tobytes()
+            assert result.distances.tobytes() == distances.tobytes()
+
+
+class TestOneScanPath:
+    """The configured scanner is the only one that reads a base
+    partition: a deletes-only fastpq engine scans nothing naive."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(), dict(executor="process"), dict(n_shards=2)],
+        ids=["thread", "process", "two-shard-thread"],
+    )
+    def test_a_deletes_only_fastpq_engine_counts_no_naive_scan(
+        self, dataset, overrides
+    ):
+        obs = Observability(enabled=True)
+        scanned = obs.metrics.get("repro_vectors_scanned_total")
+        pruned = obs.metrics.get("repro_vectors_pruned_total")
+        with Engine.build(
+            dataset.base[:3000], mutable=True, scanner="fastpq", n_partitions=4,
+            nprobe=2, max_iter=2, coarse_max_iter=3, seed=1, observability=obs,
+            **{"executor": "thread", **overrides},
+        ) as engine:
+            clean = engine.search(dataset.queries, k=10)
+            deleted = np.concatenate([result.ids[:3] for result in clean])
+            engine.delete(deleted)
+            before = (scanned.value(scanner="fastpq"), pruned.value(scanner="fastpq"))
+            dirty = engine.search(dataset.queries, k=10)
+        assert scanned.value(scanner="naive") == 0
+        assert scanned.value(scanner="fastpq") - before[0] == sum(
+            result.n_scanned for result in dirty
+        )
+        assert pruned.value(scanner="fastpq") - before[1] == sum(
+            result.n_pruned for result in dirty
+        )
+        assert not np.isin(np.concatenate([r.ids for r in dirty]), deleted).any()
 
 
 class TestServingDuringCompaction:
