@@ -2,8 +2,12 @@
 
 Demonstrates the deployment-facing API: offline training and encoding,
 persistence to a single artifact, reload in a fresh "serving process",
-and query answering through :class:`repro.ANNSearcher` with exact
-re-ranking of the shortlist.
+and query answering through :class:`repro.ANNSearcher` — the stateless
+sequential reference, one query at a time, no pool to manage — with
+exact re-ranking of the shortlist. A service that batches concurrent
+clients or spreads them over worker processes serves through
+:class:`repro.Engine` (``Engine.load(artifact, executor="process")``)
+and :meth:`repro.serve.MicroBatchServer.for_engine` instead.
 
 Run:  python examples/persistent_service.py
 """

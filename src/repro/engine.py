@@ -64,13 +64,7 @@ from .persistence import (
 )
 from .pq.product_quantizer import ProductQuantizer
 from .scan import PartitionScanner
-from .search import (
-    GATHER_TIMEOUT_S,
-    SearchResult,
-    _check_rerank,
-    _rerank_exact,
-    _warn_gil_bound,
-)
+from .search import GATHER_TIMEOUT_S, SearchResult, _check_rerank, _rerank_exact
 from .shard import ScatterGatherExecutor, ShardedIndex, ShardedResponse
 
 __all__ = ["Engine", "EngineConfig", "SCANNER_KINDS"]
@@ -114,15 +108,17 @@ class EngineConfig:
         keep: keep/sample fraction of PQ Fast Scan and Quick ADC
             (ignored by baselines).
         nprobe: default partitions probed per query.
-        n_workers: workers (per shard, when sharded) — threads for
-            ``executor="thread"``, processes for ``executor="process"``.
-        executor: ``"auto"`` (default) resolves to ``"process"`` for
-            sharded engines (``n_shards > 1`` — pinned per-shard process
-            pools whose workers mmap the saved shard artifacts) and
-            ``"thread"`` for unsharded ones; ``"thread"`` forces the
-            GIL-bound thread executor, ``"process"`` the zero-copy
-            process pool (:mod:`repro.parallel`) everywhere. Results are
-            byte-identical across all three.
+        n_workers: worker processes (per shard, when sharded). The
+            thread executor scans inline, so ``executor="thread"``
+            refuses ``n_workers > 1``.
+        executor: ``"auto"`` (default) resolves to ``"process"`` when
+            there is anything to parallelize (``n_shards > 1`` or
+            ``n_workers > 1`` — pinned per-shard process pools whose
+            workers mmap the saved artifacts) and to ``"thread"``
+            otherwise; ``"thread"`` forces the in-process executor
+            (shards on threads, each scanned inline), ``"process"`` the
+            zero-copy process pool (:mod:`repro.parallel`) everywhere.
+            Results are byte-identical across all three.
         deadline_s: per-shard gather deadline (None = wait forever).
         max_retries: transient-failure retries per shard per batch.
         backoff_s: initial retry backoff, doubled per attempt.
@@ -189,6 +185,11 @@ class EngineConfig:
                 "executor must be 'auto', 'thread' or 'process', got "
                 f"{self.executor!r}"
             )
+        if self.executor == "thread" and self.n_workers > 1:
+            raise ConfigurationError(
+                f"executor='thread' scans inline (n_workers=1), got n_workers="
+                f"{self.n_workers}; worker parallelism is executor='process'"
+            )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ConfigurationError(
                 f"deadline_s must be positive (or None), got {self.deadline_s}"
@@ -206,16 +207,15 @@ class EngineConfig:
     def resolved_executor(self) -> str:
         """The concrete backend ``"auto"`` resolves to.
 
-        Sharded engines default to the process backend — per-shard
-        pools of workers attached to the mmapped shard artifacts, the
-        only backend whose throughput grows with cores. Unsharded
-        engines default to the thread executor: no artifact or worker
-        processes needed, and single-index batches are dominated by
-        NumPy kernels that release the GIL anyway.
+        Sharded or multi-worker engines get the process backend —
+        per-shard pools of workers attached to the mmapped artifacts,
+        the only backend whose throughput grows with cores. The rest get
+        the thread executor: one shard scanned inline, no artifact or
+        worker processes needed.
         """
         if self.executor != "auto":
             return self.executor
-        return "process" if self.n_shards > 1 else "thread"
+        return "process" if self.n_shards > 1 or self.n_workers > 1 else "thread"
 
     def scanner_factory(
         self, pq: ProductQuantizer
@@ -327,8 +327,6 @@ class Engine:
         self._epoch = 0
         self._reader_counts: dict[int, int] = {0: 0}
         self._retired: dict[int, threading.Event] = {}
-        if sharded is None and config.resolved_executor == "thread":
-            _warn_gil_bound(config.n_workers)
         # One executor per epoch, built eagerly here and in compact(),
         # so a pinned epoch always carries the executor of its base.
         self._executor = self._build_executor(index, sharded)

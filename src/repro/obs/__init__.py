@@ -246,7 +246,7 @@ class Observability:
         )
         self._pool_spinups = m.counter(
             "repro_pool_spinups_total",
-            help="Worker pools created (thread, process, gather).",
+            help="Worker pools created (process, gather).",
             labelnames=("backend",),
         )
         self._pool_reuses = m.counter(

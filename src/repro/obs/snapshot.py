@@ -3,8 +3,8 @@
 Two subcommands:
 
 ``run``
-    Build a (cached) synthetic workload, execute one batch through the
-    partition-major engine with observability enabled, and write the
+    Build a small synthetic workload with :class:`~repro.Engine`, run
+    one batch through it with observability enabled, and write the
     JSON + Prometheus snapshots::
 
         PYTHONPATH=src python -m repro.obs.snapshot run \\
@@ -48,35 +48,40 @@ def run_snapshot(
     n_queries: int = 32,
     topk: int = 50,
     nprobe: int = 4,
-    n_workers: int = 1,
     scanner_name: str = "fastpq",
     seed: int = 11,
 ) -> tuple[Observability, dict[str, object]]:
-    """Run one instrumented batch; returns (observability, summary)."""
+    """Run one instrumented batch; returns (observability, summary).
+
+    The workload is its own: ``100M / scale`` synthetic SIFT-like rows
+    in eight partitions, built by :meth:`Engine.build <repro.Engine.build>`
+    on the thread executor with one worker, then one batch of
+    ``n_queries`` through :meth:`~repro.Engine.search`.
+    """
     # Imported here so `check` stays dependency-light and fast.
-    from ..bench.workloads import build_workload
-    from ..parallel.spec import ScannerSpec
-    from ..search import ANNSearcher
+    from ..data.dataset import VectorDataset
+    from ..engine import Engine, EngineConfig
 
-    workload = build_workload(
-        "sift100m", scale=scale, n_queries=max(n_queries, 32), seed=seed
+    dataset = VectorDataset.synthetic(
+        1000, 100_000_000 // scale, n_queries, seed=seed
     )
-    scanner = ScannerSpec(scanner_name, keep=0.005).build(workload.pq)
-
-    queries = workload.queries[:n_queries]
-    with observability_session() as obs:
-        searcher = ANNSearcher(workload.index, scanner=scanner)
-        results = searcher.search(
-            queries, topk=topk, nprobe=nprobe, n_workers=n_workers
-        )
+    config = EngineConfig(
+        n_partitions=8, nprobe=nprobe, scanner=scanner_name, keep=0.005,
+        max_iter=8, coarse_max_iter=8, seed=seed, executor="thread",
+    )
+    with Engine.build(dataset.base, config) as engine:
+        with observability_session() as obs:
+            results = engine.search(dataset.queries, k=topk)
     batch = results if isinstance(results, list) else [results]
     summary: dict[str, object] = {
-        "workload": workload.describe(),
+        "workload": (
+            f"synthetic (scale 1/{scale}): {len(engine)} vectors, "
+            f"{config.n_partitions} partitions, {len(batch)} queries"
+        ),
         "scanner": scanner_name,
         "n_queries": len(batch),
         "topk": topk,
         "nprobe": nprobe,
-        "n_workers": n_workers,
         "stage_latency": obs.tracer.stage_summary(),
     }
     return obs, summary
@@ -102,11 +107,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     run_p = sub.add_parser("run", help="run one instrumented batch")
     run_p.add_argument("--scale", type=int, default=8000,
-                       help="divisor on the paper's SIFT100M size")
+                       help="base rows are 100M divided by this")
     run_p.add_argument("--n-queries", type=int, default=32)
     run_p.add_argument("--topk", type=int, default=50)
     run_p.add_argument("--nprobe", type=int, default=4)
-    run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--scanner", default="fastpq",
                        help="any repro.engine.SCANNER_KINDS entry that "
                             "scans the workload's 8-bit codes")
@@ -141,7 +145,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             n_queries=args.n_queries,
             topk=args.topk,
             nprobe=args.nprobe,
-            n_workers=args.workers,
             scanner_name=args.scanner,
             seed=args.seed,
         )

@@ -1,10 +1,10 @@
 """repro.parallel — zero-copy process-pool execution for query batches.
 
-The thread-backed :class:`~repro.search.BatchExecutor` cannot scale with
-cores: its workers contend on the GIL between NumPy kernels, and the
-committed throughput benchmark measured *negative* scaling (1283 qps at
-one thread down to 1023 qps at four). This package moves the fan-out to
-worker **processes** without moving any index data:
+The in-process :class:`~repro.search.BatchExecutor` runs inline: thread
+workers contend on the GIL between NumPy kernels, and a second thread
+read x0.28-0.46 on fastpq and x0.38-0.43 on quickadc, so it keeps no
+thread pool. This package is where batches fan out: worker
+**processes**, without moving any index data:
 
 * :class:`ProcessBatchExecutor` — the drop-in executor. Same
   partition-major plan, same deterministic merge, byte-identical
@@ -21,9 +21,11 @@ members, so every worker maps the same physical pages of the partition
 codes read-only from the OS page cache — attach cost is page-table
 setup, not a copy, and memory use stays flat in the worker count.
 
-Reach it from the high-level APIs as ``executor="process"``
-(:meth:`repro.ANNSearcher.search`, :class:`repro.EngineConfig`) or
-``backend="process"`` (:class:`repro.shard.ScatterGatherExecutor`).
+Reach it from the high-level API as ``executor="process"``
+(:class:`repro.EngineConfig`, which ``"auto"`` picks for ``n_shards > 1``
+or ``n_workers > 1``), or as ``backend="process"``
+(:class:`repro.shard.ScatterGatherExecutor`). :class:`~repro.Engine` is
+the one owner of these pools.
 """
 
 from .executor import ProcessBatchExecutor

@@ -1,9 +1,9 @@
 """Process-pool drop-in for :class:`~repro.search.BatchExecutor`.
 
-Why processes: the thread-backed executor is GIL-bound — thread workers
-beyond one contend on the interpreter lock between NumPy kernels, so
-adding them does not add throughput (``docs/execution.md``, "Which
-executor when"). :class:`ProcessBatchExecutor` keeps the
+Why processes: thread workers beyond one contend on the interpreter
+lock between NumPy kernels, so adding them does not add throughput
+(``docs/execution.md``, "Which executor when"), and the in-process
+executor runs inline. :class:`ProcessBatchExecutor` keeps the
 exact same plan-to-results pipeline (:class:`~repro.search.PlanPipeline`)
 but fans the partition jobs across a persistent ``ProcessPoolExecutor``:
 
@@ -25,7 +25,7 @@ but fans the partition jobs across a persistent ``ProcessPoolExecutor``:
 * **Byte-identical results** — workers run the same
   :func:`~repro.search.scan_partition_batch` kernel and the parent folds
   their partials through the same :class:`~repro.search.StreamingMerger`,
-  so output is byte-for-byte equal to the sequential loop and the thread
+  so output is byte-for-byte equal to the sequential loop and the inline
   executor, for every worker count and completion order.
 
 Observability: the parent records the route/scan/merge spans and the

@@ -15,38 +15,36 @@ would return.
 
 Multi-query batches run through a **partition-major execution engine**
 (:class:`BatchPlanner` / :class:`BatchExecutor`): the whole batch is
-routed up front, the per-query plan is inverted so that all queries
+routed up front, and the per-query plan is inverted so that all queries
 probing a partition scan it together (per-partition state — grouped
 layouts, remapped tables, gathered codes — is touched once per batch
-instead of once per query), and partition-scan jobs fan out across a
-thread pool. Section 5.8 of the paper shows concurrent PQ Fast Scan
-queries become memory-bandwidth-bound around 8 cores; this engine is
-the layer that actually produces that concurrent-query traffic.
+instead of once per query). :class:`BatchExecutor` runs the jobs inline
+on the caller's thread; the concurrent-query traffic of the paper's
+Section 5.8 (scans bandwidth-bound within a few cores) comes from the
+process pools of :mod:`repro.parallel`, which :class:`~repro.Engine`
+owns.
 
 How a plan becomes results is written once, in :class:`PlanPipeline`
 (route, hand each job its partition's tombstones, scan, fold the delta
 segments and each landed :class:`ScanPart` into a
 :class:`StreamingMerger`, ``results()``); an executor defines only how
-a plan's scan lands in parts. The thread and process executors
+a plan's scan lands in parts. The inline and process executors
 (:class:`PlanExecutor`) land one, their ``scan_plan``;
 :class:`~repro.shard.ScatterGatherExecutor` lands one per shard, in
 completion order, under its deadline / retry / partial policy. The
 merger's (distance, id) order is total, so batched
-results are byte-identical to the sequential per-query loop (kept as
-``executor="sequential"`` on :meth:`ANNSearcher.search` for baselines
-and tests) whatever the executor, worker count or fold order.
-:func:`merge_partials` is the barrier form of the same merge, kept as
-the reference the merger is tested against.
+results are byte-identical to the sequential per-query loop
+(:class:`ANNSearcher`, the stateless reference, with
+``executor="sequential"``) whatever the executor, worker count or fold
+order. :func:`merge_partials` is the barrier form of the same merge,
+kept as the reference the merger is tested against.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -272,7 +270,7 @@ def _scan_block(
 ) -> ScanBlock:
     """Scan one partition for a whole query batch, packed.
 
-    The shared partition-scan kernel of every executor (thread-backed
+    The shared partition-scan kernel of every executor (the inline
     :class:`BatchExecutor`, the process workers of :mod:`repro.parallel`,
     the sharded scatter-gather path): the scanner's ``scan_batch``,
     which shares across the batch whatever the scanner can (plain PQ
@@ -678,7 +676,7 @@ class BatchReport:
         n_queries: queries in the batch.
         nprobe: partitions probed per query.
         topk: neighbors requested per query.
-        n_workers: worker threads used.
+        n_workers: workers of the executor (1 inline).
         n_jobs: partition jobs executed.
         wall_time_s: end-to-end engine time (plan + scan + merge).
         worker_stats: per-worker work accounting.
@@ -953,7 +951,7 @@ class PlanPipeline:
 class PlanExecutor(PlanPipeline):
     """A pipeline whose scan lands in one part: :meth:`scan_plan`.
 
-    The base of the thread and process executors, which supply the scan
+    The base of the inline and process executors, which supply the scan
     half only — how ``plan.jobs`` become the packed cells of the
     ``(n_queries, nprobe)`` grid — plus :meth:`close`, and set
     ``n_workers`` as well.
@@ -1018,27 +1016,8 @@ class PlanExecutor(PlanPipeline):
         raise NotImplementedError
 
 
-def _warn_gil_bound(n_workers: int) -> None:
-    """The advisory for thread ``n_workers > 1``, attributed to whoever
-    called the constructor that asked (a one-shard thread
-    :class:`~repro.Engine` asks on behalf of its executor)."""
-    if n_workers > 1:
-        # Thread workers contend on the GIL between NumPy kernels,
-        # so more than one is typically slower than one
-        # (docs/execution.md, "Which executor when").
-        warnings.warn(
-            f"BatchExecutor with n_workers={n_workers} uses GIL-bound "
-            "threads and is typically slower than n_workers=1; for "
-            "parallel speedup use the process backend "
-            "(repro.parallel.ProcessBatchExecutor, or "
-            'ANNSearcher.search(..., executor="process"))',
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 class BatchExecutor(PlanExecutor):
-    """Partition-major batch executor with worker-pool parallelism.
+    """Partition-major batch executor, inline on the caller's thread.
 
     Executes a :class:`BatchPlan`: Step 2's query half is built once for
     the batch (:meth:`BatchPlan.query_half`), each :class:`PartitionJob`
@@ -1047,37 +1026,28 @@ class BatchExecutor(PlanExecutor):
     with the scanner's most batch-friendly entry point, and the
     per-query partials are merged deterministically afterwards
     (:class:`PlanPipeline`) — so results are byte-identical to the
-    sequential loop regardless of ``n_workers`` or job completion order.
+    sequential loop.
 
     A job scans through the scanner's ``scan_batch`` (the pre-warmed
     prepared layout and the table-stack remap are then shared by the
     batch; a scanner that defines only ``scan`` inherits the per-query
     loop and still benefits from batched routing and tables).
 
-    Workers are threads, and ``n_workers=1`` (inline, the default) is
-    the measured choice: a job's NumPy calls are short and the Python
-    between them holds the GIL, so a second thread read x0.3-0.45 on
-    the fast scanners and unresolved on naive (``docs/execution.md``,
-    "Which executor when"); ``n_workers > 1`` warns.
-
-    The worker pool is **persistent**: it is spun up lazily on the first
-    pooled batch and reused by every later one (the pinned-pool contract
-    of the sharded scatter-gather path — no per-batch executor spin-up).
-    :meth:`close` shuts it down; the executor stays usable and the next
-    pooled batch simply spins up a fresh pool.
+    The executor holds no pool: a job's NumPy calls are short and the
+    Python between them holds the GIL, so a second thread read
+    x0.28-0.46 on fastpq and x0.38-0.43 on quickadc
+    (``docs/execution.md``, "Which executor when"). Worker parallelism
+    is the process backend's (:class:`~repro.parallel.ProcessBatchExecutor`,
+    ``Engine(..., executor="process")``).
 
     Args:
         index: the routed index (positional-only).
-        scanner: Step-3 scanner shared by all workers (positional-only).
-        n_workers: worker threads (1 = run inline on the caller).
+        scanner: the Step-3 scanner (positional-only).
+        n_workers: must be 1 (the signature the process executor
+            shares); anything else raises :class:`ConfigurationError`.
         observability: explicit observability handle; default is the
             process-wide :func:`repro.obs.get_observability` instance,
             resolved at each run.
-        gil_warning: warn (:class:`RuntimeWarning`) when ``n_workers>1``
-            asks for GIL-bound thread parallelism. The sharded thread
-            fallback passes False: there the worker count is a per-shard
-            engine knob chosen deliberately, not a misread of the
-            process backend.
 
     The two pipeline objects are positional-only and every configuration
     argument is keyword-only, so call sites cannot transpose them
@@ -1092,121 +1062,71 @@ class BatchExecutor(PlanExecutor):
         *,
         n_workers: int = 1,
         observability: Observability | None = None,
-        gil_warning: bool = True,
     ):
-        if n_workers < 1:
-            raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        if gil_warning:
-            _warn_gil_bound(n_workers)
+        if n_workers != 1:
+            raise ConfigurationError(
+                f"BatchExecutor runs inline (n_workers=1), got n_workers="
+                f"{n_workers}; for parallel workers use the process backend "
+                "(repro.parallel.ProcessBatchExecutor, or "
+                'Engine(..., executor="process"))'
+            )
         self.index = index
         self.scanner = scanner
         self.n_workers = n_workers
         self.observability = observability
         self.planner = BatchPlanner(index)
-        # Guards the persistent pool handle against concurrent
-        # scan_plan()/close() callers (lint rule R6).
-        self._lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
 
     def scan_plan(
         self, plan: BatchPlan, *, obs: Observability | None = None
     ) -> tuple[PackedPartials, list[WorkerStats]]:
-        """Execute ``plan.jobs`` inline or on the thread pool."""
+        """Execute ``plan.jobs`` inline, in plan order."""
         if obs is None:
             obs = self._obs()
-        # Warm shared scanner state from the coordinating thread so
-        # workers start from a populated cache (PQFastScanner guards
-        # its prepared cache and lazy assignment with _cache_lock, but
-        # warming avoids building the same layout in parallel).
+        # Every layout the plan needs is prepared before the first scan.
         with obs.span("warm"):
             self.scanner.warm(
                 self.index.partitions[job.partition_id] for job in plan.jobs
             )
-
-        n_slots = max(self.n_workers, 1)
-        worker_stats = [WorkerStats(worker_id=i) for i in range(n_slots)]
-        # Built here, on the coordinating thread; the pool only reads it.
+        stats = WorkerStats(worker_id=0)
         with obs.span("tables"):
             query_half = plan.query_half(self.index)
-
-        def run_job(job: PartitionJob, worker_id: int) -> ScanBlock:
+        blocks: list[ScanBlock] = []
+        for job in plan.jobs:
             t0 = time.perf_counter()
-            partition = self.index.partitions[job.partition_id]
             with obs.span("tables"):
                 tables = self.index.tables_from_halves(
                     plan.queries, query_half, job.query_rows, job.partition_id
                 )
             with obs.span("scan"):
                 block = _scan_block(
-                    self.scanner, tables, partition, plan.topk, job.tombstones
+                    self.scanner,
+                    tables,
+                    self.index.partitions[job.partition_id],
+                    plan.topk,
+                    job.tombstones,
                 )
             _record_scans(
-                obs,
-                self.scanner.name,
-                worker_stats[worker_id],
-                block,
-                time.perf_counter() - t0,
+                obs, self.scanner.name, stats, block, time.perf_counter() - t0
             )
-            return block
-
-        if self.n_workers == 1 or len(plan.jobs) <= 1:
-            blocks = [run_job(job, 0) for job in plan.jobs]
-        else:
-            pool = self._ensure_pool(obs)
-            futures = [
-                pool.submit(run_job, job, i % n_slots)
-                for i, job in enumerate(plan.jobs)
-            ]
-            blocks = [future.result(timeout=GATHER_TIMEOUT_S) for future in futures]
-
-        return PackedPartials.of_jobs(plan, plan.jobs, blocks), worker_stats
+            blocks.append(block)
+        return PackedPartials.of_jobs(plan, plan.jobs, blocks), [stats]
 
     def close(self) -> None:
-        """Shut the persistent worker pool down (idempotent).
-
-        The executor stays usable: a later pooled batch spins up a fresh
-        pool. Inline execution (``n_workers=1``) never holds a pool.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _ensure_pool(self, obs: Observability) -> ThreadPoolExecutor:
-        """The pinned worker pool, spun up on the first pooled batch.
-
-        Double-checked under the lock so racing batches share one pool;
-        the loser of a creation race discards its spare. Spin-ups and
-        warm reuses feed the ``repro_pool_*`` counters.
-        """
-        with self._lock:
-            existing = self._pool
-        if existing is not None:
-            obs.record_pool_reuse("thread")
-            return existing
-        fresh = ThreadPoolExecutor(
-            max_workers=self.n_workers, thread_name_prefix="repro-batch"
-        )
-        created = False
-        with self._lock:
-            current = self._pool
-            if current is None:
-                self._pool = fresh
-                current = fresh
-                created = True
-        if created:
-            obs.record_pool_spinup("thread")
-        else:
-            fresh.shutdown(wait=False)
-            obs.record_pool_reuse("thread")
-        return current
+        """Nothing to release: the executor holds no pool."""
 
 
 # -- the one-call search API ---------------------------------------------------
 
 
 class ANNSearcher:
-    """Full Algorithm-1 query pipeline over an IVFADC index.
+    """Full Algorithm-1 query pipeline over an IVFADC index: the
+    stateless sequential reference.
+
+    The searcher owns no worker pool and no artifact. Its per-query
+    loop (``executor="sequential"``) is what every executor is tested
+    against, and ``executor="batch"`` runs one inline
+    :class:`BatchExecutor`. Worker processes and shards are
+    :class:`~repro.Engine`'s (``Engine(..., executor="process")``).
 
     Args:
         index: a populated :class:`~repro.ivf.IVFADCIndex`.
@@ -1219,49 +1139,26 @@ class ANNSearcher:
             paper's reference [27]). ADC compresses away rank-1
             precision; fetching the shortlist's true vectors and
             re-sorting by exact distance restores it.
-        index_path: path of the saved (uncompressed) index artifact this
-            searcher was loaded from. Only used by
-            ``executor="process"``: worker processes attach to the
-            artifact by path (mmap) instead of receiving pickled codes.
-            Without it, each process executor saves, owns and deletes a
-            temporary artifact of its own
-            (:meth:`~repro.parallel.ProcessBatchExecutor.from_index`).
 
-    Searchers using ``executor="process"`` hold worker pools; call
-    :meth:`close` (or use the searcher as a context manager) to shut
-    them down deterministically.
+    :meth:`close` (or leaving the searcher as a context manager) only
+    marks it closed — the lifecycle contract — and every later
+    :meth:`search` raises; there is nothing to release.
     """
+
+    #: Executor kinds accepted by :meth:`search` for multi-query input.
+    EXECUTORS = ("batch", "sequential")
 
     def __init__(
         self,
         index: IVFADCIndex,
         scanner: PartitionScanner | None = None,
         vectors: np.ndarray | None = None,
-        *,
-        index_path: str | Path | None = None,
     ):
         self.index = index
         self.scanner = scanner if scanner is not None else NaiveScanner()
         self.vectors = None if vectors is None else np.asarray(vectors, float)
-        self.index_path = None if index_path is None else Path(index_path)
+        self._batch = BatchExecutor(index, self.scanner)
         self._closed = False
-        # Pinned executors keyed (kind, n_workers), kind "batch" or
-        # "process"; see _executor_for.
-        self._executors: dict[tuple[str, int], PlanExecutor] = {}
-        # Guards the executor cache against the concurrent
-        # search()/close() callers a serving layer creates. Pools are
-        # never spun up while it is held (lint rule R7): executors are
-        # constructed outside the lock and published under it.
-        self._lock = threading.Lock()
-        # Serializes executor construction. Forking a process pool is
-        # expensive, so racing first-searches must not each build one;
-        # cached-hit searches and close() never touch this lock, so the
-        # cache lock stays spin-up-free. Acquisition order is always
-        # _create_lock -> _lock (never the reverse).
-        self._create_lock = threading.Lock()
-
-    #: Executor kinds accepted by :meth:`search` for multi-query input.
-    EXECUTORS = ("batch", "sequential", "process")
 
     def search(
         self,
@@ -1271,7 +1168,6 @@ class ANNSearcher:
         rerank: int = 0,
         *,
         executor: str = "batch",
-        n_workers: int = 1,
         delta: "DeltaView | None" = None,
     ) -> SearchResult | list[SearchResult]:
         """Search the ``nprobe`` most relevant partitions per query.
@@ -1280,16 +1176,14 @@ class ANNSearcher:
 
         * a 1-D query returns a single :class:`SearchResult`;
         * a ``(b, d)`` batch returns one :class:`SearchResult` per row,
-          executed by the partition-major batch engine
-          (``executor="batch"``, the default, with ``n_workers``
-          threads), by a pool of ``n_workers`` *processes* attached to
-          the mmapped index artifact (``executor="process"`` — the only
-          executor whose throughput grows with cores, since thread
-          workers contend on the GIL), or by the per-query reference
-          loop (``executor="sequential"`` — the baseline benchmarks and
-          the equivalence tests compare against).
+          executed by the inline partition-major :class:`BatchExecutor`
+          (``executor="batch"``, the default) or by the per-query
+          reference loop (``executor="sequential"`` — the baseline
+          benchmarks and the equivalence tests compare against).
+          ``executor="process"`` raises :class:`ConfigurationError`:
+          worker processes are ``Engine(..., executor="process")``.
 
-        Results are byte-identical across executors and worker counts.
+        Results are byte-identical across executors.
 
         ``rerank > 0`` retrieves a shortlist of that many ADC candidates,
         recomputes their exact distances against the stored original
@@ -1302,9 +1196,7 @@ class ANNSearcher:
         tombstoned rows, minus them, and delta segments join the same
         top-k merge. Queries probing no mutated partition take the
         unmodified code paths and stay byte-identical to a delta-free
-        search. Segment scans run in the calling process for every
-        executor (workers only ever see the immutable base artifact).
-        ``rerank`` with a non-clean delta raises
+        search. ``rerank`` with a non-clean delta raises
         :class:`ConfigurationError` — the stored vectors go stale under
         mutation.
         """
@@ -1324,6 +1216,11 @@ class ANNSearcher:
             raise ConfigurationError(
                 f"queries must be 1-D or 2-D, got shape {queries.shape}"
             )
+        if executor == "process":
+            raise ConfigurationError(
+                "ANNSearcher owns no worker pool; search with worker "
+                'processes through Engine(..., executor="process")'
+            )
         if executor not in self.EXECUTORS:
             raise ConfigurationError(
                 f"unknown executor {executor!r}, expected one of {self.EXECUTORS}"
@@ -1339,7 +1236,7 @@ class ANNSearcher:
             raise ConfigurationError("topk must be >= 1")
         if rerank:
             _check_rerank(self.vectors, topk, rerank)
-        results = self._executor_for(executor, n_workers).run(
+        results = self._batch.run(
             queries, topk=rerank or topk, nprobe=nprobe, delta_view=delta
         )
         if not rerank:
@@ -1417,89 +1314,19 @@ class ANNSearcher:
 
     def _require_open(self) -> None:
         """Raise when the searcher was closed (the lifecycle contract)."""
-        with self._lock:
-            closed = self._closed
-        if closed:
+        if self._closed:
             raise ConfigurationError(
                 "ANNSearcher is closed; create a new searcher"
             )
 
     @property
     def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def _executor_for(self, kind: str, n_workers: int) -> PlanExecutor:
-        """The cached executor of one ``(kind, n_workers)``.
-
-        Caching pins the executor's worker pool across searches: no
-        per-batch spin-up, warm worker processes (their per-process
-        scanner caches included), and the GIL :class:`RuntimeWarning`
-        for thread ``n_workers>1`` fires once per searcher and worker
-        count, on first use, not per batch.
-
-        Safe for concurrent callers: cache reads/publishes happen under
-        ``self._lock``; construction runs under ``self._create_lock``
-        only, so the cache lock is never held across a pool spin-up (R7)
-        and racing first-searches build exactly one executor per key
-        instead of discarding expensive spares. A close() racing the
-        publish wins: the fresh executor is discarded and the search
-        raises.
-        """
-        key = (kind, n_workers)
-        with self._lock:
-            cached = self._executors.get(key)
-        if cached is not None:
-            return cached
-        with self._create_lock:
-            with self._lock:
-                cached = self._executors.get(key)
-            if cached is not None:
-                return cached
-            fresh = self._build_executor(kind, n_workers)
-            with self._lock:
-                rejected = self._closed
-                if not rejected:
-                    self._executors[key] = fresh
-            if rejected:
-                fresh.close()
-                raise ConfigurationError(
-                    "ANNSearcher is closed; create a new searcher"
-                )
-            return fresh
-
-    def _build_executor(self, kind: str, n_workers: int) -> PlanExecutor:
-        """A fresh thread or process executor over this searcher's index."""
-        if kind == "batch":
-            return BatchExecutor(self.index, self.scanner, n_workers=n_workers)
-        from .parallel import ProcessBatchExecutor
-
-        if self.index_path is None:
-            return ProcessBatchExecutor.from_index(
-                self.index, self.scanner, n_workers=n_workers
-            )
-        return ProcessBatchExecutor(
-            self.index_path, self.scanner, n_workers=n_workers, index=self.index
-        )
+        return self._closed
 
     def close(self) -> None:
-        """Shut the searcher down for good (the lifecycle contract).
-
-        Closes every executor: the process pools of
-        ``executor="process"`` searches (each with the temporary
-        artifact it saved, if any) and the persistent thread pools of
-        multi-worker ``executor="batch"`` searches. Terminal: every later
-        :meth:`search` raises :class:`ConfigurationError`. Idempotent
-        and safe against concurrent close()/search() callers — a search
-        racing the close either completes or raises, it never resurrects
-        a pool.
-        """
-        with self._lock:
-            self._closed = True
-            executors = list(self._executors.values())
-            self._executors.clear()
-        for executor in executors:
-            executor.close()
+        """Mark the searcher closed for good (terminal, idempotent): every
+        later :meth:`search` raises :class:`ConfigurationError`."""
+        self._closed = True
 
     def __enter__(self) -> "ANNSearcher":
         return self

@@ -15,11 +15,10 @@ many single-query clients into batches until now.
    flushes when the batch reaches :attr:`ServeConfig.max_batch` *or*
    the oldest request has waited :attr:`ServeConfig.max_delay_s`
    (deadline flush, e.g. 2 ms) — the classic throughput/latency trade.
-2. **Execute** — the batch runs on the pinned executors underneath
-   (:class:`~repro.search.BatchExecutor` threads or the
-   :class:`~repro.parallel.ProcessBatchExecutor` process pool), off the
-   event loop, so the loop keeps accepting requests while a batch
-   scans. Results are **byte-identical** to
+2. **Execute** — the batch runs on the engine underneath (its one
+   executor per epoch: inline, or pinned process pools), off the event
+   loop, so the loop keeps accepting requests while a batch scans.
+   Results are **byte-identical** to
    ``ANNSearcher.search(..., executor="sequential")`` — the batch
    engine's equivalence contract carries through unchanged.
 3. **Admission control** — the request queue is bounded
@@ -52,9 +51,8 @@ concurrency fixes of this release made safe for exactly that traffic.
 
 Typical use::
 
-    server = MicroBatchServer.for_searcher(
-        searcher, topk=10, nprobe=4, executor="process", n_workers=4
-    )
+    engine = Engine.build(vectors, executor="process", n_workers=4)
+    server = MicroBatchServer.for_engine(engine, k=10, nprobe=4)
     async with server:
         result = await server.search(query)     # one client
         assert result.ok
@@ -72,7 +70,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError, SimulationError
 from ..obs import Observability, get_observability
-from ..search import ANNSearcher, SearchResult
+from ..search import SearchResult
 
 if TYPE_CHECKING:  # import cycle: repro.engine imports repro.serve
     from ..engine import Engine
@@ -224,16 +222,18 @@ def _admitted_id(write_id: int) -> int:
 class MicroBatchServer:
     """Coalesces concurrent single-query clients into engine batches.
 
-    Construct via :meth:`for_searcher` / :meth:`for_engine` (or pass any
-    ``(b, d) -> list[SearchResult]`` batch function), then run it as an
+    Construct via :meth:`for_engine` (or pass any
+    ``(b, d) -> list[SearchResult]`` batch function, such as
+    ``lambda q: searcher.search(q, topk=10)``), then run it as an
     async context manager (or :meth:`start` / :meth:`stop` explicitly).
     ``await server.search(query)`` is the whole client API.
 
     Args:
         batch_fn: callable executing one query batch; it runs on a
             worker thread (never the event loop) and must return one
-            :class:`~repro.search.SearchResult` per row. The provided
-            constructors wire this to the byte-identical batch engines.
+            :class:`~repro.search.SearchResult` per row.
+            :meth:`for_engine` wires it to :meth:`Engine.search
+            <repro.Engine.search>`.
         config: micro-batching and admission knobs.
         write_fn: callable applying one write — ``(kind, vector, id)``
             with ``kind`` ``"add"`` (``vector`` is the 1-D row) or
@@ -268,47 +268,7 @@ class MicroBatchServer:
         self.n_errors = 0
         self.n_flushes = 0
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def for_searcher(
-        cls,
-        searcher: ANNSearcher,
-        *,
-        topk: int = 10,
-        nprobe: int = 1,
-        rerank: int = 0,
-        executor: str = "batch",
-        n_workers: int = 1,
-        config: ServeConfig | None = None,
-        observability: Observability | None = None,
-    ) -> "MicroBatchServer":
-        """A server over :meth:`ANNSearcher.search` with fixed knobs.
-
-        ``executor``/``n_workers`` select the engine under the batches
-        exactly as on :meth:`~repro.search.ANNSearcher.search`; the
-        searcher's pinned executor caches mean every flush reuses the
-        same warm pool.
-        """
-        if executor not in ANNSearcher.EXECUTORS:
-            raise ConfigurationError(
-                f"unknown executor {executor!r}, expected one of "
-                f"{ANNSearcher.EXECUTORS}"
-            )
-
-        def batch_fn(queries: np.ndarray) -> Sequence[SearchResult]:
-            results = searcher.search(
-                queries,
-                topk=topk,
-                nprobe=nprobe,
-                rerank=rerank,
-                executor=executor,
-                n_workers=n_workers,
-            )
-            # 2-D input always returns a list; keep mypy informed.
-            return results if isinstance(results, list) else [results]
-
-        return cls(batch_fn, config, observability=observability)
+    # -- constructor ---------------------------------------------------------
 
     @classmethod
     def for_engine(

@@ -12,14 +12,14 @@ defines only how a plan's scan lands in parts, one per shard:
    heaviest shard first, so the longest sub-plan starts earliest — and
    run each shard's job subset on that shard's own executor — a
    :class:`~repro.parallel.ProcessBatchExecutor` whose workers mmap the
-   shard's saved artifact (``backend="process"``, the default) or a
-   :class:`~repro.search.BatchExecutor` (``backend="thread"``, the
-   GIL-bound fallback). Either way each shard runs the partition-major
-   engine internally, with its own worker pool and its own scanner
-   instance. **Every pool is pinned across ``run()`` calls**: shard
-   pools spawn once in the constructor (process workers attach by mmap
-   path exactly once) and the gather pool below is likewise built once
-   — steady-state batches pay zero spin-up.
+   shard's saved artifact (``backend="process"``, the default) or an
+   inline :class:`~repro.search.BatchExecutor` on a gather thread
+   (``backend="thread"``). Either way each shard runs the
+   partition-major engine internally, with its own scanner instance.
+   **Every pool is pinned across ``run()`` calls**: shard pools spawn
+   once in the constructor (process workers attach by mmap path
+   exactly once) and the gather pool below is likewise built once —
+   steady-state batches pay zero spin-up.
 3. **Gather, streamed**: shard partials are handed to the pipeline in
    completion order and each is folded into its running per-query
    :class:`~repro.search.StreamingMerger` the moment it lands, so merge
@@ -137,13 +137,12 @@ class ScatterGatherExecutor(PlanPipeline):
     """Fans query batches across shards; gathers with graceful degradation.
 
     Every pool this executor touches is **pinned**: the per-shard
-    backend executors (process pools whose workers attach to the shard
-    artifacts by mmap path, or thread-fallback batch executors) and the
-    scatter thread pool all spawn once here and serve every ``run()``
-    until :meth:`close`. A shard task abandoned at the deadline keeps
-    its scatter slot busy until it finishes in the background — the pool
-    is sized one thread per shard so a straggler does not starve the
-    other shards of the next batch.
+    process pools (whose workers attach to the shard artifacts by mmap
+    path) and the scatter thread pool all spawn once here and serve
+    every ``run()`` until :meth:`close`. A shard task abandoned at the
+    deadline keeps its scatter slot busy until it finishes in the
+    background — the pool is sized one thread per shard so a straggler
+    does not starve the other shards of the next batch.
 
     Args:
         sharded: the sharded layout (positional-only).
@@ -152,14 +151,15 @@ class ScatterGatherExecutor(PlanPipeline):
             shard. Per-shard instances matter: scanner caches
             (:meth:`~repro.core.PQFastScanner.prepared`) are not locked
             for cross-thread mutation, and shards scan concurrently.
-        n_workers: workers *per shard* for the shard-internal
-            partition-major engine (processes for ``backend="process"``,
-            threads for ``backend="thread"``).
+        n_workers: worker processes *per shard* for
+            ``backend="process"``; ``backend="thread"`` scans each shard
+            inline and refuses anything but 1 (as
+            :class:`~repro.search.BatchExecutor` does).
         backend: ``"process"`` (default) runs each shard on a
             :class:`~repro.parallel.ProcessBatchExecutor` whose worker
             processes mmap the shard's saved artifact — the only backend
-            whose throughput grows with cores; ``"thread"`` runs it on a
-            GIL-bound :class:`~repro.search.BatchExecutor` (no artifact
+            whose throughput grows with cores; ``"thread"`` runs it on an
+            inline :class:`~repro.search.BatchExecutor` (no artifact
             or extra processes needed — custom scanner types, tests).
             Results are byte-identical either way.
         artifact_dir: for ``backend="process"``, the directory holding a
@@ -285,16 +285,12 @@ class ScatterGatherExecutor(PlanPipeline):
                 for shard, scanner in zip(sharded.shards, self.scanners)
             )
         else:
-            # gil_warning=False: per-shard thread counts are a deliberate
-            # engine knob here, not a misread of the process backend —
-            # the spurious RuntimeWarning would fire once per shard.
             self._executors = tuple(
                 BatchExecutor(
                     shard.index,
                     scanner,
                     n_workers=n_workers,
                     observability=observability,
-                    gil_warning=False,
                 )
                 for shard, scanner in zip(sharded.shards, self.scanners)
             )
@@ -423,11 +419,10 @@ class ScatterGatherExecutor(PlanPipeline):
     def close(self) -> None:
         """Release every pinned pool (idempotent).
 
-        Shuts down the per-shard executors (process pools or thread
-        pools), abandons the scatter pool without joining stalled shard
-        tasks, and deletes the temporary artifact directory if this
-        executor created one. A closed executor rejects further
-        :meth:`run` calls.
+        Shuts down the per-shard process pools, abandons the scatter
+        pool without joining stalled shard tasks, and deletes the
+        temporary artifact directory if this executor created one. A
+        closed executor rejects further :meth:`run` calls.
         """
         for executor in self._executors:
             executor.close()

@@ -105,9 +105,9 @@ class WorkerStats:
     """Work accumulated by one executor worker over a query batch.
 
     The batch execution engine (see :mod:`repro.search`) fans
-    partition-scan jobs over a thread pool; each worker owns one
-    ``WorkerStats`` instance (no shared mutable state between threads)
-    and the coordinator aggregates them after the pool drains. The
+    partition-scan jobs over worker processes (:mod:`repro.parallel`);
+    each worker owns one ``WorkerStats`` instance (no shared mutable
+    state between workers) and the coordinator aggregates them. The
     per-worker split is what the Section 5.8 bandwidth analysis needs:
     vectors scanned per worker per second is the per-core scan speed
     whose aggregate hits the memory wall.

@@ -101,7 +101,8 @@ class TestFacadeSignatures:
     def test_searcher_unified_search(self):
         sig = inspect.signature(ANNSearcher.search)
         assert sig.parameters["executor"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert sig.parameters["n_workers"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert sig.parameters["delta"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert "n_workers" not in sig.parameters  # workers are Engine's
 
     def test_constructors_take_config_keyword_only(self):
         for cls, core in (

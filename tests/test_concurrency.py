@@ -1,32 +1,28 @@
-"""Concurrency regression suite for the search facade and engine.
+"""Concurrency regression suite for the engine and the scatter-gather
+executor.
 
-The serving layer (:mod:`repro.serve`) is the first component that
-drives one :class:`~repro.search.ANNSearcher` / :class:`~repro.Engine`
+The serving layer (:mod:`repro.serve`) drives one :class:`~repro.Engine`
 from many threads and tasks at once. These tests pin the bugs that
 traffic exposed:
 
-* ``ANNSearcher.close()`` used to leave ``index_path`` pointing into a
-  deleted tempdir, so the next ``executor="process"`` search handed
-  workers a dangling artifact path (close → search → close).
-* The executor caches used unlocked check-then-set, so racing
-  first-searches could leak duplicate pinned pools and ``close()``
-  could iterate a dict another thread was inserting into.
+* An engine's executor is built in its constructor (and in
+  ``compact()``), never at query time, so racing searches cannot build
+  or leak a second one.
 * ``ScatterGatherExecutor.run`` returned early on empty batches before
   recording any metrics, silently diverging obs counters from run
   counts.
 
 Cleanness contract under close-while-searching: every concurrent search
 either returns byte-identical results or raises an explicit
-:class:`ConfigurationError` (never corrupt data). Since 1.5 ``close()``
-is *terminal* across the stack — a closed searcher or engine refuses
-every later call instead of silently respawning its pools (the shared
-lifecycle contract pinned by ``tests/test_lifecycle.py``).
+:class:`ConfigurationError` (never corrupt data). ``close()`` is
+*terminal* across the stack — a closed engine refuses every later call
+instead of silently respawning its pools (the shared lifecycle contract
+pinned by ``tests/test_lifecycle.py``).
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -34,8 +30,6 @@ import pytest
 from repro import Engine, EngineConfig
 from repro.exceptions import ConfigurationError
 from repro.obs import observability_session
-from repro.persistence import save_index
-from repro.search import ANNSearcher
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 
 
@@ -56,228 +50,6 @@ def _results_equal(a, b) -> bool:
 @pytest.fixture()
 def queries(dataset) -> np.ndarray:
     return dataset.queries
-
-
-class TestTerminalClose:
-    """close() releases everything and refuses every later search."""
-
-    def test_process_close_releases_the_executors_artifact(
-        self, index, queries
-    ):
-        # Regression lineage: on the seed, close() deleted the tempdir
-        # but kept index_path pointing into it, handing workers a
-        # dangling artifact path. The searcher no longer manages an
-        # artifact: without an index_path the process executor saves,
-        # owns and deletes its own, and index_path stays what the
-        # caller passed.
-        searcher = ANNSearcher(index)
-        searcher.search(queries, topk=5, nprobe=2, executor="process")
-        assert searcher.index_path is None
-        (executor,) = searcher._executors.values()
-        artifact = executor.index_path
-        assert artifact.is_file()
-        searcher.close()
-        assert not artifact.parent.exists()
-        assert searcher.index_path is None
-        with pytest.raises(ConfigurationError, match="closed"):
-            searcher.search(queries, topk=5, nprobe=2, executor="process")
-
-    def test_close_keeps_user_supplied_index_path(
-        self, index, queries, tmp_path
-    ):
-        path = tmp_path / "index.npz"
-        save_index(index, path)
-        searcher = ANNSearcher(index, index_path=path)
-        searcher.search(queries, topk=5, nprobe=2, executor="process")
-        searcher.close()
-        assert searcher.index_path == path  # user-owned artifact is kept
-        assert path.exists()
-
-    def test_all_executors_identical_then_close_refuses(
-        self, index, queries
-    ):
-        searcher = ANNSearcher(index)
-        baseline = searcher.search(
-            queries, topk=5, nprobe=2, executor="sequential"
-        )
-        for executor in ANNSearcher.EXECUTORS:
-            got = searcher.search(
-                queries, topk=5, nprobe=2, executor=executor
-            )
-            assert _results_equal(baseline, got), executor
-        searcher.close()
-        assert searcher._executors == {}
-        for executor in ANNSearcher.EXECUTORS:
-            with pytest.raises(ConfigurationError, match="closed"):
-                searcher.search(
-                    queries, topk=5, nprobe=2, executor=executor
-                )
-        searcher.close()  # idempotent
-
-
-class TestExecutorCacheRaces:
-    """Racing first-searches share exactly one pinned pool per count."""
-
-    def test_batch_executor_race_single_pool(self, index, queries):
-        searcher = ANNSearcher(index)
-        n_threads = 8
-        barrier = threading.Barrier(n_threads)
-        baseline = searcher.search(
-            queries, topk=5, nprobe=2, executor="sequential"
-        )
-        outcomes: list[bool] = []
-        errors: list[BaseException] = []
-
-        def work() -> None:
-            try:
-                barrier.wait()
-                with warnings.catch_warnings():
-                    # The GIL advisory for n_workers>1 may fire in any
-                    # racing thread; it is not under test here.
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    got = searcher.search(
-                        queries,
-                        topk=5,
-                        nprobe=2,
-                        executor="batch",
-                        n_workers=2,
-                    )
-                outcomes.append(_results_equal(baseline, got))
-            except BaseException as exc:  # noqa: BLE001 - recorded for assert
-                errors.append(exc)
-
-        with observability_session() as obs:
-            threads = [
-                threading.Thread(target=work) for _ in range(n_threads)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors
-            assert all(outcomes) and len(outcomes) == n_threads
-            # Exactly one cached executor and one pool spin-up: the
-            # unlocked seed version could publish duplicates.
-            assert set(searcher._executors) == {("batch", 2)}
-            spinups = obs.metrics.get("repro_pool_spinups_total")
-            assert spinups.value(backend="thread") == 1.0
-        searcher.close()
-
-    def test_process_executor_race_single_pool(self, index, queries):
-        searcher = ANNSearcher(index)
-        n_threads = 4
-        barrier = threading.Barrier(n_threads)
-        baseline = searcher.search(
-            queries, topk=5, nprobe=2, executor="sequential"
-        )
-        outcomes: list[bool] = []
-        errors: list[BaseException] = []
-
-        def work() -> None:
-            try:
-                barrier.wait()
-                got = searcher.search(
-                    queries, topk=5, nprobe=2, executor="process"
-                )
-                outcomes.append(_results_equal(baseline, got))
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        with observability_session() as obs:
-            threads = [
-                threading.Thread(target=work) for _ in range(n_threads)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors
-            assert all(outcomes) and len(outcomes) == n_threads
-            assert set(searcher._executors) == {("process", 1)}
-            # Process pools fork eagerly, so the creation lock must keep
-            # racing first-searches down to ONE spawned pool.
-            spinups = obs.metrics.get("repro_pool_spinups_total")
-            assert spinups.value(backend="process") == 1.0
-            (executor,) = searcher._executors.values()
-            pids = executor.worker_pids
-            assert len(pids) == executor.pool_size
-        searcher.close()
-
-    def test_mixed_executors_hammering_byte_identity(self, index, queries):
-        searcher = ANNSearcher(index)
-        baseline = searcher.search(
-            queries, topk=5, nprobe=2, executor="sequential"
-        )
-        kinds = ["batch", "process", "sequential", "batch", "process"]
-        barrier = threading.Barrier(len(kinds))
-        outcomes: list[bool] = []
-        errors: list[BaseException] = []
-
-        def work(kind: str) -> None:
-            try:
-                barrier.wait()
-                for _ in range(3):
-                    got = searcher.search(
-                        queries, topk=5, nprobe=2, executor=kind
-                    )
-                    outcomes.append(_results_equal(baseline, got))
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=work, args=(kind,)) for kind in kinds
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert all(outcomes) and len(outcomes) == 3 * len(kinds)
-        # One pinned executor per (kind, worker-count), despite the race.
-        assert set(searcher._executors) == {("batch", 1), ("process", 1)}
-        pids_before = searcher._executors["process", 1].worker_pids
-        searcher.search(queries, topk=5, nprobe=2, executor="process")
-        assert searcher._executors["process", 1].worker_pids == pids_before
-        searcher.close()
-
-    def test_close_under_load_is_clean(self, index, queries):
-        searcher = ANNSearcher(index)
-        baseline = searcher.search(
-            queries, topk=5, nprobe=2, executor="sequential"
-        )
-        stop = threading.Event()
-        outcomes: list[bool] = []
-        errors: list[BaseException] = []
-
-        def hammer() -> None:
-            try:
-                while not stop.is_set():
-                    try:
-                        got = searcher.search(
-                            queries, topk=5, nprobe=2, executor="batch"
-                        )
-                    except ConfigurationError:
-                        # Terminal close landed: every later search
-                        # refuses with the lifecycle error.
-                        return
-                    outcomes.append(_results_equal(baseline, got))
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        # close() racing live searches: every in-flight search either
-        # completes byte-identical or raises the explicit lifecycle
-        # error — never corrupt results, never a crash.
-        for _ in range(10):
-            searcher.close()
-        stop.set()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert all(outcomes)
-        assert searcher._executors == {}
 
 
 class TestEngineConcurrency:

@@ -1,16 +1,20 @@
 """Docs are code, first step: what the docs tell a reader to run exists.
 
 Every ``python -m <module>`` of this repository that the prose, the
-examples, the CI workflow or the verify skill names must import, and
-every ``*.json`` / ``*.py`` / ``*.md`` file they name must be in the
-tree. A deleted CLI or a renamed artifact then fails here instead of
-living on in a README paragraph.
+examples, the CI workflow or the verify skill names must import, every
+``*.json`` / ``*.py`` / ``*.md`` file they name must be in the tree, and
+every backticked ``Name.member`` of the public surface must resolve. A
+deleted CLI, a renamed artifact or a removed method then fails here
+instead of living on in a README paragraph.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import importlib
 import importlib.util
+import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -99,3 +103,60 @@ def test_named_files_exist(doc):
     }
     missing = sorted(t for t in tokens if not exists(t))
     assert not missing, f"{doc_id(doc)} names files that do not exist: {missing}"
+
+
+def public_exports() -> dict[str, list[object]]:
+    """``__all__`` names of ``repro`` and of its subpackages."""
+    import repro
+
+    packages = [repro] + [
+        importlib.import_module(f"repro.{info.name}")
+        for info in pkgutil.iter_modules(repro.__path__)
+        if info.ispkg
+    ]
+    exports: dict[str, list[object]] = {}
+    for package in packages:
+        for name in getattr(package, "__all__", ()):
+            exports.setdefault(name, []).append(getattr(package, name))
+    return exports
+
+
+def defines(obj: object, member: str) -> bool:
+    """``getattr`` finds it, or the class declares it: a dataclass field
+    or another annotation, or an attribute a method assigns on ``self``."""
+    if hasattr(obj, member):
+        return True
+    if not inspect.isclass(obj):
+        return False
+    assigned = re.compile(rf"\bself\.{member}\s*(?::[^=\n]+)?=(?!=)")
+    return any(
+        member in vars(klass).get("__annotations__", {})
+        or assigned.search(inspect.getsource(klass))
+        for klass in obj.__mro__
+        if klass.__module__.startswith("repro")
+    )
+
+
+#: A ``Name.member`` inside a backticked span or a fenced block;
+#: ``Name.prefix_*`` globs are not members.
+BACKTICKED = re.compile(r"`[^`\n]+`|```.*?```", re.DOTALL)
+MEMBER = re.compile(r"(?<![\w.])([A-Z]\w*)\.([A-Za-z_]\w*)\b(?!\*)")
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=doc_id)
+def test_named_members_resolve(doc):
+    exports = public_exports()
+    named = {
+        (name, member)
+        for span in BACKTICKED.findall(doc.read_text())
+        for name, member in MEMBER.findall(span)
+        if name in exports
+    }
+    unresolved = sorted(
+        f"{name}.{member}"
+        for name, member in named
+        if not any(defines(obj, member) for obj in exports[name])
+    )
+    assert not unresolved, (
+        f"{doc_id(doc)} names members that do not exist: {unresolved}"
+    )

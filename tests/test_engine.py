@@ -132,6 +132,9 @@ class TestEngineConfig:
         )
         assert EngineConfig(executor="process").resolved_executor == "process"
 
+    def test_more_than_one_worker_resolves_to_processes(self):
+        assert EngineConfig(n_workers=2).resolved_executor == "process"
+
 
 class TestEngineBuildAndSearch:
     def test_len_and_repr(self, flat_engine, small_data):
@@ -397,21 +400,12 @@ class TestOneExecutorPerEpoch:
                 [engine.search(query, k=5) for query in queries],
             )
 
-    def test_one_shard_thread_engine_still_warns_about_gil_once(
-        self, small_data, queries
-    ):
-        with pytest.warns(RuntimeWarning, match="GIL-bound") as caught:
-            with Engine.build(
-                small_data, executor="thread", n_workers=2, n_shards=1,
-                mutable=True, **_SMALL,
-            ) as engine:
-                engine.search(queries, k=5)
-                engine.search(queries[0], k=5)
-                engine.search_detailed(queries, k=5)
-                engine.add(queries[:1], np.array([10**6]))
-                engine.compact()
-                engine.search(queries, k=5)
-        assert sum("GIL-bound" in str(w.message) for w in caught) == 1
+    def test_one_shard_thread_engine_refuses_thread_workers(self, small_data):
+        """Refused where the config is made, before anything is trained."""
+        with pytest.raises(ConfigurationError, match="executor='process'"):
+            Engine.build(
+                small_data, executor="thread", n_workers=2, n_shards=1, **_SMALL
+            )
 
 
 class TestOutsideInputRefusedAtTheDoor:

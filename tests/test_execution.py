@@ -1,9 +1,9 @@
 """Tests for the partition-major batch execution engine.
 
 The engine's contract is *byte-identity*: for any scanner, nprobe and
-worker count, the batched ``search`` executor returns exactly what the
-sequential per-query loop returns — same ids, bit-identical distances,
-same stats.
+worker count, the batched executors (inline at one worker, worker
+processes above it) return exactly what the sequential per-query loop
+returns — same ids, bit-identical distances, same stats.
 These tests pin that contract plus the planner's structural invariants
 and the per-worker accounting.
 """
@@ -20,7 +20,9 @@ from repro import (
     PQFastScanner,
 )
 from repro.exceptions import ConfigurationError
+from repro.parallel import ProcessBatchExecutor
 from repro.scan import LibpqScanner
+from repro.shard import ScatterGatherExecutor, ShardedIndex
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +37,6 @@ def batch_queries(dataset, rng):
     base = np.tile(dataset.queries, (3, 1))
     jitter = np.random.default_rng(99).normal(scale=2.0, size=base.shape)
     return np.vstack([dataset.queries, base + jitter])
-
-
-#: Tier-1 turns the GIL advisory into an error; the tests below ask for
-#: thread ``n_workers>1`` on purpose.
-gil_bound_on_purpose = pytest.mark.filterwarnings(
-    "ignore:BatchExecutor with n_workers:RuntimeWarning"
-)
 
 
 def _scanners(pq):
@@ -63,24 +58,27 @@ def _assert_identical(a, b):
 
 
 class TestBatchEquivalence:
-    @gil_bound_on_purpose
     @pytest.mark.parametrize("scanner_name", ["naive", "libpq", "fastpq"])
     @pytest.mark.parametrize("nprobe", [1, 2])
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_byte_identical_to_sequential(
         self, index4, pq, batch_queries, scanner_name, nprobe, n_workers
     ):
+        """One worker is the searcher's inline executor, more are processes."""
         scanner = _scanners(pq)[scanner_name]
         searcher = ANNSearcher(index4, scanner=scanner)
         seq = searcher.search(
             batch_queries, topk=10, nprobe=nprobe, executor="sequential"
         )
-        bat = searcher.search(
-            batch_queries, topk=10, nprobe=nprobe, n_workers=n_workers
-        )
+        if n_workers == 1:
+            bat = searcher.search(batch_queries, topk=10, nprobe=nprobe)
+        else:
+            with ProcessBatchExecutor.from_index(
+                index4, scanner, n_workers=n_workers
+            ) as executor:
+                bat = executor.run(batch_queries, topk=10, nprobe=nprobe)
         _assert_identical(seq, bat)
 
-    @gil_bound_on_purpose
     def test_rerank_equivalence(self, index4, pq, dataset, batch_queries):
         searcher = ANNSearcher(
             index4, scanner=NaiveScanner(), vectors=dataset.base
@@ -88,9 +86,7 @@ class TestBatchEquivalence:
         seq = searcher.search(
             batch_queries, topk=5, nprobe=2, rerank=20, executor="sequential"
         )
-        bat = searcher.search(
-            batch_queries, topk=5, nprobe=2, rerank=20, n_workers=2
-        )
+        bat = searcher.search(batch_queries, topk=5, nprobe=2, rerank=20)
         _assert_identical(seq, bat)
 
     def test_matches_per_query_search(self, index4, batch_queries):
@@ -149,8 +145,9 @@ class TestBatchPlanner:
 
 class TestBatchExecutor:
     def test_report_accounts_all_scans(self, index4, batch_queries):
-        with pytest.warns(RuntimeWarning, match="GIL-bound"):
-            executor = BatchExecutor(index4, NaiveScanner(), n_workers=2)
+        with pytest.raises(ConfigurationError, match="process backend"):
+            BatchExecutor(index4, NaiveScanner(), n_workers=2)
+        executor = BatchExecutor(index4, NaiveScanner())
         results, report = executor.run_with_report(
             batch_queries, topk=10, nprobe=2
         )
@@ -166,10 +163,12 @@ class TestBatchExecutor:
         assert report.queries_per_second > 0
 
     def test_worker_stats_cover_all_workers(self, index4, batch_queries):
-        with pytest.warns(RuntimeWarning, match="GIL-bound"):
-            executor = BatchExecutor(index4, NaiveScanner(), n_workers=2)
+        with pytest.raises(ConfigurationError, match="process backend"):
+            BatchExecutor(index4, NaiveScanner(), n_workers=4)
+        executor = BatchExecutor(index4, NaiveScanner())
         _, report = executor.run_with_report(batch_queries, topk=5, nprobe=2)
-        assert [s.worker_id for s in report.worker_stats] == [0, 1]
+        assert report.n_workers == 1
+        assert [s.worker_id for s in report.worker_stats] == [0]
         assert sum(s.n_jobs for s in report.worker_stats) == report.n_jobs
 
     def test_fast_scanner_pruning_stats_preserved(
@@ -230,13 +229,17 @@ class TestQueryHalfOncePerPlan:
         monkeypatch.setattr(IVFADCIndex, "query_half", counted)
         return seen
 
-    @gil_bound_on_purpose
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_scan_plan_builds_it_once(self, index16, queries, calls, n_workers):
-        with BatchExecutor(index16, NaiveScanner(), n_workers=n_workers) as executor:
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_scan_plan_builds_it_once(self, index16, queries, calls, n_shards):
+        """Once per plan, however many thread shards scan its jobs."""
+        sharded = ShardedIndex.from_index(index16, n_shards=n_shards)
+        with ScatterGatherExecutor(
+            sharded, NaiveScanner, backend="thread"
+        ) as executor:
             plan = executor.planner.plan(queries, topk=5, nprobe=self.NPROBE)
             assert len(plan.jobs) > self.NPROBE
-            executor.scan_plan(plan)
+            for shard_id, subplan in executor.router.split(plan).items():
+                executor._executors[shard_id].scan_plan(subplan)
             assert calls == [self.N_QUERIES]
             executor.run(queries, topk=5, nprobe=self.NPROBE)
             assert calls == [self.N_QUERIES] * 2

@@ -46,6 +46,11 @@ class Adapter:
     enter_ctx: Callable[[object], None]
 
 
+def _searcher_server(index) -> MicroBatchServer:
+    searcher = ANNSearcher(index, NaiveScanner())
+    return MicroBatchServer(lambda q: searcher.search(q, topk=5))
+
+
 def _make_adapters(dataset, index) -> list[Adapter]:
     queries = dataset.queries[:4]
 
@@ -64,11 +69,6 @@ def _make_adapters(dataset, index) -> list[Adapter]:
             NaiveScanner,
             n_workers=1,
             backend="thread",
-        )
-
-    def make_server() -> MicroBatchServer:
-        return MicroBatchServer.for_searcher(
-            ANNSearcher(index, NaiveScanner()), topk=5, nprobe=1
         )
 
     def use_server(server: MicroBatchServer) -> None:
@@ -110,7 +110,7 @@ def _make_adapters(dataset, index) -> list[Adapter]:
         ),
         Adapter(
             name="MicroBatchServer",
-            make=make_server,
+            make=lambda: _searcher_server(index),
             use=use_server,
             close=sync_close,
             enter_ctx=sync_ctx,
@@ -178,9 +178,7 @@ class TestServerSpecificLifecycle:
     """Server-only corners the shared grid cannot express."""
 
     def test_close_while_running_raises(self, index, dataset):
-        server = MicroBatchServer.for_searcher(
-            ANNSearcher(index, NaiveScanner()), topk=5
-        )
+        server = _searcher_server(index)
 
         async def scenario() -> None:
             await server.start()
@@ -195,9 +193,7 @@ class TestServerSpecificLifecycle:
         assert server.closed
 
     def test_start_after_close_raises(self, index, dataset):
-        server = MicroBatchServer.for_searcher(
-            ANNSearcher(index, NaiveScanner()), topk=5
-        )
+        server = _searcher_server(index)
         server.close()
 
         async def try_start() -> None:

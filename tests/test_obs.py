@@ -25,7 +25,7 @@ from repro.obs import (
     write_snapshots,
 )
 from repro.obs.snapshot import check_snapshot, run_snapshot
-from repro.parallel import ScannerSpec
+from repro.parallel import ProcessBatchExecutor, ScannerSpec
 from repro.simd.counters import WorkerStats
 
 
@@ -260,13 +260,6 @@ class TestExporters:
         assert missing == ["repro_nonexistent_metric"]
 
 
-#: Tier-1 turns the GIL advisory into an error; the tests below ask for
-#: thread ``n_workers>1`` on purpose.
-gil_bound_on_purpose = pytest.mark.filterwarnings(
-    "ignore:BatchExecutor with n_workers:RuntimeWarning"
-)
-
-
 class TestPipelineIntegration:
     """Observability threaded through the real batch engine."""
 
@@ -275,13 +268,10 @@ class TestPipelineIntegration:
             return ANNSearcher(index, NaiveScanner())
         return ANNSearcher(index, PQFastScanner(pq, keep=0.01, seed=0))
 
-    @gil_bound_on_purpose
     def test_batch_stages_all_traced(self, index, pq, dataset):
         searcher = self._searcher(index, pq, PQFastScanner)
         with observability_session() as obs:
-            searcher.search(
-                dataset.queries, topk=10, nprobe=2, n_workers=2
-            )
+            searcher.search(dataset.queries, topk=10, nprobe=2)
         stages = set(obs.tracer.stage_summary())
         assert {"route", "warm", "tables", "scan", "merge"} <= stages
 
@@ -313,10 +303,15 @@ class TestPipelineIntegration:
         if kind == "quickadc":
             index = index4bit
         scanner = ScannerSpec(kind, keep=0.01).build(index.pq)
-        with ANNSearcher(index, scanner) as searcher, observability_session() as obs:
-            results = searcher.search(
-                dataset.queries, topk=10, nprobe=2, executor=executor
-            )
+        if executor == "process":
+            with ProcessBatchExecutor.from_index(index, scanner) as workers:
+                with observability_session() as obs:
+                    results = workers.run(dataset.queries, topk=10, nprobe=2)
+        else:
+            with ANNSearcher(index, scanner) as searcher, observability_session() as obs:
+                results = searcher.search(
+                    dataset.queries, topk=10, nprobe=2, executor=executor
+                )
         self._assert_scan_counters(obs, kind, results)
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
@@ -344,32 +339,26 @@ class TestPipelineIntegration:
         ratio = obs.metrics.get("repro_prepared_cache_hit_ratio").value()
         assert ratio == pytest.approx(hits / (hits + misses))
 
-    @gil_bound_on_purpose
     def test_results_identical_with_and_without_observability(
         self, index, pq, dataset
     ):
         searcher = self._searcher(index, pq, PQFastScanner)
-        baseline = searcher.search(
-            dataset.queries, topk=10, nprobe=2, n_workers=2
-        )
+        baseline = searcher.search(dataset.queries, topk=10, nprobe=2)
         with observability_session():
-            instrumented = searcher.search(
-                dataset.queries, topk=10, nprobe=2, n_workers=2
-            )
+            instrumented = searcher.search(dataset.queries, topk=10, nprobe=2)
         for a, b in zip(baseline, instrumented):
             assert a.ids.tobytes() == b.ids.tobytes()
             assert a.distances.tobytes() == b.distances.tobytes()
             assert a.probed == b.probed
 
-    @gil_bound_on_purpose
     def test_worker_metrics_from_batch_report(self, index, pq, dataset):
-        searcher = self._searcher(index, pq, NaiveScanner)
-        with observability_session() as obs:
-            searcher.search(
-                dataset.queries, topk=10, nprobe=2, n_workers=2
-            )
+        with ProcessBatchExecutor.from_index(
+            index, NaiveScanner(), n_workers=2
+        ) as workers:
+            with observability_session() as obs:
+                workers.run(dataset.queries, topk=10, nprobe=2)
         samples = obs.metrics.get("repro_worker_scan_speed_vps").samples()
-        assert len(samples) == 2  # one gauge per worker slot
+        assert len(samples) == workers.pool_size  # one gauge per worker slot
         assert obs.metrics.get("repro_batches_total").value() == 1
         assert obs.metrics.get("repro_queries_total").value() == len(
             dataset.queries

@@ -187,38 +187,45 @@ class TestProcessExecutorLifecycle:
         assert not pathlib.Path(tempdir.name).exists()
 
 
+def _process_engine(index, vectors=None):
+    """The engine over ``index`` that serves with worker processes."""
+    config = EngineConfig(
+        m=index.pq.m, n_partitions=index.n_partitions, scanner="naive",
+        executor="process",
+    )
+    return Engine(index, config, vectors=vectors)
+
+
 class TestSearcherProcessExecutor:
+    """The searcher owns no pool: a process request names the engine,
+    and that engine answers what the searcher's batch executor does."""
+
     def test_search_executor_process_matches_batch(self, index, dataset):
-        searcher = ANNSearcher(index, NaiveScanner())
-        try:
-            _assert_results_equal(
-                searcher.search(dataset.queries, topk=10, nprobe=2),
-                searcher.search(
-                    dataset.queries, topk=10, nprobe=2, executor="process"
-                ),
-            )
-        finally:
-            searcher.close()
+        with ANNSearcher(index, NaiveScanner()) as searcher:
+            named = r'Engine\(\.\.\., executor="process"\)'
+            with pytest.raises(ConfigurationError, match=named):
+                searcher.search(dataset.queries, topk=10, nprobe=2, executor="process")
+            with _process_engine(index) as engine:
+                _assert_results_equal(
+                    searcher.search(dataset.queries, topk=10, nprobe=2),
+                    engine.search(dataset.queries, k=10, nprobe=2),
+                )
 
     def test_process_rerank_matches_batch_rerank(self, index, dataset):
         searcher = ANNSearcher(index, NaiveScanner(), vectors=dataset.base)
-        try:
-            a = searcher.search(
-                dataset.queries, topk=5, nprobe=2, rerank=20
+        with _process_engine(index, vectors=dataset.base) as engine:
+            _assert_results_equal(
+                searcher.search(dataset.queries, topk=5, nprobe=2, rerank=20),
+                engine.search(dataset.queries, k=5, nprobe=2, rerank=20),
             )
-            b = searcher.search(
-                dataset.queries, topk=5, nprobe=2, rerank=20, executor="process"
-            )
-            _assert_results_equal(a, b)
-        finally:
-            searcher.close()
 
     def test_executor_pool_reused_across_searches(self, index, dataset):
-        with ANNSearcher(index, NaiveScanner()) as searcher:
-            searcher.search(dataset.queries, topk=5, nprobe=1, executor="process")
-            executor = searcher._executors["process", 1]
-            searcher.search(dataset.queries, topk=5, nprobe=1, executor="process")
-            assert searcher._executors["process", 1] is executor
+        with _process_engine(index) as engine:
+            engine.search(dataset.queries, k=5)
+            (shard,) = engine._executor._executors
+            pids = shard.worker_pids
+            engine.search(dataset.queries, k=5)
+            assert shard.worker_pids == pids and pids
 
     def test_unknown_executor_rejected(self, index, dataset):
         with pytest.raises(ConfigurationError, match="unknown executor"):
@@ -228,8 +235,10 @@ class TestSearcherProcessExecutor:
 
 
 class TestThreadExecutorWarning:
-    def test_multi_worker_threads_warn(self, index):
-        with pytest.warns(RuntimeWarning, match="process backend"):
+    """One thread worker runs silently; more are refused, not warned about."""
+
+    def test_multi_worker_threads_refused(self, index):
+        with pytest.raises(ConfigurationError, match="process backend"):
             BatchExecutor(index, NaiveScanner(), n_workers=4)
 
     def test_single_worker_does_not_warn(self, index):

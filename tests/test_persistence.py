@@ -266,13 +266,6 @@ class TestPartitionValidation:
             load_index(saved)
 
 
-#: Tier-1 turns the GIL advisory into an error; the tests below ask for
-#: thread ``n_workers>1`` on purpose.
-gil_bound_on_purpose = pytest.mark.filterwarnings(
-    "ignore:BatchExecutor with n_workers:RuntimeWarning"
-)
-
-
 class TestRoundTripSearchParity:
     """Reloaded index + each scanner answers byte-identically."""
 
@@ -284,7 +277,6 @@ class TestRoundTripSearchParity:
             return PQFastScanner(idx.pq, keep=0.01, seed=0)
         return QuantizationOnlyScanner(idx.pq, keep=0.01)
 
-    @gil_bound_on_purpose
     @pytest.mark.parametrize("scanner_name", ["naive", "fastpq", "qonly"])
     def test_search_batch_byte_identical_after_reload(
         self, index, dataset, tmp_path, scanner_name
@@ -294,12 +286,8 @@ class TestRoundTripSearchParity:
         loaded = load_index(path)
         original = ANNSearcher(index, self._scanner_for(scanner_name, index))
         restored = ANNSearcher(loaded, self._scanner_for(scanner_name, loaded))
-        a = original.search(
-            dataset.queries, topk=10, nprobe=2, n_workers=2
-        )
-        b = restored.search(
-            dataset.queries, topk=10, nprobe=2, n_workers=2
-        )
+        a = original.search(dataset.queries, topk=10, nprobe=2)
+        b = restored.search(dataset.queries, topk=10, nprobe=2)
         assert len(a) == len(b) == len(dataset.queries)
         for ra, rb in zip(a, b):
             assert ra.ids.tobytes() == rb.ids.tobytes()

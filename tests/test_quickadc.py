@@ -26,7 +26,7 @@ from repro.exceptions import (
     NotFittedError,
 )
 from repro.ivf.partition import Partition
-from repro.parallel import ScannerSpec
+from repro.parallel import ProcessBatchExecutor, ScannerSpec
 from repro.pq.adc import adc_distances
 from repro.core.sanitize import check_saturation_invariant
 from repro.scan import (
@@ -533,13 +533,6 @@ class TestEngineAndSpecWiring:
         )
 
 
-#: Tier-1 turns the GIL advisory into an error; the tests below ask for
-#: thread ``n_workers>1`` on purpose.
-gil_bound_on_purpose = pytest.mark.filterwarnings(
-    "ignore:BatchExecutor with n_workers:RuntimeWarning"
-)
-
-
 class TestExecutorEquivalence:
     """quickadc through every execution layer, byte-identical to its
     own sequential baseline (the contract the other scanners obey)."""
@@ -553,34 +546,40 @@ class TestExecutorEquivalence:
             assert ra.n_pruned == rb.n_pruned
             assert ra.probed == rb.probed
 
-    @gil_bound_on_purpose
     @pytest.mark.parametrize("nprobe", [1, 2])
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_batch_identical_to_sequential(
-        self, index4bit, pq4, batch_queries4, nprobe, n_workers
+        self, index4bit, pq4, batch_queries4, nprobe, n_shards
     ):
+        """The inline executor, alone or on thread shards."""
         searcher = ANNSearcher(index4bit, scanner=QuickADCScanner(pq4))
         seq = searcher.search(
             batch_queries4, topk=10, nprobe=nprobe, executor="sequential"
         )
-        bat = searcher.search(
-            batch_queries4, topk=10, nprobe=nprobe, n_workers=n_workers
+        with ScatterGatherExecutor(
+            ShardedIndex.from_index(index4bit, n_shards=n_shards),
+            lambda: QuickADCScanner(pq4),
+            backend="thread",
+        ) as executor:
+            response = executor.run(batch_queries4, topk=10, nprobe=nprobe)
+        assert not response.partial
+        self._assert_identical(seq, response.results)
+        self._assert_identical(
+            seq, searcher.search(batch_queries4, topk=10, nprobe=nprobe)
         )
-        self._assert_identical(seq, bat)
 
     @pytest.mark.parametrize("nprobe", [1, 2])
     def test_process_identical_to_sequential(
         self, index4bit, pq4, batch_queries4, nprobe
     ):
-        with ANNSearcher(index4bit, scanner=QuickADCScanner(pq4)) as searcher:
-            seq = searcher.search(
-                batch_queries4, topk=10, nprobe=nprobe, executor="sequential"
-            )
-            proc = searcher.search(
-                batch_queries4, topk=10, nprobe=nprobe,
-                executor="process", n_workers=2,
-            )
-            self._assert_identical(seq, proc)
+        seq = ANNSearcher(index4bit, scanner=QuickADCScanner(pq4)).search(
+            batch_queries4, topk=10, nprobe=nprobe, executor="sequential"
+        )
+        with ProcessBatchExecutor.from_index(
+            index4bit, QuickADCScanner(pq4), n_workers=2
+        ) as executor:
+            proc = executor.run(batch_queries4, topk=10, nprobe=nprobe)
+        self._assert_identical(seq, proc)
 
     def test_sharded_identical_to_sequential(
         self, index4bit, pq4, batch_queries4
@@ -591,10 +590,7 @@ class TestExecutorEquivalence:
         )
         sharded = ShardedIndex.from_index(index4bit, n_shards=2)
         executor = ScatterGatherExecutor(
-            sharded,
-            lambda: QuickADCScanner(pq4),
-            n_workers=2,
-            backend="thread",
+            sharded, lambda: QuickADCScanner(pq4), backend="thread"
         )
         try:
             response = executor.run(batch_queries4, topk=10, nprobe=2)

@@ -9,12 +9,13 @@ behavior (deadline flush) is tested with generous margins; batching
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 
 import numpy as np
 import pytest
 
-from repro import Engine
+from repro import Engine, EngineConfig
 from repro.exceptions import ConfigurationError
 from repro.obs import observability_session
 from repro.search import ANNSearcher, SearchResult
@@ -298,19 +299,28 @@ class TestSequentialIdentity:
 
     @pytest.mark.parametrize("executor", ["batch", "sequential", "process"])
     def test_identity_across_executors(self, index, dataset, executor):
+        """A searcher's batch function on either of its executors, and an
+        engine on worker processes, serve the sequential loop's bytes."""
         queries = dataset.queries
-        with ANNSearcher(index) as searcher:
+        config = ServeConfig(max_batch=4, max_delay_s=0.002)
+        with contextlib.ExitStack() as stack:
+            searcher = stack.enter_context(ANNSearcher(index))
             baseline = searcher.search(
                 queries, topk=5, nprobe=2, executor="sequential"
             )
-            config = ServeConfig(max_batch=4, max_delay_s=0.002)
-            server = MicroBatchServer.for_searcher(
-                searcher,
-                topk=5,
-                nprobe=2,
-                executor=executor,
-                config=config,
-            )
+            if executor == "process":
+                engine = stack.enter_context(Engine(index, EngineConfig(
+                    m=index.pq.m, n_partitions=index.n_partitions,
+                    scanner="naive", executor="process",
+                )))
+                server = MicroBatchServer.for_engine(
+                    engine, k=5, nprobe=2, config=config
+                )
+            else:
+                server = MicroBatchServer(
+                    lambda q: searcher.search(q, topk=5, nprobe=2, executor=executor),
+                    config,
+                )
 
             async def scenario() -> list[ServedResult]:
                 async with server:
@@ -323,11 +333,6 @@ class TestSequentialIdentity:
         for served, expected in zip(results, baseline):
             assert served.result is not None
             assert _results_equal(served.result, expected)
-
-    def test_for_searcher_rejects_unknown_executor(self, index):
-        with ANNSearcher(index) as searcher:
-            with pytest.raises(ConfigurationError):
-                MicroBatchServer.for_searcher(searcher, executor="warp")
 
 
 class TestServeObservability:

@@ -189,9 +189,7 @@ class TestScatterGatherIdentity:
             sharded = ShardedIndex.from_index(index8, n_shards=n_shards)
             # backend="thread" exercises the same streaming gather/merge
             # path as the process default without 27 process-pool spawns.
-            executor = ScatterGatherExecutor(
-                sharded, factory, n_workers=2, backend="thread"
-            )
+            executor = ScatterGatherExecutor(sharded, factory, backend="thread")
             response = executor.run(batch_queries, topk=10, nprobe=nprobe)
             assert not response.partial
             assert all(s.state == STATE_OK for s in response.shard_statuses)
@@ -232,7 +230,7 @@ class TestScatterGatherIdentity:
     def test_worker_stats_combined(self, index8, pq, batch_queries):
         sharded = ShardedIndex.from_index(index8, n_shards=3)
         executor = ScatterGatherExecutor(
-            sharded, lambda: NaiveScanner(), n_workers=2, backend="thread"
+            sharded, lambda: NaiveScanner(), backend="thread"
         )
         response = executor.run(batch_queries, topk=10, nprobe=8)
         total_jobs = sum(s.n_jobs for s in response.shard_statuses)
@@ -778,13 +776,21 @@ class TestPinnedPools:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             executor = ScatterGatherExecutor(
-                sharded, lambda: NaiveScanner(), n_workers=2, backend="thread"
+                sharded, lambda: NaiveScanner(), backend="thread"
             )
             try:
                 executor.run(batch_queries, topk=10, nprobe=4)
                 executor.run(batch_queries, topk=10, nprobe=4)
             finally:
                 executor.close()
+
+    def test_thread_fallback_refuses_thread_workers(self, index8):
+        """Each shard scans inline: the BatchExecutor rule, inherited."""
+        sharded = ShardedIndex.from_index(index8, n_shards=2)
+        with pytest.raises(ConfigurationError, match="process backend"):
+            ScatterGatherExecutor(
+                sharded, lambda: NaiveScanner(), n_workers=2, backend="thread"
+            )
 
     def test_stalled_run_leaves_executor_usable(self, index8, pq, batch_queries):
         # After a deadline-abandoned batch, the pinned pools must still

@@ -44,13 +44,11 @@ __all__ = [
 
 #: Classes whose mutable attributes R6 guards even when the class does
 #: not (yet) construct a lock of its own. These are the shared-state
-#: homes named by the concurrency design notes: the batch executors,
-#: the search facade the serving layer drives from many tasks at once,
-#: the metrics registry, and the prepared-tables LRU cache owner.
+#: homes named by the concurrency design notes: the pool-owning
+#: executors, the metrics registry, and the prepared-tables LRU cache
+#: owner.
 GUARDED_CLASSES = frozenset(
     {
-        "ANNSearcher",
-        "BatchExecutor",
         "ProcessBatchExecutor",
         "ScatterGatherExecutor",
         "MetricsRegistry",
