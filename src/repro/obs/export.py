@@ -22,7 +22,7 @@ import json
 from pathlib import Path
 
 from ..exceptions import DatasetError
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 
 __all__ = [
     "parse_prometheus",
@@ -44,12 +44,12 @@ def to_prometheus(registry: MetricsRegistry) -> str:
         if metric.help:
             lines.append(f"# HELP {metric.name} {_escape_help(metric.help)}")
         lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if isinstance(metric, (Counter, Gauge)):
+        if not isinstance(metric, Histogram):
             for labels, value in metric.samples():
                 lines.append(
                     f"{metric.name}{_format_labels(labels)} {_format_value(value)}"
                 )
-        elif isinstance(metric, Histogram):
+        else:
             for labels, counts, total, count in metric.samples():
                 bounds = [repr(b) for b in metric.buckets] + ["+Inf"]
                 for bound, cumulative in zip(bounds, counts):

@@ -1,12 +1,16 @@
 """Metric primitives and the registry aggregating them.
 
-Three Prometheus-style metric kinds cover everything the query path
-reports:
+A :class:`Family` row declares one exported family (the library's rows
+are :data:`repro.obs.families.FAMILIES`); :meth:`MetricsRegistry.register`
+builds the instrument its kind names:
 
 * :class:`Counter` — monotonically increasing totals (vectors scanned,
   vectors pruned, prepared-cache hits/misses, queries served);
-* :class:`Gauge` — last-observed values (the live pruning-rate gauge
-  backing the paper's >95% claim, per-worker scan speed);
+* :class:`Gauge` — last-set values (per-worker scan speed, overlay
+  sizes);
+* :class:`Ratio` — a gauge computed when it is read, one counter over
+  the sum of others (the live pruning rate backing the paper's >95%
+  claim, the cache hit ratio, the partial-result rate);
 * :class:`Histogram` — bucketed latency distributions (per-stage span
   durations, whole-batch wall time).
 
@@ -22,6 +26,7 @@ import math
 import re
 import threading
 from collections.abc import Mapping, Sequence
+from typing import Any, NamedTuple
 
 from ..exceptions import ConfigurationError
 
@@ -62,6 +67,23 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
 LabelKey = tuple[str, ...]
 
 
+class Family(NamedTuple):
+    """One declared metric family: what the registry builds and exports.
+
+    ``kind`` is ``"counter"``, ``"gauge"`` or ``"histogram"``; only a
+    histogram reads ``buckets``. A gauge with ``ratio`` is derived: it
+    reads the counter ``ratio[0]`` over the sum of the counters
+    ``ratio[1:]``, all registered before it.
+    """
+
+    name: str
+    kind: str
+    labels: tuple[str, ...] = ()
+    help: str = ""
+    buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
+    ratio: tuple[str, ...] = ()
+
+
 class Metric:
     """Base class: name/label validation and per-family locking."""
 
@@ -94,17 +116,39 @@ class Metric:
     def _label_dict(self, key: LabelKey) -> dict[str, str]:
         return dict(zip(self.labelnames, key))
 
+    def samples(self) -> list[Any]:
+        """Every labelled series, label-sorted."""
+        raise NotImplementedError
 
-class Counter(Metric):
-    """A monotonically increasing total, optionally labelled."""
 
-    kind = "counter"
+class _Scalar(Metric):
+    """One float per label set: the storage a counter and a gauge share."""
 
     def __init__(
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> None:
         super().__init__(name, help, labelnames)
         self._values: dict[LabelKey, float] = {}
+
+    def value(self, **labels: str) -> float:
+        """Current value of the labelled child (0 if never written)."""
+        key = self._key(labels)
+        with self._lock:
+            return self._values.get(key, 0.0)
+
+    def samples(self) -> list[tuple[dict[str, str], float]]:
+        """All (labels, value) children, label-sorted."""
+        return [(self._label_dict(key), value) for key, value in self._items()]
+
+    def _items(self) -> list[tuple[LabelKey, float]]:
+        with self._lock:
+            return sorted(self._values.items())
+
+
+class Counter(_Scalar):
+    """A monotonically increasing total, optionally labelled."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         """Add ``amount`` (must be >= 0) to the labelled child."""
@@ -116,44 +160,58 @@ class Counter(Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: str) -> float:
-        """Current total of the labelled child (0 if never incremented)."""
-        key = self._key(labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
 
-    def samples(self) -> list[tuple[dict[str, str], float]]:
-        """All (labels, value) children, label-sorted."""
-        with self._lock:
-            items = sorted(self._values.items())
-        return [(self._label_dict(key), value) for key, value in items]
-
-
-class Gauge(Metric):
+class Gauge(_Scalar):
     """A value that can go up and down; reports the last set value."""
 
     kind = "gauge"
-
-    def __init__(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> None:
-        super().__init__(name, help, labelnames)
-        self._values: dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
         key = self._key(labels)
         with self._lock:
             self._values[key] = float(value)
 
+
+class Ratio(Metric):
+    """A gauge computed when read: a counter over the sum of counters.
+
+    One sample per label set whose denominator is positive. The
+    numerator is read first, so a recorder that counts each denominator
+    before its (smaller) numerator never lets a read exceed 1.
+    """
+
+    kind = "gauge"
+
+    def __init__(
+        self,
+        name: str,
+        help: str,
+        labelnames: Sequence[str],
+        numerator: Counter,
+        denominators: Sequence[Counter],
+    ) -> None:
+        super().__init__(name, help, labelnames)
+        self._numerator = numerator
+        self._denominators = tuple(denominators)
+
     def value(self, **labels: str) -> float:
-        key = self._key(labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
+        """The labelled ratio now (0 while its denominator is 0)."""
+        return dict(self._ratios()).get(self._key(labels), 0.0)
 
     def samples(self) -> list[tuple[dict[str, str], float]]:
-        with self._lock:
-            items = sorted(self._values.items())
-        return [(self._label_dict(key), value) for key, value in items]
+        return [(self._label_dict(key), value) for key, value in self._ratios()]
+
+    def _ratios(self) -> list[tuple[LabelKey, float]]:
+        numerator = dict(self._numerator._items())
+        totals: dict[LabelKey, float] = {}
+        for counter in self._denominators:
+            for key, value in counter._items():
+                totals[key] = totals.get(key, 0.0) + value
+        return [
+            (key, numerator.get(key, 0.0) / total)
+            for key, total in sorted(totals.items())
+            if total > 0
+        ]
 
 
 class _HistogramChild:
@@ -250,136 +308,77 @@ class Histogram(Metric):
 class MetricsRegistry:
     """Get-or-create registry of metric families, keyed by name.
 
-    Re-requesting an existing name returns the same object, provided the
-    kind and label names match (mismatches raise
+    Registering a name again returns the same instrument, provided the
+    row is the one it was built from (a different row raises
     :class:`~repro.exceptions.ConfigurationError` — two call sites
     silently disagreeing about a metric is a bug, not a merge).
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Metric] = {}
+        # name -> (row, instrument); the instrument's class follows the
+        # row's kind, which is data, hence ``Any``.
+        self._metrics: dict[str, tuple[Family, Any]] = {}
         self._lock = threading.Lock()
 
-    def counter(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> Counter:
-        metric = self._get_or_create(Counter, name, help, labelnames)
-        if not isinstance(metric, Counter):  # pragma: no cover - guarded
-            raise ConfigurationError(f"{name} is not a counter")
-        return metric
-
-    def gauge(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> Gauge:
-        metric = self._get_or_create(Gauge, name, help, labelnames)
-        if not isinstance(metric, Gauge):  # pragma: no cover - guarded
-            raise ConfigurationError(f"{name} is not a gauge")
-        return metric
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
+    def register(self, family: Family) -> Any:
+        """The instrument of ``family`` (a :class:`Counter`, :class:`Gauge`,
+        :class:`Ratio` or :class:`Histogram`, as its kind says)."""
         with self._lock:
-            existing = self._metrics.get(name)
-            if existing is None:
-                metric = Histogram(name, help, labelnames, buckets)
-                self._metrics[name] = metric
-                return metric
-        self._check_compatible(existing, "histogram", labelnames)
-        if not isinstance(existing, Histogram):  # pragma: no cover - guarded
-            raise ConfigurationError(f"{name} is not a histogram")
-        if existing.buckets != tuple(float(b) for b in buckets):
+            if family.name not in self._metrics:
+                self._metrics[family.name] = (family, self._build(family))
+            declared, metric = self._metrics[family.name]
+        if declared != family:
             raise ConfigurationError(
-                f"histogram {name} re-registered with different buckets"
+                f"metric {family.name} already registered as {declared}, "
+                f"requested {family}"
             )
-        return existing
+        return metric
 
     def collect(self) -> list[Metric]:
         """All registered families, name-sorted."""
         with self._lock:
-            return [self._metrics[name] for name in sorted(self._metrics)]
+            return [self._metrics[name][1] for name in sorted(self._metrics)]
 
-    def get(self, name: str) -> Metric | None:
-        """The family registered under ``name``, if any."""
+    def get(self, name: str) -> Any:
+        """The instrument registered under ``name``, if any."""
         with self._lock:
-            return self._metrics.get(name)
+            entry = self._metrics.get(name)
+        return None if entry is None else entry[1]
 
     def snapshot(self) -> dict[str, object]:
-        """JSON-safe dump of every family and series."""
-        counters: dict[str, object] = {}
-        gauges: dict[str, object] = {}
-        histograms: dict[str, object] = {}
+        """JSON-safe dump of every family and series, grouped by kind."""
+        dump: dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
         for metric in self.collect():
-            if isinstance(metric, Counter):
-                counters[metric.name] = [
-                    {"labels": labels, "value": value}
-                    for labels, value in metric.samples()
-                ]
-            elif isinstance(metric, Gauge):
-                gauges[metric.name] = [
-                    {"labels": labels, "value": value}
-                    for labels, value in metric.samples()
-                ]
-            elif isinstance(metric, Histogram):
-                series = []
-                for labels, counts, total, count in metric.samples():
-                    bucket_map = {
-                        _format_bound(bound): cumulative
-                        for bound, cumulative in zip(metric.buckets, counts)
+            if isinstance(metric, Histogram):
+                bounds = [repr(bound) for bound in metric.buckets] + ["+Inf"]
+                series: list[dict[str, object]] = [
+                    {
+                        "labels": labels,
+                        "buckets": dict(zip(bounds, counts)),
+                        "sum": total,
+                        "count": count,
                     }
-                    bucket_map["+Inf"] = counts[-1]
-                    series.append(
-                        {
-                            "labels": labels,
-                            "buckets": bucket_map,
-                            "sum": total,
-                            "count": count,
-                        }
-                    )
-                histograms[metric.name] = series
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
+                    for labels, counts, total, count in metric.samples()
+                ]
+            else:
+                series = [
+                    {"labels": labels, "value": value}
+                    for labels, value in metric.samples()
+                ]
+            dump[metric.kind + "s"][metric.name] = series
+        return dump
 
-    # -- internals ----------------------------------------------------------
-
-    def _get_or_create(
-        self,
-        factory: type[Counter] | type[Gauge],
-        name: str,
-        help: str,
-        labelnames: Sequence[str],
-    ) -> Metric:
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is None:
-                metric = factory(name, help, labelnames)
-                self._metrics[name] = metric
-                return metric
-        self._check_compatible(existing, factory.kind, labelnames)
-        return existing
-
-    def _check_compatible(
-        self, existing: Metric, kind: str, labelnames: Sequence[str]
-    ) -> None:
-        if existing.kind != kind:
-            raise ConfigurationError(
-                f"metric {existing.name} already registered as "
-                f"{existing.kind}, requested {kind}"
+    def _build(self, family: Family) -> Metric:
+        name, kind, labels, help = family.name, family.kind, family.labels, family.help
+        if family.ratio:
+            numerator, *denominators = (
+                self._metrics[part][1] for part in family.ratio
             )
-        if existing.labelnames != tuple(labelnames):
-            raise ConfigurationError(
-                f"metric {existing.name} already registered with labels "
-                f"{existing.labelnames}, requested {tuple(labelnames)}"
-            )
-
-
-def _format_bound(bound: float) -> str:
-    """Bucket bound as Prometheus prints it."""
-    return repr(bound)
+            return Ratio(name, help, labels, numerator, denominators)
+        if kind == "histogram":
+            return Histogram(name, help, labels, family.buckets)
+        if kind == "counter":
+            return Counter(name, help, labels)
+        if kind == "gauge":
+            return Gauge(name, help, labels)
+        raise ConfigurationError(f"metric {name}: unknown kind {kind!r}")

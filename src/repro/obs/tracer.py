@@ -24,7 +24,8 @@ from collections import deque
 from dataclasses import dataclass
 from types import TracebackType
 
-from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
+from .families import FAMILIES, STAGE_LATENCY_METRIC
+from .metrics import Histogram, MetricsRegistry
 
 __all__ = [
     "NULL_SPAN",
@@ -32,9 +33,6 @@ __all__ = [
     "SpanRecord",
     "Tracer",
 ]
-
-#: Histogram family receiving every finished span's duration.
-STAGE_LATENCY_METRIC = "repro_stage_latency_seconds"
 
 
 @dataclass(frozen=True)
@@ -119,12 +117,7 @@ class Tracer:
         self._lock = threading.Lock()
         self._histogram: Histogram | None = None
         if registry is not None:
-            self._histogram = registry.histogram(
-                STAGE_LATENCY_METRIC,
-                help="Wall time of each query-pipeline stage.",
-                labelnames=("stage",),
-                buckets=DEFAULT_LATENCY_BUCKETS,
-            )
+            self._histogram = registry.register(FAMILIES[STAGE_LATENCY_METRIC])
 
     def span(self, stage: str) -> _ActiveSpan:
         """Context manager timing one pipeline stage."""

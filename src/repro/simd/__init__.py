@@ -38,7 +38,6 @@ from .kernels import (
     libpq_kernel,
     naive_kernel,
     quickadc_kernel,
-    simdscan_kernel,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "libpq_kernel",
     "naive_kernel",
     "quickadc_kernel",
-    "simdscan_kernel",
     "simulate_pq_scan",
 ]
 

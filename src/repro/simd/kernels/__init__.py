@@ -4,7 +4,7 @@ from .base import KernelRun, make_executor
 from .fastscan import build_block_layout, fastscan_kernel
 from .quickadc import quickadc_kernel
 from .scalar import libpq_kernel, naive_kernel
-from .simdscan import avx_kernel, gather_kernel, simdscan_kernel
+from .simdscan import avx_kernel, gather_kernel
 
 #: PQ Scan baseline kernels keyed by the paper's implementation names.
 SCAN_KERNELS = {
@@ -25,5 +25,4 @@ __all__ = [
     "make_executor",
     "naive_kernel",
     "quickadc_kernel",
-    "simdscan_kernel",
 ]

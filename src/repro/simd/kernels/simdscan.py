@@ -21,17 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...core.grouping import GroupedPartition
-from ...core.quantization import SATURATION, DistanceQuantizer
 from ...dtypes import AnyCodeArray, FloatArray, UInt8Array, UInt64Array
-from ...exceptions import SimulationError
 from ...scan.layout import transpose_codes
 from ..arch import CPUModel
 from ..executor import Executor
 from .base import FLOAT32_TABLES, KernelRun, load_tables, make_executor
-from .fastscan import _BLOCK, _NIBBLE_MASK, build_block_layout
 
-__all__ = ["avx_kernel", "gather_kernel", "simdscan_kernel"]
+__all__ = ["avx_kernel", "gather_kernel"]
 
 _LANES = 8
 
@@ -139,127 +135,6 @@ def gather_kernel(
         name="gather",
         min_distance=float(ex.reg("min")),
         min_position=min_pos,
-        n_vectors=n,
-        counters=ex.counters,
-        cpu=ex.cpu,
-    )
-
-
-def simdscan_kernel(
-    cpu: CPUModel | str | Executor,
-    tables_remapped: FloatArray,
-    grouped: GroupedPartition,
-    *,
-    qmax: float | None = None,
-) -> KernelRun:
-    """Quantization-only SIMD scan: ``pminub`` running minimum, no pruning.
-
-    A Quick-ADC-style variant of the Fast Scan stream: per block of 16
-    vectors it computes the same saturating-sum lower bounds as
-    :func:`~repro.simd.kernels.fastscan.fastscan_kernel`, but instead of
-    the threshold compare / survivor mask / exact path, a single
-    ``pminub`` folds the 16 bounds into a running minimum register.
-    Because floor-quantized codes occupy 0..127, the unsigned byte
-    minimum coincides with the signed one.
-
-    The result is *approximate* in the quantization domain: the kernel
-    returns the exact ADC distance of the row minimizing the quantized
-    lower bound (ties broken by exact distance), which can exceed the
-    true minimum by at most ``m * bin_size``.
-    """
-    ex = make_executor(cpu)
-    tables = np.asarray(tables_remapped, dtype=np.float64)
-    m, c = grouped.m, grouped.c
-    n = len(grouped)
-    if n == 0:
-        raise SimulationError("cannot simulate an empty partition")
-    if qmax is None:
-        # Naive bound: every representable distance fits without
-        # saturating, keeping the quantized argmin meaningful.
-        qmax = float(tables.max(axis=1).sum())
-
-    quantizer = DistanceQuantizer.from_tables(tables, qmax)
-    q_tables = (
-        quantizer.quantize_table(tables[:c]) if c else np.empty((0, 256), np.int8)
-    )
-    from ...core.minimum_tables import minimum_tables  # local import: avoid cycle
-
-    if m > c:
-        q_min = quantizer.quantize_table(minimum_tables(tables, np.arange(c, m)))
-    else:
-        q_min = np.empty((0, 16), dtype=np.int8)
-    cdb, group_blocks, full_codes = build_block_layout(grouped)
-
-    load_tables(ex, tables)
-    ex.memory.add("qportions", q_tables.view(np.uint8).reshape(-1))
-    if len(q_min):
-        ex.memory.add("minitabs", q_min.view(np.uint8).reshape(-1))
-    ex.memory.add(
-        "cdb", cdb.reshape(-1) if cdb.size else np.zeros(1, np.uint8), streamed=True
-    )
-
-    n_low = grouped.packed_low.shape[1]
-    n_slices = n_low + (m - c)
-    for t in range(m - c):
-        ex.vload_128(f"M{t}", "minitabs", t * 16)
-    ex.vbroadcast_i8("best", SATURATION)
-    ex.mov_imm("b", 0)
-
-    best_code = SATURATION + 1
-    candidates: list[int] = []
-    block_bytes = n_slices * _BLOCK
-    for group, (first_block, n_blocks) in zip(grouped.groups, group_blocks):
-        for j in range(c):
-            ex.vload_128(f"S{j}", "qportions", j * 256 + group.key[j] * 16)
-        for blk in range(n_blocks):
-            base_byte = (first_block + blk) * block_bytes
-            for s in range(n_slices):
-                ex.vload_128(f"b{s}", "cdb", base_byte + s * 16)
-            lookups = []
-            for j in range(c):
-                byte, half = divmod(j, 2)
-                if half == 0:
-                    ex.pand("idx", f"b{byte}", _NIBBLE_MASK)
-                else:
-                    ex.psrlw("tmp", f"b{byte}", 4)
-                    ex.pand("idx", "tmp", _NIBBLE_MASK)
-                ex.pshufb(f"l{j}", f"S{j}", "idx")
-                lookups.append(f"l{j}")
-            for t in range(m - c):
-                ex.psrlw("tmp", f"b{n_low + t}", 4)
-                ex.pand("idx", "tmp", _NIBBLE_MASK)
-                ex.pshufb(f"l{c + t}", f"M{t}", "idx")
-                lookups.append(f"l{c + t}")
-            ex.mov("lb", lookups[0])
-            for name in lookups[1:]:
-                ex.paddsb("lb", "lb", name)
-            ex.pminub("best", "best", "lb")
-            # Block-loop bookkeeping.
-            ex.add_u64("b", "b", 1)
-            ex.cmp_u64("b", 1 << 62)
-            ex.branch(site="simd-loop", taken=True)
-            # Host side: remember which rows attain the running minimum
-            # (the real kernel recovers them from "best" at scan end).
-            lanes = np.asarray(ex.reg("lb"), dtype=np.uint8)
-            row0 = group.start + blk * _BLOCK
-            n_valid = min(_BLOCK, group.stop - row0)
-            for lane in range(n_valid):
-                value = int(lanes[lane])
-                if value < best_code:
-                    best_code = value
-                    candidates = [row0 + lane]
-                elif value == best_code:
-                    candidates.append(row0 + lane)
-
-    from ...pq.adc import adc_distances  # local import: avoid cycle
-
-    rows = np.asarray(sorted(set(candidates)), dtype=np.int64)
-    dists = adc_distances(tables, full_codes[rows])
-    pos = int(np.argmin(dists))
-    return KernelRun(
-        name="simdscan",
-        min_distance=float(dists[pos]),
-        min_position=int(rows[pos]),
         n_vectors=n,
         counters=ex.counters,
         cpu=ex.cpu,

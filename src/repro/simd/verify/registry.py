@@ -26,7 +26,6 @@ from ..kernels import (
     libpq_kernel,
     naive_kernel,
     quickadc_kernel,
-    simdscan_kernel,
 )
 from .interp import VerifierError, verify_stream
 from .trace import InstructionStream, TracingExecutor
@@ -41,7 +40,7 @@ __all__ = [
 #: All verifiable kernels, in the paper's presentation order (plus the
 #: Quick ADC successor kernel).
 KERNEL_NAMES = (
-    "scalar", "libpq", "avx", "gather", "fastscan", "simdscan", "quickadc",
+    "scalar", "libpq", "avx", "gather", "fastscan", "quickadc",
 )
 
 #: Rows / components of the synthetic workload: two 16-vector blocks per
@@ -103,8 +102,6 @@ def capture(kernel: str, platform: str = "haswell") -> InstructionStream:
         gather_kernel(ex, tables, _workload_codes())
     elif kernel == "fastscan":
         fastscan_kernel(ex, tables, _workload_grouped(), keep=0.05)
-    elif kernel == "simdscan":
-        simdscan_kernel(ex, tables, _workload_grouped())
     else:
         quickadc_kernel(
             ex, _workload_tables_4bit(), _workload_codes_4bit(),

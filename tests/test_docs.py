@@ -160,3 +160,21 @@ def test_named_members_resolve(doc):
     assert not unresolved, (
         f"{doc_id(doc)} names members that do not exist: {unresolved}"
     )
+
+
+#: One row of ``docs/observability.md``'s family table: name, kind, labels.
+FAMILY_ROW = re.compile(r"^\|\s*`(repro_\w+)`\s*\|\s*(\w+)\s*\|([^|]*)\|", re.MULTILINE)
+
+
+def test_observability_doc_lists_the_declared_families():
+    from repro.obs.families import FAMILIES
+
+    declared = {(f.name, f.kind, f.labels) for f in FAMILIES.values()}
+    documented = {
+        (name, kind, tuple(re.findall(r"`(\w+)`", labels)))
+        for name, kind, labels in FAMILY_ROW.findall(
+            (ROOT / "docs" / "observability.md").read_text()
+        )
+    }
+    assert sorted(documented - declared) == [], "documented, not declared"
+    assert sorted(declared - documented) == [], "declared, not documented"

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import asyncio
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,15 +28,18 @@ from repro.obs import (
     to_prometheus,
     write_snapshots,
 )
+from repro.obs.families import FAMILIES
+from repro.obs.metrics import Family
 from repro.obs.snapshot import check_snapshot, run_snapshot
 from repro.parallel import ProcessBatchExecutor, ScannerSpec
+from repro.serve import MicroBatchServer, ServeConfig
 from repro.simd.counters import WorkerStats
 
 
 class TestMetricsPrimitives:
     def test_counter_accumulates_per_label(self):
         reg = MetricsRegistry()
-        c = reg.counter("repro_test_total", labelnames=("scanner",))
+        c = reg.register(Family("repro_test_total", "counter", ("scanner",)))
         c.inc(3, scanner="naive")
         c.inc(2, scanner="naive")
         c.inc(1, scanner="fastpq")
@@ -41,12 +48,12 @@ class TestMetricsPrimitives:
         assert c.value(scanner="never") == 0
 
     def test_counter_rejects_decrease(self):
-        c = MetricsRegistry().counter("repro_test_total")
+        c = MetricsRegistry().register(Family("repro_test_total", "counter"))
         with pytest.raises(ConfigurationError):
             c.inc(-1)
 
     def test_label_mismatch_rejected(self):
-        c = MetricsRegistry().counter("repro_test_total", labelnames=("a",))
+        c = MetricsRegistry().register(Family("repro_test_total", "counter", ("a",)))
         with pytest.raises(ConfigurationError):
             c.inc(1, b="x")
         with pytest.raises(ConfigurationError):
@@ -54,19 +61,19 @@ class TestMetricsPrimitives:
 
     def test_invalid_metric_name_rejected(self):
         with pytest.raises(ConfigurationError):
-            MetricsRegistry().counter("bad name")
+            MetricsRegistry().register(Family("bad name", "counter"))
         with pytest.raises(ConfigurationError):
-            MetricsRegistry().counter("ok_name", labelnames=("bad-label",))
+            MetricsRegistry().register(Family("ok_name", "counter", ("bad-label",)))
 
     def test_gauge_last_value_wins(self):
-        g = MetricsRegistry().gauge("repro_test_gauge")
+        g = MetricsRegistry().register(Family("repro_test_gauge", "gauge"))
         g.set(1.5)
         g.set(0.25)
         assert g.value() == 0.25
 
     def test_histogram_cumulative_buckets(self):
-        h = MetricsRegistry().histogram(
-            "repro_test_seconds", buckets=(0.01, 0.1, 1.0)
+        h = MetricsRegistry().register(
+            Family("repro_test_seconds", "histogram", buckets=(0.01, 0.1, 1.0))
         )
         for value in (0.005, 0.05, 0.5, 5.0):
             h.observe(value)
@@ -78,23 +85,23 @@ class TestMetricsPrimitives:
     def test_histogram_bucket_validation(self):
         reg = MetricsRegistry()
         with pytest.raises(ConfigurationError):
-            reg.histogram("repro_h1_seconds", buckets=())
+            reg.register(Family("repro_h1_seconds", "histogram", buckets=()))
         with pytest.raises(ConfigurationError):
-            reg.histogram("repro_h2_seconds", buckets=(1.0, 0.5))
+            reg.register(Family("repro_h2_seconds", "histogram", buckets=(1.0, 0.5)))
         with pytest.raises(ConfigurationError):
-            reg.histogram("repro_h3_seconds", buckets=(1.0, float("inf")))
+            reg.register(Family("repro_h3_seconds", "histogram", buckets=(1.0, float("inf"))))
 
     def test_registry_get_or_create_and_kind_conflicts(self):
         reg = MetricsRegistry()
-        c1 = reg.counter("repro_x_total", labelnames=("a",))
-        assert reg.counter("repro_x_total", labelnames=("a",)) is c1
+        c1 = reg.register(Family("repro_x_total", "counter", ("a",)))
+        assert reg.register(Family("repro_x_total", "counter", ("a",))) is c1
         with pytest.raises(ConfigurationError):
-            reg.gauge("repro_x_total")
+            reg.register(Family("repro_x_total", "gauge", ("a",)))
         with pytest.raises(ConfigurationError):
-            reg.counter("repro_x_total", labelnames=("b",))
+            reg.register(Family("repro_x_total", "counter", ("b",)))
 
     def test_counters_are_thread_safe(self):
-        c = MetricsRegistry().counter("repro_thread_total")
+        c = MetricsRegistry().register(Family("repro_thread_total", "counter"))
 
         def bump():
             for _ in range(1000):
@@ -405,3 +412,159 @@ class TestBenchEmission:
         assert counters["repro_vectors_scanned_total"]
         assert summary["n_queries"] == 8
         assert summary["stage_latency"]["scan"]["count"] > 0
+
+
+# -- the family table --------------------------------------------------------
+
+#: Samples the facade exported for :func:`_record_sequence` before the
+#: families became one table; the table must export the same numbers.
+PINNED_SAMPLES = Path(__file__).parent / "data" / "obs_record_sequence.txt"
+
+
+def _record_sequence(obs):
+    """Every record method in a fixed order, eight threads recording scans
+    at once first; returns the pruning rates a reader saw meanwhile."""
+    done = threading.Event()
+    seen = []
+
+    def read_rates():
+        rate = obs.metrics.get("repro_pruning_rate")
+        while not done.is_set():
+            seen.extend(value for _, value in rate.samples())
+
+    def scans(thread):
+        # Each call prunes all it scans, so the rate is 1 throughout: a
+        # read that took the scanned count before the pruned one would
+        # see more pruned than scanned.
+        for _ in range(300):
+            obs.record_scan("fastpq", 1000 + thread, 1000 + thread)
+
+    reader = threading.Thread(target=read_rates)
+    reader.start()
+    writers = [threading.Thread(target=scans, args=(t,)) for t in range(8)]
+    for t in writers:
+        t.start()
+    for t in writers:
+        t.join(timeout=30)
+    done.set()
+    reader.join(timeout=30)
+    assert not any(t.is_alive() for t in (reader, *writers))
+    obs.record_scan("fastpq", 64_000, 3)
+    obs.record_scan("naive", 4096, 0)
+    obs.record_scan("qonly", 0, 0)
+    for hit in (False, True, True, False, True, True, True):
+        obs.record_cache_access(hit)
+    obs.record_cache_eviction()
+    stats = WorkerStats(worker_id=0)
+    stats.record_job(
+        n_scans=3, n_vectors_scanned=3000, n_vectors_pruned=2900,
+        busy_time_s=0.004,
+    )
+    obs.record_batch(32, 0.0125, [stats, WorkerStats(worker_id=1)])
+    obs.record_batch(8, 0.5)
+    obs.record_shard("0", 0.002, "ok")
+    obs.record_shard("1", 0.75, "timeout")
+    obs.record_shard("1", 0.01, "failed")
+    obs.record_shard_retry("1")
+    for partial in (False, False, True):
+        obs.record_gather(partial)
+    obs.record_gather_overlap(0.0003)
+    obs.record_pool_spinup("gather")
+    obs.record_pool_reuse("gather")
+    obs.record_pool_reuse("gather")
+    obs.record_request("ok", 0.001, 0.004)
+    obs.record_request("overload")
+    obs.record_flush(4, "size")
+    obs.record_flush(1, "deadline")
+    obs.record_mutation("add", 3, 3, 0)
+    obs.record_mutation("delete", 2, 3, 2)
+    obs.record_compaction(0.3, 1, 0, 0)
+    return seen
+
+
+class TestSameExportedNumbers:
+    def test_record_sequence_exports_the_pinned_samples(self):
+        obs = Observability(enabled=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so races show
+        try:
+            seen = _record_sequence(obs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen and max(seen) <= 1.0
+        lines = obs.export_prometheus().splitlines()
+        samples = [line for line in lines if not line.startswith("#")]
+        assert samples == PINNED_SAMPLES.read_text().splitlines()
+
+    def test_a_write_between_the_two_reads_keeps_the_rate_at_most_1(self):
+        obs = Observability(enabled=True)
+        obs.record_scan("fastpq", 100, 100)
+        scanned = obs.metrics.get("repro_vectors_scanned_total")
+        read = scanned._items
+
+        def read_then_write():
+            items = read()
+            obs.record_scan("fastpq", 100, 100)  # lands between the reads
+            return items
+
+        scanned._items = read_then_write
+        assert obs.metrics.get("repro_pruning_rate").value(scanner="fastpq") == 1.0
+
+
+#: Families only a fault writes, each with the fault test asserting it.
+FAULT_ONLY = {
+    "repro_shard_timeouts_total": (
+        "test_shard.py", "test_stalled_shard_yields_partial_within_deadline"
+    ),
+    "repro_shard_failures_total": (
+        "test_shard.py", "test_degraded_run_records_partial_and_failure"
+    ),
+    "repro_shard_retries_total": (
+        "test_shard.py", "test_degraded_run_records_partial_and_failure"
+    ),
+    "repro_partial_results_total": (
+        "test_shard.py", "test_degraded_run_records_partial_and_failure"
+    ),
+    "repro_prepared_cache_evictions_total": (
+        "test_parallel.py", "test_evictions_exported_via_observability"
+    ),
+}
+
+
+class TestEveryFamilyIsWritten:
+    def test_a_served_mutable_sharded_engine_writes_every_family(self, dataset):
+        config = ServeConfig(max_batch=4, max_delay_s=0.002)
+        queries = dataset.queries
+        with observability_session() as obs, Engine.build(
+            dataset.base[:4000], n_partitions=4, nprobe=2, max_iter=2,
+            coarse_max_iter=2, scanner="fastpq", n_shards=2,
+            executor="thread", mutable=True,
+        ) as engine:
+            server = MicroBatchServer.for_engine(engine, k=5, config=config)
+
+            async def serve():
+                async with server:
+                    return await asyncio.gather(
+                        *(server.search(q) for q in queries),
+                        server.add(queries[0], 1_000_000),
+                        server.delete(7),
+                        *(server.search(q) for q in queries),
+                    )
+
+            assert all(r.ok for r in asyncio.run(serve()))
+            engine.compact()
+        silent = [
+            name for name in FAMILIES
+            if name not in FAULT_ONLY and not obs.metrics.get(name).samples()
+        ]
+        assert silent == []
+
+    @pytest.mark.parametrize("family", sorted(FAULT_ONLY))
+    def test_a_fault_only_family_is_asserted_by_its_fault_test(self, family):
+        filename, test = FAULT_ONLY[family]
+        source = (Path(__file__).parent / filename).read_text()
+        (node,) = [
+            node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == test
+        ]
+        assert f'"{family}"' in ast.get_source_segment(source, node)

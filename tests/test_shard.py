@@ -284,17 +284,20 @@ class TestGracefulDegradation:
         executor = ScatterGatherExecutor(
             sharded, scanners, deadline_s=0.5, backend="thread"
         )
-        try:
-            start = time.perf_counter()
-            response = executor.run(batch_queries, topk=10, nprobe=8)
-            elapsed = time.perf_counter() - start
-        finally:
-            release.set()
+        with observability_session() as obs:
+            try:
+                start = time.perf_counter()
+                response = executor.run(batch_queries, topk=10, nprobe=8)
+                elapsed = time.perf_counter() - start
+            finally:
+                release.set()
         assert elapsed < 5.0  # returned promptly, did not join the stall
         assert response.partial
         assert response.status_for(0).state == STATE_OK
         assert response.status_for(1).state == STATE_TIMEOUT
         assert "deadline" in response.status_for(1).error
+        timeouts = obs.metrics.get("repro_shard_timeouts_total")
+        assert timeouts.samples() == [({"shard": "1"}, 1.0)]
         # Healthy-shard scans still produced results for every query.
         assert len(response.results) == len(batch_queries)
         for result in response.results:

@@ -15,10 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.grouping import GroupedPartition
-from repro.ivf.partition import Partition
-from repro.pq.adc import adc_distances
-from repro.simd import simdscan_kernel
 from repro.simd.arch import get_platform
 from repro.simd.verify import (
     KERNEL_NAMES,
@@ -192,52 +188,6 @@ class TestSeededDefects:
         )
         # The unmutated capture stays clean.
         assert verify_stream(stream) == []
-
-
-class TestSimdscanKernel:
-    def test_simdscan_minimizes_the_quantized_lower_bound(self):
-        from repro.core.minimum_tables import minimum_tables
-        from repro.core.quantization import DistanceQuantizer
-
-        rng = np.random.default_rng(7)
-        tables = rng.uniform(0.5, 9.5, size=(8, 256)).astype(np.float32)
-        codes = rng.integers(0, 256, size=(200, 8), dtype=np.uint8)
-        grouped = GroupedPartition(
-            Partition(codes, np.arange(len(codes), dtype=np.int64), 0), c=2
-        )
-        run = simdscan_kernel("haswell", tables, grouped)
-        tables64 = np.asarray(tables, dtype=np.float64)
-        ref = adc_distances(tables64, grouped.reconstruct_all())
-        # Reported distance is the exact ADC distance of the reported row
-        # and can never undershoot the true minimum.
-        assert run.min_distance >= float(ref.min()) - 1e-9
-        assert ref[run.min_position] == pytest.approx(run.min_distance)
-        # Host-side reference lower bounds (floor-quantized entries for
-        # grouped components, minimum tables for the tail; saturating sum
-        # of non-negatives == min(sum, 127)).
-        m, c = grouped.m, grouped.c
-        qmax = float(tables64.max(axis=1).sum())
-        quantizer = DistanceQuantizer.from_tables(tables64, qmax)
-        q_t = quantizer.quantize_table(tables64[:c]).astype(np.int64)
-        q_min = quantizer.quantize_table(
-            minimum_tables(tables64, np.arange(c, m))
-        ).astype(np.int64)
-        g_codes = grouped.reconstruct_all().astype(np.int64)
-        lb = sum(q_t[j, g_codes[:, j]] for j in range(c))
-        lb = lb + sum(q_min[t, g_codes[:, c + t] >> 4] for t in range(m - c))
-        lb = np.minimum(lb, 127)
-        # The kernel's row attains the minimal lower bound, and among
-        # those candidates it reports the exact-distance minimum.
-        assert lb[run.min_position] == int(lb.min())
-        candidates = np.flatnonzero(lb == lb.min())
-        assert run.min_distance == pytest.approx(float(ref[candidates].min()))
-
-    def test_simdscan_uses_pminub(self):
-        stream = capture("simdscan")
-        ops = {ins.op for ins in stream.instructions}
-        assert "pminub" in ops
-        # No pruning machinery in this kernel.
-        assert "pcmpgtb" not in ops and "pmovmskb" not in ops
 
 
 class TestTracingExecutor:
