@@ -603,9 +603,10 @@ class Engine:
         :func:`~repro.delta.fold_index` builds the next-generation base
         from the codes :meth:`add` made (nothing is encoded again).
         When the engine has an artifact it is re-saved atomically
-        (:mod:`repro.persistence`) and reloaded with the same ``mmap``
-        mode. The swap then publishes the new base under the engine
-        lock: a fresh executor, a bumped epoch, and
+        (:mod:`repro.persistence`); a memory-mapped engine then reloads
+        it so that the new base maps the new file, any other publishes
+        the folded index it saved. The swap publishes the new base under
+        the engine lock: a fresh executor, a bumped epoch, and
         :meth:`~repro.delta.DeltaStore.commit` dropping exactly the
         drained state — writes that raced the fold survive in the
         overlay and stay correct. In-flight readers pinned to the old
@@ -648,7 +649,8 @@ class Engine:
             index_file = self._index_file
             if index_file is not None:
                 save_index(folded, index_file)
-                folded = load_index(index_file, mmap=self._mmap)
+                if self._mmap:  # map the new file; otherwise publish what was saved
+                    folded = load_index(index_file, mmap=True)
             if self.sharded is not None:
                 new_sharded = ShardedIndex.from_index(
                     folded,

@@ -252,23 +252,35 @@ class NibblePartition:
     def lower_bounds(self, q_tables: np.ndarray) -> np.ndarray:
         """Saturating lower bounds of every row, one lookup per byte.
 
-        The same integers as :func:`nibble_lower_bounds` (and as the
-        kernel's ``pshufb``/``paddsb`` fold), from one 256-entry *pair
-        table* per packed byte,
+        ``q_tables`` is a ``(b, m, 16)`` stack of quantized tables and
+        the result the ``(b, n)`` bound block; one ``(m, 16)`` table is a
+        stack of one and returns ``(n,)``. Row ``i`` holds the same
+        integers as :func:`nibble_lower_bounds` over ``q_tables[i]``
+        (and as the kernel's ``pshufb``/``paddsb`` fold), from one
+        256-entry *pair table* per packed byte and query,
         ``pair[s][hi << 4 | lo] = q_tables[2s][lo] + q_tables[2s+1][hi]``:
         the packed byte is the index, so no nibble is extracted per
-        query. Entries are 0..127, so a pair is at most 254 and the
-        int16 sum of ``ceil(m/2)`` pairs cannot wrap before the clamp.
+        query, and one ``take`` per byte serves the whole stack (the
+        byte row is decoded to indexes once, not once per query).
+        Entries are 0..127, so a pair is at most 254 and the int16 sum of
+        ``ceil(m/2)`` pairs cannot wrap before the clamp.
         """
         q_tables = np.asarray(q_tables)
-        if q_tables.shape != (self.m, 16):
+        if q_tables.ndim not in (2, 3) or q_tables.shape[-2:] != (self.m, 16):
             raise ConfigurationError(
-                f"expected ({self.m}, 16) quantized tables, got {q_tables.shape}"
+                f"expected ({self.m}, 16) quantized tables or a (b, {self.m}, 16) "
+                f"stack, got {q_tables.shape}"
             )
-        padded = np.zeros((2 * len(self.packed), 16), dtype=np.int16)
-        padded[: self.m] = q_tables  # odd m: the padding nibble reads zeros
-        pair = (padded[0::2, None, :] + padded[1::2, :, None]).reshape(-1, 256)
-        total = pair[0].take(self.packed[0])
-        for table, column in zip(pair[1:], self.packed[1:]):
-            total += table.take(column)
-        return np.minimum(total, 127, out=total)
+        stack = q_tables.reshape(-1, self.m, 16)
+        n_slices = len(self.packed)
+        padded = np.zeros((2 * n_slices, len(stack), 16), dtype=np.int16)
+        # Odd m: the padding nibble reads zeros.
+        padded[: self.m] = stack.transpose(1, 0, 2)
+        pair = (padded[0::2, :, None, :] + padded[1::2, :, :, None]).reshape(
+            n_slices, len(stack), 256
+        )
+        total = pair[0].take(self.packed[0], axis=1)
+        for tables, column in zip(pair[1:], self.packed[1:]):
+            total += tables.take(column, axis=1)
+        np.minimum(total, 127, out=total)
+        return total if q_tables.ndim == 3 else total[0]

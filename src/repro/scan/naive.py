@@ -20,7 +20,7 @@ import numpy as np
 
 from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
-from ..pq.adc import adc_distance_single, adc_distances
+from ..pq.adc import adc_distance_single, adc_distances, adc_distances_batch
 from .base import PartitionScanner, ScanBlock, ScanResult
 from .topk import TopKAccumulator, select_topk, select_topk_rows
 
@@ -45,21 +45,16 @@ class NaiveScanner(PartitionScanner):
         """Scan one partition for a whole query batch at once.
 
         ``tables`` is the ``(b, m, k*)`` stack of per-query distance
-        tables. The codes are gathered once per component for the whole
-        batch, the per-component contributions accumulate in the same
-        left-to-right order as :func:`~repro.pq.adc.adc_distances`, and
-        one :func:`~repro.scan.select_topk_rows` selects for every query,
+        tables. :func:`~repro.pq.adc.adc_distances_batch` gathers the
+        codes once per component for the whole batch, summed in
+        :func:`~repro.pq.adc.adc_distances`' order, and one
+        :func:`~repro.scan.select_topk_rows` selects for every query,
         so result ``i`` is bit-identical to ``scan(tables[i], ...)``.
         """
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 3:
             raise DimensionMismatchError(3, tables.ndim, what="array rank")
-        codes = partition.codes
-        if codes.shape[1] != tables.shape[1]:
-            raise DimensionMismatchError(tables.shape[1], codes.shape[1], what="code")
-        distances = tables[:, 0, :].take(codes[:, 0], axis=1)
-        for j in range(1, tables.shape[1]):
-            distances += tables[:, j, :].take(codes[:, j], axis=1)
+        distances = adc_distances_batch(tables, partition.codes)
         n, b = len(partition), len(distances)
         ids, dists = select_topk_rows(distances, partition.ids, topk)
         counts = np.array([[ids.shape[1]], [n], [0]], dtype=np.int64)

@@ -58,14 +58,20 @@ from ..core.sanitize import (
 )
 from ..exceptions import ConfigurationError, DimensionMismatchError, NotFittedError
 from ..ivf.partition import Partition
-from ..pq.adc import adc_distances
+from ..pq.adc import adc_distances, adc_distances_batch
 from ..pq.product_quantizer import ProductQuantizer
 from .base import PartitionScanner, ScanResult
 from .layout import NibblePartition
 from .prepared import PreparedCache
-from .topk import select_topk
+from .topk import select_topk, select_topk_rows
 
 __all__ = ["QuickADCScanner", "QuickADCResult"]
+
+#: Most bounds one :meth:`NibblePartition.lower_bounds` block holds: a
+#: batch's quantized pass runs over as many queries at a time as fit
+#: (all 16 of a 16 384-row partition; one at a time past 2^20 rows), so
+#: the int16 block stays at 2 MiB whatever the batch.
+_BOUND_RUN_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -152,8 +158,13 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
 
         What does not depend on the query (table shape check, layout
         fetch, the sample rows, the sanitizer's code-range check) is
-        done once for the batch; result ``i`` is byte-identical to
-        ``scan(tables[i], ...)``.
+        done once for the batch, and the sample phase, the bounds, the
+        ``kth_bound`` cut and the saturation counts are each one block
+        operation over the batch (the bounds in runs of at most
+        :data:`_BOUND_RUN_CELLS`); only the quantizer and the ragged
+        candidate rerank are per query. Every step is the same
+        elementwise arithmetic in the same order as for one query, so
+        result ``i`` is byte-identical to ``scan(tables[i], ...)``.
         """
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 3:
@@ -189,69 +200,86 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
         # phase; needs at least topk rows to bound qmax.
         n_sample = min(n, max(int(np.ceil(self.keep * n)), topk))
         sample_rows = layout.id_order[:n_sample]
-        sample_codes = codes[sample_rows]
-        sample_ids = ids[sample_rows]
+        # Sample phase: exact ADC seeds every query's topk, one gather
+        # and one selection for the batch.
+        sample_ids, sample_dists = select_topk_rows(
+            adc_distances_batch(tables, codes[sample_rows]), ids[sample_rows], topk
+        )
+        if n_sample == n:
+            # The sample was the whole partition (always so below topk
+            # rows, where no finite qmax exists): the scan is already
+            # exact and complete, no quantized pass needed.
+            return [
+                QuickADCResult(
+                    ids=top_ids, distances=top_dists, n_scanned=n, n_sample=n
+                )
+                for top_ids, top_dists in zip(sample_ids, sample_dists)
+            ]
+
+        # Quantized pass: each query's temporary-NN topk-th distance
+        # bounds its own quantization; every vector's lower bound comes
+        # from one pair-table lookup per packed byte, for a run of
+        # queries at once.
+        thresholds = sample_dists[:, -1].tolist()
+        quantizers = [
+            DistanceQuantizer.from_tables(row, threshold)
+            for row, threshold in zip(tables, thresholds)
+        ]
+        q_tables = np.stack([
+            q.quantize_table(row) for q, row in zip(quantizers, tables)
+        ])
+        # Candidate selection: the sample threshold prunes rows provably
+        # worse than the temporary NN set; the topk-th smallest bound
+        # additionally caps the rerank at the rows that could still
+        # matter. This second cut is where Quick ADC is approximate: ties
+        # in quantized space are resolved by the bound, not the exact
+        # distance.
+        sample_cuts = np.array([
+            q.quantize_threshold(threshold, components=m)
+            for q, threshold in zip(quantizers, thresholds)
+        ])
         fresh = np.ones(n, dtype=np.bool_)
         fresh[sample_rows] = False
 
         results = []
-        for row in tables:
-            # Sample phase: exact ADC seeds the topk.
-            top_ids, top_dists = select_topk(
-                adc_distances(row, sample_codes), sample_ids, topk
-            )
-            if n_sample == n:
-                # The sample was the whole partition (always so below
-                # topk rows, where no finite qmax exists): the scan is
-                # already exact and complete, no quantized pass needed.
-                results.append(QuickADCResult(
-                    ids=top_ids, distances=top_dists, n_scanned=n, n_sample=n
-                ))
-                continue
-
-            # Quantized pass: the temporary-NN topk-th distance bounds
-            # the quantization; every vector's lower bound comes from
-            # one pair-table lookup per packed byte.
-            threshold = float(top_dists[-1])
-            quantizer = DistanceQuantizer.from_tables(row, threshold)
-            q_tables = quantizer.quantize_table(row)
-            bounds = layout.lower_bounds(q_tables)
+        per_run = max(1, _BOUND_RUN_CELLS // n)
+        for start in range(0, len(tables), per_run):
+            stop = start + per_run
+            bounds = layout.lower_bounds(q_tables[start:stop])
             if sanitize:
-                check_saturation_invariant(q_tables, context=context)
-                check_lower_bound_invariant(
-                    bounds, adc_distances(row, codes), quantizer, m, context=context
-                )
-
-            # Candidate selection: the sample threshold prunes rows
-            # provably worse than the temporary NN set; the topk-th
-            # smallest bound additionally caps the rerank at the rows
-            # that could still matter. This second cut is where Quick
-            # ADC is approximate: ties in quantized space are resolved
-            # by the bound, not the exact distance.
-            sample_cut = quantizer.quantize_threshold(threshold, components=m)
-            kth_bound = int(np.partition(bounds, topk - 1)[topk - 1])
-            candidates = np.flatnonzero(
-                (bounds <= min(sample_cut, kth_bound)) & fresh
-            )
-
-            # Exact rerank of candidates only (the sample is already in).
-            if len(candidates):
-                top_ids, top_dists = select_topk(
-                    np.concatenate(
-                        (top_dists, adc_distances(row, codes[candidates]))
-                    ),
-                    np.concatenate((top_ids, ids[candidates])),
-                    topk,
-                )
-            results.append(QuickADCResult(
-                ids=top_ids,
-                distances=top_dists,
-                n_scanned=n,
-                n_pruned=n - n_sample - len(candidates),
-                n_sample=n_sample,
-                n_candidates=len(candidates),
-                n_saturated=int(np.count_nonzero(bounds >= SATURATION)),
-                qmin=quantizer.qmin,
-                qmax=quantizer.qmax,
-            ))
+                for i, row_bounds in enumerate(bounds, start):
+                    check_saturation_invariant(q_tables[i], context=context)
+                    check_lower_bound_invariant(
+                        row_bounds, adc_distances(tables[i], codes), quantizers[i], m,
+                        context=context,
+                    )
+            kth_bounds = np.partition(bounds, topk - 1, axis=1)[:, topk - 1]
+            cuts = np.minimum(sample_cuts[start:stop], kth_bounds)
+            kept = (bounds <= cuts[:, None]) & fresh
+            saturated = np.count_nonzero(bounds >= SATURATION, axis=1)
+            for i, row_kept, n_saturated in zip(
+                range(start, stop), kept, saturated
+            ):
+                # Exact rerank of candidates only (the sample is already in).
+                candidates = np.flatnonzero(row_kept)
+                top_ids, top_dists = sample_ids[i], sample_dists[i]
+                if len(candidates):
+                    top_ids, top_dists = select_topk(
+                        np.concatenate(
+                            (top_dists, adc_distances(tables[i], codes[candidates]))
+                        ),
+                        np.concatenate((top_ids, ids[candidates])),
+                        topk,
+                    )
+                results.append(QuickADCResult(
+                    ids=top_ids,
+                    distances=top_dists,
+                    n_scanned=n,
+                    n_pruned=n - n_sample - len(candidates),
+                    n_sample=n_sample,
+                    n_candidates=len(candidates),
+                    n_saturated=int(n_saturated),
+                    qmin=quantizers[i].qmin,
+                    qmax=quantizers[i].qmax,
+                ))
         return results

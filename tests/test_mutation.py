@@ -41,6 +41,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+import repro.engine
 import repro.pq.quantizer
 from repro import (
     ANNSearcher,
@@ -340,6 +341,37 @@ class TestGenerationPersistence:
             cold = reloaded.search(new_vectors[0], k=5, nprobe=4)
             assert live.ids.tobytes() == cold.ids.tobytes()
             assert live.distances.tobytes() == cold.distances.tobytes()
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_compact_reloads_only_to_map_the_new_file(
+        self, artifact, churn, tmp_path, monkeypatch, mmap
+    ):
+        """A heap engine publishes the index it folded and saved; an mmap
+        engine reads the saved file back once, so that it maps it."""
+        _, new_vectors, new_ids, delete_ids, _ = churn
+        copy = _copy_artifact(artifact, tmp_path)
+        loads = []
+        real_load = repro.engine.load_index
+
+        def counting_load(*args, **kwargs):
+            loads.append(kwargs)
+            return real_load(*args, **kwargs)
+
+        with Engine.load(
+            copy, mutable=True, executor="thread", mmap=mmap
+        ) as engine:
+            engine.add(new_vectors, new_ids)
+            engine.delete(delete_ids)
+            monkeypatch.setattr(repro.engine, "load_index", counting_load)
+            engine.compact()
+            assert loads == ([{"mmap": True}] if mmap else [])
+            codes = engine.index.partitions[0].codes
+            assert codes.flags.writeable is not mmap
+            assert engine.generation == 1
+            live = engine.search(new_vectors[:4], k=5, nprobe=4)
+        with Engine.load(copy) as reloaded:
+            cold = reloaded.search(new_vectors[:4], k=5, nprobe=4)
+        assert _same_answers(live, cold)
 
     def test_sharded_mutable_compacts_file_artifact(
         self, artifact, churn, tmp_path

@@ -39,6 +39,7 @@ from repro.scan import (
     select_topk,
     unpack_nibbles,
 )
+from repro.scan import quickadc as quickadc_module
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 from repro.simd import fastscan_kernel, quickadc_kernel
 
@@ -341,20 +342,47 @@ class TestEqualsReferencePipeline:
     @given(
         m=st.sampled_from((1, 5, 8, 16)),
         n=st.sampled_from((0, 1, 15, 16, 17, 1000)),
+        b=st.sampled_from((1, 3, 16)),
         ceiling=st.sampled_from((1, 9, 40, 128)),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_pair_table_bounds_are_the_nibble_bounds(self, m, n, ceiling, seed):
+    def test_pair_table_bounds_are_the_nibble_bounds(self, m, n, b, ceiling, seed):
         """One lookup per packed byte reads what two nibble lookups sum
-        to, from no saturation (ceiling 1) to nearly all rows at 127."""
+        to, from no saturation (ceiling 1) to nearly all rows at 127:
+        row ``i`` of a stack's block is the bounds of table ``i``, and
+        one table is a stack of one."""
         rng = np.random.default_rng(seed)
         codes = rng.integers(0, 16, size=(n, m), dtype=np.uint8)
-        q_tables = rng.integers(0, ceiling, size=(m, 16)).astype(np.int8)
-        bounds = NibblePartition(codes, np.arange(n)).lower_bounds(q_tables)
-        reference = nibble_lower_bounds(pack_nibbles(codes), q_tables)
-        assert bounds.dtype == reference.dtype
-        np.testing.assert_array_equal(bounds, reference)
+        q_tables = rng.integers(0, ceiling, size=(b, m, 16)).astype(np.int8)
+        layout = NibblePartition(codes, np.arange(n))
+        block = layout.lower_bounds(q_tables)
+        assert block.shape == (b, n)
+        for row, tables in zip(block, q_tables):
+            reference = nibble_lower_bounds(pack_nibbles(codes), tables)
+            assert row.dtype == reference.dtype
+            np.testing.assert_array_equal(row, reference)
+        single = layout.lower_bounds(q_tables[0])
+        assert single.shape == (n,)
+        assert single.tobytes() == block[0].tobytes()
+
+    @pytest.mark.parametrize("m", [5, 16])
+    def test_stacked_bounds_saturate_past_the_last_block(self, m, rng):
+        """Rows past the last full 16-row block, and bounds clamped at 127
+        next to unclamped ones in the same block."""
+        n = 3 * 16 + 5
+        codes = rng.integers(0, 16, size=(n, m), dtype=np.uint8)
+        q_tables = np.stack([
+            np.full((m, 16), 127, dtype=np.int8),
+            rng.integers(0, 127, size=(m, 16)).astype(np.int8),
+            np.zeros((m, 16), dtype=np.int8),
+        ])
+        block = NibblePartition(codes, np.arange(n)).lower_bounds(q_tables)
+        reference = np.stack([
+            nibble_lower_bounds(pack_nibbles(codes), tables) for tables in q_tables
+        ])
+        np.testing.assert_array_equal(block, reference)
+        assert (block[0] == 127).all() and (block[2] == 0).all()
 
     def test_lower_bounds_rejects_mismatched_tables(self, rng):
         layout = NibblePartition(
@@ -362,6 +390,14 @@ class TestEqualsReferencePipeline:
         )
         with pytest.raises(ConfigurationError):
             layout.lower_bounds(np.zeros((6, 16), dtype=np.int8))
+
+    @pytest.mark.parametrize("shape", [(2, 6, 16), (16,), (1, 2, 16, 16)])
+    def test_lower_bounds_rejects_mismatched_stacks(self, rng, shape):
+        layout = NibblePartition(
+            rng.integers(0, 16, size=(8, 16), dtype=np.uint8), np.arange(8)
+        )
+        with pytest.raises(ConfigurationError):
+            layout.lower_bounds(np.zeros(shape, dtype=np.int8))
 
     def test_layout_is_rebuilt_per_worker_not_shipped(self, pq4, routed4):
         """What crosses to a worker process is the ScannerSpec: it holds
@@ -379,6 +415,68 @@ class TestEqualsReferencePipeline:
         # The layout itself is plain arrays and would survive the trip.
         layout = pickle.loads(pickle.dumps(scanner.prepared(partition)))
         np.testing.assert_array_equal(layout.packed, scanner.prepared(partition).packed)
+
+
+class TestBatchEqualsSingle:
+    """``scan_batch(stack)[i]`` is ``scan(stack[i])`` in every
+    ``QuickADCResult`` field, however many queries share the bound block
+    and however many runs it is built in."""
+
+    @pytest.fixture(scope="class")
+    def stack(self, index4bit, batch_queries4):
+        pid = 1
+        partition = index4bit.partitions[pid]
+        return partition, index4bit.distance_tables_for_batch(batch_queries4[:16], pid)
+
+    @staticmethod
+    def _assert_batch_is_single(scanner, tables, partition, topk):
+        batch = scanner.scan_batch(tables, partition, topk)
+        assert len(batch) == len(tables)
+        for row, got in zip(tables, batch):
+            assert fingerprint(got) == fingerprint(scanner.scan(row, partition, topk))
+        return batch
+
+    @pytest.mark.parametrize("topk", [1, 10, 100])
+    @pytest.mark.parametrize("b", [1, 16])
+    def test_one_run(self, scanner4, stack, b, topk):
+        partition, tables = stack
+        batch = self._assert_batch_is_single(scanner4, tables[:b], partition, topk)
+        assert all(r.n_sample < len(partition) for r in batch)
+
+    @pytest.mark.parametrize("per_run", [1, 3])
+    def test_bound_block_in_several_runs(self, scanner4, stack, monkeypatch, per_run):
+        partition, tables = stack
+        blocks = []
+        real_bounds = NibblePartition.lower_bounds
+
+        def recording_bounds(layout, q_tables):
+            blocks.append(np.shape(q_tables))
+            return real_bounds(layout, q_tables)
+
+        whole = scanner4.scan_batch(tables, partition, 10)
+        monkeypatch.setattr(
+            quickadc_module, "_BOUND_RUN_CELLS", per_run * len(partition)
+        )
+        monkeypatch.setattr(NibblePartition, "lower_bounds", recording_bounds)
+        runs = self._assert_batch_is_single(scanner4, tables, partition, 10)
+        assert [fingerprint(r) for r in runs] == [fingerprint(r) for r in whole]
+        sizes = [shape[0] for shape in blocks[: -len(tables)]]  # the batch's runs
+        assert sizes == [min(per_run, 16 - i) for i in range(0, 16, per_run)]
+
+    def test_partition_shorter_than_topk(self, pq4, stack):
+        """The ``n_sample == n`` branch: the sample is the whole scan."""
+        partition, tables = stack
+        short = Partition(partition.codes[:8], partition.ids[:8], 0)
+        batch = self._assert_batch_is_single(QuickADCScanner(pq4), tables, short, 10)
+        assert all(r.n_sample == 8 and len(r.ids) == 8 for r in batch)
+
+    def test_empty_partition(self, pq4, stack):
+        _, tables = stack
+        empty = Partition(
+            np.empty((0, 16), dtype=np.uint8), np.empty(0, dtype=np.int64), 0
+        )
+        batch = self._assert_batch_is_single(QuickADCScanner(pq4), tables, empty, 5)
+        assert all(r.n_scanned == 0 and len(r.ids) == 0 for r in batch)
 
 
 class TestKernelScannerIdentity:
