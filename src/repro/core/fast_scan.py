@@ -159,9 +159,6 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
             maxima — much coarser quantization bins, Figure 12;
             ablation baseline).
         seed: RNG seed of the assignment clustering.
-        prepared_cache_size: maximum grouped layouts held by the
-            :meth:`prepared` cache (LRU eviction beyond that;
-            ``None`` = unbounded).
     """
 
     name = "fastpq"
@@ -176,7 +173,6 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
         assignment: str = "optimized",
         qmax_bound: str = "keep",
         seed: int = 0,
-        prepared_cache_size: int | None = 256,
     ) -> None:
         if not pq.is_fitted:
             raise NotFittedError("PQFastScanner requires a fitted ProductQuantizer")
@@ -190,7 +186,7 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
             raise ConfigurationError(f"unknown assignment mode {assignment!r}")
         if qmax_bound not in ("keep", "naive"):
             raise ConfigurationError(f"unknown qmax bound {qmax_bound!r}")
-        PreparedCache.__init__(self, prepared_cache_size)
+        PreparedCache.__init__(self)
         self.pq = pq
         self.keep = keep
         self.group_components = group_components
@@ -270,7 +266,8 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
         self, tables: np.ndarray, partition: Partition, topk: int = 1
     ) -> FastScanResult:
         """Full PQ Fast Scan of ``partition`` for one query."""
-        return self.scan_grouped(tables, self.prepared(partition), topk)
+        grouped = self.prepared(partition)
+        return self.scan_prepared(self.assignment.remap_tables(tables), grouped, topk)
 
     def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
@@ -285,18 +282,11 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
         tables_r = self.assignment.remap_tables(tables)
         return [self.scan_prepared(row, grouped, topk) for row in tables_r]
 
-    def scan_grouped(
-        self, tables: np.ndarray, grouped: GroupedPartition, topk: int = 1
-    ) -> FastScanResult:
-        """Scan an already-prepared partition."""
-        tables_r = self.assignment.remap_tables(np.asarray(tables, dtype=np.float64))
-        return self.scan_prepared(tables_r, grouped, topk)
-
     def scan_prepared(
         self, tables_r: np.ndarray, grouped: GroupedPartition, topk: int = 1
     ) -> FastScanResult:
         """Scan with *already remapped* tables: the one query path, which
-        :meth:`scan`, :meth:`scan_batch` and :meth:`scan_grouped` end in."""
+        both :meth:`scan` and :meth:`scan_batch` end in."""
         n = len(grouped)
 
         # Keep phase (Section 4.4): plain PQ Scan over the first keep%

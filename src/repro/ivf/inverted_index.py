@@ -15,9 +15,11 @@ This module implements Steps 1-2 and partition management; scanners in
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from ..exceptions import ConfigurationError, NotFittedError
+from ..exceptions import ConfigurationError, DimensionMismatchError, NotFittedError
 from ..pq.product_quantizer import ProductQuantizer
 from ..pq.quantizer import VectorQuantizer
 from .partition import Partition
@@ -39,6 +41,16 @@ def as_database_ids(ids: np.ndarray) -> np.ndarray:
             f"database ids must be integers, got dtype {ids.dtype}"
         )
     return ids.astype(np.int64, copy=False)
+
+
+def as_count(value: int, what: str) -> int:
+    """``value`` as an ``int``; ``2.5`` is refused, not truncated to 2."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{what} must be an integer, got {value!r}"
+        ) from None
 
 
 def _require_finite(vectors: np.ndarray, what: str) -> None:
@@ -236,12 +248,16 @@ class IVFADCIndex:
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim == 1:
             queries = queries[None, :]
+        nprobe = as_count(nprobe, "nprobe")
         if nprobe < 1 or nprobe > self.n_partitions:
             raise ConfigurationError(
                 f"nprobe must be in [1, {self.n_partitions}], got {nprobe}"
             )
         # Every query path routes through here, before anything is
-        # scattered: a NaN query has no nearest cell and no top-k.
+        # scattered: a query of another width or with a NaN has no
+        # nearest cell and no top-k.
+        if queries.shape[-1] != self.pq.d:
+            raise DimensionMismatchError(self.pq.d, queries.shape[-1], "query")
         _require_finite(queries, "queries")
         codebook = self.coarse.codebook
         x_sq = np.einsum("qd,qd->q", queries, queries)

@@ -7,7 +7,7 @@ database identifiers of its vectors, so scanners can report global ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class Partition:
     codes: np.ndarray
     ids: np.ndarray
     partition_id: int = 0
-    _by_size_rank: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.codes = np.asarray(self.codes)

@@ -146,12 +146,6 @@ class Observability:
         else:
             self._m["repro_prepared_cache_misses_total"].inc(1.0)
 
-    def record_cache_eviction(self) -> None:
-        """Account one LRU eviction from a prepared-layout cache."""
-        if not self.enabled:
-            return
-        self._m["repro_prepared_cache_evictions_total"].inc(1.0)
-
     def record_batch(
         self,
         n_queries: int,

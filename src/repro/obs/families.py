@@ -37,8 +37,6 @@ FAMILIES: dict[str, Family] = {family.name: family for family in (
            "Lifetime prepared-cache hit ratio.",
            ratio=("repro_prepared_cache_hits_total", "repro_prepared_cache_hits_total",
                   "repro_prepared_cache_misses_total")),
-    Family("repro_prepared_cache_evictions_total", "counter", (),
-           "Prepared layouts evicted by the cache's LRU cap."),
     Family("repro_queries_total", "counter", (),
            "Queries served by the batch engine."),
     Family("repro_batches_total", "counter", (),

@@ -65,14 +65,7 @@ _KINDS: dict[str, _Kind] = {
         ),
         _Kind(
             PQFastScanner,
-            (
-                "keep",
-                "group_components",
-                "assignment",
-                "qmax_bound",
-                "seed",
-                "prepared_cache_size",
-            ),
+            ("keep", "group_components", "assignment", "qmax_bound", "seed"),
             fits=lambda m, bits: bits == 8,
             needs="bits=8 (byte codes, 256-entry tables cut into 16 portions)",
         ),
@@ -84,7 +77,7 @@ _KINDS: dict[str, _Kind] = {
         ),
         _Kind(
             QuickADCScanner,
-            ("keep", "prepared_cache_size"),
+            ("keep",),
             fits=lambda m, bits: bits == 4,
             needs="bits=4 (nibble codes whose 16-entry tables fit one SIMD "
             "register)",
@@ -129,7 +122,6 @@ class ScannerSpec:
         assignment: assignment mode (fastpq).
         qmax_bound: qmax bound mode (fastpq).
         seed: assignment clustering seed (fastpq).
-        prepared_cache_size: prepared-layout LRU cap (fastpq / quickadc).
     """
 
     kind: str
@@ -138,7 +130,6 @@ class ScannerSpec:
     assignment: str = "optimized"
     qmax_bound: str = "keep"
     seed: int = 0
-    prepared_cache_size: int | None = 256
 
     @classmethod
     def for_scanner(cls, scanner: PartitionScanner) -> "ScannerSpec":

@@ -104,9 +104,6 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
         keep: fraction of the partition scanned with exact ADC to bound
             ``qmax`` (same role and same row-selection rule as PQ Fast
             Scan's keep phase, default 0.5%).
-        prepared_cache_size: maximum nibble layouts held by the
-            :meth:`prepared` cache (LRU eviction beyond that;
-            ``None`` = unbounded).
     """
 
     name = "quickadc"
@@ -117,7 +114,6 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
         /,
         *,
         keep: float = 0.005,
-        prepared_cache_size: int | None = 256,
     ) -> None:
         if not pq.is_fitted:
             raise NotFittedError("QuickADCScanner requires a fitted ProductQuantizer")
@@ -128,7 +124,7 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
             )
         if not 0.0 <= keep <= 1.0:
             raise ConfigurationError(f"keep must be in [0, 1], got {keep}")
-        PreparedCache.__init__(self, prepared_cache_size)
+        PreparedCache.__init__(self)
         self.pq = pq
         self.keep = keep
 

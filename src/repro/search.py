@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .exceptions import ConfigurationError, SimulationError
-from .ivf.inverted_index import IVFADCIndex
+from .ivf.inverted_index import IVFADCIndex, as_count
 from .obs import Observability, get_observability
 from .scan.base import PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock, ScanResult
 from .scan.naive import NaiveScanner
@@ -114,6 +114,13 @@ class SearchResult:
 
 #: A clean job's tombstones.
 _NO_IDS = np.empty(0, dtype=np.int64)
+
+
+def _checked_topk(topk: int) -> int:
+    topk = as_count(topk, "topk")
+    if topk < 1:
+        raise ConfigurationError("topk must be >= 1")
+    return topk
 
 
 @dataclass(frozen=True)
@@ -216,8 +223,7 @@ class BatchPlanner:
             raise ConfigurationError(
                 f"queries must be 1-D or 2-D, got shape {queries.shape}"
             )
-        if topk < 1:
-            raise ConfigurationError("topk must be >= 1")
+        topk = _checked_topk(topk)
         probed = self.index.route_batch(queries, nprobe=nprobe)
         # One stable argsort inverts the plan: a partition's probes stay
         # in row-major order, so each job lists its queries ascending.
@@ -1232,8 +1238,7 @@ class ANNSearcher:
             ]
         if len(queries) == 0:
             return []
-        if topk < 1:
-            raise ConfigurationError("topk must be >= 1")
+        topk = _checked_topk(topk)
         if rerank:
             _check_rerank(self.vectors, topk, rerank)
         results = self._batch.run(
@@ -1255,8 +1260,7 @@ class ANNSearcher:
         delta: "DeltaView | None" = None,
     ) -> SearchResult:
         """Single-query Algorithm-1 loop (route → tables → scan → merge)."""
-        if topk < 1:
-            raise ConfigurationError("topk must be >= 1")
+        topk = _checked_topk(topk)
         if rerank:
             _check_rerank(self.vectors, topk, rerank)
             shortlist = self._search_one(query, topk=rerank, nprobe=nprobe)
@@ -1345,7 +1349,7 @@ def _check_rerank(vectors: np.ndarray | None, topk: int, rerank: int) -> None:
             "rerank requires the original vectors: ANNSearcher(..., "
             "vectors=...) or EngineConfig(keep_vectors=True)"
         )
-    if rerank < topk:
+    if as_count(rerank, "rerank") < as_count(topk, "topk"):
         raise ConfigurationError("rerank shortlist must be >= topk")
 
 

@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, SimulationError
+from ..exceptions import ConfigurationError, DimensionMismatchError, SimulationError
 from ..obs import Observability, get_observability
 from ..search import SearchResult
 
@@ -195,15 +195,21 @@ class _PendingRequest:
     write_id: int | None = None
 
 
-def _admitted_row(row: np.ndarray, expected: str) -> np.ndarray:
-    """One client's 1-D finite row, or that client's error.
+def _admitted_row(
+    row: np.ndarray, expected: str, width: int | None
+) -> np.ndarray:
+    """One client's 1-D finite row of the served width, or that client's
+    error.
 
     Checked at admission: past it the row shares a micro-batch, and a
-    NaN there fails every request of the batch, not just its sender's.
+    NaN or a wrong width there fails every request of the batch, not
+    just its sender's.
     """
     row = np.asarray(row, dtype=np.float64)
     if row.ndim != 1:
         raise ConfigurationError(f"serve {expected}, got shape {row.shape}")
+    if width is not None and len(row) != width:
+        raise DimensionMismatchError(width, len(row), "row")
     if not np.isfinite(row).all():
         raise ConfigurationError(f"serve {expected} of finite values")
     return row
@@ -256,6 +262,9 @@ class MicroBatchServer:
         self.observability = observability
         self._batch_fn = batch_fn
         self._write_fn = write_fn
+        # The row width every request must have, when it is known
+        # (for_engine); a bare batch_fn's batches are checked by stacking.
+        self._width: int | None = None
         self._closed = False
         self._queue: "asyncio.Queue[_PendingRequest]" | None = None
         self._coalescer: "asyncio.Task[None]" | None = None
@@ -309,9 +318,11 @@ class MicroBatchServer:
                 else:
                     engine.delete(ids)
 
-        return cls(
+        server = cls(
             batch_fn, config, write_fn=write_fn, observability=observability
         )
+        server._width = engine.index.pq.d
+        return server
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -428,10 +439,11 @@ class MicroBatchServer:
         Returns a :data:`STATUS_OK` result, or sheds immediately with
         :data:`STATUS_OVERLOAD` when the admission queue is full. If the
         batch itself raises, the exception propagates to every awaiting
-        client of that batch, which is why a query that is not 1-D or
-        not finite is refused here, before it joins one.
+        client of that batch, which is why a query that is not 1-D, not
+        finite or (:meth:`for_engine`) not the engine's width is refused
+        here, before it joins one.
         """
-        q = _admitted_row(query, "requests are single 1-D queries")
+        q = _admitted_row(query, "requests are single 1-D queries", self._width)
         return await self._enqueue(_KIND_SEARCH, q, None)
 
     async def add(self, vector: np.ndarray, id: int) -> ServedResult:
@@ -444,7 +456,7 @@ class MicroBatchServer:
         ``write_fn`` (:meth:`for_engine` over a mutable engine).
         """
         self._require_writable("add")
-        v = _admitted_row(vector, "writes are single 1-D rows")
+        v = _admitted_row(vector, "writes are single 1-D rows", self._width)
         return await self._enqueue(_KIND_ADD, v, _admitted_id(id))
 
     async def delete(self, id: int) -> ServedResult:
@@ -581,15 +593,10 @@ class MicroBatchServer:
             started = loop.time()
             writes = [r for r in batch if r.kind != _KIND_SEARCH]
             reads = [r for r in batch if r.kind == _KIND_SEARCH]
-            queries = (
-                np.stack([request.query for request in reads])
-                if reads
-                else None
-            )
             write_fn = self._write_fn
             batch_fn = self._batch_fn
 
-            def execute() -> Sequence[SearchResult]:
+            def execute(queries: np.ndarray | None) -> Sequence[SearchResult]:
                 for op in writes:
                     if write_fn is None or op.write_id is None:
                         raise SimulationError(
@@ -602,8 +609,16 @@ class MicroBatchServer:
                 return batch_fn(queries)
 
             try:
+                # Stacked inside the guard: rows of mixed widths fail this
+                # batch's futures, before any of its writes applies,
+                # instead of the flush task.
+                queries = (
+                    np.stack([request.query for request in reads])
+                    if reads
+                    else None
+                )
                 results = await loop.run_in_executor(
-                    self._flush_pool, execute
+                    self._flush_pool, execute, queries
                 )
             except Exception as exc:
                 self.n_errors += len(batch)

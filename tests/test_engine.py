@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro import SCANNER_KINDS, Engine, EngineConfig
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.search import ANNSearcher
 from repro.obs import Observability, observability_session
 from repro.shard import ShardedResponse
 
@@ -468,3 +469,43 @@ class TestOutsideInputRefusedAtTheDoor:
                 ):
                     engine.search_detailed(bad, k=5)
             assert len(engine.search(queries[:4], k=5)) == 4
+
+    @pytest.fixture(scope="class")
+    def doors(self, small_data):
+        """Every search entry point, as ``search(queries, k, nprobe)``."""
+        with Engine.build(small_data, **_SMALL) as thread, Engine.build(
+            small_data, executor="process", n_workers=1, **_SMALL
+        ) as process:
+            searcher = ANNSearcher(thread.index)
+            yield {
+                "engine-thread": thread.search,
+                "engine-process": process.search,
+                "searcher-batch": lambda q, k, nprobe: searcher.search(
+                    q, topk=k, nprobe=nprobe, executor="batch"
+                ),
+                "searcher-sequential": lambda q, k, nprobe: searcher.search(
+                    q, topk=k, nprobe=nprobe, executor="sequential"
+                ),
+            }
+
+    @pytest.mark.parametrize("one_d", [False, True], ids=["2-D", "1-D"])
+    @pytest.mark.parametrize(
+        "door",
+        ["engine-thread", "engine-process", "searcher-batch", "searcher-sequential"],
+    )
+    def test_bad_search_arguments_are_typed_errors(
+        self, doors, queries, door, one_d
+    ):
+        # Unchecked, these surface as numpy's "operands could not be
+        # broadcast" (width) and a TypeError from slicing (k / nprobe).
+        search = doors[door]
+        good = queries[0] if one_d else queries[:4]
+        wide = np.append(good, np.zeros(good.shape[:-1] + (1,)), axis=-1)
+        with pytest.raises(DimensionMismatchError, match="query dimensionality"):
+            search(wide, k=5, nprobe=2)
+        with pytest.raises(ConfigurationError, match="topk must be an integer"):
+            search(good, k=2.5, nprobe=2)
+        with pytest.raises(ConfigurationError, match="nprobe must be an integer"):
+            search(good, k=5, nprobe=2.5)
+        answers = search(good, k=5, nprobe=2)
+        assert len(answers.ids if one_d else answers[0].ids) == 5

@@ -454,7 +454,6 @@ def _record_sequence(obs):
     obs.record_scan("qonly", 0, 0)
     for hit in (False, True, True, False, True, True, True):
         obs.record_cache_access(hit)
-    obs.record_cache_eviction()
     stats = WorkerStats(worker_id=0)
     stats.record_job(
         n_scans=3, n_vectors_scanned=3000, n_vectors_pruned=2900,
@@ -524,9 +523,6 @@ FAULT_ONLY = {
     ),
     "repro_partial_results_total": (
         "test_shard.py", "test_degraded_run_records_partial_and_failure"
-    ),
-    "repro_prepared_cache_evictions_total": (
-        "test_parallel.py", "test_evictions_exported_via_observability"
     ),
 }
 

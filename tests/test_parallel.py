@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import (
     ANNSearcher,
+    IVFADCIndex,
     NaiveScanner,
     PQFastScanner,
     QuantizationOnlyScanner,
@@ -16,7 +17,6 @@ from repro import (
 )
 from repro.engine import Engine, EngineConfig
 from repro.exceptions import ConfigurationError
-from repro.obs import observability_session
 from repro.parallel import ProcessBatchExecutor, ScannerSpec
 from repro.scan.base import PartitionScanner
 from repro.search import BatchExecutor
@@ -50,16 +50,13 @@ def index_artifact(index, tmp_path_factory):
 
 class TestScannerSpec:
     def test_fastpq_round_trip(self, pq):
-        scanner = PQFastScanner(
-            pq, keep=0.02, seed=3, qmax_bound="naive", prepared_cache_size=7
-        )
+        scanner = PQFastScanner(pq, keep=0.02, seed=3, qmax_bound="naive")
         spec = ScannerSpec.for_scanner(scanner)
         rebuilt = spec.build(pq)
         assert isinstance(rebuilt, PQFastScanner)
         assert rebuilt.keep == scanner.keep
         assert rebuilt.seed == scanner.seed
         assert rebuilt.qmax_bound == scanner.qmax_bound
-        assert rebuilt.prepared_cache_size == scanner.prepared_cache_size
 
     def test_quantization_only_round_trip(self, pq):
         scanner = QuantizationOnlyScanner(pq, keep=0.03)
@@ -248,50 +245,45 @@ class TestThreadExecutorWarning:
 
 
 class TestPreparedCacheBound:
-    def test_cap_validated(self, pq):
-        with pytest.raises(ConfigurationError, match="prepared_cache_size"):
-            PQFastScanner(pq, prepared_cache_size=0)
-
-    def test_lru_eviction_under_cap(self, pq, index):
-        scanner = PQFastScanner(pq, keep=0.01, prepared_cache_size=1)
-        first, second = index.partitions[0], index.partitions[1]
-        scanner.prepared(first)
-        assert scanner.prepared_evictions == 0
-        scanner.prepared(second)
-        assert scanner.prepared_evictions == 1
-        assert len(scanner._prepared) == 1
-        # the survivor is the most recently used layout
-        assert scanner.prepared(second) is scanner._prepared[second]
-
-    def test_recency_order_respected(self, pq, dataset):
-        from repro import IVFADCIndex
-
-        wide = IVFADCIndex(pq, n_partitions=4, seed=3).add(dataset.base[:4000])
-        scanner = PQFastScanner(pq, keep=0.01, prepared_cache_size=2)
-        first, second, third = wide.partitions[:3]
-        scanner.prepared(first)
-        scanner.prepared(second)
-        scanner.prepared(first)  # refresh first; second is now LRU
-        scanner.prepared(third)  # over cap: evicts second, not first
-        assert scanner.prepared_evictions == 1
-        assert first in scanner._prepared
-        assert second not in scanner._prepared
-        assert third in scanner._prepared
+    """The cache holds one layout per live partition, and no fewer."""
 
     def test_unbounded_cache(self, pq, index):
-        scanner = PQFastScanner(pq, keep=0.01, prepared_cache_size=None)
+        scanner = PQFastScanner(pq, keep=0.01)
         for partition in index.partitions:
             scanner.prepared(partition)
-        assert scanner.prepared_evictions == 0
         assert len(scanner._prepared) == len(index.partitions)
 
-    def test_evictions_exported_via_observability(self, pq, index):
-        with observability_session() as obs:
-            scanner = PQFastScanner(pq, keep=0.01, prepared_cache_size=1)
-            scanner.prepared(index.partitions[0])
-            scanner.prepared(index.partitions[1])
-            counter = obs.metrics.get("repro_prepared_cache_evictions_total")
-            assert counter.value() == 1.0
+    @pytest.mark.parametrize("kind", ["fastpq", "quickadc"])
+    def test_each_layout_is_built_once_past_256_partitions(
+        self, dataset, pq, pq4, kind
+    ):
+        # More partitions than the 256-layout cap this cache once had:
+        # under it, two full-probe batches built 1 088 layouts.
+        n_partitions = 272
+        index = IVFADCIndex(
+            pq4 if kind == "quickadc" else pq,
+            n_partitions=n_partitions,
+            coarse_max_iter=2,
+            seed=4,
+        ).add(dataset.base)
+        config = EngineConfig(
+            scanner=kind, n_partitions=n_partitions, nprobe=n_partitions,
+            executor="thread", **(dict(m=16, bits=4) if kind == "quickadc" else {}),
+        )
+        queries = dataset.queries
+        with Engine(index, config) as engine:
+            (scanner,) = engine._executor.scanners
+            first = engine.search(queries, k=10)
+            second = engine.search(queries, k=10)
+            assert scanner.prepared_misses == n_partitions
+        reference = ANNSearcher(index, config.scanner_factory(index.pq)()).search(
+            queries, topk=10, nprobe=n_partitions, executor="sequential"
+        )
+        for a, b, c in zip(first, second, reference):
+            for got in (b, c):
+                assert a.ids.tobytes() == got.ids.tobytes()
+                assert a.distances.tobytes() == got.distances.tobytes()
+                assert (a.n_scanned, a.n_pruned) == (got.n_scanned, got.n_pruned)
 
 
 class TestShardedProcessBackend:

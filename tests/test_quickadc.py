@@ -217,23 +217,6 @@ class TestQuickADCScanner:
         assert scanner.prepared_hits == 1
         assert scanner.warm([partition]) == 0  # already cached
 
-    def test_prepared_cache_evicts_lru(self, pq4, rng):
-        scanner = QuickADCScanner(pq4, prepared_cache_size=2)
-        parts = [
-            Partition(
-                rng.integers(0, 16, size=(20, 16), dtype=np.uint8),
-                np.arange(20, dtype=np.int64),
-                i,
-            )
-            for i in range(3)
-        ]
-        for part in parts:
-            scanner.prepared(part)
-        assert scanner.prepared_evictions == 1
-        # The evicted layout (LRU = parts[0]) is rebuilt on demand.
-        scanner.prepared(parts[0])
-        assert scanner.prepared_misses == 4
-
     def test_prepare_packs_nibbles(self, scanner4, routed4):
         partition, _ = routed4
         layout = scanner4.prepare(partition)
@@ -597,13 +580,12 @@ class TestEngineAndSpecWiring:
             assert all(len(r.ids) == 10 for r in results)
 
     def test_scanner_spec_roundtrip(self, pq4):
-        scanner = QuickADCScanner(pq4, keep=0.02, prepared_cache_size=7)
+        scanner = QuickADCScanner(pq4, keep=0.02)
         spec = ScannerSpec.for_scanner(scanner)
         assert spec.kind == "quickadc"
         rebuilt = spec.build(pq4)
         assert isinstance(rebuilt, QuickADCScanner)
         assert rebuilt.keep == 0.02
-        assert rebuilt.prepared_cache_size == 7
 
     @pytest.mark.parametrize("kind", SCANNER_KINDS)
     def test_every_engine_kind_round_trips_through_spec(

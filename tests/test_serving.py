@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DimensionMismatchError, ReproError
 from repro.obs import observability_session
 from repro.search import ANNSearcher, SearchResult
 from repro.serve import (
@@ -251,13 +251,35 @@ class TestAdmissionControl:
 
         asyncio.run(scenario())
 
+    def test_rows_of_mixed_widths_resolve_every_future(self):
+        # A bare batch_fn knows no width, so the batch itself cannot be
+        # stacked: every client of it gets the error, none waits forever.
+        config = ServeConfig(max_batch=3, max_delay_s=0.05)
+
+        async def scenario() -> list:
+            async with MicroBatchServer(_echo_batch, config) as server:
+                clients = [
+                    asyncio.ensure_future(server.search(np.zeros(width)))
+                    for width in (4, 5, 4)
+                ]
+                _, pending = await asyncio.wait(clients, timeout=5.0)
+                for client in pending:
+                    client.cancel()
+                assert not pending, f"{len(pending)} of 3 clients never answered"
+                return [client.exception() for client in clients]
+
+        errors = asyncio.run(scenario())
+        assert all(isinstance(e, ValueError) for e in errors), errors
+
 
 def test_one_bad_request_does_not_fail_its_batch(dataset):
-    # Values are checked at admission like shape is: a NaN that reached
-    # the micro-batch failed all six awaiting clients at the parent.
+    # Values and (for an engine's server) width are checked at admission
+    # like shape is: a NaN that reached the micro-batch would fail all
+    # six awaiting clients, and a wrong width would fail them too.
     queries = dataset.queries[:5]
     poisoned = queries[0].copy()
     poisoned[7] = np.nan
+    wide = np.append(queries[0], 0.0)
     config = ServeConfig(max_batch=8, max_delay_s=0.05)
     with Engine.build(
         dataset.base[:2000], n_partitions=4, nprobe=2, max_iter=2,
@@ -268,27 +290,34 @@ def test_one_bad_request_does_not_fail_its_batch(dataset):
 
         async def scenario() -> list:
             async with server:
-                return await asyncio.gather(
+                # Bounded: a batch that fails outside its futures hangs
+                # every client of it.
+                return await asyncio.wait_for(asyncio.gather(
                     *(server.search(q) for q in queries[:3]),
                     server.search(poisoned),
                     server.add(poisoned, 9009),
                     server.add(queries[0], 1.5),
                     server.delete(2.9),
+                    server.search(wide),
+                    server.add(wide, 9010),
                     *(server.search(q) for q in queries[3:]),
                     return_exceptions=True,
-                )
+                ), timeout=30.0)
 
         outcomes = asyncio.run(scenario())
         server.close()
         assert engine.n_pending_writes == 0
-    refused, served = outcomes[3:7], outcomes[:3] + outcomes[7:]
-    assert all(isinstance(r, ConfigurationError) for r in refused), refused
+    refused, served = outcomes[3:9], outcomes[:3] + outcomes[9:]
+    assert all(isinstance(r, ReproError) for r in refused), refused
     assert [str(r).split(",")[0] for r in refused] == [
         "serve requests are single 1-D queries of finite values",
         "serve writes are single 1-D rows of finite values",
         "database ids must be integers",
         "database ids must be integers",
+        f"row dimensionality mismatch: expected {len(wide) - 1}",
+        f"row dimensionality mismatch: expected {len(wide) - 1}",
     ]
+    assert all(isinstance(r, DimensionMismatchError) for r in refused[4:])
     assert all(r.ok and r.batch_size == 5 for r in served)
     for got, want in zip(served, expected):
         assert _results_equal(got.result, want)

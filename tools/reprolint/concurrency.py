@@ -45,7 +45,7 @@ __all__ = [
 #: Classes whose mutable attributes R6 guards even when the class does
 #: not (yet) construct a lock of its own. These are the shared-state
 #: homes named by the concurrency design notes: the pool-owning
-#: executors, the metrics registry, and the prepared-tables LRU cache
+#: executors, the metrics registry, and the prepared-layout cache
 #: owner.
 GUARDED_CLASSES = frozenset(
     {
