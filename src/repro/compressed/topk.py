@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..scan.topk import keep_size
 from .column import DictionaryColumn
 
 __all__ = ["TopKScoreScanner", "ScoreResult"]
@@ -115,7 +116,7 @@ class TopKScoreScanner:
         if not 1 <= k <= self.n:
             raise ConfigurationError(f"k must be in [1, {self.n}]")
         n_cols = len(self.columns)
-        n_keep = min(self.n, max(int(np.ceil(keep * self.n)), k))
+        n_keep = keep_size(keep, self.n, k)
         prefix = self.exact_scores(slice(0, n_keep))
 
         # Quantization bounds: qmin at the smallest per-entry value so

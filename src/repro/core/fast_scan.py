@@ -15,20 +15,25 @@ compared against a ceil-quantized threshold), PQ Fast Scan returns
 *exactly* the same neighbors as PQ Scan — the library asserts this in
 tests and benchmarks.
 
-Query pipeline implemented by :class:`PQFastScanner`:
+Query pipeline, :func:`pruned_scan_batch` (which
+:class:`PQFastScanner` and the quantization-only variant of Figure 17
+both end in; they differ only in how they bound a row):
 
 * **keep phase** — the first ``keep`` fraction of the partition is
-  scanned with plain PQ Scan; the resulting temporary topk-th distance
-  becomes the quantization bound ``qmax`` (Section 4.4).
-* **small-table build** — quantized minimum tables for the non-grouped
-  components, quantized full tables (all 16 portions) for the grouped.
-* **lower bounds** — the whole partition in one ``take`` per
+  scanned with plain PQ Scan, for the whole table stack at once; the
+  resulting temporary topk-th distance becomes the quantization bound
+  ``qmax`` (Section 4.4).
+* **small-table build** (per query) — quantized minimum tables for the
+  non-grouped components, quantized full tables (all 16 portions) for
+  the grouped.
+* **lower bounds** (per query) — the whole partition in one ``take`` per
   sub-quantizer over the lookup rows the grouped layout prepared
   (:meth:`SmallTables.partition_lower_bounds`).
-* **survivor pass** — :func:`best_first_pass`: the rows whose bound
-  passes the keep-phase threshold, visited in increasing bound order in
-  a handful of epochs; each epoch is one exact ADC, one top-k merge and
-  one cut of the remaining candidates at the tightened threshold.
+* **survivor pass** (per query) — :func:`best_first_pass`: the rows
+  whose bound passes the keep-phase threshold, visited in increasing
+  bound order in a handful of epochs; each epoch is one exact ADC, one
+  top-k merge and one cut of the remaining candidates at the tightened
+  threshold.
 
 Every bound is in hand before any row is visited, so the visiting order
 is free, and smallest bound first is the order under which the threshold
@@ -44,14 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dtypes import Float64Array, Int8Array, Int64Array
+from ..dtypes import Float64Array, Int8Array, Int64Array, UInt8Array
 from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
-from ..pq.adc import adc_distances
+from ..pq.adc import adc_distances, adc_distances_batch
 from ..pq.product_quantizer import ProductQuantizer
 from ..scan.base import PartitionScanner, ScanResult
 from ..scan.prepared import PreparedCache
-from ..scan.topk import select_topk
+from ..scan.topk import keep_size, select_topk, select_topk_rows
 from .grouping import GroupedPartition, suggested_components
 from .minimum_tables import CentroidAssignment, optimized_assignment
 from .quantization import DistanceQuantizer
@@ -136,6 +141,68 @@ def best_first_pass(
             )
             end = int(np.searchsorted(cand_bounds[:end], threshold_q, side="right"))
     return top_ids, top_dists, done
+
+
+def pruned_scan_batch(
+    tables: Float64Array,
+    codes: UInt8Array,
+    ids: Int64Array,
+    sample_order: Int64Array,
+    *,
+    keep: float,
+    topk: int,
+    bounds: Callable[[Float64Array, float], tuple[DistanceQuantizer, Int8Array]],
+    context: str,
+) -> list[FastScanResult]:
+    """The query path of the 8-bit pruning scanners, for a table stack.
+
+    ``tables`` is ``(b, m, 256)``, in the code space of the partition's
+    ``codes`` and ``ids``. The keep phase scores the first
+    :func:`~repro.scan.topk.keep_size` rows of ``sample_order`` with one
+    exact gather and one row-wise top-k selection for the whole stack.
+    Then, per query, ``bounds(tables[i], topk-th keep distance)`` gives
+    its quantizer and the int8 lower bound of every row, the sanitizer
+    (``REPRO_SANITIZE=1``; ``context`` names the partition) checks them
+    against the exact distances, and :func:`best_first_pass` scores the
+    survivors.
+    """
+    n = len(ids)
+    n_keep = keep_size(keep, n, topk)
+    keep_rows = sample_order[:n_keep]
+    keep_ids, keep_dists = select_topk_rows(
+        adc_distances_batch(tables, codes[keep_rows]), ids[keep_rows], topk
+    )
+    if n_keep == n:
+        # The keep phase was the whole partition (always so below topk
+        # rows, where no finite qmax exists): already exact.
+        return [
+            FastScanResult(ids=top_ids, distances=top_dists, n_scanned=n, n_keep=n)
+            for top_ids, top_dists in zip(keep_ids, keep_dists)
+        ]
+    m = tables.shape[1]
+    sanitize = sanitizer_enabled()
+    results = []
+    for row, top_ids, top_dists in zip(tables, keep_ids, keep_dists):
+        quantizer, row_bounds = bounds(row, float(top_dists[-1]))
+        if sanitize:
+            check_lower_bound_invariant(
+                row_bounds, adc_distances(row, codes), quantizer, m, context=context
+            )
+        top_ids, top_dists, n_exact = best_first_pass(
+            row_bounds, keep_rows, quantizer, (top_ids, top_dists), ids,
+            lambda rows, row=row: adc_distances(row, codes[rows]), components=m,
+        )
+        results.append(FastScanResult(
+            ids=top_ids,
+            distances=top_dists,
+            n_scanned=n,
+            n_pruned=n - n_keep - n_exact,
+            n_keep=n_keep,
+            n_exact=n_exact,
+            qmin=quantizer.qmin,
+            qmax=quantizer.qmax,
+        ))
+    return results
 
 
 class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
@@ -262,86 +329,33 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
 
     # -- scanning ---------------------------------------------------------------
 
-    def scan(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
-    ) -> FastScanResult:
-        """Full PQ Fast Scan of ``partition`` for one query."""
-        grouped = self.prepared(partition)
-        return self.scan_prepared(self.assignment.remap_tables(tables), grouped, topk)
-
     def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
     ) -> list[FastScanResult]:
-        """Scan one partition for a whole ``(b, m, 256)`` table stack.
-
-        The prepared layout is fetched once and the stack remapped in
-        one :meth:`CentroidAssignment.remap_tables` call; result ``i``
-        is byte-identical to ``scan(tables[i], ...)``.
-        """
+        """Full PQ Fast Scan of ``partition`` for a ``(b, m, 256)`` table
+        stack: the stack remapped to the optimized assignment in one
+        call, then :func:`pruned_scan_batch` over the prepared layout,
+        with the small tables' lower bounds."""
         grouped = self.prepared(partition)
         tables_r = self.assignment.remap_tables(tables)
-        return [self.scan_prepared(row, grouped, topk) for row in tables_r]
 
-    def scan_prepared(
-        self, tables_r: np.ndarray, grouped: GroupedPartition, topk: int = 1
-    ) -> FastScanResult:
-        """Scan with *already remapped* tables: the one query path, which
-        both :meth:`scan` and :meth:`scan_batch` end in."""
-        n = len(grouped)
+        def bounds(
+            row: Float64Array, threshold: float
+        ) -> tuple[DistanceQuantizer, Int8Array]:
+            qmax = threshold
+            if self.qmax_bound == "naive":
+                qmax = float(row.max(axis=1).sum())
+            quantizer = DistanceQuantizer.from_tables(row, qmax)
+            small = SmallTables(row, grouped.c, quantizer)
+            return quantizer, small.partition_lower_bounds(grouped)
 
-        # Keep phase (Section 4.4): plain PQ Scan over the first keep%
-        # of the *database* (smallest ids), needs at least topk vectors
-        # to bound qmax. Database order is uncorrelated with grouping, so
+        # Keep phase (Section 4.4) over the first keep% of the *database*
+        # (smallest ids). Database order is uncorrelated with grouping, so
         # the temporary nearest neighbor is drawn from a representative
         # sample — a grouped-order prefix would be a single coherent
         # cluster and can yield an arbitrarily loose qmax.
-        n_keep = min(n, max(int(np.ceil(self.keep * n)), topk))
-        keep_rows = grouped.id_order[:n_keep]
-        top_ids, top_dists = select_topk(
-            adc_distances(tables_r, grouped.codes[keep_rows]),
-            grouped.ids[keep_rows],
-            topk,
-        )
-        if n_keep == n:
-            # The keep phase was the whole partition (always so below
-            # topk rows, where no finite qmax exists): already exact.
-            return FastScanResult(
-                ids=top_ids, distances=top_dists, n_scanned=n, n_keep=n
-            )
-
-        m = grouped.m
-        qmax = float(top_dists[-1])
-        if self.qmax_bound == "naive":
-            qmax = float(tables_r.max(axis=1).sum())
-        quantizer = DistanceQuantizer.from_tables(tables_r, qmax)
-        small = SmallTables(tables_r, grouped.c, quantizer)
-        bounds = small.partition_lower_bounds(grouped)
-        if sanitizer_enabled():
-            check_lower_bound_invariant(
-                bounds,
-                adc_distances(tables_r, grouped.codes),
-                quantizer,
-                m,
-                context=f"fastpq partition {grouped.partition_id}",
-            )
-        top_ids, top_dists, n_exact = best_first_pass(
-            bounds,
-            keep_rows,
-            quantizer,
-            (top_ids, top_dists),
-            grouped.ids,
-            lambda rows: adc_distances(tables_r, grouped.codes[rows]),
-            components=m,
-        )
-
-        n_pruned = n - n_keep - n_exact
-        return FastScanResult(
-            ids=top_ids,
-            distances=top_dists,
-            n_scanned=n,
-            n_pruned=n_pruned,
-            n_keep=n_keep,
-            n_exact=n_exact,
-            qmin=quantizer.qmin,
-            qmax=quantizer.qmax,
+        return pruned_scan_batch(
+            tables_r, grouped.codes, grouped.ids, grouped.id_order,
+            keep=self.keep, topk=topk, bounds=bounds,
+            context=f"fastpq partition {grouped.partition_id}",
         )

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dtypes import Float64Array, Int8Array
 from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
-from ..pq.adc import adc_distances
 from ..pq.product_quantizer import ProductQuantizer
 from ..scan.base import PartitionScanner
-from ..scan.topk import select_topk
-from .fast_scan import FastScanResult, best_first_pass
+from .fast_scan import FastScanResult, pruned_scan_batch
 from .quantization import SATURATION, DistanceQuantizer
-from .sanitize import check_lower_bound_invariant, sanitizer_enabled
 
 __all__ = ["QuantizationOnlyScanner"]
 
@@ -42,59 +40,30 @@ class QuantizationOnlyScanner(PartitionScanner):
         self.pq = pq
         self.keep = keep
 
-    def scan(
+    def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
-    ) -> FastScanResult:
+    ) -> list[FastScanResult]:
+        """PQ Fast Scan's own :func:`pruned_scan_batch` with the bounds of
+        the quantized full tables, so Figure 17 compares the two
+        scanners' bounds and nothing else. The keep sample is the first
+        rows in storage order."""
         tables = np.asarray(tables, dtype=np.float64)
         codes = partition.codes
-        ids = partition.ids
-        n = len(partition)
-        n_keep = min(n, max(int(np.ceil(self.keep * n)), topk))
-        top_ids, top_dists = select_topk(
-            adc_distances(tables, codes[:n_keep]), ids[:n_keep], topk
-        )
-        if n_keep == n:
-            # The keep phase was the whole partition (always so below
-            # topk rows, where no finite qmax exists): already exact.
-            return FastScanResult(
-                ids=top_ids, distances=top_dists, n_scanned=n, n_keep=n
-            )
 
-        m = self.pq.m
-        quantizer = DistanceQuantizer.from_tables(tables, float(top_dists[-1]))
-        tables_q = quantizer.quantize_table(tables)  # (m, 256) int8
-        acc = np.zeros(n, dtype=np.int16)
-        for j in range(m):
-            acc += tables_q[j].take(codes[:, j])
-        np.minimum(acc, SATURATION, out=acc)
-        # Clamped to <= 127 on the line above; entries are non-negative.
-        bounds = acc.astype(np.int8)  # reprolint: narrowing=exact
-        if sanitizer_enabled():
-            check_lower_bound_invariant(
-                bounds,
-                adc_distances(tables, codes),
-                quantizer,
-                m,
-                context=f"qonly partition {partition.partition_id}",
-            )
-        # The survivor schedule is PQ Fast Scan's own, so Figure 17
-        # compares the two scanners' bounds and nothing else.
-        top_ids, top_dists, n_exact = best_first_pass(
-            bounds,
-            np.arange(n_keep),
-            quantizer,
-            (top_ids, top_dists),
-            ids,
-            lambda rows: adc_distances(tables, codes[rows]),
-            components=m,
-        )
-        return FastScanResult(
-            ids=top_ids,
-            distances=top_dists,
-            n_scanned=n,
-            n_pruned=n - n_keep - n_exact,
-            n_keep=n_keep,
-            n_exact=n_exact,
-            qmin=quantizer.qmin,
-            qmax=quantizer.qmax,
+        def bounds(
+            row: Float64Array, threshold: float
+        ) -> tuple[DistanceQuantizer, Int8Array]:
+            quantizer = DistanceQuantizer.from_tables(row, threshold)
+            tables_q = quantizer.quantize_table(row)  # (m, 256) int8
+            acc = np.zeros(len(codes), dtype=np.int16)
+            for j in range(self.pq.m):
+                acc += tables_q[j].take(codes[:, j])
+            np.minimum(acc, SATURATION, out=acc)
+            # Clamped to <= 127 on the line above; entries are non-negative.
+            return quantizer, acc.astype(np.int8)  # reprolint: narrowing=exact
+
+        return pruned_scan_batch(
+            tables, codes, partition.ids, np.arange(len(partition)),
+            keep=self.keep, topk=topk, bounds=bounds,
+            context=f"qonly partition {partition.partition_id}",
         )

@@ -7,11 +7,11 @@ exactness property); they differ in data movement and, on real hardware,
 in speed.
 
 :class:`PartitionScanner` declares what the executors call, and nothing
-else: ``scan`` (one query; the one method a scanner must define),
-``scan_batch`` (a whole table stack against one partition; by default the
-per-row ``scan`` loop, overridden by the scanners that share work across
-the batch) and ``warm`` (build whatever is query-independent, ahead of
-the scans; by default nothing). The instruction-level behaviour of the
+else: ``scan_batch`` (a whole table stack against one partition; the one
+method a scanner must define), ``scan`` (one query: the batch of one,
+defined here once, so no scanner has a second query path to keep in
+step) and ``warm`` (build whatever is query-independent, ahead of the
+scans; by default nothing). The instruction-level behaviour of the
 paper's implementations is not declared here: it is measured from the
 executed instruction streams of :mod:`repro.simd`.
 """
@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, final
 
 import numpy as np
 
+from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
+from .topk import select_topk_rows
 
 __all__ = [
     "PAD_DISTANCE",
@@ -126,6 +128,16 @@ class ScanBlock:
         return cls(ids, distances, counts)
 
     @classmethod
+    def exhaustive(
+        cls, distances: np.ndarray, ids: np.ndarray, topk: int
+    ) -> "ScanBlock":
+        """The topk of every row of a ``(b, n)`` block of exact distances
+        to the ``n`` rows ``ids``, every row scanned and none pruned."""
+        top_ids, top_distances = select_topk_rows(distances, ids, topk)
+        counts = np.array([[top_ids.shape[1]], [len(ids)], [0]], dtype=np.int64)
+        return cls(top_ids, top_distances, np.repeat(counts, len(distances), axis=1))
+
+    @classmethod
     def concatenate(cls, blocks: Sequence["ScanBlock"]) -> "ScanBlock":
         """``blocks`` end to end, as wide as the widest of them."""
         if len(blocks) <= 1:
@@ -174,21 +186,22 @@ class PartitionScanner(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def scan(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
-    ) -> ScanResult:
-        """Scan ``partition`` with per-query ``tables``; return topk."""
-
     def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
     ) -> Sequence[ScanResult] | ScanBlock:
-        """Scan ``partition`` for a whole ``(b, m, k*)`` table stack.
+        """Scan ``partition`` for a whole ``(b, m, k*)`` table stack;
+        result ``i`` is the topk of query ``i``."""
 
-        Result ``i`` is byte-identical to ``scan(tables[i], ...)``, which
-        is what this default runs; a scanner overrides it to share
-        query-independent work across the batch.
-        """
-        return [self.scan(row, partition, topk=topk) for row in tables]
+    @final
+    def scan(
+        self, tables: np.ndarray, partition: Partition, topk: int = 1
+    ) -> ScanResult:
+        """Scan ``partition`` for one query's ``(m, k*)`` tables: the
+        batch of one."""
+        tables = np.asarray(tables, dtype=np.float64)
+        if tables.ndim != 2:
+            raise DimensionMismatchError(2, tables.ndim, what="array rank")
+        return self.scan_batch(tables[None], partition, topk)[0]
 
     def warm(self, partitions: Iterable[Partition]) -> int:
         """Build the scanner's query-independent state for ``partitions``

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
-from .base import PartitionScanner, ScanResult
+from .base import PartitionScanner, ScanBlock, ScanResult
 from .layout import extract_component, pack_codes_words
-from .topk import TopKAccumulator, select_topk
+from .topk import TopKAccumulator
 
 __all__ = ["LibpqScanner"]
 
@@ -29,17 +30,20 @@ class LibpqScanner(PartitionScanner):
 
     name = "libpq"
 
-    def scan(
+    def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
-    ) -> ScanResult:
+    ) -> ScanBlock:
+        """Scan one partition for a ``(b, m, 256)`` table stack: each
+        word is loaded and each index shifted out once for the batch."""
         tables = np.asarray(tables, dtype=np.float64)
+        if tables.ndim != 3:
+            raise DimensionMismatchError(3, tables.ndim, what="array rank")
         words = pack_codes_words(partition.codes)
-        distances = np.zeros(len(words), dtype=np.float64)
+        distances = np.zeros((len(tables), len(words)), dtype=np.float64)
         for j in range(8):
             indexes = extract_component(words, j)
-            distances += tables[j, indexes]
-        ids, dists = select_topk(distances, partition.ids, topk)
-        return ScanResult(ids=ids, distances=dists, n_scanned=len(partition))
+            distances += tables[:, j, indexes]
+        return ScanBlock.exhaustive(distances, partition.ids, topk)
 
     def scan_scalar(
         self, tables: np.ndarray, partition: Partition, topk: int = 1

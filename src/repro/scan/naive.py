@@ -6,9 +6,10 @@ from the distance tables, 8 scalar additions — 16 L1 loads total
 
 Two code paths are provided:
 
-* :meth:`NaiveScanner.scan` — vectorized over the partition with numpy;
-  this is what benchmarks use for wall-clock runs. Numerically it
-  performs exactly the per-vector sum of Equation (3).
+* :meth:`NaiveScanner.scan_batch` — vectorized over the partition and
+  the query batch with numpy (``scan`` is its batch of one); this is what
+  benchmarks use for wall-clock runs. Numerically it performs exactly
+  the per-vector sum of Equation (3).
 * :meth:`NaiveScanner.scan_scalar` — the literal loop of Algorithm 1,
   used by the tests as the semantic reference and kept close to the
   paper's pseudocode line-for-line.
@@ -20,9 +21,9 @@ import numpy as np
 
 from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
-from ..pq.adc import adc_distance_single, adc_distances, adc_distances_batch
+from ..pq.adc import adc_distance_single, adc_distances_batch
 from .base import PartitionScanner, ScanBlock, ScanResult
-from .topk import TopKAccumulator, select_topk, select_topk_rows
+from .topk import TopKAccumulator
 
 __all__ = ["NaiveScanner"]
 
@@ -31,13 +32,6 @@ class NaiveScanner(PartitionScanner):
     """The paper's baseline PQ Scan (Algorithm 1)."""
 
     name = "naive"
-
-    def scan(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
-    ) -> ScanResult:
-        distances = adc_distances(tables, partition.codes)
-        ids, dists = select_topk(distances, partition.ids, topk)
-        return ScanResult(ids=ids, distances=dists, n_scanned=len(partition))
 
     def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
@@ -48,17 +42,14 @@ class NaiveScanner(PartitionScanner):
         tables. :func:`~repro.pq.adc.adc_distances_batch` gathers the
         codes once per component for the whole batch, summed in
         :func:`~repro.pq.adc.adc_distances`' order, and one
-        :func:`~repro.scan.select_topk_rows` selects for every query,
-        so result ``i`` is bit-identical to ``scan(tables[i], ...)``.
+        :func:`~repro.scan.select_topk_rows` selects for every query.
         """
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 3:
             raise DimensionMismatchError(3, tables.ndim, what="array rank")
-        distances = adc_distances_batch(tables, partition.codes)
-        n, b = len(partition), len(distances)
-        ids, dists = select_topk_rows(distances, partition.ids, topk)
-        counts = np.array([[ids.shape[1]], [n], [0]], dtype=np.int64)
-        return ScanBlock(ids, dists, np.repeat(counts, b, axis=1))
+        return ScanBlock.exhaustive(
+            adc_distances_batch(tables, partition.codes), partition.ids, topk
+        )
 
     def scan_scalar(
         self, tables: np.ndarray, partition: Partition, topk: int = 1

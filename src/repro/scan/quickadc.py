@@ -63,7 +63,7 @@ from ..pq.product_quantizer import ProductQuantizer
 from .base import PartitionScanner, ScanResult
 from .layout import NibblePartition
 from .prepared import PreparedCache
-from .topk import select_topk, select_topk_rows
+from .topk import keep_size, select_topk, select_topk_rows
 
 __all__ = ["QuickADCScanner", "QuickADCResult"]
 
@@ -138,15 +138,6 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
 
     # -- scanning ---------------------------------------------------------------
 
-    def scan(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
-    ) -> QuickADCResult:
-        """Full Quick ADC scan of ``partition`` for one query."""
-        tables = np.asarray(tables, dtype=np.float64)
-        if tables.ndim != 2:
-            raise DimensionMismatchError(2, tables.ndim, what="array rank")
-        return self.scan_batch(tables[None], partition, topk)[0]
-
     def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
     ) -> list[QuickADCResult]:
@@ -159,8 +150,8 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
         operation over the batch (the bounds in runs of at most
         :data:`_BOUND_RUN_CELLS`); only the quantizer and the ragged
         candidate rerank are per query. Every step is the same
-        elementwise arithmetic in the same order as for one query, so
-        result ``i`` is byte-identical to ``scan(tables[i], ...)``.
+        elementwise arithmetic in the same order for every row, so
+        result ``i`` does not depend on the other rows of the stack.
         """
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 3:
@@ -194,7 +185,7 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
         # Sample rows: the first keep% of the *database* (smallest ids)
         # — the same representative-sample rule as the fast-scan keep
         # phase; needs at least topk rows to bound qmax.
-        n_sample = min(n, max(int(np.ceil(self.keep * n)), topk))
+        n_sample = keep_size(self.keep, n, topk)
         sample_rows = layout.id_order[:n_sample]
         # Sample phase: exact ADC seeds every query's topk, one gather
         # and one selection for the batch.

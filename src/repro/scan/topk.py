@@ -111,6 +111,13 @@ class TopKAccumulator:
         return ids, dists
 
 
+def keep_size(keep: float, n: int, topk: int) -> int:
+    """Rows a keep phase scores exactly before any bound prunes: the
+    ``keep`` fraction of ``n`` rounded up, at least ``topk`` (a full
+    temporary top-k is what bounds ``qmax``, Section 4.4), at most ``n``."""
+    return min(n, max(int(np.ceil(keep * n)), topk))
+
+
 def select_topk(
     distances: np.ndarray, identifiers: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -278,12 +278,11 @@ def _scan_block(
 
     The shared partition-scan kernel of every executor (the inline
     :class:`BatchExecutor`, the process workers of :mod:`repro.parallel`,
-    the sharded scatter-gather path): the scanner's ``scan_batch``,
-    which shares across the batch whatever the scanner can (plain PQ
-    Scan: one batched ADC accumulation and one row-wise selection;
-    :class:`~repro.core.PQFastScanner` / Quick ADC: one prepared-layout
-    fetch, PQ Fast Scan also one table-stack remap) and is the per-query
-    ``scan`` loop for a scanner that defines nothing else.
+    the sharded scatter-gather path): the scanner's ``scan_batch``, the
+    one method a scanner defines, which shares across the batch whatever
+    the scanner can (plain PQ Scan: one batched ADC accumulation and one
+    row-wise selection; the pruning scanners: one prepared-layout fetch
+    and one keep-phase gather and selection).
 
     ``tables`` is the ``(b, m, k*)`` stack for the batch's queries
     against this partition; the block has one cell per table row,
@@ -1029,15 +1028,10 @@ class BatchExecutor(PlanExecutor):
     the batch (:meth:`BatchPlan.query_half`), each :class:`PartitionJob`
     combines the tables of *all* of its queries out of it
     (:meth:`IVFADCIndex.tables_from_halves`), scans the partition
-    with the scanner's most batch-friendly entry point, and the
+    through the scanner's ``scan_batch`` (:func:`_scan_block`), and the
     per-query partials are merged deterministically afterwards
     (:class:`PlanPipeline`) — so results are byte-identical to the
     sequential loop.
-
-    A job scans through the scanner's ``scan_batch`` (the pre-warmed
-    prepared layout and the table-stack remap are then shared by the
-    batch; a scanner that defines only ``scan`` inherits the per-query
-    loop and still benefits from batched routing and tables).
 
     The executor holds no pool: a job's NumPy calls are short and the
     Python between them holds the GIL, so a second thread read

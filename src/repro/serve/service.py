@@ -113,16 +113,16 @@ class ServeConfig:
             is willing to spend buying batch amortization).
         max_queue: bound on requests accepted but not yet batched; a
             full queue sheds new requests with :data:`STATUS_OVERLOAD`.
-        max_concurrent_batches: batches allowed in flight at once. The
-            coalescer stops collecting while all slots are busy, which
-            backs pressure up into the bounded queue — total admitted
-            work is ``max_queue + max_concurrent_batches * max_batch``.
+
+    One batch is in flight at a time, so writes apply in enqueue order:
+    the coalescer stops collecting while it runs, which backs pressure
+    up into the bounded queue — total admitted work is ``max_queue +
+    max_batch``.
     """
 
     max_batch: int = 32
     max_delay_s: float = 0.002
     max_queue: int = 1024
-    max_concurrent_batches: int = 1
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -136,11 +136,6 @@ class ServeConfig:
         if self.max_queue < 1:
             raise ConfigurationError(
                 f"max_queue must be >= 1, got {self.max_queue}"
-            )
-        if self.max_concurrent_batches < 1:
-            raise ConfigurationError(
-                "max_concurrent_batches must be >= 1, got "
-                f"{self.max_concurrent_batches}"
             )
 
 
@@ -335,12 +330,9 @@ class MicroBatchServer:
         if self._coalescer is not None:
             return
         self._queue = asyncio.Queue(maxsize=self.config.max_queue)
-        self._flush_slots = asyncio.Semaphore(
-            self.config.max_concurrent_batches
-        )
+        self._flush_slots = asyncio.Semaphore(1)
         self._flush_pool = ThreadPoolExecutor(
-            max_workers=self.config.max_concurrent_batches,
-            thread_name_prefix="repro-serve",
+            max_workers=1, thread_name_prefix="repro-serve"
         )
         self._coalescer = asyncio.get_running_loop().create_task(
             self._coalesce()
@@ -519,10 +511,10 @@ class MicroBatchServer:
     async def _coalesce(self) -> None:
         """The coalescer loop: collect a micro-batch, spawn its flush.
 
-        A flush slot is acquired *before* collecting, so when every slot
-        is busy the coalescer pauses and admission pressure lands on the
-        bounded queue (where it sheds) instead of on an unbounded pile
-        of in-flight batches. What is already queued is taken before any
+        The one flush slot is acquired *before* collecting, so while a
+        batch runs the coalescer pauses and admission pressure lands on
+        the bounded queue (where it sheds) instead of on a pile of
+        in-flight batches. What is already queued is taken before any
         wait, so a backlog older than the deadline still leaves in
         batches of up to ``max_batch``, not one request at a time.
         """

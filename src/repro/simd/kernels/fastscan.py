@@ -122,7 +122,7 @@ def fastscan_kernel(
         raise SimulationError("cannot simulate an empty partition")
 
     from ...pq.adc import adc_distances  # local import: avoid cycle
-    from ...scan.topk import TopKAccumulator
+    from ...scan.topk import TopKAccumulator, keep_size
 
     acc_topk = TopKAccumulator(topk)
     n_keep = 0
@@ -130,7 +130,7 @@ def fastscan_kernel(
     if keep > 0.0 or qmax is None:
         # First keep% of the *database* (smallest ids): representative
         # sample, uncorrelated with grouping (see PQFastScanner).
-        n_keep = min(n, max(int(np.ceil(keep * n)), topk))
+        n_keep = keep_size(keep, n, topk)
         keep_rows = np.sort(np.argsort(grouped.ids, kind="stable")[:n_keep])
         keep_mask[keep_rows] = True
         keep_codes = grouped.reconstruct_all()[keep_rows]

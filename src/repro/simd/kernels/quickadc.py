@@ -90,12 +90,12 @@ def quickadc_kernel(
         ids = np.arange(n, dtype=np.int64)
 
     from ...pq.adc import adc_distances  # local import: avoid cycle
-    from ...scan.topk import TopKAccumulator
+    from ...scan.topk import TopKAccumulator, keep_size
 
     # Sample phase (host-side, mirrors QuickADCScanner._scan_packed):
     # exact ADC over the first keep% of the database (smallest ids).
     acc = TopKAccumulator(topk)
-    n_sample = min(n, max(int(np.ceil(keep * n)), topk))
+    n_sample = keep_size(keep, n, topk)
     sample_rows = np.sort(np.argsort(ids, kind="stable")[:n_sample])
     sample_mask = np.zeros(n, dtype=bool)
     sample_mask[sample_rows] = True

@@ -54,9 +54,9 @@ class TestRunQueries:
                 events.append("warm")
                 return 0
 
-            def scan(self, tables, partition, topk=1):
+            def scan_batch(self, tables, partition, topk=1):
                 events.append("scan")
-                return super().scan(tables, partition, topk)
+                return super().scan_batch(tables, partition, topk)
 
         stats = run_queries(tiny_ctx, Recording(), query_indexes=[0, 1], topk=5)
         assert events == ["warm", "scan", "warm", "scan"]

@@ -72,7 +72,7 @@ class TestScannerSpec:
         class Custom(PartitionScanner):
             name = "custom"
 
-            def scan(self, tables, partition, topk):  # pragma: no cover
+            def scan_batch(self, tables, partition, topk):  # pragma: no cover
                 raise NotImplementedError
 
         with pytest.raises(ConfigurationError, match="reconstructed"):

@@ -4,11 +4,12 @@
 import numpy as np
 import pytest
 
-from repro import BatchExecutor, Partition
+from repro import ANNSearcher, BatchExecutor, Partition
 from repro.engine import SCANNER_KINDS
 from repro.parallel import ScannerSpec
 from repro.scan import LibpqScanner, NaiveScanner, PartitionScanner
 from repro.search import _scan_block
+from repro.shard import ScatterGatherExecutor, ShardedIndex
 
 #: quickadc scans 4-bit codes and is approximate at the margin: its
 #: reference is its own sequential scan, in tests/test_quickadc.py.
@@ -24,13 +25,24 @@ def assert_same_bytes(got, reference):
         assert ours.n_scanned == theirs.n_scanned
 
 
-class _ScanOnly(PartitionScanner):
-    """What a user-defined scanner is: ``scan`` and nothing else."""
+class _ScanBatchOnly(PartitionScanner):
+    """What a user-defined scanner is: ``scan_batch`` and nothing else."""
 
-    name = "scan-only"
+    name = "scan-batch-only"
 
-    def scan(self, tables, partition, topk=1):
-        return NaiveScanner().scan(tables, partition, topk=topk)
+    def scan_batch(self, tables, partition, topk=1):
+        return [NaiveScanner().scan(row, partition, topk=topk) for row in tables]
+
+
+class _Recording(NaiveScanner):
+    """A subclass that overrides ``scan_batch`` and nothing else."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def scan_batch(self, tables, partition, topk=1):
+        self.calls += 1
+        return super().scan_batch(tables, partition, topk=topk)
 
 
 class TestScannerRegistry:
@@ -42,9 +54,16 @@ class TestScannerRegistry:
         assert [scanner.name for scanner in built] == list(SCANNER_KINDS)
         assert len(set(SCANNER_KINDS)) == 5
 
-    def test_scan_only_subclass_inherits_the_contract(self, index, dataset):
-        scanner = _ScanOnly()
+    def test_scan_batch_only_subclass_gets_scan_and_warm(self, index, dataset):
+        scanner = _ScanBatchOnly()
         assert scanner.warm(index.partitions) == 0
+        query = dataset.queries[0]
+        pid = index.route(query)[0]
+        tables = index.distance_tables_for(query, pid)
+        assert_same_bytes(
+            [scanner.scan(tables, index.partitions[pid], topk=10)],
+            [NaiveScanner().scan(tables, index.partitions[pid], topk=10)],
+        )
         with BatchExecutor(index, scanner) as ours, BatchExecutor(
             index, NaiveScanner()
         ) as reference:
@@ -52,6 +71,40 @@ class TestScannerRegistry:
                 ours.run(dataset.queries, topk=10, nprobe=2),
                 reference.run(dataset.queries, topk=10, nprobe=2),
             )
+
+
+class TestOneQueryPath:
+    """``scan_batch`` is the scanner: the one-query ``scan`` and every
+    search path run a subclass's override, whichever method it names."""
+
+    def test_every_path_runs_the_scan_batch_override(self, index, dataset):
+        scanner = _Recording()
+        query = dataset.queries[0]
+        pid = index.route(query)[0]
+        scanner.scan(index.distance_tables_for(query, pid), index.partitions[pid])
+        assert scanner.calls == 1
+        queries = dataset.queries[:3]
+        paths = {
+            "sequential": lambda: ANNSearcher(index, scanner).search(
+                queries, topk=5, nprobe=2, executor="sequential"
+            ),
+            "batch": lambda: ANNSearcher(index, scanner).search(
+                queries, topk=5, nprobe=2, executor="batch"
+            ),
+            "thread shards": lambda: self._run_shards(index, scanner, queries),
+        }
+        for name, search in paths.items():
+            before = scanner.calls
+            search()
+            assert scanner.calls > before, name
+
+    @staticmethod
+    def _run_shards(index, scanner, queries):
+        sharded = ShardedIndex.from_index(index, n_shards=2)
+        with ScatterGatherExecutor(
+            sharded, [scanner, scanner], backend="thread"
+        ) as executor:
+            return executor.run(queries, topk=5, nprobe=2)
 
 
 class TestScannerAgreement:

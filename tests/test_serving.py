@@ -66,7 +66,6 @@ class TestServeConfig:
             {"max_batch": 0},
             {"max_delay_s": -0.1},
             {"max_queue": 0},
-            {"max_concurrent_batches": 0},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -136,9 +135,7 @@ class TestCoalescing:
             release.wait(timeout=30)
             return _echo_batch(queries)
 
-        config = ServeConfig(
-            max_batch=32, max_delay_s=0.001, max_concurrent_batches=1
-        )
+        config = ServeConfig(max_batch=32, max_delay_s=0.001)
 
         async def scenario() -> list[ServedResult]:
             async with MicroBatchServer(blocking_batch, config) as server:
@@ -190,7 +187,6 @@ class TestAdmissionControl:
 
         config = ServeConfig(
             max_batch=1, max_delay_s=0.001, max_queue=2,
-            max_concurrent_batches=1,
         )
 
         async def scenario() -> tuple[list[ServedResult], ServedResult]:
@@ -406,7 +402,6 @@ class TestServeObservability:
 
         config = ServeConfig(
             max_batch=1, max_delay_s=0.001, max_queue=1,
-            max_concurrent_batches=1,
         )
 
         async def scenario(server: MicroBatchServer) -> None:

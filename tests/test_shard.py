@@ -245,16 +245,16 @@ class TestScatterGatherIdentity:
 
 
 class _StallingScanner(PartitionScanner):
-    """Blocks inside scan() until released — a stalled/hung shard."""
+    """Blocks inside scan_batch() until released — a stalled/hung shard."""
 
     name = "stalling"
 
     def __init__(self, release: threading.Event):
         self.release = release
 
-    def scan(self, tables, partition, topk=1):
+    def scan_batch(self, tables, partition, topk=1):
         self.release.wait()
-        return NaiveScanner().scan(tables, partition, topk=topk)
+        return NaiveScanner().scan_batch(tables, partition, topk=topk)
 
 
 class _FlakyScanner(PartitionScanner):
@@ -267,11 +267,11 @@ class _FlakyScanner(PartitionScanner):
         self.calls = 0
         self._inner = NaiveScanner()
 
-    def scan(self, tables, partition, topk=1):
+    def scan_batch(self, tables, partition, topk=1):
         self.calls += 1
         if self.calls <= self.fail_times:
             raise RuntimeError("transient shard fault")
-        return self._inner.scan(tables, partition, topk=topk)
+        return self._inner.scan_batch(tables, partition, topk=topk)
 
 
 class TestGracefulDegradation:
@@ -392,9 +392,9 @@ class TestGracefulDegradation:
             scan_threads: set[str] = set()
 
             class Flaky(_FlakyScanner):
-                def scan(self, tables, partition, topk=1):
+                def scan_batch(self, tables, partition, topk=1):
                     scan_threads.add(threading.current_thread().name)
-                    return super().scan(tables, partition, topk=topk)
+                    return super().scan_batch(tables, partition, topk=topk)
 
             executor = ScatterGatherExecutor(
                 sharded,
