@@ -324,15 +324,19 @@ class IVFADCIndex:
         queries: np.ndarray,
         query_half: np.ndarray,
         rows: np.ndarray | None,
-        partition_id: int,
+        partition_id: "int | np.ndarray",
     ) -> np.ndarray:
         """Step 2's combine, where every table the library scans is made.
 
         ``||(x_j - c_pj) - C_ji||^2`` as ``max(||x_j - c_pj||^2 +
         cell_half[p] - query_half, 0)`` for ``rows`` (None: all) of
         ``queries`` and of their :meth:`query_half`: two adds per entry.
+        ``partition_id`` is one cell for every row, or one per row: a
+        run of jobs over several cells is one call, each row's table
+        bit-identical to its own cell's.
         """
-        if not 0 <= partition_id < self.n_partitions:
+        cells = np.asarray(partition_id)
+        if cells.size and not 0 <= cells.min() <= cells.max() < self.n_partitions:
             raise ConfigurationError(
                 f"partition_id must be in [0, {self.n_partitions}), got "
                 f"{partition_id}"
@@ -342,9 +346,13 @@ class IVFADCIndex:
         # C-contiguous for the reason distance_tables_batch gives.
         shifted = np.ascontiguousarray(queries, dtype=np.float64)
         if self.encode_residuals:
-            shifted = shifted - self.coarse.codebook[partition_id]
+            shifted = shifted - self.coarse.codebook[cells]
         subs = shifted.reshape(len(shifted), self.pq.m, self.pq.dsub)
-        r_sq = np.einsum("qjd,qjd->qj", subs, subs)
-        tables = r_sq[:, :, None] + self.cell_half[partition_id]
+        r_sq = np.einsum("qjd,qjd->qj", subs, subs)[:, :, None]
+        if cells.ndim:  # the gathered cell halves are the table's one block
+            tables = self.cell_half.take(cells, axis=0)
+            tables += r_sq
+        else:
+            tables = r_sq + self.cell_half[cells]
         tables -= query_half
         return np.maximum(tables, 0.0, out=tables)

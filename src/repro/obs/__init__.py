@@ -129,8 +129,9 @@ class Observability:
         return self.tracer.span(stage)
 
     def record_scan(self, scanner: str, n_scanned: int, n_pruned: int) -> None:
-        """Account the scans of one job (or one per-query scan) under the
-        scanner's kind; ``repro_pruning_rate`` is derived from the two."""
+        """Account the scans of one run of jobs (or one per-query scan)
+        under the scanner's kind; ``repro_pruning_rate`` is derived from
+        the two."""
         if not self.enabled:
             return
         # Scanned before pruned: a concurrent read of the rate stays <= 1.

@@ -15,8 +15,8 @@ Traffic is deliberately compact and per bundle, not per cell: a
 job, a partition id, the rows that probe it and the ids of its
 tombstoned rows; what comes back is one :class:`~repro.scan.ScanBlock`
 for the whole bundle (three arrays, ``topk`` wide), the worker's pid
-and each job's busy time. Parent ↔ worker traffic is therefore
-independent of partition sizes.
+and the busy time of each run of jobs it scanned. Parent ↔ worker
+traffic is therefore independent of partition sizes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from ..exceptions import ConfigurationError
 from ..ivf.inverted_index import IVFADCIndex
 from ..persistence import load_index
 from ..scan.base import PartitionScanner, ScanBlock
-from ..search import _scan_block
+from ..search import _scan_runs
 from .spec import ScannerSpec
 
 __all__ = ["WorkerBundle"]
@@ -92,7 +92,8 @@ def _run_bundle(
     per-batch constant instead of scaling with the partition count.
     Returns ``(pid, cells, busy_s)``: the worker's process id (the parent
     maps pids to worker-stat slots), the jobs' scans end to end in one
-    block, and the wall time spent on each job.
+    block, and the wall time spent on each run of jobs
+    (:func:`~repro.search._scan_runs`, the executors' own loop).
 
     ``sanitize`` mirrors the parent's ``REPRO_SANITIZE`` gate at call
     time: worker processes may have been spawned before the gate was
@@ -113,26 +114,30 @@ def _run_bundle(
         raise ConfigurationError(
             "worker process used before _init_worker attached its state"
         )
-    blocks, busy_s = [], []
     # The query half once per bundle, for the rows its jobs read; the
-    # first job's busy time carries it (worker_busy_share means busy).
+    # first run's busy time carries it (worker_busy_share means busy).
     t0 = time.perf_counter()
     used, rows = np.unique(bundle.query_rows, return_inverse=True)
     queries = bundle.queries[used]
     query_half = index.query_half(queries)
-    stop = 0
-    for partition_id, size, tombstones in zip(
-        bundle.partition_ids, bundle.job_sizes, bundle.tombstones
+    ends = np.cumsum(bundle.job_sizes).tolist()
+    jobs = [
+        (partition_id, rows[end - size : end], tombstones)
+        for partition_id, size, end, tombstones in zip(
+            bundle.partition_ids, bundle.job_sizes, ends, bundle.tombstones
+        )
+    ]
+    blocks, busy_s = [], []
+    for _, block in _scan_runs(
+        index,
+        scanner,
+        queries,
+        query_half,
+        jobs,
+        [index.partitions[partition_id] for partition_id in bundle.partition_ids],
+        bundle.topk,
     ):
-        start, stop = stop, stop + size
-        tables = index.tables_from_halves(
-            queries, query_half, rows[start:stop], partition_id
-        )
-        blocks.append(
-            _scan_block(
-                scanner, tables, index.partitions[partition_id], bundle.topk, tombstones
-            )
-        )
+        blocks.append(block)
         busy_s.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
     return os.getpid(), ScanBlock.concatenate(blocks), busy_s

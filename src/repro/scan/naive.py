@@ -6,8 +6,9 @@ from the distance tables, 8 scalar additions — 16 L1 loads total
 
 Two code paths are provided:
 
-* :meth:`NaiveScanner.scan_batch` — vectorized over the partition and
-  the query batch with numpy (``scan`` is its batch of one); this is what
+* :func:`scan_run` — vectorized over a *run* of jobs (each a partition
+  and the queries probing it) with numpy; :meth:`NaiveScanner.scan_batch`
+  is its run of one job and ``scan`` the batch of one. This is what
   benchmarks use for wall-clock runs. Numerically it performs exactly
   the per-vector sum of Equation (3).
 * :meth:`NaiveScanner.scan_scalar` — the literal loop of Algorithm 1,
@@ -17,15 +18,17 @@ Two code paths are provided:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
 from ..pq.adc import adc_distance_single, adc_distances_batch
-from .base import PartitionScanner, ScanBlock, ScanResult
-from .topk import TopKAccumulator
+from .base import PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock, ScanResult
+from .topk import TopKAccumulator, select_topk_rows
 
-__all__ = ["NaiveScanner"]
+__all__ = ["NaiveScanner", "scan_run"]
 
 
 class NaiveScanner(PartitionScanner):
@@ -36,7 +39,8 @@ class NaiveScanner(PartitionScanner):
     def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
     ) -> ScanBlock:
-        """Scan one partition for a whole query batch at once.
+        """Scan one partition for a whole query batch at once: the run
+        of one job of :func:`scan_run`.
 
         ``tables`` is the ``(b, m, k*)`` stack of per-query distance
         tables. :func:`~repro.pq.adc.adc_distances_batch` gathers the
@@ -47,9 +51,7 @@ class NaiveScanner(PartitionScanner):
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 3:
             raise DimensionMismatchError(3, tables.ndim, what="array rank")
-        return ScanBlock.exhaustive(
-            adc_distances_batch(tables, partition.codes), partition.ids, topk
-        )
+        return scan_run(tables, (partition,), (len(tables),), topk)
 
     def scan_scalar(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
@@ -62,3 +64,108 @@ class NaiveScanner(PartitionScanner):
             acc.offer(d, int(partition.ids[i]))
         ids, dists = acc.result()
         return ScanResult(ids=ids, distances=dists, n_scanned=len(partition))
+
+
+def scan_run(
+    tables: np.ndarray,
+    partitions: Sequence[Partition],
+    sizes: Sequence[int],
+    topk: int,
+    tombstones: Sequence[np.ndarray] = (),
+) -> ScanBlock:
+    """PQ Scan of a run of jobs in one exhaustive pass.
+
+    Job ``i`` is ``sizes[i]`` consecutive rows of the ``(c, m, k*)``
+    ``tables`` stack against ``partitions[i]``; the block has one cell
+    per table row, job by job. ``tombstones[i]`` (if given) are ids of
+    rows of ``partitions[i]`` to leave out: they are scanned, counted in
+    ``n_scanned`` and masked to ``(PAD_DISTANCE, PAD_ID)`` before the
+    selection, so a cell is never wider than ``topk``.
+
+    One job is gathered dense, ``(b, n)``, one ``take`` per component
+    (:func:`~repro.pq.adc.adc_distances_batch`). Several jobs are one
+    ragged gather: every (cell, row) pair of the run end to end, one
+    ``take`` per component from the flattened stack, then one
+    ``(c, widest partition)`` block padded past each cell's rows. The
+    contributions are summed in :func:`~repro.pq.adc.adc_distances`'
+    order either way, and one :func:`~repro.scan.select_topk_rows`
+    selects for the run, so every cell is byte-identical to scanning
+    its job alone.
+    """
+    if len(partitions) == 1:
+        (partition,) = partitions
+        ids = partition.ids
+        distances = adc_distances_batch(tables, partition.codes)
+        dead = _dead_rows(ids, tombstones)
+        if dead is None:
+            return ScanBlock.exhaustive(distances, ids, topk)
+        distances[:, dead] = PAD_DISTANCE
+        ids = np.where(dead, PAD_ID, ids)
+        n_rows = np.array([len(partition)], dtype=np.intp)
+    else:
+        ids = np.concatenate([p.ids for p in partitions])
+        dead = _dead_rows(ids, tombstones)
+        n_rows = np.array([len(p) for p in partitions], dtype=np.intp)
+        distances, ids = _ragged_block(tables, partitions, n_rows, sizes, ids, dead)
+    top_ids, top_distances = select_topk_rows(distances, ids, topk)
+    live = n_rows
+    if dead is not None:
+        dead_before = np.concatenate([[0], np.cumsum(dead)])
+        ends = np.cumsum(n_rows)
+        live = n_rows - (dead_before[ends] - dead_before[ends - n_rows])
+    counts = np.zeros((3, len(top_ids)), dtype=np.int64)
+    counts[0] = np.repeat(np.minimum(live, topk), sizes)
+    counts[1] = np.repeat(n_rows, sizes)
+    return ScanBlock(top_ids, top_distances, counts)
+
+
+def _dead_rows(ids: np.ndarray, tombstones: Sequence[np.ndarray]) -> np.ndarray | None:
+    """Which of ``ids`` a tombstone hits, or None when none can."""
+    if not any(len(dropped) for dropped in tombstones):
+        return None
+    return np.isin(ids, np.concatenate(tombstones))
+
+
+def _ragged_block(
+    tables: np.ndarray,
+    partitions: Sequence[Partition],
+    n_rows: np.ndarray,
+    sizes: Sequence[int],
+    ids: np.ndarray,
+    dead: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and ids of every (cell, row) pair of a run, ``(c, w)``:
+    cell ``i``'s rows left to right, then ``(PAD_DISTANCE, PAD_ID)``."""
+    n_cells = np.asarray(sizes, dtype=np.intp)
+    codes = np.concatenate([p.codes for p in partitions])
+    c, m, ksub = tables.shape
+    if codes.shape[1] != m:
+        raise DimensionMismatchError(m, codes.shape[1], what="code")
+    per_cell = np.repeat(n_rows, n_cells)
+    # Entry e of cell i reads row e - (cell i's first entry) + (its
+    # partition's first row) of the concatenated codes.
+    rows = None
+    if (n_cells != 1).any():
+        shift = np.repeat(np.cumsum(n_rows) - n_rows, n_cells) - (
+            np.cumsum(per_cell) - per_cell
+        )
+        rows = np.arange(int(per_cell.sum())) + np.repeat(shift, per_cell)
+        codes, ids = codes.take(rows, axis=0), ids.take(rows)
+    # Entry e's table for component j starts at flat[cell * m * ksub + j * ksub].
+    flat = np.ascontiguousarray(tables).reshape(-1)
+    base = np.repeat(np.arange(0, c * m * ksub, m * ksub), per_cell)
+    index = codes[:, 0] + base
+    distances = flat.take(index)
+    for j in range(1, m):
+        np.add(codes[:, j], base, out=index)
+        distances += flat[j * ksub :].take(index)
+    if dead is not None:
+        gone = dead if rows is None else dead.take(rows)
+        distances[gone] = PAD_DISTANCE
+        ids = np.where(gone, PAD_ID, ids)
+    filled = np.arange(int(n_rows.max(initial=0))) < per_cell[:, None]
+    block = np.full(filled.shape, PAD_DISTANCE)
+    block[filled] = distances
+    block_ids = np.full(filled.shape, PAD_ID, dtype=np.int64)
+    block_ids[filled] = ids
+    return block, block_ids

@@ -147,14 +147,22 @@ def select_topk(
     return identifiers[order], distances[order]
 
 
-#: Longest row :func:`select_topk_rows` sorts whole. Measured on the
-#: 2-core box as one ``lexsort(axis=1)`` over the block against one
-#: :func:`select_topk` call per row (normal distances, ``b`` of 2, 4, 8,
-#: 16 and 64 rows, 8 to 384 candidates, ``k`` 10 and 100): the block sort
-#: takes 0.1-0.75x the time of the calls up to 160 candidates, 0.53-0.93x
-#: at 192, 0.6-1.05x at 224, 0.8-1.4x at 256 and 1.0-2.4x from 320 up (a
-#: whole sort grows as ``n log n``; a call pays ~10 us, then partitions).
-_WHOLE_ROW_SORT_MAX = 192
+#: Largest block :func:`select_topk_rows` sorts whole, in candidates
+#: (rows x row length). Measured on a 2-core x86 host, uniform distances,
+#: ``b`` of 2 to 128 rows, 16 to 512 candidates, ``k`` 10 and 100: the
+#: block path (:func:`_block_topk`) against one ``lexsort(axis=1)`` took
+#: 1.2-3.9x the time at 128-768 candidates, 0.6-1.7x at 1 024 and
+#: 0.06-0.6x from 1 536 up, except where rows are shorter than ``2k``
+#: (0.7-2.1x at any size: most of a row is then a candidate anyway).
+_WHOLE_BLOCK_SORT_MAX = 1024
+
+#: Most candidates the block path holds at once: a larger block goes
+#: through it a slice of rows at a time, so its temporaries (a copy to
+#: partition, the candidates) stay a few hundred KiB however many rows
+#: the block has. ``serve-mixed``'s recall check merges 1 024 queries
+#: at ``k = 100`` (a ``(1 024, 400)`` block): in one slice its
+#: ``peak_rss_mb`` read 203.4 MiB, in slices 201.7.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def select_topk_rows(
@@ -165,10 +173,13 @@ def select_topk_rows(
     ``identifiers`` is ``(n,)`` (one partition scanned for ``b`` queries)
     or ``(b, n)`` (each row its own candidates). Returns ``(ids,
     distances)`` of shape ``(b, min(k, n))`` whose row ``i`` is byte for
-    byte ``select_topk(distances[i], identifiers or identifiers[i], k)``:
-    the (distance, id) order is total up to exact duplicates, so sorting
-    a short row whole picks what partition-then-widen picks. One row, or
-    rows past :data:`_WHOLE_ROW_SORT_MAX`, go through the per-row call.
+    byte ``select_topk(distances[i], identifiers or identifiers[i], k)``.
+    One row goes through that call. A small block (at most
+    :data:`_WHOLE_BLOCK_SORT_MAX` candidates, or rows shorter than
+    ``2k``) is sorted whole: the (distance, id) order is total up to
+    exact duplicates, so that picks what partition-then-widen picks. A
+    larger one takes the per-row call's steps for every row at once
+    (:func:`_block_topk`), :data:`_BLOCK_ENTRIES` candidates at a time.
     """
     distances = np.asarray(distances, dtype=np.float64)
     identifiers = np.asarray(identifiers, dtype=np.int64)
@@ -177,20 +188,53 @@ def select_topk_rows(
     if distances.ndim != 2 or identifiers.shape[-1:] != distances.shape[1:]:
         raise ConfigurationError("distances and identifiers shape mismatch")
     b, n = distances.shape
-    shared = identifiers.ndim == 1
     if b == 1:  # straight to the call: a one-row job pays nothing for blocks
         ids, dists = select_topk(distances[0], identifiers.reshape(n), k)
         return ids[None, :], dists[None, :]
-    if n > _WHOLE_ROW_SORT_MAX:
-        ids = np.empty((b, min(k, n)), dtype=np.int64)
-        dists = np.empty(ids.shape, dtype=np.float64)
-        for i in range(b):
-            ids[i], dists[i] = select_topk(
-                distances[i], identifiers if shared else identifiers[i], k
-            )
-        return ids, dists
+    if n < 2 * k or b * n <= _WHOLE_BLOCK_SORT_MAX:
+        return _sorted_rows(distances, identifiers, k)
+    step = max(1, _BLOCK_ENTRIES // n)
+    ids, dists = zip(*(
+        _block_topk(
+            distances[i : i + step],
+            identifiers if identifiers.ndim == 1 else identifiers[i : i + step],
+            k,
+        )
+        for i in range(0, b, step)
+    ))
+    return np.concatenate(ids), np.concatenate(dists)
+
+
+def _sorted_rows(
+    distances: np.ndarray, identifiers: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``k`` of every row sorted whole by (distance, id)."""
     keys = np.broadcast_to(identifiers, distances.shape)
     order = np.lexsort((keys, distances), axis=1)[:, :k]
-    rows = np.arange(b)[:, None]
-    ids = identifiers[order] if shared else identifiers[rows, order]
+    rows = np.arange(len(distances))[:, None]
+    ids = identifiers[order] if identifiers.ndim == 1 else identifiers[rows, order]
     return ids, distances[rows, order]
+
+
+def _block_topk(
+    distances: np.ndarray, identifiers: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`select_topk`'s partition, widen and sort, one call each for
+    the block (``k < n``).
+
+    Every row's k-th distance comes from one ``partition``; a row's
+    candidates are its entries at or under it, ties included, packed
+    left in row order behind ``(inf, int64 max)`` padding; one
+    ``lexsort`` of the packed block orders them. A row has at least
+    ``k`` candidates, so the padding is never picked before one (and
+    where a candidate equals it, the bytes are the same).
+    """
+    kth = np.partition(distances, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.divmod(np.flatnonzero(distances <= kth[:, None]), distances.shape[1])
+    counts = np.bincount(rows, minlength=len(distances))
+    packed = np.arange(int(counts.max())) < counts[:, None]
+    ids = np.full(packed.shape, np.iinfo(np.int64).max, dtype=np.int64)
+    dists = np.full(packed.shape, np.inf)
+    ids[packed] = identifiers[cols] if identifiers.ndim == 1 else identifiers[rows, cols]
+    dists[packed] = distances[rows, cols]
+    return _sorted_rows(dists, ids, k)

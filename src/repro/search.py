@@ -44,16 +44,18 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .exceptions import ConfigurationError, SimulationError
 from .ivf.inverted_index import IVFADCIndex, as_count
-from .obs import Observability, get_observability
+from .ivf.partition import Partition
+from .obs import NULL_SPAN, Observability, get_observability
 from .scan.base import PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock, ScanResult
-from .scan.naive import NaiveScanner
+from .scan.naive import NaiveScanner, scan_run
 from .scan.topk import select_topk, select_topk_rows
 from .simd.counters import (
     WorkerStats,
@@ -263,8 +265,96 @@ class BatchPlanner:
 
 
 #: Candidates a widened scan holds at once: a job a tombstone hits scans
-#: its queries in runs of at most this many over their width.
+#: its queries in runs of at most this many over their width (every
+#: scanner but naive, which masks tombstoned rows instead).
 _WIDE_SCAN_CELLS = 1 << 20
+
+#: Most (query, partition) cells in a run of jobs, and most entries
+#: (cells x the run's widest partition) in its candidate block; a job
+#: larger than that is a run of one. A run shares one table combine
+#: and, for naive, one code gather and one top-k. Measured on
+#: ``serve-mixed`` (64 partitions of ~190 rows, nprobe 4, served batches
+#: of 1-32 queries; 2-core x86 host, three runs each): ``peak_rss_mb``
+#: read 199.4-199.9 MiB with a run per job, 201.2-201.4 at 16 cells and
+#: 2^14 entries, 205.5-205.9 at 32 and 2^14, 211-224 at 64 and 2^15
+#: (a run's ``(cells, m, k*)`` tables and its entry arrays are freed
+#: blocks the allocator keeps). In-process, 8-query batches over the
+#: same layout ran 1.31x as fast as the per-job loop at 16 cells, 1.37x
+#: at 32 and 1.41x at 64.
+_RUN_CELLS = 16
+_RUN_ENTRIES = 1 << 14
+
+#: One job of a run: the partition id its tables are combined for, the
+#: query rows probing it and its tombstoned ids.
+_Job = tuple[int, np.ndarray, np.ndarray]
+
+
+def _runs(jobs: Sequence[_Job], partitions: Sequence[Partition]) -> list[slice]:
+    """``jobs`` cut into runs, in order, within :data:`_RUN_CELLS` cells
+    and :data:`_RUN_ENTRIES` entries each."""
+    runs: list[slice] = []
+    start = cells = widest = 0
+    for i, ((_, rows, _), partition) in enumerate(zip(jobs, partitions)):
+        cells, widest = cells + len(rows), max(widest, len(partition))
+        if i > start and (cells > _RUN_CELLS or cells * widest > _RUN_ENTRIES):
+            runs.append(slice(start, i))
+            start, cells, widest = i, len(rows), len(partition)
+    if jobs:
+        runs.append(slice(start, len(jobs)))
+    return runs
+
+
+def _no_span(stage: str) -> AbstractContextManager[object]:
+    """The span of a scan that reports to no one (a worker process)."""
+    return NULL_SPAN
+
+
+def _scan_runs(
+    index: IVFADCIndex,
+    scanner: PartitionScanner,
+    queries: np.ndarray,
+    query_half: np.ndarray,
+    jobs: Sequence[_Job],
+    partitions: Sequence[Partition],
+    topk: int,
+    obs: Observability | None = None,
+) -> Iterator[tuple[int, ScanBlock]]:
+    """Tables and scans of ``jobs`` against ``partitions``, run by run;
+    yields each run's job count and cells, job by job.
+
+    The one tables-and-scan loop of every executor, the process workers
+    and the overlay fold. A run (:func:`_runs`) is one
+    :meth:`IVFADCIndex.tables_from_halves` call, a cell id per row. For
+    naive it is then one exhaustive pass
+    (:func:`~repro.scan.naive.scan_run`: one code gather, tombstoned
+    rows masked, one top-k); any other scanner, and a subclass that
+    overrides ``scan_batch``, scans the run job by job
+    (:func:`_scan_block`). Cells are byte-identical either way.
+    """
+    span = obs.span if obs is not None else _no_span
+    exhaustive = type(scanner).scan_batch is NaiveScanner.scan_batch
+    for run in _runs(jobs, partitions):
+        pids, rows, dropped = zip(*jobs[run])
+        sizes = [len(job_rows) for job_rows in rows]
+        with span("tables"):
+            tables = index.tables_from_halves(
+                queries,
+                query_half,
+                np.concatenate(rows),
+                np.repeat(np.asarray(pids, dtype=np.intp), sizes),
+            )
+        with span("scan"):
+            if exhaustive:
+                block = scan_run(tables, partitions[run], sizes, topk, dropped)
+            else:
+                ends = np.cumsum(sizes).tolist()
+                block = ScanBlock.concatenate([
+                    _scan_block(scanner, tables[end - size : end], partition, topk, gone)
+                    for size, end, partition, gone in zip(
+                        sizes, ends, partitions[run], dropped
+                    )
+                ])
+        yield len(sizes), block
 
 
 def _scan_block(
@@ -276,13 +366,11 @@ def _scan_block(
 ) -> ScanBlock:
     """Scan one partition for a whole query batch, packed.
 
-    The shared partition-scan kernel of every executor (the inline
-    :class:`BatchExecutor`, the process workers of :mod:`repro.parallel`,
-    the sharded scatter-gather path): the scanner's ``scan_batch``, the
+    The per-job scan of :func:`_scan_runs` for every scanner but naive
+    (and :func:`scan_partition_batch`): the scanner's ``scan_batch``, the
     one method a scanner defines, which shares across the batch whatever
-    the scanner can (plain PQ Scan: one batched ADC accumulation and one
-    row-wise selection; the pruning scanners: one prepared-layout fetch
-    and one keep-phase gather and selection).
+    the scanner can (the pruning scanners: one prepared-layout fetch and
+    one keep-phase gather and selection).
 
     ``tables`` is the ``(b, m, k*)`` stack for the batch's queries
     against this partition; the block has one cell per table row,
@@ -330,7 +418,8 @@ def _record_scans(
     busy_time_s: float,
     n_jobs: int = 1,
 ) -> None:
-    """Account the scans of one job (or of a worker's ``n_jobs``).
+    """Account the scans of one run of ``n_jobs`` jobs (or of a worker's
+    bundle).
 
     The one place scans are counted, in the process that owns ``obs``:
     every executor's :class:`ScanBlock` lands here, so the scan counters
@@ -648,29 +737,26 @@ def _fold_overlay(
     executor, owns the plan's cell).
     """
     plan = merger.plan
-    jobs: list[PartitionJob] = []
-    blocks: list[ScanBlock] = []
-    for job in plan.jobs:
-        segment = view.segments.get(job.partition_id)
-        if segment is None:
-            continue
-        with obs.span("tables"):
-            tables = index.tables_from_halves(
-                plan.queries,
-                plan.query_half(index),
-                job.query_rows,
-                job.partition_id,
-            )
-        with obs.span("scan"):
-            block = _SEGMENT_SCANNER.scan_batch(tables, segment, plan.topk)
+    jobs = [job for job in plan.jobs if job.partition_id in view.segments]
+    if not jobs:
+        return
+    blocks = []
+    for _, block in _scan_runs(
+        index,
+        _SEGMENT_SCANNER,
+        plan.queries,
+        plan.query_half(index),
+        [(job.partition_id, job.query_rows, _NO_IDS) for job in jobs],
+        [view.segments[job.partition_id] for job in jobs],
+        plan.topk,
+        obs,
+    ):
         obs.record_scan(
             _SEGMENT_SCANNER.name, int(block.n_scanned.sum()), int(block.n_pruned.sum())
         )
-        jobs.append(job)
         blocks.append(block)
-    if jobs:
-        with obs.span("merge"):
-            merger.fold(PackedPartials.of_jobs(plan, jobs, blocks), covers=False)
+    with obs.span("merge"):
+        merger.fold(PackedPartials.of_jobs(plan, jobs, blocks), covers=False)
 
 
 @dataclass
@@ -845,8 +931,8 @@ class PlanPipeline:
     ``planner`` and ``observability`` in their constructor.
 
     Every run is traced through :mod:`repro.obs`: the route, warm,
-    table-build (the batch's query half, then one combine per job) and
-    per-job scan, and merge stages each produce a span
+    table-build (the batch's query half, then one combine per run of
+    jobs) and per-run scan, and merge stages each produce a span
     (and a ``repro_stage_latency_seconds`` observation), and the
     finished batch feeds the batch/worker metrics. With the default
     (disabled) observability instance all of this reduces to an
@@ -874,9 +960,10 @@ class PlanPipeline:
 
         With ``delta_view`` (a mutable engine's uncompacted overlay)
         every job scans its *base* partition on the executor with the
-        configured scanner; where tombstones hit ``t_p`` of its rows the
-        scan runs ``t_p`` wider and drops them (:func:`_scan_block`; a
-        dirty cell's ``n_scanned`` counts tombstoned rows too), so every
+        configured scanner; where tombstones hit ``t_p`` of its rows naive
+        masks them before its selection and any other scanner runs ``t_p``
+        wider and drops them (:func:`_scan_runs`; a dirty cell's
+        ``n_scanned`` counts tombstoned rows too), so every
         cell reaching the merger is at most ``topk`` wide. The parent
         scans the delta segments. The merger's total (distance, id)
         order makes the result independent of fold order — and
@@ -1025,11 +1112,11 @@ class BatchExecutor(PlanExecutor):
     """Partition-major batch executor, inline on the caller's thread.
 
     Executes a :class:`BatchPlan`: Step 2's query half is built once for
-    the batch (:meth:`BatchPlan.query_half`), each :class:`PartitionJob`
-    combines the tables of *all* of its queries out of it
-    (:meth:`IVFADCIndex.tables_from_halves`), scans the partition
-    through the scanner's ``scan_batch`` (:func:`_scan_block`), and the
-    per-query partials are merged deterministically afterwards
+    the batch (:meth:`BatchPlan.query_half`), each run of jobs
+    (:class:`PartitionJob`) combines the tables of *all* of its queries
+    out of it (:meth:`IVFADCIndex.tables_from_halves`) and scans its
+    partitions (:func:`_scan_runs`), and the per-query partials are
+    merged deterministically afterwards
     (:class:`PlanPipeline`) — so results are byte-identical to the
     sequential loop.
 
@@ -1091,24 +1178,22 @@ class BatchExecutor(PlanExecutor):
         with obs.span("tables"):
             query_half = plan.query_half(self.index)
         blocks: list[ScanBlock] = []
-        for job in plan.jobs:
-            t0 = time.perf_counter()
-            with obs.span("tables"):
-                tables = self.index.tables_from_halves(
-                    plan.queries, query_half, job.query_rows, job.partition_id
-                )
-            with obs.span("scan"):
-                block = _scan_block(
-                    self.scanner,
-                    tables,
-                    self.index.partitions[job.partition_id],
-                    plan.topk,
-                    job.tombstones,
-                )
+        t0 = time.perf_counter()
+        for n_jobs, block in _scan_runs(
+            self.index,
+            self.scanner,
+            plan.queries,
+            query_half,
+            [(job.partition_id, job.query_rows, job.tombstones) for job in plan.jobs],
+            [self.index.partitions[job.partition_id] for job in plan.jobs],
+            plan.topk,
+            obs,
+        ):
             _record_scans(
-                obs, self.scanner.name, stats, block, time.perf_counter() - t0
+                obs, self.scanner.name, stats, block, time.perf_counter() - t0, n_jobs
             )
             blocks.append(block)
+            t0 = time.perf_counter()
         return PackedPartials.of_jobs(plan, plan.jobs, blocks), [stats]
 
     def close(self) -> None:

@@ -23,6 +23,7 @@ from repro.exceptions import ConfigurationError
 from repro.parallel import ProcessBatchExecutor
 from repro.scan import LibpqScanner
 from repro.shard import ScatterGatherExecutor, ShardedIndex
+from repro.search import _runs
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +270,12 @@ class TestQueryHalfOncePerPlan:
                     tombstones=tuple(job.tombstones for job in jobs),
                 )
             )
-            assert len(busy_s) == len(jobs)
+            # One busy time per run of jobs the worker scanned.
+            runs = _runs(
+                [(job.partition_id, job.query_rows, job.tombstones) for job in jobs],
+                [index16.partitions[job.partition_id] for job in jobs],
+            )
+            assert len(busy_s) == len(runs)
             merger.fold(PackedPartials.of_jobs(plan, jobs, [cells]))
         assert calls == expected_calls
         with BatchExecutor(index16, NaiveScanner()) as executor:

@@ -1,0 +1,223 @@
+"""A run of jobs scans like its jobs one at a time, byte for byte.
+
+Every executor, the process worker and the overlay fold cut their jobs
+into runs (``repro.search._runs``): one table combine per run and, for
+naive, one code gather, tombstoned rows masked and one top-k. The
+reference here is the per-job loop: one table combine per job and each
+job's cells selected row by row with :func:`~repro.scan.select_topk`,
+tombstoned rows left out, as wide as ``min(topk, partition size)``.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.search as search_module
+from repro import IVFADCIndex, NaiveScanner
+from repro.delta import DeltaView
+from repro.ivf.partition import Partition
+from repro.obs import get_observability
+from repro.parallel import ScannerSpec, worker
+from repro.pq.adc import adc_distances_batch
+from repro.scan.base import PAD_DISTANCE, PAD_ID, ScanBlock
+from repro.scan.topk import select_topk
+from repro.search import (
+    BatchExecutor,
+    BatchPlanner,
+    PackedPartials,
+    StreamingMerger,
+    _fold_overlay,
+    _scan_block,
+    _with_tombstones,
+)
+
+N_PARTITIONS = 12
+_NO_IDS = np.empty(0, dtype=np.int64)
+KINDS = ("naive", "override", "fastpq", "qonly")
+
+
+class _Override(NaiveScanner):
+    """Naive's scan under a ``scan_batch`` of its own: the per-job loop."""
+
+    def scan_batch(self, tables, partition, topk=1):
+        return super().scan_batch(tables, partition, topk=topk)
+
+
+@pytest.fixture(scope="module")
+def base(dataset, pq):
+    return IVFADCIndex(pq, n_partitions=N_PARTITIONS, seed=2).add(dataset.base[:2000])
+
+
+@st.composite
+def cases(draw):
+    return {
+        "sizes": draw(st.lists(st.integers(0, 300), min_size=N_PARTITIONS, max_size=N_PARTITIONS)),
+        # 1 and 3 distinct values per component: duplicated codes, exact
+        # ties at the k-th distance.
+        "n_values": draw(st.sampled_from([1, 3, 256])),
+        "dead": draw(st.lists(
+            st.sampled_from(["none", "some", "all"]),
+            min_size=N_PARTITIONS, max_size=N_PARTITIONS,
+        )),
+        "segments": draw(st.lists(st.booleans(), min_size=N_PARTITIONS, max_size=N_PARTITIONS)),
+        "n_queries": draw(st.integers(1, 10)),
+        "nprobe": draw(st.integers(1, 4)),
+        "topk": draw(st.integers(1, 40)),
+        "run_cells": draw(st.sampled_from([1, 2, 5, 16])),
+        "run_entries": draw(st.sampled_from([1, 100, 1000, 1 << 14])),
+        "kind": draw(st.sampled_from(KINDS)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _partitions(rng, sizes, n_values, m, first_id):
+    ids = rng.permutation(sum(sizes)).astype(np.int64) + first_id
+    cuts = np.cumsum(sizes)[:-1]
+    return [
+        Partition(rng.integers(0, n_values, size=(len(part), m), dtype=np.uint8), part)
+        for part in np.split(ids, cuts)
+    ]
+
+
+def _per_job(tables, partition, topk, tombstones):
+    """One job's cells, the definition: every row scored, tombstoned rows
+    left out, each cell selected alone."""
+    distances = adc_distances_batch(tables, partition.codes)
+    live = ~np.isin(partition.ids, tombstones)
+    shape = (len(tables), min(topk, len(partition)))
+    ids = np.full(shape, PAD_ID, dtype=np.int64)
+    dists = np.full(shape, PAD_DISTANCE)
+    counts = np.zeros((3, len(tables)), dtype=np.int64)
+    for i, row in enumerate(distances):
+        top_ids, top_dists = select_topk(row[live], partition.ids[live], topk)
+        ids[i, : len(top_ids)], dists[i, : len(top_ids)] = top_ids, top_dists
+        counts[:, i] = (len(top_ids), len(partition), 0)
+    return ScanBlock(ids, dists, counts)
+
+
+def _assert_same_blocks(got: ScanBlock, want: ScanBlock):
+    assert got.ids.shape == want.ids.shape
+    assert got.ids.tobytes() == want.ids.tobytes()
+    assert got.distances.tobytes() == want.distances.tobytes()
+    assert got.counts.tobytes() == want.counts.tobytes()
+
+
+def _scanner(kind, pq):
+    if kind == "override":
+        return _Override()
+    return ScannerSpec(kind, keep=0.05).build(pq)
+
+
+@given(case=cases())
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_a_run_is_its_jobs_one_at_a_time(base, dataset, case):
+    rng = np.random.default_rng(case["seed"])
+    m = base.pq.m
+    partitions = _partitions(rng, case["sizes"], case["n_values"], m, 0)
+    index = base.with_partitions(partitions)
+    hits = {}
+    for pid, (partition, dead) in enumerate(zip(partitions, case["dead"])):
+        if dead == "all" or (dead == "some" and len(partition)):
+            chosen = partition.ids if dead == "all" else rng.choice(
+                partition.ids, size=int(rng.integers(1, len(partition) + 1)), replace=False
+            )
+            hits[pid] = np.sort(chosen)
+    segments = {
+        pid: segment
+        for pid, (segment, wanted) in enumerate(zip(
+            _partitions(rng, rng.integers(0, 40, N_PARTITIONS).tolist(),
+                        case["n_values"], m, 10**6),
+            case["segments"],
+        ))
+        if wanted
+    }
+    queries = dataset.base[rng.choice(2000, size=case["n_queries"])]
+    topk = case["topk"]
+    plan = BatchPlanner(index).plan(queries, topk=topk, nprobe=case["nprobe"])
+    plan = _with_tombstones(plan, hits)
+    scanner = _scanner(case["kind"], base.pq)
+    query_half = index.query_half(plan.queries)
+
+    def job_block(job, partition, tombstones, naive):
+        tables = index.tables_from_halves(
+            plan.queries, query_half, job.query_rows, job.partition_id
+        )
+        if naive:
+            want = _per_job(tables, partition, topk, tombstones)
+            # The reference is what the widened per-job scan returned.
+            _assert_same_blocks(
+                _scan_block(NaiveScanner(), tables, partition, topk, tombstones), want
+            )
+            return want
+        return _scan_block(scanner, tables, partition, topk, tombstones)
+
+    expected = {
+        job.partition_id: job_block(
+            job,
+            index.partitions[job.partition_id],
+            job.tombstones,
+            case["kind"] in ("naive", "override"),
+        )
+        for job in plan.jobs
+    }
+    with mock.patch.multiple(
+        search_module, _RUN_CELLS=case["run_cells"], _RUN_ENTRIES=case["run_entries"]
+    ):
+        # The executors' scan, accounted as the per-job loop would.
+        got, (stats,) = BatchExecutor(index, scanner).scan_plan(plan)
+        want = PackedPartials.of_jobs(
+            plan, plan.jobs, [expected[job.partition_id] for job in plan.jobs]
+        )
+        assert (stats.n_jobs, stats.n_scans) == (len(plan.jobs), len(want.rows))
+        assert stats.n_vectors_scanned == int(want.cells.n_scanned.sum())
+        assert stats.n_vectors_pruned == int(want.cells.n_pruned.sum())
+        assert got.shape == want.shape
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.positions.tobytes() == want.positions.tobytes()
+        _assert_same_blocks(got.cells, want.cells)
+
+        # A process worker's bundle, run in this process.
+        with mock.patch.dict(worker._STATE, {"index": index, "scanner": scanner}):
+            for jobs in (plan.jobs[0::2], plan.jobs[1::2]):
+                if not jobs:
+                    continue
+                _, cells, busy_s = worker._run_bundle(
+                    worker.WorkerBundle(
+                        queries=plan.queries,
+                        partition_ids=tuple(job.partition_id for job in jobs),
+                        query_rows=np.concatenate([job.query_rows for job in jobs]),
+                        job_sizes=tuple(len(job.query_rows) for job in jobs),
+                        topk=topk,
+                        tombstones=tuple(job.tombstones for job in jobs),
+                    )
+                )
+                assert 1 <= len(busy_s) <= len(jobs)
+                _assert_same_blocks(
+                    cells,
+                    ScanBlock.concatenate([expected[job.partition_id] for job in jobs]),
+                )
+
+        # The overlay fold: naive over the segments the plan probes.
+        view = DeltaView(segments, {}, _NO_IDS)
+        merger = StreamingMerger(plan)
+        _fold_overlay(merger, index, view, get_observability())
+        reference = StreamingMerger(plan)
+        folded = [job for job in plan.jobs if job.partition_id in segments]
+        if folded:
+            reference.fold(
+                PackedPartials.of_jobs(plan, folded, [
+                    job_block(job, segments[job.partition_id], _NO_IDS, naive=True)
+                    for job in folded
+                ]),
+                covers=False,
+            )
+        for name in ("_ids", "_distances", "_counts"):
+            assert getattr(merger, name).shape == getattr(reference, name).shape
+            assert getattr(merger, name).tobytes() == getattr(reference, name).tobytes()

@@ -1,5 +1,7 @@
 """Unit tests for top-k candidate management."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,20 +152,27 @@ class TestSelectTopKRows:
         b=st.integers(1, 12),
         n=st.one_of(
             st.integers(0, 600),
-            # both sides of the whole-row / per-row crossover
-            st.integers(
-                topk_module._WHOLE_ROW_SORT_MAX - 2, topk_module._WHOLE_ROW_SORT_MAX + 2
-            ),
+            # the widths a run of small partitions packs into one block
+            st.integers(0, 2000),
+            # both sides of the whole-block / partition crossover
+            st.integers(-2, 2).map(lambda offset: ("crossover", offset)),
         ),
-        k_kind=st.sampled_from(["below", "at", "above"]),
+        k_kind=st.sampled_from(["below", "at", "above", "100"]),
         n_values=st.integers(1, 8),
         own_ids=st.booleans(),
+        # the block path a slice of rows at a time
+        block_entries=st.sampled_from([topk_module._BLOCK_ENTRIES, 1, 700]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_equals_the_per_row_call(self, b, n, k_kind, n_values, own_ids, seed):
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_row_call(
+        self, b, n, k_kind, n_values, own_ids, block_entries, seed
+    ):
         """Integer-valued distances (ties at the k-th distance are the
-        rule), unsorted ids with duplicates, k below, at and above n."""
+        rule), unsorted ids with duplicates, k below, at and above n and
+        k = 100, whole blocks and slices of rows."""
+        if isinstance(n, tuple):
+            n = max(topk_module._WHOLE_BLOCK_SORT_MAX // b + n[1], 0)
         rng = np.random.default_rng(seed)
         distances = rng.integers(0, n_values, size=(b, n)).astype(np.float64)
         ids = rng.integers(0, max(n // 2, 1), size=(b, n) if own_ids else n)
@@ -171,8 +180,10 @@ class TestSelectTopKRows:
             "below": int(rng.integers(1, max(n, 2))),
             "at": max(n, 1),
             "above": n + int(rng.integers(1, 5)),
+            "100": 100,
         }[k_kind]
-        self.assert_rows_equal(distances, ids, k)
+        with mock.patch.object(topk_module, "_BLOCK_ENTRIES", block_entries):
+            self.assert_rows_equal(distances, ids, k)
 
     def test_boundary_ties_resolved_by_id_in_every_row(self):
         distances = np.array([[1.0, 2.0, 2.0, 2.0, 2.0, 3.0], [2.0, 2.0, 0.0, 2.0, 9.0, 2.0]])
