@@ -22,6 +22,7 @@ import numpy as np
 from ..exceptions import ConfigurationError, DimensionMismatchError, NotFittedError
 from ..pq.product_quantizer import ProductQuantizer
 from ..pq.quantizer import VectorQuantizer
+from ..scan.topk import select_topk_rows
 from .partition import Partition
 
 __all__ = ["IVFADCIndex", "as_database_ids"]
@@ -243,7 +244,10 @@ class IVFADCIndex:
         One vectorized centroid-distance computation covers every query;
         each row is bit-identical to what :meth:`route` returns for that
         query alone (the distances are computed with per-row elementwise
-        operations, so routing does not depend on the batch size).
+        operations, so routing does not depend on the batch size). A row
+        is the first ``nprobe`` cells of its stable ``argsort``, selected
+        by :func:`~repro.scan.select_topk_rows` with the cell id as the
+        tie-break instead of sorting all ``n_partitions`` distances.
         """
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim == 1:
@@ -265,8 +269,8 @@ class IVFADCIndex:
         cross = np.einsum("qd,id->qi", queries, codebook)
         dists = x_sq[:, None] + c_sq[None, :] - 2.0 * cross
         np.maximum(dists, 0.0, out=dists)
-        order = np.argsort(dists, axis=1, kind="stable")[:, :nprobe]
-        return order.astype(np.int64, copy=False)
+        cells = np.arange(self.n_partitions, dtype=np.int64)
+        return select_topk_rows(dists, cells, nprobe)[0]
 
     def distance_tables_for(self, query: np.ndarray, partition_id: int) -> np.ndarray:
         """Step 2: per-partition distance tables for ``query``, ``(m, k*)``.

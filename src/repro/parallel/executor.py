@@ -22,8 +22,9 @@ but fans the partition jobs across a persistent ``ProcessPoolExecutor``:
   jobs, which the parent hands to the merger as it is; nothing is
   pickled, unpickled or rebuilt per (query, partition) cell and
   parent↔worker bytes are independent of partition sizes.
-* **Byte-identical results** — workers run the same
-  :func:`~repro.search.scan_partition_batch` kernel and the parent folds
+* **Byte-identical results** — workers run the executors' own
+  tables-and-scan loop (:func:`~repro.search._scan_runs`, jobs in runs)
+  and the parent folds
   their partials through the same :class:`~repro.search.StreamingMerger`,
   so output is byte-for-byte equal to the sequential loop and the inline
   executor, for every worker count and completion order.

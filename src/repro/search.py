@@ -272,17 +272,23 @@ _WIDE_SCAN_CELLS = 1 << 20
 #: Most (query, partition) cells in a run of jobs, and most entries
 #: (cells x the run's widest partition) in its candidate block; a job
 #: larger than that is a run of one. A run shares one table combine
-#: and, for naive, one code gather and one top-k. Measured on
-#: ``serve-mixed`` (64 partitions of ~190 rows, nprobe 4, served batches
-#: of 1-32 queries; 2-core x86 host, three runs each): ``peak_rss_mb``
-#: read 199.4-199.9 MiB with a run per job, 201.2-201.4 at 16 cells and
-#: 2^14 entries, 205.5-205.9 at 32 and 2^14, 211-224 at 64 and 2^15
-#: (a run's ``(cells, m, k*)`` tables and its entry arrays are freed
-#: blocks the allocator keeps). In-process, 8-query batches over the
-#: same layout ran 1.31x as fast as the per-job loop at 16 cells, 1.37x
-#: at 32 and 1.41x at 64.
-_RUN_CELLS = 16
-_RUN_ENTRIES = 1 << 14
+#: and, for naive, one code gather and one top-k. Sized for a process
+#: worker's bundle (``probe-sharded``: 64 partitions of ~96 rows per
+#: shard, the widest 225, nprobe 8, 128-query batches, ~512 cells per
+#: bundle; 2-core x86 host, best of 15): a bundle took 11.6 ms as a run
+#: per job, 9.8 ms in ~29 runs of 16 cells, 9.1 in ~18 of 32, 9.0 in
+#: ~9 of 64 and 8.9 in ~5 of 128 (its peak traced bytes up from 5.5 to
+#: 8.5 MiB; ``peak_rss_mb`` read 244.9-245.9 MiB at 16 to 256 cells).
+#: The entry bound never binds there (64 x 225 < 2^14); it
+#: binds on ``serve-mixed`` (64 partitions of ~190 rows, the widest
+#: 468, nprobe 4, served batches of 1-32), where a run's ``(cells, m,
+#: k*)`` tables and entry arrays are freed blocks the allocator keeps:
+#: ``peak_rss_mb`` (four runs each, a few runs of any setting read
+#: ~218-222) sat at 198.0 MiB at 16 cells and 2^14 entries, 202.0 at 64
+#: and 2^14, 204.0-205.3 at 64 and 2^15 and 204.0 at 64 and 2^16, and
+#: 32-query batches ran 2.81 ms at 16 cells, 2.49 at 64.
+_RUN_CELLS = 64
+_RUN_ENTRIES = 1 << 15
 
 #: One job of a run: the partition id its tables are combined for, the
 #: query rows probing it and its tombstoned ids.

@@ -148,9 +148,11 @@ class ScatterGatherExecutor(PlanPipeline):
         sharded: the sharded layout (positional-only).
         scanners: one Step-3 scanner per shard (a sequence of length
             ``n_shards``), or a zero-argument factory called once per
-            shard. Per-shard instances matter: scanner caches
-            (:meth:`~repro.core.PQFastScanner.prepared`) are not locked
-            for cross-thread mutation, and shards scan concurrently.
+            shard. Per-shard instances keep each shard's prepared
+            layouts and ``prepared_hits`` / ``prepared_misses`` to its
+            own partitions (:class:`~repro.scan.prepared.PreparedCache`,
+            locked, so a shared instance would be safe, only mixed), and
+            let one shard run a scanner of its own (fault injection).
         n_workers: worker processes *per shard* for
             ``backend="process"``; ``backend="thread"`` scans each shard
             inline and refuses anything but 1 (as

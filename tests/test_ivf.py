@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ANNSearcher,
@@ -21,6 +23,7 @@ from repro.exceptions import (
 from repro.ivf.inverted_index import as_database_ids
 from repro.ivf.partition import Partition
 from repro.pq.adc import adc_distances
+from repro.pq.quantizer import VectorQuantizer
 
 
 class TestPartition:
@@ -162,6 +165,59 @@ class TestIVFADCIndex:
         assert len(half) == len(index.partitions[0])
         assert half.coarse is index.coarse and half.seed == index.seed
         assert half.generation == index.generation
+
+
+@st.composite
+def routings(draw):
+    n_partitions = draw(st.integers(1, 40))
+    return {
+        "n_partitions": n_partitions,
+        # Fewer distinct centroids than cells: duplicated centroids, so
+        # exact ties between cells at any distance.
+        "n_distinct": draw(st.integers(1, n_partitions)),
+        "n_queries": draw(st.sampled_from([0, 1, 3, 5, 17, 129])),
+        "nprobe": draw(st.integers(1, n_partitions)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+class TestRoutingSelectsTheStableSortPrefix:
+    """``route_batch`` selects its ``nprobe`` cells; the definition is the
+    first ``nprobe`` columns of the stable ``argsort`` of the batch's
+    centroid distances, ties broken by cell id."""
+
+    @given(case=routings())
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_route_batch_is_the_stable_argsort_prefix(self, pq, dataset, case):
+        rng = np.random.default_rng(case["seed"])
+        distinct = dataset.base[rng.choice(len(dataset.base), case["n_distinct"])]
+        codebook = distinct[rng.permutation(case["n_partitions"]) % case["n_distinct"]]
+        index = IVFADCIndex.from_parts(
+            pq,
+            VectorQuantizer.from_codebook(codebook),
+            [Partition(np.empty((0, pq.m), dtype=np.uint8), np.empty(0, dtype=np.int64))]
+            * case["n_partitions"],
+        )
+        # Queries drawn with replacement from the centroids (zero
+        # distances) and a few other points: duplicated queries.
+        pool = np.concatenate([codebook, dataset.queries[:3]])
+        queries = pool[rng.integers(0, len(pool), case["n_queries"])]
+        nprobe = case["nprobe"]
+
+        x_sq = np.einsum("qd,qd->q", queries, queries)
+        c_sq = np.einsum("id,id->i", codebook, codebook)
+        cross = np.einsum("qd,id->qi", queries, codebook)
+        dists = np.maximum(x_sq[:, None] + c_sq[None, :] - 2.0 * cross, 0.0)
+        want = np.argsort(dists, axis=1, kind="stable")[:, :nprobe]
+
+        got = index.route_batch(queries, nprobe=nprobe)
+        assert got.dtype == np.int64
+        assert got.shape == (len(queries), nprobe)
+        assert got.tobytes() == want.astype(np.int64).tobytes()
+        for query, row in zip(queries, got):
+            assert index.route(query, nprobe=nprobe) == row.tolist()
 
 
 class TestOutsideInputRefusedAtTheDoor:

@@ -68,8 +68,8 @@ def cases(draw):
         "n_queries": draw(st.integers(1, 10)),
         "nprobe": draw(st.integers(1, 4)),
         "topk": draw(st.integers(1, 40)),
-        "run_cells": draw(st.sampled_from([1, 2, 5, 16])),
-        "run_entries": draw(st.sampled_from([1, 100, 1000, 1 << 14])),
+        "run_cells": draw(st.sampled_from([1, 2, 5, 16, 64])),
+        "run_entries": draw(st.sampled_from([1, 100, 1000, 1 << 14, 1 << 15])),
         "kind": draw(st.sampled_from(KINDS)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
