@@ -19,8 +19,8 @@ Query pipeline, :func:`pruned_scan_batch` (which
 :class:`PQFastScanner` and the quantization-only variant of Figure 17
 both end in; they differ only in how they bound a row):
 
-* **keep phase** — the first ``keep`` fraction of the partition is
-  scanned with plain PQ Scan, for the whole table stack at once; the
+* **keep phase** — the first ``keep`` fraction of the partition's live
+  rows is scanned with plain PQ Scan, for the whole table stack at once; the
   resulting temporary topk-th distance becomes the quantization bound
   ``qmax`` (Section 4.4).
 * **small-table build** (per query) — quantized minimum tables for the
@@ -34,6 +34,10 @@ both end in; they differ only in how they bound a row):
   bound order in a handful of epochs; each epoch is one exact ADC, one
   top-k merge and one cut of the remaining candidates at the tightened
   threshold.
+
+A row a job's tombstones name is one more row the pass never scores: it
+is neither sampled nor visited, so a deleted row costs its bound and
+nothing else.
 
 Every bound is in hand before any row is visited, so the visiting order
 is free, and smallest bound first is the order under which the threshold
@@ -54,9 +58,9 @@ from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
 from ..pq.adc import adc_distances, adc_distances_batch
 from ..pq.product_quantizer import ProductQuantizer
-from ..scan.base import PartitionScanner, ScanResult
+from ..scan.base import NO_IDS, PartitionScanner, ScanResult
 from ..scan.prepared import PreparedCache
-from ..scan.topk import keep_size, select_topk, select_topk_rows
+from ..scan.topk import dead_rows, live_sample, select_topk, select_topk_rows
 from .grouping import GroupedPartition, suggested_components
 from .minimum_tables import CentroidAssignment, optimized_assignment
 from .quantization import DistanceQuantizer
@@ -87,7 +91,7 @@ class FastScanResult(ScanResult):
 
 def best_first_pass(
     bounds: Int8Array,
-    keep_rows: Int64Array,
+    skip_rows: Int64Array,
     quantizer: DistanceQuantizer,
     top: tuple[Int64Array, Float64Array],
     ids: Int64Array,
@@ -99,7 +103,8 @@ def best_first_pass(
 
     Args:
         bounds: saturated lower bound of every row of the partition.
-        keep_rows: rows the keep phase already scored (never revisited).
+        skip_rows: rows never visited: the keep phase's (already
+            scored) and the tombstoned ones.
         quantizer: the query's quantizer, which made ``bounds``.
         top: the running ``(ids, distances)`` top-k, full (``k`` rows).
         ids: database id of every row.
@@ -115,7 +120,7 @@ def best_first_pass(
     k = len(top_ids)
     threshold_q = quantizer.quantize_threshold(top_dists[-1], components=components)
     live = bounds <= threshold_q
-    live[keep_rows] = False
+    live[skip_rows] = False
     cand = np.flatnonzero(live)
     # int8 keys: numpy's stable sort is a radix sort.
     cand = cand[np.argsort(bounds[cand], kind="stable")]
@@ -153,32 +158,38 @@ def pruned_scan_batch(
     topk: int,
     bounds: Callable[[Float64Array, float], tuple[DistanceQuantizer, Int8Array]],
     context: str,
+    tombstones: Int64Array = NO_IDS,
 ) -> list[FastScanResult]:
     """The query path of the 8-bit pruning scanners, for a table stack.
 
     ``tables`` is ``(b, m, 256)``, in the code space of the partition's
-    ``codes`` and ``ids``. The keep phase scores the first
-    :func:`~repro.scan.topk.keep_size` rows of ``sample_order`` with one
+    ``codes`` and ``ids``. The keep phase scores the first live rows of
+    ``sample_order`` (:func:`~repro.scan.topk.live_sample`) with one
     exact gather and one row-wise top-k selection for the whole stack.
     Then, per query, ``bounds(tables[i], topk-th keep distance)`` gives
     its quantizer and the int8 lower bound of every row, the sanitizer
     (``REPRO_SANITIZE=1``; ``context`` names the partition) checks them
-    against the exact distances, and :func:`best_first_pass` scores the
-    survivors.
+    against the exact distances of every row, tombstoned ones too, and
+    :func:`best_first_pass` scores the survivors. The rows
+    ``tombstones`` name are skipped: never sampled, never visited.
     """
     n = len(ids)
-    n_keep = keep_size(keep, n, topk)
-    keep_rows = sample_order[:n_keep]
+    dead = dead_rows(ids, tombstones)
+    keep_rows, n_live = live_sample(sample_order, keep, topk, dead)
+    n_keep = len(keep_rows)
     keep_ids, keep_dists = select_topk_rows(
         adc_distances_batch(tables, codes[keep_rows]), ids[keep_rows], topk
     )
-    if n_keep == n:
-        # The keep phase was the whole partition (always so below topk
+    if n_keep == n_live:
+        # The keep phase was every live row (always so below topk live
         # rows, where no finite qmax exists): already exact.
         return [
-            FastScanResult(ids=top_ids, distances=top_dists, n_scanned=n, n_keep=n)
+            FastScanResult(ids=top_ids, distances=top_dists, n_scanned=n, n_keep=n_keep)
             for top_ids, top_dists in zip(keep_ids, keep_dists)
         ]
+    skip_rows = keep_rows
+    if dead is not None:
+        skip_rows = np.concatenate((keep_rows, np.flatnonzero(dead)))
     m = tables.shape[1]
     sanitize = sanitizer_enabled()
     results = []
@@ -189,14 +200,14 @@ def pruned_scan_batch(
                 row_bounds, adc_distances(row, codes), quantizer, m, context=context
             )
         top_ids, top_dists, n_exact = best_first_pass(
-            row_bounds, keep_rows, quantizer, (top_ids, top_dists), ids,
+            row_bounds, skip_rows, quantizer, (top_ids, top_dists), ids,
             lambda rows, row=row: adc_distances(row, codes[rows]), components=m,
         )
         results.append(FastScanResult(
             ids=top_ids,
             distances=top_dists,
             n_scanned=n,
-            n_pruned=n - n_keep - n_exact,
+            n_pruned=n_live - n_keep - n_exact,
             n_keep=n_keep,
             n_exact=n_exact,
             qmin=quantizer.qmin,
@@ -330,12 +341,14 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
     # -- scanning ---------------------------------------------------------------
 
     def scan_batch(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
+        self, tables: np.ndarray, partition: Partition, topk: int = 1,
+        tombstones: np.ndarray = NO_IDS,
     ) -> list[FastScanResult]:
         """Full PQ Fast Scan of ``partition`` for a ``(b, m, 256)`` table
         stack: the stack remapped to the optimized assignment in one
         call, then :func:`pruned_scan_batch` over the prepared layout,
-        with the small tables' lower bounds."""
+        with the small tables' lower bounds, skipping the rows
+        ``tombstones`` name."""
         grouped = self.prepared(partition)
         tables_r = self.assignment.remap_tables(tables)
 
@@ -357,5 +370,5 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
         return pruned_scan_batch(
             tables_r, grouped.codes, grouped.ids, grouped.id_order,
             keep=self.keep, topk=topk, bounds=bounds,
-            context=f"fastpq partition {grouped.partition_id}",
+            context=f"fastpq partition {grouped.partition_id}", tombstones=tombstones,
         )

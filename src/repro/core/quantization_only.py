@@ -18,7 +18,7 @@ from ..dtypes import Float64Array, Int8Array
 from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
 from ..pq.product_quantizer import ProductQuantizer
-from ..scan.base import PartitionScanner
+from ..scan.base import NO_IDS, PartitionScanner
 from .fast_scan import FastScanResult, pruned_scan_batch
 from .quantization import SATURATION, DistanceQuantizer
 
@@ -41,7 +41,8 @@ class QuantizationOnlyScanner(PartitionScanner):
         self.keep = keep
 
     def scan_batch(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
+        self, tables: np.ndarray, partition: Partition, topk: int = 1,
+        tombstones: np.ndarray = NO_IDS,
     ) -> list[FastScanResult]:
         """PQ Fast Scan's own :func:`pruned_scan_batch` with the bounds of
         the quantized full tables, so Figure 17 compares the two
@@ -66,4 +67,5 @@ class QuantizationOnlyScanner(PartitionScanner):
             tables, codes, partition.ids, np.arange(len(partition)),
             keep=self.keep, topk=topk, bounds=bounds,
             context=f"qonly partition {partition.partition_id}",
+            tombstones=tombstones,
         )

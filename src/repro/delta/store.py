@@ -12,8 +12,8 @@ code bytes plus 16 (id and sequence number), never its raw vector.
 * **tombstones** — ids masked out of the *base* at query time.  Every
   ``add`` tombstones its ids first (upsert barrier: a stale base copy of
   a re-added id must never surface) and every ``delete`` tombstones too.
-  A tombstone is a filter, not a copy: a base scan it hits runs that
-  many rows wider and drops its ids.  Segment rows are removed
+  A tombstone is a filter, not a copy: a base scan it hits skips the
+  rows it names, inside the scanner.  Segment rows are removed
   *physically*, so the live segments never contain a deleted id.
 
 Every mutation carries a monotonically increasing sequence number; the
@@ -56,8 +56,8 @@ class DeltaView:
         segments: partition id -> delta segment (plain PQ codes + ids).
         hits: partition id -> sorted ids of its *base* rows a tombstone
             hits, one per row, for the partitions with a hit (their scans
-            run that many rows wider and drop these ids); queries probing
-            no such partition take the read-only path.
+            skip these rows, ``scan_batch``'s ``tombstones``); queries
+            probing no such partition take the read-only path.
         tombstone_ids: sorted array of all tombstoned ids.
     """
 

@@ -7,13 +7,14 @@ exactness property); they differ in data movement and, on real hardware,
 in speed.
 
 :class:`PartitionScanner` declares what the executors call, and nothing
-else: ``scan_batch`` (a whole table stack against one partition; the one
-method a scanner must define), ``scan`` (one query: the batch of one,
-defined here once, so no scanner has a second query path to keep in
-step) and ``warm`` (build whatever is query-independent, ahead of the
-scans; by default nothing). The instruction-level behaviour of the
-paper's implementations is not declared here: it is measured from the
-executed instruction streams of :mod:`repro.simd`.
+else: ``scan_batch`` (a whole table stack against one partition, minus
+the rows a job's tombstones name; the one method a scanner must
+define), ``scan`` (one query: the batch of one, defined here once, so
+no scanner has a second query path to keep in step) and ``warm`` (build
+whatever is query-independent, ahead of the scans; by default nothing).
+The instruction-level behaviour of the paper's implementations is not
+declared here: it is measured from the executed instruction streams of
+:mod:`repro.simd`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ import numpy as np
 
 from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
-from .topk import select_topk_rows
+from .topk import dead_rows, select_topk_rows
 
 __all__ = [
+    "NO_IDS",
     "PAD_DISTANCE",
     "PAD_ID",
     "PartitionScanner",
@@ -72,6 +74,10 @@ class ScanResult:
 #: What a :class:`ScanBlock` holds past a cell's length: an (id, distance)
 #: that sorts after, or is byte-equal to, every real candidate.
 PAD_ID, PAD_DISTANCE = np.iinfo(np.int64).max, np.inf
+
+#: A clean job's tombstones: no row to skip.
+NO_IDS = np.empty(0, dtype=np.int64)
+NO_IDS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +135,23 @@ class ScanBlock:
 
     @classmethod
     def exhaustive(
-        cls, distances: np.ndarray, ids: np.ndarray, topk: int
+        cls, distances: np.ndarray, ids: np.ndarray, topk: int,
+        tombstones: np.ndarray = NO_IDS,
     ) -> "ScanBlock":
         """The topk of every row of a ``(b, n)`` block of exact distances
-        to the ``n`` rows ``ids``, every row scanned and none pruned."""
+        to the ``n`` rows ``ids``, every row scanned and none pruned.
+
+        The rows ``tombstones`` name are masked to ``(PAD_DISTANCE,
+        PAD_ID)`` in ``distances`` itself before the selection, so they
+        sort after every live row and no length counts them."""
+        dead = dead_rows(ids, tombstones)
+        n_live = len(ids)
+        if dead is not None:
+            distances[:, dead] = PAD_DISTANCE
+            ids = np.where(dead, PAD_ID, ids)
+            n_live -= int(np.count_nonzero(dead))
         top_ids, top_distances = select_topk_rows(distances, ids, topk)
-        counts = np.array([[top_ids.shape[1]], [len(ids)], [0]], dtype=np.int64)
+        counts = np.array([[min(n_live, topk)], [len(ids)], [0]], dtype=np.int64)
         return cls(top_ids, top_distances, np.repeat(counts, len(distances), axis=1))
 
     @classmethod
@@ -179,7 +196,18 @@ class ScanBlock:
 
 
 class PartitionScanner(abc.ABC):
-    """Abstract Step-3 scanner."""
+    """Abstract Step-3 scanner.
+
+    ``tombstones`` are the ids of a mutable engine's deleted rows that
+    the partition still holds (sorted, at most one per row; an id the
+    partition does not hold names no row). A scanner skips those rows
+    inside its own scan: its result is the topk of the partition
+    without them, at most ``topk`` long. A skipped row still
+    counts in ``n_scanned`` and never in ``n_pruned``. A custom scanner
+    may mask them before its selection (as :meth:`ScanBlock.exhaustive`
+    does) or leave them out of every pass that scores rows (as the
+    pruning scanners do).
+    """
 
     #: The scanner's kind: how ``EngineConfig.scanner`` and
     #: ``ScannerSpec.kind`` spell it, and its ``scanner=`` metric label.
@@ -187,21 +215,24 @@ class PartitionScanner(abc.ABC):
 
     @abc.abstractmethod
     def scan_batch(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
+        self, tables: np.ndarray, partition: Partition, topk: int = 1,
+        tombstones: np.ndarray = NO_IDS,
     ) -> Sequence[ScanResult] | ScanBlock:
-        """Scan ``partition`` for a whole ``(b, m, k*)`` table stack;
-        result ``i`` is the topk of query ``i``."""
+        """Scan ``partition``, minus the rows ``tombstones`` name, for a
+        whole ``(b, m, k*)`` table stack; result ``i`` is the topk of
+        query ``i``."""
 
     @final
     def scan(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
+        self, tables: np.ndarray, partition: Partition, topk: int = 1,
+        tombstones: np.ndarray = NO_IDS,
     ) -> ScanResult:
         """Scan ``partition`` for one query's ``(m, k*)`` tables: the
         batch of one."""
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 2:
             raise DimensionMismatchError(2, tables.ndim, what="array rank")
-        return self.scan_batch(tables[None], partition, topk)[0]
+        return self.scan_batch(tables[None], partition, topk, tombstones)[0]
 
     def warm(self, partitions: Iterable[Partition]) -> int:
         """Build the scanner's query-independent state for ``partitions``

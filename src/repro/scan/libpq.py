@@ -18,7 +18,7 @@ import numpy as np
 
 from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
-from .base import PartitionScanner, ScanBlock, ScanResult
+from .base import NO_IDS, PartitionScanner, ScanBlock, ScanResult
 from .layout import extract_component, pack_codes_words
 from .topk import TopKAccumulator
 
@@ -31,10 +31,13 @@ class LibpqScanner(PartitionScanner):
     name = "libpq"
 
     def scan_batch(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
+        self, tables: np.ndarray, partition: Partition, topk: int = 1,
+        tombstones: np.ndarray = NO_IDS,
     ) -> ScanBlock:
         """Scan one partition for a ``(b, m, 256)`` table stack: each
-        word is loaded and each index shifted out once for the batch."""
+        word is loaded and each index shifted out once for the batch,
+        and the rows ``tombstones`` name are masked before the one
+        selection (:meth:`ScanBlock.exhaustive`)."""
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 3:
             raise DimensionMismatchError(3, tables.ndim, what="array rank")
@@ -43,7 +46,7 @@ class LibpqScanner(PartitionScanner):
         for j in range(8):
             indexes = extract_component(words, j)
             distances += tables[:, j, indexes]
-        return ScanBlock.exhaustive(distances, partition.ids, topk)
+        return ScanBlock.exhaustive(distances, partition.ids, topk, tombstones)
 
     def scan_scalar(
         self, tables: np.ndarray, partition: Partition, topk: int = 1

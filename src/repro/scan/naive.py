@@ -25,8 +25,9 @@ import numpy as np
 from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
 from ..pq.adc import adc_distance_single, adc_distances_batch
-from .base import PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock, ScanResult
-from .topk import TopKAccumulator, select_topk_rows
+from .base import NO_IDS, PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock
+from .base import ScanResult
+from .topk import TopKAccumulator, dead_rows, select_topk_rows
 
 __all__ = ["NaiveScanner", "scan_run"]
 
@@ -37,7 +38,8 @@ class NaiveScanner(PartitionScanner):
     name = "naive"
 
     def scan_batch(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
+        self, tables: np.ndarray, partition: Partition, topk: int = 1,
+        tombstones: np.ndarray = NO_IDS,
     ) -> ScanBlock:
         """Scan one partition for a whole query batch at once: the run
         of one job of :func:`scan_run`.
@@ -51,7 +53,7 @@ class NaiveScanner(PartitionScanner):
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 3:
             raise DimensionMismatchError(3, tables.ndim, what="array rank")
-        return scan_run(tables, (partition,), (len(tables),), topk)
+        return scan_run(tables, (partition,), (len(tables),), topk, (tombstones,))
 
     def scan_scalar(
         self, tables: np.ndarray, partition: Partition, topk: int = 1
@@ -80,10 +82,11 @@ def scan_run(
     per table row, job by job. ``tombstones[i]`` (if given) are ids of
     rows of ``partitions[i]`` to leave out: they are scanned, counted in
     ``n_scanned`` and masked to ``(PAD_DISTANCE, PAD_ID)`` before the
-    selection, so a cell is never wider than ``topk``.
+    selection, so a cell holds at most ``topk`` live candidates.
 
     One job is gathered dense, ``(b, n)``, one ``take`` per component
-    (:func:`~repro.pq.adc.adc_distances_batch`). Several jobs are one
+    (:func:`~repro.pq.adc.adc_distances_batch`), and selected by
+    :meth:`ScanBlock.exhaustive`. Several jobs are one
     ragged gather: every (cell, row) pair of the run end to end, one
     ``take`` per component from the flattened stack, then one
     ``(c, widest partition)`` block padded past each cell's rows. The
@@ -94,36 +97,24 @@ def scan_run(
     """
     if len(partitions) == 1:
         (partition,) = partitions
-        ids = partition.ids
-        distances = adc_distances_batch(tables, partition.codes)
-        dead = _dead_rows(ids, tombstones)
-        if dead is None:
-            return ScanBlock.exhaustive(distances, ids, topk)
-        distances[:, dead] = PAD_DISTANCE
-        ids = np.where(dead, PAD_ID, ids)
-        n_rows = np.array([len(partition)], dtype=np.intp)
-    else:
-        ids = np.concatenate([p.ids for p in partitions])
-        dead = _dead_rows(ids, tombstones)
-        n_rows = np.array([len(p) for p in partitions], dtype=np.intp)
-        distances, ids = _ragged_block(tables, partitions, n_rows, sizes, ids, dead)
+        return ScanBlock.exhaustive(
+            adc_distances_batch(tables, partition.codes),
+            partition.ids,
+            topk,
+            tombstones[0] if tombstones else NO_IDS,
+        )
+    ids = np.concatenate([p.ids for p in partitions])
+    dead = None
+    if any(len(dropped) for dropped in tombstones):
+        dead = dead_rows(ids, np.concatenate(tombstones))
+    n_rows = np.array([len(p) for p in partitions], dtype=np.intp)
+    distances, ids = _ragged_block(tables, partitions, n_rows, sizes, ids, dead)
     top_ids, top_distances = select_topk_rows(distances, ids, topk)
-    live = n_rows
-    if dead is not None:
-        dead_before = np.concatenate([[0], np.cumsum(dead)])
-        ends = np.cumsum(n_rows)
-        live = n_rows - (dead_before[ends] - dead_before[ends - n_rows])
     counts = np.zeros((3, len(top_ids)), dtype=np.int64)
-    counts[0] = np.repeat(np.minimum(live, topk), sizes)
+    # A cell's live candidates sort before its padding (masked rows are padding).
+    counts[0] = np.count_nonzero(top_ids != PAD_ID, axis=1)
     counts[1] = np.repeat(n_rows, sizes)
     return ScanBlock(top_ids, top_distances, counts)
-
-
-def _dead_rows(ids: np.ndarray, tombstones: Sequence[np.ndarray]) -> np.ndarray | None:
-    """Which of ``ids`` a tombstone hits, or None when none can."""
-    if not any(len(dropped) for dropped in tombstones):
-        return None
-    return np.isin(ids, np.concatenate(tombstones))
 
 
 def _ragged_block(

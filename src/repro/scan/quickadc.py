@@ -33,6 +33,10 @@ instruction-for-instruction by
 4. **exact rerank** — candidates (and only candidates) get exact float
    ADC distances and are merged with the sample phase's topk.
 
+A row a job's tombstones name is skipped: it is never sampled, never a
+candidate and never counted into the ``kth_bound`` cut, so the scan
+returns live rows only, each at its ADC distance.
+
 Unlike PQ Fast Scan, Quick ADC is **approximate at the margin**: two
 vectors whose true distances straddle the final topk boundary can fall
 into the same quantization bin, in which case selection by the bound
@@ -60,10 +64,10 @@ from ..exceptions import ConfigurationError, DimensionMismatchError, NotFittedEr
 from ..ivf.partition import Partition
 from ..pq.adc import adc_distances, adc_distances_batch
 from ..pq.product_quantizer import ProductQuantizer
-from .base import PartitionScanner, ScanResult
+from .base import NO_IDS, PartitionScanner, ScanResult
 from .layout import NibblePartition
 from .prepared import PreparedCache
-from .topk import keep_size, select_topk, select_topk_rows
+from .topk import dead_rows, live_sample, select_topk, select_topk_rows
 
 __all__ = ["QuickADCScanner", "QuickADCResult"]
 
@@ -139,9 +143,11 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
     # -- scanning ---------------------------------------------------------------
 
     def scan_batch(
-        self, tables: np.ndarray, partition: Partition, topk: int = 1
+        self, tables: np.ndarray, partition: Partition, topk: int = 1,
+        tombstones: np.ndarray = NO_IDS,
     ) -> list[QuickADCResult]:
-        """Scan one partition for a whole ``(b, m, 16)`` table stack.
+        """Scan one partition, minus the rows ``tombstones`` name, for a
+        whole ``(b, m, 16)`` table stack.
 
         What does not depend on the query (table shape check, layout
         fetch, the sample rows, the sanitizer's code-range check) is
@@ -182,23 +188,24 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
             # predate in-place corruption of the code array.
             check_nibble_invariant(codes, context=context)
 
-        # Sample rows: the first keep% of the *database* (smallest ids)
-        # — the same representative-sample rule as the fast-scan keep
-        # phase; needs at least topk rows to bound qmax.
-        n_sample = keep_size(self.keep, n, topk)
-        sample_rows = layout.id_order[:n_sample]
+        # Sample rows: the first keep% of the live *database* (smallest
+        # ids) — the same representative-sample rule as the fast-scan
+        # keep phase; needs at least topk rows to bound qmax.
+        dead = dead_rows(ids, tombstones)
+        sample_rows, n_live = live_sample(layout.id_order, self.keep, topk, dead)
+        n_sample = len(sample_rows)
         # Sample phase: exact ADC seeds every query's topk, one gather
         # and one selection for the batch.
         sample_ids, sample_dists = select_topk_rows(
             adc_distances_batch(tables, codes[sample_rows]), ids[sample_rows], topk
         )
-        if n_sample == n:
-            # The sample was the whole partition (always so below topk
+        if n_sample == n_live:
+            # The sample was every live row (always so below topk live
             # rows, where no finite qmax exists): the scan is already
             # exact and complete, no quantized pass needed.
             return [
                 QuickADCResult(
-                    ids=top_ids, distances=top_dists, n_scanned=n, n_sample=n
+                    ids=top_ids, distances=top_dists, n_scanned=n, n_sample=n_sample
                 )
                 for top_ids, top_dists in zip(sample_ids, sample_dists)
             ]
@@ -240,10 +247,14 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
                         row_bounds, adc_distances(tables[i], codes), quantizers[i], m,
                         context=context,
                     )
+            saturated = np.count_nonzero(bounds >= SATURATION, axis=1)
+            if dead is not None:
+                # Above every live bound, so out of the kth_bound cut
+                # and above every cut: never a candidate.
+                bounds[:, dead] = SATURATION + 1
             kth_bounds = np.partition(bounds, topk - 1, axis=1)[:, topk - 1]
             cuts = np.minimum(sample_cuts[start:stop], kth_bounds)
             kept = (bounds <= cuts[:, None]) & fresh
-            saturated = np.count_nonzero(bounds >= SATURATION, axis=1)
             for i, row_kept, n_saturated in zip(
                 range(start, stop), kept, saturated
             ):
@@ -262,7 +273,7 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
                     ids=top_ids,
                     distances=top_dists,
                     n_scanned=n,
-                    n_pruned=n - n_sample - len(candidates),
+                    n_pruned=n_live - n_sample - len(candidates),
                     n_sample=n_sample,
                     n_candidates=len(candidates),
                     n_saturated=int(n_saturated),

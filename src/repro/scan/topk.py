@@ -118,6 +118,26 @@ def keep_size(keep: float, n: int, topk: int) -> int:
     return min(n, max(int(np.ceil(keep * n)), topk))
 
 
+def dead_rows(ids: np.ndarray, tombstones: np.ndarray) -> np.ndarray | None:
+    """Which of ``ids`` a job's ``tombstones`` name, or None for a clean
+    job (scanned as is)."""
+    return np.isin(ids, tombstones) if len(tombstones) else None
+
+
+def live_sample(
+    order: np.ndarray, keep: float, topk: int, dead: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """The rows a keep (sample) phase scores exactly, and how many rows
+    are live: the first :func:`keep_size` of the live rows of ``order``
+    (the scanner's sample order). A row a tombstone names (``dead``) is
+    never sampled, so the sample holds a full temporary top-k wherever
+    the live rows do; with no dead row it is what it always was.
+    """
+    if dead is not None:
+        order = order[~dead[order]]
+    return order[: keep_size(keep, len(order), topk)], len(order)
+
+
 def select_topk(
     distances: np.ndarray, identifiers: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:

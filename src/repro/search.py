@@ -6,7 +6,8 @@ coarse cells (``nprobe``) to trade response time for recall. This module
 provides that wrapper so downstream users get a one-call search:
 
     searcher = ANNSearcher(index, scanner=PQFastScanner(pq))
-    ids, distances = searcher.search(query, topk=100, nprobe=4)
+    result = searcher.search(query, topk=100, nprobe=4)
+    print(result.ids, result.distances)
 
 Results from multiple partitions are merged with the same
 (distance, id) ordering used everywhere else, so the merged output is
@@ -54,7 +55,8 @@ from .exceptions import ConfigurationError, SimulationError
 from .ivf.inverted_index import IVFADCIndex, as_count
 from .ivf.partition import Partition
 from .obs import NULL_SPAN, Observability, get_observability
-from .scan.base import PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock, ScanResult
+from .scan.base import NO_IDS, PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock
+from .scan.base import ScanResult
 from .scan.naive import NaiveScanner, scan_run
 from .scan.topk import select_topk, select_topk_rows
 from .simd.counters import (
@@ -114,10 +116,6 @@ class SearchResult:
 
 # -- batch planning ------------------------------------------------------------
 
-#: A clean job's tombstones.
-_NO_IDS = np.empty(0, dtype=np.int64)
-
-
 def _checked_topk(topk: int) -> int:
     topk = as_count(topk, "topk")
     if topk < 1:
@@ -142,8 +140,8 @@ class PartitionJob:
         cost: scan-work estimate (queries x partition size) used to
             schedule large jobs first.
         tombstones: sorted ids of the partition's base rows a tombstone
-            hits, one per row (:attr:`~repro.delta.DeltaView.hits`): the
-            scan runs that many rows wider and drops them (:func:`_scan_block`).
+            hits, one per row (:attr:`~repro.delta.DeltaView.hits`),
+            which the scanner skips (``scan_batch``'s ``tombstones``).
     """
 
     partition_id: int
@@ -246,7 +244,7 @@ class BatchPlanner:
                     query_rows=rows[start:stop],
                     probe_positions=positions[start:stop],
                     cost=(stop - start) * max(size, 1),
-                    tombstones=_NO_IDS,
+                    tombstones=NO_IDS,
                 )
             )
         # Largest jobs first: with fewer jobs than workers towards the
@@ -263,11 +261,6 @@ class BatchPlanner:
 
 # -- batch execution -----------------------------------------------------------
 
-
-#: Candidates a widened scan holds at once: a job a tombstone hits scans
-#: its queries in runs of at most this many over their width (every
-#: scanner but naive, which masks tombstoned rows instead).
-_WIDE_SCAN_CELLS = 1 << 20
 
 #: Most (query, partition) cells in a run of jobs, and most entries
 #: (cells x the run's widest partition) in its candidate block; a job
@@ -334,8 +327,9 @@ def _scan_runs(
     naive it is then one exhaustive pass
     (:func:`~repro.scan.naive.scan_run`: one code gather, tombstoned
     rows masked, one top-k); any other scanner, and a subclass that
-    overrides ``scan_batch``, scans the run job by job
-    (:func:`_scan_block`). Cells are byte-identical either way.
+    overrides ``scan_batch``, scans the run job by job, each job's
+    ``scan_batch`` skipping its tombstoned rows. Cells are
+    byte-identical either way.
     """
     span = obs.span if obs is not None else _no_span
     exhaustive = type(scanner).scan_batch is NaiveScanner.scan_batch
@@ -355,65 +349,14 @@ def _scan_runs(
             else:
                 ends = np.cumsum(sizes).tolist()
                 block = ScanBlock.concatenate([
-                    _scan_block(scanner, tables[end - size : end], partition, topk, gone)
+                    ScanBlock.pack(scanner.scan_batch(
+                        tables[end - size : end], partition, topk, gone
+                    ))
                     for size, end, partition, gone in zip(
                         sizes, ends, partitions[run], dropped
                     )
                 ])
         yield len(sizes), block
-
-
-def _scan_block(
-    scanner: PartitionScanner,
-    tables: np.ndarray,
-    partition,
-    topk: int,
-    tombstones: np.ndarray = _NO_IDS,
-) -> ScanBlock:
-    """Scan one partition for a whole query batch, packed.
-
-    The per-job scan of :func:`_scan_runs` for every scanner but naive
-    (and :func:`scan_partition_batch`): the scanner's ``scan_batch``, the
-    one method a scanner defines, which shares across the batch whatever
-    the scanner can (the pruning scanners: one prepared-layout fetch and
-    one keep-phase gather and selection).
-
-    ``tables`` is the ``(b, m, k*)`` stack for the batch's queries
-    against this partition; the block has one cell per table row,
-    byte-identical to the per-query sequential loop.
-
-    ``tombstones`` (:attr:`PartitionJob.tombstones`, ``t_p`` ids) are a
-    filter on that scan: it runs ``topk + t_p`` wide and every cell loses
-    its tombstoned ids and is cut back to ``topk``. (distance, id) is a
-    total order, so what is left is the top ``topk`` of the partition
-    without those rows. A cell's ``n_scanned`` counts them too.
-    """
-    if not len(tombstones):
-        return ScanBlock.pack(scanner.scan_batch(tables, partition, topk))
-    width = topk + len(tombstones)
-    run = max(1, _WIDE_SCAN_CELLS // width)
-    return ScanBlock.concatenate([
-        _without(
-            ScanBlock.pack(scanner.scan_batch(tables[i : i + run], partition, width)),
-            tombstones,
-            topk,
-        )
-        for i in range(0, len(tables), run)
-    ])
-
-
-def _without(block: ScanBlock, tombstones: np.ndarray, topk: int) -> ScanBlock:
-    """``block``'s cells minus ``tombstones``, re-selected to ``topk``:
-    a dropped candidate becomes padding, which sorts last."""
-    gone = np.isin(block.ids, tombstones)
-    gone &= np.arange(block.ids.shape[1]) < block.lengths[:, None]  # not padding
-    ids, distances = select_topk_rows(
-        np.where(gone, PAD_DISTANCE, block.distances),
-        np.where(gone, PAD_ID, block.ids),
-        topk,
-    )
-    lengths = np.minimum(block.lengths - gone.sum(axis=1), topk)
-    return ScanBlock(ids, distances, np.vstack([lengths, block.counts[1:]]))
 
 
 def _record_scans(
@@ -448,7 +391,7 @@ def scan_partition_batch(
 ) -> list[ScanResult]:
     """The executors' partition scan as one :class:`~repro.scan.ScanResult`
     per table row (the executors themselves keep it packed)."""
-    return list(_scan_block(scanner, tables, partition, topk))
+    return list(ScanBlock.pack(scanner.scan_batch(tables, partition, topk)))
 
 
 def merge_partials(
@@ -752,7 +695,7 @@ def _fold_overlay(
         _SEGMENT_SCANNER,
         plan.queries,
         plan.query_half(index),
-        [(job.partition_id, job.query_rows, _NO_IDS) for job in jobs],
+        [(job.partition_id, job.query_rows, NO_IDS) for job in jobs],
         [view.segments[job.partition_id] for job in jobs],
         plan.topk,
         obs,
@@ -966,13 +909,12 @@ class PlanPipeline:
 
         With ``delta_view`` (a mutable engine's uncompacted overlay)
         every job scans its *base* partition on the executor with the
-        configured scanner; where tombstones hit ``t_p`` of its rows naive
-        masks them before its selection and any other scanner runs ``t_p``
-        wider and drops them (:func:`_scan_runs`; a dirty cell's
-        ``n_scanned`` counts tombstoned rows too), so every
-        cell reaching the merger is at most ``topk`` wide. The parent
-        scans the delta segments. The merger's total (distance, id)
-        order makes the result independent of fold order — and
+        configured scanner, which skips the rows its tombstones name
+        (:func:`_scan_runs`; a dirty cell's ``n_scanned`` counts
+        tombstoned rows too), so every cell reaching the merger is at
+        most ``topk`` wide. The parent scans the delta segments. The
+        merger's total (distance, id) order makes the result independent
+        of fold order — and
         byte-identical to the delta-free path for queries whose probes
         miss every mutated partition. A part that failed or timed out
         lands without a grid: the response is flagged partial and
@@ -1283,13 +1225,12 @@ class ANNSearcher:
 
         ``delta`` overlays a mutable engine's uncompacted writes
         (:class:`~repro.delta.DeltaView`): a base partition a tombstone
-        hits is scanned as a clean one is, as many rows wider as it has
-        tombstoned rows, minus them, and delta segments join the same
-        top-k merge. Queries probing no mutated partition take the
-        unmodified code paths and stay byte-identical to a delta-free
-        search. ``rerank`` with a non-clean delta raises
-        :class:`ConfigurationError` — the stored vectors go stale under
-        mutation.
+        hits is scanned by the same scanner, which skips its tombstoned
+        rows, and delta segments join the same top-k merge. Queries
+        probing no mutated partition take the unmodified code paths and
+        stay byte-identical to a delta-free search. ``rerank`` with a
+        non-clean delta raises :class:`ConfigurationError` — the stored
+        vectors go stale under mutation.
         """
         self._require_open()
         queries = np.asarray(queries, dtype=np.float64)
@@ -1365,26 +1306,19 @@ class ANNSearcher:
                 tables = self.index.tables_from_halves(
                     block, query_half, None, pid
                 )[0]
-            # The base partition as _scan_block scans it: as many rows
-            # wider as its tombstones, minus them; a segment is one more
-            # exact scan, kept whole.
-            dropped = delta.hits.get(pid, _NO_IDS) if delta is not None else _NO_IDS
+            # The base partition minus its tombstoned rows; a segment is
+            # one more exact scan, kept whole.
+            dropped = delta.hits.get(pid, NO_IDS) if delta is not None else NO_IDS
             segment = delta.segments.get(pid) if delta is not None else None
             scans = [(self.scanner, self.index.partitions[pid], dropped)]
             if segment is not None:
-                scans.append((_SEGMENT_SCANNER, segment, _NO_IDS))
+                scans.append((_SEGMENT_SCANNER, segment, NO_IDS))
             for scanner, partition, tombstones in scans:
                 with obs.span("scan"):
-                    result = scanner.scan(
-                        tables, partition, topk=topk + len(tombstones)
-                    )
+                    result = scanner.scan(tables, partition, topk, tombstones)
                 obs.record_scan(scanner.name, result.n_scanned, result.n_pruned)
-                ids, dists = result.ids, result.distances
-                if len(tombstones):
-                    live = ~np.isin(ids, tombstones)
-                    ids, dists = ids[live], dists[live]
-                all_ids.append(ids)
-                all_dists.append(dists)
+                all_ids.append(result.ids)
+                all_dists.append(result.distances)
                 n_scanned += result.n_scanned
                 n_pruned += result.n_pruned
         ids = np.concatenate(all_ids) if all_ids else np.empty(0, dtype=np.int64)

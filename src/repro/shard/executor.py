@@ -253,39 +253,52 @@ class ScatterGatherExecutor(PlanPipeline):
             from ..parallel import ProcessBatchExecutor
             from ..persistence import _shard_filename, save_sharded_index
 
-            if artifact_dir is None:
-                # Attach to the layout's own saved artifact when one
-                # exists (saved or loaded earlier) — no duplicate copy.
-                artifact_dir = sharded.artifact_dir
-            if artifact_dir is None:
-                self._tempdir = tempfile.TemporaryDirectory(
-                    prefix="repro-shards-"
-                )
-                artifact_dir = self._tempdir.name
-                remembered = sharded.artifact_dir
-                save_sharded_index(sharded, artifact_dir)
-                # The temporary layout is owned (and deleted) by this
-                # executor; the shared index must not advertise it to
-                # executors created later.
-                sharded.artifact_dir = remembered
-            root = Path(artifact_dir)
-            if root.is_file() and sharded.n_shards > 1:
-                raise ConfigurationError(
-                    f"artifact_dir {root} is a single index file; a layout "
-                    f"of {sharded.n_shards} shards needs a directory"
-                )
-            self._executors = tuple(
-                ProcessBatchExecutor(
-                    root if root.is_file() else root / _shard_filename(shard.shard_id),
-                    scanner,
-                    n_workers=n_workers,
-                    mmap=mmap,
-                    index=shard.index,
-                    mp_context=mp_context,
-                    observability=observability,
-                )
-                for shard, scanner in zip(sharded.shards, self.scanners)
-            )
+            # A shard that fails to spin up (a scanner a worker cannot
+            # rebuild, a bad artifact) must not leak the pools already
+            # started or the temporary layout: both go before the raise.
+            started: list[PlanExecutor] = []
+            try:
+                if artifact_dir is None:
+                    # Attach to the layout's own saved artifact when one
+                    # exists (saved or loaded earlier) — no duplicate copy.
+                    artifact_dir = sharded.artifact_dir
+                if artifact_dir is None:
+                    self._tempdir = tempfile.TemporaryDirectory(
+                        prefix="repro-shards-"
+                    )
+                    artifact_dir = self._tempdir.name
+                    remembered = sharded.artifact_dir
+                    save_sharded_index(sharded, artifact_dir)
+                    # The temporary layout is owned (and deleted) by this
+                    # executor; the shared index must not advertise it to
+                    # executors created later.
+                    sharded.artifact_dir = remembered
+                root = Path(artifact_dir)
+                if root.is_file() and sharded.n_shards > 1:
+                    raise ConfigurationError(
+                        f"artifact_dir {root} is a single index file; a layout "
+                        f"of {sharded.n_shards} shards needs a directory"
+                    )
+                for shard, scanner in zip(sharded.shards, self.scanners):
+                    path = root
+                    if not root.is_file():
+                        path = root / _shard_filename(shard.shard_id)
+                    started.append(ProcessBatchExecutor(
+                        path,
+                        scanner,
+                        n_workers=n_workers,
+                        mmap=mmap,
+                        index=shard.index,
+                        mp_context=mp_context,
+                        observability=observability,
+                    ))
+            except BaseException:
+                for executor in started:
+                    executor.close()
+                if self._tempdir is not None:
+                    self._tempdir.cleanup()
+                raise
+            self._executors = tuple(started)
         else:
             self._executors = tuple(
                 BatchExecutor(
@@ -324,7 +337,7 @@ class ScatterGatherExecutor(PlanPipeline):
         With ``delta_view`` (a mutable engine's uncompacted overlay),
         each shard scans every job it owns, dirty or not, over its base
         artifact with its own scanner: a job of a partition a tombstone
-        hits only carries its tombstoned ids, which its scan drops. The
+        hits only carries its tombstoned ids, whose rows its scan skips. The
         parent scans the delta segments alone, and every untouched
         partition takes the unchanged (byte-identical) path.
         """

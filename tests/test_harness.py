@@ -6,6 +6,7 @@ import pytest
 from repro import NaiveScanner, PQFastScanner, QuantizationOnlyScanner
 from repro.bench import HarnessContext, build_workload, run_queries, summarize
 from repro.bench.harness import QueryStats
+from repro.scan.base import NO_IDS
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +55,9 @@ class TestRunQueries:
                 events.append("warm")
                 return 0
 
-            def scan_batch(self, tables, partition, topk=1):
+            def scan_batch(self, tables, partition, topk=1, tombstones=NO_IDS):
                 events.append("scan")
-                return super().scan_batch(tables, partition, topk)
+                return super().scan_batch(tables, partition, topk, tombstones)
 
         stats = run_queries(tiny_ctx, Recording(), query_indexes=[0, 1], topk=5)
         assert events == ["warm", "scan", "warm", "scan"]

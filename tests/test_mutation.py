@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -58,7 +58,9 @@ from repro.obs import Observability
 from repro.parallel import ProcessBatchExecutor, ScannerSpec
 from repro.persistence import load_index, save_index
 from repro.scan import NaiveScanner, select_topk
-from repro.search import _WIDE_SCAN_CELLS, StreamingMerger
+from repro.scan.base import PAD_ID
+from repro.scan.topk import keep_size
+from repro.search import StreamingMerger
 from repro.serve import MicroBatchServer
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 from repro.delta import DeltaStore, fold_index
@@ -1105,8 +1107,8 @@ _BACKENDS = ["sequential", "thread", "process", "sharded"]
 
 class TestTombstoneFilterAgainstFilteredCopy:
     """A tombstone is a filter on the one scan path: the base partition,
-    scanned by the configured scanner ``t_p`` rows wider, minus its
-    tombstoned ids, which the scan drops. The oracle is what it replaced,
+    scanned by the configured scanner, which skips its tombstoned rows.
+    The oracle is what it replaced,
     ``NaiveScanner`` over a tombstone-filtered copy of every probed
     partition; every exact kind, on every executor, answers like it
     byte for byte."""
@@ -1160,12 +1162,139 @@ class TestTombstoneFilterAgainstFilteredCopy:
                 ), name
 
 
+_SKIP_KEEP = 0.05
+_SKIP_ROWS = 400
+
+
+@st.composite
+def _skip_cases(draw):
+    return {
+        "kind": draw(st.sampled_from(repro.engine.SCANNER_KINDS)),
+        "n": draw(st.integers(0, _SKIP_ROWS)),
+        "topk": draw(st.integers(1, 40)),
+        # "sample": every row a keep / sample phase would score (the
+        # smallest ids, and the first rows in storage order) is dead.
+        "dead": draw(st.sampled_from(
+            ["none", "some", "most", "all", "sample", "fewer-than-topk"]
+        )),
+        # Tombstones on an id the partition does not hold and on PAD_ID.
+        "junk": draw(st.booleans()),
+        "b": draw(st.sampled_from([1, 5])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _dead_of(case, ids, rng):
+    n, topk, mode = len(ids), case["topk"], case["dead"]
+    if mode == "none":
+        return np.zeros(n, dtype=bool)
+    if mode in ("some", "most"):
+        return rng.random(n) < (0.1 if mode == "some" else 0.9)
+    if mode == "all":
+        return np.ones(n, dtype=bool)
+    if mode == "sample":
+        n_sample = keep_size(_SKIP_KEEP, n, topk)
+        dead = np.zeros(n, dtype=bool)
+        dead[np.argsort(ids, kind="stable")[:n_sample]] = True
+        dead[:n_sample] = True
+        return dead
+    dead = np.ones(n, dtype=bool)
+    dead[rng.permutation(n)[: int(rng.integers(0, topk))]] = False
+    return dead
+
+
+class TestScannerSkipsTombstones:
+    """Every scanner skips the rows a job's tombstones name inside its
+    own scan: ``scan_batch(tables, partition, topk, tombstones)`` is
+    checked against ``NaiveScanner`` over a copy of the partition
+    without them. naive, libpq, fastpq and qonly match it byte for
+    byte; quickadc returns at most ``topk`` live ids, each at its naive
+    ADC distance. A skipped row counts in ``n_scanned``, never in
+    ``n_pruned``."""
+
+    @pytest.fixture(scope="class")
+    def world(self, pq, pq4, dataset):
+        rows = dataset.base[:_SKIP_ROWS]
+        scanners = {
+            kind: ScannerSpec(kind, keep=_SKIP_KEEP).build(
+                pq4 if kind == "quickadc" else pq
+            )
+            for kind in repro.engine.SCANNER_KINDS
+        }
+        return {
+            "scanners": scanners,
+            8: (pq.encode(rows), pq.distance_tables_batch(dataset.queries[:5])),
+            4: (pq4.encode(rows), pq4.distance_tables_batch(dataset.queries[:5])),
+        }
+
+    @settings(
+        max_examples=120, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=_skip_cases())
+    def test_scan_batch_is_naive_over_the_live_rows(self, world, case):
+        rng = np.random.default_rng(case["seed"])
+        kind, n, topk = case["kind"], case["n"], case["topk"]
+        all_codes, all_tables = world[4 if kind == "quickadc" else 8]
+        tables = all_tables[: case["b"]]
+        rows = rng.permutation(_SKIP_ROWS)[:n]
+        # Ids not in storage order, and odd ids the partition never holds.
+        ids = rng.permutation(n).astype(np.int64) * 2
+        partition = Partition(all_codes[rows], ids, partition_id=0)
+        dead = _dead_of(case, ids, rng)
+        tombstones = ids[dead]
+        if case["junk"]:
+            tombstones = np.concatenate([tombstones, [2 * n + 1, PAD_ID]])
+        tombstones = np.sort(tombstones)
+        live_copy = Partition(all_codes[rows][~dead], ids[~dead], partition_id=0)
+        n_live = len(live_copy)
+
+        got = list(world["scanners"][kind].scan_batch(tables, partition, topk, tombstones))
+        assert len(got) == len(tables)
+        if kind != "quickadc":
+            want = NaiveScanner().scan_batch(tables, live_copy, topk)
+            for result, expected in zip(got, want):
+                assert result.ids.tobytes() == expected.ids.tobytes()
+                assert result.distances.tobytes() == expected.distances.tobytes()
+        else:
+            every = NaiveScanner().scan_batch(tables, live_copy, max(n_live, 1))
+            for result, expected in zip(got, every):
+                assert len(result.ids) == min(topk, n_live)
+                assert set(zip(result.ids.tolist(), result.distances.tolist())) <= set(
+                    zip(expected.ids.tolist(), expected.distances.tolist())
+                )
+        for result in got:
+            assert result.n_scanned == n
+            # Every live row is scored exactly or discarded by a bound.
+            if kind in ("fastpq", "qonly"):
+                assert result.n_keep + result.n_exact + result.n_pruned == n_live
+            elif kind == "quickadc":
+                assert result.n_sample + result.n_candidates + result.n_pruned == n_live
+            else:
+                assert result.n_pruned == 0
+
+    @pytest.mark.parametrize("kind", ["fastpq", "qonly", "quickadc"])
+    @pytest.mark.parametrize("b", [1, 5])
+    def test_an_emptied_partition_scores_no_row(self, index, index4bit, dataset, kind, b):
+        """The cliff, pinned by counts: every row dead, none scored."""
+        source = index4bit if kind == "quickadc" else index
+        scanner = ScannerSpec(kind, keep=0.01).build(source.pq)
+        partition = source.partitions[0]
+        tables = source.distance_tables_for_batch(dataset.queries[:b], 0)
+        for result in scanner.scan_batch(tables, partition, 10, partition.ids):
+            assert len(result.ids) == 0
+            assert result.n_scanned == len(partition)
+            assert result.n_pruned == 0
+            if kind == "quickadc":
+                assert (result.n_sample, result.n_candidates) == (0, 0)
+            else:
+                assert (result.n_keep, result.n_exact) == (0, 0)
+
+
 class TestBulkDeleteStaysTopkWide:
-    """Deleting every row of a partition widens its scans by as many
-    rows, and nothing past them: each scan drops its tombstones and is
-    cut back to ``topk`` before it leaves the scan, so the merger's grid
-    and what a worker sends back stay ``topk`` wide at a 1 024-query
-    batch (whose widened scans run in two halves)."""
+    """Deleting every row of a partition leaves its scans ``topk`` wide:
+    they skip the tombstoned rows, so the merger's grid and what a worker
+    sends back stay ``topk`` wide at a 1 024-query batch."""
 
     TOPK, NPROBE = 10, 4
 
@@ -1179,8 +1308,6 @@ class TestBulkDeleteStaysTopkWide:
         store = DeltaStore()
         store.apply_delete(index.partitions[emptied].ids)
         view = store.view(index)
-        width = self.TOPK + len(index.partitions[emptied])
-        assert len(queries) * width > _WIDE_SCAN_CELLS  # more than one run
         widths = []
         results = StreamingMerger.results
 

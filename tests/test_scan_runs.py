@@ -24,7 +24,7 @@ from repro.ivf.partition import Partition
 from repro.obs import get_observability
 from repro.parallel import ScannerSpec, worker
 from repro.pq.adc import adc_distances_batch
-from repro.scan.base import PAD_DISTANCE, PAD_ID, ScanBlock
+from repro.scan.base import NO_IDS, PAD_DISTANCE, PAD_ID, ScanBlock
 from repro.scan.topk import select_topk
 from repro.search import (
     BatchExecutor,
@@ -32,20 +32,18 @@ from repro.search import (
     PackedPartials,
     StreamingMerger,
     _fold_overlay,
-    _scan_block,
     _with_tombstones,
 )
 
 N_PARTITIONS = 12
-_NO_IDS = np.empty(0, dtype=np.int64)
 KINDS = ("naive", "override", "fastpq", "qonly")
 
 
 class _Override(NaiveScanner):
     """Naive's scan under a ``scan_batch`` of its own: the per-job loop."""
 
-    def scan_batch(self, tables, partition, topk=1):
-        return super().scan_batch(tables, partition, topk=topk)
+    def scan_batch(self, tables, partition, topk=1, tombstones=NO_IDS):
+        return super().scan_batch(tables, partition, topk, tombstones)
 
 
 @pytest.fixture(scope="module")
@@ -151,12 +149,12 @@ def test_a_run_is_its_jobs_one_at_a_time(base, dataset, case):
         )
         if naive:
             want = _per_job(tables, partition, topk, tombstones)
-            # The reference is what the widened per-job scan returned.
+            # The reference is what naive's own per-job scan returns.
             _assert_same_blocks(
-                _scan_block(NaiveScanner(), tables, partition, topk, tombstones), want
+                NaiveScanner().scan_batch(tables, partition, topk, tombstones), want
             )
             return want
-        return _scan_block(scanner, tables, partition, topk, tombstones)
+        return ScanBlock.pack(scanner.scan_batch(tables, partition, topk, tombstones))
 
     expected = {
         job.partition_id: job_block(
@@ -205,7 +203,7 @@ def test_a_run_is_its_jobs_one_at_a_time(base, dataset, case):
                 )
 
         # The overlay fold: naive over the segments the plan probes.
-        view = DeltaView(segments, {}, _NO_IDS)
+        view = DeltaView(segments, {}, NO_IDS)
         merger = StreamingMerger(plan)
         _fold_overlay(merger, index, view, get_observability())
         reference = StreamingMerger(plan)
@@ -213,7 +211,7 @@ def test_a_run_is_its_jobs_one_at_a_time(base, dataset, case):
         if folded:
             reference.fold(
                 PackedPartials.of_jobs(plan, folded, [
-                    job_block(job, segments[job.partition_id], _NO_IDS, naive=True)
+                    job_block(job, segments[job.partition_id], NO_IDS, naive=True)
                     for job in folded
                 ]),
                 covers=False,

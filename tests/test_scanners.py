@@ -7,8 +7,8 @@ import pytest
 from repro import ANNSearcher, BatchExecutor, Partition
 from repro.engine import SCANNER_KINDS
 from repro.parallel import ScannerSpec
-from repro.scan import LibpqScanner, NaiveScanner, PartitionScanner
-from repro.search import _scan_block
+from repro.scan import LibpqScanner, NaiveScanner, PartitionScanner, ScanBlock
+from repro.scan.base import NO_IDS
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 
 #: quickadc scans 4-bit codes and is approximate at the margin: its
@@ -30,8 +30,8 @@ class _ScanBatchOnly(PartitionScanner):
 
     name = "scan-batch-only"
 
-    def scan_batch(self, tables, partition, topk=1):
-        return [NaiveScanner().scan(row, partition, topk=topk) for row in tables]
+    def scan_batch(self, tables, partition, topk=1, tombstones=NO_IDS):
+        return [NaiveScanner().scan(row, partition, topk, tombstones) for row in tables]
 
 
 class _Recording(NaiveScanner):
@@ -40,9 +40,9 @@ class _Recording(NaiveScanner):
     def __init__(self):
         self.calls = 0
 
-    def scan_batch(self, tables, partition, topk=1):
+    def scan_batch(self, tables, partition, topk=1, tombstones=NO_IDS):
         self.calls += 1
-        return super().scan_batch(tables, partition, topk=topk)
+        return super().scan_batch(tables, partition, topk, tombstones)
 
 
 class TestScannerRegistry:
@@ -110,7 +110,7 @@ class TestOneQueryPath:
 class TestScannerAgreement:
     @pytest.mark.parametrize("name", EXACT_KINDS)
     def test_matches_naive(self, name, pq, index, partition, dataset):
-        """``scan``, ``scan_batch`` through ``_scan_block`` and the scanner
+        """``scan``, ``scan_batch`` packed as the executors pack it and the scanner
         rebuilt from its spec, on ragged sizes, with ``topk`` below, at
         and above the partition size, for a batch of 1 and of 5."""
         scanner = ScannerSpec(name, keep=0.05).build(pq)
@@ -127,7 +127,7 @@ class TestScannerAgreement:
                     scans = [one.scan(t, ragged, topk=topk) for t in stack]
                     assert_same_bytes(scans, reference)
                 for b in (1, 5):
-                    block = _scan_block(scanner, stack[:b], ragged, topk)
+                    block = ScanBlock.pack(scanner.scan_batch(stack[:b], ragged, topk))
                     assert_same_bytes(list(block), reference[:b])
 
     @pytest.mark.parametrize("topk", [1, 3, 100])

@@ -14,7 +14,7 @@ from repro.ivf import IVFADCIndex
 from repro.obs import observability_session
 from repro.persistence import load_sharded_index, save_sharded_index
 from repro.scan import LibpqScanner, NaiveScanner
-from repro.scan.base import ScanResult
+from repro.scan.base import NO_IDS, ScanResult
 from repro.search import ANNSearcher, PartitionScanner
 from repro.shard import (
     STATE_FAILED,
@@ -252,9 +252,9 @@ class _StallingScanner(PartitionScanner):
     def __init__(self, release: threading.Event):
         self.release = release
 
-    def scan_batch(self, tables, partition, topk=1):
+    def scan_batch(self, tables, partition, topk=1, tombstones=NO_IDS):
         self.release.wait()
-        return NaiveScanner().scan_batch(tables, partition, topk=topk)
+        return NaiveScanner().scan_batch(tables, partition, topk, tombstones)
 
 
 class _FlakyScanner(PartitionScanner):
@@ -267,11 +267,11 @@ class _FlakyScanner(PartitionScanner):
         self.calls = 0
         self._inner = NaiveScanner()
 
-    def scan_batch(self, tables, partition, topk=1):
+    def scan_batch(self, tables, partition, topk=1, tombstones=NO_IDS):
         self.calls += 1
         if self.calls <= self.fail_times:
             raise RuntimeError("transient shard fault")
-        return self._inner.scan_batch(tables, partition, topk=topk)
+        return self._inner.scan_batch(tables, partition, topk, tombstones)
 
 
 class TestGracefulDegradation:
@@ -392,9 +392,9 @@ class TestGracefulDegradation:
             scan_threads: set[str] = set()
 
             class Flaky(_FlakyScanner):
-                def scan_batch(self, tables, partition, topk=1):
+                def scan_batch(self, tables, partition, topk=1, tombstones=NO_IDS):
                     scan_threads.add(threading.current_thread().name)
-                    return super().scan_batch(tables, partition, topk=topk)
+                    return super().scan_batch(tables, partition, topk, tombstones)
 
             executor = ScatterGatherExecutor(
                 sharded,
@@ -759,6 +759,29 @@ class TestPinnedPools:
             assert executor._tempdir is None  # attached, not re-saved
             response = executor.run(batch_queries, topk=10, nprobe=4)
         assert not response.partial
+
+    def test_failed_shard_spinup_leaks_no_pool_or_artifact(
+        self, index8, tmp_path, monkeypatch
+    ):
+        """Shard 1's scanner cannot be rebuilt in a worker: the raise
+        comes after shard 0's pool started and the layout was saved, and
+        neither outlives it."""
+        import multiprocessing
+        import tempfile
+
+        class _Custom(NaiveScanner):
+            name = "custom"
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        sharded = ShardedIndex.from_index(index8, n_shards=2)
+        # The raise's traceback is alive while this checks: nothing is
+        # left for the garbage collector to clean up.
+        with pytest.raises(ConfigurationError, match="reconstructed") as raised:
+            ScatterGatherExecutor(sharded, [NaiveScanner(), _Custom()], backend="process")
+        assert raised.traceback
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.glob("repro-shards-*")) == []
+        assert sharded.artifact_dir is None
 
     def test_temp_artifact_not_advertised_on_shared_index(self, index8, pq):
         sharded = ShardedIndex.from_index(index8, n_shards=2)
