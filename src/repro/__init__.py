@@ -49,6 +49,9 @@ from .exceptions import (
 from .ivf import IVFADCIndex, Partition
 from .obs import (
     Observability,
+    WorkerStats,
+    aggregate_worker_stats,
+    combine_worker_stats,
     get_observability,
     observability_session,
     set_observability,
@@ -80,7 +83,6 @@ from .search import (
     BatchExecutor,
     BatchPlan,
     BatchPlanner,
-    BatchReport,
     PartitionJob,
     SearchResult,
     merge_partials,
@@ -102,7 +104,6 @@ from .delta import (
     DeltaView,
     fold_index,
 )
-from .simd import WorkerStats, aggregate_worker_stats, combine_worker_stats
 
 __version__ = "1.6.0"
 
@@ -111,7 +112,6 @@ __all__ = [
     "BatchExecutor",
     "BatchPlan",
     "BatchPlanner",
-    "BatchReport",
     "CentroidAssignment",
     "CompactionReport",
     "ConfigurationError",

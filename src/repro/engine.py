@@ -65,6 +65,7 @@ from .persistence import (
 from .pq.product_quantizer import ProductQuantizer
 from .scan import PartitionScanner
 from .search import GATHER_TIMEOUT_S, SearchResult, _check_rerank, _rerank_exact
+from .search import _complete_results
 from .shard import ScatterGatherExecutor, ShardedIndex, ShardedResponse
 
 __all__ = ["Engine", "EngineConfig", "SCANNER_KINDS"]
@@ -510,14 +511,9 @@ class Engine:
                     "and reload read-only to re-rank"
                 )
             _check_rerank(self.vectors, k, rerank)
-        response = self.search_detailed(queries, rerank or k, nprobe=nprobe)
-        if response.partial:
-            degraded = [s.as_dict() for s in response.shard_statuses if not s.ok]
-            raise ConfigurationError(
-                f"sharded search degraded: {degraded}; call "
-                "search_detailed() to accept partial results"
-            )
-        results = response.results
+        results = _complete_results(
+            self.search_detailed(queries, rerank or k, nprobe=nprobe)
+        )
         if rerank:
             results = [
                 _rerank_exact(self.vectors, query, shortlist, k)

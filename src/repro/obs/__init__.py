@@ -11,6 +11,8 @@ This package makes that telemetry first-class:
   pruning rates, prepared-cache hit ratios, per-worker scan speed and
   per-stage latency;
 * :mod:`repro.obs.export` — JSON and Prometheus text snapshots;
+* :mod:`repro.obs.workers` — the executors' per-worker work accounting
+  (:class:`WorkerStats`);
 * :mod:`repro.obs.snapshot` — a CLI producing a snapshot from one
   instrumented batch on a synthetic workload, plus the CI check mode.
 
@@ -36,10 +38,6 @@ import os
 import threading
 from collections.abc import Iterable, Iterator
 from contextlib import AbstractContextManager, contextmanager
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # avoid importing the simulator package at runtime
-    from ..simd.counters import WorkerStats
 
 from .export import parse_prometheus, to_json, to_prometheus, write_snapshots
 from .families import FAMILIES
@@ -57,6 +55,7 @@ from .tracer import (
     SpanRecord,
     Tracer,
 )
+from .workers import WorkerStats, aggregate_worker_stats, combine_worker_stats
 
 __all__ = [
     "Counter",
@@ -71,6 +70,9 @@ __all__ = [
     "STAGE_LATENCY_METRIC",
     "SpanRecord",
     "Tracer",
+    "WorkerStats",
+    "aggregate_worker_stats",
+    "combine_worker_stats",
     "get_observability",
     "observability_session",
     "parse_prometheus",
@@ -151,7 +153,7 @@ class Observability:
         self,
         n_queries: int,
         wall_time_s: float,
-        worker_stats: Iterable["WorkerStats"] = (),
+        worker_stats: Iterable[WorkerStats] = (),
     ) -> None:
         """Account one executed batch: totals plus per-worker gauges."""
         if not self.enabled:

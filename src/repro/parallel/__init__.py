@@ -6,9 +6,10 @@ read x0.28-0.46 on fastpq and x0.38-0.43 on quickadc, so it keeps no
 thread pool. This package is where batches fan out: worker
 **processes**, without moving any index data:
 
-* :class:`ProcessBatchExecutor` — the drop-in executor. Same
-  partition-major plan, same deterministic merge, byte-identical
-  results; jobs run on a persistent ``ProcessPoolExecutor``.
+* :class:`ProcessBatchExecutor` — how one shard of
+  :class:`~repro.shard.ScatterGatherExecutor` scans a plan on a
+  persistent ``ProcessPoolExecutor`` (its ``scan_plan``): same
+  partition-major jobs, byte-identical cells.
 * :class:`ScannerSpec` — the picklable scanner description each worker
   rebuilds its scanner from.
 * :mod:`~repro.parallel.worker` — the worker-process side: attach to

@@ -1,11 +1,13 @@
-"""Process-pool drop-in for :class:`~repro.search.BatchExecutor`.
+"""How one shard scans a plan on worker *processes*.
 
 Why processes: thread workers beyond one contend on the interpreter
 lock between NumPy kernels, so adding them does not add throughput
 (``docs/execution.md``, "Which executor when"), and the in-process
-executor runs inline. :class:`ProcessBatchExecutor` keeps the
-exact same plan-to-results pipeline (:class:`~repro.search.PlanPipeline`)
-but fans the partition jobs across a persistent ``ProcessPoolExecutor``:
+:class:`~repro.search.BatchExecutor` runs inline.
+:class:`ProcessBatchExecutor` is the other way a shard of
+:class:`~repro.shard.ScatterGatherExecutor` (``backend="process"``, the
+one plan-to-results pipeline) scans its jobs: its :meth:`scan_plan`
+fans them across a persistent ``ProcessPoolExecutor``:
 
 * **Zero-copy attach** — workers never receive index data. Each worker
   process opens the saved artifact itself with
@@ -29,19 +31,17 @@ but fans the partition jobs across a persistent ``ProcessPoolExecutor``:
   so output is byte-for-byte equal to the sequential loop and the inline
   executor, for every worker count and completion order.
 
-Observability: the parent records the route/scan/merge spans and the
-batch/worker metrics (per-process work is accounted through the
-standard :class:`~repro.simd.WorkerStats` merge, one slot per worker
-process). Stage spans *inside* a worker (tables, scan) are not traced —
-they happen in another process against that process's default
-(disabled) observability.
+Observability: the parent records the scan span and counters
+(per-process work is accounted in one :class:`~repro.obs.WorkerStats`
+slot per worker process). Stage spans *inside* a worker (tables, scan)
+are not traced — they happen in another process against that process's
+default (disabled) observability.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing.context import BaseContext
@@ -52,18 +52,15 @@ import numpy as np
 from ..core.sanitize import sanitizer_enabled
 from ..exceptions import ConfigurationError
 from ..ivf.inverted_index import IVFADCIndex
-from ..obs import Observability
+from ..obs import Observability, WorkerStats, get_observability
 from ..scan.base import PartitionScanner
 from ..search import (
     GATHER_TIMEOUT_S,
     BatchPlan,
-    BatchPlanner,
     PackedPartials,
     PartitionJob,
-    PlanExecutor,
     _record_scans,
 )
-from ..simd.counters import WorkerStats
 from .worker import WorkerBundle, _init_worker, _probe_worker, _run_bundle
 
 __all__ = ["ProcessBatchExecutor"]
@@ -85,14 +82,15 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class ProcessBatchExecutor(PlanExecutor):
-    """Partition-major batch executor backed by worker *processes*.
+class ProcessBatchExecutor:
+    """Partition-major plan scans on worker *processes*.
 
-    A drop-in for :class:`~repro.search.BatchExecutor`: same ``run`` /
-    ``run_with_report`` / ``scan_plan`` surface (inherited from
-    :class:`~repro.search.PlanExecutor`), same deterministic results.
-    Construct it from a saved index artifact (workers attach by path) or
-    via :meth:`from_index` when only an in-memory index exists.
+    The same :meth:`scan_plan` as :class:`~repro.search.BatchExecutor`,
+    byte-identical partials; workers attach to a saved index artifact by
+    path. :class:`~repro.shard.ScatterGatherExecutor` builds one per
+    shard (``backend="process"``); ``Engine(..., executor="process")``
+    and ``Engine.load(path, executor="process", n_workers=N)`` are the
+    way to search with them.
 
     The pool is created eagerly — all workers are spawned and
     initialized (index mmapped, scanner built and warmed) in the
@@ -116,12 +114,12 @@ class ProcessBatchExecutor(PlanExecutor):
             itself) attach to the artifact. True is the zero-copy point
             of this class; False forces eager per-process copies
             (measurement baseline).
-        index: the already-loaded index for the parent's planning; when
-            omitted the parent loads ``index_path`` itself.
+        index: the already-loaded index of ``index_path`` (kept as
+            :attr:`index`); when omitted the parent loads it itself.
         mp_context: explicit :mod:`multiprocessing` context; default
             prefers ``fork``.
         observability: explicit observability handle; default is the
-            process-wide instance, resolved at each run.
+            process-wide instance, resolved at each scan.
     """
 
     def __init__(
@@ -153,11 +151,9 @@ class ProcessBatchExecutor(PlanExecutor):
         self.index = (
             index if index is not None else load_index(self.index_path, mmap=mmap)
         )
-        self.planner = BatchPlanner(self.index)
-        self._tempdir: tempfile.TemporaryDirectory | None = None
         self._pid_slots: dict[int, int] = {}
-        # Guards the mutable lifecycle state (_pool, _tempdir) and the
-        # pid-to-slot map against concurrent close()/scan_plan() calls.
+        # Guards the pool handle and the pid-to-slot map against
+        # concurrent close()/scan_plan() calls.
         self._lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=self.pool_size,
@@ -171,49 +167,14 @@ class ProcessBatchExecutor(PlanExecutor):
         probes = [self._pool.submit(_probe_worker) for _ in range(self.pool_size)]
         for probe in probes:
             probe.result(timeout=GATHER_TIMEOUT_S)
-        self._obs().record_pool_spinup("process")
-
-    @classmethod
-    def from_index(
-        cls,
-        index: IVFADCIndex,
-        scanner: PartitionScanner,
-        *,
-        n_workers: int = 1,
-        mp_context: BaseContext | None = None,
-        observability: Observability | None = None,
-    ) -> "ProcessBatchExecutor":
-        """Build from an in-memory index: saves it to a temporary
-        uncompressed artifact for the workers to mmap (deleted by
-        :meth:`close`)."""
-        from ..persistence import save_index
-
-        tempdir = tempfile.TemporaryDirectory(prefix="repro-index-")
-        try:
-            path = Path(tempdir.name) / "index.npz"
-            save_index(index, path)
-            executor = cls(
-                path,
-                scanner,
-                n_workers=n_workers,
-                index=index,
-                mp_context=mp_context,
-                observability=observability,
-            )
-        except BaseException:
-            # Nobody else holds the directory yet (an unsupported scanner
-            # or a failed spin-up must not leave it behind).
-            tempdir.cleanup()
-            raise
-        executor._tempdir = tempdir
-        return executor
+        (observability or get_observability()).record_pool_spinup("process")
 
     def scan_plan(
         self, plan: BatchPlan, *, obs: Observability | None = None
     ) -> tuple[PackedPartials, list[WorkerStats]]:
         """Execute ``plan.jobs`` on the worker pool; raw per-probe partials."""
         if obs is None:
-            obs = self._obs()
+            obs = self.observability or get_observability()
         pool = self._require_pool()
         # The pool was spawned (and its workers attached/warmed) at
         # construction; every batch after that runs on the warm pool.
@@ -278,17 +239,19 @@ class ProcessBatchExecutor(PlanExecutor):
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent); frees the temporary
-        artifact when the executor was built by :meth:`from_index`."""
-        # Swap the shared references under the lock, then block on the
-        # shutdown/cleanup outside it (R7: no blocking under a lock).
+        """Shut the worker pool down (idempotent)."""
+        # Swap the shared reference under the lock, then block on the
+        # shutdown outside it (R7: no blocking under a lock).
         with self._lock:
             pool, self._pool = self._pool, None
-            tempdir, self._tempdir = self._tempdir, None
         if pool is not None:
             pool.shutdown(wait=True)
-        if tempdir is not None:
-            tempdir.cleanup()
+
+    def __enter__(self) -> "ProcessBatchExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- introspection -------------------------------------------------------
 

@@ -19,26 +19,24 @@ Multi-query batches run through a **partition-major execution engine**
 routed up front, and the per-query plan is inverted so that all queries
 probing a partition scan it together (per-partition state — grouped
 layouts, remapped tables, gathered codes — is touched once per batch
-instead of once per query). :class:`BatchExecutor` runs the jobs inline
+instead of once per query). :class:`BatchExecutor` scans a plan inline
 on the caller's thread; the concurrent-query traffic of the paper's
 Section 5.8 (scans bandwidth-bound within a few cores) comes from the
 process pools of :mod:`repro.parallel`, which :class:`~repro.Engine`
 owns.
 
-How a plan becomes results is written once, in :class:`PlanPipeline`
-(route, hand each job its partition's tombstones, scan, fold the delta
-segments and each landed :class:`ScanPart` into a
-:class:`StreamingMerger`, ``results()``); an executor defines only how
-a plan's scan lands in parts. The inline and process executors
-(:class:`PlanExecutor`) land one, their ``scan_plan``;
-:class:`~repro.shard.ScatterGatherExecutor` lands one per shard, in
-completion order, under its deadline / retry / partial policy. The
-merger's (distance, id) order is total, so batched
-results are byte-identical to the sequential per-query loop
-(:class:`ANNSearcher`, the stateless reference, with
-``executor="sequential"``) whatever the executor, worker count or fold
-order. :func:`merge_partials` is the barrier form of the same merge,
-kept as the reference the merger is tested against.
+How a plan becomes results is written once, in
+:class:`~repro.shard.ScatterGatherExecutor` (route, hand each job its
+partition's tombstones, scan on each shard, fold the delta segments
+(:func:`_fold_overlay`) and each shard's cells into a
+:class:`StreamingMerger`, ``results()``); an unsharded index is its
+one-shard split, and the inline and process executors only scan
+(``scan_plan``). The merger's (distance, id) order is total, so
+batched results are byte-identical to the sequential per-query loop
+(:class:`ANNSearcher` with ``executor="sequential"``, the reference)
+whatever the executor, worker count or fold order.
+:func:`merge_partials` is the barrier form of the same merge, kept as
+the reference the merger is tested against.
 """
 
 from __future__ import annotations
@@ -47,23 +45,18 @@ import threading
 import time
 from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .exceptions import ConfigurationError, SimulationError
+from .exceptions import ConfigurationError, DimensionMismatchError, SimulationError
 from .ivf.inverted_index import IVFADCIndex, as_count
 from .ivf.partition import Partition
-from .obs import NULL_SPAN, Observability, get_observability
+from .obs import NULL_SPAN, Observability, WorkerStats, get_observability
 from .scan.base import NO_IDS, PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock
 from .scan.base import ScanResult
 from .scan.naive import NaiveScanner, scan_run
 from .scan.topk import select_topk, select_topk_rows
-from .simd.counters import (
-    WorkerStats,
-    aggregate_worker_stats,
-    combine_worker_stats,
-)
 
 if TYPE_CHECKING:  # import cycle: repro.delta imports repro.search
     from .delta.store import DeltaView
@@ -73,7 +66,6 @@ __all__ = [
     "BatchExecutor",
     "BatchPlan",
     "BatchPlanner",
-    "BatchReport",
     "GATHER_TIMEOUT_S",
     "PackedPartials",
     "PartitionJob",
@@ -152,9 +144,9 @@ class PartitionJob:
 
 
 class _QueryHalfOnce:
-    """A batch's query half, built by the first of the executor's scan,
-    the thread shards' scans and the overlay fold to need it; the
-    others wait for that one instead of building their own."""
+    """A batch's query half, built by the first of the thread shards'
+    scans and the overlay fold to need it; the others wait for that one
+    instead of building their own."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -512,10 +504,10 @@ class StreamingMerger:
     """Incremental counterpart of :func:`merge_partials`, on arrays.
 
     The barrier merge needs every partial grid before it can start; the
-    executors instead fold each :class:`PackedPartials` into this merger
-    *as it lands* (:meth:`fold`) — the one part of a thread or process
-    batch, the overlay parts of a mutable engine, each shard's part
-    while the other shards are still scanning. A fold is a scatter of
+    pipeline instead folds each :class:`PackedPartials` into this merger
+    *as it lands* (:meth:`fold`) — the overlay parts of a mutable
+    engine, each shard's part while the other shards are still
+    scanning. A fold is a scatter of
     the part's cells to their ``(row, position)`` place in
     ``(n_queries, nprobe, k)`` arrays, and :meth:`results` selects every
     query's top-k at once (:func:`~repro.scan.select_topk_rows`) from
@@ -680,10 +672,10 @@ def _fold_overlay(
     """Scan the delta segments ``merger.plan`` probes and fold them in.
 
     The overlay half of the plan-to-results pipeline, run in the calling
-    process by every executor (workers only ever see the immutable base
-    artifact). The segments' scans fold with ``covers=False``: they add
-    candidates without claiming coverage (the base scan, on whichever
-    executor, owns the plan's cell).
+    process whatever the shards' backend (workers only ever see the
+    immutable base artifact). The segments' scans fold with
+    ``covers=False``: they add candidates without claiming coverage (the
+    base scan, on whichever shard, owns the plan's cell).
     """
     plan = merger.plan
     jobs = [job for job in plan.jobs if job.partition_id in view.segments]
@@ -706,54 +698,6 @@ def _fold_overlay(
         blocks.append(block)
     with obs.span("merge"):
         merger.fold(PackedPartials.of_jobs(plan, jobs, blocks), covers=False)
-
-
-@dataclass
-class BatchReport:
-    """Execution statistics of one batched run.
-
-    Attributes:
-        n_queries: queries in the batch.
-        nprobe: partitions probed per query.
-        topk: neighbors requested per query.
-        n_workers: workers of the executor (1 inline).
-        n_jobs: partition jobs executed.
-        wall_time_s: end-to-end engine time (plan + scan + merge).
-        worker_stats: per-worker work accounting.
-    """
-
-    n_queries: int
-    nprobe: int
-    topk: int
-    n_workers: int
-    n_jobs: int
-    wall_time_s: float
-    worker_stats: list[WorkerStats] = field(default_factory=list)
-
-    @property
-    def totals(self) -> WorkerStats:
-        """Aggregate of all workers' stats."""
-        return aggregate_worker_stats(self.worker_stats)
-
-    @property
-    def queries_per_second(self) -> float:
-        if self.wall_time_s <= 0:
-            return 0.0
-        return self.n_queries / self.wall_time_s
-
-    def as_dict(self) -> dict:
-        """JSON-safe dump (benchmark reports, observability exports)."""
-        return {
-            "n_queries": self.n_queries,
-            "nprobe": self.nprobe,
-            "topk": self.topk,
-            "n_workers": self.n_workers,
-            "n_jobs": self.n_jobs,
-            "wall_time_s": self.wall_time_s,
-            "queries_per_second": self.queries_per_second,
-            "totals": self.totals.as_dict(),
-            "worker_stats": [stats.as_dict() for stats in self.worker_stats],
-        }
 
 
 #: Shard completed all its jobs (also used for shards with no jobs).
@@ -848,225 +792,17 @@ class ShardedResponse:
         }
 
 
-@dataclass(frozen=True)
-class ScanPart:
-    """One landed part of a plan's scan, as an executor hands it over.
+class BatchExecutor:
+    """How one shard scans a plan inline, on the caller's thread.
 
-    Attributes:
-        status: which shard scanned the part and how that went.
-        partials: the part's scanned cells of the ``(n_queries, nprobe)``
-            grid; none at all when the part had no jobs, failed or
-            timed out.
-        worker_stats: per-worker work accounting of the part.
-    """
-
-    status: ShardStatus
-    partials: PackedPartials | None = None
-    worker_stats: list[WorkerStats] = field(default_factory=list)
-
-
-_PipelineT = TypeVar("_PipelineT", bound="PlanPipeline")
-
-
-class PlanPipeline:
-    """The one pipeline from a query batch to its merged results.
-
-    Route and plan, hand the jobs a tombstone hits their tombstones,
-    start the scan (:meth:`_scan_parts`), fold the delta segments, fold
-    each :class:`ScanPart` into a :class:`StreamingMerger` as it lands,
-    ``results()``, report. Subclasses supply :meth:`_scan_parts` and
-    :meth:`close`; they set ``index`` (the one real :class:`IVFADCIndex`
-    the batch is planned and the overlay's tables are built against),
-    ``planner`` and ``observability`` in their constructor.
-
-    Every run is traced through :mod:`repro.obs`: the route, warm,
-    table-build (the batch's query half, then one combine per run of
-    jobs) and per-run scan, and merge stages each produce a span
-    (and a ``repro_stage_latency_seconds`` observation), and the
-    finished batch feeds the batch/worker metrics. With the default
-    (disabled) observability instance all of this reduces to an
-    attribute check per stage.
-    """
-
-    index: IVFADCIndex
-    planner: BatchPlanner
-    observability: Observability | None
-
-    def _obs(self) -> Observability:
-        """The explicit handle, else the process-wide instance as of now."""
-        if self.observability is not None:
-            return self.observability
-        return get_observability()
-
-    def _execute(
-        self,
-        queries: np.ndarray,
-        topk: int,
-        nprobe: int,
-        delta_view: "DeltaView | None",
-    ) -> tuple[BatchPlan, ShardedResponse]:
-        """Plan ``queries``, scan the plan in parts, merge as they land.
-
-        With ``delta_view`` (a mutable engine's uncompacted overlay)
-        every job scans its *base* partition on the executor with the
-        configured scanner, which skips the rows its tombstones name
-        (:func:`_scan_runs`; a dirty cell's ``n_scanned`` counts
-        tombstoned rows too), so every cell reaching the merger is at
-        most ``topk`` wide. The parent scans the delta segments. The
-        merger's total (distance, id) order makes the result independent
-        of fold order — and
-        byte-identical to the delta-free path for queries whose probes
-        miss every mutated partition. A part that failed or timed out
-        lands without a grid: the response is flagged partial and
-        covers every scan that did arrive.
-        """
-        obs = self._obs()
-        start = time.perf_counter()
-        with obs.span("route"):
-            plan = self.planner.plan(queries, topk=topk, nprobe=nprobe)
-        if delta_view is not None and delta_view.clean:
-            delta_view = None
-        if delta_view is not None:
-            plan = _with_tombstones(plan, delta_view.hits)
-        landing = self._scan_parts(plan, obs, start)
-        merger = StreamingMerger(plan)
-        if delta_view is not None:
-            # Parent-side segment scans run while the parts are still
-            # scanning: extra candidates, not coverage.
-            _fold_overlay(merger, self.index, delta_view, obs)
-        statuses: list[ShardStatus] = []
-        stats_per_part: list[list[WorkerStats]] = []
-        overlap_s = 0.0
-        for part, others_in_flight in landing:
-            statuses.append(part.status)
-            if part.partials is None:
-                continue
-            folded_before = merger.merge_time_s
-            with obs.span("merge"):
-                merger.fold(part.partials)
-            if others_in_flight:
-                overlap_s += merger.merge_time_s - folded_before
-            stats_per_part.append(part.worker_stats)
-        partial = any(not status.ok for status in statuses)
-        with obs.span("merge"):
-            results = merger.results(require_complete=not partial)
-        wall_time_s = time.perf_counter() - start
-        worker_stats = combine_worker_stats(stats_per_part)
-        obs.record_batch(plan.n_queries, wall_time_s, worker_stats)
-        statuses.sort(key=lambda status: status.shard_id)
-        return plan, ShardedResponse(
-            results=results,
-            partial=partial,
-            shard_statuses=tuple(statuses),
-            wall_time_s=wall_time_s,
-            worker_stats=worker_stats,
-            gather_overlap_s=overlap_s,
-        )
-
-    def _scan_parts(
-        self, plan: BatchPlan, obs: Observability, start: float
-    ) -> Iterable[tuple[ScanPart, bool]]:
-        """Start scanning ``plan.jobs``; yield each part as it lands.
-
-        The one step an executor defines. Each item pairs a
-        :class:`ScanPart` with whether other parts were still in flight
-        when it landed (its fold is then overlap, not wall time);
-        ``start`` is the pipeline's clock, what a deadline runs from.
-        Submitting happens in the call, landing in the iteration, so
-        the overlay fold in between overlaps the scan.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release the executor's worker pools (idempotent)."""
-        raise NotImplementedError
-
-    def __enter__(self: _PipelineT) -> _PipelineT:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class PlanExecutor(PlanPipeline):
-    """A pipeline whose scan lands in one part: :meth:`scan_plan`.
-
-    The base of the inline and process executors, which supply the scan
-    half only — how ``plan.jobs`` become the packed cells of the
-    ``(n_queries, nprobe)`` grid — plus :meth:`close`, and set
-    ``n_workers`` as well.
-    """
-
-    n_workers: int
-
-    def run(
-        self,
-        queries: np.ndarray,
-        topk: int = 10,
-        nprobe: int = 1,
-        *,
-        delta_view: "DeltaView | None" = None,
-    ) -> list[SearchResult]:
-        """Plan and execute a batch; one :class:`SearchResult` per query."""
-        return self._execute(queries, topk, nprobe, delta_view)[1].results
-
-    def run_with_report(
-        self,
-        queries: np.ndarray,
-        topk: int = 10,
-        nprobe: int = 1,
-        *,
-        delta_view: "DeltaView | None" = None,
-    ) -> tuple[list[SearchResult], BatchReport]:
-        """Like :meth:`run`, also returning execution statistics."""
-        plan, response = self._execute(queries, topk, nprobe, delta_view)
-        report = BatchReport(
-            n_queries=plan.n_queries,
-            nprobe=plan.nprobe,
-            topk=plan.topk,
-            n_workers=self.n_workers,
-            n_jobs=len(plan.jobs),
-            wall_time_s=response.wall_time_s,
-            worker_stats=response.worker_stats,
-        )
-        return response.results, report
-
-    def _scan_parts(
-        self, plan: BatchPlan, obs: Observability, start: float
-    ) -> Iterable[tuple[ScanPart, bool]]:
-        t0 = time.perf_counter()
-        partials, worker_stats = self.scan_plan(plan, obs=obs)
-        status = ShardStatus(
-            0, STATE_OK, 1, time.perf_counter() - t0, n_jobs=len(plan.jobs)
-        )
-        return [(ScanPart(status, partials, worker_stats), False)]
-
-    def scan_plan(
-        self, plan: BatchPlan, *, obs: Observability | None = None
-    ) -> tuple[PackedPartials, list[WorkerStats]]:
-        """Execute ``plan.jobs`` and return the raw per-probe partials.
-
-        The scan half of the pipeline, exposed so the sharded
-        scatter-gather layer can execute a shard-local job subset
-        against a *global* plan: the returned :class:`PackedPartials`
-        always addresses the global ``(n_queries, nprobe)`` grid and
-        holds a cell for every probe position a job of this plan
-        covered, ready for :meth:`StreamingMerger.fold`.
-        """
-        raise NotImplementedError
-
-
-class BatchExecutor(PlanExecutor):
-    """Partition-major batch executor, inline on the caller's thread.
-
-    Executes a :class:`BatchPlan`: Step 2's query half is built once for
-    the batch (:meth:`BatchPlan.query_half`), each run of jobs
-    (:class:`PartitionJob`) combines the tables of *all* of its queries
-    out of it (:meth:`IVFADCIndex.tables_from_halves`) and scans its
-    partitions (:func:`_scan_runs`), and the per-query partials are
-    merged deterministically afterwards
-    (:class:`PlanPipeline`) — so results are byte-identical to the
-    sequential loop.
+    :meth:`scan_plan` executes a :class:`BatchPlan`: Step 2's query half
+    is built once for the batch (:meth:`BatchPlan.query_half`), each run
+    of jobs (:class:`PartitionJob`) combines the tables of *all* of its
+    queries out of it (:meth:`IVFADCIndex.tables_from_halves`) and scans
+    its partitions (:func:`_scan_runs`). The plan-to-results pipeline
+    around it (route, overlay, merge) is
+    :class:`~repro.shard.ScatterGatherExecutor`'s, whose
+    ``backend="thread"`` shards are these.
 
     The executor holds no pool: a job's NumPy calls are short and the
     Python between them holds the GIL, so a second thread read
@@ -1082,7 +818,7 @@ class BatchExecutor(PlanExecutor):
             shares); anything else raises :class:`ConfigurationError`.
         observability: explicit observability handle; default is the
             process-wide :func:`repro.obs.get_observability` instance,
-            resolved at each run.
+            resolved at each scan.
 
     The two pipeline objects are positional-only and every configuration
     argument is keyword-only, so call sites cannot transpose them
@@ -1109,14 +845,19 @@ class BatchExecutor(PlanExecutor):
         self.scanner = scanner
         self.n_workers = n_workers
         self.observability = observability
-        self.planner = BatchPlanner(index)
 
     def scan_plan(
         self, plan: BatchPlan, *, obs: Observability | None = None
     ) -> tuple[PackedPartials, list[WorkerStats]]:
-        """Execute ``plan.jobs`` inline, in plan order."""
+        """Execute ``plan.jobs`` inline, in plan order.
+
+        ``plan`` may be a shard's subset of a *global* plan: the returned
+        :class:`PackedPartials` always address the global ``(n_queries,
+        nprobe)`` grid, a cell for every probe position a job covered,
+        ready for :meth:`StreamingMerger.fold`.
+        """
         if obs is None:
-            obs = self._obs()
+            obs = self.observability or get_observability()
         # Every layout the plan needs is prepared before the first scan.
         with obs.span("warm"):
             self.scanner.warm(
@@ -1147,19 +888,39 @@ class BatchExecutor(PlanExecutor):
     def close(self) -> None:
         """Nothing to release: the executor holds no pool."""
 
+    def __enter__(self) -> "BatchExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+def _complete_results(response: ShardedResponse) -> list[SearchResult]:
+    """``response.results``, raising when a shard degraded: the answer of
+    :meth:`Engine.search <repro.Engine.search>` and
+    :meth:`ANNSearcher.search`, which do not return partial results."""
+    if response.partial:
+        degraded = [s.as_dict() for s in response.shard_statuses if not s.ok]
+        raise ConfigurationError(
+            f"search degraded: {degraded}; Engine.search_detailed() "
+            "returns partial results"
+        )
+    return response.results
+
 
 # -- the one-call search API ---------------------------------------------------
 
 
 class ANNSearcher:
     """Full Algorithm-1 query pipeline over an IVFADC index: the
-    stateless sequential reference.
+    sequential reference.
 
-    The searcher owns no worker pool and no artifact. Its per-query
-    loop (``executor="sequential"``) is what every executor is tested
-    against, and ``executor="batch"`` runs one inline
-    :class:`BatchExecutor`. Worker processes and shards are
-    :class:`~repro.Engine`'s (``Engine(..., executor="process")``).
+    Its per-query loop (``executor="sequential"``) is what every
+    executor is tested against, and ``executor="batch"`` runs one
+    :class:`~repro.shard.ScatterGatherExecutor` over the one-shard split
+    of the index, scanned inline (``backend="thread"``), the split an
+    unsharded :class:`~repro.Engine` runs. Worker processes and shards
+    are :class:`~repro.Engine`'s (``Engine(..., executor="process")``).
 
     Args:
         index: a populated :class:`~repro.ivf.IVFADCIndex`.
@@ -1173,9 +934,8 @@ class ANNSearcher:
             precision; fetching the shortlist's true vectors and
             re-sorting by exact distance restores it.
 
-    :meth:`close` (or leaving the searcher as a context manager) only
-    marks it closed — the lifecycle contract — and every later
-    :meth:`search` raises; there is nothing to release.
+    :meth:`close` (or leaving the searcher as a context manager) closes
+    its one-shard executor, and every later :meth:`search` raises.
     """
 
     #: Executor kinds accepted by :meth:`search` for multi-query input.
@@ -1187,11 +947,16 @@ class ANNSearcher:
         scanner: PartitionScanner | None = None,
         vectors: np.ndarray | None = None,
     ):
+        from .shard import ScatterGatherExecutor, ShardedIndex  # imports this module
+
         self.index = index
         self.scanner = scanner if scanner is not None else NaiveScanner()
         self.vectors = None if vectors is None else np.asarray(vectors, float)
-        self._batch = BatchExecutor(index, self.scanner)
-        self._closed = False
+        self._executor = ScatterGatherExecutor(
+            ShardedIndex.from_index(index, n_shards=1),
+            [self.scanner],
+            backend="thread",
+        )
 
     def search(
         self,
@@ -1209,14 +974,17 @@ class ANNSearcher:
 
         * a 1-D query returns a single :class:`SearchResult`;
         * a ``(b, d)`` batch returns one :class:`SearchResult` per row,
-          executed by the inline partition-major :class:`BatchExecutor`
+          executed partition-major by the searcher's one-shard
+          :class:`~repro.shard.ScatterGatherExecutor`
           (``executor="batch"``, the default) or by the per-query
           reference loop (``executor="sequential"`` — the baseline
           benchmarks and the equivalence tests compare against).
           ``executor="process"`` raises :class:`ConfigurationError`:
           worker processes are ``Engine(..., executor="process")``.
 
-        Results are byte-identical across executors.
+        ``topk``, ``executor`` and the query width are checked first,
+        for every shape (an empty batch too), as :class:`~repro.Engine`
+        checks them. Results are byte-identical across executors.
 
         ``rerank > 0`` retrieves a shortlist of that many ADC candidates,
         recomputes their exact distances against the stored original
@@ -1234,6 +1002,22 @@ class ANNSearcher:
         """
         self._require_open()
         queries = np.asarray(queries, dtype=np.float64)
+        topk = _checked_topk(topk)
+        if executor == "process":
+            raise ConfigurationError(
+                "ANNSearcher owns no worker pool; search with worker "
+                'processes through Engine(..., executor="process")'
+            )
+        if executor not in self.EXECUTORS:
+            raise ConfigurationError(
+                f"unknown executor {executor!r}, expected one of {self.EXECUTORS}"
+            )
+        if queries.ndim not in (1, 2):
+            raise ConfigurationError(
+                f"queries must be 1-D or 2-D, got shape {queries.shape}"
+            )
+        if queries.shape[-1] != self.index.pq.d:
+            raise DimensionMismatchError(self.index.pq.d, queries.shape[-1], "query")
         if delta is not None and delta.clean:
             delta = None
         if delta is not None and rerank:
@@ -1244,32 +1028,16 @@ class ANNSearcher:
             )
         if queries.ndim == 1:
             return self._search_one(queries, topk, nprobe, rerank, delta=delta)
-        if queries.ndim != 2:
-            raise ConfigurationError(
-                f"queries must be 1-D or 2-D, got shape {queries.shape}"
-            )
-        if executor == "process":
-            raise ConfigurationError(
-                "ANNSearcher owns no worker pool; search with worker "
-                'processes through Engine(..., executor="process")'
-            )
-        if executor not in self.EXECUTORS:
-            raise ConfigurationError(
-                f"unknown executor {executor!r}, expected one of {self.EXECUTORS}"
-            )
         if executor == "sequential":
             return [
                 self._search_one(q, topk, nprobe, rerank, delta=delta)
                 for q in queries
             ]
-        if len(queries) == 0:
-            return []
-        topk = _checked_topk(topk)
         if rerank:
             _check_rerank(self.vectors, topk, rerank)
-        results = self._batch.run(
+        results = _complete_results(self._executor.run(
             queries, topk=rerank or topk, nprobe=nprobe, delta_view=delta
-        )
+        ))
         if not rerank:
             return results
         return [
@@ -1337,19 +1105,19 @@ class ANNSearcher:
 
     def _require_open(self) -> None:
         """Raise when the searcher was closed (the lifecycle contract)."""
-        if self._closed:
+        if self.closed:
             raise ConfigurationError(
                 "ANNSearcher is closed; create a new searcher"
             )
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        return self._executor.closed
 
     def close(self) -> None:
-        """Mark the searcher closed for good (terminal, idempotent): every
-        later :meth:`search` raises :class:`ConfigurationError`."""
-        self._closed = True
+        """Close the one-shard executor for good (terminal, idempotent):
+        every later :meth:`search` raises :class:`ConfigurationError`."""
+        self._executor.close()
 
     def __enter__(self) -> "ANNSearcher":
         return self

@@ -1,13 +1,17 @@
 """Scatter-gather execution across the shards of a :class:`ShardedIndex`.
 
-The query path of a sharded deployment is the one
-:class:`~repro.search.PlanPipeline` every executor shares; this module
-defines only how a plan's scan lands in parts, one per shard:
+:class:`ScatterGatherExecutor` is the one pipeline from a query batch
+to its merged results: every :class:`~repro.Engine` query and
+:class:`~repro.search.ANNSearcher`'s batch path run through it, an
+unsharded index as the one-shard split. A shard only scans, on an
+inline :class:`~repro.search.BatchExecutor` or a
+:class:`~repro.parallel.ProcessBatchExecutor` (their ``scan_plan``):
 
-1. **Route** (the pipeline): the whole batch once on the shared coarse
-   codebook, into the global partition-major plan (the same
+1. **Route**: the whole batch once on the shared coarse codebook, into
+   the global partition-major plan (the same
    :class:`~repro.search.BatchPlanner` over the layout's
-   :attr:`~repro.shard.ShardedIndex.global_view`).
+   :attr:`~repro.shard.ShardedIndex.global_view`); with a delta view,
+   each job a tombstone hits carries its tombstoned ids.
 2. **Scatter**: split the plan's partition jobs by owning shard —
    heaviest shard first, so the longest sub-plan starts earliest — and
    run each shard's job subset on that shard's own executor — a
@@ -20,8 +24,9 @@ defines only how a plan's scan lands in parts, one per shard:
    once in the constructor (process workers attach by mmap path
    exactly once) and the gather pool below is likewise built once —
    steady-state batches pay zero spin-up.
-3. **Gather, streamed**: shard partials are handed to the pipeline in
-   completion order and each is folded into its running per-query
+3. **Gather, streamed**: the delta segments (scanned here, in the
+   parent, while the shards scan) and the shard partials, in
+   completion order, are each folded into the running per-query
    :class:`~repro.search.StreamingMerger` the moment it lands, so merge
    work overlaps the shards still scanning instead of serializing after
    a barrier. The fold order cannot change the answer — the merger
@@ -52,7 +57,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from multiprocessing.context import BaseContext
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -63,7 +68,8 @@ if TYPE_CHECKING:
     from ..delta.store import DeltaView
 
 from ..exceptions import ConfigurationError
-from ..obs import Observability
+from ..obs import Observability, WorkerStats, combine_worker_stats, get_observability
+from ..parallel import ProcessBatchExecutor
 from ..scan.base import PartitionScanner
 from ..search import (
     GATHER_TIMEOUT_S,
@@ -73,12 +79,13 @@ from ..search import (
     BatchExecutor,
     BatchPlan,
     BatchPlanner,
+    PackedPartials,
     PartitionJob,
-    PlanExecutor,
-    PlanPipeline,
-    ScanPart,
     ShardedResponse,
     ShardStatus,
+    StreamingMerger,
+    _fold_overlay,
+    _with_tombstones,
 )
 from .sharded_index import ShardedIndex
 
@@ -133,8 +140,39 @@ class ShardRouter:
         }
 
 
-class ScatterGatherExecutor(PlanPipeline):
-    """Fans query batches across shards; gathers with graceful degradation.
+@dataclass(frozen=True)
+class ScanPart:
+    """One landed part of a plan's scan: one shard's.
+
+    Attributes:
+        status: which shard scanned the part and how that went.
+        partials: the part's scanned cells of the ``(n_queries, nprobe)``
+            grid; none at all when the part had no jobs, failed or
+            timed out.
+        worker_stats: per-worker work accounting of the part.
+    """
+
+    status: ShardStatus
+    partials: PackedPartials | None = None
+    worker_stats: list[WorkerStats] = field(default_factory=list)
+
+
+class ScatterGatherExecutor:
+    """The one pipeline from a query batch to its merged results.
+
+    Route and plan, hand the jobs a tombstone hits their tombstones,
+    scatter the plan across the shards (:meth:`_scan_parts`), fold the
+    delta segments, fold each shard's :class:`ScanPart` into a
+    :class:`~repro.search.StreamingMerger` as it lands, ``results()``,
+    report — with graceful degradation.
+
+    Every run is traced through :mod:`repro.obs`: the route, warm,
+    table-build (the batch's query half, then one combine per run of
+    jobs) and per-run scan, and merge stages each produce a span (and a
+    ``repro_stage_latency_seconds`` observation), and the finished batch
+    feeds the batch/worker metrics. With the default (disabled)
+    observability instance all of this reduces to an attribute check
+    per stage.
 
     Every pool this executor touches is **pinned**: the per-shard
     process pools (whose workers attach to the shard artifacts by mmap
@@ -248,15 +286,14 @@ class ScatterGatherExecutor(PlanPipeline):
         # close() calls.
         self._lock = threading.Lock()
         self._tempdir: tempfile.TemporaryDirectory | None = None
-        self._executors: tuple[PlanExecutor, ...]
+        self._executors: tuple[BatchExecutor | ProcessBatchExecutor, ...]
         if backend == "process":
-            from ..parallel import ProcessBatchExecutor
             from ..persistence import _shard_filename, save_sharded_index
 
             # A shard that fails to spin up (a scanner a worker cannot
             # rebuild, a bad artifact) must not leak the pools already
             # started or the temporary layout: both go before the raise.
-            started: list[PlanExecutor] = []
+            started: list[ProcessBatchExecutor] = []
             try:
                 if artifact_dir is None:
                     # Attach to the layout's own saved artifact when one
@@ -327,8 +364,7 @@ class ScatterGatherExecutor(PlanPipeline):
     ) -> ShardedResponse:
         """Scatter ``queries`` across shards; gather and merge, streamed.
 
-        The :class:`~repro.search.PlanPipeline` with this executor's
-        scan: shard sub-plans are submitted heaviest-first to the pinned
+        Shard sub-plans are submitted heaviest-first to the pinned
         scatter pool, partials land in completion order, and each is
         folded into the running merge while the remaining shards are
         still scanning — the response's ``gather_overlap_s`` reports how
@@ -346,7 +382,7 @@ class ScatterGatherExecutor(PlanPipeline):
         # One reuse, gather and overlap observation per served batch,
         # an empty one included, so obs totals keep matching run counts.
         obs.record_pool_reuse("gather")
-        response = self._execute(queries, topk, nprobe, delta_view)[1]
+        response = self._execute(queries, topk, nprobe, delta_view)
         for status in response.shard_statuses:
             if status.attempts:  # 0: the shard had no jobs in this batch
                 obs.record_shard(
@@ -356,10 +392,89 @@ class ScatterGatherExecutor(PlanPipeline):
         obs.record_gather_overlap(response.gather_overlap_s)
         return response
 
+    def _obs(self) -> Observability:
+        """The explicit handle, else the process-wide instance as of now."""
+        if self.observability is not None:
+            return self.observability
+        return get_observability()
+
+    def _execute(
+        self,
+        queries: np.ndarray,
+        topk: int,
+        nprobe: int,
+        delta_view: "DeltaView | None",
+    ) -> ShardedResponse:
+        """Plan ``queries``, scan the plan in parts, merge as they land.
+
+        With ``delta_view`` (a mutable engine's uncompacted overlay)
+        every job scans its *base* partition on its shard with the
+        configured scanner, which skips the rows its tombstones name
+        (:func:`~repro.search._scan_runs`; a dirty cell's ``n_scanned``
+        counts tombstoned rows too), so every cell reaching the merger
+        is at most ``topk`` wide. The parent scans the delta segments.
+        The merger's total (distance, id) order makes the result
+        independent of fold order — and byte-identical to the
+        delta-free path for queries whose probes miss every mutated
+        partition. A part that failed or timed out lands without a
+        grid: the response is flagged partial and covers every scan
+        that did arrive.
+        """
+        obs = self._obs()
+        start = time.perf_counter()
+        with obs.span("route"):
+            plan = self.planner.plan(queries, topk=topk, nprobe=nprobe)
+        if delta_view is not None and delta_view.clean:
+            delta_view = None
+        if delta_view is not None:
+            plan = _with_tombstones(plan, delta_view.hits)
+        landing = self._scan_parts(plan, obs, start)
+        merger = StreamingMerger(plan)
+        if delta_view is not None:
+            # Parent-side segment scans run while the parts are still
+            # scanning: extra candidates, not coverage.
+            _fold_overlay(merger, self.index, delta_view, obs)
+        statuses: list[ShardStatus] = []
+        stats_per_part: list[list[WorkerStats]] = []
+        overlap_s = 0.0
+        for part, others_in_flight in landing:
+            statuses.append(part.status)
+            if part.partials is None:
+                continue
+            folded_before = merger.merge_time_s
+            with obs.span("merge"):
+                merger.fold(part.partials)
+            if others_in_flight:
+                overlap_s += merger.merge_time_s - folded_before
+            stats_per_part.append(part.worker_stats)
+        partial = any(not status.ok for status in statuses)
+        with obs.span("merge"):
+            results = merger.results(require_complete=not partial)
+        wall_time_s = time.perf_counter() - start
+        worker_stats = combine_worker_stats(stats_per_part)
+        obs.record_batch(plan.n_queries, wall_time_s, worker_stats)
+        statuses.sort(key=lambda status: status.shard_id)
+        return ShardedResponse(
+            results=results,
+            partial=partial,
+            shard_statuses=tuple(statuses),
+            wall_time_s=wall_time_s,
+            worker_stats=worker_stats,
+            gather_overlap_s=overlap_s,
+        )
+
     def _scan_parts(
         self, plan: BatchPlan, obs: Observability, start: float
     ) -> Iterator[tuple[ScanPart, bool]]:
-        """Split ``plan`` by owning shard and start every sub-plan."""
+        """Split ``plan`` by owning shard and start every sub-plan; yield
+        each shard's :class:`ScanPart` as it lands.
+
+        Each item pairs the part with whether other parts were still in
+        flight when it landed (its fold is then overlap, not wall time);
+        ``start`` is the pipeline's clock, what a deadline runs from.
+        Submitting happens in the call, landing in the iteration, so the
+        overlay fold in between overlaps the scan.
+        """
         subplans = self.router.split(plan)
         futures: dict[Future[ScanPart], int] = {}
         if len(subplans) > 1 or self.deadline_s is not None:
@@ -454,6 +569,12 @@ class ScatterGatherExecutor(PlanPipeline):
         """True once :meth:`close` ran; a closed executor rejects runs."""
         with self._lock:
             return self._gather_pool is None
+
+    def __enter__(self) -> "ScatterGatherExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- internals ----------------------------------------------------------
 

@@ -22,12 +22,7 @@ from ..exceptions import ConfigurationError
 from .arch import PLATFORMS, CPUModel, get_platform
 from .cache import CacheLevel, CacheModel, NEHALEM_HASWELL_CACHE
 from .costs import BASE_COSTS, InstructionCost, cost_table
-from .counters import (
-    PerfCounters,
-    WorkerStats,
-    aggregate_worker_stats,
-    combine_worker_stats,
-)
+from .counters import PerfCounters
 from .executor import Executor
 from .kernels import (
     SCAN_KERNELS,
@@ -51,9 +46,6 @@ __all__ = [
     "NEHALEM_HASWELL_CACHE",
     "PLATFORMS",
     "PerfCounters",
-    "WorkerStats",
-    "aggregate_worker_stats",
-    "combine_worker_stats",
     "SCAN_KERNELS",
     "avx_kernel",
     "cost_table",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,6 +64,22 @@ class TestPublicApiSnapshot:
     def test_every_all_entry_resolves(self):
         for symbol in repro.__all__:
             assert hasattr(repro, symbol), f"repro.__all__ lists missing {symbol}"
+
+
+class TestImportCost:
+    def test_import_repro_loads_no_simulator_module(self):
+        """The executors' worker accounting lives in ``repro.obs``: the
+        library imports none of the SIMD simulator until asked to."""
+        code = (
+            "import repro, sys; "
+            "assert not [m for m in sys.modules if m.startswith('repro.simd')]"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src")},
+            timeout=120,
+        )
 
 
 # -- signatures of the stable facade --------------------------------------------

@@ -162,6 +162,25 @@ def test_named_members_resolve(doc):
     )
 
 
+#: A Markdown heading outside fenced code, and a change number in one.
+FENCED = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
+HEADING = re.compile(r"^#{1,6} .*$", re.MULTILINE)
+CHANGE_NUMBER = re.compile(r"PR \d+")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))],
+    ids=doc_id,
+)
+def test_no_heading_names_a_change(doc):
+    """A section states the current design; which change made it is
+    CHANGES.md's to record."""
+    headings = HEADING.findall(FENCED.sub("", doc.read_text()))
+    named = [heading for heading in headings if CHANGE_NUMBER.search(heading)]
+    assert not named, f"{doc_id(doc)} has headings naming a change: {named}"
+
+
 #: One row of ``docs/observability.md``'s family table: name, kind, labels.
 FAMILY_ROW = re.compile(r"^\|\s*`(repro_\w+)`\s*\|\s*(\w+)\s*\|([^|]*)\|", re.MULTILINE)
 

@@ -20,7 +20,7 @@ from repro import (
     PQFastScanner,
 )
 from repro.exceptions import ConfigurationError
-from repro.parallel import ProcessBatchExecutor
+from repro.obs import aggregate_worker_stats
 from repro.scan import LibpqScanner
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 from repro.search import _runs
@@ -74,10 +74,12 @@ class TestBatchEquivalence:
         if n_workers == 1:
             bat = searcher.search(batch_queries, topk=10, nprobe=nprobe)
         else:
-            with ProcessBatchExecutor.from_index(
-                index4, scanner, n_workers=n_workers
+            with ScatterGatherExecutor(
+                ShardedIndex.from_index(index4, n_shards=1),
+                [scanner],
+                n_workers=n_workers,
             ) as executor:
-                bat = executor.run(batch_queries, topk=10, nprobe=nprobe)
+                bat = executor.run(batch_queries, topk=10, nprobe=nprobe).results
         _assert_identical(seq, bat)
 
     def test_rerank_equivalence(self, index4, pq, dataset, batch_queries):
@@ -144,54 +146,61 @@ class TestBatchPlanner:
             BatchPlanner(index4).plan(batch_queries, topk=0)
 
 
+def _inline(index, scanner, batch_queries, topk, nprobe):
+    """The searcher's batch path, response and all: one thread shard."""
+    with ScatterGatherExecutor(
+        ShardedIndex.from_index(index, n_shards=1), [scanner], backend="thread"
+    ) as executor:
+        return executor.run(batch_queries, topk=topk, nprobe=nprobe)
+
+
 class TestBatchExecutor:
     def test_report_accounts_all_scans(self, index4, batch_queries):
         with pytest.raises(ConfigurationError, match="process backend"):
             BatchExecutor(index4, NaiveScanner(), n_workers=2)
-        executor = BatchExecutor(index4, NaiveScanner())
-        results, report = executor.run_with_report(
-            batch_queries, topk=10, nprobe=2
-        )
-        assert report.n_queries == len(batch_queries)
-        assert report.n_jobs == len(
+        response = _inline(index4, NaiveScanner(), batch_queries, 10, 2)
+        n_jobs = response.status_for(0).n_jobs
+        assert response.n_queries == len(batch_queries)
+        assert n_jobs == len(
             np.unique(BatchPlanner(index4).plan(batch_queries, nprobe=2).probed)
         )
-        totals = report.totals
+        totals = aggregate_worker_stats(response.worker_stats)
         assert totals.n_scans == len(batch_queries) * 2
-        assert totals.n_vectors_scanned == sum(r.n_scanned for r in results)
-        assert totals.n_jobs == report.n_jobs
-        assert report.wall_time_s > 0
-        assert report.queries_per_second > 0
+        assert totals.n_vectors_scanned == sum(
+            r.n_scanned for r in response.results
+        )
+        assert totals.n_jobs == n_jobs
+        assert response.wall_time_s > 0
+        assert response.queries_per_second > 0
 
     def test_worker_stats_cover_all_workers(self, index4, batch_queries):
         with pytest.raises(ConfigurationError, match="process backend"):
             BatchExecutor(index4, NaiveScanner(), n_workers=4)
-        executor = BatchExecutor(index4, NaiveScanner())
-        _, report = executor.run_with_report(batch_queries, topk=5, nprobe=2)
-        assert report.n_workers == 1
-        assert [s.worker_id for s in report.worker_stats] == [0]
-        assert sum(s.n_jobs for s in report.worker_stats) == report.n_jobs
+        response = _inline(index4, NaiveScanner(), batch_queries, 5, 2)
+        assert [s.worker_id for s in response.worker_stats] == [0]
+        assert sum(s.n_jobs for s in response.worker_stats) == (
+            response.status_for(0).n_jobs
+        )
 
     def test_fast_scanner_pruning_stats_preserved(
         self, index4, pq, batch_queries
     ):
         scanner = PQFastScanner(pq, keep=0.01, seed=0)
-        executor = BatchExecutor(index4, scanner, n_workers=1)
-        results, report = executor.run_with_report(
-            batch_queries, topk=10, nprobe=2
+        response = _inline(index4, scanner, batch_queries, 10, 2)
+        totals = aggregate_worker_stats(response.worker_stats)
+        assert totals.n_vectors_pruned == sum(
+            r.n_pruned for r in response.results
         )
-        assert report.totals.n_vectors_pruned == sum(
-            r.n_pruned for r in results
-        )
-        assert report.totals.n_vectors_pruned > 0
+        assert totals.n_vectors_pruned > 0
 
     def test_warms_fast_scanner_cache(self, index4, pq, batch_queries):
         scanner = PQFastScanner(pq, keep=0.01, seed=0)
         executor = BatchExecutor(index4, scanner, n_workers=1)
-        executor.run(batch_queries, topk=10, nprobe=2)
+        plan = BatchPlanner(index4).plan(batch_queries, topk=10, nprobe=2)
+        executor.scan_plan(plan)
         first_misses = scanner.prepared_misses
         assert first_misses > 0
-        executor.run(batch_queries, topk=10, nprobe=2)
+        executor.scan_plan(plan)
         assert scanner.prepared_misses == first_misses  # all hits now
         assert scanner.prepared_hits > 0
 
@@ -278,9 +287,9 @@ class TestQueryHalfOncePerPlan:
             assert len(busy_s) == len(runs)
             merger.fold(PackedPartials.of_jobs(plan, jobs, [cells]))
         assert calls == expected_calls
-        with BatchExecutor(index16, NaiveScanner()) as executor:
+        with ANNSearcher(index16, NaiveScanner()) as searcher:
             _assert_identical(
-                merger.results(), executor.run(queries, topk=5, nprobe=self.NPROBE)
+                merger.results(), searcher.search(queries, topk=5, nprobe=self.NPROBE)
             )
 
     def test_the_sequential_loop_builds_it_once_per_query(

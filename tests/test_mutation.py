@@ -45,7 +45,6 @@ import repro.engine
 import repro.pq.quantizer
 from repro import (
     ANNSearcher,
-    BatchExecutor,
     Engine,
     EngineConfig,
     IVFADCIndex,
@@ -55,7 +54,7 @@ from repro import (
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.ivf.partition import Partition
 from repro.obs import Observability
-from repro.parallel import ProcessBatchExecutor, ScannerSpec
+from repro.parallel import ScannerSpec
 from repro.persistence import load_index, save_index
 from repro.scan import NaiveScanner, select_topk
 from repro.scan.base import PAD_ID
@@ -907,11 +906,13 @@ class TestEngineAgainstDictModel:
 
 
 class TestExecutorOverlay:
-    """``PlanExecutor.run(delta_view=...)`` against the reference loop.
+    """``ScatterGatherExecutor.run(delta_view=...)`` against the
+    reference loop.
 
-    The overlay is part of the executors' own pipeline, so a bare
-    executor handed a dirty view must answer exactly like the sequential
-    per-query loop: same ids, distances, counters and probe lists.
+    The overlay is part of the one pipeline, so a bare one-shard
+    executor handed a dirty view, on either backend, must answer exactly
+    like the sequential per-query loop: same ids, distances, counters
+    and probe lists.
     """
 
     @pytest.fixture(scope="class")
@@ -946,13 +947,11 @@ class TestExecutorOverlay:
 
     @pytest.fixture(scope="class", params=["thread", "process"])
     def executor(self, request, index, pq):
-        scanner = PQFastScanner(pq, keep=0.01)
-        built = (
-            BatchExecutor(index, scanner)
-            if request.param == "thread"
-            else ProcessBatchExecutor.from_index(index, scanner)
-        )
-        with built:
+        with ScatterGatherExecutor(
+            ShardedIndex.from_index(index, n_shards=1),
+            [PQFastScanner(pq, keep=0.01)],
+            backend=request.param,
+        ) as built:
             yield built
 
     @pytest.mark.parametrize("shape", ["masked", "segment", "both"])
@@ -969,12 +968,13 @@ class TestExecutorOverlay:
                 dataset.queries, topk=10, nprobe=2, executor="sequential"
             )
         assert not _same_answers(expected, clean)  # the overlay matters here
-        got, report = executor.run_with_report(
+        response = executor.run(
             dataset.queries, topk=10, nprobe=2, delta_view=view
         )
-        assert _fully_identical(expected, got)
-        assert report.n_queries == len(dataset.queries)
-        assert report.n_jobs == 2  # every planned job, dirty or clean
+        assert _fully_identical(expected, response.results)
+        assert response.n_queries == len(dataset.queries)
+        # every planned job, dirty or clean
+        assert response.status_for(0).n_jobs == 2
 
 
 # -- a tombstone is a filter: the filtered-copy oracle -------------------------
@@ -1081,23 +1081,17 @@ def _answers_on(backend, index, scanner_of, queries, views, topk, nprobe):
                 )
                 for name, view in views.items()
             }
-    if backend == "sharded":
-        sharded = ShardedIndex.from_index(index, n_shards=2)
-        with ScatterGatherExecutor(sharded, scanner_of, backend="thread") as executor:
-            return {
-                name: executor.run(
-                    queries, topk=topk, nprobe=nprobe, delta_view=view
-                ).results
-                for name, view in views.items()
-            }
-    executor = (
-        BatchExecutor(index, scanner_of())
-        if backend == "thread"
-        else ProcessBatchExecutor.from_index(index, scanner_of())
-    )
-    with executor:
+    n_shards = 2 if backend == "sharded" else 1
+    sharded = ShardedIndex.from_index(index, n_shards=n_shards)
+    with ScatterGatherExecutor(
+        sharded,
+        scanner_of,
+        backend="thread" if backend == "sharded" else backend,
+    ) as executor:
         return {
-            name: executor.run(queries, topk=topk, nprobe=nprobe, delta_view=view)
+            name: executor.run(
+                queries, topk=topk, nprobe=nprobe, delta_view=view
+            ).results
             for name, view in views.items()
         }
 

@@ -20,6 +20,7 @@ from repro.obs import (
     NULL_SPAN,
     STAGE_LATENCY_METRIC,
     Tracer,
+    WorkerStats,
     get_observability,
     observability_session,
     parse_prometheus,
@@ -31,9 +32,16 @@ from repro.obs import (
 from repro.obs.families import FAMILIES
 from repro.obs.metrics import Family
 from repro.obs.snapshot import check_snapshot, run_snapshot
-from repro.parallel import ProcessBatchExecutor, ScannerSpec
+from repro.parallel import ScannerSpec
 from repro.serve import MicroBatchServer, ServeConfig
-from repro.simd.counters import WorkerStats
+from repro.shard import ScatterGatherExecutor, ShardedIndex
+
+
+def _one_shard(index, scanner, **options) -> ScatterGatherExecutor:
+    """The one-shard split of ``index``, as an unsharded engine runs it."""
+    return ScatterGatherExecutor(
+        ShardedIndex.from_index(index, n_shards=1), [scanner], **options
+    )
 
 
 class TestMetricsPrimitives:
@@ -311,9 +319,9 @@ class TestPipelineIntegration:
             index = index4bit
         scanner = ScannerSpec(kind, keep=0.01).build(index.pq)
         if executor == "process":
-            with ProcessBatchExecutor.from_index(index, scanner) as workers:
+            with _one_shard(index, scanner, backend="process") as workers:
                 with observability_session() as obs:
-                    results = workers.run(dataset.queries, topk=10, nprobe=2)
+                    results = workers.run(dataset.queries, topk=10, nprobe=2).results
         else:
             with ANNSearcher(index, scanner) as searcher, observability_session() as obs:
                 results = searcher.search(
@@ -359,29 +367,28 @@ class TestPipelineIntegration:
             assert a.probed == b.probed
 
     def test_worker_metrics_from_batch_report(self, index, pq, dataset):
-        with ProcessBatchExecutor.from_index(
-            index, NaiveScanner(), n_workers=2
+        with _one_shard(
+            index, NaiveScanner(), backend="process", n_workers=2
         ) as workers:
             with observability_session() as obs:
                 workers.run(dataset.queries, topk=10, nprobe=2)
         samples = obs.metrics.get("repro_worker_scan_speed_vps").samples()
-        assert len(samples) == workers.pool_size  # one gauge per worker slot
+        # one gauge per worker slot
+        assert len(samples) == workers._executors[0].pool_size
         assert obs.metrics.get("repro_batches_total").value() == 1
         assert obs.metrics.get("repro_queries_total").value() == len(
             dataset.queries
         )
 
     def test_explicit_observability_on_executor(self, index, pq, dataset):
-        from repro import BatchExecutor
-
         default_before = get_observability().metrics.get(
             "repro_queries_total"
         ).value()
         obs = Observability(enabled=True)
-        executor = BatchExecutor(
-            index, NaiveScanner(), n_workers=1, observability=obs
-        )
-        executor.run(dataset.queries[:2], topk=5, nprobe=1)
+        with _one_shard(
+            index, NaiveScanner(), backend="thread", observability=obs
+        ) as executor:
+            executor.run(dataset.queries[:2], topk=5, nprobe=1)
         assert obs.metrics.get("repro_queries_total").value() == 2
         # the process default stayed untouched
         assert (

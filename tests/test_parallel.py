@@ -19,7 +19,7 @@ from repro.engine import Engine, EngineConfig
 from repro.exceptions import ConfigurationError
 from repro.parallel import ProcessBatchExecutor, ScannerSpec
 from repro.scan.base import PartitionScanner
-from repro.search import BatchExecutor
+from repro.search import BatchExecutor, BatchPlanner
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 
 
@@ -39,6 +39,13 @@ def _assert_results_equal(a, b):
         assert ra.n_scanned == rb.n_scanned
         assert ra.n_pruned == rb.n_pruned
         assert ra.probed == rb.probed
+
+
+def _one_shard(index, scanner, **options) -> ScatterGatherExecutor:
+    """The one-shard split of ``index``, as an unsharded engine runs it."""
+    return ScatterGatherExecutor(
+        ShardedIndex.from_index(index, n_shards=1), [scanner], **options
+    )
 
 
 @pytest.fixture(scope="module")
@@ -98,54 +105,55 @@ class TestProcessExecutorEquivalence:
         baseline = ANNSearcher(index, _scanner_for(scanner_name, index)).search(
             dataset.queries, topk=10, nprobe=2, executor="sequential"
         )
-        with ProcessBatchExecutor(
-            index_artifact,
+        with _one_shard(
+            index,
             _scanner_for(scanner_name, index),
             n_workers=n_workers,
-            index=index,
+            artifact_dir=index_artifact,
         ) as executor:
             _assert_results_equal(
-                baseline, executor.run(dataset.queries, topk=10, nprobe=2)
+                baseline, executor.run(dataset.queries, topk=10, nprobe=2).results
             )
 
     def test_byte_identical_to_thread_executor(
         self, index, dataset, index_artifact
     ):
-        thread = BatchExecutor(index, NaiveScanner(), n_workers=1)
-        with ProcessBatchExecutor(
-            index_artifact, NaiveScanner(), index=index
+        with _one_shard(
+            index, NaiveScanner(), backend="thread"
+        ) as thread, _one_shard(
+            index, NaiveScanner(), artifact_dir=index_artifact
         ) as executor:
             _assert_results_equal(
-                thread.run(dataset.queries, topk=10, nprobe=2),
-                executor.run(dataset.queries, topk=10, nprobe=2),
+                thread.run(dataset.queries, topk=10, nprobe=2).results,
+                executor.run(dataset.queries, topk=10, nprobe=2).results,
             )
 
     def test_results_stable_across_repeated_runs(
         self, index, dataset, index_artifact
     ):
-        with ProcessBatchExecutor(
-            index_artifact, NaiveScanner(), n_workers=2, index=index
+        with _one_shard(
+            index, NaiveScanner(), n_workers=2, artifact_dir=index_artifact
         ) as executor:
             first = executor.run(dataset.queries, topk=10, nprobe=2)
             second = executor.run(dataset.queries, topk=10, nprobe=2)
-            _assert_results_equal(first, second)
+            _assert_results_equal(first.results, second.results)
 
 
 class TestProcessExecutorLifecycle:
     def test_report_and_worker_stats(self, index, dataset, index_artifact):
-        with ProcessBatchExecutor(
-            index_artifact, NaiveScanner(), n_workers=2, index=index
+        with _one_shard(
+            index, NaiveScanner(), n_workers=2, artifact_dir=index_artifact
         ) as executor:
-            results, report = executor.run_with_report(
-                dataset.queries, topk=10, nprobe=2
-            )
+            response = executor.run(dataset.queries, topk=10, nprobe=2)
+            results = response.results
             assert len(results) == len(dataset.queries)
-            assert report.n_queries == len(dataset.queries)
-            assert report.n_workers == 2
-            assert len(report.worker_stats) == executor.pool_size
-            total_scans = sum(s.n_scans for s in report.worker_stats)
+            assert response.n_queries == len(dataset.queries)
+            (shard,) = executor._executors
+            assert shard.n_workers == 2
+            assert len(response.worker_stats) == shard.pool_size
+            total_scans = sum(s.n_scans for s in response.worker_stats)
             assert total_scans == sum(len(r.probed) for r in results)
-            assert sum(s.busy_time_s for s in report.worker_stats) > 0.0
+            assert sum(s.busy_time_s for s in response.worker_stats) > 0.0
 
     def test_pool_size_clamped_to_cpus(self, index, index_artifact):
         import os
@@ -169,19 +177,9 @@ class TestProcessExecutorLifecycle:
         )
         executor.close()
         executor.close()  # idempotent
+        plan = BatchPlanner(index).plan(dataset.queries, topk=5, nprobe=1)
         with pytest.raises(ConfigurationError, match="closed"):
-            executor.run(dataset.queries, topk=5, nprobe=1)
-
-    def test_from_index_cleans_temp_artifact(self, index, dataset):
-        executor = ProcessBatchExecutor.from_index(index, NaiveScanner())
-        tempdir = executor._tempdir
-        assert tempdir is not None
-        results = executor.run(dataset.queries, topk=5, nprobe=1)
-        assert len(results) == len(dataset.queries)
-        executor.close()
-        import pathlib
-
-        assert not pathlib.Path(tempdir.name).exists()
+            executor.scan_plan(plan)
 
 
 def _process_engine(index, vectors=None):
@@ -356,14 +354,16 @@ class TestSanitizerPropagation:
             # happen per bundle for the worker-side check to fire.
             monkeypatch.setenv("REPRO_SANITIZE", "1")
             with pytest.raises(InvariantViolation, match="sanitizer ran"):
-                ex.run(dataset.queries, topk=5, nprobe=1)
+                ex.scan_plan(BatchPlanner(index).plan(dataset.queries, topk=5))
 
     def test_sanitize_off_skips_worker_checks(
         self, index, dataset, index_artifact, monkeypatch
     ):
         with self._patched_executor(index, index_artifact, monkeypatch) as ex:
-            results = ex.run(dataset.queries, topk=5, nprobe=1)
-            assert len(results) == len(dataset.queries)
+            partials, _ = ex.scan_plan(
+                BatchPlanner(index).plan(dataset.queries, topk=5)
+            )
+            assert len(partials) == len(dataset.queries)
 
 
 class TestEngineProcessExecutor:
@@ -443,7 +443,7 @@ class TestScanPlanCellForCell:
         query's row of the bundle-wide query half from several jobs."""
         thread, process = executors[kind]
         queries = dataset.queries[[0, 3, 3, 5, 7, 1]]
-        plan = thread.planner.plan(queries, topk=5, nprobe=8)
+        plan = BatchPlanner(thread.index).plan(queries, topk=5, nprobe=8)
         for jobs in process._bundle_jobs(plan):
             rows = np.concatenate([job.query_rows for job in jobs])
             assert len(jobs) > 1 and len(np.unique(rows)) < len(rows)
@@ -453,7 +453,7 @@ class TestScanPlanCellForCell:
     def assert_cell_for_cell(pair, queries, topk, nprobe):
         thread, process = pair
         rows = range(len(queries))
-        plan = thread.planner.plan(queries, topk=topk, nprobe=nprobe)
+        plan = BatchPlanner(thread.index).plan(queries, topk=topk, nprobe=nprobe)
         near, near_stats = thread.scan_plan(plan)
         far, far_stats = process.scan_plan(plan)
         assert near.shape == far.shape == (len(rows), nprobe)

@@ -26,7 +26,7 @@ from repro.exceptions import (
     NotFittedError,
 )
 from repro.ivf.partition import Partition
-from repro.parallel import ProcessBatchExecutor, ScannerSpec
+from repro.parallel import ScannerSpec
 from repro.pq.adc import adc_distances
 from repro.core.sanitize import check_saturation_invariant
 from repro.scan import (
@@ -655,11 +655,13 @@ class TestExecutorEquivalence:
         seq = ANNSearcher(index4bit, scanner=QuickADCScanner(pq4)).search(
             batch_queries4, topk=10, nprobe=nprobe, executor="sequential"
         )
-        with ProcessBatchExecutor.from_index(
-            index4bit, QuickADCScanner(pq4), n_workers=2
+        with ScatterGatherExecutor(
+            ShardedIndex.from_index(index4bit, n_shards=1),
+            [QuickADCScanner(pq4)],
+            n_workers=2,
         ) as executor:
             proc = executor.run(batch_queries4, topk=10, nprobe=nprobe)
-        self._assert_identical(seq, proc)
+        self._assert_identical(seq, proc.results)
 
     def test_sharded_identical_to_sequential(
         self, index4bit, pq4, batch_queries4

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from repro import ANNSearcher, BatchExecutor, Partition
+from repro import ANNSearcher, Partition
 from repro.engine import SCANNER_KINDS
 from repro.parallel import ScannerSpec
 from repro.scan import LibpqScanner, NaiveScanner, PartitionScanner, ScanBlock
@@ -64,12 +64,12 @@ class TestScannerRegistry:
             [scanner.scan(tables, index.partitions[pid], topk=10)],
             [NaiveScanner().scan(tables, index.partitions[pid], topk=10)],
         )
-        with BatchExecutor(index, scanner) as ours, BatchExecutor(
+        with ANNSearcher(index, scanner) as ours, ANNSearcher(
             index, NaiveScanner()
         ) as reference:
             assert_same_bytes(
-                ours.run(dataset.queries, topk=10, nprobe=2),
-                reference.run(dataset.queries, topk=10, nprobe=2),
+                ours.search(dataset.queries, topk=10, nprobe=2),
+                reference.search(dataset.queries, topk=10, nprobe=2),
             )
 
 

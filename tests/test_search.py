@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ANNSearcher, NaiveScanner, PQFastScanner
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +20,26 @@ def reference(index):
 
 
 class TestANNSearcher:
+    @pytest.mark.parametrize("executor", ["batch", "sequential"])
+    @pytest.mark.parametrize("shape", ["1-D query", "empty batch"])
+    def test_checks_run_before_any_shape_branch(
+        self, searcher, index, shape, executor
+    ):
+        """``topk``, ``executor`` and the query width are refused for
+        every shape, an empty batch too, as ``Engine.search`` refuses
+        them."""
+        make = {
+            "1-D query": lambda width: np.zeros(width),
+            "empty batch": lambda width: np.empty((0, width)),
+        }[shape]
+        d = index.pq.d
+        with pytest.raises(ConfigurationError, match="topk"):
+            searcher.search(make(d), topk=0, executor=executor)
+        with pytest.raises(DimensionMismatchError):
+            searcher.search(make(d // 2), topk=10, executor=executor)
+        with pytest.raises(ConfigurationError, match="unknown executor"):
+            searcher.search(make(d), topk=10, executor=f"{executor}-bogus")
+
     def test_single_probe_matches_partition_scan(
         self, searcher, index, dataset
     ):
