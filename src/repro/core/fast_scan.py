@@ -58,7 +58,7 @@ from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
 from ..pq.adc import adc_distances, adc_distances_batch
 from ..pq.product_quantizer import ProductQuantizer
-from ..scan.base import NO_IDS, PartitionScanner, ScanResult
+from ..scan.base import NO_IDS, PartitionScanner, ScanResult, table_stack
 from ..scan.prepared import PreparedCache
 from ..scan.topk import dead_rows, live_sample, select_topk, select_topk_rows
 from .grouping import GroupedPartition, suggested_components
@@ -349,6 +349,7 @@ class PQFastScanner(PreparedCache[GroupedPartition], PartitionScanner):
         call, then :func:`pruned_scan_batch` over the prepared layout,
         with the small tables' lower bounds, skipping the rows
         ``tombstones`` name."""
+        tables = table_stack(tables, (self.pq.m, 256))
         grouped = self.prepared(partition)
         tables_r = self.assignment.remap_tables(tables)
 

@@ -18,7 +18,7 @@ from ..dtypes import Float64Array, Int8Array
 from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
 from ..pq.product_quantizer import ProductQuantizer
-from ..scan.base import NO_IDS, PartitionScanner
+from ..scan.base import NO_IDS, PartitionScanner, table_stack
 from .fast_scan import FastScanResult, pruned_scan_batch
 from .quantization import SATURATION, DistanceQuantizer
 
@@ -48,7 +48,7 @@ class QuantizationOnlyScanner(PartitionScanner):
         the quantized full tables, so Figure 17 compares the two
         scanners' bounds and nothing else. The keep sample is the first
         rows in storage order."""
-        tables = np.asarray(tables, dtype=np.float64)
+        tables = table_stack(tables, (self.pq.m, 256))
         codes = partition.codes
 
         def bounds(

@@ -7,11 +7,13 @@ exactness property); they differ in data movement and, on real hardware,
 in speed.
 
 :class:`PartitionScanner` declares what the executors call, and nothing
-else: ``scan_batch`` (a whole table stack against one partition, minus
-the rows a job's tombstones name; the one method a scanner must
-define), ``scan`` (one query: the batch of one, defined here once, so
-no scanner has a second query path to keep in step) and ``warm`` (build
-whatever is query-independent, ahead of the scans; by default nothing).
+else: ``scan_run`` (a run of jobs, each a table stack against one
+partition minus the rows its tombstones name; the one scan the
+executors call, by default each job's ``scan_batch`` in turn),
+``scan_batch`` (one job; the one method a scanner must define),
+``scan`` (one query: the batch of one, defined here once, so no scanner
+has a second query path to keep in step) and ``warm`` (build whatever
+is query-independent, ahead of the scans; by default nothing).
 The instruction-level behaviour of the paper's implementations is not
 declared here: it is measured from the executed instruction streams of
 :mod:`repro.simd`.
@@ -195,6 +197,23 @@ class ScanBlock:
             yield ScanResult(ids[:length], distances[:length], n_scanned, n_pruned)
 
 
+def table_stack(
+    tables: np.ndarray, shape: tuple[int, int] | None = None
+) -> np.ndarray:
+    """``tables`` as a float64 ``(b, m, k*)`` stack, or a
+    :class:`~repro.exceptions.DimensionMismatchError`: for a rank other
+    than 3 and, when the scanner knows its ``(m, k*)`` ``shape``, for
+    tables of any other shape."""
+    tables = np.asarray(tables, dtype=np.float64)
+    if tables.ndim != 3:
+        raise DimensionMismatchError(3, tables.ndim, what="array rank")
+    if shape is not None and tables.shape[1:] != shape:
+        raise DimensionMismatchError(
+            shape[0] * shape[1], tables.shape[1] * tables.shape[2], what="table"
+        )
+    return tables
+
+
 class PartitionScanner(abc.ABC):
     """Abstract Step-3 scanner.
 
@@ -213,6 +232,13 @@ class PartitionScanner(abc.ABC):
     #: ``ScannerSpec.kind`` spell it, and its ``scanner=`` metric label.
     name: str = "abstract"
 
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # A class's own scan_batch, without its own scan_run, scans runs
+        # job by job: the executors run an override of either method.
+        if "scan_batch" in vars(cls) and "scan_run" not in vars(cls):
+            setattr(cls, "scan_run", PartitionScanner.scan_run)
+
     @abc.abstractmethod
     def scan_batch(
         self, tables: np.ndarray, partition: Partition, topk: int = 1,
@@ -221,6 +247,26 @@ class PartitionScanner(abc.ABC):
         """Scan ``partition``, minus the rows ``tombstones`` name, for a
         whole ``(b, m, k*)`` table stack; result ``i`` is the topk of
         query ``i``."""
+
+    def scan_run(
+        self,
+        tables: np.ndarray,
+        partitions: Sequence[Partition],
+        sizes: Sequence[int],
+        topk: int,
+        tombstones: Sequence[np.ndarray],
+    ) -> ScanBlock:
+        """Scan a run of jobs (job ``i``: ``sizes[i]`` consecutive rows
+        of the ``(c, m, k*)`` stack against ``partitions[i]``, minus the
+        rows ``tombstones[i]`` names), one cell per table row: the one
+        scan the executors call. This default is each job's
+        :meth:`scan_batch` in turn; a scanner overrides it to amortise a
+        run, cells byte-identical to the per-job scans."""
+        ends = np.cumsum(sizes).tolist()
+        return ScanBlock.concatenate([
+            ScanBlock.pack(self.scan_batch(tables[end - size : end], part, topk, dead))
+            for size, end, part, dead in zip(sizes, ends, partitions, tombstones)
+        ])
 
     @final
     def scan(

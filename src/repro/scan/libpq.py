@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
 from .base import NO_IDS, PartitionScanner, ScanBlock, ScanResult
+from .base import table_stack
 from .layout import extract_component, pack_codes_words
 from .topk import TopKAccumulator
 
@@ -38,9 +38,7 @@ class LibpqScanner(PartitionScanner):
         word is loaded and each index shifted out once for the batch,
         and the rows ``tombstones`` name are masked before the one
         selection (:meth:`ScanBlock.exhaustive`)."""
-        tables = np.asarray(tables, dtype=np.float64)
-        if tables.ndim != 3:
-            raise DimensionMismatchError(3, tables.ndim, what="array rank")
+        tables = table_stack(tables, (8, 256))
         words = pack_codes_words(partition.codes)
         distances = np.zeros((len(tables), len(words)), dtype=np.float64)
         for j in range(8):

@@ -60,11 +60,11 @@ from ..core.sanitize import (
     check_saturation_invariant,
     sanitizer_enabled,
 )
-from ..exceptions import ConfigurationError, DimensionMismatchError, NotFittedError
+from ..exceptions import ConfigurationError, NotFittedError
 from ..ivf.partition import Partition
 from ..pq.adc import adc_distances, adc_distances_batch
 from ..pq.product_quantizer import ProductQuantizer
-from .base import NO_IDS, PartitionScanner, ScanResult
+from .base import NO_IDS, PartitionScanner, ScanResult, table_stack
 from .layout import NibblePartition
 from .prepared import PreparedCache
 from .topk import dead_rows, live_sample, select_topk, select_topk_rows
@@ -159,14 +159,8 @@ class QuickADCScanner(PreparedCache[NibblePartition], PartitionScanner):
         elementwise arithmetic in the same order for every row, so
         result ``i`` does not depend on the other rows of the stack.
         """
-        tables = np.asarray(tables, dtype=np.float64)
-        if tables.ndim != 3:
-            raise DimensionMismatchError(3, tables.ndim, what="array rank")
         m = self.pq.m
-        if tables.shape[1:] != (m, self.pq.ksub):
-            raise DimensionMismatchError(
-                m * self.pq.ksub, tables.shape[1] * tables.shape[2], what="table"
-            )
+        tables = table_stack(tables, (m, self.pq.ksub))
         layout = self.prepared(partition)
         n = len(partition)
         if n == 0:

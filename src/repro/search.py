@@ -55,7 +55,7 @@ from .ivf.partition import Partition
 from .obs import NULL_SPAN, Observability, WorkerStats, get_observability
 from .scan.base import NO_IDS, PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock
 from .scan.base import ScanResult
-from .scan.naive import NaiveScanner, scan_run
+from .scan.naive import NaiveScanner
 from .scan.topk import select_topk, select_topk_rows
 
 if TYPE_CHECKING:  # import cycle: repro.delta imports repro.search
@@ -315,16 +315,14 @@ def _scan_runs(
 
     The one tables-and-scan loop of every executor, the process workers
     and the overlay fold. A run (:func:`_runs`) is one
-    :meth:`IVFADCIndex.tables_from_halves` call, a cell id per row. For
-    naive it is then one exhaustive pass
-    (:func:`~repro.scan.naive.scan_run`: one code gather, tombstoned
-    rows masked, one top-k); any other scanner, and a subclass that
-    overrides ``scan_batch``, scans the run job by job, each job's
-    ``scan_batch`` skipping its tombstoned rows. Cells are
+    :meth:`IVFADCIndex.tables_from_halves` call, a cell id per row, and
+    one :meth:`~repro.scan.PartitionScanner.scan_run` (naive's is one
+    exhaustive pass: one code gather, tombstoned rows masked, one
+    top-k; by default a scanner scans the run job by job, each job's
+    ``scan_batch`` skipping its tombstoned rows). Cells are
     byte-identical either way.
     """
     span = obs.span if obs is not None else _no_span
-    exhaustive = type(scanner).scan_batch is NaiveScanner.scan_batch
     for run in _runs(jobs, partitions):
         pids, rows, dropped = zip(*jobs[run])
         sizes = [len(job_rows) for job_rows in rows]
@@ -336,18 +334,7 @@ def _scan_runs(
                 np.repeat(np.asarray(pids, dtype=np.intp), sizes),
             )
         with span("scan"):
-            if exhaustive:
-                block = scan_run(tables, partitions[run], sizes, topk, dropped)
-            else:
-                ends = np.cumsum(sizes).tolist()
-                block = ScanBlock.concatenate([
-                    ScanBlock.pack(scanner.scan_batch(
-                        tables[end - size : end], partition, topk, gone
-                    ))
-                    for size, end, partition, gone in zip(
-                        sizes, ends, partitions[run], dropped
-                    )
-                ])
+            block = scanner.scan_run(tables, partitions[run], sizes, topk, dropped)
         yield len(sizes), block
 
 

@@ -42,8 +42,8 @@ and per-reason flush counters (see
 :meth:`~repro.obs.Observability.record_request` /
 :meth:`~repro.obs.Observability.record_flush`).
 
-Thread-safety model: all server state (queue, pending futures, flush
-tasks) is touched **only from the event loop** — ``search`` is a
+Thread-safety model: all server state (queue, pending futures, the
+flush in flight) is touched **only from the event loop** — ``search`` is a
 coroutine and the coalescer/flush logic runs as loop tasks. The only
 code running on worker threads is the batch function itself, which
 touches no server state; the engine objects it calls are the ones the
@@ -263,8 +263,8 @@ class MicroBatchServer:
         self._closed = False
         self._queue: "asyncio.Queue[_PendingRequest]" | None = None
         self._coalescer: "asyncio.Task[None]" | None = None
-        self._flush_slots: asyncio.Semaphore | None = None
-        self._flush_tasks: set["asyncio.Task[None]"] = set()
+        # The one flush in flight (or the last one), so stop() can await it.
+        self._inflight: "asyncio.Task[None]" | None = None
         self._flush_pool: ThreadPoolExecutor | None = None
         # Simple lifetime totals, mutated from the event loop only.
         self.n_served = 0
@@ -330,7 +330,6 @@ class MicroBatchServer:
         if self._coalescer is not None:
             return
         self._queue = asyncio.Queue(maxsize=self.config.max_queue)
-        self._flush_slots = asyncio.Semaphore(1)
         self._flush_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
@@ -343,8 +342,9 @@ class MicroBatchServer:
 
         Every request admitted before ``stop`` is still answered: the
         coalescer's partial batch and anything left in the queue flush
-        with reason :data:`FLUSH_DRAIN`, and ``stop`` returns only after
-        all in-flight batches resolve their futures.
+        with reason :data:`FLUSH_DRAIN`, in order after the batch in
+        flight, and ``stop`` returns only once all of them resolved their
+        futures.
         """
         coalescer, self._coalescer = self._coalescer, None
         if coalescer is None:
@@ -354,31 +354,22 @@ class MicroBatchServer:
             await coalescer
         except asyncio.CancelledError:
             pass
+        inflight, self._inflight = self._inflight, None
+        if inflight is not None:
+            await inflight
         queue = self._queue
         if queue is not None:
-            leftovers: list[_PendingRequest] = []
-            while True:
-                try:
-                    leftovers.append(queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
+            leftovers = [queue.get_nowait() for _ in range(queue.qsize())]
             for i in range(0, len(leftovers), self.config.max_batch):
-                self._spawn_flush(
-                    leftovers[i : i + self.config.max_batch],
-                    FLUSH_DRAIN,
-                    release_slot=False,
+                await self._flush(
+                    leftovers[i : i + self.config.max_batch], FLUSH_DRAIN
                 )
-        if self._flush_tasks:
-            await asyncio.gather(
-                *list(self._flush_tasks), return_exceptions=True
-            )
         pool, self._flush_pool = self._flush_pool, None
         if pool is not None:
             # All flushes already resolved, so the threads are idle and
             # this returns without blocking the loop.
             pool.shutdown(wait=True)
         self._queue = None
-        self._flush_slots = None
 
     async def __aenter__(self) -> "MicroBatchServer":
         await self.start()
@@ -509,26 +500,22 @@ class MicroBatchServer:
         )
 
     async def _coalesce(self) -> None:
-        """The coalescer loop: collect a micro-batch, spawn its flush.
+        """The coalescer loop: collect a micro-batch, await its flush.
 
-        The one flush slot is acquired *before* collecting, so while a
-        batch runs the coalescer pauses and admission pressure lands on
-        the bounded queue (where it sheds) instead of on a pile of
-        in-flight batches. What is already queued is taken before any
-        wait, so a backlog older than the deadline still leaves in
-        batches of up to ``max_batch``, not one request at a time.
+        The coalescer collects nothing while a batch runs, so admission
+        pressure lands on the bounded queue (where it sheds) instead of
+        on a pile of in-flight batches. What is already queued is taken
+        before any wait, so a backlog older than the deadline still
+        leaves in batches of up to ``max_batch``, not one request at a
+        time. The flush is shielded: cancelling the coalescer
+        (:meth:`stop`) leaves it running, for ``stop`` to await.
         """
-        queue, slots = self._queue, self._flush_slots
-        if queue is None or slots is None:  # pragma: no cover
+        queue = self._queue
+        if queue is None:  # pragma: no cover
             raise ConfigurationError("coalescer running without start()")
         loop = asyncio.get_running_loop()
         while True:
-            await slots.acquire()
-            try:
-                first = await queue.get()
-            except asyncio.CancelledError:
-                slots.release()
-                raise
+            first = await queue.get()
             batch = [first]
             deadline = first.enqueued_at + self.config.max_delay_s
             try:
@@ -548,27 +535,17 @@ class MicroBatchServer:
             except asyncio.CancelledError:
                 # stop() interrupted the collection: the batch holds
                 # admitted requests, which must still be answered.
-                self._spawn_flush(batch, FLUSH_DRAIN, release_slot=True)
+                self._inflight = loop.create_task(self._flush(batch, FLUSH_DRAIN))
                 raise
             reason = (
                 FLUSH_SIZE
                 if len(batch) >= self.config.max_batch
                 else FLUSH_DEADLINE
             )
-            self._spawn_flush(batch, reason, release_slot=True)
+            self._inflight = loop.create_task(self._flush(batch, reason))
+            await asyncio.shield(self._inflight)
 
-    def _spawn_flush(
-        self, batch: list[_PendingRequest], reason: str, *, release_slot: bool
-    ) -> None:
-        task = asyncio.get_running_loop().create_task(
-            self._flush(batch, reason, release_slot)
-        )
-        self._flush_tasks.add(task)
-        task.add_done_callback(self._flush_tasks.discard)
-
-    async def _flush(
-        self, batch: list[_PendingRequest], reason: str, release_slot: bool
-    ) -> None:
+    async def _flush(self, batch: list[_PendingRequest], reason: str) -> None:
         """Execute one micro-batch off-loop and resolve its futures.
 
         Writes apply first, in enqueue order, on the flush thread; the
@@ -579,87 +556,73 @@ class MicroBatchServer:
         """
         loop = asyncio.get_running_loop()
         obs = self._obs()
-        try:
-            self.n_flushes += 1
-            obs.record_flush(len(batch), reason)
-            started = loop.time()
-            writes = [r for r in batch if r.kind != _KIND_SEARCH]
-            reads = [r for r in batch if r.kind == _KIND_SEARCH]
-            write_fn = self._write_fn
-            batch_fn = self._batch_fn
+        self.n_flushes += 1
+        obs.record_flush(len(batch), reason)
+        started = loop.time()
+        writes = [r for r in batch if r.kind != _KIND_SEARCH]
+        reads = [r for r in batch if r.kind == _KIND_SEARCH]
+        write_fn = self._write_fn
+        batch_fn = self._batch_fn
 
-            def execute(queries: np.ndarray | None) -> Sequence[SearchResult]:
-                for op in writes:
-                    if write_fn is None or op.write_id is None:
-                        raise SimulationError(
-                            "write request queued on a server without a "
-                            "write_fn or without an id"
-                        )
-                    write_fn(op.kind, op.query, op.write_id)
-                if queries is None:
-                    return []
-                return batch_fn(queries)
-
-            try:
-                # Stacked inside the guard: rows of mixed widths fail this
-                # batch's futures, before any of its writes applies,
-                # instead of the flush task.
-                queries = (
-                    np.stack([request.query for request in reads])
-                    if reads
-                    else None
-                )
-                results = await loop.run_in_executor(
-                    self._flush_pool, execute, queries
-                )
-            except Exception as exc:
-                self.n_errors += len(batch)
-                finished = loop.time()
-                for request in batch:
-                    obs.record_request(
-                        STATUS_ERROR,
-                        queue_wait_s=started - request.enqueued_at,
-                        latency_s=finished - request.enqueued_at,
+        def execute(queries: np.ndarray | None) -> Sequence[SearchResult]:
+            for op in writes:
+                if write_fn is None or op.write_id is None:
+                    raise SimulationError(
+                        "write request queued on a server without a "
+                        "write_fn or without an id"
                     )
-                    if not request.future.done():
-                        request.future.set_exception(exc)
-                return
-            finished = loop.time()
+                write_fn(op.kind, op.query, op.write_id)
+            if queries is None:
+                return []
+            return batch_fn(queries)
+
+        try:
+            # Stacked inside the guard: rows of mixed widths fail this
+            # batch's futures, before any of its writes applies,
+            # instead of the flush task.
+            queries = (
+                np.stack([request.query for request in reads])
+                if reads
+                else None
+            )
+            results = await loop.run_in_executor(
+                self._flush_pool, execute, queries
+            )
             if len(results) != len(reads):
-                mismatch: Exception = ConfigurationError(
+                raise ConfigurationError(
                     f"batch function returned {len(results)} results for "
                     f"{len(reads)} queries"
                 )
-                self.n_errors += len(batch)
-                for request in batch:
-                    obs.record_request(
-                        STATUS_ERROR,
-                        queue_wait_s=started - request.enqueued_at,
-                        latency_s=finished - request.enqueued_at,
-                    )
-                    if not request.future.done():
-                        request.future.set_exception(mismatch)
-                return
-            self.n_served += len(batch)
-            paired = [
-                (request, result)
-                for request, result in zip(reads, results)
-            ] + [(request, None) for request in writes]
-            for request, result in paired:
-                served = ServedResult(
-                    status=STATUS_OK,
-                    result=result,
+        except Exception as exc:
+            self.n_errors += len(batch)
+            finished = loop.time()
+            for request in batch:
+                obs.record_request(
+                    STATUS_ERROR,
                     queue_wait_s=started - request.enqueued_at,
-                    batch_size=len(batch),
                     latency_s=finished - request.enqueued_at,
                 )
-                obs.record_request(
-                    STATUS_OK,
-                    queue_wait_s=served.queue_wait_s,
-                    latency_s=served.latency_s,
-                )
                 if not request.future.done():
-                    request.future.set_result(served)
-        finally:
-            if release_slot and self._flush_slots is not None:
-                self._flush_slots.release()
+                    request.future.set_exception(exc)
+            return
+        finished = loop.time()
+        self.n_served += len(batch)
+        paired = [
+            (request, result)
+            for request, result in zip(reads, results)
+        ] + [(request, None) for request in writes]
+        for request, result in paired:
+            served = ServedResult(
+                status=STATUS_OK,
+                result=result,
+                queue_wait_s=started - request.enqueued_at,
+                batch_size=len(batch),
+                latency_s=finished - request.enqueued_at,
+            )
+            obs.record_request(
+                STATUS_OK,
+                queue_wait_s=served.queue_wait_s,
+                latency_s=served.latency_s,
+            )
+            if not request.future.done():
+                request.future.set_result(served)

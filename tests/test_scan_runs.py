@@ -1,8 +1,9 @@
 """A run of jobs scans like its jobs one at a time, byte for byte.
 
 Every executor, the process worker and the overlay fold cut their jobs
-into runs (``repro.search._runs``): one table combine per run and, for
-naive, one code gather, tombstoned rows masked and one top-k. The
+into runs (``repro.search._runs``): one table combine per run and one
+``scanner.scan_run``; for naive, one code gather, tombstoned rows
+masked and one top-k, for every other kind the per-job default. The
 reference here is the per-job loop: one table combine per job and each
 job's cells selected row by row with :func:`~repro.scan.select_topk`,
 tombstoned rows left out, as wide as ``min(topk, partition size)``.
@@ -36,7 +37,7 @@ from repro.search import (
 )
 
 N_PARTITIONS = 12
-KINDS = ("naive", "override", "fastpq", "qonly")
+KINDS = ("naive", "override", "libpq", "fastpq", "qonly")
 
 
 class _Override(NaiveScanner):
@@ -44,6 +45,17 @@ class _Override(NaiveScanner):
 
     def scan_batch(self, tables, partition, topk=1, tombstones=NO_IDS):
         return super().scan_batch(tables, partition, topk, tombstones)
+
+
+class _RunRecorder(NaiveScanner):
+    """Naive's run under a ``scan_run`` of its own that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def scan_run(self, tables, partitions, sizes, topk, tombstones):
+        self.calls += 1
+        return super().scan_run(tables, partitions, sizes, topk, tombstones)
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +231,47 @@ def test_a_run_is_its_jobs_one_at_a_time(base, dataset, case):
         for name in ("_ids", "_distances", "_counts"):
             assert getattr(merger, name).shape == getattr(reference, name).shape
             assert getattr(merger, name).tobytes() == getattr(reference, name).tobytes()
+
+
+def test_every_path_calls_scan_run_once_per_run(base, dataset):
+    """The inline executor, a worker bundle and the overlay fold hand
+    each slice ``_runs`` cuts to one ``scan_run`` call."""
+    plan = BatchPlanner(base).plan(dataset.queries[:6], topk=10, nprobe=6)
+    rng = np.random.default_rng(0)
+    segments = dict(zip(
+        range(N_PARTITIONS),
+        _partitions(rng, [30] * N_PARTITIONS, 256, base.pq.m, 10**6),
+    ))
+    scanner = _RunRecorder()
+
+    def n_runs(partitions):
+        jobs = [(job.partition_id, job.query_rows, NO_IDS) for job in plan.jobs]
+        return len(search_module._runs(jobs, partitions))
+
+    with mock.patch.multiple(search_module, _RUN_CELLS=5, _RUN_ENTRIES=1 << 15):
+        want = n_runs([base.partitions[job.partition_id] for job in plan.jobs])
+        assert want > 1
+        BatchExecutor(base, scanner).scan_plan(plan)
+        assert scanner.calls == want
+
+        scanner.calls = 0
+        with mock.patch.dict(worker._STATE, {"index": base, "scanner": scanner}):
+            _, _, busy_s = worker._run_bundle(
+                worker.WorkerBundle(
+                    queries=plan.queries,
+                    partition_ids=tuple(job.partition_id for job in plan.jobs),
+                    query_rows=np.concatenate([job.query_rows for job in plan.jobs]),
+                    job_sizes=tuple(len(job.query_rows) for job in plan.jobs),
+                    topk=plan.topk,
+                    tombstones=tuple(job.tombstones for job in plan.jobs),
+                )
+            )
+        assert scanner.calls == len(busy_s) == want
+
+        scanner.calls = 0
+        with mock.patch.object(search_module, "_SEGMENT_SCANNER", scanner):
+            _fold_overlay(
+                StreamingMerger(plan), base, DeltaView(segments, {}, NO_IDS),
+                get_observability(),
+            )
+        assert scanner.calls == n_runs([segments[job.partition_id] for job in plan.jobs])

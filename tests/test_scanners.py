@@ -6,6 +6,7 @@ import pytest
 
 from repro import ANNSearcher, Partition
 from repro.engine import SCANNER_KINDS
+from repro.exceptions import DimensionMismatchError
 from repro.parallel import ScannerSpec
 from repro.scan import LibpqScanner, NaiveScanner, PartitionScanner, ScanBlock
 from repro.scan.base import NO_IDS
@@ -105,6 +106,33 @@ class TestOneQueryPath:
             sharded, [scanner, scanner], backend="thread"
         ) as executor:
             return executor.run(queries, topk=5, nprobe=2)
+
+
+class TestMalformedTables:
+    @pytest.mark.parametrize("kind", ["libpq", "fastpq", "qonly", "quickadc"])
+    def test_a_stack_of_the_wrong_shape_is_refused(
+        self, kind, pq, pq4, index, index4bit, dataset
+    ):
+        """A stateful scanner knows its ``(m, k*)``: a stack of another
+        rank or shape is a :class:`DimensionMismatchError` naming what
+        is wrong, before any table is indexed."""
+        pq, index = (pq4, index4bit) if kind == "quickadc" else (pq, index)
+        scanner = ScannerSpec(kind).build(pq)
+        query = dataset.queries[0]
+        pid = index.route(query)[0]
+        tables = index.distance_tables_for(query, pid)
+        m, ksub = tables.shape
+        cases = {
+            "one query's tables": (tables, (3, 2)),
+            "narrow tables": (tables[None, :, :10], (m * ksub, m * 10)),
+            "too few components": (tables[None, :-1], (m * ksub, (m - 1) * ksub)),
+        }
+        for name, (stack, (expected, actual)) in cases.items():
+            with pytest.raises(DimensionMismatchError) as raised:
+                scanner.scan_batch(stack, index.partitions[pid], topk=5)
+            assert (raised.value.expected, raised.value.actual) == (
+                expected, actual
+            ), name
 
 
 class TestScannerAgreement:
