@@ -93,7 +93,6 @@ from .shard import (
     ScatterGatherExecutor,
     ShardedIndex,
     ShardedResponse,
-    ShardRouter,
     ShardStatus,
 )
 from .engine import SCANNER_KINDS, Engine, EngineConfig
@@ -147,7 +146,6 @@ __all__ = [
     "ScannerSpec",
     "ScatterGatherExecutor",
     "SearchResult",
-    "ShardRouter",
     "ShardStatus",
     "ShardedIndex",
     "ShardedResponse",

@@ -86,8 +86,8 @@ class EngineConfig:
         bits: bits per sub-quantizer index (8 for byte codes).
         n_partitions: coarse Voronoi cells of the IVFADC index.
         n_shards: shards the index is split across (1 = unsharded).
-        shard_layout: ``"modulo"`` or ``"contiguous"`` partition
-            placement (see :meth:`~repro.shard.ShardedIndex.from_index`).
+        shard_layout: partition placement; ``"modulo"``, the one layout
+            (see :meth:`~repro.shard.ShardedIndex.from_index`).
         encode_residuals: IVFADC residual encoding (paper default True).
         max_iter: k-means iterations for PQ training.
         coarse_max_iter: k-means iterations for the coarse quantizer.
@@ -159,7 +159,7 @@ class EngineConfig:
                 f"n_shards must be in [1, n_partitions={self.n_partitions}], "
                 f"got {self.n_shards}"
             )
-        if self.shard_layout not in ("modulo", "contiguous"):
+        if self.shard_layout != "modulo":
             raise ConfigurationError(
                 f"unknown shard_layout {self.shard_layout!r}"
             )
@@ -283,9 +283,11 @@ class Engine:
         vectors: raw database vectors for exact re-ranking (optional).
         index_path: the saved artifact this engine was loaded from
             (:meth:`load` fills it in). With ``executor="process"`` the
-            worker processes mmap this artifact directly; without it the
-            executor saves one temporary copy it owns. Mutable engines
-            also re-save this artifact on every :meth:`compact`.
+            worker processes mmap this artifact directly when it is in
+            the base's own format (a file for an unsharded base, a
+            directory for a sharded one); otherwise the executor saves
+            one temporary copy it owns. Mutable engines also re-save
+            this artifact on every :meth:`compact`.
         mmap: whether the artifact was memory-mapped at load time;
             :meth:`compact` reloads the re-saved artifact the same way.
     """
@@ -404,8 +406,10 @@ class Engine:
         With ``mmap=True`` the partition codes and ids are memory-mapped
         read-only from the artifact instead of copied into the heap
         (see :func:`~repro.persistence.load_index`). The loaded engine
-        remembers ``path``, so ``executor="process"`` workers attach to
-        this artifact directly instead of saving a temporary copy.
+        remembers ``path`` and names it to its executors, so
+        ``executor="process"`` workers attach to this artifact directly
+        instead of saving a temporary copy (a file re-sharded in memory
+        still gets one).
         """
         path = Path(path)
         sharded: ShardedIndex | None = None
@@ -653,7 +657,7 @@ class Engine:
                     n_shards=self.config.n_shards,
                     layout=self.config.shard_layout,
                 )
-                if self.index_path is not None and self.index_path.is_dir():
+                if self._index_dir is not None:
                     save_sharded_index(new_sharded, self.index_path)
                     if self._mmap:
                         new_sharded = load_sharded_index(
@@ -755,20 +759,28 @@ class Engine:
         path = self.index_path
         return path if path is not None and path.is_file() else None
 
+    @property
+    def _index_dir(self) -> Path | None:
+        """The engine's artifact, when it is a sharded directory."""
+        path = self.index_path
+        return path if path is not None and path.is_dir() else None
+
     def _build_executor(
         self, index: IVFADCIndex, sharded: ShardedIndex | None
     ) -> ScatterGatherExecutor:
         """A fresh executor over the given base (spins its pools up).
 
-        An unsharded index is the degenerate split, one shard owning
-        every partition, whose process workers attach to the engine's
-        artifact file when there is one; any other layout knows its
-        saved directory or gets one temporary copy the executor owns.
+        The engine names the artifact its process workers attach to: its
+        file for an unsharded base (the degenerate split, one shard
+        owning every partition), its directory for a sharded base loaded
+        from or re-saved there. A file re-sharded in memory has neither,
+        and its executor saves one temporary copy it owns.
         """
-        artifact: Path | None = None
         if sharded is None:
             sharded = ShardedIndex.from_index(index, n_shards=1)
             artifact = self._index_file
+        else:
+            artifact = self._index_dir
         return ScatterGatherExecutor(
             sharded,
             self.config.scanner_factory(index.pq),

@@ -169,7 +169,8 @@ class IVFADCIndex:
 
         If :meth:`train_coarse` was not called, the coarse quantizer is
         trained on ``vectors`` themselves. Re-adding replaces the content
-        (the index is built once, as in the paper's experiments).
+        (the index is built once, as in the paper's experiments). Ids
+        must be unique, as in :meth:`repro.engine.Engine.add`.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         if ids is None:
@@ -178,6 +179,8 @@ class IVFADCIndex:
             ids = as_database_ids(ids)
             if len(ids) != len(vectors):
                 raise ConfigurationError("ids and vectors length mismatch")
+            if len(np.unique(ids)) != len(ids):
+                raise ConfigurationError("database ids must be unique")
         if self._coarse is None:
             self.train_coarse(vectors)
         labels, codes = self.encode(vectors)

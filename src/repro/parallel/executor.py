@@ -10,10 +10,11 @@ one plan-to-results pipeline) scans its jobs: its :meth:`scan_plan`
 fans them across a persistent ``ProcessPoolExecutor``:
 
 * **Zero-copy attach** — workers never receive index data. Each worker
-  process opens the saved artifact itself with
-  ``load_index(path, mmap=True)``; the partition codes are read-only
-  pages of the OS page cache, physically shared by every process that
-  maps the file.
+  process opens the saved artifact its caller names, always with
+  ``load_index(path, mmap=True)``; the partition codes are
+  read-only pages of the OS page cache, physically shared by every
+  process that maps the file. The parent passes the index it already
+  holds for that file (``index=``) and never loads it again.
 * **Warm per-process caches** — the pool is persistent (one executor
   serves many batches) and each worker warms its scanner on
   initialization (grouped layouts, centroid assignment), so steady-state
@@ -88,18 +89,19 @@ class ProcessBatchExecutor:
     The same :meth:`scan_plan` as :class:`~repro.search.BatchExecutor`,
     byte-identical partials; workers attach to a saved index artifact by
     path. :class:`~repro.shard.ScatterGatherExecutor` builds one per
-    shard (``backend="process"``); ``Engine(..., executor="process")``
+    shard (``backend="process"``); ``Engine.build(..., executor="process")``
     and ``Engine.load(path, executor="process", n_workers=N)`` are the
     way to search with them.
 
-    The pool is created eagerly — all workers are spawned and
-    initialized (index mmapped, scanner built and warmed) in the
-    constructor, so the first batch already runs against warm workers.
-    Call :meth:`close` (or use as a context manager) when done.
+    The pool is created eagerly under ``fork`` where the platform has
+    it — all workers are spawned and initialized (index mmapped,
+    scanner built and warmed) in the constructor, so the first batch
+    already runs against warm workers. Call :meth:`close` (or use as a
+    context manager) when done.
 
     Args:
         index_path: saved :func:`~repro.persistence.save_index` artifact
-            (uncompressed, positional-only) that workers mmap.
+            (positional-only) that workers mmap.
         scanner: the Step-3 scanner (positional-only). Not sent to
             workers — reduced to a :class:`~repro.parallel.ScannerSpec`
             they rebuild from; must be one of the built-in scanner
@@ -110,14 +112,8 @@ class ProcessBatchExecutor:
             core count cannot overlap anything — they only add context
             switches and cache thrash — so oversubscription is never
             honored.
-        mmap: how workers (and the parent, when it loads the index
-            itself) attach to the artifact. True is the zero-copy point
-            of this class; False forces eager per-process copies
-            (measurement baseline).
-        index: the already-loaded index of ``index_path`` (kept as
-            :attr:`index`); when omitted the parent loads it itself.
-        mp_context: explicit :mod:`multiprocessing` context; default
-            prefers ``fork``.
+        index: the parent's already-loaded index of ``index_path`` (kept
+            as :attr:`index`).
         observability: explicit observability handle; default is the
             process-wide instance, resolved at each scan.
     """
@@ -128,15 +124,12 @@ class ProcessBatchExecutor:
         scanner: PartitionScanner,
         /,
         *,
+        index: IVFADCIndex,
         n_workers: int = 1,
-        mmap: bool = True,
-        index: IVFADCIndex | None = None,
-        mp_context: BaseContext | None = None,
         observability: Observability | None = None,
     ):
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        from ..persistence import load_index
         from .spec import ScannerSpec
 
         self.index_path = Path(index_path)
@@ -146,20 +139,17 @@ class ProcessBatchExecutor:
         self.scanner = scanner
         self.n_workers = n_workers
         self.pool_size = min(n_workers, _available_cpus())
-        self.mmap = mmap
         self.observability = observability
-        self.index = (
-            index if index is not None else load_index(self.index_path, mmap=mmap)
-        )
+        self.index = index
         self._pid_slots: dict[int, int] = {}
         # Guards the pool handle and the pid-to-slot map against
         # concurrent close()/scan_plan() calls.
         self._lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=self.pool_size,
-            mp_context=mp_context if mp_context is not None else _default_context(),
+            self.pool_size,
+            _default_context(),
             initializer=_init_worker,
-            initargs=(str(self.index_path), self.spec, mmap),
+            initargs=(str(self.index_path), self.spec),
         )
         # Force every worker to spawn and run its initializer now;
         # ProcessPoolExecutor otherwise spawns lazily per submit and the

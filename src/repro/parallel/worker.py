@@ -67,9 +67,9 @@ class WorkerBundle:
 _STATE: dict[str, object] = {}
 
 
-def _init_worker(index_path: str, spec: ScannerSpec, mmap: bool) -> None:
+def _init_worker(index_path: str, spec: ScannerSpec) -> None:
     """Attach this process to the index artifact and build its scanner."""
-    index = load_index(index_path, mmap=mmap)
+    index = load_index(index_path, mmap=True)
     scanner = spec.build(index.pq)
     scanner.warm(index.partitions)
     _STATE["index"] = index

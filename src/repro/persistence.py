@@ -27,8 +27,8 @@ Crash-safety contract:
 
 Zero-copy loading:
 
-* ``save_index`` writes the per-partition ``codes``/``ids`` payloads
-  *stored* (uncompressed) inside the archive, so
+* Every ``save_*`` writes its members *stored* (uncompressed) inside
+  the archive, so
   ``load_index(path, mmap=True)`` can map them straight out of the file
   — read-only, page-cache-backed arrays with the ``writeable`` flag
   off. The archive's central directory is parsed once and the file is
@@ -43,9 +43,15 @@ Zero-copy loading:
   mapped arrays exactly as it does on materialized ones — every
   malformed input still raises :class:`~repro.exceptions.DatasetError`.
 * ``mmap=True`` on an artifact whose partition payloads were
-  deflate-compressed (``save_index(..., compress=True)``) raises
+  deflate-compressed (an archive written by something other than
+  ``save_index``, e.g. ``np.savez_compressed``) raises
   :class:`~repro.exceptions.DatasetError`: a compressed member has no
-  flat bytes to map. Re-save with the default ``compress=False``.
+  flat bytes to map. Load it eagerly, or re-save it with
+  :func:`save_index`.
+
+The caller names the artifact: nothing here records on an index or a
+layout where it was saved or loaded from. :class:`~repro.Engine` knows
+its ``index_path`` and hands it to the executors it builds.
 """
 
 from __future__ import annotations
@@ -101,15 +107,12 @@ def load_quantizer(path: str | Path) -> ProductQuantizer:
     return ProductQuantizer.from_codebooks(codebooks)
 
 
-def save_index(
-    index: IVFADCIndex, path: str | Path, *, compress: bool = False
-) -> None:
+def save_index(index: IVFADCIndex, path: str | Path) -> None:
     """Persist a populated :class:`IVFADCIndex` (quantizer included).
 
-    By default the archive members are *stored* uncompressed so that
-    :func:`load_index` with ``mmap=True`` can map the partition payloads
-    straight out of the file. Pass ``compress=True`` to trade the mmap
-    capability for a smaller artifact (deflate), e.g. for cold storage.
+    The archive members are *stored* uncompressed, so :func:`load_index`
+    with ``mmap=True`` can map the partition payloads straight out of
+    the file.
     """
     payload = {
         "magic": np.array([_MAGIC]),
@@ -124,7 +127,7 @@ def save_index(
     for pid, part in enumerate(index.partitions):
         payload[f"codes_{pid}"] = part.codes
         payload[f"ids_{pid}"] = part.ids
-    _atomic_savez(Path(path), payload, compress=compress)
+    _atomic_savez(Path(path), payload)
 
 
 def load_index(path: str | Path, *, mmap: bool = False) -> IVFADCIndex:
@@ -140,9 +143,8 @@ def load_index(path: str | Path, *, mmap: bool = False) -> IVFADCIndex:
     memory-mapped read-only from the archive instead of materialized:
     the returned arrays are backed by the OS page cache, shared between
     every process that maps the same file, and reject writes
-    (``writeable`` flag off). Requires the artifact to have been saved
-    with the default ``compress=False``; deflate-compressed payloads
-    raise :class:`~repro.exceptions.DatasetError`.
+    (``writeable`` flag off). Deflate-compressed payloads (not written
+    by :func:`save_index`) raise :class:`~repro.exceptions.DatasetError`.
     """
     path = Path(path)
     # When mmapping, the partition payloads are never decompressed into
@@ -168,9 +170,7 @@ def load_index(path: str | Path, *, mmap: bool = False) -> IVFADCIndex:
     )
 
 
-def save_sharded_index(
-    sharded: "ShardedIndex", path: str | Path, *, compress: bool = False
-) -> None:
+def save_sharded_index(sharded: "ShardedIndex", path: str | Path) -> None:
     """Persist a :class:`~repro.shard.ShardedIndex` to directory ``path``.
 
     Layout: one self-contained ``shard_NNNN.npz`` per shard (each a full
@@ -185,13 +185,8 @@ def save_sharded_index(
     never a manifest pointing at missing shard files.
     """
     directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
     for shard in sharded.shards:
-        save_index(
-            shard.index,
-            directory / _shard_filename(shard.shard_id),
-            compress=compress,
-        )
+        save_index(shard.index, directory / _shard_filename(shard.shard_id))
     manifest: dict[str, np.ndarray] = {
         "magic": np.array([_MAGIC]),
         "version": np.array([_VERSION]),
@@ -205,9 +200,6 @@ def save_sharded_index(
             shard.partition_ids, dtype=np.int64
         )
     _atomic_savez(directory / "manifest.npz", manifest)
-    # Remember where this layout lives so process-backend executors can
-    # attach their workers to the saved shard files by path.
-    sharded.artifact_dir = directory
 
 
 def load_sharded_index(path: str | Path, *, mmap: bool = False) -> "ShardedIndex":
@@ -270,11 +262,9 @@ def load_sharded_index(path: str | Path, *, mmap: bool = False) -> "ShardedIndex
             )
         )
     try:
-        sharded = ShardedIndex(shards)
+        return ShardedIndex(shards)
     except ConfigurationError as exc:
         raise DatasetError(f"{directory}: inconsistent shard set ({exc})") from exc
-    sharded.artifact_dir = directory
-    return sharded
 
 
 # -- internals -----------------------------------------------------------------
@@ -287,32 +277,30 @@ def _shard_filename(shard_id: int) -> str:
     return f"shard_{shard_id:04d}.npz"
 
 
-def _atomic_savez(
-    path: Path, payload: dict[str, np.ndarray], *, compress: bool = True
-) -> None:
+def _atomic_savez(path: Path, payload: dict[str, np.ndarray]) -> None:
     """Write ``payload`` as an ``.npz``, atomically.
 
     The archive is serialized into a ``NamedTemporaryFile`` in the
-    destination directory (same filesystem, so the final rename cannot
-    degrade to a copy) and moved over ``path`` with :func:`os.replace`
-    only after the write completed and was flushed to disk. A crash at
-    any earlier point leaves the previous file — if any — untouched.
+    destination directory (created if missing; same filesystem, so the
+    final rename cannot degrade to a copy) and moved over ``path`` with
+    :func:`os.replace` only after the write completed and was flushed to
+    disk. A crash at any earlier point leaves the previous file — if
+    any — untouched.
 
-    With ``compress=False`` the members are stored (``ZIP_STORED``), so
-    each array's raw bytes sit contiguously in the file and can later be
-    memory-mapped by :func:`_mmap_members`.
+    The members are stored (``ZIP_STORED``), so each array's raw bytes
+    sit contiguously in the file and can later be memory-mapped by
+    :func:`_mmap_members`.
     """
-    directory = path.parent if str(path.parent) else Path(".")
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
-        dir=directory, prefix=path.name + ".", suffix=".tmp"
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
     tmp = Path(tmp_name)
-    savez = np.savez_compressed if compress else np.savez
     try:
         with os.fdopen(fd, "wb") as handle:
             # Passing the open handle (not a name) stops numpy from
             # appending ".npz" to the temporary file's name.
-            savez(handle, **payload)
+            np.savez(handle, **payload)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -436,7 +424,8 @@ def _member_span(
     if info.compress_type != zipfile.ZIP_STORED:
         raise DatasetError(
             f"{path}: member {member!r} is compressed and cannot be "
-            "memory-mapped; re-save the index with compress=False"
+            "memory-mapped; load it with mmap=False or re-save it with "
+            "save_index"
         )
     handle.seek(info.header_offset)
     local_header = handle.read(30)

@@ -16,7 +16,6 @@ from .executor import (
     STATE_TIMEOUT,
     ScatterGatherExecutor,
     ShardedResponse,
-    ShardRouter,
     ShardStatus,
 )
 from .sharded_index import IndexShard, ShardedIndex, empty_partition
@@ -27,7 +26,6 @@ __all__ = [
     "STATE_TIMEOUT",
     "IndexShard",
     "ScatterGatherExecutor",
-    "ShardRouter",
     "ShardStatus",
     "ShardedIndex",
     "ShardedResponse",

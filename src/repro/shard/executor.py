@@ -18,8 +18,12 @@ inline :class:`~repro.search.BatchExecutor` or a
    :class:`~repro.parallel.ProcessBatchExecutor` whose workers mmap the
    shard's saved artifact (``backend="process"``, the default) or an
    inline :class:`~repro.search.BatchExecutor` on a gather thread
-   (``backend="thread"``). Either way each shard runs the
-   partition-major engine internally, with its own scanner instance.
+   (``backend="thread"``). The caller names that artifact
+   (``artifact_dir=``, which :class:`~repro.Engine` fills in from its
+   ``index_path``); without one the executor saves a temporary copy it
+   owns and deletes on :meth:`~ScatterGatherExecutor.close`. Either way
+   each shard runs the partition-major engine internally, with its own
+   scanner instance.
    **Every pool is pinned across ``run()`` calls**: shard pools spawn
    once in the constructor (process workers attach by mmap path
    exactly once) and the gather pool below is likewise built once —
@@ -58,7 +62,6 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
-from multiprocessing.context import BaseContext
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -94,50 +97,9 @@ __all__ = [
     "STATE_OK",
     "STATE_TIMEOUT",
     "ScatterGatherExecutor",
-    "ShardRouter",
     "ShardStatus",
     "ShardedResponse",
 ]
-
-
-class ShardRouter:
-    """Builds the global plan and its per-shard sub-plans.
-
-    The global plan is produced by the standard
-    :class:`~repro.search.BatchPlanner` over the sharded index's
-    :attr:`~repro.shard.ShardedIndex.global_view`, so probe lists (and
-    therefore results) are bit-identical to the unsharded engine. Each
-    sub-plan shares the global ``queries`` / ``probed`` arrays and keeps
-    only the jobs whose partition the shard owns — query rows and probe
-    positions stay in global coordinates, which is what lets the
-    gathered partials drop straight into the global merge grid.
-    """
-
-    def __init__(self, sharded: ShardedIndex, /):
-        self.sharded = sharded
-        self.planner = BatchPlanner(sharded.global_view)
-        self._owners: list[int] = sharded.owners.tolist()
-
-    def plan(
-        self, queries: np.ndarray, topk: int = 10, nprobe: int = 1
-    ) -> tuple[BatchPlan, dict[int, BatchPlan]]:
-        """Return ``(global_plan, {shard_id: sub_plan})``."""
-        plan = self.planner.plan(queries, topk=topk, nprobe=nprobe)
-        return plan, self.split(plan)
-
-    def split(self, plan: BatchPlan) -> dict[int, BatchPlan]:
-        """``{shard_id: sub_plan}``, one pass over ``plan.jobs``.
-
-        Shards whose partitions are not probed by any query of the batch
-        get no sub-plan (and no scatter task).
-        """
-        jobs_of: dict[int, list[PartitionJob]] = {}
-        for job in plan.jobs:
-            jobs_of.setdefault(self._owners[job.partition_id], []).append(job)
-        return {
-            shard_id: replace(plan, jobs=tuple(jobs_of[shard_id]))
-            for shard_id in sorted(jobs_of)
-        }
 
 
 @dataclass(frozen=True)
@@ -208,15 +170,9 @@ class ScatterGatherExecutor:
             files) or, for a one-shard layout, the
             :func:`~repro.persistence.save_index` file of the index
             itself (its only shard owns every partition, so the two
-            formats coincide). Default: the layout's own
-            :attr:`~repro.shard.ShardedIndex.artifact_dir` when it was
-            saved or loaded before; otherwise the layout is saved to a
-            temporary directory owned by the executor (freed by
+            formats coincide). Default ``None``: the layout is saved to
+            a temporary directory owned by the executor (freed by
             :meth:`close`).
-        mmap: for ``backend="process"``, how workers attach to the shard
-            artifacts (True — the zero-copy default — or eager copies).
-        mp_context: for ``backend="process"``, explicit
-            :mod:`multiprocessing` context for the per-shard pools.
         deadline_s: per-shard deadline measured from scatter start;
             shards still running at the deadline are abandoned and the
             response is flagged partial. ``None`` waits indefinitely.
@@ -236,8 +192,6 @@ class ScatterGatherExecutor:
         n_workers: int = 1,
         backend: str = "process",
         artifact_dir: str | Path | None = None,
-        mmap: bool = True,
-        mp_context: BaseContext | None = None,
         deadline_s: float | None = None,
         max_retries: int = 1,
         backoff_s: float = 0.02,
@@ -274,14 +228,13 @@ class ScatterGatherExecutor:
         self.scanners = tuple(shard_scanners)
         self.n_workers = n_workers
         self.backend = backend
-        self.mmap = mmap
         self.deadline_s = deadline_s
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.observability = observability
-        self.router = ShardRouter(sharded)
-        self.planner = self.router.planner
         self.index = sharded.global_view
+        self.planner = BatchPlanner(self.index)
+        self._owners: list[int] = sharded.owners.tolist()
         # Guards the temporary-artifact handle against concurrent
         # close() calls.
         self._lock = threading.Lock()
@@ -296,20 +249,11 @@ class ScatterGatherExecutor:
             started: list[ProcessBatchExecutor] = []
             try:
                 if artifact_dir is None:
-                    # Attach to the layout's own saved artifact when one
-                    # exists (saved or loaded earlier) — no duplicate copy.
-                    artifact_dir = sharded.artifact_dir
-                if artifact_dir is None:
                     self._tempdir = tempfile.TemporaryDirectory(
                         prefix="repro-shards-"
                     )
                     artifact_dir = self._tempdir.name
-                    remembered = sharded.artifact_dir
                     save_sharded_index(sharded, artifact_dir)
-                    # The temporary layout is owned (and deleted) by this
-                    # executor; the shared index must not advertise it to
-                    # executors created later.
-                    sharded.artifact_dir = remembered
                 root = Path(artifact_dir)
                 if root.is_file() and sharded.n_shards > 1:
                     raise ConfigurationError(
@@ -323,10 +267,8 @@ class ScatterGatherExecutor:
                     started.append(ProcessBatchExecutor(
                         path,
                         scanner,
-                        n_workers=n_workers,
-                        mmap=mmap,
                         index=shard.index,
-                        mp_context=mp_context,
+                        n_workers=n_workers,
                         observability=observability,
                     ))
             except BaseException:
@@ -475,7 +417,7 @@ class ScatterGatherExecutor:
         Submitting happens in the call, landing in the iteration, so the
         overlay fold in between overlaps the scan.
         """
-        subplans = self.router.split(plan)
+        subplans = self._split(plan)
         futures: dict[Future[ScanPart], int] = {}
         if len(subplans) > 1 or self.deadline_s is not None:
             pool = self._require_gather_pool()
@@ -494,6 +436,24 @@ class ScatterGatherExecutor:
                 for sid in order
             }
         return self._land(subplans, futures, obs, start)
+
+    def _split(self, plan: BatchPlan) -> dict[int, BatchPlan]:
+        """``{shard_id: sub_plan}``, one pass over ``plan.jobs``.
+
+        Each sub-plan shares the global ``queries`` / ``probed`` arrays
+        and keeps only the jobs whose partition the shard owns: query
+        rows and probe positions stay in global coordinates, which is
+        what lets the gathered partials drop straight into the global
+        merge grid. Shards whose partitions no query of the batch probes
+        get no sub-plan (and no scatter task).
+        """
+        jobs_of: dict[int, list[PartitionJob]] = {}
+        for job in plan.jobs:
+            jobs_of.setdefault(self._owners[job.partition_id], []).append(job)
+        return {
+            shard_id: replace(plan, jobs=tuple(jobs_of[shard_id]))
+            for shard_id in sorted(jobs_of)
+        }
 
     def _land(
         self,

@@ -23,7 +23,6 @@ return byte-identical results when all shards are healthy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -140,13 +139,6 @@ class ShardedIndex:
         self.shards = shards
         self._owners = owners
         self.global_view = _global_view(shards, owners)
-        #: Directory holding a :func:`~repro.persistence.save_sharded_index`
-        #: layout for this exact sharded index, when one is known —
-        #: :func:`~repro.persistence.load_sharded_index` records where it
-        #: loaded from and ``save_sharded_index`` where it saved to. The
-        #: process-backend scatter-gather executor attaches its per-shard
-        #: worker pools here instead of saving a temporary copy.
-        self.artifact_dir: Path | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -161,14 +153,11 @@ class ShardedIndex:
     ) -> "ShardedIndex":
         """Split a populated :class:`IVFADCIndex` across ``n_shards``.
 
+        Partition ``p`` goes to shard ``p % n_shards`` (``layout`` is
+        ``"modulo"``, the one layout), interleaving big and small cells.
         The shards share the original quantizer, coarse codebook and
         partition objects (no copies), so a sharded view of an index is
-        cheap and answers byte-identically. Layouts:
-
-        * ``"modulo"`` (default) — partition ``p`` goes to shard
-          ``p % n_shards``, interleaving big and small cells;
-        * ``"contiguous"`` — consecutive blocks of partitions per shard
-          (the layout a range-partitioned deployment would use).
+        cheap and answers byte-identically.
         """
         if n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
@@ -177,21 +166,14 @@ class ShardedIndex:
                 f"n_shards ({n_shards}) cannot exceed n_partitions "
                 f"({index.n_partitions})"
             )
-        if layout not in ("modulo", "contiguous"):
+        if layout != "modulo":
             raise ConfigurationError(f"unknown shard layout {layout!r}")
-        n_partitions = index.n_partitions
-        if layout == "modulo":
-            owner = [pid % n_shards for pid in range(n_partitions)]
-        else:
-            per_shard = -(-n_partitions // n_shards)  # ceil
-            owner = [min(pid // per_shard, n_shards - 1) for pid in range(n_partitions)]
-        shards = []
-        for shard_id in range(n_shards):
-            owned = tuple(
-                pid for pid in range(n_partitions) if owner[pid] == shard_id
+        return cls([
+            _build_shard(
+                index, shard_id, tuple(range(shard_id, index.n_partitions, n_shards))
             )
-            shards.append(_build_shard(index, shard_id, owned))
-        return cls(shards)
+            for shard_id in range(n_shards)
+        ])
 
     # -- global accessors -----------------------------------------------------
 
@@ -221,23 +203,6 @@ class ShardedIndex:
     def partitions(self) -> list[Partition]:
         """Global partition list, each slot served by its owning shard."""
         return self.global_view.partitions
-
-    def shard_artifact_path(self, shard_id: int) -> Path | None:
-        """Saved artifact of shard ``shard_id``, when the layout has one.
-
-        ``None`` when the layout was never persisted (in-memory
-        :meth:`from_index` splits) — process-backend executors then save
-        a temporary artifact themselves.
-        """
-        if not 0 <= shard_id < self.n_shards:
-            raise ConfigurationError(
-                f"shard_id must be in [0, {self.n_shards}), got {shard_id}"
-            )
-        if self.artifact_dir is None:
-            return None
-        from ..persistence import _shard_filename
-
-        return self.artifact_dir / _shard_filename(shard_id)
 
     def owner_of(self, partition_id: int) -> int:
         """Shard id owning ``partition_id``."""

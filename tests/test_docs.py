@@ -3,9 +3,10 @@
 Every ``python -m <module>`` of this repository that the prose, the
 examples, the CI workflow or the verify skill names must import, every
 ``*.json`` / ``*.py`` / ``*.md`` file they name must be in the tree, and
-every backticked ``Name.member`` of the public surface must resolve. A
-deleted CLI, a renamed artifact or a removed method then fails here
-instead of living on in a README paragraph.
+every backticked ``Name.member`` of the public surface must resolve, and
+every backticked call of it may pass only keywords its signature takes.
+A deleted CLI, a renamed artifact, a removed method or a removed keyword
+then fails here instead of living on in a README paragraph.
 """
 
 from __future__ import annotations
@@ -159,6 +160,87 @@ def test_named_members_resolve(doc):
     )
     assert not unresolved, (
         f"{doc_id(doc)} names members that do not exist: {unresolved}"
+    )
+
+
+#: A code span (which may wrap a line) or a fenced block, and a call of a
+#: name in it, ``name(`` or ``Name.member(``.
+CODE = re.compile(r"```.*?```|`[^`]+`", re.DOTALL)
+CALL = re.compile(r"(?<![\w.])([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?\(")
+KEYWORD = re.compile(r"\s*([A-Za-z_]\w*)\s*=(?!=)")
+#: The header row of a migration table, whose first column is the old shape.
+WAS_HEADER = re.compile(r"^\|\s*was\s*\|")
+
+
+def without_was_cells(text: str) -> str:
+    """``text`` with the first cell of every migration-table row blanked:
+    a removed keyword is what the "was" column is for."""
+    lines, in_table = [], False
+    for line in text.splitlines():
+        if WAS_HEADER.match(line):
+            in_table = True
+        elif in_table and line.startswith("|"):
+            line = "||" + line.split("|", 2)[2]
+        else:
+            in_table = False
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def top_level_keywords(text: str) -> set[str]:
+    """Keywords of the call whose arguments ``text`` starts with (just
+    past its ``(``), up to its ``)`` or the end of ``text``; keywords of
+    nested calls are theirs, not this one's."""
+    args, depth, quote = [""], 0, None
+    for char in text:
+        if quote is not None:
+            quote = None if char == quote else quote
+        elif char in "'\"":
+            quote = char
+        elif char in "([{":
+            depth += 1
+        elif char in ")]}":
+            if depth == 0:
+                break
+            depth -= 1
+        elif char == "," and depth == 0:
+            args.append("")
+            continue
+        if depth == 0 and char not in ")]}":
+            args[-1] += char
+    return {match[1] for match in map(KEYWORD.match, args) if match}
+
+
+def accepts(obj: object, member: str | None, keyword: str) -> bool:
+    """Whether ``obj`` (or its ``member``) takes ``keyword``; anything
+    that is not a callable with a readable signature, or takes
+    ``**kwargs``, accepts everything."""
+    target = obj if member is None else getattr(obj, member, None)
+    try:
+        params = inspect.signature(target).parameters.values()
+    except (TypeError, ValueError):
+        return True
+    return any(
+        param.kind is param.VAR_KEYWORD
+        or (param.name == keyword and param.kind is not param.POSITIONAL_ONLY)
+        for param in params
+    )
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=doc_id)
+def test_named_calls_pass_accepted_keywords(doc):
+    exports = public_exports()
+    refused = sorted({
+        f"{name}{'.' + member if member else ''}({keyword}=)"
+        for span in CODE.findall(without_was_cells(doc.read_text()))
+        for call in CALL.finditer(span)
+        for name, member in [call.groups()]
+        if name in exports
+        for keyword in top_level_keywords(span[call.end():])
+        if not any(accepts(obj, member, keyword) for obj in exports[name])
+    })
+    assert not refused, (
+        f"{doc_id(doc)} passes keywords the callee does not take: {refused}"
     )
 
 

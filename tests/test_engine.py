@@ -409,6 +409,71 @@ class TestOneExecutorPerEpoch:
             )
 
 
+class TestTheEngineNamesTheArtifact:
+    """Process workers attach to the artifact the engine was loaded from
+    or re-saved to; only a base with no artifact of its own format gets
+    a temporary copy, owned and deleted by its executor."""
+
+    @pytest.fixture()
+    def temp_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    @pytest.fixture()
+    def saved(self, small_data, tmp_path):
+        with Engine.build(small_data, executor="thread", **_SMALL) as flat:
+            flat.save(tmp_path / "flat.npz")
+        with Engine.build(
+            small_data, executor="thread", n_shards=2, **_SMALL
+        ) as sharded:
+            sharded.save(tmp_path / "sharded.d")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [("sharded.d", {}), ("flat.npz", {"n_workers": 2})],
+    )
+    def test_a_loaded_artifact_is_attached(
+        self, saved, temp_root, queries, name, overrides
+    ):
+        with Engine.load(
+            saved / name, executor="process", nprobe=2, scanner="naive",
+            **overrides,
+        ) as engine:
+            assert engine._executor._tempdir is None
+            assert len(engine.search(queries, k=5)) == len(queries)
+        assert list(temp_root.iterdir()) == []
+
+    def test_a_compacted_directory_is_attached(
+        self, saved, temp_root, small_data, queries
+    ):
+        with Engine.load(
+            saved / "sharded.d", executor="process", mutable=True,
+            nprobe=2, scanner="naive",
+        ) as engine:
+            engine.add(small_data[:3] + 0.5, np.arange(3) + 10**6)
+            engine.delete(np.arange(3))
+            assert engine.compact().generation == 1
+            assert engine._executor._tempdir is None
+            assert len(engine.search(queries, k=5)) == len(queries)
+        assert list(temp_root.iterdir()) == []
+
+    def test_a_resharded_file_gets_one_temp_copy(self, saved, temp_root, queries):
+        engine = Engine.load(
+            saved / "flat.npz", executor="process", n_shards=2,
+            nprobe=2, scanner="naive",
+        )
+        try:
+            assert engine._executor._tempdir is not None
+            assert len(engine.search(queries, k=5)) == len(queries)
+            assert len(list(temp_root.glob("repro-shards-*"))) == 1
+        finally:
+            engine.close()
+        assert list(temp_root.iterdir()) == []
+
+
 class TestOutsideInputRefusedAtTheDoor:
     """Ids, rows and queries from outside end in one typed error each,
     not in a silently wrong row or a different failure per path."""
@@ -436,6 +501,13 @@ class TestOutsideInputRefusedAtTheDoor:
         with pytest.raises(ConfigurationError, match="integers, got dtype"):
             Engine.build(
                 small_data, ids=np.arange(len(small_data)) + 0.5, **_SMALL
+            )
+
+    def test_build_ids_are_unique(self, small_data):
+        # At the parent this built, and a search returned id 0 k times.
+        with pytest.raises(ConfigurationError, match="ids must be unique"):
+            Engine.build(
+                small_data, ids=np.zeros(len(small_data), dtype=int), **_SMALL
             )
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

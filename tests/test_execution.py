@@ -248,7 +248,7 @@ class TestQueryHalfOncePerPlan:
         ) as executor:
             plan = executor.planner.plan(queries, topk=5, nprobe=self.NPROBE)
             assert len(plan.jobs) > self.NPROBE
-            for shard_id, subplan in executor.router.split(plan).items():
+            for shard_id, subplan in executor._split(plan).items():
                 executor._executors[shard_id].scan_plan(subplan)
             assert calls == [self.N_QUERIES]
             executor.run(queries, topk=5, nprobe=self.NPROBE)

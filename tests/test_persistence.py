@@ -165,6 +165,13 @@ class TestAtomicWrites:
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_save_creates_missing_directories(self, index, tmp_path):
+        # At the parent: a FileNotFoundError naming the temporary file.
+        path = tmp_path / "a" / "b" / "index.npz"
+        save_index(index, path)
+        assert [p.name for p in path.parent.iterdir()] == ["index.npz"]
+        assert len(load_index(path)) == len(index)
+
     def test_successful_save_leaves_only_target(self, pq, tmp_path):
         path = tmp_path / "pq.npz"
         save_quantizer(pq, path)
@@ -373,12 +380,11 @@ class TestMmapLoading:
         for partition in eager.partitions:
             assert not isinstance(partition.codes, np.memmap)
 
-    def test_mmap_rejects_compressed_artifact(self, index, tmp_path):
-        path = tmp_path / "compressed.npz"
-        save_index(index, path, compress=True)
-        assert load_index(path) is not None  # eager load still fine
+    def test_mmap_rejects_compressed_artifact(self, saved):
+        _deflate(saved)
+        assert load_index(saved) is not None  # eager load still fine
         with pytest.raises(DatasetError):
-            load_index(path, mmap=True)
+            load_index(saved, mmap=True)
 
     def test_truncated_artifact_raises(self, saved, tmp_path):
         data = saved.read_bytes()
@@ -408,12 +414,22 @@ class TestMmapLoading:
         )
         from repro import ScatterGatherExecutor
 
-        response = ScatterGatherExecutor(loaded, NaiveScanner).run(
-            dataset.queries, topk=10, nprobe=2
-        )
+        with ScatterGatherExecutor(
+            loaded, NaiveScanner, artifact_dir=directory
+        ) as executor:
+            response = executor.run(dataset.queries, topk=10, nprobe=2)
         for ra, rb in zip(a, response.results):
             assert ra.ids.tobytes() == rb.ids.tobytes()
             assert ra.distances.tobytes() == rb.distances.tobytes()
+
+
+def _deflate(path):
+    """Re-write the archive at ``path`` with deflated members, which no
+    ``save_*`` writes."""
+    with np.load(path) as archive:
+        payload = {name: archive[name] for name in archive.files}
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **payload)
 
 
 def _open_fds():
@@ -536,10 +552,9 @@ class TestOnePassMmapLoad:
             np.savez(handle, **payload)
         self._assert_rejected(saved, "missing field 'ids_1'")
 
-    def test_deflated_member(self, index, tmp_path):
-        path = tmp_path / "compressed.npz"
-        save_index(index, path, compress=True)
-        self._assert_rejected(path, "compressed and cannot be memory-mapped")
+    def test_deflated_member(self, saved):
+        _deflate(saved)
+        self._assert_rejected(saved, "compressed and cannot be memory-mapped")
 
     def test_corrupt_local_header(self, saved):
         header, _ = _member_data_start(saved, "codes_1.npy")

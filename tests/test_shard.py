@@ -15,7 +15,7 @@ from repro.obs import observability_session
 from repro.persistence import load_sharded_index, save_sharded_index
 from repro.scan import LibpqScanner, NaiveScanner
 from repro.scan.base import NO_IDS, ScanResult
-from repro.search import ANNSearcher, PartitionScanner
+from repro.search import ANNSearcher, BatchPlanner, PartitionScanner
 from repro.shard import (
     STATE_FAILED,
     STATE_OK,
@@ -23,7 +23,6 @@ from repro.shard import (
     IndexShard,
     ScatterGatherExecutor,
     ShardedIndex,
-    ShardRouter,
 )
 
 
@@ -46,6 +45,14 @@ def _scanner_factories(pq):
     }
 
 
+def _plan(sharded, queries, **kwargs):
+    """The global plan and its per-shard sub-plans, split as the
+    executor splits them."""
+    plan = BatchPlanner(sharded.global_view).plan(queries, **kwargs)
+    with ScatterGatherExecutor(sharded, NaiveScanner, backend="thread") as executor:
+        return plan, executor._split(plan)
+
+
 def _assert_identical(a, b):
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
@@ -66,12 +73,6 @@ class TestShardedIndex:
         assert sharded.n_partitions == 8
         for pid in range(8):
             assert sharded.owner_of(pid) == pid % 3
-
-    def test_from_index_contiguous_layout(self, index8):
-        sharded = ShardedIndex.from_index(
-            index8, n_shards=2, layout="contiguous"
-        )
-        assert [sharded.owner_of(pid) for pid in range(8)] == [0] * 4 + [1] * 4
 
     def test_partitions_are_shared_not_copied(self, index8):
         sharded = ShardedIndex.from_index(index8, n_shards=4)
@@ -138,9 +139,7 @@ class TestShardedIndex:
 class TestShardRouter:
     def test_subplans_partition_the_global_jobs(self, index8, batch_queries):
         sharded = ShardedIndex.from_index(index8, n_shards=3)
-        plan, subplans = ShardRouter(sharded).plan(
-            batch_queries, topk=10, nprobe=4
-        )
+        plan, subplans = _plan(sharded, batch_queries, topk=10, nprobe=4)
         scattered = [job for sub in subplans.values() for job in sub.jobs]
         assert sorted(j.partition_id for j in scattered) == sorted(
             j.partition_id for j in plan.jobs
@@ -167,7 +166,8 @@ class TestShardRouter:
             property(lambda self: reads.append(1) or self.global_view.partitions),
         )
         with executor:
-            plan, subplans = executor.router.plan(batch_queries, nprobe=4)
+            plan = executor.planner.plan(batch_queries, nprobe=4)
+            subplans = executor._split(plan)
             assert len(plan.jobs) > 1 and len(subplans) == 2
             response = executor.run(batch_queries, topk=10, nprobe=4)
         assert not response.partial
@@ -604,8 +604,8 @@ class TestStreamingMerger:
         rng = np.random.default_rng(nprobe)
         for n_shards in (1, 3, 8):
             sharded = ShardedIndex.from_index(index8, n_shards=n_shards)
-            plan, subplans = ShardRouter(sharded).plan(
-                batch_queries, topk=10, nprobe=nprobe
+            plan, subplans = _plan(
+                sharded, batch_queries, topk=10, nprobe=nprobe
             )
             extra = None
             if kind == "tied":
@@ -657,9 +657,7 @@ class TestStreamingMerger:
         from repro.search import BatchExecutor, StreamingMerger, merge_partials
 
         sharded = ShardedIndex.from_index(index8, n_shards=2)
-        plan, subplans = ShardRouter(sharded).plan(
-            batch_queries, topk=10, nprobe=4
-        )
+        plan, subplans = _plan(sharded, batch_queries, topk=10, nprobe=4)
         grids = [
             BatchExecutor(sharded.shards[sid].index, NaiveScanner()).scan_plan(
                 sub
@@ -685,7 +683,9 @@ class TestStreamingMerger:
         from repro.exceptions import SimulationError
 
         sharded = ShardedIndex.from_index(index8, n_shards=2)
-        plan, _ = ShardRouter(sharded).plan(batch_queries, topk=10, nprobe=4)
+        plan = BatchPlanner(sharded.global_view).plan(
+            batch_queries, topk=10, nprobe=4
+        )
         merger = StreamingMerger(plan)
         assert not merger.complete
         with pytest.raises(SimulationError, match="unscanned probes"):
@@ -751,10 +751,8 @@ class TestPinnedPools:
         sharded = ShardedIndex.from_index(index8, n_shards=2)
         path = tmp_path / "layout"
         save_sharded_index(sharded, path)
-        assert sharded.artifact_dir == path
-        assert sharded.shard_artifact_path(0) == path / "shard_0000.npz"
         with ScatterGatherExecutor(
-            sharded, NaiveScanner, backend="process"
+            sharded, NaiveScanner, backend="process", artifact_dir=path
         ) as executor:
             assert executor._tempdir is None  # attached, not re-saved
             response = executor.run(batch_queries, topk=10, nprobe=4)
@@ -781,19 +779,6 @@ class TestPinnedPools:
         assert raised.traceback
         assert multiprocessing.active_children() == []
         assert list(tmp_path.glob("repro-shards-*")) == []
-        assert sharded.artifact_dir is None
-
-    def test_temp_artifact_not_advertised_on_shared_index(self, index8, pq):
-        sharded = ShardedIndex.from_index(index8, n_shards=2)
-        assert sharded.artifact_dir is None
-        with ScatterGatherExecutor(
-            sharded, NaiveScanner, backend="process"
-        ) as executor:
-            assert executor._tempdir is not None
-            # The executor-owned temporary copy must not leak onto the
-            # shared layout: a later executor would attach to a deleted
-            # directory.
-            assert sharded.artifact_dir is None
 
     def test_thread_fallback_emits_no_warnings(self, index8, pq, batch_queries):
         import warnings
