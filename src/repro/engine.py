@@ -40,6 +40,7 @@ mean the same, whether ``n_shards`` is 1 or 8.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, fields, replace
@@ -53,8 +54,8 @@ if TYPE_CHECKING:
 
 from .delta import CompactionReport, DeltaStore, fold_index
 from .exceptions import ConfigurationError
-from .ivf.inverted_index import IVFADCIndex, as_database_ids
-from .obs import Observability, get_observability
+from .ivf.inverted_index import IVFADCIndex, as_count, as_database_ids
+from .obs import get_observability
 from .parallel.spec import SCANNER_KINDS, ScannerSpec, check_code_shape
 from .persistence import (
     load_index,
@@ -69,6 +70,13 @@ from .search import _complete_results
 from .shard import ScatterGatherExecutor, ShardedIndex, ShardedResponse
 
 __all__ = ["Engine", "EngineConfig", "SCANNER_KINDS"]
+
+#: The :class:`EngineConfig` fields that must be integers (``4.0`` is
+#: refused at construction, not inside :meth:`Engine.build`).
+_COUNT_FIELDS = (
+    "m", "bits", "n_partitions", "n_shards", "max_iter", "coarse_max_iter",
+    "seed", "nprobe", "n_workers", "max_retries",
+)
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,8 @@ class EngineConfig:
     backoff_s: float = 0.02
 
     def __post_init__(self) -> None:
+        for name in _COUNT_FIELDS:
+            as_count(getattr(self, name), name)
         if self.m < 1:
             raise ConfigurationError(f"m must be >= 1, got {self.m}")
         if self.bits < 1 or self.bits > 16:
@@ -191,17 +201,18 @@ class EngineConfig:
                 f"executor='thread' scans inline (n_workers=1), got n_workers="
                 f"{self.n_workers}; worker parallelism is executor='process'"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
             raise ConfigurationError(
-                f"deadline_s must be positive (or None), got {self.deadline_s}"
+                "deadline_s must be a finite number > 0 (or None), got "
+                f"{self.deadline_s}"
             )
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_s < 0:
+        if not 0 <= self.backoff_s < math.inf:
             raise ConfigurationError(
-                f"backoff_s must be >= 0, got {self.backoff_s}"
+                f"backoff_s must be a finite number >= 0, got {self.backoff_s}"
             )
 
     @property
@@ -300,7 +311,6 @@ class Engine:
         sharded: ShardedIndex | None = None,
         vectors: np.ndarray | None = None,
         index_path: str | Path | None = None,
-        observability: Observability | None = None,
         mmap: bool = False,
     ):
         if (sharded is None) != (config.n_shards == 1):
@@ -313,7 +323,6 @@ class Engine:
         self.sharded = sharded
         self.vectors = None if vectors is None else np.asarray(vectors, float)
         self.index_path = None if index_path is None else Path(index_path)
-        self.observability = observability
         self._mmap = bool(mmap)
         # Guards the swap-able state (index/sharded/executor, epoch and
         # reader counts) against concurrent search/compact/close. An
@@ -343,7 +352,6 @@ class Engine:
         config: EngineConfig | None = None,
         *,
         ids: np.ndarray | None = None,
-        observability: Observability | None = None,
         **config_overrides: object,
     ) -> "Engine":
         """Train, encode and index ``vectors`` under ``config``.
@@ -379,7 +387,6 @@ class Engine:
             config,
             sharded=sharded,
             vectors=vectors if config.keep_vectors else None,
-            observability=observability,
         )
 
     @classmethod
@@ -389,7 +396,6 @@ class Engine:
         config: EngineConfig | None = None,
         *,
         mmap: bool = False,
-        observability: Observability | None = None,
         **config_overrides: object,
     ) -> "Engine":
         """Load an engine from a :meth:`save` artifact.
@@ -452,7 +458,6 @@ class Engine:
             config,
             sharded=sharded,
             index_path=path,
-            observability=observability,
             mmap=mmap,
         )
 
@@ -574,7 +579,7 @@ class Engine:
             index = self.index
         labels, codes = index.encode(vectors)
         seq = delta.apply_add(labels, codes, ids)
-        self._obs().record_mutation(
+        get_observability().record_mutation(
             "add", len(ids), delta.n_rows, delta.n_tombstones
         )
         return seq
@@ -590,7 +595,7 @@ class Engine:
         delta = self._require_mutable("delete")
         ids = as_database_ids(ids)
         seq = delta.apply_delete(ids)
-        self._obs().record_mutation(
+        get_observability().record_mutation(
             "delete", len(ids), delta.n_rows, delta.n_tombstones
         )
         return seq
@@ -690,7 +695,7 @@ class Engine:
             drain_event.wait(timeout=GATHER_TIMEOUT_S)
         retired.close()
         wall_time_s = time.perf_counter() - t0
-        self._obs().record_compaction(
+        get_observability().record_compaction(
             wall_time_s,
             folded.generation,
             delta_rows=delta.n_rows,
@@ -746,13 +751,6 @@ class Engine:
             )
         return self._delta
 
-    def _obs(self) -> Observability:
-        return (
-            self.observability
-            if self.observability is not None
-            else get_observability()
-        )
-
     @property
     def _index_file(self) -> Path | None:
         """The engine's artifact, when it is an unsharded single file."""
@@ -790,7 +788,6 @@ class Engine:
             deadline_s=self.config.deadline_s,
             max_retries=self.config.max_retries,
             backoff_s=self.config.backoff_s,
-            observability=self.observability,
         )
 
     # -- lifecycle ----------------------------------------------------------

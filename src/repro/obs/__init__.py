@@ -16,10 +16,12 @@ This package makes that telemetry first-class:
 * :mod:`repro.obs.snapshot` — a CLI producing a snapshot from one
   instrumented batch on a synthetic workload, plus the CI check mode.
 
-The :class:`Observability` facade bundles a tracer and a registry and
-is what the engine and the scanners talk to. A process-wide default
-instance (disabled unless ``REPRO_OBS=1``) keeps the instrumentation
-one attribute check when off::
+The :class:`Observability` facade bundles a tracer and a registry. The
+process default (:func:`get_observability`, disabled unless
+``REPRO_OBS=1``) is the one sink every metric and span of the library
+goes to; :func:`observability_session` or :func:`set_observability`
+swaps it, and a disabled one keeps the instrumentation one attribute
+check::
 
     from repro.obs import observability_session
 
@@ -103,19 +105,12 @@ class Observability:
 
     Args:
         enabled: collect data when True; no-op when False.
-        registry: share an existing registry (default: a fresh one).
-        max_spans: span-ring capacity handed to the tracer.
     """
 
-    def __init__(
-        self,
-        enabled: bool = False,
-        registry: MetricsRegistry | None = None,
-        max_spans: int = 4096,
-    ) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = bool(enabled)
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self.tracer = Tracer(registry=self.metrics, max_spans=max_spans)
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(registry=self.metrics)
         # Family name -> its instrument: what the record methods write.
         self._m = {name: self.metrics.register(row) for name, row in FAMILIES.items()}
         # Gauges one record method sets together are set under this lock,
@@ -297,26 +292,23 @@ _default = Observability(enabled=_env_enabled())
 
 
 def get_observability() -> Observability:
-    """The process-default instance every instrumentation point uses."""
+    """The process default: the one sink every instrumentation point
+    writes to, looked up when it records."""
     return _default
 
 
-def set_observability(obs: Observability) -> Observability:
-    """Install ``obs`` as the process default; returns the previous one."""
+def set_observability(instance: Observability) -> Observability:
+    """Install ``instance`` as the process default; returns the previous one."""
     global _default
     with _default_lock:
         previous = _default
-        _default = obs
+        _default = instance
     return previous
 
 
 @contextmanager
-def observability_session(
-    enabled: bool = True,
-    registry: MetricsRegistry | None = None,
-    max_spans: int = 4096,
-) -> Iterator[Observability]:
-    """Temporarily install a fresh default :class:`Observability`.
+def observability_session() -> Iterator[Observability]:
+    """Temporarily install a fresh, enabled default :class:`Observability`.
 
     The previous default is restored on exit, making this safe to nest
     and to use in tests and benchmarks::
@@ -325,7 +317,7 @@ def observability_session(
             searcher.search(queries)
         text = obs.export_prometheus()   # readable after exit too
     """
-    obs = Observability(enabled=enabled, registry=registry, max_spans=max_spans)
+    obs = Observability(enabled=True)
     previous = set_observability(obs)
     try:
         yield obs

@@ -35,8 +35,8 @@ fans them across a persistent ``ProcessPoolExecutor``:
 Observability: the parent records the scan span and counters
 (per-process work is accounted in one :class:`~repro.obs.WorkerStats`
 slot per worker process). Stage spans *inside* a worker (tables, scan)
-are not traced — they happen in another process against that process's
-default (disabled) observability.
+are not traced — they happen in another process, against that
+process's own default, which the parent never reads.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 from ..core.sanitize import sanitizer_enabled
 from ..exceptions import ConfigurationError
 from ..ivf.inverted_index import IVFADCIndex
-from ..obs import Observability, WorkerStats, get_observability
+from ..obs import WorkerStats, get_observability
 from ..scan.base import PartitionScanner
 from ..search import (
     GATHER_TIMEOUT_S,
@@ -114,8 +114,6 @@ class ProcessBatchExecutor:
             honored.
         index: the parent's already-loaded index of ``index_path`` (kept
             as :attr:`index`).
-        observability: explicit observability handle; default is the
-            process-wide instance, resolved at each scan.
     """
 
     def __init__(
@@ -126,7 +124,6 @@ class ProcessBatchExecutor:
         *,
         index: IVFADCIndex,
         n_workers: int = 1,
-        observability: Observability | None = None,
     ):
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
@@ -139,7 +136,6 @@ class ProcessBatchExecutor:
         self.scanner = scanner
         self.n_workers = n_workers
         self.pool_size = min(n_workers, _available_cpus())
-        self.observability = observability
         self.index = index
         self._pid_slots: dict[int, int] = {}
         # Guards the pool handle and the pid-to-slot map against
@@ -157,14 +153,11 @@ class ProcessBatchExecutor:
         probes = [self._pool.submit(_probe_worker) for _ in range(self.pool_size)]
         for probe in probes:
             probe.result(timeout=GATHER_TIMEOUT_S)
-        (observability or get_observability()).record_pool_spinup("process")
+        get_observability().record_pool_spinup("process")
 
-    def scan_plan(
-        self, plan: BatchPlan, *, obs: Observability | None = None
-    ) -> tuple[PackedPartials, list[WorkerStats]]:
+    def scan_plan(self, plan: BatchPlan) -> tuple[PackedPartials, list[WorkerStats]]:
         """Execute ``plan.jobs`` on the worker pool; raw per-probe partials."""
-        if obs is None:
-            obs = self.observability or get_observability()
+        obs = get_observability()
         pool = self._require_pool()
         # The pool was spawned (and its workers attached/warmed) at
         # construction; every batch after that runs on the warm pool.

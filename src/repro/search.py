@@ -349,10 +349,9 @@ def _record_scans(
     """Account the scans of one run of ``n_jobs`` jobs (or of a worker's
     bundle).
 
-    The one place scans are counted, in the process that owns ``obs``:
-    every executor's :class:`ScanBlock` lands here, so the scan counters
-    and the pruning-rate gauge do not depend on which process scanned
-    or on which handle a scanner could see.
+    The one place scans are counted, in the parent: every executor's
+    :class:`ScanBlock` lands here, so the scan counters and the
+    pruning-rate gauge do not depend on which process scanned.
     """
     _, n_scanned, n_pruned = cells.counts.sum(axis=1).tolist()
     obs.record_scan(scanner_name, n_scanned=n_scanned, n_pruned=n_pruned)
@@ -803,9 +802,6 @@ class BatchExecutor:
         scanner: the Step-3 scanner (positional-only).
         n_workers: must be 1 (the signature the process executor
             shares); anything else raises :class:`ConfigurationError`.
-        observability: explicit observability handle; default is the
-            process-wide :func:`repro.obs.get_observability` instance,
-            resolved at each scan.
 
     The two pipeline objects are positional-only and every configuration
     argument is keyword-only, so call sites cannot transpose them
@@ -819,7 +815,6 @@ class BatchExecutor:
         /,
         *,
         n_workers: int = 1,
-        observability: Observability | None = None,
     ):
         if n_workers != 1:
             raise ConfigurationError(
@@ -831,11 +826,8 @@ class BatchExecutor:
         self.index = index
         self.scanner = scanner
         self.n_workers = n_workers
-        self.observability = observability
 
-    def scan_plan(
-        self, plan: BatchPlan, *, obs: Observability | None = None
-    ) -> tuple[PackedPartials, list[WorkerStats]]:
+    def scan_plan(self, plan: BatchPlan) -> tuple[PackedPartials, list[WorkerStats]]:
         """Execute ``plan.jobs`` inline, in plan order.
 
         ``plan`` may be a shard's subset of a *global* plan: the returned
@@ -843,8 +835,7 @@ class BatchExecutor:
         nprobe)`` grid, a cell for every probe position a job covered,
         ready for :meth:`StreamingMerger.fold`.
         """
-        if obs is None:
-            obs = self.observability or get_observability()
+        obs = get_observability()
         # Every layout the plan needs is prepared before the first scan.
         with obs.span("warm"):
             self.scanner.warm(

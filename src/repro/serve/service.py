@@ -61,6 +61,7 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
+import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,7 +70,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError, DimensionMismatchError, SimulationError
-from ..obs import Observability, get_observability
+from ..ivf.inverted_index import as_count
+from ..obs import get_observability
 from ..search import SearchResult
 
 if TYPE_CHECKING:  # import cycle: repro.engine imports repro.serve
@@ -125,15 +127,15 @@ class ServeConfig:
     max_queue: int = 1024
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
+        if as_count(self.max_batch, "max_batch") < 1:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {self.max_batch}"
             )
-        if self.max_delay_s < 0:
+        if not 0 <= self.max_delay_s < math.inf:
             raise ConfigurationError(
-                f"max_delay_s must be >= 0, got {self.max_delay_s}"
+                f"max_delay_s must be a finite number >= 0, got {self.max_delay_s}"
             )
-        if self.max_queue < 1:
+        if as_count(self.max_queue, "max_queue") < 1:
             raise ConfigurationError(
                 f"max_queue must be >= 1, got {self.max_queue}"
             )
@@ -241,8 +243,6 @@ class MicroBatchServer:
             ``"delete"`` (``vector`` is None). Runs on the flush worker
             thread, before the batch's reads. Without it the server is
             read-only and :meth:`add`/:meth:`delete` raise.
-        observability: explicit observability handle; default is the
-            process-wide instance, resolved at each flush.
     """
 
     def __init__(
@@ -251,10 +251,8 @@ class MicroBatchServer:
         config: ServeConfig | None = None,
         *,
         write_fn: Callable[[str, np.ndarray | None, int], None] | None = None,
-        observability: Observability | None = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
-        self.observability = observability
         self._batch_fn = batch_fn
         self._write_fn = write_fn
         # The row width every request must have, when it is known
@@ -282,7 +280,6 @@ class MicroBatchServer:
         k: int = 10,
         nprobe: int | None = None,
         config: ServeConfig | None = None,
-        observability: Observability | None = None,
     ) -> "MicroBatchServer":
         """A server over :meth:`Engine.search` (sharded engines scatter
         each micro-batch across their shards as usual).
@@ -313,9 +310,7 @@ class MicroBatchServer:
                 else:
                     engine.delete(ids)
 
-        server = cls(
-            batch_fn, config, write_fn=write_fn, observability=observability
-        )
+        server = cls(batch_fn, config, write_fn=write_fn)
         server._width = engine.index.pq.d
         return server
 
@@ -472,7 +467,7 @@ class MicroBatchServer:
             queue.put_nowait(request)
         except asyncio.QueueFull:
             self.n_shed += 1
-            self._obs().record_request(STATUS_OVERLOAD)
+            get_observability().record_request(STATUS_OVERLOAD)
             return ServedResult(
                 status=STATUS_OVERLOAD,
                 result=None,
@@ -491,13 +486,6 @@ class MicroBatchServer:
             )
 
     # -- internals -----------------------------------------------------------
-
-    def _obs(self) -> Observability:
-        return (
-            self.observability
-            if self.observability is not None
-            else get_observability()
-        )
 
     async def _coalesce(self) -> None:
         """The coalescer loop: collect a micro-batch, await its flush.
@@ -555,7 +543,7 @@ class MicroBatchServer:
         to tell which writes landed.
         """
         loop = asyncio.get_running_loop()
-        obs = self._obs()
+        obs = get_observability()
         self.n_flushes += 1
         obs.record_flush(len(batch), reason)
         started = loop.time()

@@ -57,6 +57,7 @@ they are caller bugs, not operational faults.
 
 from __future__ import annotations
 
+import math
 import tempfile
 import threading
 import time
@@ -71,7 +72,8 @@ if TYPE_CHECKING:
     from ..delta.store import DeltaView
 
 from ..exceptions import ConfigurationError
-from ..obs import Observability, WorkerStats, combine_worker_stats, get_observability
+from ..ivf.inverted_index import as_count
+from ..obs import WorkerStats, combine_worker_stats, get_observability
 from ..parallel import ProcessBatchExecutor
 from ..scan.base import PartitionScanner
 from ..search import (
@@ -179,8 +181,6 @@ class ScatterGatherExecutor:
         max_retries: transient-failure retries per shard (a shard gets
             ``max_retries + 1`` attempts before it is marked failed).
         backoff_s: initial retry backoff, doubled per attempt.
-        observability: explicit observability handle; default is the
-            process-wide instance, resolved at each run.
     """
 
     def __init__(
@@ -195,24 +195,26 @@ class ScatterGatherExecutor:
         deadline_s: float | None = None,
         max_retries: int = 1,
         backoff_s: float = 0.02,
-        observability: Observability | None = None,
     ):
-        if n_workers < 1:
+        if as_count(n_workers, "n_workers") < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
         if backend not in ("thread", "process"):
             raise ConfigurationError(
                 f"backend must be 'thread' or 'process', got {backend!r}"
             )
-        if deadline_s is not None and deadline_s <= 0:
+        if deadline_s is not None and not 0 < deadline_s < math.inf:
             raise ConfigurationError(
-                f"deadline_s must be positive (or None), got {deadline_s}"
+                "deadline_s must be a finite number > 0 (or None), got "
+                f"{deadline_s}"
             )
-        if max_retries < 0:
+        if as_count(max_retries, "max_retries") < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {max_retries}"
             )
-        if backoff_s < 0:
-            raise ConfigurationError(f"backoff_s must be >= 0, got {backoff_s}")
+        if not 0 <= backoff_s < math.inf:
+            raise ConfigurationError(
+                f"backoff_s must be a finite number >= 0, got {backoff_s}"
+            )
         if callable(scanners):
             shard_scanners: list[PartitionScanner] = [
                 scanners() for _ in sharded.shards
@@ -231,7 +233,6 @@ class ScatterGatherExecutor:
         self.deadline_s = deadline_s
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        self.observability = observability
         self.index = sharded.global_view
         self.planner = BatchPlanner(self.index)
         self._owners: list[int] = sharded.owners.tolist()
@@ -269,7 +270,6 @@ class ScatterGatherExecutor:
                         scanner,
                         index=shard.index,
                         n_workers=n_workers,
-                        observability=observability,
                     ))
             except BaseException:
                 for executor in started:
@@ -280,12 +280,7 @@ class ScatterGatherExecutor:
             self._executors = tuple(started)
         else:
             self._executors = tuple(
-                BatchExecutor(
-                    shard.index,
-                    scanner,
-                    n_workers=n_workers,
-                    observability=observability,
-                )
+                BatchExecutor(shard.index, scanner, n_workers=n_workers)
                 for shard, scanner in zip(sharded.shards, self.scanners)
             )
         # The pinned scatter pool: one thread per shard, spawned once and
@@ -294,7 +289,7 @@ class ScatterGatherExecutor:
             max_workers=max(sharded.n_shards, 1),
             thread_name_prefix="repro-shard",
         )
-        self._obs().record_pool_spinup("gather")
+        get_observability().record_pool_spinup("gather")
 
     def run(
         self,
@@ -320,7 +315,7 @@ class ScatterGatherExecutor:
         partition takes the unchanged (byte-identical) path.
         """
         self._require_gather_pool()
-        obs = self._obs()
+        obs = get_observability()
         # One reuse, gather and overlap observation per served batch,
         # an empty one included, so obs totals keep matching run counts.
         obs.record_pool_reuse("gather")
@@ -333,12 +328,6 @@ class ScatterGatherExecutor:
         obs.record_gather(response.partial)
         obs.record_gather_overlap(response.gather_overlap_s)
         return response
-
-    def _obs(self) -> Observability:
-        """The explicit handle, else the process-wide instance as of now."""
-        if self.observability is not None:
-            return self.observability
-        return get_observability()
 
     def _execute(
         self,
@@ -362,7 +351,7 @@ class ScatterGatherExecutor:
         grid: the response is flagged partial and covers every scan
         that did arrive.
         """
-        obs = self._obs()
+        obs = get_observability()
         start = time.perf_counter()
         with obs.span("route"):
             plan = self.planner.plan(queries, topk=topk, nprobe=nprobe)
@@ -370,7 +359,7 @@ class ScatterGatherExecutor:
             delta_view = None
         if delta_view is not None:
             plan = _with_tombstones(plan, delta_view.hits)
-        landing = self._scan_parts(plan, obs, start)
+        landing = self._scan_parts(plan, start)
         merger = StreamingMerger(plan)
         if delta_view is not None:
             # Parent-side segment scans run while the parts are still
@@ -406,7 +395,7 @@ class ScatterGatherExecutor:
         )
 
     def _scan_parts(
-        self, plan: BatchPlan, obs: Observability, start: float
+        self, plan: BatchPlan, start: float
     ) -> Iterator[tuple[ScanPart, bool]]:
         """Split ``plan`` by owning shard and start every sub-plan; yield
         each shard's :class:`ScanPart` as it lands.
@@ -432,10 +421,10 @@ class ScatterGatherExecutor:
                 ),
             )
             futures = {
-                pool.submit(self._run_shard, sid, subplans[sid], obs): sid
+                pool.submit(self._run_shard, sid, subplans[sid]): sid
                 for sid in order
             }
-        return self._land(subplans, futures, obs, start)
+        return self._land(subplans, futures, start)
 
     def _split(self, plan: BatchPlan) -> dict[int, BatchPlan]:
         """``{shard_id: sub_plan}``, one pass over ``plan.jobs``.
@@ -459,7 +448,6 @@ class ScatterGatherExecutor:
         self,
         subplans: dict[int, BatchPlan],
         futures: dict[Future[ScanPart], int],
-        obs: Observability,
         start: float,
     ) -> Iterator[tuple[ScanPart, bool]]:
         """One part per shard: idle shards, then scans as they complete."""
@@ -470,7 +458,7 @@ class ScatterGatherExecutor:
             # A single part and no deadline: nothing to overlap, nothing
             # to abandon, so it runs here, on the caller's thread.
             for shard_id, subplan in subplans.items():
-                yield self._run_shard(shard_id, subplan, obs), False
+                yield self._run_shard(shard_id, subplan), False
             return
         # Gather in completion order. A task still pending when the
         # deadline strikes is abandoned, NOT joined: it keeps running on
@@ -547,9 +535,7 @@ class ScatterGatherExecutor:
             )
         return pool
 
-    def _run_shard(
-        self, shard_id: int, subplan: BatchPlan, obs: Observability
-    ) -> ScanPart:
+    def _run_shard(self, shard_id: int, subplan: BatchPlan) -> ScanPart:
         """One scatter task: scan the shard's jobs, retrying transients.
 
         :class:`~repro.exceptions.ConfigurationError` propagates (caller
@@ -569,9 +555,7 @@ class ScatterGatherExecutor:
         while True:
             attempts += 1
             try:
-                partials, worker_stats = self._executors[shard_id].scan_plan(
-                    subplan, obs=obs
-                )
+                partials, worker_stats = self._executors[shard_id].scan_plan(subplan)
                 return ScanPart(status(STATE_OK), partials, worker_stats)
             except ConfigurationError:
                 raise
@@ -579,5 +563,5 @@ class ScatterGatherExecutor:
                 if attempts > self.max_retries:
                     error = f"{type(exc).__name__}: {exc}"
                     return ScanPart(status(STATE_FAILED, error))
-                obs.record_shard_retry(str(shard_id))
+                get_observability().record_shard_retry(str(shard_id))
                 time.sleep(self.backoff_s * (2 ** (attempts - 1)))

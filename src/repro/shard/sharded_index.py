@@ -29,7 +29,6 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..ivf.inverted_index import IVFADCIndex
 from ..ivf.partition import Partition
-from ..pq.product_quantizer import ProductQuantizer
 
 __all__ = ["IndexShard", "ShardedIndex", "empty_partition"]
 
@@ -186,32 +185,9 @@ class ShardedIndex:
         return self.shards[0].index.n_partitions
 
     @property
-    def pq(self) -> ProductQuantizer:
-        """The shared product quantizer."""
-        return self.shards[0].index.pq
-
-    @property
-    def encode_residuals(self) -> bool:
-        return self.shards[0].index.encode_residuals
-
-    @property
     def generation(self) -> int:
         """Compaction generation shared by every shard of the layout."""
         return self.shards[0].index.generation
-
-    @property
-    def partitions(self) -> list[Partition]:
-        """Global partition list, each slot served by its owning shard."""
-        return self.global_view.partitions
-
-    def owner_of(self, partition_id: int) -> int:
-        """Shard id owning ``partition_id``."""
-        if not 0 <= partition_id < self.n_partitions:
-            raise ConfigurationError(
-                f"partition_id must be in [0, {self.n_partitions}), got "
-                f"{partition_id}"
-            )
-        return int(self._owners[partition_id])
 
     @property
     def owners(self) -> np.ndarray:
@@ -220,29 +196,6 @@ class ShardedIndex:
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
-
-    def partition_sizes(self) -> np.ndarray:
-        """Number of vectors per (global) partition."""
-        return np.array([len(p) for p in self.partitions], dtype=np.int64)
-
-    # -- query-time routing (Step 1, shared with the unsharded index) ---------
-
-    def route(self, query: np.ndarray, nprobe: int = 1) -> list[int]:
-        """Step 1 on the shared coarse codebook (shard-count invariant)."""
-        return self.shards[0].index.route(query, nprobe=nprobe)
-
-    def route_batch(self, queries: np.ndarray, nprobe: int = 1) -> np.ndarray:
-        """Batched Step 1, bit-identical to the unsharded index."""
-        return self.shards[0].index.route_batch(queries, nprobe=nprobe)
-
-    def distance_tables_for_batch(
-        self, queries: np.ndarray, partition_id: int
-    ) -> np.ndarray:
-        """Step 2 delegated to the owning shard (identical tables)."""
-        owner = self.owner_of(partition_id)
-        return self.shards[owner].index.distance_tables_for_batch(
-            queries, partition_id
-        )
 
 
 def _global_view(

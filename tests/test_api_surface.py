@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,17 @@ class TestPublicApiSnapshot:
     def test_every_all_entry_resolves(self):
         for symbol in repro.__all__:
             assert hasattr(repro, symbol), f"repro.__all__ lists missing {symbol}"
+
+    def test_no_signature_takes_a_telemetry_handle(self):
+        """The process default is the one sink: no public callable takes
+        an ``observability=`` or ``obs=`` handle that would pick another."""
+        committed = json.loads(SNAPSHOT_PATH.read_text())["signatures"]
+        takes = {
+            name: sorted(set(re.findall(r"[(,*]\s*(\w+)\s*[:=,)]", signature))
+                         & {"observability", "obs"})
+            for name, signature in committed.items()
+        }
+        assert {name: hit for name, hit in takes.items() if hit} == {}
 
 
 class TestImportCost:

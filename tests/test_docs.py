@@ -263,6 +263,17 @@ def test_no_heading_names_a_change(doc):
     assert not named, f"{doc_id(doc)} has headings naming a change: {named}"
 
 
+def test_the_verify_skill_names_no_change():
+    """The skill lists commands and gates, not how each gate arrived:
+    that history is CHANGES.md's."""
+    skill = ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+    named = [
+        line for line in skill.read_text().splitlines()
+        if re.search(r"\bPR \d+", line)
+    ]
+    assert not named, f"the verify skill names changes: {named}"
+
+
 #: One row of ``docs/observability.md``'s family table: name, kind, labels.
 FAMILY_ROW = re.compile(r"^\|\s*`(repro_\w+)`\s*\|\s*(\w+)\s*\|([^|]*)\|", re.MULTILINE)
 

@@ -13,7 +13,7 @@ import pytest
 from repro import SCANNER_KINDS, Engine, EngineConfig
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.search import ANNSearcher
-from repro.obs import Observability, observability_session
+from repro.obs import observability_session
 from repro.shard import ShardedResponse
 
 
@@ -88,6 +88,31 @@ class TestEngineConfig:
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
+            EngineConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"m": 8.0}, "m must be an integer"),
+            ({"bits": 8.0}, "bits must be an integer"),
+            ({"n_partitions": 4.0}, "n_partitions must be an integer"),
+            ({"n_shards": 1.0}, "n_shards must be an integer"),
+            ({"max_iter": 2.5}, "max_iter must be an integer"),
+            ({"coarse_max_iter": 2.5}, "coarse_max_iter must be an integer"),
+            ({"seed": 0.5}, "seed must be an integer"),
+            ({"nprobe": 1.5}, "nprobe must be an integer"),
+            ({"n_workers": 1.5, "executor": "process"}, "n_workers must be an integer"),
+            ({"max_retries": 0.5}, "max_retries must be an integer"),
+            ({"deadline_s": float("nan")}, "deadline_s must be a finite"),
+            ({"deadline_s": float("inf")}, "deadline_s must be a finite"),
+            ({"backoff_s": float("nan")}, "backoff_s must be a finite"),
+            ({"backoff_s": float("inf")}, "backoff_s must be a finite"),
+        ],
+    )
+    def test_counts_and_timings_refused_at_construction(self, kwargs, match):
+        """A fractional count or a non-finite timing used to build, then
+        fail deep in ``Engine.build`` or degrade a batch silently."""
+        with pytest.raises(ConfigurationError, match=match):
             EngineConfig(**kwargs)
 
     @pytest.mark.parametrize(
@@ -300,25 +325,26 @@ class TestOneExecutorPerEpoch:
     def test_explicit_observability_handle_sees_every_entry_point(
         self, small_data, queries, n_shards
     ):
-        # Regression: with n_shards=1, search() went through a searcher
-        # that never received the handle and recorded into the default.
-        handle = Observability(enabled=True)
-        with observability_session() as default, Engine.build(
-            small_data, observability=handle, executor="thread",
-            n_shards=n_shards, **_SMALL,
-        ) as engine:
-            for call in (
-                lambda: engine.search(queries, k=5),
-                lambda: engine.search(queries[0], k=5),
-                lambda: engine.search_detailed(queries, k=5),
-            ):
-                handle.tracer.clear()
-                call()
-                assert {"route", "tables", "scan", "merge"} <= set(
-                    handle.tracer.stage_summary()
-                )
-        assert default.tracer.stage_summary() == {}
-        assert default.snapshot()["counters"]["repro_batches_total"] == []
+        # The process default is the one sink: every entry point records
+        # into the session active while it runs, none into the instance
+        # that was the default before it.
+        with observability_session() as before:
+            with observability_session() as session, Engine.build(
+                small_data, executor="thread", n_shards=n_shards, **_SMALL,
+            ) as engine:
+                for call in (
+                    lambda: engine.search(queries, k=5),
+                    lambda: engine.search(queries[0], k=5),
+                    lambda: engine.search_detailed(queries, k=5),
+                ):
+                    session.tracer.clear()
+                    call()
+                    assert {"route", "tables", "scan", "merge"} <= set(
+                        session.tracer.stage_summary()
+                    )
+        assert session.metrics.get("repro_batches_total").value() == 3
+        assert before.tracer.stage_summary() == {}
+        assert before.snapshot()["counters"]["repro_batches_total"] == []
 
     @pytest.mark.parametrize("mutable", [False, True])
     def test_process_engine_holds_one_pool_and_one_temp_copy(

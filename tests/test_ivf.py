@@ -414,7 +414,7 @@ class TestStepTwoInTwoHalves:
         for pid in (-1, index.n_partitions, index.n_partitions + 7):
             for tables_for in (
                 index.distance_tables_for_batch,
-                sharded.distance_tables_for_batch,
+                sharded.global_view.distance_tables_for_batch,
             ):
                 with pytest.raises(
                     ConfigurationError,
@@ -425,7 +425,7 @@ class TestStepTwoInTwoHalves:
                 index.distance_tables_for(queries[0], pid)
         for tables_for in (
             index.distance_tables_for_batch,
-            sharded.distance_tables_for_batch,
+            sharded.global_view.distance_tables_for_batch,
         ):
             with pytest.raises(DimensionMismatchError, match="expected 128, got 64"):
                 tables_for(queries[:2, :64], 0)

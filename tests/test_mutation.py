@@ -53,7 +53,7 @@ from repro import (
 )
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.ivf.partition import Partition
-from repro.obs import Observability
+from repro.obs import observability_session
 from repro.parallel import ScannerSpec
 from repro.persistence import load_index, save_index
 from repro.scan import NaiveScanner, select_topk
@@ -1333,14 +1333,13 @@ class TestOneScanPath:
     def test_a_deletes_only_fastpq_engine_counts_no_naive_scan(
         self, dataset, overrides
     ):
-        obs = Observability(enabled=True)
-        scanned = obs.metrics.get("repro_vectors_scanned_total")
-        pruned = obs.metrics.get("repro_vectors_pruned_total")
-        with Engine.build(
+        with observability_session() as obs, Engine.build(
             dataset.base[:3000], mutable=True, scanner="fastpq", n_partitions=4,
-            nprobe=2, max_iter=2, coarse_max_iter=3, seed=1, observability=obs,
+            nprobe=2, max_iter=2, coarse_max_iter=3, seed=1,
             **{"executor": "thread", **overrides},
         ) as engine:
+            scanned = obs.metrics.get("repro_vectors_scanned_total")
+            pruned = obs.metrics.get("repro_vectors_pruned_total")
             clean = engine.search(dataset.queries, k=10)
             deleted = np.concatenate([result.ids[:3] for result in clean])
             engine.delete(deleted)

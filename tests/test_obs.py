@@ -330,17 +330,51 @@ class TestPipelineIntegration:
         self._assert_scan_counters(obs, kind, results)
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_scan_counters_reach_an_explicit_handle(self, dataset, executor):
-        """A handle that is not the process default gets the scans too."""
-        handle = Observability(enabled=True)
-        with Engine.build(
-            dataset.base[:4000], n_partitions=4, nprobe=2, max_iter=2,
-            coarse_max_iter=2, scanner="fastpq", executor=executor,
-            observability=handle,
-        ) as engine:
-            results = engine.search(dataset.queries, k=10)
-        assert not get_observability().enabled
-        self._assert_scan_counters(handle, "fastpq", results)
+    def test_one_engine_records_everything_into_the_session(
+        self, dataset, executor
+    ):
+        """The process default is the one sink: an engine's scans,
+        prepared-cache lookups, pool spin-ups, writes, compaction and
+        served requests all land in the active session, and nothing in
+        the instance that was the default before it."""
+        queries = dataset.queries
+        with observability_session() as before:
+            with observability_session() as obs, Engine.build(
+                dataset.base[:4000], n_partitions=4, nprobe=2, max_iter=2,
+                coarse_max_iter=2, scanner="fastpq", executor=executor,
+                mutable=True,
+            ) as engine:
+                results = engine.search(queries, k=10)
+                self._assert_scan_counters(obs, "fastpq", results)
+                engine.add(queries[:2], np.array([10**6, 10**6 + 1]))
+                engine.delete(np.array([7]))
+                engine.compact()
+                server = MicroBatchServer.for_engine(engine, k=5)
+
+                async def serve():
+                    async with server:
+                        return await server.search(queries[0])
+
+                assert asyncio.run(serve()).ok
+        metric = obs.metrics.get
+        hits = metric("repro_prepared_cache_hits_total").value()
+        misses = metric("repro_prepared_cache_misses_total").value()
+        if executor == "thread":
+            assert hits > 0 and misses > 0
+        else:
+            # The workers' scanners prepare in their own processes,
+            # which record nothing.
+            assert hits == misses == 0
+            assert metric("repro_pool_spinups_total").value(backend="process") == 2
+        # One executor per epoch: built, then rebuilt by compact().
+        assert metric("repro_pool_spinups_total").value(backend="gather") == 2
+        assert metric("repro_mutations_total").value(op="add") == 1
+        assert metric("repro_mutations_total").value(op="delete") == 1
+        assert metric("repro_compactions_total").value() == 1
+        assert metric("repro_serve_requests_total").value(status="ok") == 1
+        assert {
+            name for name in FAMILIES if before.metrics.get(name).samples()
+        } == set()
 
     def test_prepared_cache_metrics(self, index, pq, dataset):
         scanner = PQFastScanner(pq, keep=0.01, seed=0)
@@ -378,22 +412,6 @@ class TestPipelineIntegration:
         assert obs.metrics.get("repro_batches_total").value() == 1
         assert obs.metrics.get("repro_queries_total").value() == len(
             dataset.queries
-        )
-
-    def test_explicit_observability_on_executor(self, index, pq, dataset):
-        default_before = get_observability().metrics.get(
-            "repro_queries_total"
-        ).value()
-        obs = Observability(enabled=True)
-        with _one_shard(
-            index, NaiveScanner(), backend="thread", observability=obs
-        ) as executor:
-            executor.run(dataset.queries[:2], topk=5, nprobe=1)
-        assert obs.metrics.get("repro_queries_total").value() == 2
-        # the process default stayed untouched
-        assert (
-            get_observability().metrics.get("repro_queries_total").value()
-            == default_before
         )
 
     def test_prometheus_export_of_live_run_parses(self, index, pq, dataset):

@@ -72,6 +72,20 @@ class TestServeConfig:
         with pytest.raises(ConfigurationError):
             ServeConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"max_batch": 2.5}, "max_batch must be an integer"),
+            ({"max_queue": 8.0}, "max_queue must be an integer"),
+            ({"max_delay_s": float("nan")}, "max_delay_s must be a finite"),
+            ({"max_delay_s": float("inf")}, "max_delay_s must be a finite"),
+        ],
+    )
+    def test_counts_and_timings_refused_at_construction(self, kwargs, match):
+        """``max_delay_s=nan`` used to leave a lone request unanswered."""
+        with pytest.raises(ConfigurationError, match=match):
+            ServeConfig(**kwargs)
+
 
 class TestCoalescing:
     def test_batch_size_bounded_and_size_flush_triggers(self):

@@ -72,11 +72,11 @@ class TestShardedIndex:
         assert sharded.n_shards == 3
         assert sharded.n_partitions == 8
         for pid in range(8):
-            assert sharded.owner_of(pid) == pid % 3
+            assert sharded.owners[pid] == pid % 3
 
     def test_partitions_are_shared_not_copied(self, index8):
         sharded = ShardedIndex.from_index(index8, n_shards=4)
-        for pid, partition in enumerate(sharded.partitions):
+        for pid, partition in enumerate(sharded.global_view.partitions):
             assert partition is index8.partitions[pid]
 
     def test_total_vectors_preserved(self, index8):
@@ -84,13 +84,13 @@ class TestShardedIndex:
         assert len(sharded) == len(index8)
         assert sum(len(s) for s in sharded.shards) == len(index8)
         assert np.array_equal(
-            sharded.partition_sizes(), index8.partition_sizes()
+            sharded.global_view.partition_sizes(), index8.partition_sizes()
         )
 
     def test_routing_matches_unsharded(self, index8, batch_queries):
         sharded = ShardedIndex.from_index(index8, n_shards=3)
         assert np.array_equal(
-            sharded.route_batch(batch_queries, nprobe=4),
+            sharded.global_view.route_batch(batch_queries, nprobe=4),
             index8.route_batch(batch_queries, nprobe=4),
         )
 
@@ -98,7 +98,9 @@ class TestShardedIndex:
         sharded = ShardedIndex.from_index(index8, n_shards=3)
         for pid in range(8):
             np.testing.assert_array_equal(
-                sharded.distance_tables_for_batch(batch_queries, pid),
+                sharded.shards[sharded.owners[pid]].index.distance_tables_for_batch(
+                    batch_queries, pid
+                ),
                 index8.distance_tables_for_batch(batch_queries, pid),
             )
 
@@ -148,13 +150,14 @@ class TestShardRouter:
             assert sub.queries is plan.queries
             assert sub.probed is plan.probed
             for job in sub.jobs:
-                assert sharded.owner_of(job.partition_id) == shard_id
+                assert sharded.owners[job.partition_id] == shard_id
 
     def test_planning_never_rebuilds_the_partition_list(
         self, index8, batch_queries, monkeypatch
     ):
         # The plan is sized against the layout's one global view; the
         # `partitions` property used to rebuild its list once per job.
+        # The layout has no such property; the spy installs one no run reads.
         sharded = ShardedIndex.from_index(index8, n_shards=2)
         executor = ScatterGatherExecutor(
             sharded, lambda: NaiveScanner(), backend="thread"
@@ -164,6 +167,7 @@ class TestShardRouter:
             ShardedIndex,
             "partitions",
             property(lambda self: reads.append(1) or self.global_view.partitions),
+            raising=False,
         )
         with executor:
             plan = executor.planner.plan(batch_queries, nprobe=4)
@@ -350,7 +354,7 @@ class TestGracefulDegradation:
             response = executor.run(batch_queries, topk=10, nprobe=8)
         finally:
             release.set()
-        healthy = {pid for pid in range(8) if sharded.owner_of(pid) == 0}
+        healthy = {pid for pid in range(8) if sharded.owners[pid] == 0}
         scanner = NaiveScanner()
         for query, result in zip(batch_queries, response.results):
             # Probed records intent (all partitions), results only hold
@@ -438,6 +442,24 @@ class TestGracefulDegradation:
             ScatterGatherExecutor(sharded, factory, backoff_s=-0.1)
         with pytest.raises(ConfigurationError, match="backend"):
             ScatterGatherExecutor(sharded, factory, backend="fiber")
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"n_workers": 1.5}, "n_workers must be an integer"),
+            ({"max_retries": 0.5}, "max_retries must be an integer"),
+            ({"deadline_s": float("nan")}, "deadline_s must be a finite"),
+            ({"deadline_s": float("inf")}, "deadline_s must be a finite"),
+            ({"backoff_s": float("nan")}, "backoff_s must be a finite"),
+            ({"backoff_s": float("inf")}, "backoff_s must be a finite"),
+        ],
+    )
+    def test_counts_and_timings_refused_at_construction(self, index8, kwargs, match):
+        """``backoff_s=nan`` used to surface as ``time.sleep``'s bare
+        ``ValueError`` on the first retry, inside a run."""
+        sharded = ShardedIndex.from_index(index8, n_shards=1)
+        with pytest.raises(ConfigurationError, match=match):
+            ScatterGatherExecutor(sharded, [NaiveScanner()], backend="thread", **kwargs)
 
 
 # -- observability --------------------------------------------------------------
