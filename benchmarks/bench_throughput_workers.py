@@ -5,10 +5,10 @@ table builds and code gathers over a batch, so it must beat the per-query
 loop before any worker parallelism. The floors are ratios against that
 loop on the same host, the only throughput gates here that do not depend
 on the machine (absolute qps is perfbench's ``qps``). Every configuration
-runs at one worker, where amortisation is the whole gain: the in-process
-executor scans inline, and what process workers add depends on the
-cores the host has free. The process rows run through ``Engine``, the one
-owner of worker pools. Byte-identity with the loop is a hard assertion.
+runs at one worker, where amortisation is the whole gain: the thread
+engine scans inline, and what process workers add depends on the cores
+the host has free. Every batched row runs through ``Engine``; the loop is
+``ANNSearcher``'s. Byte-identity with the loop is a hard assertion.
 
 The floors sit about a tenth under what a host with one effective core
 measures (thread 1.5x, process 1.35x, two process shards 1.15x): the
@@ -44,16 +44,14 @@ def workload():
 @contextmanager
 def search_through(kind, index):
     """Yields ``search(queries)`` for one execution path, closed on exit."""
-    if kind in ("sequential", "batch"):
+    if kind == "sequential":
         with ANNSearcher(index, scanner=NaiveScanner()) as searcher:
-            yield lambda queries: searcher.search(
-                queries, topk=TOPK, nprobe=NPROBE, executor=kind
-            )
+            yield lambda queries: searcher.search(queries, topk=TOPK, nprobe=NPROBE)
         return
     n_shards = 2 if kind == "sharded-process" else 1
     config = EngineConfig(
         n_partitions=index.n_partitions, n_shards=n_shards, scanner="naive",
-        executor="process",
+        executor="thread" if kind == "batch" else "process",
     )
     sharded = ShardedIndex.from_index(index, n_shards=2) if n_shards > 1 else None
     with Engine(index, config, sharded=sharded) as engine:
@@ -115,9 +113,7 @@ def test_served_batches_beat_sequential_loop(served):
     ]
     with ANNSearcher(engine.index, scanner=NaiveScanner()) as searcher:
         def sequential(block):
-            return searcher.search(
-                block, topk=SERVED_TOPK, nprobe=NPROBE, executor="sequential"
-            )
+            return searcher.search(block, topk=SERVED_TOPK, nprobe=NPROBE)
 
         def batched(block):
             return engine.search(block, k=SERVED_TOPK, nprobe=NPROBE)

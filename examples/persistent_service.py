@@ -2,12 +2,12 @@
 
 Demonstrates the deployment-facing API: offline training and encoding,
 persistence to a single artifact, reload in a fresh "serving process",
-and query answering through :class:`repro.ANNSearcher` — the stateless
-sequential reference, one query at a time, no pool to manage — with
-exact re-ranking of the shortlist. A service that batches concurrent
-clients or spreads them over worker processes serves through
-:class:`repro.Engine` (``Engine.load(artifact, executor="process")``)
-and :meth:`repro.serve.MicroBatchServer.for_engine` instead.
+and query answering through :class:`repro.Engine` over the reloaded
+index — the thread executor, no pool to manage — with exact re-ranking
+of the shortlist (``Engine(..., vectors=)``). A service that batches
+concurrent clients or spreads them over worker processes serves through
+``Engine.load(artifact, executor="process")`` and
+:meth:`repro.serve.MicroBatchServer.for_engine`.
 
 Run:  python examples/persistent_service.py
 """
@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from repro import (
-    ANNSearcher,
+    Engine,
+    EngineConfig,
     IVFADCIndex,
-    PQFastScanner,
     ProductQuantizer,
     VectorDataset,
     exact_neighbors,
@@ -46,19 +46,17 @@ def serve(dataset: VectorDataset, artifact: Path) -> None:
     t0 = time.perf_counter()
     index = load_index(artifact)
     print(f"[serve] index loaded in {time.perf_counter() - t0:.2f}s")
-    searcher = ANNSearcher(
-        index,
-        scanner=PQFastScanner(index.pq, keep=0.005, seed=0),
-        vectors=dataset.base,  # enables exact re-ranking
+    config = EngineConfig(
+        m=index.pq.m, n_partitions=index.n_partitions, scanner="fastpq",
+        executor="thread",
     )
-
     truth, _ = exact_neighbors(dataset.base, dataset.queries, k=1)
-    found_plain, found_rerank = [], []
-    for query in dataset.queries:
-        plain = searcher.search(query, topk=10, nprobe=2)
-        reranked = searcher.search(query, topk=10, nprobe=2, rerank=200)
-        found_plain.append(plain.ids)
-        found_rerank.append(reranked.ids)
+    # vectors= enables exact re-ranking.
+    with Engine(index, config, vectors=dataset.base) as engine:
+        plain = engine.search(dataset.queries, k=10, nprobe=2)
+        reranked = engine.search(dataset.queries, k=10, nprobe=2, rerank=200)
+    found_plain = [result.ids for result in plain]
+    found_rerank = [result.ids for result in reranked]
     r_plain = recall_at(np.array(found_plain), truth, r=1)
     r_rerank = recall_at(np.array(found_rerank), truth, r=1)
     r10 = recall_at(np.array(found_rerank), truth, r=10)

@@ -64,9 +64,8 @@ from .persistence import (
     save_sharded_index,
 )
 from .pq.product_quantizer import ProductQuantizer
-from .scan import PartitionScanner
-from .search import GATHER_TIMEOUT_S, SearchResult, _check_rerank, _rerank_exact
-from .search import _complete_results
+from .scan import PartitionScanner, select_topk
+from .search import GATHER_TIMEOUT_S, SearchResult
 from .shard import ScatterGatherExecutor, ShardedIndex, ShardedResponse
 
 __all__ = ["Engine", "EngineConfig", "SCANNER_KINDS"]
@@ -264,6 +263,41 @@ def _merge_config(
     if not overrides:
         return config
     return replace(config, **overrides)  # type: ignore[arg-type]
+
+
+def _complete_results(response: ShardedResponse) -> list[SearchResult]:
+    """``response.results``, raising when a shard degraded: the answer of
+    :meth:`Engine.search`, which returns no partial results."""
+    if response.partial:
+        degraded = [s.as_dict() for s in response.shard_statuses if not s.ok]
+        raise ConfigurationError(
+            f"search degraded: {degraded}; Engine.search_detailed() "
+            "returns partial results"
+        )
+    return response.results
+
+
+def _rerank_vectors(vectors: np.ndarray | None, k: int, rerank: int) -> np.ndarray:
+    """The vectors a re-rank reads; a request that cannot be answered is
+    refused here, before any scan."""
+    if vectors is None:
+        raise ConfigurationError(
+            "rerank requires the original vectors: "
+            "EngineConfig(keep_vectors=True) or Engine(..., vectors=...)"
+        )
+    if as_count(rerank, "rerank") < as_count(k, "topk"):
+        raise ConfigurationError("rerank shortlist must be >= topk")
+    return vectors
+
+
+def _rerank_exact(
+    vectors: np.ndarray, query: np.ndarray, shortlist: SearchResult, k: int
+) -> SearchResult:
+    """The best ``k`` of an ADC ``shortlist`` by exact distance to the
+    original ``vectors`` (indexed by database id)."""
+    exact = np.sum((vectors[shortlist.ids] - query) ** 2, axis=1)
+    ids, dists = select_topk(exact, shortlist.ids, k)
+    return replace(shortlist, ids=ids, distances=dists)
 
 
 @dataclass(frozen=True)
@@ -512,20 +546,19 @@ class Engine:
         partitions return byte-identical results to a read-only engine.
         """
         queries = np.asarray(queries, dtype=np.float64)
-        if rerank:
-            if self.config.mutable:
-                raise ConfigurationError(
-                    "rerank is not supported on mutable engines (the kept "
-                    "vector array cannot track streaming writes); compact "
-                    "and reload read-only to re-rank"
-                )
-            _check_rerank(self.vectors, k, rerank)
+        if rerank and self.config.mutable:
+            raise ConfigurationError(
+                "rerank is not supported on mutable engines (the kept "
+                "vector array cannot track streaming writes); compact "
+                "and reload read-only to re-rank"
+            )
+        vectors = _rerank_vectors(self.vectors, k, rerank) if rerank else None
         results = _complete_results(
             self.search_detailed(queries, rerank or k, nprobe=nprobe)
         )
-        if rerank:
+        if vectors is not None:
             results = [
-                _rerank_exact(self.vectors, query, shortlist, k)
+                _rerank_exact(vectors, query, shortlist, k)
                 for query, shortlist in zip(np.atleast_2d(queries), results)
             ]
         return results[0] if queries.ndim == 1 else results

@@ -54,6 +54,17 @@ def as_count(value: int, what: str) -> int:
         ) from None
 
 
+def checked_nprobe(nprobe: int, n_partitions: int) -> int:
+    """``nprobe`` as an ``int`` in ``[1, n_partitions]``, else
+    :class:`ConfigurationError`."""
+    nprobe = as_count(nprobe, "nprobe")
+    if not 1 <= nprobe <= n_partitions:
+        raise ConfigurationError(
+            f"nprobe must be in [1, {n_partitions}], got {nprobe}"
+        )
+    return nprobe
+
+
 def _require_finite(vectors: np.ndarray, what: str) -> None:
     if not np.isfinite(vectors).all():
         raise ConfigurationError(
@@ -255,11 +266,7 @@ class IVFADCIndex:
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim == 1:
             queries = queries[None, :]
-        nprobe = as_count(nprobe, "nprobe")
-        if nprobe < 1 or nprobe > self.n_partitions:
-            raise ConfigurationError(
-                f"nprobe must be in [1, {self.n_partitions}], got {nprobe}"
-            )
+        nprobe = checked_nprobe(nprobe, self.n_partitions)
         # Every query path routes through here, before anything is
         # scattered: a query of another width or with a NaN has no
         # nearest cell and no top-k.

@@ -26,7 +26,7 @@ check::
     from repro.obs import observability_session
 
     with observability_session() as obs:          # enabled, fresh registry
-        searcher.search(queries, topk=100, nprobe=4)
+        engine.search(queries, k=100, nprobe=4)
         print(obs.export_prometheus())
 
 Every exported family is declared once, as a row of
@@ -314,7 +314,7 @@ def observability_session() -> Iterator[Observability]:
     and to use in tests and benchmarks::
 
         with observability_session() as obs:
-            searcher.search(queries)
+            engine.search(queries)
         text = obs.export_prometheus()   # readable after exit too
     """
     obs = Observability(enabled=True)

@@ -1,29 +1,19 @@
-"""High-level ANN search API: route, scan, merge.
+"""The query pipeline's parts: plan, scan, merge.
 
 The paper evaluates single-partition scans (its Step 3); a deployed
 system wraps the full Algorithm 1 loop and usually probes several
-coarse cells (``nprobe``) to trade response time for recall. This module
-provides that wrapper so downstream users get a one-call search:
+coarse cells (``nprobe``) to trade response time for recall. Batches
+run through :class:`~repro.Engine`; this module holds the parts of its
+pipeline.
 
-    searcher = ANNSearcher(index, scanner=PQFastScanner(pq))
-    result = searcher.search(query, topk=100, nprobe=4)
-    print(result.ids, result.distances)
-
-Results from multiple partitions are merged with the same
-(distance, id) ordering used everywhere else, so the merged output is
-exactly what a single scan over the union of the probed partitions
-would return.
-
-Multi-query batches run through a **partition-major execution engine**
-(:class:`BatchPlanner` / :class:`BatchExecutor`): the whole batch is
-routed up front, and the per-query plan is inverted so that all queries
-probing a partition scan it together (per-partition state — grouped
-layouts, remapped tables, gathered codes — is touched once per batch
-instead of once per query). :class:`BatchExecutor` scans a plan inline
-on the caller's thread; the concurrent-query traffic of the paper's
-Section 5.8 (scans bandwidth-bound within a few cores) comes from the
-process pools of :mod:`repro.parallel`, which :class:`~repro.Engine`
-owns.
+A batch is routed up front (:class:`BatchPlanner`), and the per-query
+plan is inverted so that all queries probing a partition scan it
+together (per-partition state — grouped layouts, remapped tables,
+gathered codes — is touched once per batch instead of once per query).
+:class:`BatchExecutor` scans a plan inline on the caller's thread; the
+concurrent-query traffic of the paper's Section 5.8 (scans
+bandwidth-bound within a few cores) comes from the process pools of
+:mod:`repro.parallel`, which :class:`~repro.Engine` owns.
 
 How a plan becomes results is written once, in
 :class:`~repro.shard.ScatterGatherExecutor` (route, hand each job its
@@ -31,12 +21,12 @@ partition's tombstones, scan on each shard, fold the delta segments
 (:func:`_fold_overlay`) and each shard's cells into a
 :class:`StreamingMerger`, ``results()``); an unsharded index is its
 one-shard split, and the inline and process executors only scan
-(``scan_plan``). The merger's (distance, id) order is total, so
-batched results are byte-identical to the sequential per-query loop
-(:class:`ANNSearcher` with ``executor="sequential"``, the reference)
-whatever the executor, worker count or fold order.
+(``scan_plan``). The merger's (distance, id) order is total, so results
+are byte-identical whatever the executor, worker count or fold order,
+and equal a brute-force scan of every live row the queries probe.
 :func:`merge_partials` is the barrier form of the same merge, kept as
-the reference the merger is tested against.
+the reference the merger is tested against; :class:`ANNSearcher` is the
+per-query loop.
 """
 
 from __future__ import annotations
@@ -873,122 +863,57 @@ class BatchExecutor:
         self.close()
 
 
-def _complete_results(response: ShardedResponse) -> list[SearchResult]:
-    """``response.results``, raising when a shard degraded: the answer of
-    :meth:`Engine.search <repro.Engine.search>` and
-    :meth:`ANNSearcher.search`, which do not return partial results."""
-    if response.partial:
-        degraded = [s.as_dict() for s in response.shard_statuses if not s.ok]
-        raise ConfigurationError(
-            f"search degraded: {degraded}; Engine.search_detailed() "
-            "returns partial results"
-        )
-    return response.results
-
-
-# -- the one-call search API ---------------------------------------------------
+# -- the per-query loop --------------------------------------------------------
 
 
 class ANNSearcher:
-    """Full Algorithm-1 query pipeline over an IVFADC index: the
-    sequential reference.
+    """Algorithm 1 one query at a time: route, tables, scan, merge.
 
-    Its per-query loop (``executor="sequential"``) is what every
-    executor is tested against, and ``executor="batch"`` runs one
-    :class:`~repro.shard.ScatterGatherExecutor` over the one-shard split
-    of the index, scanned inline (``backend="thread"``), the split an
-    unsharded :class:`~repro.Engine` runs. Worker processes and shards
-    are :class:`~repro.Engine`'s (``Engine(..., executor="process")``).
+    Every batch runs through :class:`~repro.Engine`; this loop stays for
+    callers that compare a batch against per-query scans. It builds no
+    executor, pool or shard layout, and records no metric.
 
     Args:
         index: a populated :class:`~repro.ivf.IVFADCIndex`.
-        scanner: the Step-3 scanner (defaults to plain PQ Scan; pass a
-            :class:`~repro.core.PQFastScanner` for the paper's fast
-            path).
-        vectors: optional ``(n, d)`` array of the original database
-            vectors indexed by database id, enabling exact re-ranking of
-            the ADC short-list ("re-rank with source coding", the
-            paper's reference [27]). ADC compresses away rank-1
-            precision; fetching the shortlist's true vectors and
-            re-sorting by exact distance restores it.
+        scanner: the Step-3 scanner (defaults to plain PQ Scan).
 
-    :meth:`close` (or leaving the searcher as a context manager) closes
-    its one-shard executor, and every later :meth:`search` raises.
+    :meth:`close` (or leaving the searcher as a context manager) marks it
+    closed, and every later :meth:`search` raises.
     """
 
-    #: Executor kinds accepted by :meth:`search` for multi-query input.
-    EXECUTORS = ("batch", "sequential")
-
     def __init__(
-        self,
-        index: IVFADCIndex,
-        scanner: PartitionScanner | None = None,
-        vectors: np.ndarray | None = None,
+        self, index: IVFADCIndex, scanner: PartitionScanner | None = None
     ):
-        from .shard import ScatterGatherExecutor, ShardedIndex  # imports this module
-
         self.index = index
         self.scanner = scanner if scanner is not None else NaiveScanner()
-        self.vectors = None if vectors is None else np.asarray(vectors, float)
-        self._executor = ScatterGatherExecutor(
-            ShardedIndex.from_index(index, n_shards=1),
-            [self.scanner],
-            backend="thread",
-        )
+        self._closed = False
 
     def search(
         self,
         queries: np.ndarray,
         topk: int = 10,
         nprobe: int = 1,
-        rerank: int = 0,
         *,
-        executor: str = "batch",
-        delta: "DeltaView | None" = None,
+        executor: str = "sequential",
     ) -> SearchResult | list[SearchResult]:
-        """Search the ``nprobe`` most relevant partitions per query.
+        """The top ``topk`` of the ``nprobe`` nearest partitions.
 
-        The one entry point for both shapes of input:
-
-        * a 1-D query returns a single :class:`SearchResult`;
-        * a ``(b, d)`` batch returns one :class:`SearchResult` per row,
-          executed partition-major by the searcher's one-shard
-          :class:`~repro.shard.ScatterGatherExecutor`
-          (``executor="batch"``, the default) or by the per-query
-          reference loop (``executor="sequential"`` — the baseline
-          benchmarks and the equivalence tests compare against).
-          ``executor="process"`` raises :class:`ConfigurationError`:
-          worker processes are ``Engine(..., executor="process")``.
-
-        ``topk``, ``executor`` and the query width are checked first,
-        for every shape (an empty batch too), as :class:`~repro.Engine`
-        checks them. Results are byte-identical across executors.
-
-        ``rerank > 0`` retrieves a shortlist of that many ADC candidates,
-        recomputes their exact distances against the stored original
-        vectors and returns the best ``topk`` of those — requires the
-        searcher to have been built with ``vectors``.
-
-        ``delta`` overlays a mutable engine's uncompacted writes
-        (:class:`~repro.delta.DeltaView`): a base partition a tombstone
-        hits is scanned by the same scanner, which skips its tombstoned
-        rows, and delta segments join the same top-k merge. Queries
-        probing no mutated partition take the unmodified code paths and
-        stay byte-identical to a delta-free search. ``rerank`` with a
-        non-clean delta raises :class:`ConfigurationError` — the stored
-        vectors go stale under mutation.
+        A 1-D query returns one :class:`SearchResult`, a ``(b, d)`` batch
+        one per row, each from its own loop. ``"sequential"`` is the one
+        ``executor`` there is: any other value raises
+        :class:`ConfigurationError` naming :class:`~repro.Engine`, which
+        searches batches. ``topk``, ``executor`` and the query width are
+        checked before any shape branch (an empty batch too).
         """
-        self._require_open()
+        if self._closed:
+            raise ConfigurationError("ANNSearcher is closed; create a new searcher")
         queries = np.asarray(queries, dtype=np.float64)
         topk = _checked_topk(topk)
-        if executor == "process":
+        if executor != "sequential":
             raise ConfigurationError(
-                "ANNSearcher owns no worker pool; search with worker "
-                'processes through Engine(..., executor="process")'
-            )
-        if executor not in self.EXECUTORS:
-            raise ConfigurationError(
-                f"unknown executor {executor!r}, expected one of {self.EXECUTORS}"
+                f"ANNSearcher runs the per-query loop only "
+                f'(executor="sequential"), got executor={executor!r}; '
+                "search batches through Engine(index, config).search"
             )
         if queries.ndim not in (1, 2):
             raise ConfigurationError(
@@ -996,150 +921,45 @@ class ANNSearcher:
             )
         if queries.shape[-1] != self.index.pq.d:
             raise DimensionMismatchError(self.index.pq.d, queries.shape[-1], "query")
-        if delta is not None and delta.clean:
-            delta = None
-        if delta is not None and rerank:
-            raise ConfigurationError(
-                "rerank is not supported over uncompacted writes (the "
-                "stored vectors go stale under mutation); call compact() "
-                "before re-ranking"
-            )
         if queries.ndim == 1:
-            return self._search_one(queries, topk, nprobe, rerank, delta=delta)
-        if executor == "sequential":
-            return [
-                self._search_one(q, topk, nprobe, rerank, delta=delta)
-                for q in queries
-            ]
-        if rerank:
-            _check_rerank(self.vectors, topk, rerank)
-        results = _complete_results(self._executor.run(
-            queries, topk=rerank or topk, nprobe=nprobe, delta_view=delta
-        ))
-        if not rerank:
-            return results
-        return [
-            _rerank_exact(self.vectors, query, shortlist, topk)
-            for query, shortlist in zip(queries, results)
-        ]
+            return self._search_one(queries, topk, nprobe)
+        return [self._search_one(query, topk, nprobe) for query in queries]
 
-    def _search_one(
-        self,
-        query: np.ndarray,
-        topk: int = 10,
-        nprobe: int = 1,
-        rerank: int = 0,
-        delta: "DeltaView | None" = None,
-    ) -> SearchResult:
-        """Single-query Algorithm-1 loop (route → tables → scan → merge)."""
-        topk = _checked_topk(topk)
-        if rerank:
-            _check_rerank(self.vectors, topk, rerank)
-            shortlist = self._search_one(query, topk=rerank, nprobe=nprobe)
-            return _rerank_exact(self.vectors, query, shortlist, topk)
-        obs = get_observability()
-        with obs.span("route"):
-            probed = self.index.route(query, nprobe=nprobe)
-        all_ids: list[np.ndarray] = []
-        all_dists: list[np.ndarray] = []
-        n_scanned = 0
-        n_pruned = 0
+    def _search_one(self, query: np.ndarray, topk: int, nprobe: int) -> SearchResult:
+        probed = self.index.route(query, nprobe=nprobe)
         block = query[None, :]
-        with obs.span("tables"):
-            query_half = self.index.query_half(block)
-        for pid in probed:
-            with obs.span("tables"):
-                tables = self.index.tables_from_halves(
-                    block, query_half, None, pid
-                )[0]
-            # The base partition minus its tombstoned rows; a segment is
-            # one more exact scan, kept whole.
-            dropped = delta.hits.get(pid, NO_IDS) if delta is not None else NO_IDS
-            segment = delta.segments.get(pid) if delta is not None else None
-            scans = [(self.scanner, self.index.partitions[pid], dropped)]
-            if segment is not None:
-                scans.append((_SEGMENT_SCANNER, segment, NO_IDS))
-            for scanner, partition, tombstones in scans:
-                with obs.span("scan"):
-                    result = scanner.scan(tables, partition, topk, tombstones)
-                obs.record_scan(scanner.name, result.n_scanned, result.n_pruned)
-                all_ids.append(result.ids)
-                all_dists.append(result.distances)
-                n_scanned += result.n_scanned
-                n_pruned += result.n_pruned
-        ids = np.concatenate(all_ids) if all_ids else np.empty(0, dtype=np.int64)
-        dists = (
-            np.concatenate(all_dists) if all_dists else np.empty(0, dtype=np.float64)
+        query_half = self.index.query_half(block)
+        scans = [
+            self.scanner.scan(
+                self.index.tables_from_halves(block, query_half, None, pid)[0],
+                self.index.partitions[pid],
+                topk,
+            )
+            for pid in probed
+        ]
+        ids, dists = select_topk(
+            np.concatenate([scan.distances for scan in scans]),
+            np.concatenate([scan.ids for scan in scans]),
+            topk,
         )
-        with obs.span("merge"):
-            merged_ids, merged_dists = select_topk(dists, ids, topk)
         return SearchResult(
-            ids=merged_ids,
-            distances=merged_dists,
-            n_scanned=n_scanned,
-            n_pruned=n_pruned,
+            ids=ids,
+            distances=dists,
+            n_scanned=sum(scan.n_scanned for scan in scans),
+            n_pruned=sum(scan.n_pruned for scan in scans),
             probed=tuple(int(p) for p in probed),
         )
 
-    def _require_open(self) -> None:
-        """Raise when the searcher was closed (the lifecycle contract)."""
-        if self.closed:
-            raise ConfigurationError(
-                "ANNSearcher is closed; create a new searcher"
-            )
-
     @property
     def closed(self) -> bool:
-        return self._executor.closed
+        return self._closed
 
     def close(self) -> None:
-        """Close the one-shard executor for good (terminal, idempotent):
-        every later :meth:`search` raises :class:`ConfigurationError`."""
-        self._executor.close()
+        """Mark the searcher closed (terminal, idempotent)."""
+        self._closed = True
 
     def __enter__(self) -> "ANNSearcher":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# -- re-ranking ----------------------------------------------------------------
-
-
-def _check_rerank(vectors: np.ndarray | None, topk: int, rerank: int) -> None:
-    """Refuse a re-rank request that cannot be answered, before any scan."""
-    if vectors is None:
-        raise ConfigurationError(
-            "rerank requires the original vectors: ANNSearcher(..., "
-            "vectors=...) or EngineConfig(keep_vectors=True)"
-        )
-    if as_count(rerank, "rerank") < as_count(topk, "topk"):
-        raise ConfigurationError("rerank shortlist must be >= topk")
-
-
-def _rerank_exact(
-    vectors: np.ndarray | None,
-    query: np.ndarray,
-    shortlist: SearchResult,
-    topk: int,
-) -> SearchResult:
-    """The best ``topk`` of an ADC ``shortlist`` by exact distance.
-
-    The one re-ranking step :class:`ANNSearcher` and
-    :class:`~repro.Engine` share: ``vectors`` is indexed by database id.
-    """
-    if vectors is None:  # pragma: no cover - _check_rerank ran first
-        raise ConfigurationError("rerank requires the original vectors")
-    exact = np.sum(
-        (vectors[shortlist.ids] - np.asarray(query, float)) ** 2,
-        axis=1,
-    )
-    ids, dists = select_topk(exact, shortlist.ids, topk)
-    return SearchResult(
-        ids=ids,
-        distances=dists,
-        n_scanned=shortlist.n_scanned,
-        n_pruned=shortlist.n_pruned,
-        probed=shortlist.probed,
-    )

@@ -18,9 +18,9 @@ many single-query clients into batches until now.
 2. **Execute** — the batch runs on the engine underneath (its one
    executor per epoch: inline, or pinned process pools), off the event
    loop, so the loop keeps accepting requests while a batch scans.
-   Results are **byte-identical** to
-   ``ANNSearcher.search(..., executor="sequential")`` — the batch
-   engine's equivalence contract carries through unchanged.
+   Results are **byte-identical** to the engine's own ``search`` on
+   the same queries — the batch engine's equivalence contract carries
+   through unchanged.
 3. **Admission control** — the request queue is bounded
    (:attr:`ServeConfig.max_queue`); when it is full the server *sheds*
    instead of building an unbounded backlog: ``search`` returns
@@ -70,9 +70,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError, DimensionMismatchError, SimulationError
-from ..ivf.inverted_index import as_count
+from ..ivf.inverted_index import as_count, checked_nprobe
 from ..obs import get_observability
-from ..search import SearchResult
+from ..search import SearchResult, _checked_topk
 
 if TYPE_CHECKING:  # import cycle: repro.engine imports repro.serve
     from ..engine import Engine
@@ -227,7 +227,7 @@ class MicroBatchServer:
 
     Construct via :meth:`for_engine` (or pass any
     ``(b, d) -> list[SearchResult]`` batch function, such as
-    ``lambda q: searcher.search(q, topk=10)``), then run it as an
+    ``lambda q: engine.search(q, k=10)``), then run it as an
     async context manager (or :meth:`start` / :meth:`stop` explicitly).
     ``await server.search(query)`` is the whole client API.
 
@@ -287,7 +287,14 @@ class MicroBatchServer:
         A mutable engine (``mutable=True``) additionally gets the write
         path wired: :meth:`add` and :meth:`delete` route through the
         engine's delta overlay, applied on the flush thread before each
-        micro-batch's reads."""
+        micro-batch's reads.
+
+        A ``k`` below 1, an ``nprobe`` outside ``[1, n_partitions]`` or
+        either one not an integer raises :class:`ConfigurationError`
+        here, not on every flush."""
+        _checked_topk(k)
+        if nprobe is not None:
+            checked_nprobe(nprobe, engine.index.n_partitions)
 
         def batch_fn(queries: np.ndarray) -> Sequence[SearchResult]:
             results = engine.search(queries, k=k, nprobe=nprobe)

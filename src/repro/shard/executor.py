@@ -1,9 +1,8 @@
 """Scatter-gather execution across the shards of a :class:`ShardedIndex`.
 
 :class:`ScatterGatherExecutor` is the one pipeline from a query batch
-to its merged results: every :class:`~repro.Engine` query and
-:class:`~repro.search.ANNSearcher`'s batch path run through it, an
-unsharded index as the one-shard split. A shard only scans, on an
+to its merged results: every :class:`~repro.Engine` query runs
+through it, an unsharded index as the one-shard split. A shard only scans, on an
 inline :class:`~repro.search.BatchExecutor` or a
 :class:`~repro.parallel.ProcessBatchExecutor` (their ``scan_plan``):
 

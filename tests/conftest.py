@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import IVFADCIndex, ProductQuantizer, VectorDataset
+from repro import Engine, EngineConfig, IVFADCIndex, ProductQuantizer, VectorDataset
+from repro.shard import ShardedIndex
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +69,31 @@ def tables(routed):
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def open_engine(
+    index, scanner="naive", *, n_shards=1, vectors=None, **config
+) -> Engine:
+    """An :class:`Engine` over an already built ``index`` (the thread
+    executor unless ``config`` names another); the caller closes it."""
+    config = EngineConfig(
+        m=index.pq.m, bits=index.pq.bits, n_partitions=index.n_partitions,
+        encode_residuals=index.encode_residuals, scanner=scanner,
+        n_shards=n_shards, **{"executor": "thread", "keep": 0.01, **config},
+    )
+    sharded = ShardedIndex.from_index(index, n_shards=n_shards) if n_shards > 1 else None
+    return Engine(index, config, sharded=sharded, vectors=vectors)
+
+
+@pytest.fixture
+def engine_over():
+    """``open_engine``, each engine closed when the test ends."""
+    engines = []
+
+    def make(index, scanner="naive", **config) -> Engine:
+        engines.append(open_engine(index, scanner, **config))
+        return engines[-1]
+
+    yield make
+    for engine in engines:
+        engine.close()

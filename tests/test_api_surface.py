@@ -21,8 +21,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import ANNSearcher, BatchExecutor, Engine, EngineConfig, IVFADCIndex
-from repro.scan import NaiveScanner
+from repro import BatchExecutor, Engine, EngineConfig, IVFADCIndex
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:
@@ -128,10 +127,12 @@ class TestFacadeSignatures:
             Engine.build(dataset.base, n_partitoins=4)
 
     def test_searcher_unified_search(self):
-        sig = inspect.signature(ANNSearcher.search)
-        assert sig.parameters["executor"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert sig.parameters["delta"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert "n_workers" not in sig.parameters  # workers are Engine's
+        """One search takes 1-D and 2-D queries alike: the engine's, whose
+        executor and workers are its config, not per-call arguments."""
+        sig = inspect.signature(Engine.search)
+        assert list(sig.parameters) == ["self", "queries", "k", "nprobe", "rerank"]
+        assert sig.parameters["nprobe"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert sig.parameters["rerank"].kind is inspect.Parameter.KEYWORD_ONLY
 
     def test_constructors_take_config_keyword_only(self):
         for cls, core in (
@@ -155,24 +156,14 @@ class TestFacadeSignatures:
 # -- deprecation shims ----------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def searcher(index):
-    return ANNSearcher(index, NaiveScanner())
-
-
-@pytest.fixture(scope="module")
-def queries_2d(dataset):
-    return dataset.queries[:8]
-
-
 class TestDeprecationShims:
     def test_ivfadc_too_many_positionals_raise(self, pq):
         for positionals in ((4,), (4, 20)):
             with pytest.raises(TypeError):
                 IVFADCIndex(pq, *positionals)
 
-    def test_sequential_executor_kind_validated(self, searcher, queries_2d):
+    def test_sequential_executor_kind_validated(self):
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="executor"):
-            searcher.search(queries_2d, topk=5, executor="warp-drive")
+            EngineConfig(executor="warp-drive")

@@ -570,7 +570,8 @@ class TestOutsideInputRefusedAtTheDoor:
 
     @pytest.fixture(scope="class")
     def doors(self, small_data):
-        """Every search entry point, as ``search(queries, k, nprobe)``."""
+        """Every search entry point, as ``search(queries, k, nprobe)``: the
+        engine on either executor, and the per-query loop."""
         with Engine.build(small_data, **_SMALL) as thread, Engine.build(
             small_data, executor="process", n_workers=1, **_SMALL
         ) as process:
@@ -578,9 +579,6 @@ class TestOutsideInputRefusedAtTheDoor:
             yield {
                 "engine-thread": thread.search,
                 "engine-process": process.search,
-                "searcher-batch": lambda q, k, nprobe: searcher.search(
-                    q, topk=k, nprobe=nprobe, executor="batch"
-                ),
                 "searcher-sequential": lambda q, k, nprobe: searcher.search(
                     q, topk=k, nprobe=nprobe, executor="sequential"
                 ),
@@ -588,8 +586,7 @@ class TestOutsideInputRefusedAtTheDoor:
 
     @pytest.mark.parametrize("one_d", [False, True], ids=["2-D", "1-D"])
     @pytest.mark.parametrize(
-        "door",
-        ["engine-thread", "engine-process", "searcher-batch", "searcher-sequential"],
+        "door", ["engine-thread", "engine-process", "searcher-sequential"]
     )
     def test_bad_search_arguments_are_typed_errors(
         self, doors, queries, door, one_d

@@ -2,8 +2,9 @@
 
 The engine's contract is *byte-identity*: for any scanner, nprobe and
 worker count, the batched executors (inline at one worker, worker
-processes above it) return exactly what the sequential per-query loop
-returns — same ids, bit-identical distances, same stats.
+processes above it) return exactly what the brute-force oracle
+(``tests/oracle.py``) returns — same ids, bit-identical distances — and
+the same stats whoever scanned.
 These tests pin that contract plus the planner's structural invariants
 and the per-worker accounting.
 """
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    ANNSearcher,
     BatchExecutor,
     BatchPlanner,
     IVFADCIndex,
@@ -21,9 +21,10 @@ from repro import (
 )
 from repro.exceptions import ConfigurationError
 from repro.obs import aggregate_worker_stats
-from repro.scan import LibpqScanner
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 from repro.search import _runs
+
+from .oracle import oracle_search, same_as_oracle
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +39,6 @@ def batch_queries(dataset, rng):
     base = np.tile(dataset.queries, (3, 1))
     jitter = np.random.default_rng(99).normal(scale=2.0, size=base.shape)
     return np.vstack([dataset.queries, base + jitter])
-
-
-def _scanners(pq):
-    return {
-        "naive": NaiveScanner(),
-        "libpq": LibpqScanner(),
-        "fastpq": PQFastScanner(pq, keep=0.01, seed=0),
-    }
 
 
 def _assert_identical(a, b):
@@ -63,54 +56,51 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("nprobe", [1, 2])
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_byte_identical_to_sequential(
-        self, index4, pq, batch_queries, scanner_name, nprobe, n_workers
+        self, index4, batch_queries, scanner_name, nprobe, n_workers, engine_over
     ):
-        """One worker is the searcher's inline executor, more are processes."""
-        scanner = _scanners(pq)[scanner_name]
-        searcher = ANNSearcher(index4, scanner=scanner)
-        seq = searcher.search(
-            batch_queries, topk=10, nprobe=nprobe, executor="sequential"
+        """One worker is the thread engine, more are worker processes:
+        both answer like the oracle, with the stats the thread engine
+        reports one query at a time."""
+        engine = engine_over(index4, scanner_name)
+        inline = engine.search(batch_queries, k=10, nprobe=nprobe)
+        assert same_as_oracle(inline, oracle_search(index4, batch_queries, 10, nprobe))
+        _assert_identical(
+            [engine.search(query, k=10, nprobe=nprobe) for query in batch_queries],
+            inline,
         )
-        if n_workers == 1:
-            bat = searcher.search(batch_queries, topk=10, nprobe=nprobe)
-        else:
-            with ScatterGatherExecutor(
-                ShardedIndex.from_index(index4, n_shards=1),
-                [scanner],
-                n_workers=n_workers,
-            ) as executor:
-                bat = executor.run(batch_queries, topk=10, nprobe=nprobe).results
-        _assert_identical(seq, bat)
+        if n_workers > 1:
+            workers = engine_over(
+                index4, scanner_name, executor="process", n_workers=n_workers
+            )
+            _assert_identical(inline, workers.search(batch_queries, k=10, nprobe=nprobe))
 
-    def test_rerank_equivalence(self, index4, pq, dataset, batch_queries):
-        searcher = ANNSearcher(
-            index4, scanner=NaiveScanner(), vectors=dataset.base
-        )
-        seq = searcher.search(
-            batch_queries, topk=5, nprobe=2, rerank=20, executor="sequential"
-        )
-        bat = searcher.search(batch_queries, topk=5, nprobe=2, rerank=20)
-        _assert_identical(seq, bat)
+    def test_rerank_equivalence(self, index4, dataset, batch_queries, engine_over):
+        """Re-ranking is the oracle's shortlist, re-sorted by exact
+        distance."""
+        engine = engine_over(index4, vectors=dataset.base)
+        got = engine.search(batch_queries, k=5, nprobe=2, rerank=20)
+        shortlists = oracle_search(index4, batch_queries, 20, 2)
+        for query, result, (ids, _) in zip(batch_queries, got, shortlists):
+            exact = np.sum((dataset.base[ids] - query) ** 2, axis=1)
+            best = np.lexsort((ids, exact))[:5]
+            assert same_as_oracle([result], [(ids[best], exact[best])])
 
-    def test_matches_per_query_search(self, index4, batch_queries):
-        searcher = ANNSearcher(index4, scanner=NaiveScanner())
-        bat = searcher.search(batch_queries, topk=10, nprobe=2)
+    def test_matches_per_query_search(self, index4, batch_queries, engine_over):
+        engine = engine_over(index4)
+        bat = engine.search(batch_queries, k=10, nprobe=2)
         for query, result in zip(batch_queries, bat):
-            single = searcher.search(query, topk=10, nprobe=2)
+            single = engine.search(query, k=10, nprobe=2)
             np.testing.assert_array_equal(single.ids, result.ids)
             assert single.distances.tobytes() == result.distances.tobytes()
 
-    def test_empty_batch(self, index4):
-        searcher = ANNSearcher(index4, scanner=NaiveScanner())
-        assert searcher.search(np.empty((0, 128))) == []
+    def test_empty_batch(self, index4, engine_over):
+        assert engine_over(index4).search(np.empty((0, 128))) == []
 
-    def test_single_row_batch_matches_1d(self, index4, dataset):
-        searcher = ANNSearcher(index4, scanner=NaiveScanner())
-        results = searcher.search(
-            dataset.queries[0][None, :], topk=10, nprobe=2
-        )
+    def test_single_row_batch_matches_1d(self, index4, dataset, engine_over):
+        engine = engine_over(index4)
+        results = engine.search(dataset.queries[0][None, :], k=10, nprobe=2)
         assert len(results) == 1
-        single = searcher.search(dataset.queries[0], topk=10, nprobe=2)
+        single = engine.search(dataset.queries[0], k=10, nprobe=2)
         np.testing.assert_array_equal(results[0].ids, single.ids)
 
 
@@ -147,7 +137,8 @@ class TestBatchPlanner:
 
 
 def _inline(index, scanner, batch_queries, topk, nprobe):
-    """The searcher's batch path, response and all: one thread shard."""
+    """An unsharded thread engine's pipeline, response and all: one
+    thread shard."""
     with ScatterGatherExecutor(
         ShardedIndex.from_index(index, n_shards=1), [scanner], backend="thread"
     ) as executor:
@@ -287,18 +278,16 @@ class TestQueryHalfOncePerPlan:
             assert len(busy_s) == len(runs)
             merger.fold(PackedPartials.of_jobs(plan, jobs, [cells]))
         assert calls == expected_calls
-        with ANNSearcher(index16, NaiveScanner()) as searcher:
-            _assert_identical(
-                merger.results(), searcher.search(queries, topk=5, nprobe=self.NPROBE)
-            )
+        assert same_as_oracle(
+            merger.results(), oracle_search(index16, queries, 5, self.NPROBE)
+        )
 
     def test_the_sequential_loop_builds_it_once_per_query(
-        self, index16, queries, calls
+        self, index16, queries, calls, engine_over
     ):
-        with ANNSearcher(index16, NaiveScanner()) as searcher:
-            searcher.search(
-                queries, topk=5, nprobe=self.NPROBE, executor="sequential"
-            )
+        engine = engine_over(index16)
+        for query in queries:
+            engine.search(query, k=5, nprobe=self.NPROBE)
         assert calls == [1] * self.N_QUERIES
 
     def test_the_public_per_job_call_is_one_call_for_its_rows(

@@ -6,11 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    ANNSearcher,
     Engine,
     EngineConfig,
     IVFADCIndex,
-    PQFastScanner,
     ProductQuantizer,
     ShardedIndex,
 )
@@ -254,21 +252,19 @@ class TestOutsideInputRefusedAtTheDoor:
             index.with_partitions(index.partitions).add(rows)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_queries_are_not_routed(self, index, pq, dataset, bad):
+    def test_non_finite_queries_are_not_routed(self, index, dataset, bad, engine_over):
         queries = dataset.queries[:3].copy()
         queries[2, 0] = bad
         with pytest.raises(ConfigurationError, match="queries must be finite"):
             index.route_batch(queries, nprobe=2)
         with pytest.raises(ConfigurationError, match="queries must be finite"):
             index.route(queries[2])
-        # The per-query loop routes through route(): IndexError at the
-        # parent on fastpq, PAD_ID as a neighbour on naive.
-        with ANNSearcher(index, PQFastScanner(pq, keep=0.01)) as searcher:
-            for executor in ("sequential", "batch"):
-                with pytest.raises(ConfigurationError, match="must be finite"):
-                    searcher.search(queries, topk=5, executor=executor)
+        # A batch and a single query alike: IndexError on fastpq, PAD_ID
+        # as a neighbour on naive, when nothing refused them.
+        engine = engine_over(index, "fastpq")
+        for bad_queries in (queries, queries[2]):
             with pytest.raises(ConfigurationError, match="must be finite"):
-                searcher.search(queries[2], topk=5)
+                engine.search(bad_queries, k=5)
 
 
 class TestStepTwoInTwoHalves:

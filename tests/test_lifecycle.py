@@ -1,7 +1,7 @@
 """Shared lifecycle conformance: one close() contract across the stack.
 
 Since 1.5 every long-lived component — :class:`~repro.Engine`,
-:class:`~repro.search.ANNSearcher`,
+:class:`~repro.search.ANNSearcher` (the per-query loop),
 :class:`~repro.shard.ScatterGatherExecutor` and
 :class:`~repro.serve.MicroBatchServer` — implements the same documented
 contract:
@@ -30,9 +30,11 @@ import pytest
 from repro import Engine, EngineConfig
 from repro.exceptions import ConfigurationError
 from repro.scan import NaiveScanner
-from repro.search import ANNSearcher
+from repro.search import ANNSearcher, SearchResult
 from repro.serve import MicroBatchServer
 from repro.shard import ScatterGatherExecutor, ShardedIndex
+
+from .oracle import oracle_search
 
 
 @dataclass
@@ -47,8 +49,15 @@ class Adapter:
 
 
 def _searcher_server(index) -> MicroBatchServer:
-    searcher = ANNSearcher(index, NaiveScanner())
-    return MicroBatchServer(lambda q: searcher.search(q, topk=5))
+    """A server over a bare batch function: the oracle's answers."""
+
+    def batch_fn(queries):
+        return [
+            SearchResult(ids, dists, n_scanned=0, n_pruned=0, probed=())
+            for ids, dists in oracle_search(index, queries, 5, 1)
+        ]
+
+    return MicroBatchServer(batch_fn)
 
 
 def _make_adapters(dataset, index) -> list[Adapter]:

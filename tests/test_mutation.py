@@ -44,7 +44,6 @@ from hypothesis.stateful import (
 import repro.engine
 import repro.pq.quantizer
 from repro import (
-    ANNSearcher,
     Engine,
     EngineConfig,
     IVFADCIndex,
@@ -63,6 +62,8 @@ from repro.search import StreamingMerger
 from repro.serve import MicroBatchServer
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 from repro.delta import DeltaStore, fold_index
+
+from .oracle import oracle_search, same_as_oracle
 
 
 def _same_answers(a, b) -> bool:
@@ -906,13 +907,13 @@ class TestEngineAgainstDictModel:
 
 
 class TestExecutorOverlay:
-    """``ScatterGatherExecutor.run(delta_view=...)`` against the
-    reference loop.
+    """``ScatterGatherExecutor.run(delta_view=...)`` against the oracle.
 
     The overlay is part of the one pipeline, so a bare one-shard
     executor handed a dirty view, on either backend, must answer exactly
-    like the sequential per-query loop: same ids, distances, counters
-    and probe lists.
+    like the brute-force oracle over the same view (ids and distance
+    bytes), and count and probe exactly like the same view run one query
+    at a time.
     """
 
     @pytest.fixture(scope="class")
@@ -920,9 +921,8 @@ class TestExecutorOverlay:
         """Overlays on partition 0: tombstones only, adds only, both."""
         # Mutate what the queries actually see: their nearest base rows
         # in partition 0 are deleted, jittered copies of them are added.
-        with ANNSearcher(index) as searcher:
-            hits = searcher.search(dataset.queries, topk=4, nprobe=2)
-        near = np.unique(np.concatenate([hit.ids for hit in hits]))
+        hits = oracle_search(index, dataset.queries, 4, 2)
+        near = np.unique(np.concatenate([ids for ids, _ in hits]))
         near = near[np.isin(near, index.partitions[0].ids)]
         jitter = np.random.default_rng(3).normal(
             scale=0.25, size=(len(near), dataset.base.shape[1])
@@ -959,19 +959,22 @@ class TestExecutorOverlay:
         self, index, pq, dataset, views, executor, shape
     ):
         view = views[shape]
-        with ANNSearcher(index, PQFastScanner(pq, keep=0.01)) as searcher:
-            expected = searcher.search(
-                dataset.queries, topk=10, nprobe=2,
-                executor="sequential", delta=view,
-            )
-            clean = searcher.search(
-                dataset.queries, topk=10, nprobe=2, executor="sequential"
-            )
-        assert not _same_answers(expected, clean)  # the overlay matters here
+        expected = oracle_search(index, dataset.queries, 10, 2, view)
+        clean = oracle_search(index, dataset.queries, 10, 2)
+        assert not all(  # the overlay matters here
+            a.tobytes() == b.tobytes() for (a, _), (b, _) in zip(expected, clean)
+        )
         response = executor.run(
             dataset.queries, topk=10, nprobe=2, delta_view=view
         )
-        assert _fully_identical(expected, response.results)
+        assert same_as_oracle(response.results, expected)
+        # counters and probe lists, segment rows included, against the
+        # same view run one query at a time
+        one_by_one = [
+            executor.run(query[None], topk=10, nprobe=2, delta_view=view).results[0]
+            for query in dataset.queries
+        ]
+        assert _fully_identical(one_by_one, response.results)
         assert response.n_queries == len(dataset.queries)
         # every planned job, dirty or clean
         assert response.status_for(0).n_jobs == 2
@@ -1071,23 +1074,25 @@ def _tombstone_world(pq, dataset, topk):
 
 
 def _answers_on(backend, index, scanner_of, queries, views, topk, nprobe):
-    """Each view's answers on one executor backend."""
-    if backend == "sequential":
-        with ANNSearcher(index, scanner_of()) as searcher:
-            return {
-                name: searcher.search(
-                    queries, topk=topk, nprobe=nprobe, executor="sequential",
-                    delta=view,
-                )
-                for name, view in views.items()
-            }
+    """Each view's answers on one executor backend ("sequential": one
+    thread shard, one query per run)."""
     n_shards = 2 if backend == "sharded" else 1
     sharded = ShardedIndex.from_index(index, n_shards=n_shards)
     with ScatterGatherExecutor(
         sharded,
         scanner_of,
-        backend="thread" if backend == "sharded" else backend,
+        backend="process" if backend == "process" else "thread",
     ) as executor:
+        if backend == "sequential":
+            return {
+                name: [
+                    executor.run(
+                        query[None], topk=topk, nprobe=nprobe, delta_view=view
+                    ).results[0]
+                    for query in queries
+                ]
+                for name, view in views.items()
+            }
         return {
             name: executor.run(
                 queries, topk=topk, nprobe=nprobe, delta_view=view

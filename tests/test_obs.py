@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import ANNSearcher, Engine, NaiveScanner, PQFastScanner
+from repro import Engine, NaiveScanner
 from repro.engine import SCANNER_KINDS
 from repro.exceptions import ConfigurationError, DatasetError
 from repro.obs import (
@@ -278,22 +278,17 @@ class TestExporters:
 class TestPipelineIntegration:
     """Observability threaded through the real batch engine."""
 
-    def _searcher(self, index, pq, scanner_cls):
-        if scanner_cls is NaiveScanner:
-            return ANNSearcher(index, NaiveScanner())
-        return ANNSearcher(index, PQFastScanner(pq, keep=0.01, seed=0))
-
-    def test_batch_stages_all_traced(self, index, pq, dataset):
-        searcher = self._searcher(index, pq, PQFastScanner)
+    def test_batch_stages_all_traced(self, index, dataset, engine_over):
+        engine = engine_over(index, "fastpq")
         with observability_session() as obs:
-            searcher.search(dataset.queries, topk=10, nprobe=2)
+            engine.search(dataset.queries, k=10, nprobe=2)
         stages = set(obs.tracer.stage_summary())
         assert {"route", "warm", "tables", "scan", "merge"} <= stages
 
-    def test_single_query_path_traced(self, index, pq, dataset):
-        searcher = self._searcher(index, pq, NaiveScanner)
+    def test_single_query_path_traced(self, index, dataset, engine_over):
+        engine = engine_over(index)
         with observability_session() as obs:
-            searcher.search(dataset.queries[0], topk=10, nprobe=2)
+            engine.search(dataset.queries[0], k=10, nprobe=2)
         stages = set(obs.tracer.stage_summary())
         assert {"route", "tables", "scan", "merge"} <= stages
 
@@ -311,22 +306,28 @@ class TestPipelineIntegration:
     @pytest.mark.parametrize("executor", ["sequential", "batch", "process"])
     @pytest.mark.parametrize("kind", SCANNER_KINDS)
     def test_scan_counters_recorded_per_scanner(
-        self, index, index4bit, dataset, kind, executor
+        self, index, index4bit, dataset, kind, executor, engine_over
     ):
         """Counted where every executor's block lands in the parent, so
-        the counters equal the results whoever scanned."""
+        the counters equal the results whoever scanned: a process shard,
+        a thread engine's batch, or its queries one at a time."""
         if kind == "quickadc":
             index = index4bit
-        scanner = ScannerSpec(kind, keep=0.01).build(index.pq)
         if executor == "process":
+            scanner = ScannerSpec(kind, keep=0.01).build(index.pq)
             with _one_shard(index, scanner, backend="process") as workers:
                 with observability_session() as obs:
                     results = workers.run(dataset.queries, topk=10, nprobe=2).results
         else:
-            with ANNSearcher(index, scanner) as searcher, observability_session() as obs:
-                results = searcher.search(
-                    dataset.queries, topk=10, nprobe=2, executor=executor
-                )
+            engine = engine_over(index, kind)
+            with observability_session() as obs:
+                if executor == "batch":
+                    results = engine.search(dataset.queries, k=10, nprobe=2)
+                else:
+                    results = [
+                        engine.search(query, k=10, nprobe=2)
+                        for query in dataset.queries
+                    ]
         self._assert_scan_counters(obs, kind, results)
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
@@ -376,11 +377,10 @@ class TestPipelineIntegration:
             name for name in FAMILIES if before.metrics.get(name).samples()
         } == set()
 
-    def test_prepared_cache_metrics(self, index, pq, dataset):
-        scanner = PQFastScanner(pq, keep=0.01, seed=0)
-        searcher = ANNSearcher(index, scanner)
+    def test_prepared_cache_metrics(self, index, dataset, engine_over):
+        engine = engine_over(index, "fastpq")
         with observability_session() as obs:
-            searcher.search(dataset.queries, topk=5, nprobe=2)
+            engine.search(dataset.queries, k=5, nprobe=2)
         hits = obs.metrics.get("repro_prepared_cache_hits_total").value()
         misses = obs.metrics.get("repro_prepared_cache_misses_total").value()
         assert misses == index.n_partitions  # one build per probed partition
@@ -389,12 +389,12 @@ class TestPipelineIntegration:
         assert ratio == pytest.approx(hits / (hits + misses))
 
     def test_results_identical_with_and_without_observability(
-        self, index, pq, dataset
+        self, index, dataset, engine_over
     ):
-        searcher = self._searcher(index, pq, PQFastScanner)
-        baseline = searcher.search(dataset.queries, topk=10, nprobe=2)
+        engine = engine_over(index, "fastpq")
+        baseline = engine.search(dataset.queries, k=10, nprobe=2)
         with observability_session():
-            instrumented = searcher.search(dataset.queries, topk=10, nprobe=2)
+            instrumented = engine.search(dataset.queries, k=10, nprobe=2)
         for a, b in zip(baseline, instrumented):
             assert a.ids.tobytes() == b.ids.tobytes()
             assert a.distances.tobytes() == b.distances.tobytes()
@@ -414,10 +414,10 @@ class TestPipelineIntegration:
             dataset.queries
         )
 
-    def test_prometheus_export_of_live_run_parses(self, index, pq, dataset):
-        searcher = self._searcher(index, pq, PQFastScanner)
+    def test_prometheus_export_of_live_run_parses(self, index, dataset, engine_over):
+        engine = engine_over(index, "fastpq")
         with observability_session() as obs:
-            searcher.search(dataset.queries, topk=10, nprobe=2)
+            engine.search(dataset.queries, k=10, nprobe=2)
         samples = parse_prometheus(obs.export_prometheus())
         assert any(k.startswith("repro_pruning_rate{") for k in samples)
         assert any(

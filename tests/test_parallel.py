@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    ANNSearcher,
     IVFADCIndex,
     NaiveScanner,
     PQFastScanner,
@@ -21,6 +20,8 @@ from repro.parallel import ProcessBatchExecutor, ScannerSpec
 from repro.scan.base import PartitionScanner
 from repro.search import BatchExecutor, BatchPlanner
 from repro.shard import ScatterGatherExecutor, ShardedIndex
+
+from .oracle import holds_oracle_distances, oracle_search, same_as_oracle
 
 
 def _scanner_for(name, idx):
@@ -102,17 +103,21 @@ class TestProcessExecutorEquivalence:
     def test_byte_identical_to_sequential(
         self, index, dataset, index_artifact, scanner_name, n_workers
     ):
-        baseline = ANNSearcher(index, _scanner_for(scanner_name, index)).search(
-            dataset.queries, topk=10, nprobe=2, executor="sequential"
-        )
         with _one_shard(
+            index, _scanner_for(scanner_name, index), backend="thread"
+        ) as thread, _one_shard(
             index,
             _scanner_for(scanner_name, index),
             n_workers=n_workers,
             artifact_dir=index_artifact,
         ) as executor:
+            results = executor.run(dataset.queries, topk=10, nprobe=2).results
+            assert same_as_oracle(
+                results, oracle_search(index, dataset.queries, 10, 2)
+            )
+            # the scan statistics too, which the oracle does not keep
             _assert_results_equal(
-                baseline, executor.run(dataset.queries, topk=10, nprobe=2).results
+                thread.run(dataset.queries, topk=10, nprobe=2).results, results
             )
 
     def test_byte_identical_to_thread_executor(
@@ -192,25 +197,20 @@ def _process_engine(index, vectors=None):
 
 
 class TestSearcherProcessExecutor:
-    """The searcher owns no pool: a process request names the engine,
-    and that engine answers what the searcher's batch executor does."""
+    """Worker processes are the engine's: a process engine answers what
+    the thread engine and the oracle do, re-ranked or not."""
 
-    def test_search_executor_process_matches_batch(self, index, dataset):
-        with ANNSearcher(index, NaiveScanner()) as searcher:
-            named = r'Engine\(\.\.\., executor="process"\)'
-            with pytest.raises(ConfigurationError, match=named):
-                searcher.search(dataset.queries, topk=10, nprobe=2, executor="process")
-            with _process_engine(index) as engine:
-                _assert_results_equal(
-                    searcher.search(dataset.queries, topk=10, nprobe=2),
-                    engine.search(dataset.queries, k=10, nprobe=2),
-                )
+    def test_search_executor_process_matches_batch(self, index, dataset, engine_over):
+        thread = engine_over(index).search(dataset.queries, k=10, nprobe=2)
+        assert same_as_oracle(thread, oracle_search(index, dataset.queries, 10, 2))
+        with _process_engine(index) as engine:
+            _assert_results_equal(thread, engine.search(dataset.queries, k=10, nprobe=2))
 
-    def test_process_rerank_matches_batch_rerank(self, index, dataset):
-        searcher = ANNSearcher(index, NaiveScanner(), vectors=dataset.base)
+    def test_process_rerank_matches_batch_rerank(self, index, dataset, engine_over):
+        thread = engine_over(index, vectors=dataset.base)
         with _process_engine(index, vectors=dataset.base) as engine:
             _assert_results_equal(
-                searcher.search(dataset.queries, topk=5, nprobe=2, rerank=20),
+                thread.search(dataset.queries, k=5, nprobe=2, rerank=20),
                 engine.search(dataset.queries, k=5, nprobe=2, rerank=20),
             )
 
@@ -222,11 +222,9 @@ class TestSearcherProcessExecutor:
             engine.search(dataset.queries, k=5)
             assert shard.worker_pids == pids and pids
 
-    def test_unknown_executor_rejected(self, index, dataset):
-        with pytest.raises(ConfigurationError, match="unknown executor"):
-            ANNSearcher(index, NaiveScanner()).search(
-                dataset.queries, topk=5, nprobe=1, executor="fibers"
-            )
+    def test_unknown_executor_rejected(self, index, engine_over):
+        with pytest.raises(ConfigurationError, match="executor must be"):
+            engine_over(index, executor="fibers")
 
 
 class TestThreadExecutorWarning:
@@ -274,14 +272,18 @@ class TestPreparedCacheBound:
             first = engine.search(queries, k=10)
             second = engine.search(queries, k=10)
             assert scanner.prepared_misses == n_partitions
-        reference = ANNSearcher(index, config.scanner_factory(index.pq)()).search(
-            queries, topk=10, nprobe=n_partitions, executor="sequential"
-        )
-        for a, b, c in zip(first, second, reference):
-            for got in (b, c):
-                assert a.ids.tobytes() == got.ids.tobytes()
-                assert a.distances.tobytes() == got.distances.tobytes()
-                assert (a.n_scanned, a.n_pruned) == (got.n_scanned, got.n_pruned)
+        _assert_results_equal(first, second)
+        # a fresh scanner, which builds every layout anew, scans the same
+        with _one_shard(
+            index, config.scanner_factory(index.pq)(), backend="thread"
+        ) as fresh:
+            _assert_results_equal(
+                fresh.run(queries, topk=10, nprobe=n_partitions).results, first
+            )
+        if kind == "quickadc":
+            assert holds_oracle_distances(first, index, queries, n_partitions)
+        else:
+            assert same_as_oracle(first, oracle_search(index, queries, 10, n_partitions))
 
 
 class TestShardedProcessBackend:

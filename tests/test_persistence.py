@@ -11,10 +11,7 @@ import numpy as np
 import pytest
 
 from repro import (
-    ANNSearcher,
     NaiveScanner,
-    PQFastScanner,
-    QuantizationOnlyScanner,
     load_index,
     load_quantizer,
     save_index,
@@ -22,6 +19,19 @@ from repro import (
 )
 from repro.exceptions import DatasetError
 from repro.obs import observability_session
+
+from .oracle import holds_oracle_distances, oracle_search, same_as_oracle
+
+
+def _assert_same_answers(a, b):
+    """ids, distances and scan statistics, byte for byte."""
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert ra.ids.tobytes() == rb.ids.tobytes()
+        assert ra.distances.tobytes() == rb.distances.tobytes()
+        assert (ra.n_scanned, ra.n_pruned, ra.probed) == (
+            rb.n_scanned, rb.n_pruned, rb.probed
+        )
 
 
 class TestQuantizerPersistence:
@@ -43,17 +53,16 @@ class TestQuantizerPersistence:
 
 
 class TestIndexPersistence:
-    def test_roundtrip_answers_identically(self, index, dataset, tmp_path):
+    def test_roundtrip_answers_identically(
+        self, index, dataset, tmp_path, engine_over
+    ):
         path = tmp_path / "index.npz"
         save_index(index, path)
-        loaded = load_index(path)
-        original = ANNSearcher(index, NaiveScanner())
-        restored = ANNSearcher(loaded, NaiveScanner())
-        for query in dataset.queries[:3]:
-            a = original.search(query, topk=10, nprobe=2)
-            b = restored.search(query, topk=10, nprobe=2)
-            np.testing.assert_array_equal(a.ids, b.ids)
-            np.testing.assert_allclose(a.distances, b.distances)
+        restored = engine_over(load_index(path))
+        assert same_as_oracle(
+            [restored.search(query, k=10, nprobe=2) for query in dataset.queries[:3]],
+            oracle_search(index, dataset.queries[:3], 10, 2),
+        )
 
     def test_partition_contents_preserved(self, index, tmp_path):
         path = tmp_path / "index.npz"
@@ -276,47 +285,30 @@ class TestPartitionValidation:
 class TestRoundTripSearchParity:
     """Reloaded index + each scanner answers byte-identically."""
 
-    @staticmethod
-    def _scanner_for(name, idx):
-        if name == "naive":
-            return NaiveScanner()
-        if name == "fastpq":
-            return PQFastScanner(idx.pq, keep=0.01, seed=0)
-        return QuantizationOnlyScanner(idx.pq, keep=0.01)
-
     @pytest.mark.parametrize("scanner_name", ["naive", "fastpq", "qonly"])
     def test_search_batch_byte_identical_after_reload(
-        self, index, dataset, tmp_path, scanner_name
+        self, index, dataset, tmp_path, scanner_name, engine_over
     ):
         path = tmp_path / "index.npz"
         save_index(index, path)
-        loaded = load_index(path)
-        original = ANNSearcher(index, self._scanner_for(scanner_name, index))
-        restored = ANNSearcher(loaded, self._scanner_for(scanner_name, loaded))
-        a = original.search(dataset.queries, topk=10, nprobe=2)
-        b = restored.search(dataset.queries, topk=10, nprobe=2)
-        assert len(a) == len(b) == len(dataset.queries)
-        for ra, rb in zip(a, b):
-            assert ra.ids.tobytes() == rb.ids.tobytes()
-            assert ra.distances.tobytes() == rb.distances.tobytes()
-            assert ra.n_scanned == rb.n_scanned
-            assert ra.n_pruned == rb.n_pruned
-            assert ra.probed == rb.probed
+        a = engine_over(index, scanner_name).search(dataset.queries, k=10, nprobe=2)
+        b = engine_over(load_index(path), scanner_name).search(
+            dataset.queries, k=10, nprobe=2
+        )
+        assert len(a) == len(dataset.queries)
+        _assert_same_answers(a, b)
+        assert same_as_oracle(b, oracle_search(index, dataset.queries, 10, 2))
 
     def test_observability_counters_survive_reload(
-        self, index, dataset, tmp_path
+        self, index, dataset, tmp_path, engine_over
     ):
         path = tmp_path / "index.npz"
         save_index(index, path)
         n = len(dataset.queries)
         with observability_session() as obs:
-            ANNSearcher(index, NaiveScanner()).search(
-                dataset.queries, topk=10, nprobe=2
-            )
+            engine_over(index).search(dataset.queries, k=10, nprobe=2)
             loaded = load_index(path)
-            ANNSearcher(loaded, NaiveScanner()).search(
-                dataset.queries, topk=10, nprobe=2
-            )
+            engine_over(loaded).search(dataset.queries, k=10, nprobe=2)
         # One metrics session spans the reload: totals keep accumulating.
         assert obs.metrics.get("repro_queries_total").value() == 2 * n
         assert obs.metrics.get("repro_batches_total").value() == 2
@@ -327,14 +319,6 @@ class TestRoundTripSearchParity:
 class TestMmapLoading:
     """load_index(mmap=True): zero-copy partition arrays, same contract."""
 
-    @staticmethod
-    def _scanner_for(name, idx):
-        if name == "naive":
-            return NaiveScanner()
-        if name == "fastpq":
-            return PQFastScanner(idx.pq, keep=0.01, seed=0)
-        return QuantizationOnlyScanner(idx.pq, keep=0.01)
-
     @pytest.fixture()
     def saved(self, index, tmp_path):
         path = tmp_path / "index.npz"
@@ -342,20 +326,16 @@ class TestMmapLoading:
         return path
 
     @pytest.mark.parametrize("scanner_name", ["naive", "fastpq", "qonly"])
-    def test_mmap_byte_identical_to_eager(self, index, dataset, saved, scanner_name):
-        eager = load_index(saved)
-        mapped = load_index(saved, mmap=True)
-        a = ANNSearcher(eager, self._scanner_for(scanner_name, eager)).search(
-            dataset.queries, topk=10, nprobe=2
+    def test_mmap_byte_identical_to_eager(
+        self, index, dataset, saved, scanner_name, engine_over
+    ):
+        a, b = (
+            engine_over(load_index(saved, mmap=mmap), scanner_name).search(
+                dataset.queries, k=10, nprobe=2
+            )
+            for mmap in (False, True)
         )
-        b = ANNSearcher(mapped, self._scanner_for(scanner_name, mapped)).search(
-            dataset.queries, topk=10, nprobe=2
-        )
-        for ra, rb in zip(a, b):
-            assert ra.ids.tobytes() == rb.ids.tobytes()
-            assert ra.distances.tobytes() == rb.distances.tobytes()
-            assert ra.n_scanned == rb.n_scanned
-            assert ra.n_pruned == rb.n_pruned
+        _assert_same_answers(a, b)
 
     def test_mmap_arrays_match_eager_bytes(self, saved):
         eager = load_index(saved)
@@ -409,18 +389,15 @@ class TestMmapLoading:
         for shard in loaded.shards:
             for partition in shard.index.partitions:
                 assert not partition.codes.flags.writeable
-        a = ANNSearcher(index, NaiveScanner()).search(
-            dataset.queries, topk=10, nprobe=2
-        )
         from repro import ScatterGatherExecutor
 
         with ScatterGatherExecutor(
             loaded, NaiveScanner, artifact_dir=directory
         ) as executor:
             response = executor.run(dataset.queries, topk=10, nprobe=2)
-        for ra, rb in zip(a, response.results):
-            assert ra.ids.tobytes() == rb.ids.tobytes()
-            assert ra.distances.tobytes() == rb.distances.tobytes()
+        assert same_as_oracle(
+            response.results, oracle_search(index, dataset.queries, 10, 2)
+        )
 
 
 def _deflate(path):
@@ -631,13 +608,11 @@ class Test4BitSubIndexValidation:
         for partition in loaded.partitions:
             assert int(partition.codes.max()) < 16
 
-    def test_4bit_roundtrip_answers_identically(self, saved4, dataset):
-        from repro.scan import QuickADCScanner
-
+    def test_4bit_roundtrip_answers_identically(self, saved4, dataset, engine_over):
         loaded = load_index(saved4)
-        searcher = ANNSearcher(loaded, QuickADCScanner(loaded.pq))
-        result = searcher.search(dataset.queries[0], topk=5, nprobe=2)
+        result = engine_over(loaded, "quickadc").search(dataset.queries[0], k=5, nprobe=2)
         assert len(result.ids) == 5
+        assert holds_oracle_distances([result], loaded, dataset.queries[0], 2)
 
     def test_out_of_range_sub_index_rejected(self, saved4):
         with np.load(saved4) as archive:

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from repro import ANNSearcher, Partition
+from repro import Partition
 from repro.engine import SCANNER_KINDS
 from repro.exceptions import DimensionMismatchError
 from repro.parallel import ScannerSpec
@@ -12,8 +12,11 @@ from repro.scan import LibpqScanner, NaiveScanner, PartitionScanner, ScanBlock
 from repro.scan.base import NO_IDS
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 
+from .oracle import oracle_search, same_as_oracle
+
 #: quickadc scans 4-bit codes and is approximate at the margin: its
-#: reference is its own sequential scan, in tests/test_quickadc.py.
+#: reference is its own one-shard engine, in tests/test_quickadc.py and
+#: tests/test_oracle.py.
 EXACT_KINDS = [kind for kind in SCANNER_KINDS if kind != "quickadc"]
 
 
@@ -65,13 +68,8 @@ class TestScannerRegistry:
             [scanner.scan(tables, index.partitions[pid], topk=10)],
             [NaiveScanner().scan(tables, index.partitions[pid], topk=10)],
         )
-        with ANNSearcher(index, scanner) as ours, ANNSearcher(
-            index, NaiveScanner()
-        ) as reference:
-            assert_same_bytes(
-                ours.search(dataset.queries, topk=10, nprobe=2),
-                reference.search(dataset.queries, topk=10, nprobe=2),
-            )
+        got = TestOneQueryPath._run_shards(index, scanner, dataset.queries, n_shards=1)
+        assert same_as_oracle(got.results, oracle_search(index, dataset.queries, 5, 2))
 
 
 class TestOneQueryPath:
@@ -86,12 +84,7 @@ class TestOneQueryPath:
         assert scanner.calls == 1
         queries = dataset.queries[:3]
         paths = {
-            "sequential": lambda: ANNSearcher(index, scanner).search(
-                queries, topk=5, nprobe=2, executor="sequential"
-            ),
-            "batch": lambda: ANNSearcher(index, scanner).search(
-                queries, topk=5, nprobe=2, executor="batch"
-            ),
+            "one shard": lambda: self._run_shards(index, scanner, queries, n_shards=1),
             "thread shards": lambda: self._run_shards(index, scanner, queries),
         }
         for name, search in paths.items():
@@ -100,10 +93,12 @@ class TestOneQueryPath:
             assert scanner.calls > before, name
 
     @staticmethod
-    def _run_shards(index, scanner, queries):
-        sharded = ShardedIndex.from_index(index, n_shards=2)
+    def _run_shards(index, scanner, queries, n_shards=2):
+        """The pipeline an engine runs, over thread shards: a custom
+        scanner has no engine kind."""
+        sharded = ShardedIndex.from_index(index, n_shards=n_shards)
         with ScatterGatherExecutor(
-            sharded, [scanner, scanner], backend="thread"
+            sharded, [scanner] * n_shards, backend="thread"
         ) as executor:
             return executor.run(queries, topk=5, nprobe=2)
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro import ANNSearcher, NaiveScanner, PQFastScanner
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 
+from .oracle import oracle_search, same_as_oracle
+
 
 @pytest.fixture(scope="module")
 def searcher(index, pq):
@@ -20,6 +22,9 @@ def reference(index):
 
 
 class TestANNSearcher:
+    """The per-query loop, checked against the brute-force oracle; it
+    refuses every executor but its own, naming the engine."""
+
     @pytest.mark.parametrize("executor", ["batch", "sequential"])
     @pytest.mark.parametrize("shape", ["1-D query", "empty batch"])
     def test_checks_run_before_any_shape_branch(
@@ -27,7 +32,7 @@ class TestANNSearcher:
     ):
         """``topk``, ``executor`` and the query width are refused for
         every shape, an empty batch too, as ``Engine.search`` refuses
-        them."""
+        them; a batch executor is refused with the engine's name."""
         make = {
             "1-D query": lambda width: np.zeros(width),
             "empty batch": lambda width: np.empty((0, width)),
@@ -35,9 +40,13 @@ class TestANNSearcher:
         d = index.pq.d
         with pytest.raises(ConfigurationError, match="topk"):
             searcher.search(make(d), topk=0, executor=executor)
-        with pytest.raises(DimensionMismatchError):
-            searcher.search(make(d // 2), topk=10, executor=executor)
-        with pytest.raises(ConfigurationError, match="unknown executor"):
+        if executor == "batch":
+            with pytest.raises(ConfigurationError, match=r"Engine\(index, config\)"):
+                searcher.search(make(d), topk=10, executor=executor)
+        else:
+            with pytest.raises(DimensionMismatchError):
+                searcher.search(make(d // 2), topk=10, executor=executor)
+        with pytest.raises(ConfigurationError, match="per-query loop only"):
             searcher.search(make(d), topk=10, executor=f"{executor}-bogus")
 
     def test_single_probe_matches_partition_scan(
@@ -55,11 +64,10 @@ class TestANNSearcher:
         self, searcher, reference, dataset, index
     ):
         for nprobe in (1, 2):
-            for query in dataset.queries[:4]:
-                a = searcher.search(query, topk=10, nprobe=nprobe)
-                b = reference.search(query, topk=10, nprobe=nprobe)
-                np.testing.assert_array_equal(a.ids, b.ids)
-                np.testing.assert_allclose(a.distances, b.distances)
+            expected = oracle_search(index, dataset.queries, 10, nprobe)
+            for shim in (searcher, reference):
+                got = shim.search(dataset.queries, topk=10, nprobe=nprobe)
+                assert same_as_oracle(got, expected), (shim.scanner.name, nprobe)
 
     def test_more_probes_never_worse(self, reference, dataset, index):
         """nprobe=all is exhaustive: distances only improve with probes."""
@@ -69,23 +77,11 @@ class TestANNSearcher:
         assert both.distances[0] <= one.distances[0] + 1e-12
         assert both.n_scanned >= one.n_scanned
 
-    def test_full_probe_matches_brute_force_adc(self, reference, dataset, pq, index):
+    def test_full_probe_matches_brute_force_adc(self, reference, dataset, index):
         """Probing every partition = ADC over the whole database."""
-        from repro.pq.adc import adc_distances
-        from repro.scan.topk import select_topk
-
-        query = dataset.queries[2]
-        got = reference.search(query, topk=10, nprobe=index.n_partitions)
-        # Assemble ADC over all partitions with their per-cell tables.
-        all_ids, all_d = [], []
-        for pid, part in enumerate(index.partitions):
-            tables = index.distance_tables_for(query, pid)
-            all_ids.append(part.ids)
-            all_d.append(adc_distances(tables, part.codes))
-        ids, dists = select_topk(
-            np.concatenate(all_d), np.concatenate(all_ids), 10
-        )
-        np.testing.assert_array_equal(got.ids, ids)
+        got = reference.search(dataset.queries[2], topk=10, nprobe=index.n_partitions)
+        expected = oracle_search(index, dataset.queries[2], 10, index.n_partitions)
+        assert same_as_oracle([got], expected)
 
     def test_merged_results_sorted(self, searcher, dataset):
         result = searcher.search(dataset.queries[3], topk=20, nprobe=2)
@@ -98,10 +94,13 @@ class TestANNSearcher:
         assert 0 <= result.pruned_fraction <= 1
 
     def test_batch_search(self, searcher, dataset):
+        """A batch is a loop over its rows: the per-row answers."""
         results = searcher.search(dataset.queries[:3], topk=5)
         assert len(results) == 3
-        for r in results:
+        for query, r in zip(dataset.queries, results):
             assert len(r.ids) == 5
+            single = searcher.search(query, topk=5)
+            assert same_as_oracle([r], [(single.ids, single.distances)])
 
     def test_rejects_bad_topk(self, searcher, dataset):
         with pytest.raises(ConfigurationError):
@@ -130,50 +129,45 @@ class TestExtensionPlatforms:
 
 
 class TestReranking:
-    def test_rerank_improves_rank1_recall(self, index, pq, dataset):
+    """``Engine.search(..., rerank=)`` is the one re-ranking step."""
+
+    def test_rerank_improves_rank1_recall(self, index, dataset, engine_over):
         from repro import exact_neighbors
 
-        searcher = ANNSearcher(
-            index,
-            scanner=PQFastScanner(pq, keep=0.01, seed=0),
-            vectors=dataset.base,
-        )
+        engine = engine_over(index, "fastpq", vectors=dataset.base)
         truth, _ = exact_neighbors(dataset.base, dataset.queries, k=1)
-        plain_hits = rerank_hits = 0
-        for qi, query in enumerate(dataset.queries):
-            plain = searcher.search(query, topk=1, nprobe=2)
-            reranked = searcher.search(query, topk=1, nprobe=2, rerank=50)
-            plain_hits += int(plain.ids[0] == truth[qi, 0])
-            rerank_hits += int(reranked.ids[0] == truth[qi, 0])
+        plain = engine.search(dataset.queries, k=1, nprobe=2)
+        reranked = engine.search(dataset.queries, k=1, nprobe=2, rerank=50)
+        plain_hits = sum(int(r.ids[0] == t) for r, t in zip(plain, truth[:, 0]))
+        rerank_hits = sum(int(r.ids[0] == t) for r, t in zip(reranked, truth[:, 0]))
         assert rerank_hits >= plain_hits
 
-    def test_rerank_distances_are_exact(self, index, pq, dataset):
-        searcher = ANNSearcher(index, vectors=dataset.base)
+    def test_rerank_distances_are_exact(self, index, dataset, engine_over):
+        engine = engine_over(index, vectors=dataset.base)
         query = dataset.queries[0]
-        result = searcher.search(query, topk=5, nprobe=1, rerank=30)
+        result = engine.search(query, k=5, nprobe=1, rerank=30)
         expected = np.sum((dataset.base[result.ids] - query) ** 2, axis=1)
         np.testing.assert_allclose(result.distances, expected, rtol=1e-9)
         assert (np.diff(result.distances) >= -1e-12).all()
 
-    def test_rerank_requires_vectors(self, index):
-        searcher = ANNSearcher(index)
-        with pytest.raises(ConfigurationError):
-            searcher.search(np.zeros(128), topk=1, rerank=10)
+    def test_rerank_requires_vectors(self, index, engine_over):
+        with pytest.raises(ConfigurationError, match="keep_vectors"):
+            engine_over(index).search(np.zeros(128), k=1, rerank=10)
 
-    def test_rerank_shortlist_must_cover_topk(self, index, dataset):
-        searcher = ANNSearcher(index, vectors=dataset.base)
-        with pytest.raises(ConfigurationError):
-            searcher.search(dataset.queries[0], topk=10, rerank=5)
+    def test_rerank_shortlist_must_cover_topk(self, index, dataset, engine_over):
+        engine = engine_over(index, vectors=dataset.base)
+        with pytest.raises(ConfigurationError, match="shortlist"):
+            engine.search(dataset.queries[0], k=10, rerank=5)
 
 
 class TestTablesIgnoreTheCallersLayout:
-    """Sequential and batched search agree whatever strides the caller's
-    query block has: the per-query loop hands a strided row to the table
-    computation, the batch path a gathered C-ordered copy."""
+    """A batch and its rows one at a time agree, and equal the oracle,
+    whatever strides the caller's query block has: a row is a strided
+    view, the batch path gathers a C-ordered copy."""
 
     @pytest.mark.parametrize("encode_residuals", [True, False])
     def test_sequential_equals_batch_for_any_query_layout(
-        self, dataset, pq, encode_residuals
+        self, dataset, pq, encode_residuals, engine_over
     ):
         from repro import IVFADCIndex, VectorDataset
 
@@ -187,17 +181,12 @@ class TestTablesIgnoreTheCallersLayout:
             "fortran": np.asfortranarray(queries),
             "strided": wide[:, ::2],
         }
-        with ANNSearcher(index, scanner=NaiveScanner()) as searcher:
-            expected = None
-            for name, block in layouts.items():
-                for executor in ("sequential", "batch"):
-                    results = searcher.search(
-                        block, topk=10, nprobe=3, executor=executor
-                    )
-                    got = [(r.ids.tobytes(), r.distances.tobytes()) for r in results]
-                    if expected is None:
-                        expected = got
-                    assert got == expected, (name, executor)
+        engine = engine_over(index)
+        expected = oracle_search(index, queries, 10, 3)
+        for name, block in layouts.items():
+            assert same_as_oracle(engine.search(block, k=10, nprobe=3), expected), name
+            one_by_one = [engine.search(row, k=10, nprobe=3) for row in block]
+            assert same_as_oracle(one_by_one, expected), name
 
 
 class TestPlanInversion:

@@ -9,16 +9,15 @@ behavior (deadline flush) is tested with generous margins; batching
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import threading
 
 import numpy as np
 import pytest
 
-from repro import Engine, EngineConfig
+from repro import Engine
 from repro.exceptions import ConfigurationError, DimensionMismatchError, ReproError
 from repro.obs import observability_session
-from repro.search import ANNSearcher, SearchResult
+from repro.search import SearchResult
 from repro.serve import (
     FLUSH_DRAIN,
     STATUS_OK,
@@ -27,6 +26,9 @@ from repro.serve import (
     ServeConfig,
     ServedResult,
 )
+
+from .conftest import open_engine
+from .oracle import oracle_search, same_as_oracle
 
 
 def _dummy_result(value: int = 0) -> SearchResult:
@@ -333,32 +335,48 @@ def test_one_bad_request_does_not_fail_its_batch(dataset):
         assert _results_equal(got.result, want)
 
 
+class TestForEngineRefusesBadArguments:
+    """A ``k`` or ``nprobe`` every flush would refuse is refused once,
+    when the server is built, instead of failing every request."""
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"k": 0}, "k must be >= 1"),
+            ({"k": 2.5}, "k must be an integer"),
+            ({"nprobe": 0}, r"nprobe must be in \[1, 2\]"),
+            ({"nprobe": 99}, r"nprobe must be in \[1, 2\]"),
+            ({"nprobe": 1.5}, "nprobe must be an integer"),
+        ],
+    )
+    def test_refused_when_the_server_is_built(self, index, arguments, message):
+        with open_engine(index) as engine:
+            with pytest.raises(ConfigurationError, match=message):
+                MicroBatchServer.for_engine(engine, **arguments)
+            MicroBatchServer.for_engine(engine, k=1, nprobe=2)
+
+
 class TestSequentialIdentity:
-    """Served results must be byte-identical to executor="sequential"."""
+    """Served results are the oracle's, byte for byte."""
 
     @pytest.mark.parametrize("executor", ["batch", "sequential", "process"])
     def test_identity_across_executors(self, index, dataset, executor):
-        """A searcher's batch function on either of its executors, and an
-        engine on worker processes, serve the sequential loop's bytes."""
+        """A thread engine's server, a bare batch function looping that
+        engine one query at a time, and an engine on worker processes
+        all serve the oracle's bytes."""
         queries = dataset.queries
         config = ServeConfig(max_batch=4, max_delay_s=0.002)
-        with contextlib.ExitStack() as stack:
-            searcher = stack.enter_context(ANNSearcher(index))
-            baseline = searcher.search(
-                queries, topk=5, nprobe=2, executor="sequential"
-            )
-            if executor == "process":
-                engine = stack.enter_context(Engine(index, EngineConfig(
-                    m=index.pq.m, n_partitions=index.n_partitions,
-                    scanner="naive", executor="process",
-                )))
-                server = MicroBatchServer.for_engine(
-                    engine, k=5, nprobe=2, config=config
+        with open_engine(
+            index, executor="process" if executor == "process" else "thread"
+        ) as engine:
+            if executor == "sequential":
+                server = MicroBatchServer(
+                    lambda q: [engine.search(row, k=5, nprobe=2) for row in q],
+                    config,
                 )
             else:
-                server = MicroBatchServer(
-                    lambda q: searcher.search(q, topk=5, nprobe=2, executor=executor),
-                    config,
+                server = MicroBatchServer.for_engine(
+                    engine, k=5, nprobe=2, config=config
                 )
 
             async def scenario() -> list[ServedResult]:
@@ -369,9 +387,11 @@ class TestSequentialIdentity:
 
             results = asyncio.run(scenario())
         assert all(r.ok for r in results)
-        for served, expected in zip(results, baseline):
-            assert served.result is not None
-            assert _results_equal(served.result, expected)
+        assert same_as_oracle(
+            [served.result for served in results],
+            oracle_search(index, queries, 5, 2),
+        )
+
 
 
 class TestServeObservability:

@@ -15,7 +15,7 @@ from repro.obs import observability_session
 from repro.persistence import load_sharded_index, save_sharded_index
 from repro.scan import LibpqScanner, NaiveScanner
 from repro.scan.base import NO_IDS, ScanResult
-from repro.search import ANNSearcher, BatchPlanner, PartitionScanner
+from repro.search import BatchPlanner, PartitionScanner
 from repro.shard import (
     STATE_FAILED,
     STATE_OK,
@@ -24,6 +24,8 @@ from repro.shard import (
     ScatterGatherExecutor,
     ShardedIndex,
 )
+
+from .oracle import oracle_search, same_as_oracle
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,18 @@ def _assert_identical(a, b):
         assert ra.probed == rb.probed
         assert ra.n_scanned == rb.n_scanned
         assert ra.n_pruned == rb.n_pruned
+
+
+def _assert_unsharded(index, queries, topk, nprobe, results):
+    """``results`` hold the oracle's ids and distances, and the scan
+    statistics of one thread shard over all of ``index``."""
+    assert same_as_oracle(results, oracle_search(index, queries, topk, nprobe))
+    with ScatterGatherExecutor(
+        ShardedIndex.from_index(index, n_shards=1), NaiveScanner, backend="thread"
+    ) as executor:
+        _assert_identical(
+            executor.run(queries, topk=topk, nprobe=nprobe).results, results
+        )
 
 
 # -- ShardedIndex layout --------------------------------------------------------
@@ -186,9 +200,8 @@ class TestScatterGatherIdentity:
     @pytest.mark.parametrize("nprobe", [1, 3, 8])
     def test_identical_to_unsharded(self, index8, pq, batch_queries, kind, nprobe):
         factory = _scanner_factories(pq)[kind]
-        baseline = ANNSearcher(index8, factory()).search(
-            batch_queries, topk=10, nprobe=nprobe
-        )
+        expected = oracle_search(index8, batch_queries, 10, nprobe)
+        baseline = None
         for n_shards in (1, 3, 8):
             sharded = ShardedIndex.from_index(index8, n_shards=n_shards)
             # backend="thread" exercises the same streaming gather/merge
@@ -197,6 +210,9 @@ class TestScatterGatherIdentity:
             response = executor.run(batch_queries, topk=10, nprobe=nprobe)
             assert not response.partial
             assert all(s.state == STATE_OK for s in response.shard_statuses)
+            assert same_as_oracle(response.results, expected)
+            # Scan statistics too: every split scans what one shard does.
+            baseline = baseline or response.results
             _assert_identical(baseline, response.results)
 
     def test_single_query_batch(self, index8, pq, batch_queries):
@@ -205,11 +221,10 @@ class TestScatterGatherIdentity:
             sharded, lambda: NaiveScanner(), backend="thread"
         )
         response = executor.run(batch_queries[0], topk=5, nprobe=2)
-        baseline = ANNSearcher(index8, NaiveScanner()).search(
-            batch_queries[0], topk=5, nprobe=2
-        )
         assert len(response.results) == 1
-        assert np.array_equal(response.results[0].ids, baseline.ids)
+        assert same_as_oracle(
+            response.results, oracle_search(index8, batch_queries[0], 5, 2)
+        )
 
     def test_empty_batch(self, index8, pq):
         sharded = ShardedIndex.from_index(index8, n_shards=2)
@@ -332,12 +347,7 @@ class TestGracefulDegradation:
             time.sleep(0.05)  # let the straggler drain
             healthy = executor.run(batch_queries, topk=10, nprobe=8)
         assert not healthy.partial
-        _assert_identical(
-            ANNSearcher(index8, NaiveScanner()).search(
-                batch_queries, topk=10, nprobe=8
-            ),
-            healthy.results,
-        )
+        _assert_unsharded(index8, batch_queries, 10, 8, healthy.results)
 
     def test_partial_results_match_healthy_subset(self, index8, pq, batch_queries):
         # The partial answer must equal a merge over only the healthy
@@ -386,9 +396,6 @@ class TestGracefulDegradation:
         assert "transient shard fault" in status.error
 
     def test_transient_failure_recovers_via_retry(self, index8, pq, batch_queries):
-        baseline = ANNSearcher(index8, NaiveScanner()).search(
-            batch_queries, topk=10, nprobe=8
-        )
         # n_shards=1: the single part (no deadline) is scanned, and
         # retried, on the caller's thread.
         for n_shards in (2, 1):
@@ -412,7 +419,7 @@ class TestGracefulDegradation:
             assert not response.partial
             assert response.status_for(n_shards - 1).state == STATE_OK
             assert response.status_for(n_shards - 1).attempts == 2
-            _assert_identical(baseline, response.results)
+            _assert_unsharded(index8, batch_queries, 10, 8, response.results)
             on_caller = scan_threads == {threading.current_thread().name}
             assert on_caller == (n_shards == 1)
 
@@ -514,14 +521,11 @@ class TestShardedPersistence:
         assert loaded.n_shards == 3
         assert len(loaded) == len(index8)
         assert np.array_equal(loaded.owners, sharded.owners)
-        baseline = ANNSearcher(index8, NaiveScanner()).search(
-            batch_queries, topk=10, nprobe=4
-        )
         response = ScatterGatherExecutor(
             loaded, lambda: NaiveScanner(), backend="thread"
         ).run(batch_queries, topk=10, nprobe=4)
         assert not response.partial
-        _assert_identical(baseline, response.results)
+        _assert_unsharded(index8, batch_queries, 10, 4, response.results)
 
     def test_save_is_atomic_per_file(self, index8, tmp_path):
         sharded = ShardedIndex.from_index(index8, n_shards=2)
@@ -745,16 +749,13 @@ class TestPinnedPools:
     def test_process_backend_identical_to_unsharded(
         self, index8, pq, batch_queries
     ):
-        baseline = ANNSearcher(index8, NaiveScanner()).search(
-            batch_queries, topk=10, nprobe=8
-        )
         sharded = ShardedIndex.from_index(index8, n_shards=3)
         with ScatterGatherExecutor(
             sharded, NaiveScanner, backend="process"
         ) as executor:
             response = executor.run(batch_queries, topk=10, nprobe=8)
         assert not response.partial
-        _assert_identical(baseline, response.results)
+        _assert_unsharded(index8, batch_queries, 10, 8, response.results)
 
     def test_run_after_close_raises(self, index8, pq, batch_queries):
         sharded = ShardedIndex.from_index(index8, n_shards=2)
@@ -844,10 +845,7 @@ class TestPinnedPools:
             time.sleep(0.05)  # let the straggler drain
             healthy = executor.run(batch_queries, topk=10, nprobe=8)
             assert not healthy.partial
-            baseline = ANNSearcher(index8, NaiveScanner()).search(
-                batch_queries, topk=10, nprobe=8
-            )
-            _assert_identical(baseline, healthy.results)
+            _assert_unsharded(index8, batch_queries, 10, 8, healthy.results)
         finally:
             release.set()
             executor.close()
