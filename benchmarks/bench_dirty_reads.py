@@ -75,7 +75,7 @@ def test_a_dirty_read_costs_what_a_clean_one_does():
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scanners", nargs="+", default=["fastpq", "qonly"])
+    parser.add_argument("--scanners", nargs="+", default=["fastpq"])
     parser.add_argument("--rows", type=int, default=80_000)
     parser.add_argument("--dim", type=int, default=128)
     args = parser.parse_args()

@@ -9,7 +9,8 @@ not from 8-bit quantization.
 
 import numpy as np
 
-from repro import PQFastScanner, QuantizationOnlyScanner
+from repro import PQFastScanner
+from repro.core import QuantizationOnlyScanner
 from repro.bench import format_table, run_queries, save_report, summarize
 
 KEEPS = (0.001, 0.005, 0.05)

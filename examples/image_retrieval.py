@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import (
     IVFADCIndex,
-    LibpqScanner,
+    NaiveScanner,
     PQFastScanner,
     ProductQuantizer,
     SyntheticSIFT,
@@ -53,7 +53,7 @@ def main() -> None:
     pq = ProductQuantizer(m=8, bits=8, max_iter=10, seed=0).fit(learn)
     index = IVFADCIndex(pq, n_partitions=4, seed=0).add(base)
     fast = PQFastScanner(pq, keep=0.005, seed=0)
-    libpq = LibpqScanner()
+    naive = NaiveScanner()
 
     print("Searching (topk=100, nprobe=1) ...")
     found = np.full((len(queries), 100), -1, dtype=np.int64)
@@ -67,7 +67,7 @@ def main() -> None:
         result = fast.scan(tables, partition, topk=100)
         t_fast += time.perf_counter() - t0
         t0 = time.perf_counter()
-        reference = libpq.scan(tables, partition, topk=100)
+        reference = naive.scan(tables, partition, topk=100)
         t_ref += time.perf_counter() - t0
         assert result.same_neighbors(reference)
         found[qi, : len(result.ids)] = result.ids

@@ -33,7 +33,6 @@ from .core import (
     FastScanResult,
     GroupedPartition,
     PQFastScanner,
-    QuantizationOnlyScanner,
     SmallTables,
     optimized_assignment,
 )
@@ -64,7 +63,6 @@ from .pq import (
     adc_distances,
 )
 from .scan import (
-    LibpqScanner,
     NaiveScanner,
     QuickADCResult,
     QuickADCScanner,
@@ -127,7 +125,6 @@ __all__ = [
     "IVFADCIndex",
     "IndexShard",
     "KMeans",
-    "LibpqScanner",
     "NaiveScanner",
     "NotFittedError",
     "Observability",
@@ -136,7 +133,6 @@ __all__ = [
     "PartitionJob",
     "ProcessBatchExecutor",
     "ProductQuantizer",
-    "QuantizationOnlyScanner",
     "QuickADCResult",
     "QuickADCScanner",
     "ReproError",

@@ -4,7 +4,7 @@ Runs batches of queries through a scanner over a workload, collecting
 the statistics the paper reports: pruning power, scan speed (modeled
 from the calibrated cost model and, for headline experiments, from the
 real simulated kernels), response-time distributions, and exactness
-checks against the libpq reference.
+checks against the naive PQ Scan reference.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.fast_scan import FastScanResult, PQFastScanner
 from ..scan.base import PartitionScanner
-from ..scan.libpq import LibpqScanner
+from ..scan.naive import NaiveScanner
 from .cost_model import ScanCostModel, calibrate
 from .workloads import Workload
 
@@ -70,14 +70,14 @@ def run_queries(
 ) -> list[QueryStats]:
     """Execute queries through ``scanner``; returns per-query statistics.
 
-    ``verify_against`` (defaults to libpq PQ Scan for fast scanners)
+    ``verify_against`` (defaults to naive PQ Scan for fast scanners)
     re-runs every query with the reference scanner and asserts identical
     neighbors — the exactness property of Section 5.1.
     """
     workload = ctx.workload
     reference = verify_against
     if reference is None and isinstance(scanner, PQFastScanner):
-        reference = LibpqScanner()
+        reference = NaiveScanner()
     stats: list[QueryStats] = []
     cost_model: ScanCostModel | None = None
     if isinstance(scanner, PQFastScanner):

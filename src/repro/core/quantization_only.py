@@ -8,6 +8,8 @@ tables. Such tables do not fit SIMD registers, so the variant brings no
 speedup; it exists purely to measure pruning power, which the paper finds
 to be 99.9%-99.97% (versus 98%-99.7% for full PQ Fast Scan), showing that
 minimum tables — not quantization — cause most of the pruning-power loss.
+It is an instrument, not an engine kind: Figure 17's benchmark builds it
+directly (measured in numpy it is no faster than naive either).
 """
 
 from __future__ import annotations

@@ -111,8 +111,7 @@ class EngineConfig:
         scanner: Step-3 scanner kind, one of :data:`SCANNER_KINDS`
             (stated, with the ``m`` x ``bits`` code shape each can
             scan, in :mod:`repro.parallel.spec`): ``"quickadc"`` needs
-            ``bits=4``, ``"fastpq"`` and ``"qonly"`` ``bits=8``,
-            ``"libpq"`` ``m=8`` byte codes.
+            ``bits=4``, ``"fastpq"`` ``bits=8``, ``"naive"`` scans any.
         keep: keep/sample fraction of PQ Fast Scan and Quick ADC
             (ignored by baselines).
         nprobe: default partitions probed per query.
@@ -265,6 +264,46 @@ def _merge_config(
     return replace(config, **overrides)  # type: ignore[arg-type]
 
 
+def _fit_to_index(
+    config: EngineConfig,
+    overrides: dict[str, object],
+    index: IVFADCIndex,
+    sharded: ShardedIndex | None,
+) -> EngineConfig:
+    """``config`` with ``overrides`` applied and the build fields taken
+    from ``index``: its ``pq.m``, ``pq.bits``, ``n_partitions`` and
+    ``encode_residuals`` win, ``n_shards`` is the layout's (or the
+    requested count, clamped to ``n_partitions``) and ``nprobe`` is
+    clamped to ``n_partitions``.
+
+    The index's fields go into the same replace as the overrides, so
+    ``scanner="quickadc"`` is checked against the index's codes and
+    ``nprobe`` against its ``n_partitions``, not against the defaults
+    those fields held a moment earlier.
+    """
+
+    def requested(name: str) -> int:
+        return cast(int, overrides.get(name, getattr(config, name)))
+
+    n_shards = (
+        sharded.n_shards
+        if sharded is not None
+        else min(requested("n_shards"), index.n_partitions)
+    )
+    return _merge_config(
+        config,
+        {
+            **overrides,
+            "m": index.pq.m,
+            "bits": index.pq.bits,
+            "n_partitions": index.n_partitions,
+            "n_shards": n_shards,
+            "encode_residuals": index.encode_residuals,
+            "nprobe": min(requested("nprobe"), index.n_partitions),
+        },
+    )
+
+
 def _complete_results(response: ShardedResponse) -> list[SearchResult]:
     """``response.results``, raising when a shard degraded: the answer of
     :meth:`Engine.search`, which returns no partial results."""
@@ -323,7 +362,11 @@ class Engine:
 
     Args:
         index: the populated global :class:`IVFADCIndex` view.
-        config: the engine's :class:`EngineConfig`.
+        config: the engine's :class:`EngineConfig`. Its build fields
+            are taken from ``index`` (``m``, ``bits``, ``n_partitions``,
+            ``encode_residuals``; ``nprobe`` and ``n_shards`` clamped to
+            ``n_partitions``), as :meth:`load` takes them from the
+            artifact, so the engine cannot disagree with its index.
         sharded: the sharded layout when ``config.n_shards > 1``.
         vectors: raw database vectors for exact re-ranking (optional).
         index_path: the saved artifact this engine was loaded from
@@ -347,6 +390,7 @@ class Engine:
         index_path: str | Path | None = None,
         mmap: bool = False,
     ):
+        config = _fit_to_index(config, {}, index, sharded)
         if (sharded is None) != (config.n_shards == 1):
             raise ConfigurationError(
                 "sharded layout must be provided exactly when "
@@ -458,30 +502,11 @@ class Engine:
             index = sharded.global_view
         else:
             index = load_index(path, mmap=mmap)
-        base = config if config is not None else EngineConfig()
-
-        def requested(name: str) -> int:
-            return cast(int, config_overrides.get(name, getattr(base, name)))
-
-        # The artifact's fields go into the same replace as the caller's
-        # overrides, so scanner="quickadc" is validated against the
-        # artifact's bits and nprobe against its n_partitions, not
-        # against the defaults those fields held a moment earlier.
-        config = _merge_config(
-            base,
-            {
-                **config_overrides,
-                "m": index.pq.m,
-                "bits": index.pq.bits,
-                "n_partitions": index.n_partitions,
-                "n_shards": (
-                    sharded.n_shards
-                    if sharded is not None
-                    else min(requested("n_shards"), index.n_partitions)
-                ),
-                "encode_residuals": index.encode_residuals,
-                "nprobe": min(requested("nprobe"), index.n_partitions),
-            },
+        config = _fit_to_index(
+            config if config is not None else EngineConfig(),
+            config_overrides,
+            index,
+            sharded,
         )
         if sharded is None and config.n_shards > 1:
             sharded = ShardedIndex.from_index(

@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..core import PQFastScanner, QuantizationOnlyScanner
+from ..core import PQFastScanner
 from ..exceptions import ConfigurationError
 from ..pq.product_quantizer import ProductQuantizer
 from ..scan.base import PartitionScanner
-from ..scan.libpq import LibpqScanner
 from ..scan.naive import NaiveScanner
 from ..scan.quickadc import QuickADCScanner
 
@@ -42,8 +41,8 @@ class _Kind:
     Attributes:
         cls: the scanner class.
         params: the :class:`ScannerSpec` fields its constructor takes,
-            by keyword, after the quantizer. Empty for the stateless
-            baselines, whose constructor takes nothing at all.
+            by keyword, after the quantizer. Empty for naive, whose
+            constructor takes nothing at all.
         fits: whether the kind can scan PQ ``m`` x ``bits`` codes.
         needs: that code shape in words, for the refusal.
     """
@@ -59,21 +58,10 @@ _KINDS: dict[str, _Kind] = {
     for kind in (
         _Kind(NaiveScanner),
         _Kind(
-            LibpqScanner,
-            fits=lambda m, bits: m == 8 and bits <= 8,
-            needs="m=8 and bits<=8 ((n, 8) byte codes, one 64-bit word each)",
-        ),
-        _Kind(
             PQFastScanner,
             ("keep", "group_components", "assignment", "qmax_bound", "seed"),
             fits=lambda m, bits: bits == 8,
             needs="bits=8 (byte codes, 256-entry tables cut into 16 portions)",
-        ),
-        _Kind(
-            QuantizationOnlyScanner,
-            ("keep",),
-            fits=lambda m, bits: bits == 8,
-            needs="bits=8 (byte codes, 256-entry int8 tables)",
         ),
         _Kind(
             QuickADCScanner,
@@ -117,7 +105,7 @@ class ScannerSpec:
 
     Attributes:
         kind: scanner kind, one of :data:`SCANNER_KINDS`.
-        keep: keep/sample fraction (fastpq / quickadc / qonly).
+        keep: keep/sample fraction (fastpq / quickadc).
         group_components: explicit grouping components (fastpq).
         assignment: assignment mode (fastpq).
         qmax_bound: qmax bound mode (fastpq).

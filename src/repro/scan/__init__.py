@@ -13,13 +13,11 @@ from .layout import (
     unpack_nibbles,
     untranspose_codes,
 )
-from .libpq import LibpqScanner
 from .naive import NaiveScanner
 from .quickadc import QuickADCResult, QuickADCScanner
 from .topk import TopKAccumulator, select_topk, select_topk_rows
 
 __all__ = [
-    "LibpqScanner",
     "NaiveScanner",
     "NibblePartition",
     "PartitionScanner",

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig, IVFADCIndex, ProductQuantizer, VectorDataset
+from repro.core import QuantizationOnlyScanner
+from repro.parallel import ScannerSpec
 from repro.shard import ShardedIndex
 
 
@@ -69,6 +71,14 @@ def tables(routed):
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def build_scanner(kind, pq, keep=0.005):
+    """``kind``'s scanner, built from its spec; ``"qonly"``, Figure 17's
+    quantization-only scanner, is no engine kind and is built directly."""
+    if kind == "qonly":
+        return QuantizationOnlyScanner(pq, keep=keep)
+    return ScannerSpec(kind, keep=keep).build(pq)
 
 
 def open_engine(

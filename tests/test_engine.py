@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import SCANNER_KINDS, Engine, EngineConfig
+from repro import SCANNER_KINDS, Engine, EngineConfig, IVFADCIndex
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.search import ANNSearcher
 from repro.obs import observability_session
@@ -118,11 +118,8 @@ class TestEngineConfig:
     @pytest.mark.parametrize(
         "kind, m, bits, fits",
         [
-            ("libpq", 8, 4, True),
-            ("libpq", 16, 8, False),
-            ("libpq", 8, 9, False),
+            ("naive", 16, 4, True),
             ("fastpq", 16, 4, False),
-            ("qonly", 8, 4, False),
             ("quickadc", 16, 8, False),
         ],
     )
@@ -133,6 +130,15 @@ class TestEngineConfig:
             return
         with pytest.raises(ConfigurationError, match=f"scanner='{kind}' requires"):
             EngineConfig(scanner=kind, m=m, bits=bits)
+
+    @pytest.mark.parametrize("kind", ["libpq", "qonly"])
+    def test_kinds_that_left_the_engine_are_refused(self, kind):
+        """libpq's word-packed scan and Figure 17's quantization-only
+        scanner are no engine kinds: their names are refused loudly,
+        with the kinds there are."""
+        with pytest.raises(ConfigurationError, match="unknown scanner kind") as raised:
+            EngineConfig(scanner=kind)
+        assert str(SCANNER_KINDS) in str(raised.value)
 
     def test_hashable_and_comparable(self):
         assert EngineConfig() == EngineConfig()
@@ -187,7 +193,7 @@ class TestEngineBuildAndSearch:
         assert len(wide.probed) == 8
         assert len(default.probed) == flat_engine.config.nprobe
 
-    @pytest.mark.parametrize("kind", ["naive", "libpq", "fastpq", "qonly"])
+    @pytest.mark.parametrize("kind", ["naive", "fastpq"])
     def test_every_scanner_kind_builds_and_searches(self, small_data, queries, kind):
         with Engine.build(
             small_data,
@@ -242,6 +248,26 @@ class TestEngineBuildAndSearch:
     def test_constructor_shard_config_mismatch_rejected(self, flat_engine):
         with pytest.raises(ConfigurationError):
             Engine(flat_engine.index, EngineConfig(n_shards=2, n_partitions=8))
+
+    def test_constructor_takes_the_build_fields_from_the_index(
+        self, pq4, small_data, queries
+    ):
+        """As ``load`` takes them from the artifact: a 16x4, 8-partition
+        index under ``EngineConfig(n_partitions=2, nprobe=2)`` used to
+        report ``m=8``, ``bits=8``, ``n_partitions=2``."""
+        index = IVFADCIndex(pq4, n_partitions=8, seed=3).add(small_data)
+        config = EngineConfig(scanner="naive", n_partitions=2, nprobe=2)
+        with Engine(index, config) as engine:
+            got = engine.config
+            assert (got.m, got.bits, got.n_partitions, got.nprobe) == (16, 4, 8, 2)
+            assert got.encode_residuals == index.encode_residuals
+            assert "m=16, bits=4, n_partitions=8" in repr(engine)
+            assert len(engine.search(queries[0], k=5).probed) == 2
+        wide = EngineConfig(scanner="naive", n_partitions=16, nprobe=12)
+        with Engine(index, wide) as engine:
+            assert engine.config.nprobe == 8
+        with pytest.raises(ConfigurationError, match="scanner='fastpq' requires"):
+            Engine(index, EngineConfig(scanner="fastpq"))
 
 
 class TestEnginePersistence:
@@ -548,9 +574,8 @@ class TestOutsideInputRefusedAtTheDoor:
     def test_non_finite_query_is_one_error_on_every_path(
         self, small_data, queries, kind
     ):
-        # At the parent: PAD_ID as a neighbour (1-D, naive), a retried
-        # "sharded search degraded" (naive, fastpq), an empty answer
-        # (libpq), "quantization bounds must be finite" (qonly).
+        # Unchecked: PAD_ID as a neighbour (1-D, naive), a retried
+        # "sharded search degraded" (naive, fastpq).
         batch = queries[:4].copy()
         batch[1, 0] = np.nan
         shape = dict(m=16, bits=4) if kind == "quickadc" else {}

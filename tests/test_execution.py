@@ -52,7 +52,7 @@ def _assert_identical(a, b):
 
 
 class TestBatchEquivalence:
-    @pytest.mark.parametrize("scanner_name", ["naive", "libpq", "fastpq"])
+    @pytest.mark.parametrize("scanner_name", ["naive", "fastpq"])
     @pytest.mark.parametrize("nprobe", [1, 2])
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_byte_identical_to_sequential(

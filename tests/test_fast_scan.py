@@ -12,15 +12,15 @@ from repro import (
     Partition,
     PQFastScanner,
     ProductQuantizer,
-    QuantizationOnlyScanner,
     VectorDataset,
 )
+from repro.core import QuantizationOnlyScanner
 from repro.core.fast_scan import best_first_pass
 from repro.core.quantization import DistanceQuantizer
 from repro.core.small_tables import SmallTables
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.pq.adc import adc_distances
-from repro.scan import LibpqScanner, NaiveScanner, select_topk
+from repro.scan import NaiveScanner, select_topk
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ class TestExactness:
         pid = index.route(query)[0]
         tables = index.distance_tables_for(query, pid)
         part = index.partitions[pid]
-        ref = LibpqScanner().scan(tables, part, topk=10)
+        ref = NaiveScanner().scan(tables, part, topk=10)
         assert scanner.scan(tables, part, topk=10).same_neighbors(ref)
 
     @pytest.mark.parametrize("c", [0, 1, 2, 3, 4])

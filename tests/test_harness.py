@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro import NaiveScanner, PQFastScanner, QuantizationOnlyScanner
+from repro import NaiveScanner, PQFastScanner
 from repro.bench import HarnessContext, build_workload, run_queries, summarize
 from repro.bench.harness import QueryStats
+from repro.core import QuantizationOnlyScanner
 from repro.scan.base import NO_IDS
 
 

@@ -63,6 +63,7 @@ from repro.serve import MicroBatchServer
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 from repro.delta import DeltaStore, fold_index
 
+from .conftest import build_scanner
 from .oracle import oracle_search, same_as_oracle
 
 
@@ -166,7 +167,7 @@ _BACKEND_OVERRIDES = {
 class TestByteIdentityUnderChurn:
     """The headline invariant, across scanners and executor backends."""
 
-    @pytest.mark.parametrize("scanner", ["naive", "libpq", "fastpq"])
+    @pytest.mark.parametrize("scanner", ["naive", "fastpq"])
     @pytest.mark.parametrize("backend", ["thread", "process", "sharded"])
     def test_unaffected_queries_identical(
         self, artifact, churn, tmp_path, scanner, backend
@@ -1123,7 +1124,7 @@ class TestTombstoneFilterAgainstFilteredCopy:
         return _tombstone_world(pq4, dataset, self.TOPK)
 
     @pytest.mark.parametrize("backend", _BACKENDS)
-    @pytest.mark.parametrize("kind", ["naive", "libpq", "fastpq", "qonly"])
+    @pytest.mark.parametrize("kind", ["naive", "fastpq"])
     def test_every_exact_kind_answers_like_the_filtered_copy(
         self, world, backend, kind
     ):
@@ -1163,12 +1164,15 @@ class TestTombstoneFilterAgainstFilteredCopy:
 
 _SKIP_KEEP = 0.05
 _SKIP_ROWS = 400
+#: The engine's kinds, and Figure 17's quantization-only scanner: no
+#: engine kind, but its ``scan_batch`` skips tombstones like one.
+_SKIP_KINDS = (*repro.engine.SCANNER_KINDS, "qonly")
 
 
 @st.composite
 def _skip_cases(draw):
     return {
-        "kind": draw(st.sampled_from(repro.engine.SCANNER_KINDS)),
+        "kind": draw(st.sampled_from(_SKIP_KINDS)),
         "n": draw(st.integers(0, _SKIP_ROWS)),
         "topk": draw(st.integers(1, 40)),
         # "sample": every row a keep / sample phase would score (the
@@ -1206,8 +1210,8 @@ class TestScannerSkipsTombstones:
     """Every scanner skips the rows a job's tombstones name inside its
     own scan: ``scan_batch(tables, partition, topk, tombstones)`` is
     checked against ``NaiveScanner`` over a copy of the partition
-    without them. naive, libpq, fastpq and qonly match it byte for
-    byte; quickadc returns at most ``topk`` live ids, each at its naive
+    without them. naive, fastpq and qonly match it byte for byte;
+    quickadc returns at most ``topk`` live ids, each at its naive
     ADC distance. A skipped row counts in ``n_scanned``, never in
     ``n_pruned``."""
 
@@ -1215,10 +1219,8 @@ class TestScannerSkipsTombstones:
     def world(self, pq, pq4, dataset):
         rows = dataset.base[:_SKIP_ROWS]
         scanners = {
-            kind: ScannerSpec(kind, keep=_SKIP_KEEP).build(
-                pq4 if kind == "quickadc" else pq
-            )
-            for kind in repro.engine.SCANNER_KINDS
+            kind: build_scanner(kind, pq4 if kind == "quickadc" else pq, _SKIP_KEEP)
+            for kind in _SKIP_KINDS
         }
         return {
             "scanners": scanners,
@@ -1277,7 +1279,7 @@ class TestScannerSkipsTombstones:
     def test_an_emptied_partition_scores_no_row(self, index, index4bit, dataset, kind, b):
         """The cliff, pinned by counts: every row dead, none scored."""
         source = index4bit if kind == "quickadc" else index
-        scanner = ScannerSpec(kind, keep=0.01).build(source.pq)
+        scanner = build_scanner(kind, source.pq, 0.01)
         partition = source.partitions[0]
         tables = source.distance_tables_for_batch(dataset.queries[:b], 0)
         for result in scanner.scan_batch(tables, partition, 10, partition.ids):

@@ -27,8 +27,7 @@ NPROBE = 3
 KS = (1, 10, 100)
 #: (scanner kind, PQ shape): the exact kinds at 8x8, and naive at 16x4.
 EXACT = [
-    ("naive", "8x8"), ("libpq", "8x8"), ("fastpq", "8x8"), ("qonly", "8x8"),
-    ("naive", "16x4"),
+    ("naive", "8x8"), ("fastpq", "8x8"), ("naive", "16x4"),
 ]
 #: (executor, n_shards).
 EXECUTORS = [("thread", 1), ("thread", 2), ("process", 2)]

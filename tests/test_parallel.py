@@ -11,10 +11,10 @@ from repro import (
     IVFADCIndex,
     NaiveScanner,
     PQFastScanner,
-    QuantizationOnlyScanner,
     save_index,
 )
-from repro.engine import Engine, EngineConfig
+from repro.core import QuantizationOnlyScanner
+from repro.engine import SCANNER_KINDS, Engine, EngineConfig
 from repro.exceptions import ConfigurationError
 from repro.parallel import ProcessBatchExecutor, ScannerSpec
 from repro.scan.base import PartitionScanner
@@ -27,9 +27,7 @@ from .oracle import holds_oracle_distances, oracle_search, same_as_oracle
 def _scanner_for(name, idx):
     if name == "naive":
         return NaiveScanner()
-    if name == "fastpq":
-        return PQFastScanner(idx.pq, keep=0.01, seed=0)
-    return QuantizationOnlyScanner(idx.pq, keep=0.01)
+    return PQFastScanner(idx.pq, keep=0.01, seed=0)
 
 
 def _assert_results_equal(a, b):
@@ -66,11 +64,10 @@ class TestScannerSpec:
         assert rebuilt.seed == scanner.seed
         assert rebuilt.qmax_bound == scanner.qmax_bound
 
-    def test_quantization_only_round_trip(self, pq):
-        scanner = QuantizationOnlyScanner(pq, keep=0.03)
-        rebuilt = ScannerSpec.for_scanner(scanner).build(pq)
-        assert isinstance(rebuilt, QuantizationOnlyScanner)
-        assert rebuilt.keep == scanner.keep
+    def test_quantization_only_cannot_be_reconstructed(self, pq):
+        """Figure 17's instrument is built directly, not by a worker."""
+        with pytest.raises(ConfigurationError, match="cannot be reconstructed"):
+            ScannerSpec.for_scanner(QuantizationOnlyScanner(pq, keep=0.03))
 
     def test_registry_scanner_round_trip(self, pq):
         rebuilt = ScannerSpec.for_scanner(NaiveScanner()).build(pq)
@@ -90,6 +87,13 @@ class TestScannerSpec:
         with pytest.raises(ConfigurationError, match="unknown scanner kind"):
             ScannerSpec(kind="nope").build(pq)
 
+    @pytest.mark.parametrize("kind", ["libpq", "qonly"])
+    def test_kinds_that_left_the_engine_are_unknown(self, pq, kind):
+        """Refused like any unknown name, naming the kinds there are."""
+        with pytest.raises(ConfigurationError, match="unknown scanner kind") as raised:
+            ScannerSpec(kind=kind).build(pq)
+        assert str(SCANNER_KINDS) in str(raised.value)
+
     def test_specs_are_picklable(self, pq):
         import pickle
 
@@ -98,7 +102,7 @@ class TestScannerSpec:
 
 
 class TestProcessExecutorEquivalence:
-    @pytest.mark.parametrize("scanner_name", ["naive", "fastpq", "qonly"])
+    @pytest.mark.parametrize("scanner_name", ["naive", "fastpq"])
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_byte_identical_to_sequential(
         self, index, dataset, index_artifact, scanner_name, n_workers
@@ -380,8 +384,9 @@ class TestEngineProcessExecutor:
             m=index.pq.m, n_partitions=index.n_partitions, nprobe=2,
             scanner="naive",
         )
-        thread_engine = Engine(index, config)
-        with Engine(index, replace(config, executor="process")) as process_engine:
+        with Engine(index, config) as thread_engine, Engine(
+            index, replace(config, executor="process")
+        ) as process_engine:
             a = thread_engine.search(dataset.queries, k=10)
             b = process_engine.search(dataset.queries, k=10)
         _assert_results_equal(a, b)

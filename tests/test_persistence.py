@@ -285,7 +285,7 @@ class TestPartitionValidation:
 class TestRoundTripSearchParity:
     """Reloaded index + each scanner answers byte-identically."""
 
-    @pytest.mark.parametrize("scanner_name", ["naive", "fastpq", "qonly"])
+    @pytest.mark.parametrize("scanner_name", ["naive", "fastpq"])
     def test_search_batch_byte_identical_after_reload(
         self, index, dataset, tmp_path, scanner_name, engine_over
     ):
@@ -325,7 +325,7 @@ class TestMmapLoading:
         save_index(index, path)
         return path
 
-    @pytest.mark.parametrize("scanner_name", ["naive", "fastpq", "qonly"])
+    @pytest.mark.parametrize("scanner_name", ["naive", "fastpq"])
     def test_mmap_byte_identical_to_eager(
         self, index, dataset, saved, scanner_name, engine_over
     ):

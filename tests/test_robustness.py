@@ -12,7 +12,7 @@ from repro import (
     ProductQuantizer,
 )
 from repro.exceptions import ConfigurationError, ReproError
-from repro.scan import LibpqScanner, NaiveScanner
+from repro.scan import NaiveScanner
 
 
 class TestAdversarialInputs:
@@ -63,9 +63,9 @@ class TestAdversarialInputs:
 
     def test_topk_larger_than_partition(self, tables, partition, pq):
         small = Partition(partition.codes[:20], partition.ids[:20])
-        for cls in (NaiveScanner, LibpqScanner):
-            result = cls().scan(tables, small, topk=100)
-            assert len(result.ids) == 20, cls.name
+        for scanner in (NaiveScanner(), PQFastScanner(pq, keep=0.1, seed=0)):
+            result = scanner.scan(tables, small, topk=100)
+            assert len(result.ids) == 20, scanner.name
 
 
 class TestConcurrency:

@@ -37,7 +37,7 @@ from repro.search import (
 )
 
 N_PARTITIONS = 12
-KINDS = ("naive", "override", "libpq", "fastpq", "qonly")
+KINDS = ("naive", "override", "fastpq")
 
 
 class _Override(NaiveScanner):

@@ -1,5 +1,7 @@
 """One suite over ``SCANNER_KINDS``: every exact kind answers like
-``NaiveScanner`` byte for byte, through every entry point of the contract."""
+``NaiveScanner`` byte for byte, through every entry point of the contract.
+Figure 17's quantization-only scanner, no engine kind, is held to the
+same contract where it has one: the scan itself."""
 
 import numpy as np
 import pytest
@@ -8,16 +10,20 @@ from repro import Partition
 from repro.engine import SCANNER_KINDS
 from repro.exceptions import DimensionMismatchError
 from repro.parallel import ScannerSpec
-from repro.scan import LibpqScanner, NaiveScanner, PartitionScanner, ScanBlock
+from repro.scan import NaiveScanner, PartitionScanner, ScanBlock
 from repro.scan.base import NO_IDS
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 
+from .conftest import build_scanner
 from .oracle import oracle_search, same_as_oracle
 
 #: quickadc scans 4-bit codes and is approximate at the margin: its
 #: reference is its own one-shard engine, in tests/test_quickadc.py and
 #: tests/test_oracle.py.
 EXACT_KINDS = [kind for kind in SCANNER_KINDS if kind != "quickadc"]
+#: The exact kinds, and Figure 17's quantization-only scanner, which is
+#: exact too but no engine kind.
+EXACT_SCANNERS = [*EXACT_KINDS, "qonly"]
 
 
 def assert_same_bytes(got, reference):
@@ -56,7 +62,7 @@ class TestScannerRegistry:
             for kind in SCANNER_KINDS
         ]
         assert [scanner.name for scanner in built] == list(SCANNER_KINDS)
-        assert len(set(SCANNER_KINDS)) == 5
+        assert SCANNER_KINDS == ("naive", "fastpq", "quickadc")
 
     def test_scan_batch_only_subclass_gets_scan_and_warm(self, index, dataset):
         scanner = _ScanBatchOnly()
@@ -104,7 +110,7 @@ class TestOneQueryPath:
 
 
 class TestMalformedTables:
-    @pytest.mark.parametrize("kind", ["libpq", "fastpq", "qonly", "quickadc"])
+    @pytest.mark.parametrize("kind", ["fastpq", "qonly", "quickadc"])
     def test_a_stack_of_the_wrong_shape_is_refused(
         self, kind, pq, pq4, index, index4bit, dataset
     ):
@@ -112,7 +118,7 @@ class TestMalformedTables:
         rank or shape is a :class:`DimensionMismatchError` naming what
         is wrong, before any table is indexed."""
         pq, index = (pq4, index4bit) if kind == "quickadc" else (pq, index)
-        scanner = ScannerSpec(kind).build(pq)
+        scanner = build_scanner(kind, pq)
         query = dataset.queries[0]
         pid = index.route(query)[0]
         tables = index.distance_tables_for(query, pid)
@@ -131,13 +137,17 @@ class TestMalformedTables:
 
 
 class TestScannerAgreement:
-    @pytest.mark.parametrize("name", EXACT_KINDS)
+    @pytest.mark.parametrize("name", EXACT_SCANNERS)
     def test_matches_naive(self, name, pq, index, partition, dataset):
         """``scan``, ``scan_batch`` packed as the executors pack it and the scanner
-        rebuilt from its spec, on ragged sizes, with ``topk`` below, at
-        and above the partition size, for a batch of 1 and of 5."""
-        scanner = ScannerSpec(name, keep=0.05).build(pq)
-        rebuilt = ScannerSpec.for_scanner(scanner).build(pq)
+        rebuilt from its spec (a kind's) or built anew (qonly), on ragged
+        sizes, with ``topk`` below, at and above the partition size, for a
+        batch of 1 and of 5."""
+        scanner = build_scanner(name, pq, keep=0.05)
+        if name == "qonly":
+            rebuilt = build_scanner(name, pq, keep=0.05)
+        else:
+            rebuilt = ScannerSpec.for_scanner(scanner).build(pq)
         assert type(rebuilt) is type(scanner) and rebuilt is not scanner
         stack = index.distance_tables_for_batch(
             dataset.queries[:5], partition.partition_id
@@ -160,12 +170,12 @@ class TestScannerAgreement:
         assert (np.diff(result.distances) >= -1e-12).all()
 
     def test_scalar_reference_paths(self, tables, partition):
-        """The literal Algorithm-1 loops agree with the vectorized scans."""
+        """The literal Algorithm-1 loop agrees with the vectorized scan."""
         sample = Partition(partition.codes[:200], partition.ids[:200])
-        for scanner in (NaiveScanner(), LibpqScanner()):
-            fast = scanner.scan(tables, sample, topk=5)
-            slow = scanner.scan_scalar(tables, sample, topk=5)
-            assert fast.same_neighbors(slow)
+        scanner = NaiveScanner()
+        fast = scanner.scan(tables, sample, topk=5)
+        slow = scanner.scan_scalar(tables, sample, topk=5)
+        assert fast.same_neighbors(slow)
 
     def test_result_distances_are_adc(self, tables, partition, pq):
         from repro.pq.adc import adc_distances
@@ -178,7 +188,7 @@ class TestScannerAgreement:
 
     def test_empty_partition(self, tables, pq):
         empty = Partition(np.zeros((0, 8), dtype=np.uint8), np.zeros(0))
-        for kind in EXACT_KINDS:
-            result = ScannerSpec(kind).build(pq).scan(tables, empty, topk=5)
+        for kind in EXACT_SCANNERS:
+            result = build_scanner(kind, pq).scan(tables, empty, topk=5)
             assert len(result.ids) == 0, kind
             assert result.n_scanned == 0

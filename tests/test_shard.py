@@ -13,7 +13,7 @@ from repro.exceptions import ConfigurationError, DatasetError
 from repro.ivf import IVFADCIndex
 from repro.obs import observability_session
 from repro.persistence import load_sharded_index, save_sharded_index
-from repro.scan import LibpqScanner, NaiveScanner
+from repro.scan import NaiveScanner
 from repro.scan.base import NO_IDS, ScanResult
 from repro.search import BatchPlanner, PartitionScanner
 from repro.shard import (
@@ -42,7 +42,6 @@ def batch_queries(dataset):
 def _scanner_factories(pq):
     return {
         "naive": lambda: NaiveScanner(),
-        "libpq": lambda: LibpqScanner(),
         "fastpq": lambda: PQFastScanner(pq, keep=0.01, seed=0),
     }
 
@@ -196,7 +195,7 @@ class TestShardRouter:
 
 
 class TestScatterGatherIdentity:
-    @pytest.mark.parametrize("kind", ["naive", "libpq", "fastpq"])
+    @pytest.mark.parametrize("kind", ["naive", "fastpq"])
     @pytest.mark.parametrize("nprobe", [1, 3, 8])
     def test_identical_to_unsharded(self, index8, pq, batch_queries, kind, nprobe):
         factory = _scanner_factories(pq)[kind]
@@ -616,7 +615,7 @@ class TestStreamingMerger:
             grids.append(grid)
         return grids, extra
 
-    @pytest.mark.parametrize("kind", ["naive", "libpq", "fastpq", "tied"])
+    @pytest.mark.parametrize("kind", ["naive", "fastpq", "tied"])
     @pytest.mark.parametrize("nprobe", [1, 3, 8])
     def test_fold_order_cannot_change_results(
         self, index8, pq, batch_queries, kind, nprobe
