@@ -18,7 +18,6 @@ once per (name, scale, seed).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,9 +171,6 @@ def build_workload(
         payload[f"codes_{pid}"] = part.codes
         payload[f"ids_{pid}"] = part.ids
     np.savez_compressed(cache, **payload)
-    (cache_dir / "MANIFEST.json").write_text(
-        json.dumps({"last_built": str(cache)}, indent=2)
-    )
     return Workload(
         name=name,
         scale=scale,

@@ -73,7 +73,7 @@ FAMILIES: dict[str, Family] = {family.name: family for family in (
     Family("repro_serve_requests_total", "counter", ("status",),
            "Serving-layer requests by outcome (ok/overload/error)."),
     Family("repro_serve_flushes_total", "counter", ("reason",),
-           "Micro-batches flushed by trigger (size/deadline/drain)."),
+           "Micro-batches flushed by trigger (size/idle/drain)."),
     Family("repro_serve_queue_wait_seconds", "histogram", (),
            "Time a served request waited in the coalescing queue."),
     Family("repro_serve_latency_seconds", "histogram", (),

@@ -6,8 +6,8 @@ semantics, benchmark interpretation).
 """
 
 from .service import (
-    FLUSH_DEADLINE,
     FLUSH_DRAIN,
+    FLUSH_IDLE,
     FLUSH_SIZE,
     STATUS_ERROR,
     STATUS_OK,
@@ -18,8 +18,8 @@ from .service import (
 )
 
 __all__ = [
-    "FLUSH_DEADLINE",
     "FLUSH_DRAIN",
+    "FLUSH_IDLE",
     "FLUSH_SIZE",
     "MicroBatchServer",
     "STATUS_ERROR",

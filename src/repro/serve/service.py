@@ -11,10 +11,11 @@ many single-query clients into batches until now.
 :class:`MicroBatchServer` is that layer:
 
 1. **Coalesce** — each ``await server.search(query)`` enqueues one
-   request; a coalescer task collects requests into a micro-batch and
-   flushes when the batch reaches :attr:`ServeConfig.max_batch` *or*
-   the oldest request has waited :attr:`ServeConfig.max_delay_s`
-   (deadline flush, e.g. 2 ms) — the classic throughput/latency trade.
+   request; a coalescer task takes the first request and whatever is
+   already queued behind it, up to :attr:`ServeConfig.max_batch`, and
+   flushes at once. It never waits for company while the engine is
+   idle; under load, batches form from the requests that queued behind
+   the one flush in flight.
 2. **Execute** — the batch runs on the engine underneath (its one
    executor per epoch: inline, or pinned process pools), off the event
    loop, so the loop keeps accepting requests while a batch scans.
@@ -78,8 +79,8 @@ if TYPE_CHECKING:  # import cycle: repro.engine imports repro.serve
     from ..engine import Engine
 
 __all__ = [
-    "FLUSH_DEADLINE",
     "FLUSH_DRAIN",
+    "FLUSH_IDLE",
     "FLUSH_SIZE",
     "MicroBatchServer",
     "STATUS_ERROR",
@@ -98,8 +99,8 @@ STATUS_ERROR = "error"
 
 #: Batch flushed because it reached :attr:`ServeConfig.max_batch`.
 FLUSH_SIZE = "size"
-#: Batch flushed because its oldest request hit the coalescing deadline.
-FLUSH_DEADLINE = "deadline"
+#: Batch flushed because the queue ran dry before it reached ``max_batch``.
+FLUSH_IDLE = "idle"
 #: Batch flushed while the server was draining during :meth:`stop`.
 FLUSH_DRAIN = "drain"
 
@@ -109,10 +110,10 @@ class ServeConfig:
     """Immutable micro-batching and admission-control knobs.
 
     Attributes:
-        max_batch: flush a batch as soon as it holds this many requests.
-        max_delay_s: flush a batch once its oldest request has waited
-            this long (the coalescing deadline — the latency the server
-            is willing to spend buying batch amortization).
+        max_batch: the most requests one batch takes from the queue.
+        max_delay_s: retired: no longer read, because the coalescer
+            never waits for company. Still accepted and validated (a
+            finite number >= 0) so existing configurations construct.
         max_queue: bound on requests accepted but not yet batched; a
             full queue sheds new requests with :data:`STATUS_OVERLOAD`.
 
@@ -342,11 +343,10 @@ class MicroBatchServer:
     async def stop(self) -> None:
         """Stop accepting, drain accepted requests, release the pool.
 
-        Every request admitted before ``stop`` is still answered: the
-        coalescer's partial batch and anything left in the queue flush
-        with reason :data:`FLUSH_DRAIN`, in order after the batch in
-        flight, and ``stop`` returns only once all of them resolved their
-        futures.
+        Every request admitted before ``stop`` is still answered: what
+        is left in the queue flushes with reason :data:`FLUSH_DRAIN`, in
+        order after the batch in flight, and ``stop`` returns only once
+        all of them resolved their futures.
         """
         coalescer, self._coalescer = self._coalescer, None
         if coalescer is None:
@@ -495,48 +495,29 @@ class MicroBatchServer:
     # -- internals -----------------------------------------------------------
 
     async def _coalesce(self) -> None:
-        """The coalescer loop: collect a micro-batch, await its flush.
+        """The coalescer loop: take what is queued, await its flush.
 
-        The coalescer collects nothing while a batch runs, so admission
-        pressure lands on the bounded queue (where it sheds) instead of
-        on a pile of in-flight batches. What is already queued is taken
-        before any wait, so a backlog older than the deadline still
-        leaves in batches of up to ``max_batch``, not one request at a
-        time. The flush is shielded: cancelling the coalescer
-        (:meth:`stop`) leaves it running, for ``stop`` to await.
+        Work-conserving: the first request and whatever is already
+        queued behind it, up to ``max_batch``, flush at once, so an idle
+        server never waits for company. The coalescer collects nothing
+        while a batch runs, so under load the next batch is what queued
+        behind the flush in flight, and admission pressure lands on the
+        bounded queue (where it sheds) instead of on a pile of in-flight
+        batches. No ``await`` separates taking the first request from
+        starting its flush, so cancelling the coalescer (:meth:`stop`)
+        strands no collected request; the flush is shielded, so it keeps
+        running for ``stop`` to await.
         """
         queue = self._queue
         if queue is None:  # pragma: no cover
             raise ConfigurationError("coalescer running without start()")
         loop = asyncio.get_running_loop()
+        max_batch = self.config.max_batch
         while True:
-            first = await queue.get()
-            batch = [first]
-            deadline = first.enqueued_at + self.config.max_delay_s
-            try:
-                while len(batch) < self.config.max_batch:
-                    if not queue.empty():
-                        batch.append(queue.get_nowait())
-                        continue
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            except asyncio.CancelledError:
-                # stop() interrupted the collection: the batch holds
-                # admitted requests, which must still be answered.
-                self._inflight = loop.create_task(self._flush(batch, FLUSH_DRAIN))
-                raise
-            reason = (
-                FLUSH_SIZE
-                if len(batch) >= self.config.max_batch
-                else FLUSH_DEADLINE
-            )
+            batch = [await queue.get()]
+            while len(batch) < max_batch and not queue.empty():
+                batch.append(queue.get_nowait())
+            reason = FLUSH_SIZE if len(batch) == max_batch else FLUSH_IDLE
             self._inflight = loop.create_task(self._flush(batch, reason))
             await asyncio.shield(self._inflight)
 

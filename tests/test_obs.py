@@ -499,7 +499,7 @@ def _record_sequence(obs):
     obs.record_request("ok", 0.001, 0.004)
     obs.record_request("overload")
     obs.record_flush(4, "size")
-    obs.record_flush(1, "deadline")
+    obs.record_flush(1, "idle")
     obs.record_mutation("add", 3, 3, 0)
     obs.record_mutation("delete", 2, 3, 2)
     obs.record_compaction(0.3, 1, 0, 0)

@@ -1,9 +1,9 @@
-"""Serving-layer tests: coalescing, deadline flush, shedding, identity.
+"""Serving-layer tests: coalescing, idle flush, shedding, identity.
 
 The micro-batching server is pure stdlib asyncio, so every test drives
 it with ``asyncio.run`` — no event-loop plugin needed. Timing-sensitive
-behavior (deadline flush) is tested with generous margins; batching
-*bounds* are exact and asserted exactly.
+behavior (an idle server flushes at once) is tested with generous
+margins; batching *bounds* are exact and asserted exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.obs import observability_session
 from repro.search import SearchResult
 from repro.serve import (
     FLUSH_DRAIN,
+    FLUSH_IDLE,
     STATUS_OK,
     STATUS_OVERLOAD,
     MicroBatchServer,
@@ -97,9 +98,8 @@ class TestCoalescing:
             seen_sizes.append(len(queries))
             return _echo_batch(queries)
 
-        # A long deadline means only the size bound can flush promptly:
-        # 16 concurrent clients over max_batch=4 must produce batches
-        # of exactly 4, well before the 60s deadline.
+        # 16 concurrent clients over max_batch=4: every batch is cut
+        # at 4, and the retired 60 s delay holds none of them back.
         config = ServeConfig(max_batch=4, max_delay_s=60.0)
 
         async def scenario() -> list[ServedResult]:
@@ -132,17 +132,15 @@ class TestCoalescing:
                 return result, loop.time() - start
 
         result, elapsed = asyncio.run(scenario())
-        # A lone request can never reach max_batch; only the deadline
-        # can flush it. Generous upper bound for slow CI machines.
+        # A lone request can never reach max_batch; the idle server
+        # flushes it at once. Generous upper bound for slow CI machines.
         assert result.ok
         assert result.batch_size == 1
         assert elapsed < 5.0
 
     def test_backlog_older_than_the_deadline_leaves_in_full_batches(self):
-        # The only flush slot is held while 40 requests queue for far
-        # longer than max_delay_s. The coalescer used to close a batch
-        # without looking at the queue once its first request was past
-        # the deadline, so the backlog left as forty batches of one.
+        # The only flush slot is held while 40 requests queue behind
+        # it: they must leave in full batches, not forty batches of one.
         release = threading.Event()
         seen_sizes: list[int] = []
 
@@ -191,6 +189,53 @@ class TestCoalescing:
         results = asyncio.run(scenario())
         assert all(r.ok for r in results)
         assert not any(r.batch_size > 5 for r in results)
+
+    def test_idle_server_flushes_a_lone_request_at_once(self):
+        # The retired max_delay_s is a minute: a server that waited for
+        # company would time this out.
+        config = ServeConfig(max_delay_s=60.0)
+
+        async def scenario() -> ServedResult:
+            async with MicroBatchServer(_echo_batch, config) as server:
+                return await asyncio.wait_for(
+                    server.search(np.array([7.0, 0.0])), 5
+                )
+
+        result = asyncio.run(scenario())
+        assert result.ok and result.batch_size == 1
+        assert result.queue_wait_s < 0.5
+
+    def test_closed_loop_clients_batch_behind_the_flush_in_flight(self):
+        # 8 clients, each sending its next request when the last one is
+        # answered, under max_batch=32: each flush is cut when the
+        # queue runs dry, and what queued behind the flush in flight is
+        # every client's next request.
+        seen_sizes: list[int] = []
+
+        def batch_fn(queries: np.ndarray) -> list[SearchResult]:
+            seen_sizes.append(len(queries))
+            return _echo_batch(queries)
+
+        config = ServeConfig(max_batch=32, max_delay_s=60.0)
+        clients, rounds = 8, 20
+
+        async def client(server: MicroBatchServer, c: int) -> list[int]:
+            answers = []
+            for _ in range(rounds):
+                served = await server.search(np.array([float(c), 0.0]))
+                answers.append(int(served.result.ids[0]))
+            return answers
+
+        async def scenario() -> list[list[int]]:
+            async with MicroBatchServer(batch_fn, config) as server:
+                everyone = asyncio.gather(
+                    *(client(server, c) for c in range(clients))
+                )
+                return await asyncio.wait_for(everyone, 10)
+
+        answers = asyncio.run(scenario())
+        assert answers == [[c] * rounds for c in range(clients)]
+        assert seen_sizes == [clients] * rounds
 
 
 class TestAdmissionControl:
@@ -416,7 +461,7 @@ class TestServeObservability:
             flushes = registry.get("repro_serve_flushes_total")
             total_flushes = sum(
                 flushes.value(reason=reason)
-                for reason in ("size", "deadline", "drain")
+                for reason in ("size", "idle", "drain")
             )
             assert total_flushes == server.n_flushes >= 2
             histograms = registry.snapshot()["histograms"]
@@ -463,20 +508,36 @@ class TestServeObservability:
 
 class TestDrainReason:
     def test_stop_flushes_with_drain_reason(self):
-        config = ServeConfig(max_batch=64, max_delay_s=60.0)
+        # The first request's flush holds the one slot, so the second
+        # is still queued when stop() begins: stop() drains it.
+        release = threading.Event()
+
+        def blocking_batch(queries: np.ndarray) -> list[SearchResult]:
+            release.wait(timeout=30)
+            return _echo_batch(queries)
+
+        config = ServeConfig(max_batch=64)
 
         async def scenario(server: MicroBatchServer) -> None:
             await server.start()
-            task = asyncio.create_task(
-                server.search(np.array([3.0, 0.0]))
-            )
+            tasks = []
+            for x in (2.0, 3.0):
+                tasks.append(
+                    asyncio.create_task(server.search(np.array([x, 0.0])))
+                )
+                await asyncio.sleep(0.05)
+            stopping = asyncio.create_task(server.stop())
             await asyncio.sleep(0.05)
-            await server.stop()
-            result = await task
-            assert result.ok
+            assert server.depth == 1
+            release.set()
+            await stopping
+            results = await asyncio.gather(*tasks)
+            assert [r.result.ids[0] for r in results] == [2, 3]
+            assert [r.batch_size for r in results] == [1, 1]
 
         with observability_session() as obs:
-            server = MicroBatchServer(_echo_batch, config)
+            server = MicroBatchServer(blocking_batch, config)
             asyncio.run(scenario(server))
             flushes = obs.metrics.get("repro_serve_flushes_total")
+            assert flushes.value(reason=FLUSH_IDLE) == 1.0
             assert flushes.value(reason=FLUSH_DRAIN) == 1.0
