@@ -1,0 +1,87 @@
+"""Native kernels against numpy, engine to engine: two relative floors.
+
+``repro.native`` runs naive's scan-and-select and Step 2's table combine
+in C, byte-identical to the numpy paths that ``REPRO_NATIVE=0`` selects.
+Each row times one thread ``Engine`` (``scanner="naive"``) with the
+kernels and without them, in alternating pairs, and asserts byte-identity
+and a floor on the median of the per-pair ``qps`` ratios:
+
+* 60 000 x 128-d rows, 64 partitions, nprobe 8, k = 100, batches of 64:
+  mid-sized partitions (~940 rows), eight jobs a query;
+* 65 536 x 128-d rows in one partition, k = 100, batches of 8: the
+  scan is the whole batch.
+
+Each floor is 80 % of the median ratio measured on a 2-core x86 host,
+rounded down to a twentieth. Over fifteen alternating pairs (three runs
+of this file) 64/8 read 1.30-1.79x per pair, median 1.63x (floor 1.30x),
+and the one partition 2.36-4.63x, median 2.90x (floor 2.30x).
+"""
+
+import os
+import statistics
+import time
+
+import pytest
+
+from repro import Engine, EngineConfig, VectorDataset, native
+
+N_BASE, PAIRS, TOPK = 65_536, 5, 100
+SHAPES = {
+    # name: (rows, n_partitions, nprobe, batch, n_queries, floor)
+    "64/8, batches of 64": (60_000, 64, 8, 64, 256, 1.30),
+    "one 65 536-row partition, batches of 8": (N_BASE, 1, 1, 8, 64, 2.30),
+}
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return VectorDataset.synthetic(4000, N_BASE, 256, dim=128, seed=3)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def kernels():
+    if os.environ.get(native.ENV_VAR) == "0":
+        pytest.skip(f"{native.ENV_VAR}=0: nothing to compare the numpy paths with")
+
+
+def fingerprint(results):
+    return [(r.ids.tobytes(), r.distances.tobytes(), r.n_scanned) for r in results]
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_native_beats_numpy_by_its_floor(dataset, shape, monkeypatch):
+    n_rows, n_partitions, nprobe, batch, n_queries, floor = SHAPES[shape]
+    config = EngineConfig(
+        n_partitions=n_partitions, max_iter=4, coarse_max_iter=4, seed=0,
+        scanner="naive", executor="thread",
+    )
+    queries = dataset.queries[:n_queries]
+    batches = [queries[i : i + batch] for i in range(0, n_queries, batch)]
+    with Engine.build(dataset.base[:n_rows], config) as engine:
+        assert native.available(), native.reason()
+
+        def qps(kernels: bool):
+            if kernels:
+                monkeypatch.delenv(native.ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(native.ENV_VAR, "0")
+            answers = []
+            start = time.perf_counter()
+            for block in batches:
+                answers.extend(engine.search(block, k=TOPK, nprobe=nprobe))
+            return n_queries / (time.perf_counter() - start), answers
+
+        # Untimed pilot: the identity gate, and warm caches on both sides.
+        assert fingerprint(qps(True)[1]) == fingerprint(qps(False)[1]), (
+            f"{shape}: the native kernels diverged from numpy"
+        )
+        ratios = []
+        for pair in range(PAIRS):
+            order = (True, False) if pair % 2 else (False, True)
+            measured = {kernels: qps(kernels)[0] for kernels in order}
+            ratios.append(measured[True] / measured[False])
+    speed = statistics.median(ratios)
+    assert speed >= floor, (
+        f"{shape}: native at {speed:.2f}x numpy (pairs "
+        f"{', '.join(f'{r:.2f}' for r in ratios)}), floor {floor:.2f}x"
+    )

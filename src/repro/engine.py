@@ -52,6 +52,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .delta.store import DeltaView
 
+from . import native
 from .delta import CompactionReport, DeltaStore, fold_index
 from .exceptions import ConfigurationError
 from .ivf.inverted_index import IVFADCIndex, as_count, as_database_ids
@@ -417,6 +418,11 @@ class Engine:
         self._epoch = 0
         self._reader_counts: dict[int, int] = {0: 0}
         self._retired: dict[int, threading.Event] = {}
+        if config.scanner == "naive" or config.mutable:
+            # The engines that scan with naive (a mutable one scans its
+            # delta segments with it) may compile the native kernels; it
+            # happens here, before any worker is forked, so workers load.
+            native.build()
         # One executor per epoch, built eagerly here and in compact(),
         # so a pinned epoch always carries the executor of its base.
         self._executor = self._build_executor(index, sharded)

@@ -19,6 +19,7 @@ import operator
 
 import numpy as np
 
+from .. import native
 from ..exceptions import ConfigurationError, DimensionMismatchError, NotFittedError
 from ..pq.product_quantizer import ProductQuantizer
 from ..pq.quantizer import VectorQuantizer
@@ -347,7 +348,10 @@ class IVFADCIndex:
         ``queries`` and of their :meth:`query_half`: two adds per entry.
         ``partition_id`` is one cell for every row, or one per row: a
         run of jobs over several cells is one call, each row's table
-        bit-identical to its own cell's.
+        bit-identical to its own cell's. The combine is one C call where
+        the native kernels run (:func:`repro.native.combine_tables`: the
+        same adds, reading ``rows`` and the cells in place), numpy's
+        passes otherwise.
         """
         cells = np.asarray(partition_id)
         if cells.size and not 0 <= cells.min() <= cells.max() < self.n_partitions:
@@ -356,13 +360,19 @@ class IVFADCIndex:
                 f"{partition_id}"
             )
         if rows is not None:
-            queries, query_half = queries[rows], query_half[rows]
+            queries = queries[rows]
         # C-contiguous for the reason distance_tables_batch gives.
         shifted = np.ascontiguousarray(queries, dtype=np.float64)
         if self.encode_residuals:
             shifted = shifted - self.coarse.codebook[cells]
         subs = shifted.reshape(len(shifted), self.pq.m, self.pq.dsub)
-        r_sq = np.einsum("qjd,qjd->qj", subs, subs)[:, :, None]
+        r_sq = np.einsum("qjd,qjd->qj", subs, subs)
+        tables = native.combine_tables(r_sq, query_half, rows, self.cell_half, cells)
+        if tables is not None:
+            return tables
+        if rows is not None:
+            query_half = query_half[rows]
+        r_sq = r_sq[:, :, None]
         if cells.ndim:  # the gathered cell halves are the table's one block
             tables = self.cell_half.take(cells, axis=0)
             tables += r_sq

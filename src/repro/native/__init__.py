@@ -1,0 +1,377 @@
+"""Native kernels: the naive PQ Scan and Step 2's table combine in C.
+
+``kernels.c`` holds two kernels, each byte-identical to the numpy path
+it stands in for: :func:`naive_scan` (``NaiveScanner.scan_run``: gather,
+sum and top-k selection in one pass per cell) and :func:`combine_tables`
+(``IVFADCIndex.tables_from_halves``). Callers try the kernel first and
+run numpy when it returns None, so numpy is the fallback everywhere and
+the reference the tests hold the kernels to.
+
+The library is compiled with the system ``cc`` into a per-user cache,
+``$XDG_CACHE_HOME/repro/native`` (``~/.cache/repro/native`` when that is
+unset), never inside the source tree. Its file name is a hash of the
+source, the flags, the machine and the compiler (its resolved path,
+size and modification time, so a warm load starts no process). A build
+writes a temporary file in the cache and renames it into place, so
+concurrent builds are safe. ``ctypes`` releases the GIL around each
+kernel call.
+
+Only :func:`build` runs the compiler; everything else loads the library
+only if it is already cached. ``Engine`` calls :func:`build` for the
+engines that scan with naive (a naive scanner, or a mutable engine's
+delta segments), before it starts any worker, so workers only load it.
+
+The numpy path runs when ``REPRO_NATIVE=0`` is set, when there is no
+compiler, when a build fails or times out, or when the cache cannot be
+written; :func:`available` says whether the kernels run and
+:func:`reason` why they do not.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import threading
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from ..exceptions import ReproError
+
+__all__ = ["ENV_VAR", "available", "build", "reason"]
+
+#: Set to ``0`` to run the numpy paths only; read at every kernel call.
+ENV_VAR = "REPRO_NATIVE"
+
+SOURCE = Path(__file__).with_name("kernels.c")
+
+#: IEEE adds in source order (no contraction into FMAs, no fast-math)
+#: and no ``-march=native``, so the cached object runs on any machine
+#: of the architecture it is keyed by and gives numpy's bytes.
+FLAGS = ("-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Most a build may take before it is killed and numpy runs instead.
+BUILD_TIMEOUT_S = 60.0
+
+_ADDRESS = ctypes.c_void_p
+_I64 = ctypes.c_int64
+
+
+class NativeBuildError(ReproError):
+    """The native library could not be built or loaded (the numpy paths
+    run instead; the message is :func:`reason`)."""
+
+
+def default_cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/repro/native``, or ``~/.cache/repro/native``."""
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return Path(root) / "repro" / "native"
+
+
+class NativeLibrary:
+    """One cached build of ``kernels.c`` and, once loaded, its handle.
+
+    The process has one (the module's); tests build others over their
+    own cache directory or compiler to see the fallbacks.
+    """
+
+    def __init__(
+        self,
+        directory: Path | None = None,
+        compiler: str = "cc",
+        timeout_s: float = BUILD_TIMEOUT_S,
+    ) -> None:
+        self.directory = directory
+        self.compiler = compiler
+        self.timeout_s = timeout_s
+        self._lock = threading.Lock()
+        self._handle: ctypes.CDLL | None = None
+        self._reason = "not loaded yet"
+        self._looked = False        # a cache lookup has missed or failed
+        self._build_failed = False  # a build failed: never run it again
+
+    @property
+    def reason(self) -> str | None:
+        """Why the kernels do not run, or None when they do."""
+        if os.environ.get(ENV_VAR) == "0":
+            return f"{ENV_VAR}=0"
+        return None if self._handle is not None else self._reason
+
+    def handle(self, build: bool = False) -> ctypes.CDLL | None:
+        """The loaded library, or None: from the cache, and compiled into
+        it first when ``build`` is set."""
+        if os.environ.get(ENV_VAR) == "0":
+            return None
+        if self._handle is not None or (self._looked and not build):
+            return self._handle
+        with self._lock:
+            if self._handle is None and not (build and self._build_failed):
+                try:
+                    self._handle = self._load(build)
+                except NativeBuildError as error:
+                    self._reason = str(error)
+                    self._looked = True
+                    self._build_failed = build
+            return self._handle
+
+    def _load(self, build: bool) -> ctypes.CDLL:
+        compiler = shutil.which(self.compiler)
+        if compiler is None:
+            raise NativeBuildError(f"no C compiler: {self.compiler!r} is not on PATH")
+        try:
+            path = self._cached_path(compiler)
+        except OSError as error:
+            raise NativeBuildError(
+                f"cannot read the source or compiler: {error}"
+            ) from None
+        if not path.exists():
+            if not build:
+                raise NativeBuildError(f"not built yet (no {path})")
+            self._compile(compiler, path)
+        try:
+            library = ctypes.CDLL(str(path))
+            _declare(library)
+        except (OSError, AttributeError) as error:  # not a library, or not ours
+            raise NativeBuildError(f"cannot load {path}: {error}") from None
+        return library
+
+    def _cached_path(self, compiler: str) -> Path:
+        resolved = os.path.realpath(compiler)
+        stat = os.stat(resolved)
+        key = hashlib.sha256(SOURCE.read_bytes())
+        for part in (*FLAGS, resolved, stat.st_size, stat.st_mtime_ns,
+                     platform.machine(), sys.platform):
+            key.update(f"\0{part}".encode())
+        directory = self.directory or default_cache_dir()
+        return directory / f"kernels-{key.hexdigest()[:20]}.so"
+
+    def _compile(self, compiler: str, path: Path) -> None:
+        """``compiler`` into a temporary file beside ``path``, renamed onto
+        it. The compiler runs in its own process group, killed whole on a
+        timeout: killing the ``cc`` front end alone would leave its
+        ``cc1`` holding the pipes open."""
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, temporary = tempfile.mkstemp(
+                dir=path.parent, prefix=".kernels-", suffix=".tmp"
+            )
+            os.close(fd)
+        except OSError as error:
+            raise NativeBuildError(
+                f"cache {path.parent} is not writable: {error}"
+            ) from None
+        try:
+            command = [compiler, *FLAGS, "-o", temporary, str(SOURCE)]
+            try:
+                process = subprocess.Popen(
+                    command, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                    stderr=subprocess.STDOUT, start_new_session=True,
+                )
+            except OSError as error:
+                raise NativeBuildError(f"cannot run {compiler}: {error}") from None
+            try:
+                output, _ = process.communicate(timeout=self.timeout_s)
+            except subprocess.TimeoutExpired:
+                with contextlib.suppress(ProcessLookupError):  # it just ended
+                    os.killpg(process.pid, signal.SIGKILL)
+                process.communicate()
+                raise NativeBuildError(
+                    f"{compiler} took longer than {self.timeout_s} s"
+                ) from None
+            if process.returncode != 0:
+                text = output.decode(errors="replace").strip()[-400:]
+                raise NativeBuildError(
+                    f"{compiler} failed (exit {process.returncode}): {text}"
+                )
+            try:
+                os.replace(temporary, path)
+            except OSError as error:
+                raise NativeBuildError(f"cannot write {path}: {error}") from None
+        finally:
+            if os.path.exists(temporary):
+                os.unlink(temporary)
+
+
+def _declare(library: ctypes.CDLL) -> None:
+    scan = library.repro_naive_scan
+    scan.restype = ctypes.c_int
+    scan.argtypes = [
+        _ADDRESS, _I64, _I64,            # tables, m, ksub
+        _ADDRESS, _ADDRESS, _ADDRESS,    # codes, ids, dead
+        _ADDRESS, _ADDRESS, _I64, _I64,  # n_rows, n_cells, n_jobs, width
+        _ADDRESS, _ADDRESS, _ADDRESS,    # out_dist, out_ids, lengths
+    ]
+    combine = library.repro_combine_tables
+    combine.restype = ctypes.c_int
+    combine.argtypes = [
+        _ADDRESS, _I64, _I64, _I64,      # r_sq, n, m, ksub
+        _ADDRESS, _I64, _ADDRESS, _I64,  # query_half, stride, rows, n_queries
+        _ADDRESS, _I64, _ADDRESS, _I64,  # cell_half, stride, cells, step,
+        _I64, _ADDRESS,                  # n_cell_rows, out
+    ]
+
+
+#: The process's library: a loaded shared object is process-wide state.
+_LIBRARY = NativeLibrary()
+
+
+def build() -> bool:
+    """Compile the library into the cache if it is not there, and load
+    it; True when the kernels run. Never raises: a failure is
+    :func:`reason`, and the numpy paths run."""
+    return _LIBRARY.handle(build=True) is not None
+
+
+def available() -> bool:
+    """Whether the kernels run: the library is loaded (or is in the
+    cache, which this loads) and ``REPRO_NATIVE`` is not ``0``."""
+    return _LIBRARY.handle() is not None
+
+
+def reason() -> str | None:
+    """Why the kernels do not run, or None when they do."""
+    _LIBRARY.handle()
+    return _LIBRARY.reason
+
+
+def _address(array: np.ndarray) -> int:
+    return int(array.__array_interface__["data"][0])
+
+
+def naive_scan(
+    tables: np.ndarray,
+    codes: np.ndarray,
+    ids: np.ndarray,
+    dead: np.ndarray | None,
+    n_rows: np.ndarray,
+    n_cells: "np.ndarray | Sequence[int]",
+    topk: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The naive PQ Scan of a run of jobs, or None (run numpy).
+
+    Job ``i`` is ``n_cells[i]`` consecutive tables of the ``(c, m, k*)``
+    stack against the next ``n_rows[i]`` rows of ``codes`` / ``ids`` /
+    ``dead`` (the rows to leave out; None for none). Returns the
+    ``(c, min(topk, max n_rows))`` ids and distances of every cell's
+    best live rows by (distance, id), padded with ``(PAD_ID,
+    PAD_DISTANCE)``, and each cell's count of real entries.
+
+    None when the kernels do not run, or when the inputs fall outside
+    what the kernel is exact for (codes not ``uint8``, ``topk < 1``, a
+    code past the table, a NaN distance), so that numpy answers, or
+    raises, as it always has.
+    """
+    library = _LIBRARY.handle()
+    if (library is None or codes.dtype != np.uint8 or tables.ndim != 3
+            or not isinstance(topk, (int, np.integer)) or topk < 1):
+        return None
+    c, m, ksub = tables.shape
+    n_rows = np.ascontiguousarray(n_rows, dtype=np.int64)
+    n_cells = np.ascontiguousarray(n_cells, dtype=np.int64)
+    if (codes.shape != (int(n_rows.sum()), m) or ids.shape != (len(codes),)
+            or (dead is not None and dead.shape != ids.shape)
+            or int(n_cells.sum()) != c or n_rows.shape != n_cells.shape):
+        return None
+    tables = np.ascontiguousarray(tables, dtype=np.float64)
+    codes = np.ascontiguousarray(codes)
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    if dead is not None:
+        dead = np.ascontiguousarray(dead, dtype=np.bool_)
+    width = min(topk, int(n_rows.max(initial=0)))
+    distances = np.empty((c, width), dtype=np.float64)
+    top_ids = np.empty((c, width), dtype=np.int64)
+    lengths = np.empty(c, dtype=np.int64)
+    status = library.repro_naive_scan(
+        _address(tables), m, ksub,
+        _address(codes), _address(ids), None if dead is None else _address(dead),
+        _address(n_rows), _address(n_cells), len(n_rows), width,
+        _address(distances), _address(top_ids), _address(lengths),
+    )
+    return None if status else (top_ids, distances, lengths)
+
+
+def _blocks_of(array: np.ndarray) -> int | None:
+    """The stride, in float64s, between the C-order ``(m, k*)`` blocks of
+    a ``(n, m, k*)`` float64 array (0 for a broadcast one), or None."""
+    if array.dtype != np.float64 or array.ndim != 3:
+        return None
+    _, m, ksub = array.shape
+    step, row, item = array.strides
+    if item != 8 or row != 8 * ksub or step % 8 or step < 0:
+        return None
+    return step // 8
+
+
+#: Fewest table entries (rows x m x k*) the C combine is used for; a
+#: smaller block is combined by numpy. Measured on a 2-core x86 host: in
+#: isolation the C combine ties numpy at 8 192 entries (4 rows at 8x8, 32
+#: at 16x4, one cell) and wins from there (0.75x at 8x8 x 8 rows), but in
+#: perfbench's traced ``scan-fastpq`` replay (8 rows, 16 384 entries,
+#: between fastpq scans) it read ``ivf.tables_ms`` 0.259 ms against
+#: numpy's 0.241 (medians of seven alternating pairs). A run of
+#: ``probe-sharded`` or ``serve-mixed`` (up to 64 cells) is 131 072.
+COMBINE_MIN_ENTRIES = 1 << 15
+
+
+def combine_tables(
+    r_sq: np.ndarray,
+    query_half: np.ndarray,
+    rows: np.ndarray | None,
+    cell_half: np.ndarray,
+    cells: np.ndarray,
+) -> np.ndarray | None:
+    """Step 2's combine, ``max((cell_half[cells] + r_sq) -
+    query_half[rows], 0)``, as a fresh ``(n, m, k*)`` array, or None
+    (run numpy).
+
+    ``r_sq`` is ``(n, m)``; ``rows`` (None: all of ``query_half``) and
+    ``cells`` (one cell, or one per row) index ``query_half`` and
+    ``cell_half`` in place: no gathered copy of either is made.
+    ``cell_half`` may be a stride-0 broadcast of one block. A row or
+    cell out of range returns None, and numpy raises.
+    """
+    n, m = r_sq.shape
+    ksub = query_half.shape[-1]
+    if n * m * ksub < COMBINE_MIN_ENTRIES:
+        return None
+    library = _LIBRARY.handle()
+    if library is None:
+        return None
+    query_stride, cell_stride = _blocks_of(query_half), _blocks_of(cell_half)
+    cells = np.asarray(cells)
+    if rows is not None:
+        rows = np.asarray(rows)
+    if (query_stride is None or cell_stride is None
+            or query_half.shape[1] != m or cell_half.shape[1:] != (m, ksub)
+            or cells.dtype.kind not in "iu" or cells.shape not in ((), (n,))
+            or (rows is not None
+                and (rows.dtype.kind not in "iu" or rows.shape != (n,)))):
+        return None
+    r_sq = np.ascontiguousarray(r_sq, dtype=np.float64)
+    # One cell is a 0-d array read with step 0 (ascontiguousarray would
+    # make it 1-d).
+    cells = cells.astype(np.int64, copy=False)
+    if cells.ndim:
+        cells = np.ascontiguousarray(cells)
+    if rows is not None:
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+    out = np.empty((n, m, ksub), dtype=np.float64)
+    status = library.repro_combine_tables(
+        _address(r_sq), n, m, ksub,
+        _address(query_half), query_stride,
+        None if rows is None else _address(rows), len(query_half),
+        _address(cell_half), cell_stride, _address(cells), int(cells.ndim > 0),
+        len(cell_half), _address(out),
+    )
+    return None if status else out

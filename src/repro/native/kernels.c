@@ -1,0 +1,342 @@
+/* Native kernels of repro, loaded with ctypes by repro/native/__init__.py.
+ *
+ * Two kernels, each byte-identical to the numpy path it replaces:
+ *
+ * repro_naive_scan      PQ Scan (Algorithm 1) of a run of jobs with its
+ *                       top-k selection: NaiveScanner.scan_run.
+ * repro_combine_tables  Step 2's combine: IVFADCIndex.tables_from_halves.
+ *
+ * Identity rests on doing the same IEEE operations in the same order:
+ * every row's distance is table[0][code0] + table[1][code1] + ... added
+ * left to right (adc_distances' order), and every table entry is
+ * (cell_half + r_sq) - query_half, clamped at 0 as numpy.maximum does.
+ * The build uses -ffp-contract=off and never -ffast-math, so no add is
+ * fused, reassociated or vectorised across a row's components. Rows are
+ * independent, so a block of them is summed component by component:
+ * the adds of different rows overlap, each row's stay in order.
+ *
+ * The selection keeps, per cell, the best (distance, id) pairs in the
+ * library's total order (distance, then id), so it picks and sorts
+ * exactly what select_topk_rows does. A NaN distance has no
+ * place in that order: the scan reports it and the caller falls back to
+ * numpy, which defines that case.
+ */
+
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* Rows summed together: enough independent adds to hide a load's
+ * latency, few enough that their sums stay in L1. */
+#define ROW_BLOCK 64
+
+#define SCAN_OK 0
+#define SCAN_BAD_CODE 1
+#define SCAN_NAN 2
+#define SCAN_NO_MEMORY 3
+
+/* (da, ia) sorts before (db, ib); without branches, which the sorts'
+ * unpredictable comparisons would mispredict. */
+static inline int precedes(double da, int64_t ia, double db, int64_t ib)
+{
+    return (da < db) | ((da == db) & (ia < ib));
+}
+
+static inline void swap_pairs(double *dist, int64_t *ids, int64_t a, int64_t b)
+{
+    double d = dist[a];
+    int64_t id = ids[a];
+    dist[a] = dist[b];
+    ids[a] = ids[b];
+    dist[b] = d;
+    ids[b] = id;
+}
+
+/* Move the `keep` best of `count` pairs to the front, in no order, with
+ * the keep-th best at keep - 1: quickselect, median-of-three pivots. */
+static void select_front(double *dist, int64_t *ids, int64_t count, int64_t keep)
+{
+    int64_t lo = 0, hi = count - 1, target = keep - 1;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (precedes(dist[mid], ids[mid], dist[lo], ids[lo]))
+            swap_pairs(dist, ids, lo, mid);
+        if (precedes(dist[hi], ids[hi], dist[lo], ids[lo]))
+            swap_pairs(dist, ids, lo, hi);
+        if (precedes(dist[mid], ids[mid], dist[hi], ids[hi]))
+            swap_pairs(dist, ids, mid, hi);
+        double pivot = dist[hi];
+        int64_t pivot_id = ids[hi];
+        int64_t store = lo;
+        for (int64_t i = lo; i < hi; i++) {
+            /* Lomuto without a branch: always swap, advance on "before" */
+            double d = dist[i];
+            int64_t id = ids[i];
+            int before = precedes(d, id, pivot, pivot_id);
+            dist[i] = dist[store];
+            ids[i] = ids[store];
+            dist[store] = d;
+            ids[store] = id;
+            store += before;
+        }
+        swap_pairs(dist, ids, store, hi);
+        if (store == target)
+            return;
+        if (store < target)
+            lo = store + 1;
+        else
+            hi = store - 1;
+    }
+}
+
+/* Sort `count` pairs ascending, a bottom-up merge sort through the
+ * scratch pairs `spare_dist`/`spare_ids` (room for `count`). */
+static void sort_pairs(double *dist, int64_t *ids, int64_t count,
+                       double *spare_dist, int64_t *spare_ids)
+{
+    double *from_dist = dist, *to_dist = spare_dist;
+    int64_t *from_ids = ids, *to_ids = spare_ids;
+    for (int64_t run = 1; run < count; run *= 2) {
+        for (int64_t lo = 0; lo < count; lo += 2 * run) {
+            int64_t mid = lo + run < count ? lo + run : count;
+            int64_t hi = lo + 2 * run < count ? lo + 2 * run : count;
+            int64_t i = lo, j = mid, out = lo;
+            while (i < mid && j < hi) {
+                int right = precedes(from_dist[j], from_ids[j],
+                                     from_dist[i], from_ids[i]);
+                int64_t pick = right ? j : i;
+                to_dist[out] = from_dist[pick];
+                to_ids[out] = from_ids[pick];
+                out++;
+                j += right;
+                i += 1 - right;
+            }
+            for (; i < mid; i++, out++) {
+                to_dist[out] = from_dist[i];
+                to_ids[out] = from_ids[i];
+            }
+            for (; j < hi; j++, out++) {
+                to_dist[out] = from_dist[j];
+                to_ids[out] = from_ids[j];
+            }
+        }
+        double *swap_dist = from_dist;
+        int64_t *swap_ids = from_ids;
+        from_dist = to_dist;
+        from_ids = to_ids;
+        to_dist = swap_dist;
+        to_ids = swap_ids;
+    }
+    if (from_dist != dist) {
+        memcpy(dist, from_dist, count * sizeof(double));
+        memcpy(ids, from_ids, count * sizeof(int64_t));
+    }
+}
+
+/* Distances of `rows` rows to one (m, ksub) table, each summed left to
+ * right. Four rows at a time, so that four sums' adds are in flight at
+ * once; where m is a multiple of 8, a row's codes are read 8 at a time. */
+static void block_sums(const double *table, int64_t m, int64_t ksub,
+                       const uint8_t *codes, int64_t rows, double *sums)
+{
+    int64_t r = 0;
+    if (m % 8 == 0) {
+        for (; r + 4 <= rows; r += 4) {
+            const uint8_t *c = codes + r * m;
+            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+            for (int64_t j = 0; j < m; j += 8) {
+                const double *t = table + j * ksub;
+                uint64_t w0, w1, w2, w3;
+                memcpy(&w0, c + j, 8);
+                memcpy(&w1, c + m + j, 8);
+                memcpy(&w2, c + 2 * m + j, 8);
+                memcpy(&w3, c + 3 * m + j, 8);
+#define LOOKUP(b) (t + (b) * ksub)
+#define TERM(w, b) LOOKUP(b)[((w) >> (8 * (b))) & 0xff]
+                if (j == 0) {
+                    s0 = TERM(w0, 0);
+                    s1 = TERM(w1, 0);
+                    s2 = TERM(w2, 0);
+                    s3 = TERM(w3, 0);
+                } else {
+                    s0 += TERM(w0, 0);
+                    s1 += TERM(w1, 0);
+                    s2 += TERM(w2, 0);
+                    s3 += TERM(w3, 0);
+                }
+#define STEP(b)              \
+    s0 += TERM(w0, b);       \
+    s1 += TERM(w1, b);       \
+    s2 += TERM(w2, b);       \
+    s3 += TERM(w3, b);
+                STEP(1) STEP(2) STEP(3) STEP(4) STEP(5) STEP(6) STEP(7)
+#undef STEP
+#undef TERM
+#undef LOOKUP
+            }
+            sums[r] = s0;
+            sums[r + 1] = s1;
+            sums[r + 2] = s2;
+            sums[r + 3] = s3;
+        }
+    }
+    for (; r < rows; r++) {
+        const uint8_t *c = codes + r * m;
+        double s = table[c[0]];
+        for (int64_t j = 1; j < m; j++)
+            s += table[j * ksub + c[j]];
+        sums[r] = s;
+    }
+}
+
+/* Scan one cell: the rows of one partition against one (m, ksub) table.
+ * Live rows that can still be among the best `width` gather in a buffer
+ * of 2 * width pairs; a full buffer keeps its best `width`, whose worst
+ * distance then turns away every farther row. Returns how many of the
+ * best pairs lead the buffer (min(width, live rows)), or -1 on a NaN. */
+static int64_t scan_cell(const double *table, int64_t m, int64_t ksub,
+                         const uint8_t *codes, const int64_t *ids,
+                         const uint8_t *dead, int64_t n, int64_t width,
+                         double *buf_dist, int64_t *buf_ids)
+{
+    double sums[ROW_BLOCK];
+    double worst = INFINITY;
+    int64_t count = 0;
+    for (int64_t start = 0; start < n; start += ROW_BLOCK) {
+        int64_t rows = n - start < ROW_BLOCK ? n - start : ROW_BLOCK;
+        block_sums(table, m, ksub, codes + start * m, rows, sums);
+        for (int64_t r = 0; r < rows; r++) {
+            int64_t row = start + r;
+            double d = sums[r];
+            if (d > worst || (dead != NULL && dead[row]))
+                continue;
+            if (d != d)
+                return -1;
+            buf_dist[count] = d;
+            buf_ids[count] = ids[row];
+            if (++count == 2 * width) {
+                select_front(buf_dist, buf_ids, count, width);
+                count = width;
+                worst = buf_dist[width - 1];
+            }
+        }
+    }
+    if (count > width) {
+        select_front(buf_dist, buf_ids, count, width);
+        count = width;
+    }
+    return count;
+}
+
+/* The PQ Scan of a run of jobs, one cell per table.
+ *
+ * tables     (cells, m, ksub) float64, C order; job i owns n_cells[i]
+ *            consecutive tables.
+ * codes      (sum n_rows, m) uint8, C order: job i's n_rows[i] rows, job
+ *            after job. ids and dead (NULL: no dead row) run alongside.
+ * width      min(topk, widest partition): each output row holds the
+ *            cell's best `width` live pairs sorted by (distance, id), then
+ *            (INFINITY, INT64_MAX). lengths gets how many are real.
+ *
+ * Returns SCAN_OK, or (outputs undefined) SCAN_BAD_CODE for a code >= ksub,
+ * SCAN_NAN for a NaN distance or SCAN_NO_MEMORY. */
+int repro_naive_scan(const double *tables, int64_t m, int64_t ksub,
+                     const uint8_t *codes, const int64_t *ids,
+                     const uint8_t *dead, const int64_t *n_rows,
+                     const int64_t *n_cells, int64_t n_jobs, int64_t width,
+                     double *out_dist, int64_t *out_ids, int64_t *lengths)
+{
+    int status = SCAN_OK;
+    double *buf_dist = malloc(2 * (width > 0 ? width : 1) * sizeof(double));
+    int64_t *buf_ids = malloc(2 * (width > 0 ? width : 1) * sizeof(int64_t));
+    if (buf_dist == NULL || buf_ids == NULL) {
+        status = SCAN_NO_MEMORY;
+        goto done;
+    }
+    int64_t cell = 0;
+    for (int64_t job = 0; job < n_jobs; job++) {
+        int64_t n = n_rows[job];
+        if (ksub < 256) {
+            for (int64_t e = 0; e < n * m; e++)
+                if (codes[e] >= ksub) {
+                    status = SCAN_BAD_CODE;
+                    goto done;
+                }
+        }
+        for (int64_t q = 0; q < n_cells[job]; q++, cell++) {
+            double *dist = out_dist + cell * width;
+            int64_t *cell_ids = out_ids + cell * width;
+            int64_t size = 0;
+            if (width > 0) {
+                size = scan_cell(tables + cell * m * ksub, m, ksub, codes, ids,
+                                 dead, n, width, buf_dist, buf_ids);
+                if (size < 0) {
+                    status = SCAN_NAN;
+                    goto done;
+                }
+            }
+            /* The buffer's best `size` lead it; its tail is the spare. */
+            sort_pairs(buf_dist, buf_ids, size, buf_dist + width, buf_ids + width);
+            memcpy(dist, buf_dist, size * sizeof(double));
+            memcpy(cell_ids, buf_ids, size * sizeof(int64_t));
+            for (int64_t k = size; k < width; k++) {
+                dist[k] = INFINITY;
+                cell_ids[k] = INT64_MAX;
+            }
+            lengths[cell] = size;
+        }
+        codes += n * m;
+        ids += n;
+        if (dead != NULL)
+            dead += n;
+    }
+done:
+    free(buf_dist);
+    free(buf_ids);
+    return status;
+}
+
+/* Step 2's combine for n table rows: out[i, j, e] =
+ * max((cell_half[cells[i * cells_step], j, e] + r_sq[i, j])
+ *     - query_half[rows[i], j, e], 0).
+ *
+ * r_sq is (n, m) float64, C order. query_half holds n_queries rows,
+ * query_stride doubles apart (rows NULL: row i is query row i; a negative
+ * row counts from the end, as numpy indexing does); cell_half holds
+ * n_cell_rows cells, cell_stride doubles apart (0 for one (m, ksub) block
+ * shared by every cell). Each (m, ksub) block is C order. out is
+ * (n, m, ksub), C order.
+ *
+ * Returns 0, or 1 (out undefined) for a row or cell out of range. */
+int repro_combine_tables(const double *r_sq, int64_t n, int64_t m,
+                         int64_t ksub, const double *query_half,
+                         int64_t query_stride, const int64_t *rows,
+                         int64_t n_queries, const double *cell_half,
+                         int64_t cell_stride, const int64_t *cells,
+                         int64_t cells_step, int64_t n_cell_rows,
+                         double *restrict out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t row = rows != NULL ? rows[i] : i;
+        int64_t cell = cells[i * cells_step];
+        if (row < 0)
+            row += n_queries;
+        if (row < 0 || row >= n_queries || cell < 0 || cell >= n_cell_rows)
+            return 1;
+        const double *restrict query = query_half + row * query_stride;
+        const double *restrict block = cell_half + cell * cell_stride;
+        for (int64_t j = 0; j < m; j++) {
+            double r = r_sq[i * m + j];
+            for (int64_t e = 0; e < ksub; e++) {
+                double v = (block[e] + r) - query[e];
+                out[e] = v <= 0.0 ? 0.0 : v; /* a NaN stays NaN */
+            }
+            query += ksub;
+            block += ksub;
+            out += ksub;
+        }
+    }
+    return 0;
+}

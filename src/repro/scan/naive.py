@@ -6,8 +6,9 @@ from the distance tables, 8 scalar additions — 16 L1 loads total
 
 Two code paths are provided:
 
-* :meth:`NaiveScanner.scan_run` — vectorized over a *run* of jobs (each
-  a partition and the queries probing it) with numpy;
+* :meth:`NaiveScanner.scan_run` — one pass over a *run* of jobs (each
+  a partition and the queries probing it): one call of the C kernel
+  (:mod:`repro.native`), or vectorized numpy where that does not run;
   :meth:`NaiveScanner.scan_batch` is its run of one job and ``scan`` the
   batch of one. This is what benchmarks use for wall-clock runs.
   Numerically it performs exactly the per-vector sum of Equation (3).
@@ -22,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import native
 from ..exceptions import DimensionMismatchError
 from ..ivf.partition import Partition
 from ..pq.adc import adc_distance_single, adc_distances_batch
@@ -88,42 +90,55 @@ class NaiveScanner(PartitionScanner):
         ``n_scanned`` and masked to ``(PAD_DISTANCE, PAD_ID)`` before the
         selection, so a cell holds at most ``topk`` live candidates.
 
-        One job is gathered dense, ``(b, n)``, one ``take`` per component
+        Where the native kernels run (:mod:`repro.native`), the run is
+        one C call that gathers, sums and selects every cell in one pass
+        over its rows. Otherwise numpy scans it: one job is gathered
+        dense, ``(b, n)``, one ``take`` per component
         (:func:`~repro.pq.adc.adc_distances_batch`), and selected by
         :meth:`ScanBlock.exhaustive`. Several jobs are one
         ragged gather: every (cell, row) pair of the run end to end, one
         ``take`` per component from the flattened stack, then one
         ``(c, widest partition)`` block padded past each cell's rows. The
         contributions are summed in :func:`~repro.pq.adc.adc_distances`'
-        order either way, and one :func:`~repro.scan.select_topk_rows`
-        selects for the run, so every cell is byte-identical to scanning
-        its job alone.
+        order every way, and the kernel selects each cell in the
+        (distance, id) order of the one
+        :func:`~repro.scan.select_topk_rows` numpy selects the run with,
+        so every cell is byte-identical to scanning its job alone, on
+        either path.
         """
         if len(partitions) == 1:
-            (partition,) = partitions
-            return ScanBlock.exhaustive(
-                adc_distances_batch(tables, partition.codes),
-                partition.ids,
-                topk,
-                tombstones[0],
-            )
-        ids = np.concatenate([p.ids for p in partitions])
-        dead = None
-        if any(len(dropped) for dropped in tombstones):
-            dead = dead_rows(ids, np.concatenate(tombstones))
+            codes, ids = partitions[0].codes, partitions[0].ids
+            dead = dead_rows(ids, tombstones[0])
+        else:
+            codes = np.concatenate([p.codes for p in partitions])
+            ids = np.concatenate([p.ids for p in partitions])
+            dead = None
+            if any(len(dropped) for dropped in tombstones):
+                dead = dead_rows(ids, np.concatenate(tombstones))
+        if codes.shape[1] != tables.shape[1]:
+            raise DimensionMismatchError(tables.shape[1], codes.shape[1], what="code")
         n_rows = np.array([len(p) for p in partitions], dtype=np.intp)
-        distances, ids = self._ragged_block(tables, partitions, n_rows, sizes, ids, dead)
-        top_ids, top_distances = select_topk_rows(distances, ids, topk)
+        found = native.naive_scan(tables, codes, ids, dead, n_rows, sizes, topk)
+        if found is not None:
+            top_ids, top_distances, lengths = found
+        elif len(partitions) == 1:
+            return ScanBlock.exhaustive(
+                adc_distances_batch(tables, codes), ids, topk, tombstones[0]
+            )
+        else:
+            distances, ids = self._ragged_block(tables, codes, n_rows, sizes, ids, dead)
+            top_ids, top_distances = select_topk_rows(distances, ids, topk)
+            # A cell's live candidates sort before its padding (masked rows are padding).
+            lengths = np.count_nonzero(top_ids != PAD_ID, axis=1)
         counts = np.zeros((3, len(top_ids)), dtype=np.int64)
-        # A cell's live candidates sort before its padding (masked rows are padding).
-        counts[0] = np.count_nonzero(top_ids != PAD_ID, axis=1)
+        counts[0] = lengths
         counts[1] = np.repeat(n_rows, sizes)
         return ScanBlock(top_ids, top_distances, counts)
 
     @staticmethod
     def _ragged_block(
         tables: np.ndarray,
-        partitions: Sequence[Partition],
+        codes: np.ndarray,
         n_rows: np.ndarray,
         sizes: Sequence[int],
         ids: np.ndarray,
@@ -132,10 +147,7 @@ class NaiveScanner(PartitionScanner):
         """Distances and ids of every (cell, row) pair of a run, ``(c, w)``:
         cell ``i``'s rows left to right, then ``(PAD_DISTANCE, PAD_ID)``."""
         n_cells = np.asarray(sizes, dtype=np.intp)
-        codes = np.concatenate([p.codes for p in partitions])
         c, m, ksub = tables.shape
-        if codes.shape[1] != m:
-            raise DimensionMismatchError(m, codes.shape[1], what="code")
         per_cell = np.repeat(n_rows, n_cells)
         # Entry e of cell i reads row e - (cell i's first entry) + (its
         # partition's first row) of the concatenated codes.

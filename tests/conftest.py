@@ -11,9 +11,17 @@ import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig, IVFADCIndex, ProductQuantizer, VectorDataset
+from repro import native
 from repro.core import QuantizationOnlyScanner
 from repro.parallel import ScannerSpec
 from repro.shard import ShardedIndex
+
+
+@pytest.fixture(scope="session", autouse=True)
+def native_kernels() -> None:
+    """Compile the native kernels once, so that every test runs them
+    (under ``REPRO_NATIVE=0`` every test runs the numpy paths instead)."""
+    native.build()
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,338 @@
+"""The native kernels give numpy's bytes, and numpy runs whenever they
+cannot.
+
+``repro.native`` holds two C kernels: naive's scan-and-select of a run
+(``NaiveScanner.scan_run``) and Step 2's combine
+(``IVFADCIndex.tables_from_halves``). Each is held byte for byte to the
+numpy path it stands in for, which ``REPRO_NATIVE=0`` selects. The
+fallback tests swap in a ``NativeLibrary`` over a throwaway cache with a
+missing, broken or hung compiler.
+"""
+
+from __future__ import annotations
+
+import os
+import stat
+import subprocess
+import time
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import Engine, EngineConfig, IVFADCIndex, NaiveScanner, native
+from repro.ivf.partition import Partition
+from repro.scan.base import NO_IDS
+
+
+@contextmanager
+def numpy_only():
+    """Run the numpy paths inside the block."""
+    before = os.environ.get(native.ENV_VAR)
+    os.environ[native.ENV_VAR] = "0"
+    try:
+        yield
+    finally:
+        if before is None:
+            del os.environ[native.ENV_VAR]
+        else:
+            os.environ[native.ENV_VAR] = before
+
+
+@pytest.fixture(scope="module", autouse=True)
+def kernels():
+    if not native.available():
+        pytest.skip(f"native kernels do not run here: {native.reason()}")
+
+
+def _same_blocks(got, want):
+    assert got.ids.shape == want.ids.shape
+    assert got.ids.tobytes() == want.ids.tobytes()
+    assert got.distances.tobytes() == want.distances.tobytes()
+    assert got.counts.tobytes() == want.counts.tobytes()
+
+
+def _both_ways(scan):
+    """``scan()`` with the kernels, then with numpy, byte-compared."""
+    got = scan()
+    with numpy_only():
+        want = scan()
+    _same_blocks(got, want)
+    return got
+
+
+# -- NaiveScanner.scan_run ------------------------------------------------------
+
+#: (m, k*): 8x8 and 16x4 codes, and an m the kernel sums a row at a time.
+SHAPES = {"8x8": (8, 256), "16x4": (16, 16), "4x8": (4, 256)}
+
+
+@st.composite
+def runs(draw):
+    m, ksub = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    n_jobs = draw(st.integers(1, 5))
+    return {
+        "m": m,
+        "ksub": ksub,
+        "rows": draw(st.lists(st.integers(0, 150), min_size=n_jobs, max_size=n_jobs)),
+        "cells": draw(st.lists(st.integers(1, 4), min_size=n_jobs, max_size=n_jobs)),
+        # some / all of a partition tombstoned, or none of it
+        "dead": draw(st.lists(st.sampled_from(["none", "some", "all"]),
+                              min_size=n_jobs, max_size=n_jobs)),
+        # integer tables from a few values: many exact ties at the k-th
+        # distance; continuous tables: none
+        "values": draw(st.sampled_from([2, 5, None])),
+        "topk": draw(st.integers(1, 200)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _run_inputs(case):
+    rng = np.random.default_rng(case["seed"])
+    m, ksub = case["m"], case["ksub"]
+    ids = rng.permutation(10 * (sum(case["rows"]) + 1)).astype(np.int64)
+    partitions, tombstones, start = [], [], 0
+    for n, dead in zip(case["rows"], case["dead"]):
+        part_ids = ids[start : start + n]
+        start += n
+        partitions.append(Partition(
+            rng.integers(0, ksub, size=(n, m), dtype=np.uint8), part_ids
+        ))
+        if dead == "all" or (dead == "some" and n):
+            chosen = part_ids if dead == "all" else rng.choice(
+                part_ids, size=int(rng.integers(1, n + 1)), replace=False
+            )
+            tombstones.append(np.sort(chosen))
+        else:
+            tombstones.append(NO_IDS)
+    shape = (sum(case["cells"]), m, ksub)
+    if case["values"] is None:
+        tables = rng.random(shape) * 100.0
+    else:
+        tables = rng.integers(0, case["values"], size=shape).astype(np.float64)
+    return tables, partitions, tombstones
+
+
+@given(case=runs())
+@settings(max_examples=150, deadline=None)
+def test_scan_run_is_numpys_byte_for_byte(case):
+    tables, partitions, tombstones = _run_inputs(case)
+    _both_ways(lambda: NaiveScanner().scan_run(
+        tables, partitions, case["cells"], case["topk"], tombstones
+    ))
+
+
+def test_every_row_tombstoned_and_empty_partitions_pad_whole_cells():
+    rng = np.random.default_rng(1)
+    gone, kept = (
+        Partition(rng.integers(0, 256, (40, 8), dtype=np.uint8), np.arange(40) + first)
+        for first in (0, 100)
+    )
+    empty = Partition(np.empty((0, 8), dtype=np.uint8), np.empty(0, dtype=np.int64))
+    tables = rng.random((5, 8, 256))
+    block = _both_ways(lambda: NaiveScanner().scan_run(
+        tables, [gone, empty, kept], [2, 1, 2], 100, [gone.ids, NO_IDS, NO_IDS]
+    ))
+    assert block.ids.shape == (5, 40)                  # min(topk, widest)
+    assert block.lengths.tolist() == [0, 0, 0, 40, 40]
+    assert block.n_scanned.tolist() == [40, 40, 0, 40, 40]
+    alone = _both_ways(lambda: NaiveScanner().scan_run(
+        tables[:1], [empty], [1], 10, [NO_IDS]
+    ))
+    assert alone.ids.shape == (1, 0)
+
+
+def test_read_only_mmapped_codes(tmp_path):
+    rng = np.random.default_rng(2)
+    np.save(tmp_path / "codes.npy", rng.integers(0, 256, (300, 8), dtype=np.uint8))
+    codes = np.load(tmp_path / "codes.npy", mmap_mode="r")
+    assert not codes.flags.writeable
+    partition = Partition(codes, np.arange(300))
+    tables = rng.random((3, 8, 256))
+    _both_ways(lambda: NaiveScanner().scan_batch(tables, partition, 17))
+    del partition, codes
+
+
+def _kernel_scan(tables, partition, topk=10):
+    return native.naive_scan(
+        tables, partition.codes, partition.ids, None,
+        np.array([len(partition)]), np.array([len(tables)]), topk,
+    )
+
+
+def test_a_nan_distance_or_a_code_past_the_table_is_numpys():
+    rng = np.random.default_rng(3)
+    partition = Partition(rng.integers(0, 256, (50, 8), dtype=np.uint8), np.arange(50))
+    tables = rng.random((2, 8, 256))
+    assert _kernel_scan(tables, partition) is not None
+    tables[0, 3, partition.codes[7, 3]] = np.nan
+    assert _kernel_scan(tables, partition) is None
+    _both_ways(lambda: NaiveScanner().scan_batch(tables, partition, 10))
+    nibbles = Partition(rng.integers(0, 16, (50, 16), dtype=np.uint8), np.arange(50))
+    assert _kernel_scan(rng.random((2, 16, 16)), nibbles) is not None
+    nibbles.codes[9, 4] = 16
+    assert _kernel_scan(rng.random((2, 16, 16)), nibbles) is None
+
+
+# -- IVFADCIndex.tables_from_halves ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def indexes(dataset, pq, pq4):
+    base = dataset.base[:1500]
+    return {
+        ("8x8", True): IVFADCIndex(pq, n_partitions=6, seed=2).add(base),
+        ("8x8", False): IVFADCIndex(
+            pq, n_partitions=6, seed=2, encode_residuals=False
+        ).add(base),
+        ("16x4", True): IVFADCIndex(pq4, n_partitions=6, seed=2).add(base),
+    }
+
+
+@given(
+    key=st.sampled_from([("8x8", True), ("8x8", False), ("16x4", True)]),
+    n_queries=st.integers(1, 12),
+    n_rows=st.integers(0, 30),
+    per_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(
+    max_examples=80, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_combine_is_numpys_byte_for_byte(
+    monkeypatch, indexes, dataset, key, n_queries, n_rows, per_row, seed
+):
+    # Every size through the kernel, not only those above its threshold.
+    monkeypatch.setattr(native, "COMBINE_MIN_ENTRIES", 1)
+    index = indexes[key]
+    rng = np.random.default_rng(seed)
+    queries = dataset.queries[rng.integers(0, len(dataset.queries), n_queries)]
+    half = index.query_half(queries)
+    rows = rng.integers(0, n_queries, n_rows)
+    cells = rng.integers(0, index.n_partitions, n_rows) if per_row else 3
+    got = index.tables_from_halves(queries, half, rows, cells)
+    with numpy_only():
+        want = index.tables_from_halves(queries, half, rows, cells)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    all_rows = index.tables_from_halves(queries, half, None, 2)
+    with numpy_only():
+        assert all_rows.tobytes() == index.tables_from_halves(
+            queries, half, None, 2
+        ).tobytes()
+
+
+def test_combine_leaves_a_row_out_of_range_to_numpy(monkeypatch, indexes, dataset):
+    monkeypatch.setattr(native, "COMBINE_MIN_ENTRIES", 1)
+    index = indexes[("8x8", True)]
+    half = index.query_half(dataset.queries[:4])
+    r_sq = np.ones((2, index.pq.m))
+    def combine(rows, cell):
+        return native.combine_tables(r_sq, half, np.array(rows), index.cell_half, cell)
+
+    assert combine([0, 4], 1) is None      # a row past the batch
+    assert combine([0, 3], 6) is None      # a cell past the index
+    assert combine([0, -4], 5) is not None  # numpy's negative row
+
+
+# -- when the kernels run, and when the compiler runs ---------------------------
+
+
+def _script(path, body):
+    path.write_text("#!/bin/sh\n" + body + "\n")
+    path.chmod(path.stat().st_mode | stat.S_IXUSR)
+    return str(path)
+
+
+def _engine_answers(index, queries):
+    with Engine(index, EngineConfig(scanner="naive", nprobe=2)) as engine:
+        return engine.search(queries, k=20)
+
+
+def _same_answers(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.ids.tobytes() == b.ids.tobytes()
+        assert a.distances.tobytes() == b.distances.tobytes()
+
+
+@pytest.fixture(scope="module")
+def answers(index, dataset):
+    """A naive engine's answers with the kernels running."""
+    return _engine_answers(index, dataset.queries)
+
+
+@pytest.mark.parametrize("fault", ["no compiler", "cache not writable", "REPRO_NATIVE=0"])
+def test_a_fallback_gives_the_same_bytes(monkeypatch, tmp_path, index, dataset,
+                                         answers, fault):
+    if fault == "no compiler":
+        library = native.NativeLibrary(tmp_path, compiler="no-such-cc")
+        expect = "no C compiler"
+    elif fault == "cache not writable":
+        (tmp_path / "file").write_text("")
+        library = native.NativeLibrary(tmp_path / "file" / "native")
+        expect = "not writable"
+    else:
+        library = native.NativeLibrary(tmp_path)
+        monkeypatch.setenv(native.ENV_VAR, "0")
+        expect = "REPRO_NATIVE=0"
+    monkeypatch.setattr(native, "_LIBRARY", library)
+    _same_answers(_engine_answers(index, dataset.queries), answers)
+    assert not native.available()
+    assert expect in native.reason()
+    assert not native.build()  # a failure is never retried into success
+    if fault == "cache not writable":
+        assert not (tmp_path / "file").is_dir()
+
+
+def test_a_hung_compiler_is_killed_within_its_timeout(tmp_path):
+    compiler = _script(tmp_path / "cc", "exec sleep 30")
+    library = native.NativeLibrary(tmp_path / "cache", compiler=compiler, timeout_s=0.5)
+    start = time.monotonic()
+    assert library.handle(build=True) is None
+    assert time.monotonic() - start < 10
+    assert "took longer" in library.reason
+    assert os.listdir(tmp_path / "cache") == []    # no temp file left
+
+
+def test_a_failed_build_leaves_nothing_and_says_why(tmp_path):
+    compiler = _script(tmp_path / "cc", "echo broken >&2; exit 3")
+    library = native.NativeLibrary(tmp_path / "cache", compiler=compiler)
+    assert library.handle(build=True) is None
+    assert "exit 3" in library.reason and "broken" in library.reason
+    assert os.listdir(tmp_path / "cache") == []
+
+
+def _no_process(*args, **kwargs):
+    raise AssertionError(f"a process was started: {args}")
+
+
+def test_only_build_compiles_and_a_warm_cache_starts_no_process(monkeypatch, tmp_path):
+    monkeypatch.setattr(subprocess, "Popen", _no_process)
+    cold = native.NativeLibrary(tmp_path)
+    assert cold.handle() is None                   # a lookup never compiles
+    assert "not built yet" in cold.reason
+    monkeypatch.undo()
+    assert cold.handle(build=True) is not None
+    assert [p.suffix for p in tmp_path.iterdir()] == [".so"]   # no temp left
+    monkeypatch.setattr(subprocess, "Popen", _no_process)
+    warm = native.NativeLibrary(tmp_path)
+    assert warm.handle() is not None and warm.reason is None
+    assert native.NativeLibrary(tmp_path).handle(build=True) is not None
+
+
+@pytest.mark.parametrize("config, builds", [
+    (dict(scanner="fastpq"), False),
+    (dict(scanner="naive"), True),
+    (dict(scanner="fastpq", mutable=True), True),
+])
+def test_only_naive_and_mutable_engines_compile(monkeypatch, tmp_path, index,
+                                                config, builds):
+    library = native.NativeLibrary(tmp_path)
+    monkeypatch.setattr(native, "_LIBRARY", library)
+    with Engine(index, EngineConfig(**config)):
+        pass
+    assert (library.reason is None) == builds
+    assert any(tmp_path.iterdir()) == builds

@@ -32,6 +32,7 @@ PUBLIC_MODULES = (
     "repro.engine",
     "repro.exceptions",
     "repro.ivf",
+    "repro.native",
     "repro.obs",
     "repro.parallel",
     "repro.persistence",
