@@ -22,6 +22,13 @@ batch, and asserts the runs keep at least their row's floor:
   rounded down to a twentieth.
 
 Byte-identity between the two is a hard assertion.
+
+Both sides run on the numpy paths (``REPRO_NATIVE=0``): with the native
+kernels a naive engine scans a whole job list in one call that makes no
+table, so ``_RUN_CELLS`` cuts nothing there and the two sides would be
+one path. The runs this file holds to their floors are numpy's, and the
+scanners other than naive's; ``bench_native.py`` holds the native scan
+to its floor against them at the ``probe-sharded`` shape.
 """
 
 import time
@@ -29,7 +36,7 @@ import time
 import pytest
 
 import repro.search as search_module
-from repro import Engine, EngineConfig, VectorDataset
+from repro import Engine, EngineConfig, VectorDataset, native
 
 N_BASE, REPEATS = 60_000, 5
 RUN_CELLS = search_module._RUN_CELLS
@@ -45,6 +52,11 @@ SHAPES = {
 @pytest.fixture(scope="module")
 def dataset():
     return VectorDataset.synthetic(4000, N_BASE, 256, dim=64, seed=3)
+
+
+@pytest.fixture(autouse=True)
+def numpy_paths(monkeypatch):
+    monkeypatch.setenv(native.ENV_VAR, "0")
 
 
 @pytest.fixture(scope="module")

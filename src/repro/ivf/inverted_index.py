@@ -16,6 +16,7 @@ This module implements Steps 1-2 and partition management; scanners in
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,46 @@ from ..scan.topk import select_topk_rows
 from .partition import Partition
 
 __all__ = ["IVFADCIndex", "as_database_ids"]
+
+
+@dataclass(frozen=True, eq=False)
+class TableHalves:
+    """Step 2 for a block of table rows, not yet combined.
+
+    Row ``i``'s table is ``max((cell_half[cells[i]] + r_sq[i]) -
+    query_half[rows[i]], 0)`` (``rows`` None: row ``i`` of
+    ``query_half``; ``cells`` 0-d: one cell for every row): what
+    :meth:`combine` makes, and what naive's fused scan
+    (:meth:`~repro.scan.NaiveScanner.scan_halves`) reads entry by entry
+    instead.
+    """
+
+    r_sq: np.ndarray
+    query_half: np.ndarray
+    rows: np.ndarray | None
+    cell_half: np.ndarray
+    cells: np.ndarray
+
+    def combine(self) -> np.ndarray:
+        """The ``(n, m, k*)`` tables: one C call where the native kernels
+        run (:func:`repro.native.combine_tables`: the same adds, reading
+        ``rows`` and the cells in place), numpy's passes otherwise."""
+        tables = native.combine_tables(
+            self.r_sq, self.query_half, self.rows, self.cell_half, self.cells
+        )
+        if tables is not None:
+            return tables
+        query_half, cells = self.query_half, self.cells
+        if self.rows is not None:
+            query_half = query_half[self.rows]
+        r_sq = self.r_sq[:, :, None]
+        if cells.ndim:  # the gathered cell halves are the table's one block
+            tables = self.cell_half.take(cells, axis=0)
+            tables += r_sq
+        else:
+            tables = r_sq + self.cell_half[cells]
+        tables -= query_half
+        return np.maximum(tables, 0.0, out=tables)
 
 
 def as_database_ids(ids: np.ndarray) -> np.ndarray:
@@ -348,11 +389,20 @@ class IVFADCIndex:
         ``queries`` and of their :meth:`query_half`: two adds per entry.
         ``partition_id`` is one cell for every row, or one per row: a
         run of jobs over several cells is one call, each row's table
-        bit-identical to its own cell's. The combine is one C call where
-        the native kernels run (:func:`repro.native.combine_tables`: the
-        same adds, reading ``rows`` and the cells in place), numpy's
-        passes otherwise.
+        bit-identical to its own cell's. :meth:`table_halves` and its
+        :meth:`TableHalves.combine`.
         """
+        return self.table_halves(queries, query_half, rows, partition_id).combine()
+
+    def table_halves(
+        self,
+        queries: np.ndarray,
+        query_half: np.ndarray,
+        rows: np.ndarray | None,
+        partition_id: "int | np.ndarray",
+    ) -> TableHalves:
+        """:meth:`tables_from_halves`' arguments with ``||x_j - c_pj||^2``
+        computed, not yet combined: :class:`TableHalves`."""
         cells = np.asarray(partition_id)
         if cells.size and not 0 <= cells.min() <= cells.max() < self.n_partitions:
             raise ConfigurationError(
@@ -360,6 +410,7 @@ class IVFADCIndex:
                 f"{partition_id}"
             )
         if rows is not None:
+            rows = np.asarray(rows)
             queries = queries[rows]
         # C-contiguous for the reason distance_tables_batch gives.
         shifted = np.ascontiguousarray(queries, dtype=np.float64)
@@ -367,16 +418,4 @@ class IVFADCIndex:
             shifted = shifted - self.coarse.codebook[cells]
         subs = shifted.reshape(len(shifted), self.pq.m, self.pq.dsub)
         r_sq = np.einsum("qjd,qjd->qj", subs, subs)
-        tables = native.combine_tables(r_sq, query_half, rows, self.cell_half, cells)
-        if tables is not None:
-            return tables
-        if rows is not None:
-            query_half = query_half[rows]
-        r_sq = r_sq[:, :, None]
-        if cells.ndim:  # the gathered cell halves are the table's one block
-            tables = self.cell_half.take(cells, axis=0)
-            tables += r_sq
-        else:
-            tables = r_sq + self.cell_half[cells]
-        tables -= query_half
-        return np.maximum(tables, 0.0, out=tables)
+        return TableHalves(r_sq, query_half, rows, self.cell_half, cells)

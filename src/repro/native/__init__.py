@@ -1,11 +1,15 @@
-"""Native kernels: the naive PQ Scan and Step 2's table combine in C.
+"""Native kernels: the naive PQ Scan and Step 2 in C.
 
-``kernels.c`` holds two kernels, each byte-identical to the numpy path
+``kernels.c`` holds the kernels, each byte-identical to the numpy path
 it stands in for: :func:`naive_scan` (``NaiveScanner.scan_run``: gather,
-sum and top-k selection in one pass per cell) and :func:`combine_tables`
-(``IVFADCIndex.tables_from_halves``). Callers try the kernel first and
-run numpy when it returns None, so numpy is the fallback everywhere and
-the reference the tests hold the kernels to.
+sum and top-k selection in one pass per cell), :func:`naive_scan_halves`
+(``NaiveScanner.scan_halves``: the same scan of tables it never makes,
+each looked-up entry combined from Step 2's halves where it is read),
+:func:`combine_tables` (``TableHalves.combine``, the tables the other
+scanners read) and :func:`cross_tables` (the query half,
+``ProductQuantizer.cross_tables_batch``). Callers try the kernel first
+and run numpy when it returns None, so numpy is the fallback everywhere
+and the reference the tests hold the kernels to.
 
 The library is compiled with the system ``cc`` into a per-user cache,
 ``$XDG_CACHE_HOME/repro/native`` (``~/.cache/repro/native`` when that is
@@ -41,11 +45,14 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..exceptions import ReproError
+
+if TYPE_CHECKING:  # import cycle: repro.ivf imports repro.native
+    from ..ivf.inverted_index import TableHalves
 
 __all__ = ["ENV_VAR", "available", "build", "reason"]
 
@@ -220,6 +227,19 @@ def _declare(library: ctypes.CDLL) -> None:
         _ADDRESS, _I64, _ADDRESS, _I64,  # cell_half, stride, cells, step,
         _I64, _ADDRESS,                  # n_cell_rows, out
     ]
+    fused = library.repro_naive_scan_halves
+    fused.restype = ctypes.c_int
+    fused.argtypes = [
+        _ADDRESS,                             # r_sq
+        *combine.argtypes[4:8],               # query_half, stride, rows, n_queries
+        *combine.argtypes[8:13],              # cell_half ... n_cell_rows
+        _I64, _I64, _I64,                     # m, ksub, scratch_min_rows
+        *scan.argtypes[3:],                   # codes ... lengths
+    ]
+    for name in CROSS_VARIANTS:
+        cross = getattr(library, name)
+        cross.restype = ctypes.c_int
+        cross.argtypes = [_ADDRESS, _I64, _I64, _I64, _I64, _ADDRESS, _ADDRESS]
 
 
 #: The process's library: a loaded shared object is process-wide state.
@@ -249,6 +269,53 @@ def _address(array: np.ndarray) -> int:
     return int(array.__array_interface__["data"][0])
 
 
+def _scan_arrays(
+    m: int,
+    n_tables: int,
+    codes: np.ndarray,
+    ids: np.ndarray,
+    dead: np.ndarray | None,
+    n_rows: np.ndarray,
+    n_cells: "np.ndarray | Sequence[int]",
+    topk: int,
+) -> tuple | None:
+    """The row arguments and fresh outputs of a scan kernel (from
+    ``codes`` to ``lengths``), or None where the kernel is not exact."""
+    if (codes.dtype != np.uint8 or not isinstance(topk, (int, np.integer))
+            or topk < 1):
+        return None
+    n_rows = np.ascontiguousarray(n_rows, dtype=np.int64)
+    n_cells = np.ascontiguousarray(n_cells, dtype=np.int64)
+    if (codes.shape != (int(n_rows.sum()), m) or ids.shape != (len(codes),)
+            or (dead is not None and dead.shape != ids.shape)
+            or int(n_cells.sum()) != n_tables or n_rows.shape != n_cells.shape):
+        return None
+    codes = np.ascontiguousarray(codes)
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    if dead is not None:
+        dead = np.ascontiguousarray(dead, dtype=np.bool_)
+    width = min(topk, int(n_rows.max(initial=0)))
+    out = (
+        np.empty((n_tables, width), dtype=np.float64),
+        np.empty((n_tables, width), dtype=np.int64),
+        np.empty(n_tables, dtype=np.int64),
+    )
+    return (codes, ids, dead, n_rows, n_cells, width, out)
+
+
+def _run_scan(kernel, leading: tuple, arrays: tuple) -> tuple | None:
+    """``kernel(*leading, <arrays>)``; its ``(ids, distances, lengths)``,
+    or None on a status that sends the call back to numpy."""
+    codes, ids, dead, n_rows, n_cells, width, (distances, top_ids, lengths) = arrays
+    status = kernel(
+        *leading,
+        _address(codes), _address(ids), None if dead is None else _address(dead),
+        _address(n_rows), _address(n_cells), len(n_rows), width,
+        _address(distances), _address(top_ids), _address(lengths),
+    )
+    return None if status else (top_ids, distances, lengths)
+
+
 def naive_scan(
     tables: np.ndarray,
     codes: np.ndarray,
@@ -273,32 +340,66 @@ def naive_scan(
     raises, as it always has.
     """
     library = _LIBRARY.handle()
-    if (library is None or codes.dtype != np.uint8 or tables.ndim != 3
-            or not isinstance(topk, (int, np.integer)) or topk < 1):
+    if library is None or tables.ndim != 3:
         return None
     c, m, ksub = tables.shape
-    n_rows = np.ascontiguousarray(n_rows, dtype=np.int64)
-    n_cells = np.ascontiguousarray(n_cells, dtype=np.int64)
-    if (codes.shape != (int(n_rows.sum()), m) or ids.shape != (len(codes),)
-            or (dead is not None and dead.shape != ids.shape)
-            or int(n_cells.sum()) != c or n_rows.shape != n_cells.shape):
+    arrays = _scan_arrays(m, c, codes, ids, dead, n_rows, n_cells, topk)
+    if arrays is None:
         return None
     tables = np.ascontiguousarray(tables, dtype=np.float64)
-    codes = np.ascontiguousarray(codes)
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    if dead is not None:
-        dead = np.ascontiguousarray(dead, dtype=np.bool_)
-    width = min(topk, int(n_rows.max(initial=0)))
-    distances = np.empty((c, width), dtype=np.float64)
-    top_ids = np.empty((c, width), dtype=np.int64)
-    lengths = np.empty(c, dtype=np.int64)
-    status = library.repro_naive_scan(
-        _address(tables), m, ksub,
-        _address(codes), _address(ids), None if dead is None else _address(dead),
-        _address(n_rows), _address(n_cells), len(n_rows), width,
-        _address(distances), _address(top_ids), _address(lengths),
+    return _run_scan(library.repro_naive_scan, (_address(tables), m, ksub), arrays)
+
+
+#: Fewest rows, per entry of a component's table (``k*``), a job needs
+#: for each of its cells to be combined once into a scratch table; a
+#: shorter partition is scanned from the halves, each looked-up entry
+#: combined where it is read (:func:`naive_scan_halves`). Measured on a
+#: 2-core x86 host, 128 cells of one job scanned both ways (medians of
+#: 15): from the halves took 0.92x the scratch table's time at 128 rows
+#: of 8x8, 1.01x at 256 and 1.10x at 512; 0.85x at 8 rows of 16x4,
+#: 0.96x at 16 and 1.05x at 32. So the crossover is a partition about
+#: as long as its table: ``probe-sharded``'s ~90-row partitions are
+#: scanned from the halves, ``scan-*``'s 16 384 rows from a scratch table.
+SCRATCH_ROWS_PER_ENTRY = 1.0
+
+
+def naive_scan_halves(
+    halves: "TableHalves",
+    codes: np.ndarray,
+    ids: np.ndarray,
+    dead: np.ndarray | None,
+    n_rows: np.ndarray,
+    n_cells: "np.ndarray | Sequence[int]",
+    topk: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """:func:`naive_scan` of ``halves.combine()``, with no table made,
+    or None (run numpy).
+
+    ``halves`` holds one table row per cell, job by job. Each cell's
+    entries are combined where the scan reads them, in the combine's
+    operations; a job of at least :data:`SCRATCH_ROWS_PER_ENTRY` x ``k*``
+    rows combines each of its cells once into one reused ``(m, k*)``
+    scratch table instead. The bytes are :func:`naive_scan`'s of the
+    combined tables either way. None where :func:`naive_scan` or
+    :func:`combine_tables` would give up (a row or cell out of range
+    among them).
+    """
+    library = _LIBRARY.handle()
+    if library is None:
+        return None
+    layout = _halves_layout(
+        halves.r_sq, halves.query_half, halves.rows, halves.cell_half, halves.cells
     )
-    return None if status else (top_ids, distances, lengths)
+    if layout is None:
+        return None
+    _held, args = layout
+    n, m = halves.r_sq.shape
+    ksub = halves.query_half.shape[-1]
+    arrays = _scan_arrays(m, n, codes, ids, dead, n_rows, n_cells, topk)
+    if arrays is None:
+        return None
+    leading = (*args, m, ksub, int(np.ceil(SCRATCH_ROWS_PER_ENTRY * ksub)))
+    return _run_scan(library.repro_naive_scan_halves, leading, arrays)
 
 
 def _blocks_of(array: np.ndarray) -> int | None:
@@ -313,14 +414,54 @@ def _blocks_of(array: np.ndarray) -> int | None:
     return step // 8
 
 
+def _halves_layout(
+    r_sq: np.ndarray,
+    query_half: np.ndarray,
+    rows: np.ndarray | None,
+    cell_half: np.ndarray,
+    cells: np.ndarray,
+) -> tuple[tuple, tuple] | None:
+    """The kernels' arguments for Step 2's halves, from ``r_sq`` to
+    ``n_cell_rows``, after the arrays they address (hold on to those
+    until the call returns), or None where the kernels cannot read
+    them."""
+    cells = np.asarray(cells)
+    if rows is not None:
+        rows = np.asarray(rows)
+    n, m = r_sq.shape
+    query_stride, cell_stride = _blocks_of(query_half), _blocks_of(cell_half)
+    if (query_stride is None or cell_stride is None or query_half.shape[1] != m
+            or cell_half.shape[1:] != query_half.shape[1:]
+            or cells.dtype.kind not in "iu" or cells.shape not in ((), (n,))
+            or (rows is not None
+                and (rows.dtype.kind not in "iu" or rows.shape != (n,)))):
+        return None
+    if rows is not None:
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+    # One cell is a 0-d array read with step 0 (ascontiguousarray would
+    # make it 1-d).
+    cells = cells.astype(np.int64, copy=False)
+    if cells.ndim:
+        cells = np.ascontiguousarray(cells)
+    r_sq = np.ascontiguousarray(r_sq, dtype=np.float64)
+    return (r_sq, rows, cells), (
+        _address(r_sq), _address(query_half), query_stride,
+        None if rows is None else _address(rows), len(query_half),
+        _address(cell_half), cell_stride, _address(cells), int(cells.ndim > 0),
+        len(cell_half),
+    )
+
+
 #: Fewest table entries (rows x m x k*) the C combine is used for; a
-#: smaller block is combined by numpy. Measured on a 2-core x86 host: in
-#: isolation the C combine ties numpy at 8 192 entries (4 rows at 8x8, 32
-#: at 16x4, one cell) and wins from there (0.75x at 8x8 x 8 rows), but in
-#: perfbench's traced ``scan-fastpq`` replay (8 rows, 16 384 entries,
-#: between fastpq scans) it read ``ivf.tables_ms`` 0.259 ms against
-#: numpy's 0.241 (medians of seven alternating pairs). A run of
-#: ``probe-sharded`` or ``serve-mixed`` (up to 64 cells) is 131 072.
+#: smaller block is combined by numpy. It bounds what is still combined
+#: into a table stack: the scanners other than naive, and naive where
+#: :func:`naive_scan_halves` does not run. Measured on a
+#: 2-core x86 host: in isolation the C combine ties numpy at 8 192
+#: entries (4 rows at 8x8, 32 at 16x4, one cell) and wins from there
+#: (0.75x at 8x8 x 8 rows), but in perfbench's traced ``scan-fastpq``
+#: replay (8 rows, 16 384 entries, between fastpq scans) it read
+#: ``ivf.tables_ms`` 0.259 ms against numpy's 0.241 (medians of seven
+#: alternating pairs).
 COMBINE_MIN_ENTRIES = 1 << 15
 
 
@@ -348,30 +489,61 @@ def combine_tables(
     library = _LIBRARY.handle()
     if library is None:
         return None
-    query_stride, cell_stride = _blocks_of(query_half), _blocks_of(cell_half)
-    cells = np.asarray(cells)
-    if rows is not None:
-        rows = np.asarray(rows)
-    if (query_stride is None or cell_stride is None
-            or query_half.shape[1] != m or cell_half.shape[1:] != (m, ksub)
-            or cells.dtype.kind not in "iu" or cells.shape not in ((), (n,))
-            or (rows is not None
-                and (rows.dtype.kind not in "iu" or rows.shape != (n,)))):
+    layout = _halves_layout(r_sq, query_half, rows, cell_half, cells)
+    if layout is None:
         return None
-    r_sq = np.ascontiguousarray(r_sq, dtype=np.float64)
-    # One cell is a 0-d array read with step 0 (ascontiguousarray would
-    # make it 1-d).
-    cells = cells.astype(np.int64, copy=False)
-    if cells.ndim:
-        cells = np.ascontiguousarray(cells)
-    if rows is not None:
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
+    _held, args = layout
     out = np.empty((n, m, ksub), dtype=np.float64)
     status = library.repro_combine_tables(
-        _address(r_sq), n, m, ksub,
-        _address(query_half), query_stride,
-        None if rows is None else _address(rows), len(query_half),
-        _address(cell_half), cell_stride, _address(cells), int(cells.ndim > 0),
-        len(cell_half), _address(out),
+        args[0], n, m, ksub, *args[1:], _address(out)
     )
     return None if status else out
+
+
+#: The query-half kernel's symbols: the one ``cross_tables`` calls (the
+#: widest clone the CPU runs), and each clone, which the tests compare.
+CROSS_VARIANTS = (
+    "repro_cross_tables", "repro_cross_tables_portable", "repro_cross_tables_avx2"
+)
+
+#: Fewest products (rows x d x k*) the C query half is used for; a
+#: smaller block is einsum's. Measured on a 2-core x86 host, d = 128
+#: (medians, C / einsum). Alone, through
+#: ``ProductQuantizer.cross_tables_batch`` (~10 us of it marshalling),
+#: C wins from 4 rows of 16x4 (8 192 products: 12.0 / 14.1 us) and at
+#: one row of 8x8 (32 768: 13.4 / 15.2 us). Between quickadc scans, as
+#: perfbench's replay runs it, ``distance_tables_for_batch`` of
+#: ``scan-quickadc``'s 16-row batches (32 768 products) read 137-155 us
+#: with the C query half against einsum's 130-146 (three runs of 8
+#: alternating passes; traced ``ivf.tables_ms`` 0.14-0.23 against
+#: 0.12-0.19 ms over eight perfbench pairs), while ``scan-fastpq``'s
+#: 8-row batches (262 144) read 193-290 against 211-265 us and every
+#: larger block wins outright (128 rows of 8x8: 1.09 ms against 2.77).
+#: So that batch, and any block up to 2^16 products, stays einsum's.
+CROSS_MIN_PRODUCTS = 1 << 16
+
+
+def cross_tables(queries: np.ndarray, codebooks: np.ndarray) -> np.ndarray | None:
+    """Step 2's query half, ``2<x_j, C_ji>``, as a fresh ``(n, m, k*)``
+    array, or None (run numpy).
+
+    ``queries`` is ``(n, m * d*)`` and ``codebooks`` the ``(m, d*, k*)``
+    stack, both C-contiguous float64. Each entry is numpy's: ``0.0``
+    plus ``x_d C_{j,d,i}`` in ``d`` order, then doubled (einsum
+    ``"qjd,jdi->qji"`` and ``*= 2.0``), whatever the batch.
+    """
+    n, d = queries.shape
+    m, dsub, ksub = codebooks.shape
+    # einsum sums a single-centroid table (k* = 1) in another order.
+    if n * d * ksub < CROSS_MIN_PRODUCTS or ksub < 2:
+        return None
+    library = _LIBRARY.handle()
+    if (library is None or d != m * dsub or queries.dtype != np.float64
+            or codebooks.dtype != np.float64 or not queries.flags.c_contiguous
+            or not codebooks.flags.c_contiguous):
+        return None
+    out = np.empty((n, m, ksub), dtype=np.float64)
+    library.repro_cross_tables(
+        _address(queries), n, m, dsub, ksub, _address(codebooks), _address(out)
+    )
+    return out

@@ -1,15 +1,23 @@
 /* Native kernels of repro, loaded with ctypes by repro/native/__init__.py.
  *
- * Two kernels, each byte-identical to the numpy path it replaces:
+ * Four kernels, each byte-identical to the numpy path it replaces:
  *
- * repro_naive_scan      PQ Scan (Algorithm 1) of a run of jobs with its
- *                       top-k selection: NaiveScanner.scan_run.
- * repro_combine_tables  Step 2's combine: IVFADCIndex.tables_from_halves.
+ * repro_naive_scan        PQ Scan (Algorithm 1) of a run of jobs with its
+ *                         top-k selection, from combined tables:
+ *                         NaiveScanner.scan_run.
+ * repro_naive_scan_halves The same scan from Step 2's two halves, each
+ *                         looked-up entry combined where it is read:
+ *                         NaiveScanner.scan_halves.
+ * repro_combine_tables    Step 2's combine: IVFADCIndex.tables_from_halves.
+ * repro_cross_tables      Step 2's query half, 2<x_j, C_ji>:
+ *                         ProductQuantizer.cross_tables_batch.
  *
  * Identity rests on doing the same IEEE operations in the same order:
  * every row's distance is table[0][code0] + table[1][code1] + ... added
- * left to right (adc_distances' order), and every table entry is
- * (cell_half + r_sq) - query_half, clamped at 0 as numpy.maximum does.
+ * left to right (adc_distances' order), every table entry is
+ * (cell_half + r_sq) - query_half, clamped at 0 as numpy.maximum does,
+ * and every cross term is 0.0 + x_0 C_0i + x_1 C_1i + ... in d order,
+ * then doubled, as numpy's einsum and its `*= 2.0` do.
  * The build uses -ffp-contract=off and never -ffast-math, so no add is
  * fused, reassociated or vectorised across a row's components. Rows are
  * independent, so a block of them is summed component by component:
@@ -36,6 +44,7 @@
 #define SCAN_BAD_CODE 1
 #define SCAN_NAN 2
 #define SCAN_NO_MEMORY 3
+#define SCAN_BAD_INDEX 4
 
 /* (da, ia) sorts before (db, ib); without branches, which the sorts'
  * unpredictable comparisons would mispredict. */
@@ -135,10 +144,42 @@ static void sort_pairs(double *dist, int64_t *ids, int64_t count,
     }
 }
 
+/* One entry of Step 2's combine, as tables_from_halves makes it. */
+static inline double combined(double cell, double r, double query)
+{
+    double v = (cell + r) - query;
+    return v <= 0.0 ? 0.0 : v; /* a NaN stays NaN */
+}
+
+/* Step 2's combine of one cell's (m, ksub) table into `out`. */
+static void combine_block(const double *restrict cell, const double *restrict r_sq,
+                          const double *restrict query, int64_t m, int64_t ksub,
+                          double *restrict out)
+{
+    for (int64_t j = 0; j < m; j++) {
+        double r = r_sq[j];
+        for (int64_t e = 0; e < ksub; e++)
+            out[e] = combined(cell[e], r, query[e]);
+        cell += ksub;
+        query += ksub;
+        out += ksub;
+    }
+}
+
+/* What a cell's entries are read from: a combined (m, ksub) table, or
+ * (table NULL) Step 2's halves, each entry combined as it is looked up:
+ * the cell's cell_half block, the query's query_half row and its r_sq. */
+typedef struct {
+    const double *table;
+    const double *cell;
+    const double *query;
+    const double *r_sq;
+} Lookup;
+
 /* Distances of `rows` rows to one (m, ksub) table, each summed left to
  * right. Four rows at a time, so that four sums' adds are in flight at
  * once; where m is a multiple of 8, a row's codes are read 8 at a time. */
-static void block_sums(const double *table, int64_t m, int64_t ksub,
+static void table_sums(const double *table, int64_t m, int64_t ksub,
                        const uint8_t *codes, int64_t rows, double *sums)
 {
     int64_t r = 0;
@@ -191,12 +232,56 @@ static void block_sums(const double *table, int64_t m, int64_t ksub,
     }
 }
 
-/* Scan one cell: the rows of one partition against one (m, ksub) table.
+/* table_sums without the table: each term is combined from the halves
+ * where it is read, the entry the table would hold. */
+static void halves_sums(const Lookup *at, int64_t m, int64_t ksub,
+                        const uint8_t *codes, int64_t rows, double *sums)
+{
+    const double *cell = at->cell, *query = at->query, *r_sq = at->r_sq;
+    int64_t r = 0;
+#define TERM(e) combined(b[e], rj, q[e])
+    for (; r + 4 <= rows; r += 4) {
+        const uint8_t *c = codes + r * m;
+        const double *b = cell, *q = query;
+        double rj = r_sq[0];
+        double s0 = TERM(c[0]), s1 = TERM(c[m]), s2 = TERM(c[2 * m]),
+               s3 = TERM(c[3 * m]);
+        for (int64_t j = 1; j < m; j++) {
+            b += ksub;
+            q += ksub;
+            rj = r_sq[j];
+            s0 += TERM(c[j]);
+            s1 += TERM(c[m + j]);
+            s2 += TERM(c[2 * m + j]);
+            s3 += TERM(c[3 * m + j]);
+        }
+        sums[r] = s0;
+        sums[r + 1] = s1;
+        sums[r + 2] = s2;
+        sums[r + 3] = s3;
+    }
+    for (; r < rows; r++) {
+        const uint8_t *c = codes + r * m;
+        const double *b = cell, *q = query;
+        double rj = r_sq[0];
+        double s = TERM(c[0]);
+        for (int64_t j = 1; j < m; j++) {
+            b += ksub;
+            q += ksub;
+            rj = r_sq[j];
+            s += TERM(c[j]);
+        }
+        sums[r] = s;
+    }
+#undef TERM
+}
+
+/* Scan one cell: the rows of one partition against one cell's entries.
  * Live rows that can still be among the best `width` gather in a buffer
  * of 2 * width pairs; a full buffer keeps its best `width`, whose worst
  * distance then turns away every farther row. Returns how many of the
  * best pairs lead the buffer (min(width, live rows)), or -1 on a NaN. */
-static int64_t scan_cell(const double *table, int64_t m, int64_t ksub,
+static int64_t scan_cell(const Lookup *at, int64_t m, int64_t ksub,
                          const uint8_t *codes, const int64_t *ids,
                          const uint8_t *dead, int64_t n, int64_t width,
                          double *buf_dist, int64_t *buf_ids)
@@ -206,7 +291,10 @@ static int64_t scan_cell(const double *table, int64_t m, int64_t ksub,
     int64_t count = 0;
     for (int64_t start = 0; start < n; start += ROW_BLOCK) {
         int64_t rows = n - start < ROW_BLOCK ? n - start : ROW_BLOCK;
-        block_sums(table, m, ksub, codes + start * m, rows, sums);
+        if (at->table != NULL)
+            table_sums(at->table, m, ksub, codes + start * m, rows, sums);
+        else
+            halves_sums(at, m, ksub, codes + start * m, rows, sums);
         for (int64_t r = 0; r < rows; r++) {
             int64_t row = start + r;
             double d = sums[r];
@@ -230,28 +318,62 @@ static int64_t scan_cell(const double *table, int64_t m, int64_t ksub,
     return count;
 }
 
-/* The PQ Scan of a run of jobs, one cell per table.
- *
- * tables     (cells, m, ksub) float64, C order; job i owns n_cells[i]
- *            consecutive tables.
- * codes      (sum n_rows, m) uint8, C order: job i's n_rows[i] rows, job
- *            after job. ids and dead (NULL: no dead row) run alongside.
- * width      min(topk, widest partition): each output row holds the
- *            cell's best `width` live pairs sorted by (distance, id), then
- *            (INFINITY, INT64_MAX). lengths gets how many are real.
- *
- * Returns SCAN_OK, or (outputs undefined) SCAN_BAD_CODE for a code >= ksub,
- * SCAN_NAN for a NaN distance or SCAN_NO_MEMORY. */
-int repro_naive_scan(const double *tables, int64_t m, int64_t ksub,
-                     const uint8_t *codes, const int64_t *ids,
-                     const uint8_t *dead, const int64_t *n_rows,
-                     const int64_t *n_cells, int64_t n_jobs, int64_t width,
-                     double *out_dist, int64_t *out_ids, int64_t *lengths)
+/* Step 2's halves of n table rows, as repro_naive_scan_halves and
+ * repro_combine_tables read them: row i's entry (j, e) is
+ * max((cell_half[cells[i * cells_step], j, e] + r_sq[i, j])
+ *     - query_half[rows[i], j, e], 0).
+ * r_sq is (n, m) float64, C order. query_half holds n_queries rows,
+ * query_stride doubles apart (rows NULL: row i reads query row i; a
+ * negative row counts from the end, as numpy indexing does); cell_half
+ * holds n_cell_rows cells, cell_stride doubles apart (0 for one (m, ksub)
+ * block shared by every cell; cells_step 0 for one cell for every row).
+ * Each (m, ksub) block is C order. */
+typedef struct {
+    const double *r_sq;
+    const double *query_half;
+    int64_t query_stride;
+    const int64_t *rows;
+    int64_t n_queries;
+    const double *cell_half;
+    int64_t cell_stride;
+    const int64_t *cells;
+    int64_t cells_step;
+    int64_t n_cell_rows;
+} Halves;
+
+/* Row i's lookup from the halves; 0, or 1 for a row or cell out of
+ * range. */
+static int halves_lookup(const Halves *h, int64_t i, int64_t m, Lookup *at)
+{
+    int64_t row = h->rows != NULL ? h->rows[i] : i;
+    int64_t part = h->cells[i * h->cells_step];
+    if (row < 0)
+        row += h->n_queries;
+    if (row < 0 || row >= h->n_queries || part < 0 || part >= h->n_cell_rows)
+        return 1;
+    at->table = NULL;
+    at->cell = h->cell_half + part * h->cell_stride;
+    at->query = h->query_half + row * h->query_stride;
+    at->r_sq = h->r_sq + i * m;
+    return 0;
+}
+
+/* The scan of a run of jobs; cell i's entries are tables[i] or, with
+ * halves, combined from them (see repro_naive_scan_halves). */
+static int scan_jobs(const double *tables, const Halves *halves,
+                     int64_t scratch_min_rows,
+                     int64_t m, int64_t ksub, const uint8_t *codes,
+                     const int64_t *ids, const uint8_t *dead,
+                     const int64_t *n_rows, const int64_t *n_cells,
+                     int64_t n_jobs, int64_t width, double *out_dist,
+                     int64_t *out_ids, int64_t *lengths)
 {
     int status = SCAN_OK;
     double *buf_dist = malloc(2 * (width > 0 ? width : 1) * sizeof(double));
     int64_t *buf_ids = malloc(2 * (width > 0 ? width : 1) * sizeof(int64_t));
-    if (buf_dist == NULL || buf_ids == NULL) {
+    double *scratch = halves != NULL ? malloc(m * ksub * sizeof(double)) : NULL;
+    if (buf_dist == NULL || buf_ids == NULL
+        || (halves != NULL && scratch == NULL && m * ksub > 0)) {
         status = SCAN_NO_MEMORY;
         goto done;
     }
@@ -269,9 +391,24 @@ int repro_naive_scan(const double *tables, int64_t m, int64_t ksub,
             double *dist = out_dist + cell * width;
             int64_t *cell_ids = out_ids + cell * width;
             int64_t size = 0;
+            Lookup at = {NULL, NULL, NULL, NULL};
+            if (halves == NULL) {
+                at.table = tables + cell * m * ksub;
+            } else {
+                if (halves_lookup(halves, cell, m, &at)) {
+                    status = SCAN_BAD_INDEX;
+                    goto done;
+                }
+                /* A long partition reads each entry many times: combine
+                 * its table once, into the scratch block. */
+                if (width > 0 && n >= scratch_min_rows) {
+                    combine_block(at.cell, at.r_sq, at.query, m, ksub, scratch);
+                    at.table = scratch;
+                }
+            }
             if (width > 0) {
-                size = scan_cell(tables + cell * m * ksub, m, ksub, codes, ids,
-                                 dead, n, width, buf_dist, buf_ids);
+                size = scan_cell(&at, m, ksub, codes, ids, dead, n, width,
+                                 buf_dist, buf_ids);
                 if (size < 0) {
                     status = SCAN_NAN;
                     goto done;
@@ -295,19 +432,61 @@ int repro_naive_scan(const double *tables, int64_t m, int64_t ksub,
 done:
     free(buf_dist);
     free(buf_ids);
+    free(scratch);
     return status;
 }
 
-/* Step 2's combine for n table rows: out[i, j, e] =
- * max((cell_half[cells[i * cells_step], j, e] + r_sq[i, j])
- *     - query_half[rows[i], j, e], 0).
+/* The PQ Scan of a run of jobs, one cell per table.
  *
- * r_sq is (n, m) float64, C order. query_half holds n_queries rows,
- * query_stride doubles apart (rows NULL: row i is query row i; a negative
- * row counts from the end, as numpy indexing does); cell_half holds
- * n_cell_rows cells, cell_stride doubles apart (0 for one (m, ksub) block
- * shared by every cell). Each (m, ksub) block is C order. out is
- * (n, m, ksub), C order.
+ * tables     (cells, m, ksub) float64, C order; job i owns n_cells[i]
+ *            consecutive tables.
+ * codes      (sum n_rows, m) uint8, C order: job i's n_rows[i] rows, job
+ *            after job. ids and dead (NULL: no dead row) run alongside.
+ * width      min(topk, widest partition): each output row holds the
+ *            cell's best `width` live pairs sorted by (distance, id), then
+ *            (INFINITY, INT64_MAX). lengths gets how many are real.
+ *
+ * Returns SCAN_OK, or (outputs undefined) SCAN_BAD_CODE for a code >= ksub,
+ * SCAN_NAN for a NaN distance or SCAN_NO_MEMORY. */
+int repro_naive_scan(const double *tables, int64_t m, int64_t ksub,
+                     const uint8_t *codes, const int64_t *ids,
+                     const uint8_t *dead, const int64_t *n_rows,
+                     const int64_t *n_cells, int64_t n_jobs, int64_t width,
+                     double *out_dist, int64_t *out_ids, int64_t *lengths)
+{
+    return scan_jobs(tables, NULL, 0, m, ksub, codes, ids, dead, n_rows,
+                     n_cells, n_jobs, width, out_dist, out_ids, lengths);
+}
+
+/* repro_naive_scan with no table materialised: cell i reads the entry
+ * its table would hold from the halves (laid out as Halves says, one
+ * table row per cell) where it looks it up. A job of at least
+ * scratch_min_rows rows reads each entry that many times over, so each
+ * of its cells is combined once into a reused (m, ksub) scratch table
+ * and scanned from there. The other arguments and the outputs are
+ * repro_naive_scan's. Returns its codes, or SCAN_BAD_INDEX for a row or
+ * cell out of range. */
+int repro_naive_scan_halves(const double *r_sq, const double *query_half,
+                            int64_t query_stride, const int64_t *rows,
+                            int64_t n_queries, const double *cell_half,
+                            int64_t cell_stride, const int64_t *cells,
+                            int64_t cells_step, int64_t n_cell_rows,
+                            int64_t m, int64_t ksub,
+                            int64_t scratch_min_rows, const uint8_t *codes,
+                            const int64_t *ids, const uint8_t *dead,
+                            const int64_t *n_rows, const int64_t *n_cells,
+                            int64_t n_jobs, int64_t width, double *out_dist,
+                            int64_t *out_ids, int64_t *lengths)
+{
+    Halves halves = {r_sq,      query_half,  query_stride, rows,       n_queries,
+                     cell_half, cell_stride, cells,        cells_step, n_cell_rows};
+    return scan_jobs(NULL, &halves, scratch_min_rows, m, ksub, codes,
+                     ids, dead, n_rows, n_cells, n_jobs, width, out_dist,
+                     out_ids, lengths);
+}
+
+/* Step 2's combine of n table rows, laid out as Halves says, into out,
+ * (n, m, ksub) in C order.
  *
  * Returns 0, or 1 (out undefined) for a row or cell out of range. */
 int repro_combine_tables(const double *r_sq, int64_t n, int64_t m,
@@ -318,25 +497,138 @@ int repro_combine_tables(const double *r_sq, int64_t n, int64_t m,
                          int64_t cells_step, int64_t n_cell_rows,
                          double *restrict out)
 {
+    Halves halves = {r_sq,      query_half,  query_stride, rows,       n_queries,
+                     cell_half, cell_stride, cells,        cells_step, n_cell_rows};
     for (int64_t i = 0; i < n; i++) {
-        int64_t row = rows != NULL ? rows[i] : i;
-        int64_t cell = cells[i * cells_step];
-        if (row < 0)
-            row += n_queries;
-        if (row < 0 || row >= n_queries || cell < 0 || cell >= n_cell_rows)
+        Lookup at;
+        if (halves_lookup(&halves, i, m, &at))
             return 1;
-        const double *restrict query = query_half + row * query_stride;
-        const double *restrict block = cell_half + cell * cell_stride;
-        for (int64_t j = 0; j < m; j++) {
-            double r = r_sq[i * m + j];
-            for (int64_t e = 0; e < ksub; e++) {
-                double v = (block[e] + r) - query[e];
-                out[e] = v <= 0.0 ? 0.0 : v; /* a NaN stays NaN */
-            }
-            query += ksub;
-            block += ksub;
-            out += ksub;
-        }
+        combine_block(at.cell, at.r_sq, at.query, m, ksub, out + i * m * ksub);
     }
     return 0;
+}
+
+/* Step 2's query half, out[q, j, i] = 2 (0.0 + x[q, j, 0] C[j, 0, i] + ...
+ * + x[q, j, dsub - 1] C[j, dsub - 1, i]): what numpy's einsum
+ * "qjd,jdi->qji" accumulates, in d order, before cross_tables_batch
+ * doubles it. x is (n, m * dsub), codebooks (m, dsub, ksub) and out
+ * (n, m, ksub), all float64 in C order.
+ *
+ * Each (q, j) row of out is summed in blocks of centroids held in
+ * registers across the dsub products (cross_rows), so a block is loaded
+ * and stored once. The vectors are GCC's: lane t of a
+ * vector add or multiply is the scalar operation on lane t, so a lane
+ * does what the scalar loop would. A row depends on x's row alone, so
+ * it gives the same bytes whatever block of rows it is computed in. */
+typedef double v2d __attribute__((vector_size(16)));
+typedef double v4d __attribute__((vector_size(32)));
+
+/* Blocks of V vectors of type T (L lanes each): L * V centroids. */
+#define CROSS_BLOCKS(T, L, V)                                            \
+    for (; i + (L) * (V) <= ksub; i += (L) * (V)) {                      \
+        T acc[V];                                                        \
+        for (int t = 0; t < (V); t++)                                    \
+            acc[t] = (T){0.0};                                           \
+        for (int64_t d = 0; d < dsub; d++) {                             \
+            double xd = xs[d];                                           \
+            const double *cd = c + d * ksub + i;                         \
+            for (int t = 0; t < (V); t++) {                              \
+                T centroids;                                             \
+                memcpy(&centroids, cd + (L) * t, sizeof(T));             \
+                acc[t] += xd * centroids;                                \
+            }                                                            \
+        }                                                                \
+        for (int t = 0; t < (V); t++) {                                  \
+            T twice = acc[t] * 2.0;                                      \
+            memcpy(o + i + (L) * t, &twice, sizeof(T));                  \
+        }                                                                \
+    }
+
+/* `wide`: 256-bit vectors in blocks of 32, 16 and 4 centroids (16
+ * registers of AVX2 hold 8 accumulators and the operands); otherwise
+ * 128-bit ones in blocks of 16 and 4. */
+static inline __attribute__((always_inline)) void
+cross_rows(const double *x, int64_t n, int64_t m, int64_t dsub, int64_t ksub,
+           const double *codebooks, double *out, int wide)
+{
+    for (int64_t q = 0; q < n; q++) {
+        for (int64_t j = 0; j < m; j++) {
+            const double *xs = x + (q * m + j) * dsub;
+            const double *c = codebooks + j * dsub * ksub;
+            double *o = out + (q * m + j) * ksub;
+            int64_t i = 0;
+            if (wide) {
+                CROSS_BLOCKS(v4d, 4, 8)
+                CROSS_BLOCKS(v4d, 4, 4)
+                CROSS_BLOCKS(v4d, 4, 1)
+            } else {
+                CROSS_BLOCKS(v2d, 2, 8)
+                CROSS_BLOCKS(v2d, 2, 2)
+            }
+            for (; i < ksub; i++) {
+                double acc = 0.0;
+                for (int64_t d = 0; d < dsub; d++)
+                    acc += xs[d] * c[d * ksub + i];
+                o[i] = acc * 2.0;
+            }
+        }
+    }
+}
+
+#undef CROSS_BLOCKS
+
+/* The query half for any machine of the architecture (SSE2 on x86-64). */
+int repro_cross_tables_portable(const double *x, int64_t n, int64_t m,
+                                int64_t dsub, int64_t ksub,
+                                const double *codebooks, double *out)
+{
+    cross_rows(x, n, m, dsub, ksub, codebooks, out, 0);
+    return 0;
+}
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define HAVE_AVX2_CLONE 1
+/* The same operations four lanes wide: AVX2 only, no FMA, so every
+ * product is rounded before its add as in the portable clone. */
+__attribute__((target("avx2"))) static void
+cross_rows_avx2(const double *x, int64_t n, int64_t m, int64_t dsub,
+                int64_t ksub, const double *codebooks, double *out)
+{
+    cross_rows(x, n, m, dsub, ksub, codebooks, out, 1);
+}
+
+static int has_avx2(void)
+{
+    static int known = -1; /* every thread that races here writes the same */
+    if (known < 0) {
+        __builtin_cpu_init();
+        known = __builtin_cpu_supports("avx2") != 0;
+    }
+    return known;
+}
+#endif
+
+/* The AVX2 clone; 1 (nothing written) where the CPU has no AVX2. */
+int repro_cross_tables_avx2(const double *x, int64_t n, int64_t m,
+                            int64_t dsub, int64_t ksub,
+                            const double *codebooks, double *out)
+{
+#ifdef HAVE_AVX2_CLONE
+    if (has_avx2()) {
+        cross_rows_avx2(x, n, m, dsub, ksub, codebooks, out);
+        return 0;
+    }
+#endif
+    (void)x, (void)n, (void)m, (void)dsub, (void)ksub, (void)codebooks,
+        (void)out;
+    return 1;
+}
+
+/* The query half on the widest clone this CPU runs. */
+int repro_cross_tables(const double *x, int64_t n, int64_t m, int64_t dsub,
+                       int64_t ksub, const double *codebooks, double *out)
+{
+    if (repro_cross_tables_avx2(x, n, m, dsub, ksub, codebooks, out) == 0)
+        return 0;
+    return repro_cross_tables_portable(x, n, m, dsub, ksub, codebooks, out);
 }

@@ -19,7 +19,7 @@ Two code paths are provided:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -31,7 +31,46 @@ from .base import NO_IDS, PAD_DISTANCE, PAD_ID, PartitionScanner, ScanBlock
 from .base import ScanResult, table_stack
 from .topk import TopKAccumulator, dead_rows, select_topk_rows
 
+if TYPE_CHECKING:  # import cycle: repro.ivf imports repro.scan
+    from ..ivf.inverted_index import TableHalves
+
 __all__ = ["NaiveScanner"]
+
+
+def _run_rows(
+    partitions: Sequence[Partition], tombstones: Sequence[np.ndarray], m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """A run's rows end to end: its codes, ids, dead-row mask (None: no
+    dead row) and each job's row count. Job ``i``'s mask is its own
+    ``tombstones[i]`` against its own rows."""
+    if len(partitions) == 1:
+        codes, ids = partitions[0].codes, partitions[0].ids
+        dead = dead_rows(ids, tombstones[0])
+    else:
+        codes = np.concatenate([p.codes for p in partitions])
+        ids = np.concatenate([p.ids for p in partitions])
+        dead = None
+        if any(len(dropped) for dropped in tombstones):
+            dead = np.concatenate([
+                np.isin(p.ids, dropped) for p, dropped in zip(partitions, tombstones)
+            ])
+    if codes.shape[1] != m:
+        raise DimensionMismatchError(m, codes.shape[1], what="code")
+    return codes, ids, dead, np.array([len(p) for p in partitions], dtype=np.intp)
+
+
+def _block(
+    found: tuple[np.ndarray, np.ndarray, np.ndarray],
+    n_rows: np.ndarray,
+    sizes: Sequence[int],
+) -> ScanBlock:
+    """The :class:`ScanBlock` of a run's selected ``(ids, distances,
+    lengths)``: every cell scanned its partition's rows and pruned none."""
+    top_ids, top_distances, lengths = found
+    counts = np.zeros((3, len(top_ids)), dtype=np.int64)
+    counts[0] = lengths
+    counts[1] = np.repeat(n_rows, sizes)
+    return ScanBlock(top_ids, top_distances, counts)
 
 
 class NaiveScanner(PartitionScanner):
@@ -106,34 +145,43 @@ class NaiveScanner(PartitionScanner):
         so every cell is byte-identical to scanning its job alone, on
         either path.
         """
-        if len(partitions) == 1:
-            codes, ids = partitions[0].codes, partitions[0].ids
-            dead = dead_rows(ids, tombstones[0])
-        else:
-            codes = np.concatenate([p.codes for p in partitions])
-            ids = np.concatenate([p.ids for p in partitions])
-            dead = None
-            if any(len(dropped) for dropped in tombstones):
-                dead = dead_rows(ids, np.concatenate(tombstones))
-        if codes.shape[1] != tables.shape[1]:
-            raise DimensionMismatchError(tables.shape[1], codes.shape[1], what="code")
-        n_rows = np.array([len(p) for p in partitions], dtype=np.intp)
+        codes, ids, dead, n_rows = _run_rows(partitions, tombstones, tables.shape[1])
         found = native.naive_scan(tables, codes, ids, dead, n_rows, sizes, topk)
         if found is not None:
-            top_ids, top_distances, lengths = found
-        elif len(partitions) == 1:
+            return _block(found, n_rows, sizes)
+        if len(partitions) == 1:
             return ScanBlock.exhaustive(
                 adc_distances_batch(tables, codes), ids, topk, tombstones[0]
             )
-        else:
-            distances, ids = self._ragged_block(tables, codes, n_rows, sizes, ids, dead)
-            top_ids, top_distances = select_topk_rows(distances, ids, topk)
-            # A cell's live candidates sort before its padding (masked rows are padding).
-            lengths = np.count_nonzero(top_ids != PAD_ID, axis=1)
-        counts = np.zeros((3, len(top_ids)), dtype=np.int64)
-        counts[0] = lengths
-        counts[1] = np.repeat(n_rows, sizes)
-        return ScanBlock(top_ids, top_distances, counts)
+        distances, ids = self._ragged_block(tables, codes, n_rows, sizes, ids, dead)
+        top_ids, top_distances = select_topk_rows(distances, ids, topk)
+        # A cell's live candidates sort before its padding (masked rows are padding).
+        lengths = np.count_nonzero(top_ids != PAD_ID, axis=1)
+        return _block((top_ids, top_distances, lengths), n_rows, sizes)
+
+    def scan_halves(
+        self,
+        halves: TableHalves,
+        partitions: Sequence[Partition],
+        sizes: Sequence[int],
+        topk: int,
+        tombstones: Sequence[np.ndarray],
+    ) -> ScanBlock | None:
+        """:meth:`scan_run` of ``halves.combine()`` with no table made:
+        one C call (:func:`repro.native.naive_scan_halves`) that combines
+        each entry it looks up where it reads it, or None where the
+        kernels do not run, and the caller combines the tables.
+
+        ``halves`` has one table row per cell, job by job. The block is
+        :meth:`scan_run`'s of the combined tables, byte for byte.
+        """
+        if not native.available() or not partitions:
+            return None
+        codes, ids, dead, n_rows = _run_rows(
+            partitions, tombstones, halves.query_half.shape[1]
+        )
+        found = native.naive_scan_halves(halves, codes, ids, dead, n_rows, sizes, topk)
+        return None if found is None else _block(found, n_rows, sizes)
 
     @staticmethod
     def _ragged_block(

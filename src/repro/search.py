@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import native
 from .exceptions import ConfigurationError, DimensionMismatchError, SimulationError
 from .ivf.inverted_index import IVFADCIndex, as_count
 from .ivf.partition import Partition
@@ -246,11 +247,15 @@ class BatchPlanner:
 
 #: Most (query, partition) cells in a run of jobs, and most entries
 #: (cells x the run's widest partition) in its candidate block; a job
-#: larger than that is a run of one. A run shares one table combine
-#: and, for naive, one code gather and one top-k. Sized for a process
-#: worker's bundle (``probe-sharded``: 64 partitions of ~96 rows per
-#: shard, the widest 225, nprobe 8, 128-query batches, ~512 cells per
-#: bundle; 2-core x86 host, best of 15): a bundle took 11.6 ms as a run
+#: larger than that is a run of one. They bound what is combined into
+#: tables: the runs of every scanner but naive, and naive's on the numpy
+#: paths (with the native kernels naive makes no table, and a job list
+#: is one call, :func:`_scan_runs`). A run shares one table combine
+#: and, for naive, one code gather and one top-k. Sized (while naive
+#: still combined tables) for a process worker's bundle
+#: (``probe-sharded``: 64 partitions of ~96 rows per shard, the widest
+#: 225, nprobe 8, 128-query batches, ~512 cells per bundle; 2-core x86
+#: host, best of 15): a bundle took 11.6 ms as a run
 #: per job, 9.8 ms in ~29 runs of 16 cells, 9.1 in ~18 of 32, 9.0 in
 #: ~9 of 64 and 8.9 in ~5 of 128 (its peak traced bytes up from 5.5 to
 #: 8.5 MiB; ``peak_rss_mb`` read 244.9-245.9 MiB at 16 to 256 cells).
@@ -304,27 +309,40 @@ def _scan_runs(
     yields each run's job count and cells, job by job.
 
     The one tables-and-scan loop of every executor, the process workers
-    and the overlay fold. A run (:func:`_runs`) is one
-    :meth:`IVFADCIndex.tables_from_halves` call, a cell id per row, and
-    one :meth:`~repro.scan.PartitionScanner.scan_run` (naive's is one
+    and the overlay fold. A run is one :meth:`IVFADCIndex.table_halves`
+    call, a cell id per row. Naive's own run, where the native kernels
+    run, is all of ``jobs`` at once and makes no table: one
+    :meth:`~repro.scan.NaiveScanner.scan_halves`, which combines each
+    entry where it reads it. Otherwise a run (:func:`_runs`) combines
+    its tables (:meth:`~repro.ivf.inverted_index.TableHalves.combine`)
+    for one :meth:`~repro.scan.PartitionScanner.scan_run` (naive's is one
     exhaustive pass: one code gather, tombstoned rows masked, one
     top-k; by default a scanner scans the run job by job, each job's
     ``scan_batch`` skipping its tombstoned rows). Cells are
-    byte-identical either way.
+    byte-identical every way.
     """
     span = obs.span if obs is not None else _no_span
-    for run in _runs(jobs, partitions):
+    whole = (bool(jobs) and type(scanner).scan_run is NaiveScanner.scan_run
+             and native.available())
+    for run in [slice(0, len(jobs))] if whole else _runs(jobs, partitions):
         pids, rows, dropped = zip(*jobs[run])
         sizes = [len(job_rows) for job_rows in rows]
         with span("tables"):
-            tables = index.tables_from_halves(
+            halves = index.table_halves(
                 queries,
                 query_half,
                 np.concatenate(rows),
                 np.repeat(np.asarray(pids, dtype=np.intp), sizes),
             )
-        with span("scan"):
-            block = scanner.scan_run(tables, partitions[run], sizes, topk, dropped)
+        block: ScanBlock | None = None
+        if whole:
+            with span("scan"):
+                block = scanner.scan_halves(halves, partitions[run], sizes, topk, dropped)
+        if block is None:  # tables to combine, or a fused call that gave up
+            with span("tables"):
+                tables = halves.combine()
+            with span("scan"):
+                block = scanner.scan_run(tables, partitions[run], sizes, topk, dropped)
         yield len(sizes), block
 
 

@@ -1,10 +1,12 @@
 """The native kernels give numpy's bytes, and numpy runs whenever they
 cannot.
 
-``repro.native`` holds two C kernels: naive's scan-and-select of a run
-(``NaiveScanner.scan_run``) and Step 2's combine
-(``IVFADCIndex.tables_from_halves``). Each is held byte for byte to the
-numpy path it stands in for, which ``REPRO_NATIVE=0`` selects. The
+``repro.native`` holds naive's scan-and-select of a run from tables
+(``NaiveScanner.scan_run``) and from Step 2's halves, combining each
+looked-up entry where it reads it (``NaiveScanner.scan_halves``), Step
+2's combine (``TableHalves.combine``) and its query half
+(``ProductQuantizer.cross_tables_batch``). Each is held byte for byte to
+the numpy path it stands in for, which ``REPRO_NATIVE=0`` selects. The
 fallback tests swap in a ``NativeLibrary`` over a throwaway cache with a
 missing, broken or hung compiler.
 """
@@ -16,6 +18,7 @@ import stat
 import subprocess
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Engine, EngineConfig, IVFADCIndex, NaiveScanner, native
+from repro.ivf.inverted_index import TableHalves
 from repro.ivf.partition import Partition
 from repro.scan.base import NO_IDS
 
@@ -176,6 +180,157 @@ def test_a_nan_distance_or_a_code_past_the_table_is_numpys():
     assert _kernel_scan(rng.random((2, 16, 16)), nibbles) is None
 
 
+# -- NaiveScanner.scan_halves ----------------------------------------------------
+
+
+@st.composite
+def halves_runs(draw):
+    case = draw(runs())
+    # rows either side of the lookup / scratch-table crossover (n >= k*),
+    # and every cell through one side or the other
+    case["rows"] = draw(st.lists(
+        st.sampled_from([0, 1, 3, 15, 16, 17, 90, 255, 256, 300]),
+        min_size=len(case["rows"]), max_size=len(case["rows"]),
+    ))
+    case["residual"] = draw(st.booleans())
+    case["scratch"] = draw(st.sampled_from([native.SCRATCH_ROWS_PER_ENTRY, 0.0, 1e9]))
+    case["all_rows"] = draw(st.booleans())
+    return case
+
+
+def _halves_inputs(case):
+    """A run's partitions and tombstones (as :func:`_run_inputs`), and the
+    run's Step 2 halves: ``cell_half`` one block per partition, or one
+    stride-0 block for all (no residual encoding)."""
+    _, partitions, tombstones = _run_inputs(case)
+    rng = np.random.default_rng(case["seed"] + 1)
+    m, ksub, n_jobs = case["m"], case["ksub"], len(partitions)
+    n = sum(case["cells"])
+
+    def values(shape):
+        if case["values"] is None:
+            return rng.random(shape) * 100.0
+        return rng.integers(0, case["values"], size=shape).astype(np.float64)
+
+    if case["residual"]:
+        cell_half = values((n_jobs + 2, m, ksub))
+    else:
+        cell_half = np.broadcast_to(values((m, ksub)), (n_jobs + 2, m, ksub))
+    n_queries = n if case["all_rows"] else 6
+    query_half = values((n_queries, m, ksub)) * 2.0  # entries clamped at 0 too
+    rows = None if case["all_rows"] else rng.integers(-n_queries, n_queries, n)
+    cells = np.repeat(rng.permutation(n_jobs + 2)[:n_jobs], case["cells"])
+    halves = TableHalves(values((n, m)), query_half, rows, cell_half, cells)
+    return halves, partitions, tombstones
+
+
+@given(case=halves_runs())
+@settings(max_examples=200, deadline=None)
+def test_the_fused_scan_is_the_combined_tables_scan_byte_for_byte(case):
+    halves, partitions, tombstones = _halves_inputs(case)
+    with mock.patch.object(native, "SCRATCH_ROWS_PER_ENTRY", case["scratch"]):
+        got = NaiveScanner().scan_halves(
+            halves, partitions, case["cells"], case["topk"], tombstones
+        )
+    assert got is not None
+    with numpy_only():
+        assert NaiveScanner().scan_halves(
+            halves, partitions, case["cells"], case["topk"], tombstones
+        ) is None
+        tables = halves.combine()
+        want = NaiveScanner().scan_run(
+            tables, partitions, case["cells"], case["topk"], tombstones
+        )
+    _same_blocks(got, want)
+
+
+def test_a_nan_entry_or_a_code_past_the_table_sends_the_fused_scan_to_numpy():
+    rng = np.random.default_rng(4)
+    m, ksub = 16, 16
+    partition = Partition(rng.integers(0, ksub, (40, m), dtype=np.uint8), np.arange(40))
+
+    def halves(query_half):
+        return TableHalves(
+            rng.random((2, m)), query_half, None,
+            rng.random((3, m, ksub)), np.array([1, 1]),
+        )
+
+    def fused(h):
+        return NaiveScanner().scan_halves(h, [partition], [2], 5, [NO_IDS])
+
+    clean = rng.random((2, m, ksub))
+    assert fused(halves(clean)) is not None
+    spoiled = clean.copy()
+    spoiled[1, 2, partition.codes[5, 2]] = np.nan      # an entry the scan reads
+    assert fused(halves(spoiled)) is None
+    partition.codes[7, 3] = ksub
+    assert fused(halves(clean)) is None
+
+
+# -- ProductQuantizer.cross_tables_batch --------------------------------------------
+
+
+def _cross(symbol, queries, codebooks):
+    """One clone of the query-half kernel, called directly."""
+    library = native._LIBRARY.handle()
+    m, dsub, ksub = codebooks.shape
+    out = np.empty((len(queries), m, ksub))
+    status = getattr(library, symbol)(
+        queries.ctypes.data, len(queries), m, dsub, ksub, codebooks.ctypes.data,
+        out.ctypes.data,
+    )
+    return None if status else out
+
+
+def _einsum_cross(queries, codebooks):
+    m, dsub, _ = codebooks.shape
+    tables = np.einsum("qjd,jdi->qji", queries.reshape(len(queries), m, dsub), codebooks)
+    tables *= 2.0
+    return tables
+
+
+@given(
+    n=st.integers(1, 40),
+    m=st.sampled_from([1, 2, 4, 8, 16]),
+    dsub=st.integers(1, 20),
+    ksub=st.sampled_from([2, 3, 4, 5, 16, 17, 33, 64, 100, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_both_query_half_clones_are_einsums_bytes(n, m, dsub, ksub, seed):
+    rng = np.random.default_rng(seed)
+    queries = rng.standard_normal((n, m * dsub)) * 40.0
+    queries[rng.random(queries.shape) < 0.05] = 0.0
+    codebooks = rng.standard_normal((m, dsub, ksub)) * 25.0
+    want = _einsum_cross(queries, codebooks).tobytes()
+    portable = _cross("repro_cross_tables_portable", queries, codebooks)
+    assert portable.tobytes() == want
+    avx2 = _cross("repro_cross_tables_avx2", queries, codebooks)
+    if avx2 is not None:  # None: this CPU has no AVX2
+        assert avx2.tobytes() == want
+    assert _cross("repro_cross_tables", queries, codebooks).tobytes() == want
+    # A row gives its bytes alone and inside any block of rows.
+    row = int(rng.integers(0, n))
+    alone = _cross("repro_cross_tables", queries[row : row + 1], codebooks)
+    assert alone.tobytes() == want[row * m * ksub * 8 : (row + 1) * m * ksub * 8]
+
+
+@pytest.mark.parametrize("which", ["pq", "pq4"])
+def test_the_query_half_is_numpys_for_1_to_n_rows(request, dataset, which):
+    pq = request.getfixturevalue(which)
+    queries = np.concatenate([dataset.queries, dataset.base[:56]])
+    with numpy_only():
+        want = pq.cross_tables_batch(queries)
+    with mock.patch.object(native, "CROSS_MIN_PRODUCTS", 1):
+        for n in range(1, len(queries) + 1):
+            got = pq.cross_tables_batch(queries[:n])
+            assert got.tobytes() == want[:n].tobytes()
+    calls = []
+    with mock.patch.object(native, "cross_tables", lambda *a: calls.append(a)):
+        assert pq.cross_tables_batch(queries[:1]).tobytes() == want[:1].tobytes()
+    assert len(calls) == 1  # consulted, and einsum answered the None
+
+
 # -- IVFADCIndex.tables_from_halves ---------------------------------------------
 
 
@@ -262,6 +417,12 @@ def _same_answers(got, want):
 def answers(index, dataset):
     """A naive engine's answers with the kernels running."""
     return _engine_answers(index, dataset.queries)
+
+
+def test_a_fused_call_that_gives_up_scans_combined_tables(monkeypatch, index, dataset,
+                                                          answers):
+    monkeypatch.setattr(NaiveScanner, "scan_halves", lambda *args: None)
+    _same_answers(_engine_answers(index, dataset.queries), answers)
 
 
 @pytest.mark.parametrize("fault", ["no compiler", "cache not writable", "REPRO_NATIVE=0"])

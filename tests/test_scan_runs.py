@@ -275,3 +275,31 @@ def test_every_path_calls_scan_run_once_per_run(base, dataset):
                 get_observability(),
             )
         assert scanner.calls == n_runs([segments[job.partition_id] for job in plan.jobs])
+
+
+def test_a_jobs_tombstones_leave_the_other_jobs_rows_alone(base, dataset):
+    """``tombstones[i]`` names rows of ``partitions[i]`` only: an id that
+    job 0's tombstones name and job 1's partition holds is still one of
+    job 1's candidates, on naive's run from tables and from the halves."""
+    rng = np.random.default_rng(5)
+    partitions = _partitions(rng, [50, 50], 256, base.pq.m, 0)
+    held_by_job_1 = partitions[1].ids[7]
+    tombstones = [np.array([held_by_job_1]), NO_IDS]
+    queries = dataset.queries[:3]
+    rows = np.array([0, 1, 2, 0, 2])
+    sizes = [3, 2]
+    halves = base.table_halves(
+        queries, base.query_half(queries), rows, np.repeat([4, 9], sizes)
+    )
+    tables = halves.combine()
+    want = ScanBlock.concatenate([
+        _per_job(tables[:3], partitions[0], 50, tombstones[0]),
+        _per_job(tables[3:], partitions[1], 50, tombstones[1]),
+    ])
+    assert (want.ids[3:] == held_by_job_1).any(axis=1).all()
+    _assert_same_blocks(
+        NaiveScanner().scan_run(tables, partitions, sizes, 50, tombstones), want
+    )
+    fused = NaiveScanner().scan_halves(halves, partitions, sizes, 50, tombstones)
+    if fused is not None:  # None: the native kernels do not run here
+        _assert_same_blocks(fused, want)
