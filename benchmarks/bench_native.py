@@ -23,11 +23,19 @@ their kernels scanned combined tables (with the tables left unmade and
 the query half in C: 1.81-2.11x, median 1.89x, and 1.95-3.84x, median
 3.19x); probe-sharded's shape read 2.90-3.09x, median 3.01x (floor
 2.40x).
+
+Two more rows are the evidence for naive as ``EngineConfig``'s default
+scanner: a default-config thread engine against the same index with
+``scanner="fastpq"``, both with the kernels, byte-identical answers
+first. Over fifteen alternating pairs on the same host the default read
+11.16-16.16x fastpq at 64/8 (median 13.93x, floor 11.10x) and
+3.83-4.98x on one 16 384-row partition (median 4.05x, floor 3.20x).
 """
 
 import os
 import statistics
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -92,5 +100,54 @@ def test_native_beats_numpy_by_its_floor(dataset, shape, monkeypatch):
     speed = statistics.median(ratios)
     assert speed >= floor, (
         f"{shape}: native at {speed:.2f}x numpy (pairs "
+        f"{', '.join(f'{r:.2f}' for r in ratios)}), floor {floor:.2f}x"
+    )
+
+
+#: The evidence for naive as ``EngineConfig``'s default scanner: a
+#: default-config thread engine against the same index with
+#: ``scanner="fastpq"``, both with the native kernels.
+#: name: (rows, n_partitions, nprobe, k, batch, n_queries, floor)
+DEFAULT_SHAPES = {
+    "64/8, batches of 64": (60_000, 64, 8, 100, 64, 256, 11.10),
+    "one 16 384-row partition, batches of 8": (16_384, 1, 1, 100, 8, 64, 3.20),
+}
+
+
+@pytest.mark.parametrize("shape", list(DEFAULT_SHAPES))
+def test_default_scanner_beats_fastpq_by_its_floor(dataset, shape):
+    n_rows, n_partitions, nprobe, topk, batch, n_queries, floor = DEFAULT_SHAPES[shape]
+    config = EngineConfig(
+        n_partitions=n_partitions, max_iter=4, coarse_max_iter=4, seed=0,
+        executor="thread",
+    )
+    assert config.scanner == "naive"
+    queries = dataset.queries[:n_queries]
+    batches = [queries[i : i + batch] for i in range(0, n_queries, batch)]
+    with Engine.build(dataset.base[:n_rows], config) as default, Engine(
+        default.index, replace(config, scanner="fastpq")
+    ) as fastpq:
+
+        def qps(engine: Engine):
+            answers = []
+            start = time.perf_counter()
+            for block in batches:
+                answers.extend(engine.search(block, k=topk, nprobe=nprobe))
+            return n_queries / (time.perf_counter() - start), answers
+
+        # Untimed pilot: the identity gate (both scanners are exact),
+        # and fastpq's prepared layouts built.
+        same = [(r.ids.tobytes(), r.distances.tobytes()) for r in qps(default)[1]]
+        assert same == [
+            (r.ids.tobytes(), r.distances.tobytes()) for r in qps(fastpq)[1]
+        ], f"{shape}: naive and fastpq diverged"
+        ratios = []
+        for pair in range(PAIRS):
+            order = (default, fastpq) if pair % 2 else (fastpq, default)
+            measured = {id(engine): qps(engine)[0] for engine in order}
+            ratios.append(measured[id(default)] / measured[id(fastpq)])
+    speed = statistics.median(ratios)
+    assert speed >= floor, (
+        f"{shape}: the default (naive) at {speed:.2f}x fastpq (pairs "
         f"{', '.join(f'{r:.2f}' for r in ratios)}), floor {floor:.2f}x"
     )

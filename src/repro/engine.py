@@ -143,7 +143,7 @@ class EngineConfig:
     seed: int = 0
     keep_vectors: bool = False
     mutable: bool = False
-    scanner: str = "fastpq"
+    scanner: str = "naive"
     keep: float = 0.005
     nprobe: int = 1
     n_workers: int = 1

@@ -1,14 +1,16 @@
-"""Worker-process side of the process-pool executor.
+"""Worker-process side of the process executor.
 
-Each worker is initialized exactly once per process
-(:func:`_init_worker`): it attaches to the index artifact **by path**
-with ``load_index(..., mmap=True)`` — the partition codes stay in the OS
-page cache, shared read-only with the parent and every sibling worker,
-so no code bytes are ever pickled — and rebuilds its scanner from the
+Each worker process runs :func:`_serve` on its end of one duplex pipe
+to the parent. It initializes exactly once (:func:`_init_worker`): it
+attaches to the index artifact **by path** with
+``load_index(..., mmap=True)`` — the partition codes stay in the OS page
+cache, shared read-only with the parent and every sibling worker, so no
+code bytes are ever pickled — and rebuilds its scanner from the
 picklable :class:`~repro.parallel.ScannerSpec`. Fast scanners are warmed
-immediately (grouped layouts built, assignment learned), so the
-per-process caches are hot before the first task arrives and stay warm
-for the lifetime of the pool.
+immediately (grouped layouts built, assignment learned), then the
+worker sends a ready handshake and loops: receive
+``(seq, WorkerBundle, sanitize)``, reply ``(seq, ok, reply-or-exception)``,
+one bundle at a time, until the parent closes its end.
 
 Traffic is deliberately compact and per bundle, not per cell: a
 :class:`WorkerBundle` carries the batch's query block once plus, per
@@ -22,8 +24,11 @@ traffic is therefore independent of partition sizes.
 from __future__ import annotations
 
 import os
+import signal
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
@@ -61,9 +66,11 @@ class WorkerBundle:
     tombstones: tuple[np.ndarray, ...]
 
 
-# Per-process state, populated by _init_worker. A plain module dict:
-# ProcessPoolExecutor initializers cannot return values, and the state
-# must be reachable from the task functions by name.
+#: The ``seq`` of a worker's ready handshake; bundles count from 1.
+READY_SEQ = 0
+
+# Per-process state, populated by _init_worker. A module dict, so that
+# _run_bundle reaches it by name (and tests can stand it in).
 _STATE: dict[str, object] = {}
 
 
@@ -76,9 +83,47 @@ def _init_worker(index_path: str, spec: ScannerSpec) -> None:
     _STATE["scanner"] = scanner
 
 
-def _probe_worker() -> int:
-    """No-op task used to force worker spawn + initialization eagerly."""
-    return os.getpid()
+def _serve(conn: Connection, index_path: str, spec: ScannerSpec) -> None:
+    """A worker process's whole life: attach, say ready, then one reply
+    per bundle received, until the parent's end of the pipe closes.
+
+    The handshake is ``(READY_SEQ, True, pid)``, or ``(READY_SEQ, False,
+    exception)`` when attaching failed (the process then exits). A
+    bundle's reply is ``(seq, True, (pid, cells, busy_s))`` or ``(seq,
+    False, exception)``: a scan that raises costs the parent one retry,
+    not the worker.
+    """
+    # Ctrl-C reaches the whole process group: the parent decides when
+    # its workers stop (by closing its end of the pipe).
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        _init_worker(index_path, spec)
+    except Exception as exc:  # noqa: BLE001 - reported to the parent
+        _reply(conn, READY_SEQ, False, exc)
+        return
+    _reply(conn, READY_SEQ, True, os.getpid())
+    try:
+        while True:
+            seq, bundle, sanitize = conn.recv()
+            try:
+                reply = (seq, True, _run_bundle(bundle, sanitize))
+            except Exception as exc:  # noqa: BLE001 - reported to the parent
+                reply = (seq, False, exc)
+            _reply(conn, *reply)
+    except (EOFError, OSError):
+        return  # the parent closed its end (or is gone)
+
+
+def _reply(conn: Connection, seq: int, ok: bool, payload: object) -> None:
+    """Send one reply. An exception that cannot be pickled goes back as
+    a ``RuntimeError`` naming it."""
+    try:
+        message = ForkingPickler.dumps((seq, ok, payload))
+    except Exception:  # noqa: BLE001 - an unpicklable exception
+        message = ForkingPickler.dumps(
+            (seq, False, RuntimeError(f"{type(payload).__name__}: {payload}"))
+        )
+    conn.send_bytes(message)
 
 
 def _run_bundle(
@@ -87,20 +132,18 @@ def _run_bundle(
     """Run a bundle of partition jobs in one round trip.
 
     The parent packs a whole batch's jobs into at most ``n_workers``
-    bundles (balanced by job cost), so queue traffic — task pickles,
-    semaphore wakeups across idle workers, result pipe writes — is a
+    bundles (balanced by job cost), one per worker, so pipe traffic is a
     per-batch constant instead of scaling with the partition count.
-    Returns ``(pid, cells, busy_s)``: the worker's process id (the parent
-    maps pids to worker-stat slots), the jobs' scans end to end in one
-    block, and the wall time spent on each run of jobs
+    Returns ``(pid, cells, busy_s)``: the worker's process id, the
+    jobs' scans end to end in one block, and the wall time spent on each run of jobs
     (:func:`~repro.search._scan_runs`, the executors' own loop).
 
     ``sanitize`` mirrors the parent's ``REPRO_SANITIZE`` gate at call
-    time: worker processes may have been spawned before the gate was
+    time: worker processes may have been started before the gate was
     set (or with a different environment entirely), and the runtime
     sanitizer re-reads the gate per scan — so the parent's current
     setting is forwarded with every bundle rather than being frozen at
-    pool creation.
+    worker start.
     """
     if sanitize:
         os.environ[_SANITIZE_ENV_VAR] = "1"

@@ -13,34 +13,43 @@ inline :class:`~repro.search.BatchExecutor` or a
    each job a tombstone hits carries its tombstoned ids.
 2. **Scatter**: split the plan's partition jobs by owning shard —
    heaviest shard first, so the longest sub-plan starts earliest — and
-   run each shard's job subset on that shard's own executor — a
-   :class:`~repro.parallel.ProcessBatchExecutor` whose workers mmap the
-   shard's saved artifact (``backend="process"``, the default) or an
-   inline :class:`~repro.search.BatchExecutor` on a gather thread
-   (``backend="thread"``). The caller names that artifact
+   run each shard's job subset on that shard's own executor. With
+   ``backend="process"`` (the default) a
+   :class:`~repro.parallel.ProcessBatchExecutor` per shard holds worker
+   processes that mmap the shard's saved artifact, and the caller's
+   thread sends every shard's bundles down their worker pipes itself.
+   With ``backend="thread"`` each shard is an inline
+   :class:`~repro.search.BatchExecutor` on a gather thread. The caller
+   names that artifact
    (``artifact_dir=``, which :class:`~repro.Engine` fills in from its
    ``index_path``); without one the executor saves a temporary copy it
    owns and deletes on :meth:`~ScatterGatherExecutor.close`. Either way
    each shard runs the partition-major engine internally, with its own
    scanner instance.
-   **Every pool is pinned across ``run()`` calls**: shard pools spawn
-   once in the constructor (process workers attach by mmap path
-   exactly once) and the gather pool below is likewise built once —
-   steady-state batches pay zero spin-up.
+   **Every worker is pinned across ``run()`` calls**: shard workers
+   start once in the constructor (and attach by mmap path exactly
+   once), and so does the thread backend's gather pool — steady-state
+   batches pay zero spin-up.
 3. **Gather, streamed**: the delta segments (scanned here, in the
    parent, while the shards scan) and the shard partials, in
    completion order, are each folded into the running per-query
    :class:`~repro.search.StreamingMerger` the moment it lands, so merge
    work overlaps the shards still scanning instead of serializing after
-   a barrier. The fold order cannot change the answer — the merger
-   applies the same total (distance, id) order as the barrier merge —
-   and the deadline/retry policy is unchanged: a shard that raises is
-   retried with exponential backoff, a shard still running at
-   ``deadline_s`` from scatter start is abandoned. A plan whose split
-   has a single non-empty part and no deadline runs that part on the
-   caller's thread: there is nothing to overlap and nothing to abandon,
-   and the hop to the gather pool measured 0.78x ``qps`` on perfbench's
-   ``serve-mixed`` (docs/execution.md, "Which executor when").
+   a barrier. The process backend waits on every in-flight worker pipe
+   at once (one ``multiprocessing.connection.wait``, the deadline its
+   timeout) and folds a shard when its last bundle lands; the thread
+   backend waits on its gather pool's futures. The fold order cannot
+   change the answer — the merger applies the same total (distance,
+   id) order as the barrier merge — and the deadline/retry policy is
+   the same on both: a shard that raises is retried with exponential
+   backoff (a worker that died is started again and its bundle
+   resent), a shard still running at ``deadline_s`` from scatter start
+   is abandoned (a late reply is dropped by its sequence number). On
+   the thread backend, a plan whose split has a single non-empty part
+   and no deadline runs that part on the caller's thread: there is
+   nothing to overlap and nothing to abandon, and the hop to the
+   gather pool measured 0.78x ``qps`` on perfbench's ``serve-mixed``
+   (docs/execution.md, "Which executor when").
 
 Graceful degradation is the contract: shard timeouts and exhausted
 retries do **not** raise. The response carries ``partial=True`` plus a
@@ -61,7 +70,9 @@ import tempfile
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
+from multiprocessing import connection
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -74,6 +85,7 @@ from ..exceptions import ConfigurationError
 from ..ivf.inverted_index import as_count
 from ..obs import WorkerStats, combine_worker_stats, get_observability
 from ..parallel import ProcessBatchExecutor
+from ..parallel.executor import PlanScan
 from ..scan.base import PartitionScanner
 from ..search import (
     GATHER_TIMEOUT_S,
@@ -120,6 +132,24 @@ class ScanPart:
     worker_stats: list[WorkerStats] = field(default_factory=list)
 
 
+@dataclass(eq=False)
+class _Flight:
+    """One shard's sub-plan on its worker pipes, and its attempts."""
+
+    shard_id: int
+    scan: PlanScan
+    t0: float
+    attempts: int = 1
+    resend_at: float | None = None
+
+    def status(self, state: str, error: str | None = None) -> ShardStatus:
+        latency_s = time.perf_counter() - self.t0
+        n_jobs = len(self.scan.plan.jobs)
+        return ShardStatus(
+            self.shard_id, state, self.attempts, latency_s, n_jobs, error
+        )
+
+
 class ScatterGatherExecutor:
     """The one pipeline from a query batch to its merged results.
 
@@ -137,13 +167,18 @@ class ScatterGatherExecutor:
     observability instance all of this reduces to an attribute check
     per stage.
 
-    Every pool this executor touches is **pinned**: the per-shard
-    process pools (whose workers attach to the shard artifacts by mmap
-    path) and the scatter thread pool all spawn once here and serve
-    every ``run()`` until :meth:`close`. A shard task abandoned at the
-    deadline keeps its scatter slot busy until it finishes in the
-    background — the pool is sized one thread per shard so a straggler
-    does not starve the other shards of the next batch.
+    Every worker this executor touches is **pinned**: the per-shard
+    worker processes (which attach to the shard artifacts by mmap path)
+    and the thread backend's scatter pool all start once here and serve
+    every ``run()`` until :meth:`close`. A thread-backend shard task
+    abandoned at the deadline keeps its scatter slot busy until it
+    finishes in the background — the pool is sized one thread per
+    shard so a straggler does not starve the other shards of the next
+    batch; an abandoned process-backend bundle keeps its worker busy
+    the same way, and the next batch's bundle queues behind it on the
+    pipe. One batch at a time holds a shard's workers, so concurrent
+    callers wait for each other there (in shard order, never in a
+    cycle).
 
     Args:
         sharded: the sharded layout (positional-only).
@@ -282,13 +317,17 @@ class ScatterGatherExecutor:
                 BatchExecutor(shard.index, scanner, n_workers=n_workers)
                 for shard, scanner in zip(sharded.shards, self.scanners)
             )
-        # The pinned scatter pool: one thread per shard, spawned once and
-        # reused by every run() (no per-batch pool spin-up).
-        self._gather_pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
-            max_workers=max(sharded.n_shards, 1),
-            thread_name_prefix="repro-shard",
-        )
-        get_observability().record_pool_spinup("gather")
+        self._closed = False
+        # The thread backend's pinned scatter pool: one thread per shard,
+        # spawned once and reused by every run() (no per-batch pool
+        # spin-up). The process backend sends from the caller's thread.
+        self._gather_pool: ThreadPoolExecutor | None = None
+        if backend == "thread":
+            self._gather_pool = ThreadPoolExecutor(
+                max_workers=max(sharded.n_shards, 1),
+                thread_name_prefix="repro-shard",
+            )
+            get_observability().record_pool_spinup("gather")
 
     def run(
         self,
@@ -300,9 +339,10 @@ class ScatterGatherExecutor:
     ) -> ShardedResponse:
         """Scatter ``queries`` across shards; gather and merge, streamed.
 
-        Shard sub-plans are submitted heaviest-first to the pinned
-        scatter pool, partials land in completion order, and each is
-        folded into the running merge while the remaining shards are
+        Shard sub-plans are sent heaviest-first — down the worker pipes
+        from this thread (process backend) or to the pinned scatter pool
+        (thread backend) — partials land in completion order, and each
+        is folded into the running merge while the remaining shards are
         still scanning — the response's ``gather_overlap_s`` reports how
         much merge time that hid.
 
@@ -313,11 +353,12 @@ class ScatterGatherExecutor:
         parent scans the delta segments alone, and every untouched
         partition takes the unchanged (byte-identical) path.
         """
-        self._require_gather_pool()
+        self._require_open()
         obs = get_observability()
         # One reuse, gather and overlap observation per served batch,
         # an empty one included, so obs totals keep matching run counts.
-        obs.record_pool_reuse("gather")
+        if self._gather_pool is not None:
+            obs.record_pool_reuse("gather")
         response = self._execute(queries, topk, nprobe, delta_view)
         for status in response.shard_statuses:
             if status.attempts:  # 0: the shard had no jobs in this batch
@@ -358,25 +399,25 @@ class ScatterGatherExecutor:
             delta_view = None
         if delta_view is not None:
             plan = _with_tombstones(plan, delta_view.hits)
-        landing = self._scan_parts(plan, start)
-        merger = StreamingMerger(plan)
-        if delta_view is not None:
-            # Parent-side segment scans run while the parts are still
-            # scanning: extra candidates, not coverage.
-            _fold_overlay(merger, self.index, delta_view, obs)
         statuses: list[ShardStatus] = []
         stats_per_part: list[list[WorkerStats]] = []
         overlap_s = 0.0
-        for part, others_in_flight in landing:
-            statuses.append(part.status)
-            if part.partials is None:
-                continue
-            folded_before = merger.merge_time_s
-            with obs.span("merge"):
-                merger.fold(part.partials)
-            if others_in_flight:
-                overlap_s += merger.merge_time_s - folded_before
-            stats_per_part.append(part.worker_stats)
+        with self._scan_parts(plan, start) as landing:
+            merger = StreamingMerger(plan)
+            if delta_view is not None:
+                # Parent-side segment scans run while the parts are still
+                # scanning: extra candidates, not coverage.
+                _fold_overlay(merger, self.index, delta_view, obs)
+            for part, others_in_flight in landing:
+                statuses.append(part.status)
+                if part.partials is None:
+                    continue
+                folded_before = merger.merge_time_s
+                with obs.span("merge"):
+                    merger.fold(part.partials)
+                if others_in_flight:
+                    overlap_s += merger.merge_time_s - folded_before
+                stats_per_part.append(part.worker_stats)
         partial = any(not status.ok for status in statuses)
         with obs.span("merge"):
             results = merger.results(require_complete=not partial)
@@ -393,37 +434,45 @@ class ScatterGatherExecutor:
             gather_overlap_s=overlap_s,
         )
 
+    @contextmanager
     def _scan_parts(
         self, plan: BatchPlan, start: float
-    ) -> Iterator[tuple[ScanPart, bool]]:
-        """Split ``plan`` by owning shard and start every sub-plan; yield
-        each shard's :class:`ScanPart` as it lands.
+    ) -> Iterator[Iterator[tuple[ScanPart, bool]]]:
+        """Split ``plan`` by owning shard and start every sub-plan; the
+        context yields each shard's :class:`ScanPart` as it lands.
 
         Each item pairs the part with whether other parts were still in
         flight when it landed (its fold is then overlap, not wall time);
         ``start`` is the pipeline's clock, what a deadline runs from.
-        Submitting happens in the call, landing in the iteration, so the
-        overlay fold in between overlaps the scan.
+        Sending happens on entry, landing in the iteration, so the
+        overlay fold in between overlaps the scan. Scatter heaviest
+        shard first: with the sub-plans sorted by total job cost the
+        slowest shard starts earliest, and every lighter shard's merge
+        folds while it is still scanning. The process backend's workers
+        are held from entry to exit (one batch at a time).
         """
         subplans = self._split(plan)
-        futures: dict[Future[ScanPart], int] = {}
-        if len(subplans) > 1 or self.deadline_s is not None:
-            pool = self._require_gather_pool()
-            # Scatter heaviest shard first: with the sub-plans sorted by
-            # total job cost the slowest shard starts earliest, and every
-            # lighter shard's merge folds while it is still scanning.
-            order = sorted(
-                subplans,
-                key=lambda sid: (
-                    -sum(job.cost for job in subplans[sid].jobs),
-                    sid,
-                ),
-            )
-            futures = {
-                pool.submit(self._run_shard, sid, subplans[sid]): sid
-                for sid in order
-            }
-        return self._land(subplans, futures, start)
+        order = sorted(
+            subplans,
+            key=lambda sid: (-sum(job.cost for job in subplans[sid].jobs), sid),
+        )
+        idle = [
+            ScanPart(ShardStatus(shard.shard_id, STATE_OK, 0, 0.0))
+            for shard in self.sharded.shards
+            if shard.shard_id not in subplans
+        ]
+        if self.backend == "thread":
+            with closing(self._scatter_threads(subplans, order, idle, start)) as parts:
+                yield parts
+            return
+        held: list[int] = []
+        try:
+            flights, parts = self._send(subplans, order, held, start)
+            with closing(self._gather_pipes(flights, idle + parts, start)) as landing:
+                yield landing
+        finally:
+            for shard_id in held:
+                self._executors[shard_id].release()
 
     def _split(self, plan: BatchPlan) -> dict[int, BatchPlan]:
         """``{shard_id: sub_plan}``, one pass over ``plan.jobs``.
@@ -443,26 +492,190 @@ class ScatterGatherExecutor:
             for shard_id in sorted(jobs_of)
         }
 
+    # -- the process backend: worker pipes, on the caller's thread ------------
+
+    def _send(
+        self,
+        subplans: dict[int, BatchPlan],
+        order: list[int],
+        held: list[int],
+        start: float,
+    ) -> tuple[list[_Flight], list[ScanPart]]:
+        """Hold each shard's workers (their ids go to ``held``), then
+        send its bundles.
+
+        Workers are taken in shard order, so two concurrent batches
+        never wait on each other; a shard whose workers another batch
+        still holds at the deadline times out unsent. Returns the
+        flights in the air and the parts already settled.
+        """
+        limit = self._limit(start)
+        parts: list[ScanPart] = []
+        for shard_id in sorted(subplans):
+            if self._executors[shard_id].acquire(limit - time.perf_counter()):
+                held.append(shard_id)
+            else:
+                parts.append(self._timed_out(shard_id, subplans[shard_id], start))
+        flights: list[_Flight] = []
+        for shard_id in (sid for sid in order if sid in held):
+            scan = PlanScan(self._executors[shard_id], subplans[shard_id])
+            flight = _Flight(shard_id, scan, time.perf_counter())
+            settled = self._settle(flight, flight.scan.send())
+            if settled is None:
+                flights.append(flight)
+            else:
+                parts.append(settled)
+        return flights, parts
+
+    def _gather_pipes(
+        self, flights: list[_Flight], settled: list[ScanPart], start: float
+    ) -> Iterator[tuple[ScanPart, bool]]:
+        """Wait on every in-flight pipe at once; yield each shard's part
+        when its last bundle lands, fails or times out.
+
+        The wait's timeout is the nearest of the deadline, a retry's
+        backoff and ``GATHER_TIMEOUT_S`` (without a deadline, the longest
+        any reply may take); a shard still in the air when it expires is
+        abandoned, its late replies dropped by their ``seq``.
+        """
+        for part in settled:
+            yield part, False
+        limit = self._limit(start)
+        pending = list(flights)
+        with get_observability().span("scan"):
+            while pending:
+                waiting = {
+                    conn: flight
+                    for flight in pending
+                    for conn in flight.scan.waiting
+                }
+                retries = [
+                    flight.resend_at
+                    for flight in pending
+                    if flight.resend_at is not None
+                ]
+                timeout = min([limit, *retries]) - time.perf_counter()
+                ready = connection.wait(list(waiting), max(timeout, 0.0))
+                for conn in ready:
+                    flight = waiting[conn]
+                    if flight not in pending:
+                        continue  # it landed or failed on an earlier conn
+                    part = self._settle(flight, flight.scan.receive(conn))
+                    if part is not None:
+                        pending.remove(flight)
+                        yield part, bool(pending)
+                now = time.perf_counter()
+                due = [
+                    flight
+                    for flight in pending
+                    if flight.resend_at is not None and flight.resend_at <= now
+                ]
+                for flight in due:
+                    flight.attempts += 1
+                    flight.resend_at = None
+                    part = self._settle(flight, flight.scan.send())
+                    if part is not None:
+                        pending.remove(flight)
+                        yield part, bool(pending)
+                if pending and time.perf_counter() >= limit:
+                    break  # the deadline (or GATHER_TIMEOUT_S) expired
+        for flight in pending:
+            yield self._timed_out(flight.shard_id, flight.scan.plan, start, flight), False
+
+    def _settle(self, flight: _Flight, fault: BaseException | None) -> ScanPart | None:
+        """The shard's part if it just finished, ``None`` while it flies.
+
+        A fault ends the attempt: with attempts left the missing bundles
+        are resent after an exponentially growing backoff (a dead worker
+        has been started again by then); without, the shard fails.
+        :class:`~repro.exceptions.ConfigurationError` propagates (caller
+        bug, or the executor closed under the batch).
+        """
+        if fault is None:
+            if not flight.scan.done:
+                return None
+            partials, worker_stats = flight.scan.partials()
+            return ScanPart(flight.status(STATE_OK), partials, worker_stats)
+        if isinstance(fault, ConfigurationError):
+            raise fault
+        if flight.attempts > self.max_retries:
+            error = f"{type(fault).__name__}: {fault}"
+            return ScanPart(flight.status(STATE_FAILED, error))
+        get_observability().record_shard_retry(str(flight.shard_id))
+        backoff_s = self.backoff_s * (2 ** (flight.attempts - 1))
+        flight.resend_at = time.perf_counter() + backoff_s
+        return None
+
+    def _limit(self, start: float) -> float:
+        """When a batch started at ``start`` stops waiting on its shards."""
+        if self.deadline_s is None:
+            return time.perf_counter() + GATHER_TIMEOUT_S
+        return start + self.deadline_s
+
+    def _timed_out(
+        self,
+        shard_id: int,
+        subplan: BatchPlan,
+        start: float,
+        flight: _Flight | None = None,
+    ) -> ScanPart:
+        if self.deadline_s is None:
+            error = f"no reply within GATHER_TIMEOUT_S ({GATHER_TIMEOUT_S}s)"
+        else:
+            error = f"deadline of {self.deadline_s}s exceeded"
+        return ScanPart(
+            ShardStatus(
+                shard_id,
+                STATE_TIMEOUT,
+                attempts=1 if flight is None else flight.attempts,
+                latency_s=time.perf_counter() - start,
+                n_jobs=len(subplan.jobs),
+                error=error,
+            )
+        )
+
+    # -- the thread backend: the pinned scatter pool ----------------------------
+
+    def _scatter_threads(
+        self,
+        subplans: dict[int, BatchPlan],
+        order: list[int],
+        idle: list[ScanPart],
+        start: float,
+    ) -> Iterator[tuple[ScanPart, bool]]:
+        """Submit the sub-plans to the scatter pool; yield idle shards,
+        then scans as they complete.
+
+        A plan whose split has a single part and no deadline runs that
+        part here, on the caller's thread: there is nothing to overlap
+        and nothing to abandon.
+        """
+        futures: dict[Future[ScanPart], int] = {}
+        if len(subplans) > 1 or self.deadline_s is not None:
+            pool = self._require_gather_pool()
+            futures = {
+                pool.submit(self._run_shard, sid, subplans[sid]): sid
+                for sid in order
+            }
+        return self._land(subplans, futures, idle, start)
+
     def _land(
         self,
         subplans: dict[int, BatchPlan],
         futures: dict[Future[ScanPart], int],
+        idle: list[ScanPart],
         start: float,
     ) -> Iterator[tuple[ScanPart, bool]]:
-        """One part per shard: idle shards, then scans as they complete."""
-        for shard in self.sharded.shards:
-            if shard.shard_id not in subplans:
-                yield ScanPart(ShardStatus(shard.shard_id, STATE_OK, 0, 0.0)), False
+        for part in idle:
+            yield part, False
         if not futures:
-            # A single part and no deadline: nothing to overlap, nothing
-            # to abandon, so it runs here, on the caller's thread.
             for shard_id, subplan in subplans.items():
                 yield self._run_shard(shard_id, subplan), False
             return
         # Gather in completion order. A task still pending when the
         # deadline strikes is abandoned, NOT joined: it keeps running on
-        # its pinned pool slot in the background (or dies with its
-        # worker process) and its result is dropped.
+        # its pinned pool slot in the background and its result is
+        # dropped.
         pending = set(futures)
         while pending:
             timeout: float | None = None
@@ -480,59 +693,7 @@ class ScatterGatherExecutor:
         for future in pending:
             future.cancel()
             shard_id = futures[future]
-            yield ScanPart(
-                ShardStatus(
-                    shard_id,
-                    STATE_TIMEOUT,
-                    attempts=1,
-                    latency_s=time.perf_counter() - start,
-                    n_jobs=len(subplans[shard_id].jobs),
-                    error=f"deadline of {self.deadline_s}s exceeded",
-                )
-            ), False
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        """Release every pinned pool (idempotent).
-
-        Shuts down the per-shard process pools, abandons the scatter
-        pool without joining stalled shard tasks, and deletes the
-        temporary artifact directory if this executor created one. A
-        closed executor rejects further :meth:`run` calls.
-        """
-        for executor in self._executors:
-            executor.close()
-        with self._lock:
-            gather_pool, self._gather_pool = self._gather_pool, None
-            tempdir, self._tempdir = self._tempdir, None
-        if gather_pool is not None:
-            gather_pool.shutdown(wait=False)
-        if tempdir is not None:
-            tempdir.cleanup()
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` ran; a closed executor rejects runs."""
-        with self._lock:
-            return self._gather_pool is None
-
-    def __enter__(self) -> "ScatterGatherExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- internals ----------------------------------------------------------
-
-    def _require_gather_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            pool = self._gather_pool
-        if pool is None:
-            raise ConfigurationError(
-                "ScatterGatherExecutor is closed; create a new one"
-            )
-        return pool
+            yield self._timed_out(shard_id, subplans[shard_id], start), False
 
     def _run_shard(self, shard_id: int, subplan: BatchPlan) -> ScanPart:
         """One scatter task: scan the shard's jobs, retrying transients.
@@ -564,3 +725,55 @@ class ScatterGatherExecutor:
                     return ScanPart(status(STATE_FAILED, error))
                 get_observability().record_shard_retry(str(shard_id))
                 time.sleep(self.backoff_s * (2 ** (attempts - 1)))
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def close(self) -> None:
+        """Release every pinned pool (idempotent).
+
+        Stops the per-shard worker processes (a batch in flight keeps
+        them until it ends), abandons the scatter pool without joining
+        stalled shard tasks, and deletes the temporary artifact
+        directory if this executor created one. A closed executor
+        rejects further :meth:`run` calls.
+        """
+        with self._lock:
+            self._closed = True
+        for executor in self._executors:
+            executor.close()
+        with self._lock:
+            gather_pool, self._gather_pool = self._gather_pool, None
+            tempdir, self._tempdir = self._tempdir, None
+        if gather_pool is not None:
+            gather_pool.shutdown(wait=False)
+        if tempdir is not None:
+            tempdir.cleanup()
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` ran; a closed executor rejects runs."""
+        with self._lock:
+            return self._closed
+
+    def __enter__(self) -> "ScatterGatherExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    # -- internals ----------------------------------------------------------
+
+    def _require_open(self) -> None:
+        if self.closed:
+            raise ConfigurationError(
+                "ScatterGatherExecutor is closed; create a new one"
+            )
+
+    def _require_gather_pool(self) -> ThreadPoolExecutor:
+        with self._lock:
+            pool = self._gather_pool
+        if pool is None:
+            raise ConfigurationError(
+                "ScatterGatherExecutor is closed; create a new one"
+            )
+        return pool

@@ -7,6 +7,8 @@ simulator kernels exercise their real code paths.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,42 @@ def native_kernels() -> None:
     """Compile the native kernels once, so that every test runs them
     (under ``REPRO_NATIVE=0`` every test runs the numpy paths instead)."""
     native.build()
+
+
+def _fail_if_left(before: set[int], who: str) -> None:
+    """Fail if a worker process started since ``before`` still runs.
+
+    The stragglers are stopped first, so one leak fails one test and
+    not every test after it.
+    """
+    left = [p for p in multiprocessing.active_children() if p.pid not in before]
+    for process in left:
+        process.terminate()
+        process.join(5.0)
+    if left:
+        names = ", ".join(f"{p.name} (pid {p.pid})" for p in left)
+        pytest.fail(f"{who} left worker processes running: {names}")
+
+
+@pytest.fixture(scope="module")
+def _no_process_left_by_module():
+    """The module-wide half of ``no_process_left``: engines a module
+    shares (module- or class-scoped fixtures) are closed by its end."""
+    before = {p.pid for p in multiprocessing.active_children()}
+    yield
+    _fail_if_left(before, "this module's shared fixtures")
+
+
+@pytest.fixture
+def no_process_left(_no_process_left_by_module):
+    """Fail a test that leaves a worker process running once its own
+    engines and executors are closed (its other fixtures tear down
+    first). A batch abandoned at its deadline and a worker started again
+    after a fault both end with their executor. The files of CI's leak
+    step use it: ``pytestmark = pytest.mark.usefixtures(...)``."""
+    before = {p.pid for p in multiprocessing.active_children()}
+    yield
+    _fail_if_left(before, "the test")
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,8 @@ from repro.exceptions import ConfigurationError
 from repro.obs import observability_session
 from repro.shard import ScatterGatherExecutor, ShardedIndex
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 
 def _results_equal(a, b) -> bool:
     """Byte-level equality of two SearchResult lists."""
@@ -144,6 +146,93 @@ class TestEngineConcurrency:
         # (partial=True), never as raw exceptions or corrupt results.
         assert not errors
         assert all(outcomes)
+
+
+class TestProcessEngineConcurrency:
+    """The same races on a 2-shard process engine: one batch at a time
+    holds a shard's workers, so replies never cross between callers."""
+
+    @pytest.fixture()
+    def engine(self, dataset) -> Engine:
+        config = EngineConfig(
+            n_partitions=4, n_shards=2, max_iter=4, coarse_max_iter=4,
+            scanner="naive", executor="process",
+        )
+        eng = Engine.build(dataset.base[:4000], config)
+        yield eng
+        eng.close()
+
+    def test_concurrent_search_detailed_matches_one_thread(self, engine, queries):
+        n_threads, n_calls = 8, 4
+        baseline = engine.search(queries, k=5, nprobe=2)
+        barrier = threading.Barrier(n_threads)
+        outcomes: list[bool] = []
+        errors: list[BaseException] = []
+
+        def work(offset: int) -> None:
+            try:
+                barrier.wait()
+                for call in range(n_calls):
+                    # Callers ask for different rows, so a reply read by
+                    # the wrong caller could not pass for the right one.
+                    rows = np.roll(np.arange(len(queries)), offset + call)
+                    response = engine.search_detailed(queries[rows], k=5, nprobe=2)
+                    assert not response.partial
+                    expected = [baseline[row] for row in rows]
+                    outcomes.append(_results_equal(expected, response.results))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(n_threads)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+        assert not any(t.is_alive() for t in threads), "a caller hung"
+        assert not errors
+        assert all(outcomes) and len(outcomes) == n_threads * n_calls
+
+    def test_close_while_searching(self, engine, queries):
+        """Every call ends in the full answer or a ConfigurationError
+        (the tests/test_lifecycle.py contract): close waits for the
+        batch that holds the workers, and refuses the rest."""
+        baseline = engine.search(queries, k=5, nprobe=2)
+        started = threading.Barrier(4)
+        stop = threading.Event()
+        outcomes: list[bool] = []
+        refused: list[ConfigurationError] = []
+        errors: list[BaseException] = []
+
+        def hammer() -> None:
+            started.wait()
+            while not stop.is_set():
+                try:
+                    response = engine.search_detailed(queries, k=5, nprobe=2)
+                except ConfigurationError as exc:
+                    refused.append(exc)
+                    return
+                except BaseException as exc:  # noqa: BLE001
+                    errors.append(exc)
+                    return
+                outcomes.append(
+                    not response.partial
+                    and _results_equal(baseline, response.results)
+                )
+
+        threads = [threading.Thread(target=hammer) for _ in range(3)]
+        for t in threads:
+            t.start()
+        started.wait()
+        engine.close()
+        stop.set()
+        for t in threads:
+            t.join(timeout=120.0)
+        assert not any(t.is_alive() for t in threads), "a caller hung"
+        assert not errors
+        assert all(outcomes)
+        assert all("closed" in str(exc) for exc in refused)
 
 
 class TestScatterGatherEmptyBatch:

@@ -16,6 +16,8 @@ from repro.search import ANNSearcher
 from repro.obs import observability_session
 from repro.shard import ShardedResponse
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 
 @pytest.fixture(scope="module")
 def small_data(dataset):
@@ -30,7 +32,10 @@ def queries(dataset):
 @pytest.fixture(scope="module")
 def flat_engine(small_data):
     with Engine.build(
-        small_data, EngineConfig(m=8, bits=8, n_partitions=8, nprobe=3, max_iter=4)
+        small_data,
+        EngineConfig(
+            m=8, bits=8, n_partitions=8, nprobe=3, max_iter=4, scanner="fastpq"
+        ),
     ) as engine:
         yield engine
 

@@ -27,6 +27,8 @@ from repro.search import _runs
 
 from .oracle import oracle_search, same_as_oracle
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 
 @pytest.fixture(scope="module")
 def index4(pq, dataset):

@@ -36,6 +36,8 @@ from repro.shard import ScatterGatherExecutor, ShardedIndex
 
 from .oracle import oracle_search
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 
 @dataclass
 class Adapter:

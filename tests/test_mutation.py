@@ -66,6 +66,8 @@ from repro.delta import DeltaStore, fold_index
 from .conftest import build_scanner
 from .oracle import oracle_search, same_as_oracle
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 
 def _same_answers(a, b) -> bool:
     """ids + distances byte-equality of two SearchResult lists."""

@@ -23,6 +23,8 @@ from repro import IVFADCIndex, ProductQuantizer
 from .conftest import open_engine
 from .oracle import holds_oracle_distances, oracle_search, same_as_oracle
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 NPROBE = 3
 KS = (1, 10, 100)
 #: (scanner kind, PQ shape): the exact kinds at 8x8, and naive at 16x4.

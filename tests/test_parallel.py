@@ -23,6 +23,8 @@ from repro.shard import ScatterGatherExecutor, ShardedIndex
 
 from .oracle import holds_oracle_distances, oracle_search, same_as_oracle
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 
 def _scanner_for(name, idx):
     if name == "naive":

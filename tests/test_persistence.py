@@ -22,6 +22,8 @@ from repro.obs import observability_session
 
 from .oracle import holds_oracle_distances, oracle_search, same_as_oracle
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 
 def _assert_same_answers(a, b):
     """ids, distances and scan statistics, byte for byte."""

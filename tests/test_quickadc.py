@@ -45,6 +45,8 @@ from repro.simd import fastscan_kernel, quickadc_kernel
 
 from .oracle import holds_oracle_distances
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 
 @pytest.fixture(scope="module")
 def scanner4(pq4):

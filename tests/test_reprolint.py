@@ -32,7 +32,9 @@ BAD_FIXTURES = {
     "r7_bad_blocking_under_lock.py": "R7",
     "r7_bad_lock_order_cycle.py": "R7",
     "r8_bad_unpicklable_submit.py": "R8",
+    "r8_bad_unpicklable_send.py": "R8",
     "r9_bad_result_no_timeout.py": "R9",
+    "r9_bad_wait_no_timeout.py": "R9",
 }
 
 OK_FIXTURES = [
@@ -44,7 +46,9 @@ OK_FIXTURES = [
     "r6_ok_locked_state.py",
     "r7_ok_lock_discipline.py",
     "r8_ok_sanctioned_submit.py",
+    "r8_ok_sanctioned_send.py",
     "r9_ok_result_timeout.py",
+    "r9_ok_wait_timeout.py",
 ]
 
 
@@ -89,6 +93,22 @@ class TestShippedTree:
         assert set(worker.__all__) <= SANCTIONED_PICKLABLE
         (violation,) = lint_fixture("r8_bad_unpicklable_submit.py")
         assert "WorkerBundle" in violation.message
+
+
+    def test_r8_and_r9_see_the_worker_pipes(self, tmp_path):
+        """The process executor's own send and wait are where R8 and R9
+        look: spoil each in a copy and each rule fires there."""
+        source = (REPO / "src/repro/parallel/executor.py").read_text()
+        sent = "(self.seqs[i], self.payloads[i], self.sanitize)"
+        waited = "wait(list(scan.waiting), GATHER_TIMEOUT_S)"
+        assert sent in source and waited in source
+        spoiled = tmp_path / "executor.py"
+        spoiled.write_text(
+            source.replace(sent, "(self.seqs[i], np.memmap('codes'), False)")
+            .replace(waited, "wait(list(scan.waiting))")
+        )
+        violations = check_file(spoiled, default_rules(), force_all=True)
+        assert sorted(v.rule for v in violations) == ["R8", "R9"]
 
 
 class TestCLI:

@@ -36,6 +36,8 @@ from repro.search import (
     _with_tombstones,
 )
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 N_PARTITIONS = 12
 KINDS = ("naive", "override", "fastpq")
 

@@ -17,6 +17,8 @@ from repro.shard import ScatterGatherExecutor, ShardedIndex
 from .conftest import build_scanner
 from .oracle import oracle_search, same_as_oracle
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 #: quickadc scans 4-bit codes and is approximate at the margin: its
 #: reference is its own one-shard engine, in tests/test_quickadc.py and
 #: tests/test_oracle.py.

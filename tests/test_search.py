@@ -10,6 +10,8 @@ from repro.exceptions import ConfigurationError, DimensionMismatchError
 
 from .oracle import oracle_search, same_as_oracle
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 
 @pytest.fixture(scope="module")
 def searcher(index, pq):

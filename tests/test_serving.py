@@ -31,6 +31,8 @@ from repro.serve import (
 from .conftest import open_engine
 from .oracle import oracle_search, same_as_oracle
 
+pytestmark = pytest.mark.usefixtures("no_process_left")
+
 
 def _dummy_result(value: int = 0) -> SearchResult:
     return SearchResult(

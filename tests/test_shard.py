@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -26,6 +29,8 @@ from repro.shard import (
 )
 
 from .oracle import oracle_search, same_as_oracle
+
+pytestmark = pytest.mark.usefixtures("no_process_left")
 
 
 @pytest.fixture(scope="module")
@@ -848,6 +853,191 @@ class TestPinnedPools:
         finally:
             release.set()
             executor.close()
+
+
+# -- worker faults --------------------------------------------------------------
+
+
+def _reap(pid: int, timeout_s: float = 10.0) -> None:
+    """Wait until the killed worker ``pid`` has exited and been reaped."""
+    give_up = time.perf_counter() + timeout_s
+    while any(p.pid == pid for p in multiprocessing.active_children()):
+        assert time.perf_counter() < give_up, f"worker {pid} still running"
+        time.sleep(0.01)
+
+
+def _slow_first_bundle(monkeypatch, seconds: float) -> None:
+    """Every worker started from now on sleeps ``seconds`` before its
+    first bundle (workers are forked, so each inherits the patch and
+    counts its own calls)."""
+    from repro.parallel import worker
+
+    run_bundle = worker._run_bundle
+    calls: list[int] = []
+
+    def slow(bundle, sanitize=False):
+        if not calls:
+            calls.append(1)
+            time.sleep(seconds)
+        return run_bundle(bundle, sanitize)
+
+    monkeypatch.setattr(worker, "_run_bundle", slow)
+
+
+class TestWorkerFaults:
+    """A worker that dies or falls behind costs its shard one attempt
+    or one batch, never the engine."""
+
+    def test_killed_worker_is_started_again(self, index8, batch_queries, engine_over):
+        engine = engine_over(index8, n_shards=2, executor="process")
+        before = engine.search_detailed(batch_queries, k=10, nprobe=8)
+        shard = engine._executor._executors[1]
+        (pid,) = shard.worker_pids
+        os.kill(pid, signal.SIGKILL)
+        _reap(pid)
+        after = engine.search_detailed(batch_queries, k=10, nprobe=8)
+        assert not after.partial
+        _assert_identical(before.results, after.results)
+        # The send found the worker gone: one failed attempt, a new
+        # worker in its slot, the bundle resent to it.
+        assert [s.attempts for s in after.shard_statuses] == [1, 2]
+        assert shard.worker_pids != (pid,)
+        again = engine.search_detailed(batch_queries, k=10, nprobe=8)
+        assert [s.attempts for s in again.shard_statuses] == [1, 1]
+        _assert_identical(before.results, again.results)
+
+    def test_worker_killed_mid_bundle(self, index8, batch_queries, monkeypatch):
+        _slow_first_bundle(monkeypatch, 0.5)
+        sharded = ShardedIndex.from_index(index8, n_shards=2)
+        deadline_s = 3.0
+        with ScatterGatherExecutor(
+            sharded, NaiveScanner, backend="process", deadline_s=deadline_s
+        ) as executor:
+            (pid,) = executor._executors[1].worker_pids
+            killer = threading.Timer(0.2, os.kill, (pid, signal.SIGKILL))
+            killer.start()
+            start = time.perf_counter()
+            response = executor.run(batch_queries, topk=10, nprobe=8)
+            elapsed = time.perf_counter() - start
+            killer.join()
+            healthy = executor.run(batch_queries, topk=10, nprobe=8)
+        assert elapsed < deadline_s + 0.25
+        assert response.status_for(0).state == STATE_OK
+        if not response.partial:
+            assert response.status_for(1).attempts == 2
+            _assert_unsharded(index8, batch_queries, 10, 8, response.results)
+        assert not healthy.partial
+        _assert_unsharded(index8, batch_queries, 10, 8, healthy.results)
+
+    def test_late_reply_of_an_abandoned_batch_is_dropped(
+        self, index8, dataset, monkeypatch
+    ):
+        """The abandoned batch's replies wait on the pipes when the next
+        batch, of other queries, reads them: they are dropped by ``seq``."""
+        _slow_first_bundle(monkeypatch, 1.0)
+        sharded = ShardedIndex.from_index(index8, n_shards=2)
+        first, second = dataset.queries[:4], dataset.queries[4:]
+        with ScatterGatherExecutor(
+            sharded, NaiveScanner, backend="process", deadline_s=0.5
+        ) as executor:
+            abandoned = executor.run(first, topk=10, nprobe=8)
+            time.sleep(1.0)  # both late replies are on their pipes now
+            response = executor.run(second, topk=10, nprobe=8)
+        assert abandoned.partial
+        assert {s.state for s in abandoned.shard_statuses} == {STATE_TIMEOUT}
+        assert not response.partial
+        _assert_unsharded(index8, second, 10, 8, response.results)
+
+    def test_no_deadline_still_bounded_by_gather_timeout(
+        self, index8, batch_queries, monkeypatch
+    ):
+        """Without a deadline a batch waits at most ``GATHER_TIMEOUT_S``
+        (patched small here) and reports the shards it gave up on."""
+        import repro.shard.executor as shard_executor
+
+        _slow_first_bundle(monkeypatch, 1.0)
+        monkeypatch.setattr(shard_executor, "GATHER_TIMEOUT_S", 0.3)
+        sharded = ShardedIndex.from_index(index8, n_shards=2)
+        with ScatterGatherExecutor(
+            sharded, NaiveScanner, backend="process"
+        ) as executor:
+            start = time.perf_counter()
+            stalled = executor.run(batch_queries, topk=10, nprobe=8)
+            elapsed = time.perf_counter() - start
+            time.sleep(1.0)  # the late replies land, to be dropped
+            healthy = executor.run(batch_queries, topk=10, nprobe=8)
+        assert elapsed < 0.9
+        assert {s.state for s in stalled.shard_statuses} == {STATE_TIMEOUT}
+        assert all("GATHER_TIMEOUT_S" in s.error for s in stalled.shard_statuses)
+        assert not healthy.partial
+        _assert_unsharded(index8, batch_queries, 10, 8, healthy.results)
+
+    def test_close_right_after_an_abandoned_batch(
+        self, index8, batch_queries, monkeypatch
+    ):
+        """Workers still scanning an abandoned bundle stop with their
+        executor (the ``no_process_left`` fixture checks)."""
+        _slow_first_bundle(monkeypatch, 1.0)
+        sharded = ShardedIndex.from_index(index8, n_shards=2)
+        with ScatterGatherExecutor(
+            sharded, NaiveScanner, backend="process", deadline_s=0.2
+        ) as executor:
+            assert executor.run(batch_queries, topk=10, nprobe=8).partial
+        assert multiprocessing.active_children() == []
+
+    def test_workers_exit_on_end_of_file(self, index8, batch_queries):
+        """Closing a worker's pipe ends it: no later-forked worker holds
+        the parent's end open, so close() never has to terminate."""
+        sharded = ShardedIndex.from_index(index8, n_shards=2)
+        executor = ScatterGatherExecutor(sharded, NaiveScanner, backend="process")
+        executor.run(batch_queries, topk=10, nprobe=8)
+        workers = [w for e in executor._executors for w in e.workers]
+        start = time.perf_counter()
+        executor.close()
+        assert time.perf_counter() - start < 2.0
+        assert [w.process.exitcode for w in workers] == [0] * len(workers)
+
+    def test_worker_exception_is_retried(self, index8, batch_queries, monkeypatch):
+        """A bundle that raises in its worker is resent (one retry) and
+        the worker keeps serving."""
+        from repro.parallel import worker
+
+        run_bundle = worker._run_bundle
+        calls: list[int] = []
+
+        def flaky(bundle, sanitize=False):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("transient worker fault")
+            return run_bundle(bundle, sanitize)
+
+        monkeypatch.setattr(worker, "_run_bundle", flaky)
+        sharded = ShardedIndex.from_index(index8, n_shards=2)
+        with ScatterGatherExecutor(
+            sharded, NaiveScanner, backend="process", backoff_s=0.0
+        ) as executor:
+            pids = [e.worker_pids for e in executor._executors]
+            response = executor.run(batch_queries, topk=10, nprobe=8)
+            assert [e.worker_pids for e in executor._executors] == pids
+        assert not response.partial
+        assert [s.attempts for s in response.shard_statuses] == [2, 2]
+        _assert_unsharded(index8, batch_queries, 10, 8, response.results)
+
+    def test_worker_configuration_error_propagates(
+        self, index8, batch_queries, monkeypatch
+    ):
+        from repro.parallel import worker
+
+        def refuse(bundle, sanitize=False):
+            raise ConfigurationError("refused in the worker")
+
+        monkeypatch.setattr(worker, "_run_bundle", refuse)
+        sharded = ShardedIndex.from_index(index8, n_shards=2)
+        with ScatterGatherExecutor(
+            sharded, NaiveScanner, backend="process"
+        ) as executor:
+            with pytest.raises(ConfigurationError, match="refused in the worker"):
+                executor.run(batch_queries, topk=10, nprobe=8)
 
 
 # -- overlap + pool metrics -----------------------------------------------------

@@ -13,10 +13,12 @@ R6        mutable attributes of guarded (executor/registry/cache)
           lock, or through a thread-local
 R7        no blocking boundary while a lock is held; lock
           acquisition order is acyclic per module
-R8        objects submitted to a ``ProcessPoolExecutor`` come
-          from the sanctioned picklable set
-R9        every ``Future.result()`` passes a timeout (or lives in
-          a deadline-managed gather, justified by pragma)
+R8        objects submitted to a ``ProcessPoolExecutor``, sent on
+          a worker connection or passed to a worker ``Process``
+          come from the sanctioned picklable set
+R9        every ``Future.result()`` and every ``wait``/``poll`` of a
+          worker connection passes a timeout (or lives in a
+          deadline-managed gather, justified by pragma)
 ========  =====================================================
 
 All four are conservative: they only fire when the static evidence is
@@ -201,6 +203,60 @@ def _is_asyncio_call(call: ast.Call) -> bool:
         and isinstance(func.value, ast.Name)
         and func.value.id == "asyncio"
     )
+
+
+def _worker_connections(ctx: ModuleContext) -> tuple[set[str], set[str]]:
+    """(plain names, attribute names) that hold worker connections.
+
+    A connection is what a ``Pipe(...)`` call returns (its tuple targets
+    too), or anything annotated ``Connection``: assignment targets,
+    function parameters, and attributes set from such a name. Attribute
+    names match on any receiver (``worker.conn`` as well as
+    ``self.conn``).
+    """
+    names: set[str] = set()
+    attrs: set[str] = set()
+
+    def record(target: ast.expr) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                record(element)
+        elif isinstance(target, ast.Attribute):
+            attrs.add(target.attr)
+        elif isinstance(target, ast.Name):
+            names.add(target.id)
+
+    def annotated(annotation: ast.expr | None) -> bool:
+        return annotation is not None and "'Connection'" in ast.dump(annotation)
+
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Assign):
+            if isinstance(node.value, ast.Call) and _call_name(node.value) == "Pipe":
+                for target in node.targets:
+                    record(target)
+        elif isinstance(node, ast.AnnAssign) and annotated(node.annotation):
+            record(node.target)
+        elif isinstance(node, ast.arg) and annotated(node.annotation):
+            names.add(node.arg)
+    # Attributes assigned from a connection name hold one too.
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            if node.value.id in names:
+                for target in node.targets:
+                    if isinstance(target, ast.Attribute):
+                        attrs.add(target.attr)
+    return names, attrs
+
+
+def _is_connection(
+    receiver: ast.expr, connections: tuple[set[str], set[str]]
+) -> bool:
+    names, attrs = connections
+    if isinstance(receiver, ast.Name):
+        return receiver.id in names
+    if isinstance(receiver, ast.Attribute):
+        return receiver.attr in attrs
+    return False
 
 
 class GuardedStateRule(Rule):
@@ -468,29 +524,31 @@ class LockDisciplineRule(Rule):
 
 
 class ProcessPoolPickleRule(Rule):
-    """R8: process-pool payloads come from the sanctioned picklable set.
+    """R8: what crosses to a worker process is a sanctioned picklable.
 
-    Everything submitted to a ``ProcessPoolExecutor`` is pickled into
-    the worker. The sanctioned payloads are the frozen ``ScannerSpec``
-    / ``WorkerBundle`` dataclasses, paths, scalars and containers of
-    those; memmaps, open indexes and scanners must travel by path and
-    be re-opened worker-side (the attach-by-path design). The rule
-    tracks which names hold process pools (constructor assignments,
-    ``with`` targets, and calls to helpers annotated ``->
-    ProcessPoolExecutor``) and classifies every ``submit`` argument;
-    only confidently-unpicklable arguments fire. The submitted callable
-    itself must be a module-level function, never a lambda, closure or
-    bound method.
+    Everything submitted to a ``ProcessPoolExecutor``, sent on a worker
+    connection (``conn.send(...)``) or passed to a worker ``Process``
+    (``args=``) is pickled into the worker. The sanctioned payloads are
+    the frozen ``ScannerSpec`` / ``WorkerBundle`` dataclasses, paths,
+    scalars and containers of those; memmaps, open indexes and scanners
+    must travel by path and be re-opened worker-side (the attach-by-path
+    design). The rule tracks which names hold process pools
+    (constructor assignments, ``with`` targets, and calls to helpers
+    annotated ``-> ProcessPoolExecutor``) and which hold connections
+    (``Pipe()`` results, ``Connection`` annotations), and classifies
+    every ``submit`` / ``send`` / ``Process`` argument; only
+    confidently-unpicklable arguments fire. The callable a pool or a
+    ``Process`` runs must be a module-level function, never a lambda,
+    closure or bound method.
     """
 
     id = "R8"
-    title = "ProcessPoolExecutor payloads must be sanctioned picklables"
+    title = "worker payloads (pool, pipe, Process) must be sanctioned picklables"
     scopes = _LIBRARY
 
     def check(self, ctx: ModuleContext) -> list[Violation]:
         pools = self._pool_names(ctx)
-        if not pools:
-            return []
+        connections = _worker_connections(ctx)
         module_level = self._module_level_callables(ctx)
         violations: list[Violation] = []
         for node in ast.walk(ctx.tree):
@@ -503,8 +561,18 @@ class ProcessPoolPickleRule(Rule):
                 violations.extend(
                     self._check_submit(ctx, node, module_level)
                 )
+            elif isinstance(func, ast.Attribute) and func.attr == "send":
+                if _is_connection(func.value, connections):
+                    for arg in node.args:
+                        violations.extend(
+                            self._check_payload(ctx, arg, "worker-connection")
+                        )
             elif _call_name(node) == "ProcessPoolExecutor":
                 violations.extend(self._check_initargs(ctx, node))
+            elif _call_name(node) == "Process":
+                violations.extend(
+                    self._check_process(ctx, node, module_level)
+                )
         return violations
 
     def _pool_names(self, ctx: ModuleContext) -> tuple[set[str], set[str]]:
@@ -585,35 +653,63 @@ class ProcessPoolPickleRule(Rule):
     ) -> list[Violation]:
         violations: list[Violation] = []
         if call.args:
-            target = call.args[0]
-            problem: str | None = None
-            if isinstance(target, ast.Lambda):
-                problem = "a lambda (captures its closure, unpicklable)"
-            elif isinstance(target, ast.Attribute):
-                problem = (
-                    "a bound method or attribute (pickles the whole receiver)"
-                )
-            elif (
-                isinstance(target, ast.Name)
-                and target.id not in module_level
-            ):
-                problem = (
-                    f"{target.id!r}, which is not a module-level function "
-                    "(nested defs capture their closure)"
-                )
-            if problem is not None:
-                violation = self._report(
-                    ctx,
-                    target,
-                    f"process-pool submit target is {problem}; submit a "
-                    "module-level function taking sanctioned picklable "
-                    "arguments (ScannerSpec, WorkerBundle, paths, scalars)",
-                )
-                if violation:
-                    violations.append(violation)
+            violations.extend(
+                self._check_target(ctx, call.args[0], module_level, "process-pool submit")
+            )
         for arg in list(call.args[1:]) + [kw.value for kw in call.keywords]:
             violations.extend(self._check_payload(ctx, arg))
         return violations
+
+    def _check_process(
+        self, ctx: ModuleContext, call: ast.Call, module_level: set[str]
+    ) -> list[Violation]:
+        violations: list[Violation] = []
+        for keyword in call.keywords:
+            if keyword.arg == "target":
+                violations.extend(
+                    self._check_target(ctx, keyword.value, module_level, "worker Process")
+                )
+            elif keyword.arg == "args" and isinstance(
+                keyword.value, (ast.Tuple, ast.List)
+            ):
+                for value in keyword.value.elts:
+                    violations.extend(
+                        self._check_payload(ctx, value, "worker Process")
+                    )
+        return violations
+
+    def _check_target(
+        self,
+        ctx: ModuleContext,
+        target: ast.expr,
+        module_level: set[str],
+        where: str,
+    ) -> list[Violation]:
+        problem: str | None = None
+        if isinstance(target, ast.Lambda):
+            problem = "a lambda (captures its closure, unpicklable)"
+        elif isinstance(target, ast.Attribute):
+            problem = (
+                "a bound method or attribute (pickles the whole receiver)"
+            )
+        elif (
+            isinstance(target, ast.Name)
+            and target.id not in module_level
+        ):
+            problem = (
+                f"{target.id!r}, which is not a module-level function "
+                "(nested defs capture their closure)"
+            )
+        if problem is None:
+            return []
+        violation = self._report(
+            ctx,
+            target,
+            f"{where} target is {problem}; run a "
+            "module-level function taking sanctioned picklable "
+            "arguments (ScannerSpec, WorkerBundle, paths, scalars)",
+        )
+        return [violation] if violation else []
 
     def _check_initargs(
         self, ctx: ModuleContext, call: ast.Call
@@ -632,14 +728,14 @@ class ProcessPoolPickleRule(Rule):
         return violations
 
     def _check_payload(
-        self, ctx: ModuleContext, expr: ast.expr
+        self, ctx: ModuleContext, expr: ast.expr, where: str = "process-pool"
     ) -> list[Violation]:
         verdict, reason = self._classify(ctx, expr, depth=0)
         if verdict is False:
             violation = self._report(
                 ctx,
                 expr,
-                f"process-pool payload {reason}; pass sanctioned "
+                f"{where} payload {reason}; pass sanctioned "
                 "picklables only (ScannerSpec, WorkerBundle, paths, "
                 "scalars) and re-open heavyweight state worker-side "
                 "by path",
@@ -665,6 +761,11 @@ class ProcessPoolPickleRule(Rule):
                     return False, reason
             return True, ""
         if isinstance(expr, ast.Starred):
+            return self._classify(ctx, expr.value, depth + 1)
+        if isinstance(expr, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            return self._classify(ctx, expr.elt, depth + 1)
+        if isinstance(expr, ast.Subscript):
+            # An element of a container is what the container holds.
             return self._classify(ctx, expr.value, depth + 1)
         if isinstance(expr, ast.Call):
             name = _call_name(expr)
@@ -775,7 +876,7 @@ class ProcessPoolPickleRule(Rule):
 
 
 class FutureTimeoutRule(Rule):
-    """R9: ``Future.result()`` always passes a timeout.
+    """R9: ``Future.result()`` and worker-connection waits pass a timeout.
 
     A timeout-less ``result()`` waits forever on a worker that died
     without completing its future — a hung gather is strictly worse
@@ -784,12 +885,17 @@ class FutureTimeoutRule(Rule):
     like ``slots[pool.submit(...)] = job`` and loop targets iterating a
     tainted collection) plus anything named like a future, then flags
     tainted ``.result()`` calls carrying neither a positional deadline
-    nor ``timeout=``. Deadline-managed gathers that intentionally block
-    forever must say why: ``# reprolint: disable=R9``.
+    nor ``timeout=``. The same holds for the worker pipes:
+    ``multiprocessing.connection.wait(objects)`` and
+    ``conn.poll(None)`` block until a worker that may be gone replies,
+    so every ``wait`` names its timeout and every ``poll`` of a worker
+    connection (R8's detection) passes one that is not ``None``.
+    Deadline-managed gathers that intentionally block forever must say
+    why: ``# reprolint: disable=R9``.
     """
 
     id = "R9"
-    title = "Future.result() must pass a timeout"
+    title = "Future.result() and worker-connection waits must pass a timeout"
     scopes = _LIBRARY
 
     def check(self, ctx: ModuleContext) -> list[Violation]:
@@ -801,7 +907,85 @@ class FutureTimeoutRule(Rule):
         ]
         for function in functions:
             violations.extend(self._check_function(ctx, function))
+        violations.extend(self._check_connection_waits(ctx))
         return violations
+
+    def _check_connection_waits(self, ctx: ModuleContext) -> list[Violation]:
+        connections = _worker_connections(ctx)
+        waits = self._connection_wait_names(ctx)
+        violations: list[Violation] = []
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if self._is_connection_wait(func, waits):
+                given = node.args[1:2] + [
+                    kw.value for kw in node.keywords if kw.arg == "timeout"
+                ]
+                what = "multiprocessing.connection.wait()"
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr == "poll"
+                and _is_connection(func.value, connections)
+            ):
+                given = node.args[:1] + [
+                    kw.value for kw in node.keywords if kw.arg == "timeout"
+                ]
+                what = "Connection.poll() (poll(None) blocks, poll() never waits: say which)"
+            else:
+                continue
+            if given and not (
+                isinstance(given[0], ast.Constant) and given[0].value is None
+            ):
+                continue
+            violation = self._report(
+                ctx,
+                node,
+                f"{what} on a worker connection without a timeout; a wait "
+                "that can hang forever on a dead worker must pass a finite "
+                "timeout (e.g. GATHER_TIMEOUT_S or what is left of the "
+                "deadline)",
+            )
+            if violation:
+                violations.append(violation)
+        return violations
+
+    def _connection_wait_names(self, ctx: ModuleContext) -> tuple[set[str], set[str]]:
+        """(names bound to ``multiprocessing.connection.wait``, names
+        bound to the ``multiprocessing.connection`` module)."""
+        functions: set[str] = set()
+        modules: set[str] = set()
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module == "multiprocessing.connection" and alias.name == "wait":
+                        functions.add(bound)
+                    elif node.module == "multiprocessing" and alias.name == "connection":
+                        modules.add(bound)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "multiprocessing.connection" and alias.asname:
+                        modules.add(alias.asname)
+        return functions, modules
+
+    def _is_connection_wait(
+        self, func: ast.expr, waits: tuple[set[str], set[str]]
+    ) -> bool:
+        functions, modules = waits
+        if isinstance(func, ast.Name):
+            return func.id in functions
+        if not (isinstance(func, ast.Attribute) and func.attr == "wait"):
+            return False
+        receiver = func.value
+        if isinstance(receiver, ast.Name):
+            return receiver.id in modules
+        return (
+            isinstance(receiver, ast.Attribute)
+            and receiver.attr == "connection"
+            and isinstance(receiver.value, ast.Name)
+            and receiver.value.id == "multiprocessing"
+        )
 
     def _check_function(
         self, ctx: ModuleContext, function: ast.AST
