@@ -1,4 +1,4 @@
-"""Native kernels against numpy, engine to engine: three relative floors.
+"""Native kernels against numpy: four relative floors.
 
 ``repro.native`` runs naive's scan-and-select, from Step 2's halves
 with no table made, and Step 2's query half in C, byte-identical to the
@@ -24,6 +24,15 @@ the query half in C: 1.81-2.11x, median 1.89x, and 1.95-3.84x, median
 3.19x); probe-sharded's shape read 2.90-3.09x, median 3.01x (floor
 2.40x).
 
+The parent-path row times what the calling process does for one
+``probe-sharded`` batch (12 288 x 128-d rows, 128 partitions, nprobe 8,
+k = 10, 128 queries) besides waiting for its shards: ``BatchPlanner.plan``
+(which routes) and a ``StreamingMerger``'s fold and ``results()`` of
+the batch's scanned cells, with the kernels (routing and the merge's
+row selection in C) and without them. Over fifteen alternating pairs
+it read 1.29-1.49x, median 1.41x (floor 1.13x); the fold is numpy's
+both ways.
+
 Two more rows are the evidence for naive as ``EngineConfig``'s default
 scanner: a default-config thread engine against the same index with
 ``scanner="fastpq"``, both with the kernels, byte-identical answers
@@ -39,7 +48,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro import Engine, EngineConfig, VectorDataset, native
+from repro import Engine, EngineConfig, NaiveScanner, VectorDataset, native
+from repro.search import BatchExecutor, BatchPlanner, StreamingMerger
 
 N_BASE, PAIRS = 65_536, 5
 SHAPES = {
@@ -62,7 +72,8 @@ def kernels():
 
 
 def fingerprint(results):
-    return [(r.ids.tobytes(), r.distances.tobytes(), r.n_scanned) for r in results]
+    return [(r.ids.tobytes(), r.distances.tobytes(), r.n_scanned, r.probed)
+            for r in results]
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))
@@ -100,6 +111,57 @@ def test_native_beats_numpy_by_its_floor(dataset, shape, monkeypatch):
     speed = statistics.median(ratios)
     assert speed >= floor, (
         f"{shape}: native at {speed:.2f}x numpy (pairs "
+        f"{', '.join(f'{r:.2f}' for r in ratios)}), floor {floor:.2f}x"
+    )
+
+
+#: ``probe-sharded``'s shape: (rows, n_partitions, nprobe, k, batch, floor).
+PARENT_SHAPE = (12_288, 128, 8, 10, 128, 1.13)
+
+
+def test_the_parent_path_beats_numpy_by_its_floor(dataset, monkeypatch):
+    n_rows, n_partitions, nprobe, topk, batch, floor = PARENT_SHAPE
+    config = EngineConfig(
+        n_partitions=n_partitions, max_iter=4, coarse_max_iter=4, seed=0,
+        scanner="naive", executor="thread",
+    )
+    batches = [dataset.queries[i : i + batch] for i in range(0, 4 * batch, batch)]
+    with Engine.build(dataset.base[:n_rows], config) as engine:
+        assert native.available(), native.reason()
+        index = engine.index
+        planner = BatchPlanner(index)
+        scanner = BatchExecutor(index, NaiveScanner())
+        cells = [
+            scanner.scan_plan(planner.plan(block, topk=topk, nprobe=nprobe))[0]
+            for block in batches
+        ]
+
+        def seconds(kernels: bool):
+            if kernels:
+                monkeypatch.delenv(native.ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(native.ENV_VAR, "0")
+            answers = []
+            start = time.perf_counter()
+            for block, partials in zip(batches, cells):
+                plan = planner.plan(block, topk=topk, nprobe=nprobe)
+                merger = StreamingMerger(plan)
+                merger.fold(partials)
+                answers.extend(merger.results())
+            return time.perf_counter() - start, answers
+
+        # Untimed pilot: the identity gate, and warm caches on both sides.
+        assert fingerprint(seconds(True)[1]) == fingerprint(seconds(False)[1]), (
+            "the parent path diverged from numpy"
+        )
+        ratios = []
+        for pair in range(PAIRS):
+            order = (True, False) if pair % 2 else (False, True)
+            measured = {kernels: seconds(kernels)[0] for kernels in order}
+            ratios.append(measured[False] / measured[True])
+    speed = statistics.median(ratios)
+    assert speed >= floor, (
+        f"the parent path: native at {speed:.2f}x numpy (pairs "
         f"{', '.join(f'{r:.2f}' for r in ratios)}), floor {floor:.2f}x"
     )
 

@@ -153,6 +153,8 @@ class IVFADCIndex:
         self._n_total = 0
         # (pq norms, coarse, array): Step 2's cell half and what it was built from.
         self._cell_half: tuple[np.ndarray, VectorQuantizer, np.ndarray] | None = None
+        # (coarse, array): Step 1's squared centroid norms and their quantizer.
+        self._coarse_sq: tuple[VectorQuantizer, np.ndarray] | None = None
         #: Compaction counter. 0 for a freshly built index; each
         #: compaction folds the delta into a new index at generation+1.
         #: Persisted by :func:`repro.persistence.save_index`.
@@ -297,15 +299,20 @@ class IVFADCIndex:
     def route_batch(self, queries: np.ndarray, nprobe: int = 1) -> np.ndarray:
         """Step 1 for a whole batch: ``(b, nprobe)`` partition ids.
 
-        One vectorized centroid-distance computation covers every query;
-        each row is bit-identical to what :meth:`route` returns for that
-        query alone (the distances are computed with per-row elementwise
-        operations, so routing does not depend on the batch size). A row
-        is the first ``nprobe`` cells of its stable ``argsort``, selected
-        by :func:`~repro.scan.select_topk_rows` with the cell id as the
-        tie-break instead of sorting all ``n_partitions`` distances.
+        One centroid-distance computation covers every query
+        (:func:`repro.native.einsum_distances`); each row is
+        bit-identical to what :meth:`route` returns for that query alone
+        (the distances are computed with per-row elementwise operations,
+        so routing does not depend on the batch size). A row is the
+        first ``nprobe`` cells of its stable ``argsort``, selected by
+        :func:`~repro.scan.select_topk_rows` with the cell id as the
+        tie-break instead of sorting all ``n_partitions`` distances. The
+        native kernel (:func:`repro.native.route`) does both in one call
+        with the same bytes; numpy runs where it does not.
         """
-        queries = np.asarray(queries, dtype=np.float64)
+        # C-contiguous: einsum sums a strided row in another order, which
+        # would give a batch other bytes than its rows routed alone.
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
         if queries.ndim == 1:
             queries = queries[None, :]
         nprobe = checked_nprobe(nprobe, self.n_partitions)
@@ -315,14 +322,21 @@ class IVFADCIndex:
         if queries.shape[-1] != self.pq.d:
             raise DimensionMismatchError(self.pq.d, queries.shape[-1], "query")
         _require_finite(queries, "queries")
-        codebook = self.coarse.codebook
-        x_sq = np.einsum("qd,qd->q", queries, queries)
-        c_sq = np.einsum("id,id->i", codebook, codebook)
-        cross = np.einsum("qd,id->qi", queries, codebook)
-        dists = x_sq[:, None] + c_sq[None, :] - 2.0 * cross
-        np.maximum(dists, 0.0, out=dists)
+        codebook, c_sq = self.coarse.codebook, self._centroid_sq_norms()
+        cells = native.route(queries, codebook, c_sq, nprobe)
+        if cells is not None:
+            return cells
+        dists = native.einsum_distances(queries, codebook, c_sq)
         cells = np.arange(self.n_partitions, dtype=np.int64)
         return select_topk_rows(dists, cells, nprobe)[0]
+
+    def _centroid_sq_norms(self) -> np.ndarray:
+        """Step 1's ``||c_p||^2``, kept until the coarse quantizer changes."""
+        coarse = self.coarse
+        if self._coarse_sq is None or self._coarse_sq[0] is not coarse:
+            codebook = coarse.codebook
+            self._coarse_sq = (coarse, np.einsum("id,id->i", codebook, codebook))
+        return self._coarse_sq[1]
 
     def distance_tables_for(self, query: np.ndarray, partition_id: int) -> np.ndarray:
         """Step 2: per-partition distance tables for ``query``, ``(m, k*)``.

@@ -1,4 +1,5 @@
-"""Native kernels: the naive PQ Scan and Step 2 in C.
+"""Native kernels: the naive PQ Scan, Steps 1 and 2 and the merge's
+selection in C.
 
 ``kernels.c`` holds the kernels, each byte-identical to the numpy path
 it stands in for: :func:`naive_scan` (``NaiveScanner.scan_run``: gather,
@@ -6,8 +7,11 @@ sum and top-k selection in one pass per cell), :func:`naive_scan_halves`
 (``NaiveScanner.scan_halves``: the same scan of tables it never makes,
 each looked-up entry combined from Step 2's halves where it is read),
 :func:`combine_tables` (``TableHalves.combine``, the tables the other
-scanners read) and :func:`cross_tables` (the query half,
-``ProductQuantizer.cross_tables_batch``). Callers try the kernel first
+scanners read), :func:`cross_tables` (the query half,
+``ProductQuantizer.cross_tables_batch``), :func:`route`
+(``IVFADCIndex.route_batch``: the centroid distances and each query's
+nearest cells) and :func:`select_rows` (``select_topk_rows``, as
+``StreamingMerger.results`` calls it). Callers try the kernel first
 and run numpy when it returns None, so numpy is the fallback everywhere
 and the reference the tests hold the kernels to.
 
@@ -107,6 +111,7 @@ class NativeLibrary:
         self._reason = "not loaded yet"
         self._looked = False        # a cache lookup has missed or failed
         self._build_failed = False  # a build failed: never run it again
+        self._routes_exactly: bool | None = None  # _routes_like_einsum, once
 
     @property
     def reason(self) -> str | None:
@@ -131,6 +136,15 @@ class NativeLibrary:
                     self._looked = True
                     self._build_failed = build
             return self._handle
+
+    def routes_exactly(self, library: ctypes.CDLL) -> bool:
+        """Whether ``library`` (this one's handle) routes with einsum's
+        bytes on this machine; checked on first use."""
+        if self._routes_exactly is None:
+            with self._lock:
+                if self._routes_exactly is None:
+                    self._routes_exactly = _routes_like_einsum(library)
+        return self._routes_exactly
 
     def _load(self, build: bool) -> ctypes.CDLL:
         compiler = shutil.which(self.compiler)
@@ -240,6 +254,17 @@ def _declare(library: ctypes.CDLL) -> None:
         cross = getattr(library, name)
         cross.restype = ctypes.c_int
         cross.argtypes = [_ADDRESS, _I64, _I64, _I64, _I64, _ADDRESS, _ADDRESS]
+    for name in ROUTE_VARIANTS:
+        route = getattr(library, name)
+        route.restype = ctypes.c_int
+        route.argtypes = [
+            _ADDRESS, _I64, _I64,            # queries, b, d
+            _ADDRESS, _ADDRESS, _I64, _I64,  # codebook, c_sq, n, nprobe
+            _ADDRESS, _ADDRESS,              # cells, distances (or NULL)
+        ]
+    select = library.repro_select_rows
+    select.restype = ctypes.c_int
+    select.argtypes = [_ADDRESS, _ADDRESS, _I64, _I64, _I64, _ADDRESS, _ADDRESS]
 
 
 #: The process's library: a loaded shared object is process-wide state.
@@ -265,8 +290,37 @@ def reason() -> str | None:
     return _LIBRARY.reason
 
 
-def _address(array: np.ndarray) -> int:
+def _interface_address(array: np.ndarray) -> int:
     return int(array.__array_interface__["data"][0])
+
+
+#: Where an ndarray object keeps its data pointer: the first field after
+#: the object header (``PyArrayObject_fields.data``, what
+#: ``PyArray_DATA`` reads), so ``id(array) + offset``.
+_DATA_FIELD = 2 * ctypes.sizeof(ctypes.c_ssize_t)
+_pointer_at = ctypes.c_void_p.from_address
+
+
+def _field_address(array: np.ndarray) -> int:
+    return _pointer_at(id(array) + _DATA_FIELD).value or 0
+
+
+def _reads_the_data_field() -> bool:
+    """Whether :func:`_field_address` reads what ``__array_interface__``
+    reports, for a plain array, an offset view and a read-only one, in
+    this interpreter (CPython's ``id`` is the object's address)."""
+    if platform.python_implementation() != "CPython":
+        return False
+    base = np.arange(16.0)
+    probes = (base, base[3:11:2], np.frombuffer(bytes(64), dtype=np.float64)[1:])
+    return all(_field_address(a) == _interface_address(a) for a in probes)
+
+
+#: The data pointer of an array, for a kernel argument. The ndarray's
+#: own field costs 0.2 us a read on a 2-core x86 host, against 1.4 us
+#: for ``__array_interface__`` (which builds a dict), the fallback where
+#: the field cannot be read.
+_address = _field_address if _reads_the_data_field() else _interface_address
 
 
 def _scan_arrays(
@@ -547,3 +601,100 @@ def cross_tables(queries: np.ndarray, codebooks: np.ndarray) -> np.ndarray | Non
         _address(queries), n, m, dsub, ksub, _address(codebooks), _address(out)
     )
     return out
+
+
+#: The routing kernel's symbols: the one :func:`route` calls (the widest
+#: clone the CPU runs), and each clone, which the tests compare.
+ROUTE_VARIANTS = ("repro_route", "repro_route_portable", "repro_route_avx2")
+
+
+def einsum_distances(
+    queries: np.ndarray, codebook: np.ndarray, c_sq: np.ndarray
+) -> np.ndarray:
+    """Step 1's ``(b, n)`` centroid distances with numpy, the numpy
+    route's: ``max((||x||^2 + c_sq) - 2<x, c>, 0)``, each dot product an
+    einsum. What the routing kernel gives, byte for byte."""
+    x_sq = np.einsum("qd,qd->q", queries, queries)
+    cross = np.einsum("qd,id->qi", queries, codebook)
+    dists = x_sq[:, None] + c_sq[None, :] - 2.0 * cross
+    return np.maximum(dists, 0.0, out=dists)
+
+
+def _routes_like_einsum(library: ctypes.CDLL) -> bool:
+    """Whether the routing kernel's distances are einsum's on a fixed
+    block (every block, pair and lone tail of the sum). numpy picks its
+    einsum loop for the CPU at run time, so a machine whose loop sums in
+    another order routes in numpy instead."""
+    rng = np.random.default_rng(0)
+    queries, codebook = rng.standard_normal((2, 6, 19)) * 10.0
+    c_sq = np.einsum("id,id->i", codebook, codebook)
+    cells = np.empty((6, 6), dtype=np.int64)
+    got = np.empty((6, 6))
+    status = library.repro_route(
+        _address(queries), 6, 19, _address(codebook), _address(c_sq), 6, 6,
+        _address(cells), _address(got),
+    )
+    return status == 0 and got.tobytes() == einsum_distances(
+        queries, codebook, c_sq
+    ).tobytes()
+
+
+def route(
+    queries: np.ndarray,
+    codebook: np.ndarray,
+    c_sq: np.ndarray,
+    nprobe: int,
+) -> np.ndarray | None:
+    """Step 1: each query's ``nprobe`` nearest cells, ``(b, nprobe)``
+    int64, or None (route in numpy).
+
+    ``queries`` is ``(b, d)`` and ``codebook`` ``(n, d)``, both
+    C-contiguous float64 (numpy's einsum sums a strided row in another
+    order), and ``c_sq`` the codebook's einsum squared norms. A row is
+    the first ``nprobe`` cells by (:func:`einsum_distances`, cell id),
+    what ``select_topk_rows`` picks from numpy's distances. None where
+    the kernels do not run, where this machine's einsum sums in another
+    order than the kernel (checked once per library) or where a distance
+    is not finite (numpy then routes, and defines that case).
+    """
+    library = _LIBRARY.handle()
+    if library is None or not _LIBRARY.routes_exactly(library):
+        return None
+    b, d = queries.shape
+    n = len(codebook)
+    if (queries.dtype != np.float64 or codebook.dtype != np.float64
+            or c_sq.dtype != np.float64 or codebook.shape != (n, d)
+            or c_sq.shape != (n,) or not queries.flags.c_contiguous
+            or not codebook.flags.c_contiguous or not c_sq.flags.c_contiguous):
+        return None
+    cells = np.empty((b, nprobe), dtype=np.int64)
+    status = library.repro_route(
+        _address(queries), b, d, _address(codebook), _address(c_sq), n, nprobe,
+        _address(cells), None,
+    )
+    return None if status else cells
+
+
+def select_rows(
+    distances: np.ndarray, ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``select_topk_rows(distances, ids, k)`` for a ``(b, n)`` block
+    with ``(b, n)`` ids, ``(ids, distances)`` of shape ``(b, min(k,
+    n))``, or None (select with numpy): where the kernels do not run, or
+    on a NaN distance, which numpy defines."""
+    library = _LIBRARY.handle()
+    if library is None or distances.ndim != 2 or ids.shape != distances.shape:
+        return None
+    b, n = distances.shape
+    k = min(k, n)
+    if k < 1 or distances.dtype != np.float64 or ids.dtype != np.int64:
+        return None
+    distances = np.ascontiguousarray(distances)
+    ids = np.ascontiguousarray(ids)
+    top_distances = np.empty((b, k), dtype=np.float64)
+    top_ids = np.empty((b, k), dtype=np.int64)
+    status = library.repro_select_rows(
+        _address(distances), _address(ids), b, n, k,
+        _address(top_distances), _address(top_ids),
+    )
+    return None if status else (top_ids, top_distances)

@@ -1,6 +1,6 @@
 /* Native kernels of repro, loaded with ctypes by repro/native/__init__.py.
  *
- * Four kernels, each byte-identical to the numpy path it replaces:
+ * Six kernels, each byte-identical to the numpy path it replaces:
  *
  * repro_naive_scan        PQ Scan (Algorithm 1) of a run of jobs with its
  *                         top-k selection, from combined tables:
@@ -11,13 +11,20 @@
  * repro_combine_tables    Step 2's combine: IVFADCIndex.tables_from_halves.
  * repro_cross_tables      Step 2's query half, 2<x_j, C_ji>:
  *                         ProductQuantizer.cross_tables_batch.
+ * repro_route             Step 1, the centroid distances and each query's
+ *                         nprobe nearest cells: IVFADCIndex.route_batch.
+ * repro_select_rows       The best k (distance, id) pairs of every row of
+ *                         a block: select_topk_rows, as the merge of
+ *                         StreamingMerger.results calls it.
  *
  * Identity rests on doing the same IEEE operations in the same order:
  * every row's distance is table[0][code0] + table[1][code1] + ... added
  * left to right (adc_distances' order), every table entry is
  * (cell_half + r_sq) - query_half, clamped at 0 as numpy.maximum does,
  * and every cross term is 0.0 + x_0 C_0i + x_1 C_1i + ... in d order,
- * then doubled, as numpy's einsum and its `*= 2.0` do.
+ * then doubled, as numpy's einsum and its `*= 2.0` do. Routing's dot
+ * products follow einsum's contiguous two-operand loop instead (see
+ * repro_route).
  * The build uses -ffp-contract=off and never -ffast-math, so no add is
  * fused, reassociated or vectorised across a row's components. Rows are
  * independent, so a block of them is summed component by component:
@@ -45,6 +52,7 @@
 #define SCAN_NAN 2
 #define SCAN_NO_MEMORY 3
 #define SCAN_BAD_INDEX 4
+#define SCAN_NO_CLONE 5 /* an AVX2 clone, on a CPU without AVX2 */
 
 /* (da, ia) sorts before (db, ib); without branches, which the sorts'
  * unpredictable comparisons would mispredict. */
@@ -276,11 +284,97 @@ static void halves_sums(const Lookup *at, int64_t m, int64_t ksub,
 #undef TERM
 }
 
+/* Add (d, id) to a buffer of 2 * width pairs holding `count`; a full
+ * buffer keeps its best `width`, whose worst distance (`worst`) then
+ * turns away every farther pair. Returns the new count. */
+static inline int64_t offer(double d, int64_t id, double *buf_dist,
+                            int64_t *buf_ids, int64_t count, int64_t width,
+                            double *worst)
+{
+    buf_dist[count] = d;
+    buf_ids[count] = id;
+    if (++count == 2 * width) {
+        select_front(buf_dist, buf_ids, count, width);
+        count = width;
+        *worst = buf_dist[width - 1];
+    }
+    return count;
+}
+
+/* The best min(count, width) of an offer buffer, sorted to its front
+ * (its tail is the sort's spare); returns how many. */
+static int64_t best_sorted(double *buf_dist, int64_t *buf_ids, int64_t count,
+                           int64_t width)
+{
+    if (count > width) {
+        select_front(buf_dist, buf_ids, count, width);
+        count = width;
+    }
+    sort_pairs(buf_dist, buf_ids, count, buf_dist + width, buf_ids + width);
+    return count;
+}
+
+/* The best min(n, k) pairs of a row of n distances, dist[j] paired with
+ * ids[j] (with j where ids is NULL), sorted by (distance, id) to the
+ * front of buf_dist / buf_ids (room for 2k pairs), through an offer
+ * buffer. Returns how many, or -1 on a NaN. */
+static int64_t offer_best(const double *dist, const int64_t *ids, int64_t n,
+                          int64_t k, double *buf_dist, int64_t *buf_ids)
+{
+    double worst = INFINITY;
+    int64_t count = 0;
+    for (int64_t j = 0; j < n; j++) {
+        double d = dist[j];
+        if (d > worst)
+            continue;
+        if (d != d)
+            return -1;
+        count = offer(d, ids != NULL ? ids[j] : j, buf_dist, buf_ids, count, k,
+                      &worst);
+    }
+    return best_sorted(buf_dist, buf_ids, count, k);
+}
+
+/* The same for a row whose ids are given, kept sorted by insertion one
+ * pair at a time (room for k pairs). */
+static int64_t insert_best(const double *dist, const int64_t *ids, int64_t n,
+                           int64_t k, double *buf_dist, int64_t *buf_ids)
+{
+    int64_t count = 0;
+    for (int64_t j = 0; j < n; j++) {
+        double d = dist[j];
+        int64_t id = ids[j];
+        if (d != d)
+            return -1;
+        if (count == k) {
+            if (!precedes(d, id, buf_dist[k - 1], buf_ids[k - 1]))
+                continue;
+            count--; /* the worst held pair drops out */
+        }
+        int64_t at = count++;
+        for (; at > 0 && precedes(d, id, buf_dist[at - 1], buf_ids[at - 1]); at--) {
+            buf_dist[at] = buf_dist[at - 1];
+            buf_ids[at] = buf_ids[at - 1];
+        }
+        buf_dist[at] = d;
+        buf_ids[at] = id;
+    }
+    return count;
+}
+
+/* The widest k the merge keeps by insertion: its rows are runs of sorted
+ * cells, so few pairs get in. Measured on a 2-core x86-64 host over 128
+ * rows of 8 sorted runs of k (alternating pairs), insertion's time over
+ * the offer buffer's read 0.41-0.44 at k 10, 0.59 at 32, 0.72 at 64,
+ * 0.86 at 100, 1.08 at 128 and 1.68 at 256. Routing's rows come in no
+ * order, and there insertion won nothing steady (1.08 at nprobe 1, 0.91
+ * to 1.01 at 4-24 over 128 cells): routing keeps the buffer. */
+#define MERGE_INSERT_MAX 100
+
 /* Scan one cell: the rows of one partition against one cell's entries.
- * Live rows that can still be among the best `width` gather in a buffer
- * of 2 * width pairs; a full buffer keeps its best `width`, whose worst
- * distance then turns away every farther row. Returns how many of the
- * best pairs lead the buffer (min(width, live rows)), or -1 on a NaN. */
+ * Live rows that can still be among the best `width` are offered to a
+ * buffer of 2 * width pairs. Returns how many of the best pairs lead the
+ * buffer, sorted (min(width, live rows)), or -1 on a NaN. */
 static int64_t scan_cell(const Lookup *at, int64_t m, int64_t ksub,
                          const uint8_t *codes, const int64_t *ids,
                          const uint8_t *dead, int64_t n, int64_t width,
@@ -302,20 +396,10 @@ static int64_t scan_cell(const Lookup *at, int64_t m, int64_t ksub,
                 continue;
             if (d != d)
                 return -1;
-            buf_dist[count] = d;
-            buf_ids[count] = ids[row];
-            if (++count == 2 * width) {
-                select_front(buf_dist, buf_ids, count, width);
-                count = width;
-                worst = buf_dist[width - 1];
-            }
+            count = offer(d, ids[row], buf_dist, buf_ids, count, width, &worst);
         }
     }
-    if (count > width) {
-        select_front(buf_dist, buf_ids, count, width);
-        count = width;
-    }
-    return count;
+    return best_sorted(buf_dist, buf_ids, count, width);
 }
 
 /* Step 2's halves of n table rows, as repro_naive_scan_halves and
@@ -414,8 +498,6 @@ static int scan_jobs(const double *tables, const Halves *halves,
                     goto done;
                 }
             }
-            /* The buffer's best `size` lead it; its tail is the spare. */
-            sort_pairs(buf_dist, buf_ids, size, buf_dist + width, buf_ids + width);
             memcpy(dist, buf_dist, size * sizeof(double));
             memcpy(cell_ids, buf_ids, size * sizeof(int64_t));
             for (int64_t k = size; k < width; k++) {
@@ -522,6 +604,9 @@ int repro_combine_tables(const double *r_sq, int64_t n, int64_t m,
  * it gives the same bytes whatever block of rows it is computed in. */
 typedef double v2d __attribute__((vector_size(16)));
 typedef double v4d __attribute__((vector_size(32)));
+/* The same, read from any double's address. */
+typedef double v2du __attribute__((vector_size(16), aligned(8), may_alias));
+typedef double v4du __attribute__((vector_size(32), aligned(8), may_alias));
 
 /* Blocks of V vectors of type T (L lanes each): L * V centroids. */
 #define CROSS_BLOCKS(T, L, V)                                            \
@@ -608,7 +693,8 @@ static int has_avx2(void)
 }
 #endif
 
-/* The AVX2 clone; 1 (nothing written) where the CPU has no AVX2. */
+/* The AVX2 clone; SCAN_NO_CLONE (nothing written) where the CPU has no
+ * AVX2. */
 int repro_cross_tables_avx2(const double *x, int64_t n, int64_t m,
                             int64_t dsub, int64_t ksub,
                             const double *codebooks, double *out)
@@ -621,7 +707,7 @@ int repro_cross_tables_avx2(const double *x, int64_t n, int64_t m,
 #endif
     (void)x, (void)n, (void)m, (void)dsub, (void)ksub, (void)codebooks,
         (void)out;
-    return 1;
+    return SCAN_NO_CLONE;
 }
 
 /* The query half on the widest clone this CPU runs. */
@@ -631,4 +717,275 @@ int repro_cross_tables(const double *x, int64_t n, int64_t m, int64_t dsub,
     if (repro_cross_tables_avx2(x, n, m, dsub, ksub, codebooks, out) == 0)
         return 0;
     return repro_cross_tables_portable(x, n, m, dsub, ksub, codebooks, out);
+}
+
+/* Step 1, routing: dists[q, i] = max((x_sq[q] + c_sq[i]) - 2.0 * x_q.c_i, 0)
+ * and each query's nprobe cells of least (distance, cell id), as
+ * IVFADCIndex.route_batch computes them with numpy.
+ *
+ * Every dot product, x_q.c_i and x_sq[q] = x_q.x_q alike, is what numpy's
+ * einsum ("qd,id->qi", "qd,qd->q") accumulates with its contiguous
+ * two-operand loop: two lanes, lane l summing the products of d = l mod 2;
+ * blocks of 8 products per lane pair, each block's four pairs added in
+ * the order 6-7, 4-5, 2-3, 0-1 (einsum's unrolled multiply-adds, which
+ * are a multiply and an add on a build without FMA); then the pairs left
+ * in d order, a lone last product on lane 0; then 0.0 + (lane 0 + lane
+ * 1). The loader compares this with einsum once per process (numpy's
+ * loop is chosen at run time) and routes in numpy if the two differ. */
+
+/* One dot product in einsum's order. */
+static double einsum_dot(const double *a, const double *b, int64_t d)
+{
+    double l0 = 0.0, l1 = 0.0;
+    int64_t i = 0;
+    for (; i + 8 <= d; i += 8)
+        for (int t = 6; t >= 0; t -= 2) {
+            l0 = a[i + t] * b[i + t] + l0;
+            l1 = a[i + t + 1] * b[i + t + 1] + l1;
+        }
+    for (; i + 2 <= d; i += 2) {
+        l0 = a[i] * b[i] + l0;
+        l1 = a[i + 1] * b[i + 1] + l1;
+    }
+    if (i < d)
+        l0 = a[i] * b[i] + l0;
+    return 0.0 + (l0 + l1);
+}
+
+/* Lanes of a route tile's vectors: 4 (256 bits) when `wide`. */
+static inline int tile_lanes(int wide) { return wide ? 4 : 2; }
+
+/* Element pairs in a tile's lane order, for vectors of `lanes` (2 or 4)
+ * lanes: lanes 2h and 2h + 1 of vector k hold the pair of row
+ * k * per_vector + h * per_lane of `rows` (row stride d). The pairs come
+ * step by step in einsum's order, `vectors` vectors a step: step s <
+ * n_steps is the pair at steps[s], and when d is odd a last step holds
+ * (row[d - 1], 0.0), einsum's zero-filled tail load, whose 0.0 * 0.0 on
+ * lane 1 leaves that lane as it was (a lane never holds -0.0). */
+static void lane_pairs(const double *rows, int64_t d, int vectors, int lanes,
+                       int per_vector, int per_lane, const int64_t *steps,
+                       int64_t n_steps, double *out)
+{
+    for (int64_t s = 0; s < n_steps + d % 2; s++)
+        for (int k = 0; k < vectors; k++)
+            for (int h = 0; h < lanes / 2; h++) {
+                const double *row = rows + (k * per_vector + h * per_lane) * d;
+                double *o = out + (s * vectors + k) * lanes + 2 * h;
+                if (s < n_steps) {
+                    memcpy(o, row + steps[s], 2 * sizeof(double));
+                } else {
+                    o[0] = row[d - 1];
+                    o[1] = 0.0;
+                }
+            }
+}
+
+/* x_q.c_i of ROWS (1 or 4) queries against each whole tile of L
+ * centroids, in vectors T of L lanes. A tile's pairs (cs, n_pairs steps
+ * of two vectors) hold L / 2 centroids a vector; a query's (xs, ROWS
+ * vectors a step) its own pair L / 2 times. acc[q][v] lanes 2h and
+ * 2h + 1 sum query q against centroid v * L / 2 + h of the tile. */
+#define ROUTE_TILES(T, L, ROWS)                                           \
+    for (int64_t t = 0; t < n / (L); t++) {                               \
+        const T##u *cv = (const T##u *)(cs + t * n_pairs * 2 * (L));      \
+        const T##u *xv = (const T##u *)xs;                                \
+        T acc[ROWS][2];                                                   \
+        for (int q = 0; q < (ROWS); q++)                                  \
+            acc[q][0] = acc[q][1] = (T){0.0};                             \
+        for (int64_t s = 0; s < n_pairs; s++, cv += 2, xv += (ROWS))      \
+            for (int q = 0; q < (ROWS); q++)                              \
+                for (int v = 0; v < 2; v++)                               \
+                    acc[q][v] = xv[q] * cv[v] + acc[q][v];                \
+        for (int q = 0; q < (ROWS); q++)                                  \
+            for (int v = 0; v < 2; v++)                                   \
+                for (int h = 0; h < (L) / 2; h++)                         \
+                    out[q * n + t * (L) + v * (L) / 2 + h] =              \
+                        0.0 + (acc[q][v][2 * h] + acc[q][v][2 * h + 1]);  \
+    }
+
+/* x_q.c_i of `rows` (1 or 4) queries x (row stride d) against all n
+ * centroids into out (row stride n): the tiles, then the centroids
+ * left one at a time. `wide`: tiles of four centroids in 256-bit
+ * vectors; otherwise of two in 128-bit ones (tile_lanes). */
+static inline __attribute__((always_inline)) void
+route_cross(const double *x, const double *xs, const double *cs, int rows,
+            int64_t d, const double *codebook, int64_t n, int64_t n_pairs,
+            double *out, int wide)
+{
+    if (wide && rows == 4) {
+        ROUTE_TILES(v4d, 4, 4)
+    } else if (wide) {
+        ROUTE_TILES(v4d, 4, 1)
+    } else if (rows == 4) {
+        ROUTE_TILES(v2d, 2, 4)
+    } else {
+        ROUTE_TILES(v2d, 2, 1)
+    }
+    for (int64_t i = n - n % tile_lanes(wide); i < n; i++)
+        for (int q = 0; q < rows; q++)
+            out[q * n + i] = einsum_dot(x + q * d, codebook + i * d, d);
+}
+
+#undef ROUTE_TILES
+
+/* The routing of b queries: the codebook's pairs in tile order, then a
+ * block of up to four queries at a time, each row's distances then its
+ * selection (see repro_route). */
+static inline __attribute__((always_inline)) int
+route_rows(const double *x, int64_t b, int64_t d, const double *codebook,
+           const double *c_sq, int64_t n, int64_t nprobe, int64_t *out,
+           double *out_dist, int wide)
+{
+    if (nprobe < 1 || nprobe > n)
+        return SCAN_BAD_INDEX;
+    int status = SCAN_OK, lanes = tile_lanes(wide);
+    int64_t n_pairs = d / 2 + d % 2;
+    double *cross = malloc(4 * n * sizeof(double));
+    double *buf_dist = malloc(2 * nprobe * sizeof(double));
+    int64_t *buf_ids = malloc(2 * nprobe * sizeof(int64_t));
+    int64_t *steps = malloc(n_pairs * sizeof(int64_t));
+    double *xs = malloc(4 * n_pairs * lanes * sizeof(double));
+    double *cs = malloc((n / lanes * lanes * n_pairs * 2 + 1) * sizeof(double));
+    if (cross == NULL || buf_dist == NULL || buf_ids == NULL || steps == NULL ||
+        xs == NULL || cs == NULL) {
+        status = SCAN_NO_MEMORY;
+        goto done;
+    }
+    /* einsum's order of the element pairs: 6, 4, 2, 0 of each block of
+     * 8, then the pairs left. */
+    int64_t n_steps = 0, at = 0;
+    for (; at + 8 <= d; at += 8)
+        for (int t = 6; t >= 0; t -= 2)
+            steps[n_steps++] = at + t;
+    for (; at + 2 <= d; at += 2)
+        steps[n_steps++] = at;
+    for (int64_t t = 0; t < n / lanes; t++)
+        lane_pairs(codebook + t * lanes * d, d, 2, lanes, lanes / 2, 1, steps,
+                   n_steps, cs + t * n_pairs * 2 * lanes);
+    int rows;
+    for (int64_t q0 = 0; q0 < b; q0 += rows) {
+        rows = b - q0 >= 4 ? 4 : 1;
+        const double *xq = x + q0 * d;
+        lane_pairs(xq, d, rows, lanes, 1, 0, steps, n_steps, xs);
+        route_cross(xq, xs, cs, rows, d, codebook, n, n_pairs, cross, wide);
+        for (int r = 0; r < rows; r++) {
+            const double *xr = xq + r * d;
+            double *row = cross + r * n, x_sq = einsum_dot(xr, xr, d);
+            for (int64_t i = 0; i < n; i++) {
+                double v = (x_sq + c_sq[i]) - 2.0 * row[i];
+                if (!isfinite(v)) {
+                    status = SCAN_NAN;
+                    goto done;
+                }
+                row[i] = v <= 0.0 ? 0.0 : v;
+            }
+            if (out_dist != NULL)
+                memcpy(out_dist + (q0 + r) * n, row, n * sizeof(double));
+            offer_best(row, NULL, n, nprobe, buf_dist, buf_ids);
+            memcpy(out + (q0 + r) * nprobe, buf_ids, nprobe * sizeof(int64_t));
+        }
+    }
+done:
+    free(cross);
+    free(buf_dist);
+    free(buf_ids);
+    free(steps);
+    free(xs);
+    free(cs);
+    return status;
+}
+
+#ifdef HAVE_AVX2_CLONE
+/* The same lanes and adds four centroids a tile: AVX2, no FMA, so every
+ * product is rounded before its add. */
+__attribute__((target("avx2"))) static int
+route_rows_avx2(const double *x, int64_t b, int64_t d, const double *codebook,
+                const double *c_sq, int64_t n, int64_t nprobe, int64_t *out,
+                double *out_dist)
+{
+    return route_rows(x, b, d, codebook, c_sq, n, nprobe, out, out_dist, 1);
+}
+#endif
+
+/* Routing on any machine of the architecture (SSE2 on x86-64).
+ *
+ * x          (b, d) float64 queries, C order.
+ * codebook   (n, d) float64 coarse centroids, C order; c_sq their
+ *            einsum("id,id->i") squared norms.
+ * out        (b, nprobe) int64: each row's nprobe cells of least
+ *            (distance, cell id), in that order.
+ * out_dist   (b, n) float64 for the distances themselves, or NULL.
+ *
+ * Returns SCAN_OK, or (outputs undefined) SCAN_NAN for a distance that is
+ * not finite (numpy then routes), SCAN_BAD_INDEX for an nprobe outside
+ * [1, n] or SCAN_NO_MEMORY. */
+int repro_route_portable(const double *x, int64_t b, int64_t d,
+                         const double *codebook, const double *c_sq, int64_t n,
+                         int64_t nprobe, int64_t *out, double *out_dist)
+{
+    return route_rows(x, b, d, codebook, c_sq, n, nprobe, out, out_dist, 0);
+}
+
+/* The AVX2 clone: the same adds, four lanes a vector (no FMA); returns
+ * SCAN_NO_CLONE (nothing written) where the CPU has no AVX2. */
+int repro_route_avx2(const double *x, int64_t b, int64_t d,
+                     const double *codebook, const double *c_sq, int64_t n,
+                     int64_t nprobe, int64_t *out, double *out_dist)
+{
+#ifdef HAVE_AVX2_CLONE
+    if (has_avx2())
+        return route_rows_avx2(x, b, d, codebook, c_sq, n, nprobe, out,
+                               out_dist);
+#endif
+    (void)x, (void)b, (void)d, (void)codebook, (void)c_sq, (void)n,
+        (void)nprobe, (void)out, (void)out_dist;
+    return SCAN_NO_CLONE;
+}
+
+/* Routing on the widest clone this CPU runs. */
+int repro_route(const double *x, int64_t b, int64_t d, const double *codebook,
+                const double *c_sq, int64_t n, int64_t nprobe, int64_t *out,
+                double *out_dist)
+{
+    int status = repro_route_avx2(x, b, d, codebook, c_sq, n, nprobe, out,
+                                  out_dist);
+    if (status != SCAN_NO_CLONE)
+        return status;
+    return repro_route_portable(x, b, d, codebook, c_sq, n, nprobe, out,
+                                out_dist);
+}
+
+/* The best k pairs of each of b rows, by (distance, id), sorted: what
+ * select_topk_rows returns for a (b, n) block whose row i pairs
+ * dist[i * n + j] with ids[i * n + j]; 1 <= k <= n. out_dist and out_ids
+ * are (b, k).
+ *
+ * Returns SCAN_OK, or (outputs undefined) SCAN_NAN for a NaN distance
+ * (numpy then selects), SCAN_BAD_INDEX for a k outside [1, n] or
+ * SCAN_NO_MEMORY. */
+int repro_select_rows(const double *dist, const int64_t *ids, int64_t b,
+                      int64_t n, int64_t k, double *out_dist, int64_t *out_ids)
+{
+    if (k < 1 || k > n)
+        return SCAN_BAD_INDEX;
+    int status = SCAN_OK;
+    double *buf_dist = malloc(2 * k * sizeof(double));
+    int64_t *buf_ids = malloc(2 * k * sizeof(int64_t));
+    if (buf_dist == NULL || buf_ids == NULL) {
+        status = SCAN_NO_MEMORY;
+        goto done;
+    }
+    for (int64_t r = 0; r < b; r++) {
+        if ((k <= MERGE_INSERT_MAX ? insert_best : offer_best)(
+                dist + r * n, ids + r * n, n, k, buf_dist, buf_ids) < 0) {
+            status = SCAN_NAN;
+            goto done;
+        }
+        memcpy(out_dist + r * k, buf_dist, k * sizeof(double));
+        memcpy(out_ids + r * k, buf_ids, k * sizeof(int64_t));
+    }
+done:
+    free(buf_dist);
+    free(buf_ids);
+    return status;
 }

@@ -31,6 +31,7 @@ per-query loop.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from contextlib import AbstractContextManager
@@ -187,13 +188,26 @@ class BatchPlanner:
     """Routes a whole batch and inverts the plan to partition-major order.
 
     Step 1 of Algorithm 1 runs once for the entire batch
-    (:meth:`IVFADCIndex.route_batch` is a single vectorized
-    centroid-distance computation), then the per-query probe lists are
-    transposed into one :class:`PartitionJob` per distinct partition.
+    (:meth:`IVFADCIndex.route_batch` is a single centroid-distance
+    computation), then the per-query probe lists are transposed into one
+    :class:`PartitionJob` per distinct partition. The planner reads two
+    things of the index, ``partitions`` and ``route_batch``: perfbench's
+    replay plans over a stand-in that has only those.
     """
 
     def __init__(self, index: IVFADCIndex):
         self.index = index
+        # (partitions list, its sizes): re-read when the index hands out
+        # another list.
+        self._sizes: tuple[list[Partition], np.ndarray] | None = None
+
+    def _partition_sizes(self) -> np.ndarray:
+        """Each partition's row count, at least 1 (a job's cost unit)."""
+        partitions = self.index.partitions
+        if self._sizes is None or self._sizes[0] is not partitions:
+            sizes = np.fromiter(map(len, partitions), np.int64, len(partitions))
+            self._sizes = (partitions, np.maximum(sizes, 1))
+        return self._sizes[1]
 
     def plan(
         self, queries: np.ndarray, topk: int = 10, nprobe: int = 1
@@ -208,37 +222,42 @@ class BatchPlanner:
             )
         topk = _checked_topk(topk)
         probed = self.index.route_batch(queries, nprobe=nprobe)
-        # One stable argsort inverts the plan: a partition's probes stay
-        # in row-major order, so each job lists its queries ascending.
         flat = probed.ravel()
-        order = np.argsort(flat, kind="stable")
-        rows, positions = np.divmod(order, probed.shape[1])
-        pids = flat[order]
-        cuts = (np.flatnonzero(pids[1:] != pids[:-1]) + 1).tolist()
-        jobs = []
-        for start, stop in zip([0, *cuts], [*cuts, len(pids)]):
-            if start == stop:  # an empty batch has no run at all
-                break
-            pid = int(pids[start])
-            size = len(self.index.partitions[pid])
-            jobs.append(
-                PartitionJob(
-                    partition_id=pid,
-                    query_rows=rows[start:stop],
-                    probe_positions=positions[start:stop],
-                    cost=(stop - start) * max(size, 1),
-                    tombstones=NO_IDS,
-                )
+        sizes = self._partition_sizes()
+        # One pass of array calls, no per-job Python but the jobs
+        # themselves: every probed partition's probe count and cost, the
+        # jobs largest first (with fewer jobs than workers towards the
+        # end of the batch, the stragglers should be the cheap ones, a
+        # tie by partition id), then one stable argsort that lays the
+        # probes out job by job, each job's queries ascending.
+        counts = np.bincount(flat, minlength=len(sizes))
+        pids = np.flatnonzero(counts)
+        counts = counts[pids]
+        costs = counts * sizes[pids]
+        by_cost = np.lexsort((pids, -costs))
+        pids, costs, counts = pids[by_cost], costs[by_cost], counts[by_cost]
+        rank = np.empty(len(sizes), dtype=np.intp)
+        rank[pids] = np.arange(len(pids))
+        rows, positions = np.divmod(np.argsort(rank[flat], kind="stable"), nprobe)
+        counts = counts.tolist()
+        jobs = tuple(
+            PartitionJob(
+                partition_id=pid,
+                query_rows=rows[stop - count : stop],
+                probe_positions=positions[stop - count : stop],
+                cost=cost,
+                tombstones=NO_IDS,
             )
-        # Largest jobs first: with fewer jobs than workers towards the
-        # end of the batch, the stragglers should be the cheap ones.
-        jobs.sort(key=lambda job: (-job.cost, job.partition_id))
+            for pid, cost, count, stop in zip(
+                pids.tolist(), costs.tolist(), counts, itertools.accumulate(counts)
+            )
+        )
         return BatchPlan(
             queries=queries,
             topk=topk,
             nprobe=nprobe,
             probed=probed,
-            jobs=tuple(jobs),
+            jobs=jobs,
         )
 
 
@@ -612,9 +631,11 @@ class StreamingMerger:
             )
         n_queries, n_positions, width = self._ids.shape
         flat = (n_queries, n_positions * width)
-        ids, distances = select_topk_rows(
+        candidates = (
             self._distances.reshape(flat), self._ids.reshape(flat), self.plan.topk
         )
+        selected = native.select_rows(*candidates)
+        ids, distances = selected or select_topk_rows(*candidates)
         totals = self._counts.sum(axis=2)
         np.minimum(totals[0], self.plan.topk, out=totals[0])
         out = [

@@ -1,11 +1,13 @@
 """A brute-force search oracle that shares no code with the pipeline.
 
-For each query it routes with ``index.route_batch`` and builds each
-probed cell's tables with ``index.distance_tables_for``. Then it scores
-every live row of those cells itself, ``sum_j tables[j, codes[:, j]]``,
-and keeps the first ``k`` by (distance, id). A live row is a base row
-whose id no tombstone names, or a row of the cell's delta segment.
-Nothing here comes from the planner, the scanners, the merger or the
+For each query it routes itself: the centroid distances with einsum
+(the index's Step 1 definition) and the ``nprobe`` cells of least
+(distance, cell id) by ``lexsort``. It builds each probed cell's tables
+with ``index.distance_tables_for``. Then it scores every live row of
+those cells itself, ``sum_j tables[j, codes[:, j]]``, and keeps the
+first ``k`` by (distance, id). A live row is a base row whose id no
+tombstone names, or a row of the cell's delta segment. Nothing here
+comes from the router, the planner, the scanners, the merger or the
 overlay fold: ``tests/test_oracle.py`` pins this module's imports.
 """
 
@@ -18,6 +20,18 @@ def adc(tables, codes):
     for j in range(tables.shape[0]):
         total += tables[j, codes[:, j]]
     return total
+
+
+def route(index, queries, nprobe):
+    """``(b, nprobe)`` cells: each query's nearest coarse centroids by
+    ``max((||x||^2 + ||c||^2) - 2<x, c>, 0)``, ties to the lower cell."""
+    codebook = index.coarse.codebook
+    x_sq = np.einsum("qd,qd->q", queries, queries)
+    c_sq = np.einsum("id,id->i", codebook, codebook)
+    dists = x_sq[:, None] + c_sq[None, :] - 2.0 * np.einsum("qd,id->qi", queries, codebook)
+    np.maximum(dists, 0.0, out=dists)
+    cells = np.broadcast_to(np.arange(len(codebook)), dists.shape)
+    return np.lexsort((cells, dists), axis=1)[:, :nprobe]
 
 
 def live_rows(index, pid, delta=None):
@@ -41,7 +55,7 @@ def oracle_search(index, queries, k, nprobe, delta=None):
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     answers = []
-    for query, probed in zip(queries, index.route_batch(queries, nprobe)):
+    for query, probed in zip(queries, route(index, queries, nprobe)):
         ids, dists = [np.empty(0, np.int64)], [np.empty(0)]
         for pid in probed.tolist():
             tables = index.distance_tables_for(query, pid)

@@ -4,11 +4,14 @@ cannot.
 ``repro.native`` holds naive's scan-and-select of a run from tables
 (``NaiveScanner.scan_run``) and from Step 2's halves, combining each
 looked-up entry where it reads it (``NaiveScanner.scan_halves``), Step
-2's combine (``TableHalves.combine``) and its query half
-(``ProductQuantizer.cross_tables_batch``). Each is held byte for byte to
-the numpy path it stands in for, which ``REPRO_NATIVE=0`` selects. The
-fallback tests swap in a ``NativeLibrary`` over a throwaway cache with a
-missing, broken or hung compiler.
+2's combine (``TableHalves.combine``), its query half
+(``ProductQuantizer.cross_tables_batch``), Step 1's routing
+(``IVFADCIndex.route_batch``) and the merge's row selection
+(``select_topk_rows`` in ``StreamingMerger.results``). Each is held
+byte for byte to the numpy path it stands in for, which
+``REPRO_NATIVE=0`` selects. The fallback tests swap in a
+``NativeLibrary`` over a throwaway cache with a missing, broken or hung
+compiler.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from hypothesis import strategies as st
 from repro import Engine, EngineConfig, IVFADCIndex, NaiveScanner, native
 from repro.ivf.inverted_index import TableHalves
 from repro.ivf.partition import Partition
-from repro.scan.base import NO_IDS
+from repro.scan.base import NO_IDS, PAD_DISTANCE, PAD_ID, ScanBlock
+from repro.scan.topk import select_topk_rows
+from repro.search import BatchPlanner, PackedPartials, StreamingMerger
 
 
 @contextmanager
@@ -391,6 +396,239 @@ def test_combine_leaves_a_row_out_of_range_to_numpy(monkeypatch, indexes, datase
     assert combine([0, 4], 1) is None      # a row past the batch
     assert combine([0, 3], 6) is None      # a cell past the index
     assert combine([0, -4], 5) is not None  # numpy's negative row
+
+
+# -- IVFADCIndex.route_batch ----------------------------------------------------
+
+
+def _route(symbol, queries, codebook, nprobe):
+    """One clone of the routing kernel, called directly: its ``(cells,
+    distances)``, or None for a status (a clone this CPU lacks, or a
+    distance that is not finite)."""
+    library = native._LIBRARY.handle()
+    c_sq = np.einsum("id,id->i", codebook, codebook)
+    cells = np.empty((len(queries), nprobe), dtype=np.int64)
+    distances = np.empty((len(queries), len(codebook)))
+    status = getattr(library, symbol)(
+        queries.ctypes.data, *queries.shape, codebook.ctypes.data, c_sq.ctypes.data,
+        len(codebook), nprobe, cells.ctypes.data, distances.ctypes.data,
+    )
+    return None if status else (cells, distances)
+
+
+def _numpy_route(queries, codebook, nprobe):
+    """``route_batch``'s numpy path: ``(cells, distances)``."""
+    c_sq = np.einsum("id,id->i", codebook, codebook)
+    distances = native.einsum_distances(queries, codebook, c_sq)
+    cells = select_topk_rows(distances, np.arange(len(codebook)), nprobe)[0]
+    return cells, distances
+
+
+@st.composite
+def routings(draw):
+    d = draw(st.one_of(st.integers(1, 24), st.integers(25, 200)))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
+    b = draw(st.one_of(st.integers(1, 9), st.integers(10, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # integer-valued: exact ties between cells
+        queries = rng.integers(-3, 4, (b, d)).astype(np.float64)
+        codebook = rng.integers(-3, 4, (n, d)).astype(np.float64)
+    else:
+        queries = rng.standard_normal((b, d)) * 30.0
+        codebook = rng.standard_normal((n, d)) * 30.0
+    if draw(st.booleans()):  # duplicated centroids: ties go to the lower cell
+        codebook[rng.integers(0, n, n // 2)] = codebook[rng.integers(0, n, n // 2)]
+    return queries, codebook, draw(st.integers(1, n))
+
+
+@given(case=routings())
+@settings(max_examples=150, deadline=None)
+def test_both_route_clones_are_numpys_bytes(case):
+    queries, codebook, nprobe = case
+    cells, distances = _numpy_route(queries, codebook, nprobe)
+    for symbol in native.ROUTE_VARIANTS:
+        got = _route(symbol, queries, codebook, nprobe)
+        if got is None:  # the AVX2 clone, on a CPU without AVX2
+            assert symbol == "repro_route_avx2"
+            continue
+        assert got[1].tobytes() == distances.tobytes()
+        assert got[0].tobytes() == cells.tobytes()
+    # Every nprobe of the first row, through the module's own call.
+    c_sq = np.einsum("id,id->i", codebook, codebook)
+    _, row = _numpy_route(queries[:1], codebook, len(codebook))
+    order = np.lexsort((np.arange(len(codebook)), row[0]))
+    for k in range(1, len(codebook) + 1):
+        assert native.route(queries[:1], codebook, c_sq, k).tolist() == [
+            order[:k].tolist()
+        ]
+
+
+def test_route_batch_routes_natively_with_numpys_bytes(monkeypatch, indexes, dataset):
+    index = indexes[("8x8", True)]
+    calls = []
+    kernel = native.route
+    monkeypatch.setattr(native, "route", lambda *a: calls.append(a) or kernel(*a))
+    queries = np.concatenate([dataset.queries, dataset.base[:77]])
+    for nprobe in (1, 3, index.n_partitions):
+        got = index.route_batch(queries, nprobe=nprobe)
+        with numpy_only():
+            want = index.route_batch(queries, nprobe=nprobe)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(calls) == 6  # consulted each time, numpy's answer or not
+
+
+def test_an_overflowing_distance_routes_in_numpy(index, dataset):
+    queries = dataset.queries[:5].copy()
+    queries[2] = 1e200  # finite, but its squared norm is not
+    c_sq = index._centroid_sq_norms()
+    assert native.route(queries, index.coarse.codebook, c_sq, 2) is None
+    assert native.route(queries[:2], index.coarse.codebook, c_sq, 2) is not None
+    got = index.route_batch(queries, nprobe=2)
+    with numpy_only():
+        assert got.tobytes() == index.route_batch(queries, nprobe=2).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["column-strided", "Fortran"])
+def test_a_strided_batch_routes_as_its_rows_alone(index, dataset, layout):
+    """einsum sums a strided row in another order than a contiguous one:
+    the kernel refuses one, and ``route_batch`` makes the batch
+    contiguous first, so each row routes as it does alone."""
+    queries = dataset.queries[:6]
+    if layout == "Fortran":
+        strided = np.asfortranarray(queries)
+    else:
+        strided = np.repeat(queries, 2, axis=1)[:, ::2]
+    c_sq = index._centroid_sq_norms()
+    assert native.route(strided, index.coarse.codebook, c_sq, 2) is None
+    alone = [index.route(query, nprobe=2) for query in queries]
+    assert index.route_batch(strided, nprobe=2).tolist() == alone
+    with numpy_only():
+        assert index.route_batch(strided, nprobe=2).tolist() == alone
+
+
+def test_the_self_check_catches_another_einsum_order(monkeypatch):
+    library = native._LIBRARY.handle()
+    assert native._routes_like_einsum(library)
+    einsum = np.einsum
+
+    def one_ulp_off(*args, **kwargs):
+        out = einsum(*args, **kwargs)
+        return np.nextafter(out, np.inf) if args[0] == "qd,id->qi" else out
+
+    monkeypatch.setattr(np, "einsum", one_ulp_off)
+    assert not native._routes_like_einsum(library)
+
+
+def test_a_machine_that_fails_the_self_check_routes_in_numpy(monkeypatch, index,
+                                                             dataset):
+    checks = []
+    monkeypatch.setattr(native, "_routes_like_einsum",
+                        lambda lib: checks.append(lib) or False)
+    library = native.NativeLibrary(native._LIBRARY.directory)
+    monkeypatch.setattr(native, "_LIBRARY", library)
+    assert native.available()
+    c_sq = index._centroid_sq_norms()
+    for _ in range(3):
+        assert native.route(dataset.queries, index.coarse.codebook, c_sq, 2) is None
+    assert len(checks) == 1  # once per library
+    got = index.route_batch(dataset.queries, nprobe=2)
+    with numpy_only():
+        assert got.tobytes() == index.route_batch(dataset.queries, nprobe=2).tobytes()
+
+
+def test_the_data_pointer_read_is_the_array_interfaces(tmp_path):
+    base = np.arange(64.0).reshape(8, 8)
+    np.save(tmp_path / "a.npy", base)
+    mapped = np.load(tmp_path / "a.npy", mmap_mode="r")
+    assert not mapped.flags.writeable
+    arrays = [
+        base, base[3:], base[2:, 5:], base[::-1], base.T, mapped, mapped[5:],
+        np.frombuffer(bytes(80), dtype=np.float64)[3:], np.empty(0),
+        np.broadcast_to(base[0], (4, 8)),
+    ]
+    for array in arrays:
+        assert native._address(array) == array.__array_interface__["data"][0]
+    del mapped, arrays
+
+
+# -- the merge's row selection ----------------------------------------------------
+
+
+@st.composite
+def blocks(draw):
+    b, n = draw(st.integers(1, 40)), draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from([2, 5, None]))
+    distances = (rng.random((b, n)) * 100.0 if values is None
+                 else rng.integers(0, values, (b, n)).astype(np.float64))
+    ids = rng.permutation(b * n + 7)[: b * n].reshape(b, n).astype(np.int64)
+    if draw(st.booleans()):  # the merger's padding: cells shorter than a row
+        pad = rng.random((b, n)) < 0.3
+        distances[pad], ids[pad] = PAD_DISTANCE, PAD_ID
+    if draw(st.booleans()):  # sorted runs, as the merger's cells are
+        width = draw(st.integers(1, n))
+        for start in range(0, n, width):
+            run = slice(start, start + width)
+            order = np.lexsort((ids[:, run], distances[:, run]), axis=1)
+            rows = np.arange(b)[:, None]
+            distances[:, run] = distances[:, run][rows, order]
+            ids[:, run] = ids[:, run][rows, order]
+    return distances, ids, draw(st.integers(1, n + 40))
+
+
+@given(case=blocks())
+@settings(max_examples=200, deadline=None)
+def test_the_row_select_is_select_topk_rows(case):
+    distances, ids, k = case
+    got = native.select_rows(distances, ids, k)
+    want = select_topk_rows(distances, ids, k)
+    assert got is not None
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 10, 100, 101, 300])
+def test_the_row_select_is_select_topk_rows_either_side_of_insertion(k):
+    # Runs of sorted cells, as the merger's rows are, and a random row;
+    # the kernel keeps k <= 100 by insertion and a wider k in its buffer.
+    rng = np.random.default_rng(k)
+    distances = rng.integers(0, 50, (5, 4, k)).astype(np.float64)
+    ids = rng.permutation(20 * k + 3)[: 20 * k].reshape(5, 4, k).astype(np.int64)
+    order = np.lexsort((ids, distances), axis=2)
+    distances = np.take_along_axis(distances, order, axis=2).reshape(5, 4 * k)
+    ids = np.take_along_axis(ids, order, axis=2).reshape(5, 4 * k)
+    distances[4], ids[4] = distances[4][::-1], ids[4][::-1]
+    got = native.select_rows(distances, ids, k)
+    assert got is not None
+    for a, b in zip(got, select_topk_rows(distances, ids, k)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_nan_sends_the_merge_to_numpy(index, dataset):
+    distances = np.random.default_rng(5).random((6, 7))
+    ids = np.arange(42).reshape(6, 7)
+    assert native.select_rows(distances, ids, 5) is not None
+    distances[4, 2] = np.nan
+    assert native.select_rows(distances, ids, 5) is None
+    plan = BatchPlanner(index).plan(dataset.queries[:3], topk=5, nprobe=2)
+    cells = ScanBlock(  # 3 queries x 2 probes, a NaN in query 2's first cell
+        np.arange(18).reshape(6, 3), distances[:, :3].copy(),
+        np.full((3, 6), 3, dtype=np.int64),
+    )
+
+    def merged():
+        merger = StreamingMerger(plan)
+        rows, positions = np.divmod(np.arange(6), 2)
+        merger.fold(PackedPartials((3, 2), rows, positions, cells))
+        return merger.results()
+
+    got = merged()
+    with numpy_only():
+        want = merged()
+    for a, b in zip(got, want, strict=True):
+        assert a.ids.tobytes() == b.ids.tobytes()
+        assert a.distances.tobytes() == b.distances.tobytes()
 
 
 # -- when the kernels run, and when the compiler runs ---------------------------

@@ -241,6 +241,57 @@ class TestPlanInversion:
         costs = [(-job.cost, job.partition_id) for job in plan.jobs]
         assert costs == sorted(costs)
 
+    def test_a_new_partition_list_is_sized_again(self):
+        from repro.search import BatchPlanner
+
+        index = self._Routed(np.array([[0, 1], [1, 2]]), 3)
+        planner = BatchPlanner(index)
+        before = {job.partition_id: job.cost for job in planner.plan(
+            np.zeros((2, 4)), nprobe=2).jobs}
+        assert before == {0: 1, 1: 2 * 3, 2: 6}
+        index.partitions = [range(10), range(0), range(4)]
+        after = {job.partition_id: job.cost for job in planner.plan(
+            np.zeros((2, 4)), nprobe=2).jobs}
+        assert after == {0: 10, 1: 2 * 1, 2: 4}
+
+    class _ReplayIndex:
+        """``partitions`` and ``route_batch`` of a real index and nothing
+        else (``__slots__``: any other attribute raises): all that
+        perfbench's traced replay hands the planner (``_SpannedIndex``
+        in ``perfbench/layers.py``)."""
+
+        __slots__ = ("_index",)
+
+        def __init__(self, index):
+            self._index = index
+
+        @property
+        def partitions(self):
+            return self._index.partitions
+
+        def route_batch(self, queries, nprobe=1):
+            return self._index.route_batch(queries, nprobe=nprobe)
+
+    @pytest.mark.parametrize("n_queries", [1, 17, 200])
+    @pytest.mark.parametrize("nprobe", [1, 2])
+    def test_the_replays_stand_in_plans_the_real_plan(
+        self, index, dataset, n_queries, nprobe
+    ):
+        from repro.search import BatchPlanner
+
+        queries = np.resize(dataset.queries, (n_queries, dataset.queries.shape[1]))
+        got = BatchPlanner(self._ReplayIndex(index)).plan(queries, topk=7, nprobe=nprobe)
+        want = BatchPlanner(index).plan(queries, topk=7, nprobe=nprobe)
+        assert (got.topk, got.nprobe) == (want.topk, want.nprobe)
+        assert got.queries.tobytes() == want.queries.tobytes()
+        assert got.probed.tobytes() == want.probed.tobytes()
+        assert len(got.jobs) == len(want.jobs)
+        for a, b in zip(got.jobs, want.jobs):
+            assert (a.partition_id, a.cost) == (b.partition_id, b.cost)
+            assert a.query_rows.tobytes() == b.query_rows.tobytes()
+            assert a.probe_positions.tobytes() == b.probe_positions.tobytes()
+            assert a.tombstones.tobytes() == b.tombstones.tobytes()
+
 
 class TestPackedMerge:
     """``StreamingMerger`` over packed parts is ``merge_partials`` over
