@@ -49,14 +49,8 @@ class TableHalves:
     cells: np.ndarray
 
     def combine(self) -> np.ndarray:
-        """The ``(n, m, k*)`` tables: one C call where the native kernels
-        run (:func:`repro.native.combine_tables`: the same adds, reading
-        ``rows`` and the cells in place), numpy's passes otherwise."""
-        tables = native.combine_tables(
-            self.r_sq, self.query_half, self.rows, self.cell_half, self.cells
-        )
-        if tables is not None:
-            return tables
+        """The ``(n, m, k*)`` tables, in numpy's passes: what every scanner
+        but naive's fused scan reads."""
         query_half, cells = self.query_half, self.cells
         if self.rows is not None:
             query_half = query_half[self.rows]
@@ -68,6 +62,23 @@ class TableHalves:
             tables = r_sq + self.cell_half[cells]
         tables -= query_half
         return np.maximum(tables, 0.0, out=tables)
+
+
+def route_in_numpy(
+    queries: np.ndarray,
+    codebook: np.ndarray,
+    c_sq: np.ndarray,
+    nprobe: int,
+    distances: np.ndarray | None = None,
+) -> np.ndarray:
+    """:data:`repro.native.route`'s twin: each query's ``nprobe`` cells
+    of least (:func:`repro.native.einsum_distances`, cell id), ``(b,
+    nprobe)``; the distances land in ``distances`` too when it is given."""
+    dists = native.einsum_distances(queries, codebook, c_sq)
+    if distances is not None:
+        distances[...] = dists
+    cells = np.arange(len(codebook), dtype=np.int64)
+    return select_topk_rows(dists, cells, nprobe)[0]
 
 
 def as_database_ids(ids: np.ndarray) -> np.ndarray:
@@ -307,7 +318,7 @@ class IVFADCIndex:
         first ``nprobe`` cells of its stable ``argsort``, selected by
         :func:`~repro.scan.select_topk_rows` with the cell id as the
         tie-break instead of sorting all ``n_partitions`` distances. The
-        native kernel (:func:`repro.native.route`) does both in one call
+        native kernel (:data:`repro.native.route`) does both in one call
         with the same bytes; numpy runs where it does not.
         """
         # C-contiguous: einsum sums a strided row in another order, which
@@ -324,11 +335,9 @@ class IVFADCIndex:
         _require_finite(queries, "queries")
         codebook, c_sq = self.coarse.codebook, self._centroid_sq_norms()
         cells = native.route(queries, codebook, c_sq, nprobe)
-        if cells is not None:
-            return cells
-        dists = native.einsum_distances(queries, codebook, c_sq)
-        cells = np.arange(self.n_partitions, dtype=np.int64)
-        return select_topk_rows(dists, cells, nprobe)[0]
+        if cells is None:
+            cells = route_in_numpy(queries, codebook, c_sq, nprobe)
+        return cells
 
     def _centroid_sq_norms(self) -> np.ndarray:
         """Step 1's ``||c_p||^2``, kept until the coarse quantizer changes."""

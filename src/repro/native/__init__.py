@@ -1,19 +1,15 @@
 """Native kernels: the naive PQ Scan, Steps 1 and 2 and the merge's
 selection in C.
 
-``kernels.c`` holds the kernels, each byte-identical to the numpy path
-it stands in for: :func:`naive_scan` (``NaiveScanner.scan_run``: gather,
-sum and top-k selection in one pass per cell), :func:`naive_scan_halves`
-(``NaiveScanner.scan_halves``: the same scan of tables it never makes,
-each looked-up entry combined from Step 2's halves where it is read),
-:func:`combine_tables` (``TableHalves.combine``, the tables the other
-scanners read), :func:`cross_tables` (the query half,
-``ProductQuantizer.cross_tables_batch``), :func:`route`
-(``IVFADCIndex.route_batch``: the centroid distances and each query's
-nearest cells) and :func:`select_rows` (``select_topk_rows``, as
-``StreamingMerger.results`` calls it). Callers try the kernel first
-and run numpy when it returns None, so numpy is the fallback everywhere
-and the reference the tests hold the kernels to.
+``kernels.c`` holds five kernels, each declared once below as a
+:class:`Kernel` (:data:`KERNELS`): its C symbol and variants, its C
+arguments, each array's dtype, extents and layout, the counts that must
+sum to an extent, its size gate, its numpy *twin* (the path it stands
+in for, byte for byte) and an optional self-check. The ``argtypes``,
+the checks every call passes before it reaches C (:meth:`Kernel.run`)
+and the identity tests come from that table. A call that fails a check
+returns None, and the caller runs the twin: numpy is the fallback
+everywhere and the reference the tests hold the kernels to.
 
 The library is compiled with the system ``cc`` into a per-user cache,
 ``$XDG_CACHE_HOME/repro/native`` (``~/.cache/repro/native`` when that is
@@ -40,6 +36,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import math
+import operator
 import os
 import platform
 import shutil
@@ -49,14 +47,11 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
-from ..exceptions import ReproError
-
-if TYPE_CHECKING:  # import cycle: repro.ivf imports repro.native
-    from ..ivf.inverted_index import TableHalves
+from ..exceptions import ConfigurationError, ReproError
 
 __all__ = ["ENV_VAR", "available", "build", "reason"]
 
@@ -111,7 +106,7 @@ class NativeLibrary:
         self._reason = "not loaded yet"
         self._looked = False        # a cache lookup has missed or failed
         self._build_failed = False  # a build failed: never run it again
-        self._routes_exactly: bool | None = None  # _routes_like_einsum, once
+        self._checked: dict[Kernel, bool] = {}  # each self-check, once
 
     @property
     def reason(self) -> str | None:
@@ -137,14 +132,16 @@ class NativeLibrary:
                     self._build_failed = build
             return self._handle
 
-    def routes_exactly(self, library: ctypes.CDLL) -> bool:
-        """Whether ``library`` (this one's handle) routes with einsum's
-        bytes on this machine; checked on first use."""
-        if self._routes_exactly is None:
+    def passes(self, kernel: Kernel, library: ctypes.CDLL) -> bool:
+        """Whether ``kernel`` passes its self-check on ``library`` (this
+        one's handle); each check runs once."""
+        if kernel.self_check is None:
+            return True
+        if kernel not in self._checked:
             with self._lock:
-                if self._routes_exactly is None:
-                    self._routes_exactly = _routes_like_einsum(library)
-        return self._routes_exactly
+                if kernel not in self._checked:
+                    self._checked[kernel] = kernel.self_check(kernel, library)
+        return self._checked[kernel]
 
     def _load(self, build: bool) -> ctypes.CDLL:
         compiler = shutil.which(self.compiler)
@@ -162,7 +159,10 @@ class NativeLibrary:
             self._compile(compiler, path)
         try:
             library = ctypes.CDLL(str(path))
-            _declare(library)
+            for kernel in KERNELS:
+                for symbol in kernel.symbols:
+                    function = getattr(library, symbol)
+                    function.restype, function.argtypes = ctypes.c_int, kernel.argtypes
         except (OSError, AttributeError) as error:  # not a library, or not ours
             raise NativeBuildError(f"cannot load {path}: {error}") from None
         return library
@@ -224,49 +224,6 @@ class NativeLibrary:
                 os.unlink(temporary)
 
 
-def _declare(library: ctypes.CDLL) -> None:
-    scan = library.repro_naive_scan
-    scan.restype = ctypes.c_int
-    scan.argtypes = [
-        _ADDRESS, _I64, _I64,            # tables, m, ksub
-        _ADDRESS, _ADDRESS, _ADDRESS,    # codes, ids, dead
-        _ADDRESS, _ADDRESS, _I64, _I64,  # n_rows, n_cells, n_jobs, width
-        _ADDRESS, _ADDRESS, _ADDRESS,    # out_dist, out_ids, lengths
-    ]
-    combine = library.repro_combine_tables
-    combine.restype = ctypes.c_int
-    combine.argtypes = [
-        _ADDRESS, _I64, _I64, _I64,      # r_sq, n, m, ksub
-        _ADDRESS, _I64, _ADDRESS, _I64,  # query_half, stride, rows, n_queries
-        _ADDRESS, _I64, _ADDRESS, _I64,  # cell_half, stride, cells, step,
-        _I64, _ADDRESS,                  # n_cell_rows, out
-    ]
-    fused = library.repro_naive_scan_halves
-    fused.restype = ctypes.c_int
-    fused.argtypes = [
-        _ADDRESS,                             # r_sq
-        *combine.argtypes[4:8],               # query_half, stride, rows, n_queries
-        *combine.argtypes[8:13],              # cell_half ... n_cell_rows
-        _I64, _I64, _I64,                     # m, ksub, scratch_min_rows
-        *scan.argtypes[3:],                   # codes ... lengths
-    ]
-    for name in CROSS_VARIANTS:
-        cross = getattr(library, name)
-        cross.restype = ctypes.c_int
-        cross.argtypes = [_ADDRESS, _I64, _I64, _I64, _I64, _ADDRESS, _ADDRESS]
-    for name in ROUTE_VARIANTS:
-        route = getattr(library, name)
-        route.restype = ctypes.c_int
-        route.argtypes = [
-            _ADDRESS, _I64, _I64,            # queries, b, d
-            _ADDRESS, _ADDRESS, _I64, _I64,  # codebook, c_sq, n, nprobe
-            _ADDRESS, _ADDRESS,              # cells, distances (or NULL)
-        ]
-    select = library.repro_select_rows
-    select.restype = ctypes.c_int
-    select.argtypes = [_ADDRESS, _ADDRESS, _I64, _I64, _I64, _ADDRESS, _ADDRESS]
-
-
 #: The process's library: a loaded shared object is process-wide state.
 _LIBRARY = NativeLibrary()
 
@@ -323,289 +280,285 @@ def _reads_the_data_field() -> bool:
 _address = _field_address if _reads_the_data_field() else _interface_address
 
 
-def _scan_arrays(
-    m: int,
-    n_tables: int,
-    codes: np.ndarray,
-    ids: np.ndarray,
-    dead: np.ndarray | None,
-    n_rows: np.ndarray,
-    n_cells: "np.ndarray | Sequence[int]",
-    topk: int,
-) -> tuple | None:
-    """The row arguments and fresh outputs of a scan kernel (from
-    ``codes`` to ``lengths``), or None where the kernel is not exact."""
-    if (codes.dtype != np.uint8 or not isinstance(topk, (int, np.integer))
-            or topk < 1):
-        return None
-    n_rows = np.ascontiguousarray(n_rows, dtype=np.int64)
-    n_cells = np.ascontiguousarray(n_cells, dtype=np.int64)
-    if (codes.shape != (int(n_rows.sum()), m) or ids.shape != (len(codes),)
-            or (dead is not None and dead.shape != ids.shape)
-            or int(n_cells.sum()) != n_tables or n_rows.shape != n_cells.shape):
-        return None
-    codes = np.ascontiguousarray(codes)
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    if dead is not None:
-        dead = np.ascontiguousarray(dead, dtype=np.bool_)
-    width = min(topk, int(n_rows.max(initial=0)))
-    out = (
-        np.empty((n_tables, width), dtype=np.float64),
-        np.empty((n_tables, width), dtype=np.int64),
-        np.empty(n_tables, dtype=np.int64),
-    )
-    return (codes, ids, dead, n_rows, n_cells, width, out)
+# -- the declarations ---------------------------------------------------------
+
+#: A value a check refused: the call goes to numpy.
+_REFUSED = object()
 
 
-def _run_scan(kernel, leading: tuple, arrays: tuple) -> tuple | None:
-    """``kernel(*leading, <arrays>)``; its ``(ids, distances, lengths)``,
-    or None on a status that sends the call back to numpy."""
-    codes, ids, dead, n_rows, n_cells, width, (distances, top_ids, lengths) = arrays
-    status = kernel(
-        *leading,
-        _address(codes), _address(ids), None if dead is None else _address(dead),
-        _address(n_rows), _address(n_cells), len(n_rows), width,
-        _address(distances), _address(top_ids), _address(lengths),
-    )
-    return None if status else (top_ids, distances, lengths)
+class Array:
+    """An array argument: exactly ``dtype``, one extent per name in
+    ``dims`` (a name two arguments share is one extent, and a size of the
+    call), in C order.
 
-
-def naive_scan(
-    tables: np.ndarray,
-    codes: np.ndarray,
-    ids: np.ndarray,
-    dead: np.ndarray | None,
-    n_rows: np.ndarray,
-    n_cells: "np.ndarray | Sequence[int]",
-    topk: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The naive PQ Scan of a run of jobs, or None (run numpy).
-
-    Job ``i`` is ``n_cells[i]`` consecutive tables of the ``(c, m, k*)``
-    stack against the next ``n_rows[i]`` rows of ``codes`` / ``ids`` /
-    ``dead`` (the rows to leave out; None for none). Returns the
-    ``(c, min(topk, max n_rows))`` ids and distances of every cell's
-    best live rows by (distance, id), padded with ``(PAD_ID,
-    PAD_DISTANCE)``, and each cell's count of real entries.
-
-    None when the kernels do not run, or when the inputs fall outside
-    what the kernel is exact for (codes not ``uint8``, ``topk < 1``, a
-    code past the table, a NaN distance), so that numpy answers, or
-    raises, as it always has.
+    ``copy``: a strided array is copied into C order; without it (where
+    the twin's bytes depend on the layout) a strided one goes to numpy.
+    ``blocks``: C order within each ``dims[1:]`` block, the blocks a
+    non-negative whole number of items apart (0: one block broadcast),
+    passed as the size ``<name>_stride``. ``optional``: None is NULL.
+    ``written``: the kernel writes into it, so it must be writeable and
+    in C order already.
     """
-    library = _LIBRARY.handle()
-    if library is None or tables.ndim != 3:
-        return None
-    c, m, ksub = tables.shape
-    arrays = _scan_arrays(m, c, codes, ids, dead, n_rows, n_cells, topk)
-    if arrays is None:
-        return None
-    tables = np.ascontiguousarray(tables, dtype=np.float64)
-    return _run_scan(library.repro_naive_scan, (_address(tables), m, ksub), arrays)
 
+    def __init__(self, name: str, dtype: type, dims: str, *, copy: bool = True,
+                 blocks: bool = False, optional: bool = False,
+                 written: bool = False) -> None:
+        self.name, self.dtype, self.dims = name, np.dtype(dtype), tuple(dims.split())
+        self.copy, self.blocks = copy and not written, blocks
+        self.optional, self.written = optional, written
+
+    def bind(self, value: Any, sizes: dict[str, int]) -> Any:
+        """``value`` as the kernel reads it, its extents put in ``sizes``,
+        or :data:`_REFUSED`."""
+        if value is None:
+            return None if self.optional else _REFUSED
+        if (not isinstance(value, np.ndarray) or value.dtype != self.dtype
+                or value.ndim != len(self.dims)):
+            return _REFUSED
+        for dim, extent in zip(self.dims, value.shape):
+            if sizes.setdefault(dim, extent) != extent:
+                return _REFUSED
+        if self.blocks:
+            step = value.strides[0]
+            if (step < 0 or step % value.itemsize or not value.flags.aligned
+                    or not value[:1].flags.c_contiguous):
+                return _REFUSED
+            sizes[f"{self.name}_stride"] = step // value.itemsize
+        elif not value.flags.carray:  # C order and aligned
+            if not self.copy:
+                return _REFUSED
+            value = value.copy(order="C")
+        if self.written and not value.flags.writeable:
+            return _REFUSED
+        return value
+
+
+class Count(Array):
+    """One int64 count per ``dim`` (any integer sequence): each >= 0, and
+    together the extent ``total``."""
+
+    def __init__(self, name: str, dim: str, total: str) -> None:
+        super().__init__(name, np.int64, dim)
+        self.total = total
+
+    def bind(self, value: Any, sizes: dict[str, int]) -> Any:
+        return super().bind(np.asarray(value), sizes)
+
+    def holds(self, value: np.ndarray, sizes: dict[str, int]) -> bool:
+        counts = value.tolist()  # Python ints: the sum cannot wrap
+        return min(counts, default=0) >= 0 and sum(counts) == sizes[self.total]
+
+
+class Int:
+    """A scalar argument: an integer in int64's range, the size ``name``."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.optional = False
+
+    def bind(self, value: Any, sizes: dict[str, int]) -> Any:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            return _REFUSED
+        if not -(1 << 63) <= value < 1 << 63:
+            return _REFUSED
+        sizes[self.name] = value
+        return value
+
+
+class Kernel:
+    """One C kernel and its variants, declared once.
+
+    ``symbols``: the symbol a call runs (the widest clone the CPU runs,
+    where there are clones), then each variant, which the tests hold to
+    the twin too. ``inputs``: what a call passes, in order. ``c_args``:
+    the C parameters, each an input or output array (passed as a
+    pointer) or a size (int64): an extent, an ``Int`` input, a block
+    stride or what ``gate`` derives. ``outputs``: fresh arrays sized by
+    the call's sizes, returned in this order (alone when there is one).
+    ``twin``: ``"module:function"``, the numpy path taking the same
+    inputs and giving the same bytes. ``gate``: adds the sizes it derives
+    from the call's sizes and bound inputs, or returns False to send the
+    call to numpy. ``self_check``: run on the kernel and a library's
+    handle, once per library; a False sends every call to numpy.
+    """
+
+    def __init__(self, symbols: tuple[str, ...], inputs: tuple, c_args: str,
+                 outputs: tuple[Array, ...], *, twin: str,
+                 gate: Callable[[dict, dict], bool],
+                 self_check: Callable[[Kernel, ctypes.CDLL], bool] | None = None,
+                 ) -> None:
+        self.symbols, self.inputs, self.outputs = symbols, inputs, outputs
+        self.name = symbols[0].removeprefix("repro_")
+        self.twin, self.gate, self.self_check = twin, gate, self_check
+        pointers = {spec.name for spec in (*inputs, *outputs) if isinstance(spec, Array)}
+        self.c_args = tuple((name in pointers, name) for name in c_args.split())
+        self.argtypes = [_ADDRESS if pointer else _I64 for pointer, _ in self.c_args]
+        self.counts = [count for count in inputs if isinstance(count, Count)]
+        self.output_names = [out.name for out in outputs]
+        self.padding = (None,) * len(inputs)
+        required = [i for i, spec in enumerate(inputs) if not spec.optional]
+        self.arity = range(required[-1] + 1, len(inputs) + 1)
+
+    def __call__(self, *values: Any, variant: str | None = None) -> Any:
+        """The kernel's outputs for ``values`` (on ``variant``, one of
+        :attr:`symbols`), or None: run the twin."""
+        library = _LIBRARY.handle()
+        if library is None or not _LIBRARY.passes(self, library):
+            return None
+        return self.run(getattr(library, variant or self.symbols[0]), values)
+
+    def run(self, function: Callable[..., int], values: tuple) -> Any:
+        """``function`` on ``values``, checked against the declaration:
+        the outputs, or None where a check or the kernel's status sends
+        the call to numpy."""
+        if len(values) not in self.arity:
+            raise ConfigurationError(f"{self.name}: {len(values)} arguments")
+        bound: dict[str, Any] = {}
+        sizes: dict[str, int] = {}
+        for spec, value in zip(self.inputs, values + self.padding):
+            value = bound[spec.name] = spec.bind(value, sizes)
+            if value is _REFUSED:
+                return None
+        for count in self.counts:
+            if not count.holds(bound[count.name], sizes):
+                return None
+        if not self.gate(sizes, bound):
+            return None
+        found = [np.empty([sizes[d] for d in out.dims], out.dtype) for out in self.outputs]
+        bound.update(zip(self.output_names, found))
+        if function(*[
+            (None if bound[name] is None else _address(bound[name])) if pointer
+            else sizes[name]
+            for pointer, name in self.c_args
+        ]):
+            return None
+        return found[0] if len(found) == 1 else tuple(found)
+
+
+# -- naive's scans -------------------------------------------------------------
 
 #: Fewest rows, per entry of a component's table (``k*``), a job needs
-#: for each of its cells to be combined once into a scratch table; a
-#: shorter partition is scanned from the halves, each looked-up entry
-#: combined where it is read (:func:`naive_scan_halves`). Measured on a
-#: 2-core x86 host, 128 cells of one job scanned both ways (medians of
-#: 15): from the halves took 0.92x the scratch table's time at 128 rows
-#: of 8x8, 1.01x at 256 and 1.10x at 512; 0.85x at 8 rows of 16x4,
-#: 0.96x at 16 and 1.05x at 32. So the crossover is a partition about
-#: as long as its table: ``probe-sharded``'s ~90-row partitions are
-#: scanned from the halves, ``scan-*``'s 16 384 rows from a scratch table.
+#: for each of its cells to be combined once into a scratch table rather
+#: than each looked-up entry where it is read. The crossover measured on
+#: a 2-core x86 host (128 cells of one job, both ways): 0.92x / 1.01x /
+#: 1.10x at 128 / 256 / 512 rows of 8x8, 0.85x / 0.96x / 1.05x at 8 / 16
+#: / 32 rows of 16x4. ``probe-sharded``'s ~90-row partitions are scanned
+#: from the halves, ``scan-*``'s 16 384 rows from a scratch table.
 SCRATCH_ROWS_PER_ENTRY = 1.0
 
-
-def naive_scan_halves(
-    halves: "TableHalves",
-    codes: np.ndarray,
-    ids: np.ndarray,
-    dead: np.ndarray | None,
-    n_rows: np.ndarray,
-    n_cells: "np.ndarray | Sequence[int]",
-    topk: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """:func:`naive_scan` of ``halves.combine()``, with no table made,
-    or None (run numpy).
-
-    ``halves`` holds one table row per cell, job by job. Each cell's
-    entries are combined where the scan reads them, in the combine's
-    operations; a job of at least :data:`SCRATCH_ROWS_PER_ENTRY` x ``k*``
-    rows combines each of its cells once into one reused ``(m, k*)``
-    scratch table instead. The bytes are :func:`naive_scan`'s of the
-    combined tables either way. None where :func:`naive_scan` or
-    :func:`combine_tables` would give up (a row or cell out of range
-    among them).
-    """
-    library = _LIBRARY.handle()
-    if library is None:
-        return None
-    layout = _halves_layout(
-        halves.r_sq, halves.query_half, halves.rows, halves.cell_half, halves.cells
-    )
-    if layout is None:
-        return None
-    _held, args = layout
-    n, m = halves.r_sq.shape
-    ksub = halves.query_half.shape[-1]
-    arrays = _scan_arrays(m, n, codes, ids, dead, n_rows, n_cells, topk)
-    if arrays is None:
-        return None
-    leading = (*args, m, ksub, int(np.ceil(SCRATCH_ROWS_PER_ENTRY * ksub)))
-    return _run_scan(library.repro_naive_scan_halves, leading, arrays)
-
-
-def _blocks_of(array: np.ndarray) -> int | None:
-    """The stride, in float64s, between the C-order ``(m, k*)`` blocks of
-    a ``(n, m, k*)`` float64 array (0 for a broadcast one), or None."""
-    if array.dtype != np.float64 or array.ndim != 3:
-        return None
-    _, m, ksub = array.shape
-    step, row, item = array.strides
-    if item != 8 or row != 8 * ksub or step % 8 or step < 0:
-        return None
-    return step // 8
-
-
-def _halves_layout(
-    r_sq: np.ndarray,
-    query_half: np.ndarray,
-    rows: np.ndarray | None,
-    cell_half: np.ndarray,
-    cells: np.ndarray,
-) -> tuple[tuple, tuple] | None:
-    """The kernels' arguments for Step 2's halves, from ``r_sq`` to
-    ``n_cell_rows``, after the arrays they address (hold on to those
-    until the call returns), or None where the kernels cannot read
-    them."""
-    cells = np.asarray(cells)
-    if rows is not None:
-        rows = np.asarray(rows)
-    n, m = r_sq.shape
-    query_stride, cell_stride = _blocks_of(query_half), _blocks_of(cell_half)
-    if (query_stride is None or cell_stride is None or query_half.shape[1] != m
-            or cell_half.shape[1:] != query_half.shape[1:]
-            or cells.dtype.kind not in "iu" or cells.shape not in ((), (n,))
-            or (rows is not None
-                and (rows.dtype.kind not in "iu" or rows.shape != (n,)))):
-        return None
-    if rows is not None:
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-    # One cell is a 0-d array read with step 0 (ascontiguousarray would
-    # make it 1-d).
-    cells = cells.astype(np.int64, copy=False)
-    if cells.ndim:
-        cells = np.ascontiguousarray(cells)
-    r_sq = np.ascontiguousarray(r_sq, dtype=np.float64)
-    return (r_sq, rows, cells), (
-        _address(r_sq), _address(query_half), query_stride,
-        None if rows is None else _address(rows), len(query_half),
-        _address(cell_half), cell_stride, _address(cells), int(cells.ndim > 0),
-        len(cell_half),
-    )
-
-
-#: Fewest table entries (rows x m x k*) the C combine is used for; a
-#: smaller block is combined by numpy. It bounds what is still combined
-#: into a table stack: the scanners other than naive, and naive where
-#: :func:`naive_scan_halves` does not run. Measured on a
-#: 2-core x86 host: in isolation the C combine ties numpy at 8 192
-#: entries (4 rows at 8x8, 32 at 16x4, one cell) and wins from there
-#: (0.75x at 8x8 x 8 rows), but in perfbench's traced ``scan-fastpq``
-#: replay (8 rows, 16 384 entries, between fastpq scans) it read
-#: ``ivf.tables_ms`` 0.259 ms against numpy's 0.241 (medians of seven
-#: alternating pairs).
-COMBINE_MIN_ENTRIES = 1 << 15
-
-
-def combine_tables(
-    r_sq: np.ndarray,
-    query_half: np.ndarray,
-    rows: np.ndarray | None,
-    cell_half: np.ndarray,
-    cells: np.ndarray,
-) -> np.ndarray | None:
-    """Step 2's combine, ``max((cell_half[cells] + r_sq) -
-    query_half[rows], 0)``, as a fresh ``(n, m, k*)`` array, or None
-    (run numpy).
-
-    ``r_sq`` is ``(n, m)``; ``rows`` (None: all of ``query_half``) and
-    ``cells`` (one cell, or one per row) index ``query_half`` and
-    ``cell_half`` in place: no gathered copy of either is made.
-    ``cell_half`` may be a stride-0 broadcast of one block. A row or
-    cell out of range returns None, and numpy raises.
-    """
-    n, m = r_sq.shape
-    ksub = query_half.shape[-1]
-    if n * m * ksub < COMBINE_MIN_ENTRIES:
-        return None
-    library = _LIBRARY.handle()
-    if library is None:
-        return None
-    layout = _halves_layout(r_sq, query_half, rows, cell_half, cells)
-    if layout is None:
-        return None
-    _held, args = layout
-    out = np.empty((n, m, ksub), dtype=np.float64)
-    status = library.repro_combine_tables(
-        args[0], n, m, ksub, *args[1:], _address(out)
-    )
-    return None if status else out
-
-
-#: The query-half kernel's symbols: the one ``cross_tables`` calls (the
-#: widest clone the CPU runs), and each clone, which the tests compare.
-CROSS_VARIANTS = (
-    "repro_cross_tables", "repro_cross_tables_portable", "repro_cross_tables_avx2"
+#: A run of jobs, as both scans take it: job ``i`` is ``n_cells[i]``
+#: consecutive cells (tables) against the next ``n_rows[i]`` rows of
+#: ``codes`` / ``ids`` / ``dead`` (the rows to leave out; None for none).
+_SCAN_INPUTS = (
+    Array("codes", np.uint8, "r m"),
+    Array("ids", np.int64, "r"),
+    Array("dead", np.bool_, "r", optional=True),
+    Count("n_rows", "j", total="r"),
+    Count("n_cells", "j", total="c"),
+    Int("topk"),
+)
+_SCAN_ARGS = " codes ids dead n_rows n_cells j width out_dist out_ids lengths"
+#: Every cell's best ``width`` live rows by (distance, id), padded with
+#: ``(PAD_ID, PAD_DISTANCE)``, and its count of real entries.
+_SCAN_OUTPUTS = (
+    Array("out_ids", np.int64, "c width"),
+    Array("out_dist", np.float64, "c width"),
+    Array("lengths", np.int64, "c"),
 )
 
+
+def _scan_width(sizes: dict, bound: dict) -> bool:
+    """A scan's ``width``, ``min(topk, longest job)``."""
+    if min(sizes["topk"], sizes["j"], sizes["m"], sizes["ksub"]) < 1:
+        return False
+    sizes["width"] = min(sizes["topk"], max(bound["n_rows"].tolist()))
+    return True
+
+
+#: The naive PQ Scan of a run of jobs from a ``(c, m, k*)`` table stack:
+#: ``NaiveScanner.scan_run``. A code past its table or a NaN distance
+#: sends it to numpy.
+naive_scan = Kernel(
+    ("repro_naive_scan",),
+    (Array("tables", np.float64, "c m ksub"), *_SCAN_INPUTS),
+    "tables m ksub" + _SCAN_ARGS,
+    _SCAN_OUTPUTS,
+    twin="repro.scan.naive:scan_in_numpy",
+    gate=_scan_width,
+)
+
+
+def _halves_sizes(sizes: dict, bound: dict) -> bool:
+    """:func:`_scan_width`, and the scratch-table threshold in rows."""
+    if bound["rows"] is None and sizes["q"] != sizes["c"]:
+        return False
+    sizes["scratch"] = math.ceil(SCRATCH_ROWS_PER_ENTRY * sizes["ksub"])
+    return _scan_width(sizes, bound)
+
+
+#: :data:`naive_scan` of ``TableHalves(r_sq, query_half, rows, cell_half,
+#: cells).combine()`` with no table made: ``NaiveScanner.scan_halves``.
+#: Cell ``i`` reads query row ``rows[i]`` (None: row ``i``; negative from
+#: the end) and cell ``cells[i]``; each looked-up entry is combined where
+#: it is read, or, for a job of at least ``SCRATCH_ROWS_PER_ENTRY`` x
+#: ``k*`` rows, each cell once into a scratch table. ``cell_half`` may be
+#: one broadcast block. A row or cell out of range sends it to numpy too.
+naive_scan_halves = Kernel(
+    ("repro_naive_scan_halves",),
+    (
+        Array("r_sq", np.float64, "c m"),
+        Array("query_half", np.float64, "q m ksub", blocks=True),
+        Array("rows", np.int64, "c", optional=True),
+        Array("cell_half", np.float64, "p m ksub", blocks=True),
+        Array("cells", np.int64, "c"),
+        *_SCAN_INPUTS,
+    ),
+    "r_sq query_half query_half_stride rows q cell_half cell_half_stride cells p"
+    " m ksub scratch" + _SCAN_ARGS,
+    _SCAN_OUTPUTS,
+    twin="repro.scan.naive:scan_halves_in_numpy",
+    gate=_halves_sizes,
+)
+
+
+# -- Step 2's query half -------------------------------------------------------
+
 #: Fewest products (rows x d x k*) the C query half is used for; a
-#: smaller block is einsum's. Measured on a 2-core x86 host, d = 128
-#: (medians, C / einsum). Alone, through
-#: ``ProductQuantizer.cross_tables_batch`` (~10 us of it marshalling),
-#: C wins from 4 rows of 16x4 (8 192 products: 12.0 / 14.1 us) and at
-#: one row of 8x8 (32 768: 13.4 / 15.2 us). Between quickadc scans, as
-#: perfbench's replay runs it, ``distance_tables_for_batch`` of
-#: ``scan-quickadc``'s 16-row batches (32 768 products) read 137-155 us
-#: with the C query half against einsum's 130-146 (three runs of 8
-#: alternating passes; traced ``ivf.tables_ms`` 0.14-0.23 against
-#: 0.12-0.19 ms over eight perfbench pairs), while ``scan-fastpq``'s
-#: 8-row batches (262 144) read 193-290 against 211-265 us and every
-#: larger block wins outright (128 rows of 8x8: 1.09 ms against 2.77).
-#: So that batch, and any block up to 2^16 products, stays einsum's.
+#: smaller block is einsum's. Measured on a 2-core x86 host, d = 128:
+#: alone C wins from 8 192 products, but between ``scan-quickadc``'s
+#: scans its 16-row batches (32 768 products) read 137-155 us against
+#: einsum's 130-146, while ``scan-fastpq``'s 8-row ones (262 144) and
+#: every larger block win (128 rows of 8x8: 1.09 ms against 2.77).
 CROSS_MIN_PRODUCTS = 1 << 16
 
 
-def cross_tables(queries: np.ndarray, codebooks: np.ndarray) -> np.ndarray | None:
-    """Step 2's query half, ``2<x_j, C_ji>``, as a fresh ``(n, m, k*)``
-    array, or None (run numpy).
-
-    ``queries`` is ``(n, m * d*)`` and ``codebooks`` the ``(m, d*, k*)``
-    stack, both C-contiguous float64. Each entry is numpy's: ``0.0``
-    plus ``x_d C_{j,d,i}`` in ``d`` order, then doubled (einsum
-    ``"qjd,jdi->qji"`` and ``*= 2.0``), whatever the batch.
-    """
-    n, d = queries.shape
-    m, dsub, ksub = codebooks.shape
+def _cross_gate(sizes: dict, bound: dict) -> bool:
+    n, d, m, dsub, ksub = (sizes[dim] for dim in ("n", "d", "m", "dsub", "ksub"))
     # einsum sums a single-centroid table (k* = 1) in another order.
-    if n * d * ksub < CROSS_MIN_PRODUCTS or ksub < 2:
-        return None
-    library = _LIBRARY.handle()
-    if (library is None or d != m * dsub or queries.dtype != np.float64
-            or codebooks.dtype != np.float64 or not queries.flags.c_contiguous
-            or not codebooks.flags.c_contiguous):
-        return None
-    out = np.empty((n, m, ksub), dtype=np.float64)
-    library.repro_cross_tables(
-        _address(queries), n, m, dsub, ksub, _address(codebooks), _address(out)
-    )
-    return out
+    return d == m * dsub and ksub >= 2 and n * d * ksub >= max(CROSS_MIN_PRODUCTS, 1)
 
 
-#: The routing kernel's symbols: the one :func:`route` calls (the widest
-#: clone the CPU runs), and each clone, which the tests compare.
-ROUTE_VARIANTS = ("repro_route", "repro_route_portable", "repro_route_avx2")
+#: Step 2's query half, ``2<x_j, C_ji>``, ``(n, m, k*)``, of ``(n, m *
+#: d*)`` queries and the ``(m, d*, k*)`` codebooks:
+#: ``ProductQuantizer.cross_tables_batch``. Each entry is numpy's:
+#: ``0.0`` plus ``x_d C_{j,d,i}`` in ``d`` order, then doubled (einsum
+#: ``"qjd,jdi->qji"`` and ``*= 2.0``), whatever the batch.
+cross_tables = Kernel(
+    ("repro_cross_tables", "repro_cross_tables_portable", "repro_cross_tables_avx2"),
+    (
+        Array("queries", np.float64, "n d", copy=False),
+        Array("codebooks", np.float64, "m dsub ksub", copy=False),
+    ),
+    "queries n m dsub ksub codebooks out",
+    (Array("out", np.float64, "n m ksub"),),
+    twin="repro.pq.product_quantizer:einsum_cross_tables",
+    gate=_cross_gate,
+)
+
+
+# -- Step 1 --------------------------------------------------------------------
 
 
 def einsum_distances(
@@ -620,81 +573,69 @@ def einsum_distances(
     return np.maximum(dists, 0.0, out=dists)
 
 
-def _routes_like_einsum(library: ctypes.CDLL) -> bool:
-    """Whether the routing kernel's distances are einsum's on a fixed
+def _routes_like_einsum(kernel: Kernel, library: ctypes.CDLL) -> bool:
+    """Whether the routing ``kernel``'s distances are einsum's on a fixed
     block (every block, pair and lone tail of the sum). numpy picks its
     einsum loop for the CPU at run time, so a machine whose loop sums in
     another order routes in numpy instead."""
     rng = np.random.default_rng(0)
     queries, codebook = rng.standard_normal((2, 6, 19)) * 10.0
     c_sq = np.einsum("id,id->i", codebook, codebook)
-    cells = np.empty((6, 6), dtype=np.int64)
     got = np.empty((6, 6))
-    status = library.repro_route(
-        _address(queries), 6, 19, _address(codebook), _address(c_sq), 6, 6,
-        _address(cells), _address(got),
-    )
-    return status == 0 and got.tobytes() == einsum_distances(
+    cells = kernel.run(library.repro_route, (queries, codebook, c_sq, 6, got))
+    return cells is not None and got.tobytes() == einsum_distances(
         queries, codebook, c_sq
     ).tobytes()
 
 
-def route(
-    queries: np.ndarray,
-    codebook: np.ndarray,
-    c_sq: np.ndarray,
-    nprobe: int,
-) -> np.ndarray | None:
-    """Step 1: each query's ``nprobe`` nearest cells, ``(b, nprobe)``
-    int64, or None (route in numpy).
-
-    ``queries`` is ``(b, d)`` and ``codebook`` ``(n, d)``, both
-    C-contiguous float64 (numpy's einsum sums a strided row in another
-    order), and ``c_sq`` the codebook's einsum squared norms. A row is
-    the first ``nprobe`` cells by (:func:`einsum_distances`, cell id),
-    what ``select_topk_rows`` picks from numpy's distances. None where
-    the kernels do not run, where this machine's einsum sums in another
-    order than the kernel (checked once per library) or where a distance
-    is not finite (numpy then routes, and defines that case).
-    """
-    library = _LIBRARY.handle()
-    if library is None or not _LIBRARY.routes_exactly(library):
-        return None
-    b, d = queries.shape
-    n = len(codebook)
-    if (queries.dtype != np.float64 or codebook.dtype != np.float64
-            or c_sq.dtype != np.float64 or codebook.shape != (n, d)
-            or c_sq.shape != (n,) or not queries.flags.c_contiguous
-            or not codebook.flags.c_contiguous or not c_sq.flags.c_contiguous):
-        return None
-    cells = np.empty((b, nprobe), dtype=np.int64)
-    status = library.repro_route(
-        _address(queries), b, d, _address(codebook), _address(c_sq), n, nprobe,
-        _address(cells), None,
-    )
-    return None if status else cells
+def _route_gate(sizes: dict, bound: dict) -> bool:
+    return sizes["d"] >= 1 and 1 <= sizes["nprobe"] <= sizes["n"]
 
 
-def select_rows(
-    distances: np.ndarray, ids: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``select_topk_rows(distances, ids, k)`` for a ``(b, n)`` block
-    with ``(b, n)`` ids, ``(ids, distances)`` of shape ``(b, min(k,
-    n))``, or None (select with numpy): where the kernels do not run, or
-    on a NaN distance, which numpy defines."""
-    library = _LIBRARY.handle()
-    if library is None or distances.ndim != 2 or ids.shape != distances.shape:
-        return None
-    b, n = distances.shape
-    k = min(k, n)
-    if k < 1 or distances.dtype != np.float64 or ids.dtype != np.int64:
-        return None
-    distances = np.ascontiguousarray(distances)
-    ids = np.ascontiguousarray(ids)
-    top_distances = np.empty((b, k), dtype=np.float64)
-    top_ids = np.empty((b, k), dtype=np.int64)
-    status = library.repro_select_rows(
-        _address(distances), _address(ids), b, n, k,
-        _address(top_distances), _address(top_ids),
-    )
-    return None if status else (top_ids, top_distances)
+#: Step 1: each of ``(b, d)`` queries' ``nprobe`` nearest cells of the
+#: ``(n, d)`` codebook, ``(b, nprobe)``: ``IVFADCIndex.route_batch``. A
+#: row is the first ``nprobe`` cells by (:func:`einsum_distances`, cell
+#: id); ``c_sq`` is the codebook's einsum squared norms, and a ``(b, n)``
+#: ``distances`` buffer gets the distances. C order only (einsum sums a
+#: strided row in another order); a distance that is not finite, or a
+#: machine whose einsum sums in another order than the kernel (the
+#: self-check), sends it to numpy.
+route = Kernel(
+    ("repro_route", "repro_route_portable", "repro_route_avx2"),
+    (
+        Array("queries", np.float64, "b d", copy=False),
+        Array("codebook", np.float64, "n d", copy=False),
+        Array("c_sq", np.float64, "n", copy=False),
+        Int("nprobe"),
+        Array("distances", np.float64, "b n", optional=True, written=True),
+    ),
+    "queries b d codebook c_sq n nprobe cells distances",
+    (Array("cells", np.int64, "b nprobe"),),
+    twin="repro.ivf.inverted_index:route_in_numpy",
+    gate=_route_gate,
+    self_check=_routes_like_einsum,
+)
+
+
+# -- the merge -----------------------------------------------------------------
+
+
+def _select_k(sizes: dict, bound: dict) -> bool:
+    sizes["k"] = min(sizes["k"], sizes["n"])
+    return sizes["k"] >= 1
+
+
+#: ``select_topk_rows(distances, ids, k)`` of a ``(b, n)`` block with
+#: ``(b, n)`` ids: ``(ids, distances)``, ``(b, min(k, n))``, as
+#: ``StreamingMerger.results`` calls it. A NaN sends it to numpy.
+select_rows = Kernel(
+    ("repro_select_rows",),
+    (Array("distances", np.float64, "b n"), Array("ids", np.int64, "b n"), Int("k")),
+    "distances ids b n k out_dist out_ids",
+    (Array("out_ids", np.int64, "b k"), Array("out_dist", np.float64, "b k")),
+    twin="repro.scan.topk:select_topk_rows",
+    gate=_select_k,
+)
+
+#: Every kernel; ``NativeLibrary`` sets each symbol's ``argtypes`` from it.
+KERNELS = (naive_scan, naive_scan_halves, cross_tables, route, select_rows)

@@ -1,6 +1,9 @@
-/* Native kernels of repro, loaded with ctypes by repro/native/__init__.py.
+/* Native kernels of repro, loaded with ctypes by repro/native/__init__.py,
+ * which declares each one once (its arguments and the checks a call
+ * passes before it gets here) and names its numpy twin.
  *
- * Six kernels, each byte-identical to the numpy path it replaces:
+ * Five kernels, nine symbols, each byte-identical to the numpy path it
+ * replaces:
  *
  * repro_naive_scan        PQ Scan (Algorithm 1) of a run of jobs with its
  *                         top-k selection, from combined tables:
@@ -8,11 +11,12 @@
  * repro_naive_scan_halves The same scan from Step 2's two halves, each
  *                         looked-up entry combined where it is read:
  *                         NaiveScanner.scan_halves.
- * repro_combine_tables    Step 2's combine: IVFADCIndex.tables_from_halves.
  * repro_cross_tables      Step 2's query half, 2<x_j, C_ji>:
- *                         ProductQuantizer.cross_tables_batch.
+ *                         ProductQuantizer.cross_tables_batch; with its
+ *                         _portable and _avx2 clones.
  * repro_route             Step 1, the centroid distances and each query's
- *                         nprobe nearest cells: IVFADCIndex.route_batch.
+ *                         nprobe nearest cells: IVFADCIndex.route_batch;
+ *                         with its _portable and _avx2 clones.
  * repro_select_rows       The best k (distance, id) pairs of every row of
  *                         a block: select_topk_rows, as the merge of
  *                         StreamingMerger.results calls it.
@@ -402,16 +406,14 @@ static int64_t scan_cell(const Lookup *at, int64_t m, int64_t ksub,
     return best_sorted(buf_dist, buf_ids, count, width);
 }
 
-/* Step 2's halves of n table rows, as repro_naive_scan_halves and
- * repro_combine_tables read them: row i's entry (j, e) is
- * max((cell_half[cells[i * cells_step], j, e] + r_sq[i, j])
- *     - query_half[rows[i], j, e], 0).
+/* Step 2's halves of n table rows, as repro_naive_scan_halves reads
+ * them: row i's entry (j, e) is
+ * max((cell_half[cells[i], j, e] + r_sq[i, j]) - query_half[rows[i], j, e], 0).
  * r_sq is (n, m) float64, C order. query_half holds n_queries rows,
  * query_stride doubles apart (rows NULL: row i reads query row i; a
  * negative row counts from the end, as numpy indexing does); cell_half
  * holds n_cell_rows cells, cell_stride doubles apart (0 for one (m, ksub)
- * block shared by every cell; cells_step 0 for one cell for every row).
- * Each (m, ksub) block is C order. */
+ * block shared by every cell). Each (m, ksub) block is C order. */
 typedef struct {
     const double *r_sq;
     const double *query_half;
@@ -421,7 +423,6 @@ typedef struct {
     const double *cell_half;
     int64_t cell_stride;
     const int64_t *cells;
-    int64_t cells_step;
     int64_t n_cell_rows;
 } Halves;
 
@@ -430,7 +431,7 @@ typedef struct {
 static int halves_lookup(const Halves *h, int64_t i, int64_t m, Lookup *at)
 {
     int64_t row = h->rows != NULL ? h->rows[i] : i;
-    int64_t part = h->cells[i * h->cells_step];
+    int64_t part = h->cells[i];
     if (row < 0)
         row += h->n_queries;
     if (row < 0 || row >= h->n_queries || part < 0 || part >= h->n_cell_rows)
@@ -552,42 +553,18 @@ int repro_naive_scan_halves(const double *r_sq, const double *query_half,
                             int64_t query_stride, const int64_t *rows,
                             int64_t n_queries, const double *cell_half,
                             int64_t cell_stride, const int64_t *cells,
-                            int64_t cells_step, int64_t n_cell_rows,
-                            int64_t m, int64_t ksub,
+                            int64_t n_cell_rows, int64_t m, int64_t ksub,
                             int64_t scratch_min_rows, const uint8_t *codes,
                             const int64_t *ids, const uint8_t *dead,
                             const int64_t *n_rows, const int64_t *n_cells,
                             int64_t n_jobs, int64_t width, double *out_dist,
                             int64_t *out_ids, int64_t *lengths)
 {
-    Halves halves = {r_sq,      query_half,  query_stride, rows,       n_queries,
-                     cell_half, cell_stride, cells,        cells_step, n_cell_rows};
+    Halves halves = {r_sq,      query_half,  query_stride, rows,
+                     n_queries, cell_half,   cell_stride,  cells, n_cell_rows};
     return scan_jobs(NULL, &halves, scratch_min_rows, m, ksub, codes,
                      ids, dead, n_rows, n_cells, n_jobs, width, out_dist,
                      out_ids, lengths);
-}
-
-/* Step 2's combine of n table rows, laid out as Halves says, into out,
- * (n, m, ksub) in C order.
- *
- * Returns 0, or 1 (out undefined) for a row or cell out of range. */
-int repro_combine_tables(const double *r_sq, int64_t n, int64_t m,
-                         int64_t ksub, const double *query_half,
-                         int64_t query_stride, const int64_t *rows,
-                         int64_t n_queries, const double *cell_half,
-                         int64_t cell_stride, const int64_t *cells,
-                         int64_t cells_step, int64_t n_cell_rows,
-                         double *restrict out)
-{
-    Halves halves = {r_sq,      query_half,  query_stride, rows,       n_queries,
-                     cell_half, cell_stride, cells,        cells_step, n_cell_rows};
-    for (int64_t i = 0; i < n; i++) {
-        Lookup at;
-        if (halves_lookup(&halves, i, m, &at))
-            return 1;
-        combine_block(at.cell, at.r_sq, at.query, m, ksub, out + i * m * ksub);
-    }
-    return 0;
 }
 
 /* Step 2's query half, out[q, j, i] = 2 (0.0 + x[q, j, 0] C[j, 0, i] + ...

@@ -31,6 +31,16 @@ def code_dtype_for_bits(bits: int) -> np.dtype:
     raise ConfigurationError(f"sub-quantizers above 16 bits unsupported: {bits}")
 
 
+def einsum_cross_tables(queries: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
+    """:data:`repro.native.cross_tables`' twin: ``2<x_j, C_ji>`` of ``(n, m
+    * d*)`` queries and the ``(m, d*, k*)`` codebooks, ``(n, m, k*)``,
+    with einsum."""
+    m, dsub, _ = codebooks.shape
+    tables = np.einsum("qjd,jdi->qji", queries.reshape(len(queries), m, dsub), codebooks)
+    tables *= 2.0
+    return tables
+
+
 class ProductQuantizer:
     """``PQ m×b`` product quantizer (Section 2.1).
 
@@ -234,7 +244,7 @@ class ProductQuantizer:
         loop runs over the ``k*`` contiguous centroids (one multiply-add
         per ``d*``), not over the ``d*``-long dot product of each: half
         the time at 8x8, d* = 16. One C call where the native kernels
-        run (:func:`repro.native.cross_tables`: the same products and
+        run (:data:`repro.native.cross_tables`: the same products and
         adds in the same order, blocks of centroids in registers),
         einsum otherwise.
         """
@@ -246,9 +256,7 @@ class ProductQuantizer:
         codebooks = self._require_stacked()[0]
         tables = native.cross_tables(queries, codebooks)
         if tables is None:
-            subs = queries.reshape(len(queries), self.m, self.dsub)
-            tables = np.einsum("qjd,jdi->qji", subs, codebooks)
-            tables *= 2.0
+            tables = einsum_cross_tables(queries, codebooks)
         return tables
 
     @property

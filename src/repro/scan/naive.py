@@ -19,7 +19,7 @@ Two code paths are provided:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -57,6 +57,41 @@ def _run_rows(
     if codes.shape[1] != m:
         raise DimensionMismatchError(m, codes.shape[1], what="code")
     return codes, ids, dead, np.array([len(p) for p in partitions], dtype=np.intp)
+
+
+def scan_in_numpy(
+    tables: np.ndarray,
+    codes: np.ndarray,
+    ids: np.ndarray,
+    dead: np.ndarray | None,
+    n_rows: np.ndarray,
+    n_cells: Sequence[int],
+    topk: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:data:`repro.native.naive_scan`'s twin, the ragged pass of
+    :meth:`NaiveScanner.scan_run`: every cell's best ``topk`` live rows,
+    ``(ids, distances, lengths)``."""
+    n_rows = np.asarray(n_rows)
+    distances, ids = NaiveScanner._ragged_block(tables, codes, n_rows, n_cells, ids, dead)
+    top_ids, top_distances = select_topk_rows(distances, ids, topk)
+    # A cell's live candidates sort before its padding (masked rows are padding).
+    return top_ids, top_distances, np.count_nonzero(top_ids != PAD_ID, axis=1)
+
+
+def scan_halves_in_numpy(
+    r_sq: np.ndarray,
+    query_half: np.ndarray,
+    rows: np.ndarray | None,
+    cell_half: np.ndarray,
+    cells: np.ndarray,
+    *scan: Any,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:data:`repro.native.naive_scan_halves`' twin: :func:`scan_in_numpy`
+    of the combined tables."""
+    from ..ivf.inverted_index import TableHalves  # import cycle
+
+    tables = TableHalves(r_sq, query_half, rows, cell_half, cells).combine()
+    return scan_in_numpy(tables, *scan)
 
 
 def _block(
@@ -153,11 +188,8 @@ class NaiveScanner(PartitionScanner):
             return ScanBlock.exhaustive(
                 adc_distances_batch(tables, codes), ids, topk, tombstones[0]
             )
-        distances, ids = self._ragged_block(tables, codes, n_rows, sizes, ids, dead)
-        top_ids, top_distances = select_topk_rows(distances, ids, topk)
-        # A cell's live candidates sort before its padding (masked rows are padding).
-        lengths = np.count_nonzero(top_ids != PAD_ID, axis=1)
-        return _block((top_ids, top_distances, lengths), n_rows, sizes)
+        found = scan_in_numpy(tables, codes, ids, dead, n_rows, sizes, topk)
+        return _block(found, n_rows, sizes)
 
     def scan_halves(
         self,
@@ -175,12 +207,15 @@ class NaiveScanner(PartitionScanner):
         ``halves`` has one table row per cell, job by job. The block is
         :meth:`scan_run`'s of the combined tables, byte for byte.
         """
-        if not native.available() or not partitions:
+        if not partitions:
             return None
         codes, ids, dead, n_rows = _run_rows(
             partitions, tombstones, halves.query_half.shape[1]
         )
-        found = native.naive_scan_halves(halves, codes, ids, dead, n_rows, sizes, topk)
+        found = native.naive_scan_halves(
+            halves.r_sq, halves.query_half, halves.rows, halves.cell_half,
+            halves.cells, codes, ids, dead, n_rows, sizes, topk,
+        )
         return None if found is None else _block(found, n_rows, sizes)
 
     @staticmethod

@@ -1,22 +1,25 @@
 """The native kernels give numpy's bytes, and numpy runs whenever they
 cannot.
 
-``repro.native`` holds naive's scan-and-select of a run from tables
-(``NaiveScanner.scan_run``) and from Step 2's halves, combining each
-looked-up entry where it reads it (``NaiveScanner.scan_halves``), Step
-2's combine (``TableHalves.combine``), its query half
+``repro.native`` declares each kernel once (``native.KERNELS``): naive's
+scan-and-select of a run from tables (``NaiveScanner.scan_run``) and
+from Step 2's halves, combining each looked-up entry where it reads it
+(``NaiveScanner.scan_halves``), Step 2's query half
 (``ProductQuantizer.cross_tables_batch``), Step 1's routing
 (``IVFADCIndex.route_batch``) and the merge's row selection
-(``select_topk_rows`` in ``StreamingMerger.results``). Each is held
-byte for byte to the numpy path it stands in for, which
-``REPRO_NATIVE=0`` selects. The fallback tests swap in a
-``NativeLibrary`` over a throwaway cache with a missing, broken or hung
-compiler.
+(``select_topk_rows`` in ``StreamingMerger.results``). Every variant of
+every declared kernel is held byte for byte to the numpy twin its
+declaration names, and fed malformed inputs at the boundary; the
+callers are held to the numpy paths ``REPRO_NATIVE=0`` selects. The
+fallback tests swap in a ``NativeLibrary`` over a throwaway cache with a
+missing, broken or hung compiler.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
+import re
 import stat
 import subprocess
 import time
@@ -29,9 +32,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Engine, EngineConfig, IVFADCIndex, NaiveScanner, native
+from repro.exceptions import ReproError
 from repro.ivf.inverted_index import TableHalves
 from repro.ivf.partition import Partition
 from repro.scan.base import NO_IDS, PAD_DISTANCE, PAD_ID, ScanBlock
+from repro.scan.naive import _run_rows
 from repro.scan.topk import select_topk_rows
 from repro.search import BatchPlanner, PackedPartials, StreamingMerger
 
@@ -268,6 +273,15 @@ def test_a_nan_entry_or_a_code_past_the_table_sends_the_fused_scan_to_numpy():
     spoiled = clean.copy()
     spoiled[1, 2, partition.codes[5, 2]] = np.nan      # an entry the scan reads
     assert fused(halves(spoiled)) is None
+
+    def indexed(rows, cells):
+        return TableHalves(rng.random((2, m)), clean, rows, rng.random((3, m, ksub)),
+                           np.array(cells))
+
+    assert fused(indexed(np.array([0, 2]), [1, 1])) is None     # a row past the batch
+    assert fused(indexed(np.array([0, -3]), [1, 1])) is None
+    assert fused(indexed(None, [1, 3])) is None                  # a cell past the index
+    assert fused(indexed(np.array([0, -2]), [2, 0])) is not None  # numpy's negative row
     partition.codes[7, 3] = ksub
     assert fused(halves(clean)) is None
 
@@ -276,22 +290,13 @@ def test_a_nan_entry_or_a_code_past_the_table_sends_the_fused_scan_to_numpy():
 
 
 def _cross(symbol, queries, codebooks):
-    """One clone of the query-half kernel, called directly."""
-    library = native._LIBRARY.handle()
-    m, dsub, ksub = codebooks.shape
-    out = np.empty((len(queries), m, ksub))
-    status = getattr(library, symbol)(
-        queries.ctypes.data, len(queries), m, dsub, ksub, codebooks.ctypes.data,
-        out.ctypes.data,
-    )
-    return None if status else out
+    """One clone of the query-half kernel, at every size."""
+    with mock.patch.object(native, "CROSS_MIN_PRODUCTS", 1):
+        return native.cross_tables(queries, codebooks, variant=symbol)
 
 
 def _einsum_cross(queries, codebooks):
-    m, dsub, _ = codebooks.shape
-    tables = np.einsum("qjd,jdi->qji", queries.reshape(len(queries), m, dsub), codebooks)
-    tables *= 2.0
-    return tables
+    return _twin(native.cross_tables)(queries, codebooks)
 
 
 @given(
@@ -336,84 +341,22 @@ def test_the_query_half_is_numpys_for_1_to_n_rows(request, dataset, which):
     assert len(calls) == 1  # consulted, and einsum answered the None
 
 
-# -- IVFADCIndex.tables_from_halves ---------------------------------------------
+# -- IVFADCIndex.route_batch ----------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def indexes(dataset, pq, pq4):
-    base = dataset.base[:1500]
-    return {
-        ("8x8", True): IVFADCIndex(pq, n_partitions=6, seed=2).add(base),
-        ("8x8", False): IVFADCIndex(
-            pq, n_partitions=6, seed=2, encode_residuals=False
-        ).add(base),
-        ("16x4", True): IVFADCIndex(pq4, n_partitions=6, seed=2).add(base),
-    }
-
-
-@given(
-    key=st.sampled_from([("8x8", True), ("8x8", False), ("16x4", True)]),
-    n_queries=st.integers(1, 12),
-    n_rows=st.integers(0, 30),
-    per_row=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(
-    max_examples=80, deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-def test_combine_is_numpys_byte_for_byte(
-    monkeypatch, indexes, dataset, key, n_queries, n_rows, per_row, seed
-):
-    # Every size through the kernel, not only those above its threshold.
-    monkeypatch.setattr(native, "COMBINE_MIN_ENTRIES", 1)
-    index = indexes[key]
-    rng = np.random.default_rng(seed)
-    queries = dataset.queries[rng.integers(0, len(dataset.queries), n_queries)]
-    half = index.query_half(queries)
-    rows = rng.integers(0, n_queries, n_rows)
-    cells = rng.integers(0, index.n_partitions, n_rows) if per_row else 3
-    got = index.tables_from_halves(queries, half, rows, cells)
-    with numpy_only():
-        want = index.tables_from_halves(queries, half, rows, cells)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    all_rows = index.tables_from_halves(queries, half, None, 2)
-    with numpy_only():
-        assert all_rows.tobytes() == index.tables_from_halves(
-            queries, half, None, 2
-        ).tobytes()
-
-
-def test_combine_leaves_a_row_out_of_range_to_numpy(monkeypatch, indexes, dataset):
-    monkeypatch.setattr(native, "COMBINE_MIN_ENTRIES", 1)
-    index = indexes[("8x8", True)]
-    half = index.query_half(dataset.queries[:4])
-    r_sq = np.ones((2, index.pq.m))
-    def combine(rows, cell):
-        return native.combine_tables(r_sq, half, np.array(rows), index.cell_half, cell)
-
-    assert combine([0, 4], 1) is None      # a row past the batch
-    assert combine([0, 3], 6) is None      # a cell past the index
-    assert combine([0, -4], 5) is not None  # numpy's negative row
-
-
-# -- IVFADCIndex.route_batch ----------------------------------------------------
+def six_cells(dataset, pq):
+    return IVFADCIndex(pq, n_partitions=6, seed=2).add(dataset.base[:1500])
 
 
 def _route(symbol, queries, codebook, nprobe):
     """One clone of the routing kernel, called directly: its ``(cells,
     distances)``, or None for a status (a clone this CPU lacks, or a
     distance that is not finite)."""
-    library = native._LIBRARY.handle()
     c_sq = np.einsum("id,id->i", codebook, codebook)
-    cells = np.empty((len(queries), nprobe), dtype=np.int64)
     distances = np.empty((len(queries), len(codebook)))
-    status = getattr(library, symbol)(
-        queries.ctypes.data, *queries.shape, codebook.ctypes.data, c_sq.ctypes.data,
-        len(codebook), nprobe, cells.ctypes.data, distances.ctypes.data,
-    )
-    return None if status else (cells, distances)
+    cells = native.route(queries, codebook, c_sq, nprobe, distances, variant=symbol)
+    return None if cells is None else (cells, distances)
 
 
 def _numpy_route(queries, codebook, nprobe):
@@ -446,7 +389,7 @@ def routings(draw):
 def test_both_route_clones_are_numpys_bytes(case):
     queries, codebook, nprobe = case
     cells, distances = _numpy_route(queries, codebook, nprobe)
-    for symbol in native.ROUTE_VARIANTS:
+    for symbol in native.route.symbols:
         got = _route(symbol, queries, codebook, nprobe)
         if got is None:  # the AVX2 clone, on a CPU without AVX2
             assert symbol == "repro_route_avx2"
@@ -463,8 +406,8 @@ def test_both_route_clones_are_numpys_bytes(case):
         ]
 
 
-def test_route_batch_routes_natively_with_numpys_bytes(monkeypatch, indexes, dataset):
-    index = indexes[("8x8", True)]
+def test_route_batch_routes_natively_with_numpys_bytes(monkeypatch, six_cells, dataset):
+    index = six_cells
     calls = []
     kernel = native.route
     monkeypatch.setattr(native, "route", lambda *a: calls.append(a) or kernel(*a))
@@ -508,7 +451,7 @@ def test_a_strided_batch_routes_as_its_rows_alone(index, dataset, layout):
 
 def test_the_self_check_catches_another_einsum_order(monkeypatch):
     library = native._LIBRARY.handle()
-    assert native._routes_like_einsum(library)
+    assert native._routes_like_einsum(native.route, library)
     einsum = np.einsum
 
     def one_ulp_off(*args, **kwargs):
@@ -516,14 +459,14 @@ def test_the_self_check_catches_another_einsum_order(monkeypatch):
         return np.nextafter(out, np.inf) if args[0] == "qd,id->qi" else out
 
     monkeypatch.setattr(np, "einsum", one_ulp_off)
-    assert not native._routes_like_einsum(library)
+    assert not native._routes_like_einsum(native.route, library)
 
 
 def test_a_machine_that_fails_the_self_check_routes_in_numpy(monkeypatch, index,
                                                              dataset):
     checks = []
-    monkeypatch.setattr(native, "_routes_like_einsum",
-                        lambda lib: checks.append(lib) or False)
+    monkeypatch.setattr(native.route, "self_check",
+                        lambda kernel, lib: checks.append(lib) or False)
     library = native.NativeLibrary(native._LIBRARY.directory)
     monkeypatch.setattr(native, "_LIBRARY", library)
     assert native.available()
@@ -629,6 +572,263 @@ def test_a_nan_sends_the_merge_to_numpy(index, dataset):
     for a, b in zip(got, want, strict=True):
         assert a.ids.tobytes() == b.ids.tobytes()
         assert a.distances.tobytes() == b.distances.tobytes()
+
+
+# -- every declared kernel: its twin, its variants, its boundary ----------------
+
+_KERNELS = {kernel.name: kernel for kernel in native.KERNELS}
+#: Every symbol of every declared kernel, each held to its kernel's twin.
+VARIANTS = [(kernel.name, symbol)
+            for kernel in native.KERNELS for symbol in kernel.symbols]
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _twin(kernel):
+    """The numpy function a declaration names as its kernel's twin."""
+    module, function = kernel.twin.split(":")
+    return getattr(importlib.import_module(module), function)
+
+
+def _scan_case(case):
+    tables, partitions, tombstones = _run_inputs(case)
+    codes, ids, dead, n_rows = _run_rows(partitions, tombstones, case["m"])
+    return (tables, codes, ids, dead, n_rows, case["cells"], case["topk"])
+
+
+def _halves_case(case):
+    halves, partitions, tombstones = _halves_inputs(case)
+    codes, ids, dead, n_rows = _run_rows(partitions, tombstones, case["m"])
+    return (halves.r_sq, halves.query_half, halves.rows, halves.cell_half,
+            halves.cells, codes, ids, dead, n_rows, case["cells"], case["topk"])
+
+
+@st.composite
+def cross_cases(draw):
+    m, dsub = draw(st.sampled_from([1, 2, 4, 8, 16])), draw(st.integers(1, 20))
+    ksub = draw(st.sampled_from([2, 3, 4, 5, 16, 17, 33, 64, 100, 256]))
+    rng = np.random.default_rng(draw(seeds))
+    queries = rng.standard_normal((draw(st.integers(1, 40)), m * dsub)) * 40.0
+    queries[rng.random(queries.shape) < 0.05] = 0.0
+    return queries, rng.standard_normal((m, dsub, ksub)) * 25.0
+
+
+def _route_case(case, with_distances=True):
+    queries, codebook, nprobe = case
+    distances = np.empty((len(queries), len(codebook))) if with_distances else None
+    return (queries, codebook, np.einsum("id,id->i", codebook, codebook), nprobe,
+            distances)
+
+
+#: Valid inputs of each declared kernel, drawn across its shapes.
+CASES = {
+    "naive_scan": runs().map(_scan_case),
+    "naive_scan_halves": halves_runs().map(_halves_case),
+    "cross_tables": cross_cases(),
+    "route": routings().map(_route_case),
+    "select_rows": blocks(),
+}
+
+
+def _written(kernel, inputs):
+    return [getattr(spec, "written", False) and value is not None
+            for spec, value in zip(kernel.inputs, inputs)]
+
+
+def _held_to_twin(kernel, inputs, variant=None):
+    """``kernel`` on ``inputs`` at every size; where it answers, its
+    outputs and every buffer it writes must be the twin's, byte for
+    byte. Whether it answered."""
+    theirs = [np.zeros_like(value) if written else value
+              for written, value in zip(_written(kernel, inputs), inputs)]
+    with mock.patch.object(native, "CROSS_MIN_PRODUCTS", 1):
+        got = kernel(*inputs, variant=variant)
+    if got is None:
+        return False
+    want = _twin(kernel)(*theirs)
+    got, want = (x if isinstance(x, tuple) else (x,) for x in (got, want))
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    for written, a, b in zip(_written(kernel, inputs), inputs, theirs):
+        assert not written or a.tobytes() == b.tobytes()
+    return True
+
+
+def test_every_kernel_is_declared_once_with_a_twin_and_cases():
+    symbols = [symbol for kernel in native.KERNELS for symbol in kernel.symbols]
+    exported = re.findall(r"^int (repro_\w+)\(", native.SOURCE.read_text(), re.MULTILINE)
+    assert sorted(symbols) == sorted(exported) and len(set(symbols)) == len(symbols)
+    for kernel in native.KERNELS:
+        assert callable(_twin(kernel)), f"{kernel.name} names no numpy twin"
+        library = native._LIBRARY.handle()
+        for symbol in kernel.symbols:
+            assert getattr(library, symbol).argtypes == kernel.argtypes
+    assert set(CASES) == set(BOUNDARY_CASES) == set(_KERNELS), (
+        "a declared kernel that no identity or boundary test draws"
+    )
+
+
+@pytest.mark.parametrize("name, variant", VARIANTS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_variant_is_its_twins_bytes(name, variant, data):
+    answered = _held_to_twin(_KERNELS[name], data.draw(CASES[name]), variant)
+    assert answered or variant.endswith("_avx2")  # None: a CPU without AVX2
+
+
+def _scan_boundary(rng):
+    """A fixed run of 1 500 rows of 8x8 codes, two jobs, three cells."""
+    codes = rng.integers(0, 256, (1500, 8), dtype=np.uint8)
+    dead = rng.random(1500) < 0.1
+    return (codes, rng.permutation(10**6)[:1500].astype(np.int64), dead,
+            np.array([900, 600]), [1, 2], 20)
+
+
+#: Valid inputs of each declared kernel at one shape whose arrays are
+#: each larger than 1 KiB (numpy serves smaller buffers from a cache, in
+#: which an overrun may hit memory that is still allocated).
+BOUNDARY_CASES = {
+    "naive_scan": lambda rng: (rng.random((3, 8, 256)), *_scan_boundary(rng)),
+    "naive_scan_halves": lambda rng: (
+        rng.random((160, 16)), rng.random((12, 16, 16)), rng.integers(-12, 12, 160),
+        rng.random((6, 16, 16)), np.repeat([4, 1], [60, 100]),
+        rng.integers(0, 16, (1500, 16), dtype=np.uint8),
+        *_scan_boundary(rng)[1:4], [60, 100], 20,
+    ),
+    "cross_tables": lambda rng: (
+        rng.standard_normal((40, 128)), rng.standard_normal((8, 16, 256)),
+    ),
+    "route": lambda rng: _route_case(
+        (rng.standard_normal((200, 32)), rng.standard_normal((150, 32)), 7),
+        with_distances=bool(rng.integers(2)),
+    ),
+    "select_rows": lambda rng: (
+        rng.random((50, 300)), rng.permutation(15000).reshape(50, 300), 10,
+    ),
+}
+
+DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_]
+
+
+def _misaligned(value):
+    buffer = np.empty(value.nbytes + 1, dtype=np.uint8)[1:]
+    out = buffer.view(value.dtype).reshape(value.shape)
+    out[...] = value
+    return out
+
+
+def _read_only_mmap(value, directory):
+    path = directory / f"a{len(os.listdir(directory))}.npy"
+    np.save(path, value)
+    return np.load(path, mmap_mode="r")
+
+
+def _negative_counts(value):
+    value = np.array(value, dtype=np.int64)
+    if len(value) < 2:
+        return -value - 1
+    shift = value[1] + 1 + value[1] // 2
+    value[0] += shift   # the same total, one count below zero
+    value[1] -= shift
+    return value
+
+
+@st.composite
+def malformed(draw, name, directory):
+    """A valid boundary case of kernel ``name`` with one input spoiled."""
+    kernel = _KERNELS[name]
+    inputs = list(BOUNDARY_CASES[name](np.random.default_rng(draw(seeds))))
+    at = draw(st.integers(0, len(inputs) - 1))
+    spec, value = kernel.inputs[at], inputs[at]
+    if isinstance(spec, native.Int):
+        inputs[at] = draw(st.sampled_from(
+            [-1, 0, 1, 10**4, 2**62, 2**63, 2**70, 1.5, "3", None, np.int32(5)]
+        ))
+        return inputs
+    if value is None:
+        inputs[at] = draw(st.sampled_from(
+            [np.zeros(1500, dtype=spec.dtype), np.zeros(3)]))
+        return inputs
+    value = np.asarray(value)
+    how = draw(st.sampled_from([
+        "dtype", "fortran", "reversed", "zero stride", "offset", "misaligned",
+        "empty", "empty last axis", "read-only mmap", "negative counts", "huge count",
+    ]))
+    if how == "dtype":
+        value = value.astype(draw(st.sampled_from(
+            [dtype for dtype in DTYPES if dtype != value.dtype])))
+    elif how == "fortran":
+        value = np.asfortranarray(value)
+    elif how == "reversed":
+        value = value[::-1]
+    elif how == "zero stride" and len(value):
+        value = np.broadcast_to(value[:1], value.shape)
+    elif how == "offset":
+        value = np.concatenate([value[:1], value])[1:]
+    elif how == "misaligned":
+        value = _misaligned(value)
+    elif how == "empty":
+        value = value[:0]
+    elif how == "empty last axis" and value.ndim:
+        value = value[..., :0]
+    elif how == "read-only mmap":
+        value = _read_only_mmap(value, directory)
+    elif how == "negative counts" and isinstance(spec, native.Count):
+        value = _negative_counts(value)
+    elif how == "huge count" and isinstance(spec, native.Count):
+        value = value.astype(np.int64) + 2**62
+    inputs[at] = value
+    return inputs
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_every_boundary_case_is_answered(name):
+    case = BOUNDARY_CASES[name](np.random.default_rng(7))
+    assert _held_to_twin(_KERNELS[name], case)
+
+
+@pytest.fixture(scope="module")
+def spool(tmp_path_factory):
+    return tmp_path_factory.mktemp("mmaps")
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_malformed_input_gets_numpys_bytes_or_goes_to_numpy(name, spool, data):
+    """Every call with one input spoiled answers with its twin's bytes,
+    returns None (numpy runs) or raises a ``ReproError``: never a crash,
+    a read past an array or a silently wrong row."""
+    inputs = data.draw(malformed(name, spool))
+    try:
+        _held_to_twin(_KERNELS[name], inputs)
+    except ReproError:
+        pass
+
+
+def test_a_negative_job_count_goes_to_numpy():
+    """Counts that sum to their extent but are not all >= 0 never reach
+    C: a job of -2000 rows or -1 cells would read past the codes or the
+    tables."""
+    rng = np.random.default_rng(6)
+    tables = rng.random((2, 8, 256))
+    codes = rng.integers(0, 256, (3000, 8), dtype=np.uint8)
+    ids = np.arange(3000)
+    assert native.naive_scan(tables, codes, ids, None, [1000, 2000], [1, 1], 10)
+    assert native.naive_scan(tables, codes, ids, None, [5000, -2000], [1, 1], 10) is None
+    assert native.naive_scan(tables, codes, ids, None, [1000, 2000], [3, -1], 10) is None
+    halves = (rng.random((2, 8)), rng.random((2, 8, 256)), None,
+              rng.random((3, 8, 256)), np.array([2, 0]))
+    assert native.naive_scan_halves(*halves, codes, ids, None, [1000, 2000], [1, 1], 10)
+    for n_rows, n_cells in (([5000, -2000], [1, 1]), ([1000, 2000], [3, -1])):
+        assert native.naive_scan_halves(
+            *halves, codes, ids, None, n_rows, n_cells, 10) is None
+    partitions = [Partition(codes[:500], ids[:500]),
+                  Partition(codes[500:1000], ids[500:1000])]
+    assert NaiveScanner().scan_halves(
+        TableHalves(*halves), partitions, [3, -1], 10, [NO_IDS, NO_IDS]
+    ) is None
 
 
 # -- when the kernels run, and when the compiler runs ---------------------------
